@@ -442,7 +442,7 @@ impl IncrementalSolver {
             let (sol, pivots, warm_hit, snapshot) = if self.opts.backend == LpBackend::Revised {
                 let entry = self.shape_cache.get(&skey);
                 let pool: &[BasisSnapshot] = entry.map(|e| e.snapshots.as_slice()).unwrap_or(&[]);
-                match supervised_solve(&lp, &ropts, pool) {
+                match supervised_solve(&lp, &ropts.snapshots(pool)) {
                     Ok(sr) => {
                         if !pool.is_empty() {
                             report.warm_attempts += 1;

@@ -80,8 +80,8 @@
 //! signatures build LPs with identical standard-form structure), one
 //! representative per group solves cold, and the siblings warm-start from
 //! a per-group [`abt_lp::BasisSnapshot`] pool seeded by the
-//! representative and grown by every cold-resolved miss
-//! ([`abt_lp::solve_revised_warm`]). Siblings run in parallel waves so the
+//! representative and grown by every cold-resolved miss (offered through
+//! [`abt_lp::LpOptions::snapshots`]). Siblings run in parallel waves so the
 //! pool growth stays deterministic — warm pivot counts are exactly
 //! reproducible run to run. Warm answers are certified in exact rationals
 //! like cold ones, so `Batch` never changes an objective; cold
@@ -91,9 +91,11 @@
 //!
 //! # Solve backends
 //!
-//! The default is [`abt_lp::solve_revised`]: a bounded revised simplex in
-//! `f64` whose terminal basis is re-verified (and, if need be, re-solved)
-//! in exact rationals, so the `y` values and objective remain *exact* —
+//! The default is [`abt_lp::solve_lp`]'s `Revised` backend under the
+//! supervision ladder ([`crate::supervise`]): a bounded revised simplex in
+//! `f64` whose terminal basis is re-verified in exact rationals (and, if
+//! that fails, re-solved by a dense rung), so the `y` values and
+//! objective remain *exact* —
 //! the rounding algorithm's case analysis (`⌊Y_i⌋`, comparisons against ½)
 //! stays noise-free. [`LpOptions`] recovers the seed behaviour (per-slot +
 //! explicit rows + pure exact simplex) and the PR-1 default (coalesced +
@@ -117,7 +119,7 @@ use abt_core::obs::{
 use abt_core::{supervised_map, Error, Instance, Result, SolveFailure, Time};
 use abt_lp::{
     solve, solve_lp, BasisSnapshot, BoundedOptions, CertifyMode, Cmp, LpProblem, LpReport,
-    LpSolution, LpStatus, Rat, RevisedOptions, SolverBackend, DEFAULT_PRICING_WINDOW,
+    LpSolution, LpStatus, Rat, SolverBackend, DEFAULT_PRICING_WINDOW,
 };
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -130,11 +132,13 @@ pub enum LpBackend {
     /// behaviour).
     Exact,
     /// Dense float-first solve with exact terminal-basis verification and
-    /// exact fallback ([`abt_lp::solve_hybrid`]) — the PR-1 default.
+    /// exact fallback ([`abt_lp::SolverBackend::DenseHybrid`]) — the PR-1
+    /// default.
     Hybrid,
     /// Bounded-variable revised simplex in `f64` with sparse exact-LU
-    /// verification ([`abt_lp::solve_revised`]). Same exact results,
-    /// faster; the current default.
+    /// verification ([`abt_lp::SolverBackend::Revised`], run down the
+    /// supervision ladder). Same exact results, faster; the current
+    /// default.
     Revised,
 }
 
@@ -743,19 +747,19 @@ pub(crate) fn record_solve_latency(elapsed: Duration) {
     met().solve_latency_us.record(elapsed.as_micros() as u64);
 }
 
-/// The [`RevisedOptions`] implied by [`LpOptions`]: pricing window plus
-/// the solve budgets (`0` means unlimited throughout).
-pub(crate) fn revised_options(opts: &LpOptions) -> RevisedOptions {
-    RevisedOptions {
-        pricing: BoundedOptions {
+/// The [`abt_lp::LpOptions`] implied by [`LpOptions`] for the revised
+/// backend: pricing window, the solve budgets (`0` means unlimited
+/// throughout), and the certify policy.
+pub(crate) fn revised_options(opts: &LpOptions) -> abt_lp::LpOptions<'static> {
+    abt_lp::LpOptions::new()
+        .pricing(BoundedOptions {
             pricing_window: opts.pricing_window,
             pivot_budget: opts.pivot_budget,
             time_budget: (opts.time_budget_ms > 0)
                 .then(|| Duration::from_millis(opts.time_budget_ms)),
             ..BoundedOptions::default()
-        },
-        certify: opts.certify,
-    }
+        })
+        .certify(opts.certify)
 }
 
 pub(crate) fn run_backend(lp: &LpProblem<Rat>, opts: &LpOptions) -> LpSolution<Rat> {
@@ -774,7 +778,7 @@ pub(crate) fn run_backend(lp: &LpProblem<Rat>, opts: &LpOptions) -> LpSolution<R
             record_solve_latency(started.elapsed());
             rep.solution
         }
-        LpBackend::Revised => match supervised_solve(lp, &revised_options(opts), &[]) {
+        LpBackend::Revised => match supervised_solve(lp, &revised_options(opts)) {
             Ok(sr) => sr.solution,
             // Callers of this legacy entry point have no error channel,
             // and a failure of the whole ladder (dense exact included) is
@@ -1037,7 +1041,7 @@ fn solve_component(
         met().max_component_vars.record_max(lp.num_vars() as u64);
     }
     let sol = match opts.backend {
-        LpBackend::Revised => supervised_solve(&lp, &revised_options(opts), &[])?.solution,
+        LpBackend::Revised => supervised_solve(&lp, &revised_options(opts))?.solution,
         _ => run_backend(&lp, opts),
     };
     Ok(finish_component(comp, comp.run_hi - comp.run_lo, sol))
@@ -1122,7 +1126,7 @@ fn solve_components_batched(
             let comp = &comps[ci];
             let lp = build_component_lp(inst, opts, runs, comp);
             met().max_component_vars.record_max(lp.num_vars() as u64);
-            let sr = supervised_solve(&lp, &ropts, &[])?;
+            let sr = supervised_solve(&lp, &ropts)?;
             let pivots = sr.stats.pivots;
             Ok((
                 finish_component(comp, comp.run_hi - comp.run_lo, sr.solution),
@@ -1173,7 +1177,7 @@ fn solve_components_batched(
                 let lp = build_component_lp(inst, opts, runs, comp);
                 met().max_component_vars.record_max(lp.num_vars() as u64);
                 let (pool, rep_pivots) = &pools_ref[gi];
-                let sr = supervised_solve(&lp, &ropts, pool)?;
+                let sr = supervised_solve(&lp, &ropts.snapshots(pool))?;
                 // An empty pool (e.g. the representative fell back to the
                 // dense exact solver) means the sibling was never *offered*
                 // a snapshot — don't count a phantom attempt.
@@ -1370,7 +1374,7 @@ pub fn fractional_feasible(inst: &Instance, slots: &[Time], y: &[Rat]) -> bool {
         let terms: Vec<(usize, Rat)> = row.iter().map(|&(_, v)| (v, Rat::ONE)).collect();
         lp.add_constraint(terms, Cmp::Ge, Rat::from_int(inst.job(j).length));
     }
-    let sr = supervised_solve(&lp, &RevisedOptions::default(), &[])
+    let sr = supervised_solve(&lp, &abt_lp::LpOptions::new())
         .unwrap_or_else(|f| panic!("feasibility oracle quarantined: {f}"));
     matches!(sr.solution.status, LpStatus::Optimal)
 }

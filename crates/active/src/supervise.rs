@@ -14,9 +14,8 @@
 //!    outcome and drops through silently; any other failure demotes.
 //! 2. **Cold revised** (the default `Revised` backend) — the bounded
 //!    revised simplex with budgets armed. A float-level `Infeasible` claim
-//!    drops through silently (confirming it is the exact tier's job,
-//!    exactly like the legacy dense fallback); panics, budget trips, and
-//!    numerical stalls demote.
+//!    drops through silently (confirming it is the exact tier's job);
+//!    panics, budget trips, and numerical stalls demote.
 //! 3. **Dense hybrid** (`SolverBackend::DenseHybrid`) — dense float
 //!    search with exact certification and its own internal exact fallback.
 //! 4. **Dense exact** (`SolverBackend::DenseExact`) — every pivot in
@@ -47,21 +46,21 @@
 use crate::lp_model::{record_budget_trip, record_demotion, record_solve, record_solve_latency};
 use abt_core::faultinject;
 use abt_core::{obs, panic_message, Error, SolveFailure};
-use abt_lp::{
-    solve_lp, BasisSnapshot, LpOptions, LpProblem, LpReport, Rat, RevisedOptions, SolverBackend,
-};
+use abt_lp::{solve_lp, LpOptions, LpProblem, LpReport, Rat, SolverBackend};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Solves `lp` down the degradation ladder (see the module docs),
 /// recording demotions and budget trips in the process-wide telemetry.
+/// Every rung runs under the pricing, budgets and certify policy of
+/// `opts`; `opts.snapshots` feeds the warm rung, and the ladder itself
+/// picks each rung's backend.
 /// Returns `Err` only when every rung failed — the caller quarantines the
 /// work item; the error is the root-cause failure (the first one that
 /// forced a demotion, or the final rung's panic when nothing demoted).
 pub(crate) fn supervised_solve(
     lp: &LpProblem<Rat>,
-    ropts: &RevisedOptions,
-    snapshots: &[BasisSnapshot],
+    opts: &LpOptions,
 ) -> Result<LpReport, SolveFailure> {
     // `fail_nth_solve` models an unclassifiable crash of the whole
     // supervised attempt: no rung runs, the item goes straight to
@@ -77,9 +76,7 @@ pub(crate) fn supervised_solve(
         span.field("rung", rung);
         rep
     };
-    let base = LpOptions::new()
-        .pricing(ropts.pricing)
-        .certify(ropts.certify);
+    let base = LpOptions::new().pricing(opts.pricing).certify(opts.certify);
     let mut first_failure: Option<SolveFailure> = None;
     let mut demote = |f: SolveFailure, from: &'static str, to: &'static str| {
         record_demotion();
@@ -96,8 +93,8 @@ pub(crate) fn supervised_solve(
         first_failure.get_or_insert(f);
     };
     // Rung 1 — warm, only when the caller offers candidates.
-    if !snapshots.is_empty() {
-        let warm = base.snapshots(snapshots).warm_only(true);
+    if !opts.snapshots.is_empty() {
+        let warm = base.snapshots(opts.snapshots).warm_only(true);
         match catch_unwind(AssertUnwindSafe(|| solve_lp(lp, &warm))) {
             Ok(Ok(rep)) => return Ok(finish(rep, "warm", &mut span)),
             // A pool miss is a routine cache outcome, not a fault.
@@ -114,7 +111,7 @@ pub(crate) fn supervised_solve(
     match catch_unwind(AssertUnwindSafe(|| solve_lp(lp, &base))) {
         Ok(Ok(rep)) => return Ok(finish(rep, "cold revised", &mut span)),
         // A float-level infeasibility claim needs exact confirmation — the
-        // next rung's job, same as the legacy dense fallback. Not a fault.
+        // next rung's job. Not a fault.
         Ok(Err(SolveFailure::Infeasible)) => {}
         Ok(Err(f)) => demote(f, "cold revised", "dense hybrid"),
         Err(p) => demote(

@@ -45,9 +45,9 @@
 //! | `wall_ms`        | number | required  | informational (machine-dependent; never gated) |
 //! | `lp_solves`      | number | required  | hybrid-style LP solves during the experiment; under `DecomposeMode::Auto` each component sub-LP counts once |
 //! | `fallback_rate`  | number | required  | `lp_fallbacks / lp_solves`; **any nonzero value fails the gate** — every current workload is non-adversarial |
-//! | `lp_pivots`      | number | optional (0) | solve effort; for `e20`/`e21` the gate fails when the fresh count exceeds `--max-effort-ratio` (default 1.3) × committed — deterministic per instance, so regressions are algorithmic, never machine noise |
+//! | `lp_pivots`      | number | optional (0) | solve effort; for `e20`/`e21`/`e22` the gate fails when the fresh count exceeds `--max-effort-ratio` (default 1.3) × committed — deterministic per instance, so regressions are algorithmic, never machine noise |
 //! | `lp_bound_flips` | number | optional (0) | informational              |
-//! | `lp_refactorizations` | number | optional (0) | solve effort, gated for `e20`/`e21` like `lp_pivots` |
+//! | `lp_refactorizations` | number | optional (0) | solve effort, gated for `e20`/`e21`/`e22` like `lp_pivots` |
 //! | `lp_certify_ms`  | number | optional (0) | exact-certification wall time; informational |
 //! | `lp_components`  | number | optional (0) | component sub-LPs solved by sharded (`DecomposeMode::Auto`) solves during the experiment |
 //! | `lp_max_component_vars` | number | optional (0) | largest component sub-LP's variable count: 0 when the experiment sharded nothing (`lp_components` = 0), otherwise the process-wide high-water mark at snapshot time |

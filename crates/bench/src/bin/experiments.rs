@@ -10,10 +10,9 @@
 //! `abt-bench/lp-v2` schema (see [`abt_bench::bench_record`]): the wall
 //! time and LP telemetry (fallback rate plus pivot/flip/refactorization/
 //! certify counters and the decomposition sharding counters, with `e21`'s
-//! Auto-vs-Off speedup) of every experiment that ran — active-side
-//! (`abt_active::lp_telemetry`) and busy-side (`abt_busy::busy_lp_telemetry`)
-//! deltas merged per row, with `e24`/`e25` additionally carrying
-//! per-algorithm busy cost/ratio entries — plus a dedicated
+//! Auto-vs-Off speedup) of every experiment that ran — the
+//! `abt_active::lp_telemetry` delta per row, with `e24`/`e25` additionally
+//! carrying per-algorithm busy cost/ratio entries — plus a dedicated
 //! `lp_simplex` measurement — `solve_active_lp` on a
 //! `random_active_feasible` instance (n = 1000, g = 4) under the PR-2
 //! configuration (`revised_bounds`: bounded revised simplex with the
@@ -38,7 +37,6 @@ use abt_bench::bench_record::{
 };
 use abt_bench::experiments;
 use abt_bench::time_best_ms;
-use abt_busy::{busy_lp_telemetry, busy_solve_latency_snapshot};
 use abt_core::obs;
 use abt_workloads::{random_active_feasible, RandomConfig};
 
@@ -190,36 +188,28 @@ fn main() {
     for (id, f) in fns {
         if run_all || selected.contains(&id) {
             let before = lp_telemetry();
-            let busy_before = busy_lp_telemetry();
             // An exact in-experiment high-water mark for the component-vars
             // gauge (the cumulative delta is 0 unless the mark was raised).
             let vars_window = component_vars_window();
-            let lat_before = solve_latency_snapshot().merge(&busy_solve_latency_snapshot());
+            let lat_before = solve_latency_snapshot();
             let rollups_before = obs::span_rollups();
             let started = std::time::Instant::now();
             let report = f();
             let elapsed = started.elapsed();
             let d = lp_telemetry().delta(&before);
-            let lat = solve_latency_snapshot()
-                .merge(&busy_solve_latency_snapshot())
-                .delta(&lat_before);
+            let lat = solve_latency_snapshot().delta(&lat_before);
             let rollups = obs::span_rollups();
             let phase_ms = |name: &str| {
                 rollup_nanos(&rollups, name).saturating_sub(rollup_nanos(&rollups_before, name))
                     as f64
                     / 1e6
             };
-            // Busy-time LP solves keep their own counters (abt-busy cannot
-            // depend on abt-active); merge the two deltas so the fallback,
-            // quarantine, and `--expect-demotions` gates cover both sides.
-            let bd = busy_lp_telemetry().delta(&busy_before);
             println!("{}", report.to_markdown());
             println!("_(regenerated in {elapsed:.2?})_\n");
-            let solves = d.solves + bd.solves;
-            let fallback_rate = if solves == 0 {
+            let fallback_rate = if d.solves == 0 {
                 0.0
             } else {
-                (d.fallbacks + bd.fallbacks) as f64 / solves as f64
+                d.fallbacks as f64 / d.solves as f64
             };
             let headline_busy = report
                 .busy
@@ -230,21 +220,21 @@ fn main() {
             records.push(ExperimentRecord {
                 id: id.to_string(),
                 wall_ms: elapsed.as_secs_f64() * 1e3,
-                lp_solves: solves,
+                lp_solves: d.solves,
                 fallback_rate,
-                lp_pivots: d.pivots + bd.pivots,
-                lp_bound_flips: d.bound_flips + bd.bound_flips,
-                lp_refactorizations: d.refactorizations + bd.refactorizations,
-                lp_certify_ms: (d.certify_nanos + bd.certify_nanos) as f64 / 1e6,
+                lp_pivots: d.pivots,
+                lp_bound_flips: d.bound_flips,
+                lp_refactorizations: d.refactorizations,
+                lp_certify_ms: d.certify_nanos as f64 / 1e6,
                 lp_components: d.components,
                 lp_max_component_vars: vars_window.value(),
                 warm_hits: d.warm_hits,
                 warm_pivots_saved: d.warm_pivots_saved,
-                demotions: d.demotions + bd.demotions,
+                demotions: d.demotions,
                 budget_trips: d.budget_trips,
-                quarantined: d.quarantined + bd.quarantined,
-                interval_accepts: d.interval_accepts + bd.interval_accepts,
-                interval_escalations: d.interval_escalations + bd.interval_escalations,
+                quarantined: d.quarantined,
+                interval_accepts: d.interval_accepts,
+                interval_escalations: d.interval_escalations,
                 persist_restores: d.persist_restores,
                 recoveries: d.recoveries,
                 state_corrupt: d.state_corrupt,

@@ -3,7 +3,6 @@
 //! Usage: `perf_gate <committed.json> <fresh.json> [--min-speedup-ratio R]
 //! [--max-effort-ratio R] [--min-interval-accept-rate R]
 //! [--max-certify-ratio R] [--max-busy-ratio R] [--max-p99-ratio R]`
-//! (`--max-e20-ratio` is the legacy spelling of `--max-effort-ratio`)
 //!
 //! Compares a freshly measured record against the committed one and fails
 //! (exit 1) when:
@@ -30,7 +29,7 @@
 //!   its fresh *solve effort* — pivot or LU-refactorization counts, which
 //!   are deterministic per instance and machine-independent, unlike wall
 //!   time under `parallel_map` — regresses more than 30% above the
-//!   committed one (override the 1.3 factor with `--max-e20-ratio`). A
+//!   committed one (override the 1.3 factor with `--max-effort-ratio`). A
 //!   refactor blow-up is exactly how a broken glue-eta path shows up; an
 //!   e21 pivot blow-up is how a broken component split shows up (a wrong
 //!   merge sends whole clusters back into one basis); an e22 pivot
@@ -89,7 +88,7 @@ fn load(path: &str) -> BenchRecord {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut min_ratio = 0.7f64;
-    let mut max_e20_ratio = 1.3f64;
+    let mut max_effort_ratio = 1.3f64;
     let mut min_accept_rate = 0.9f64;
     let mut max_certify_ratio = 1.5f64;
     let mut max_busy_ratio = 1.05f64;
@@ -99,7 +98,6 @@ fn main() {
     while let Some(a) = it.next() {
         if a == "--min-speedup-ratio"
             || a == "--max-effort-ratio"
-            || a == "--max-e20-ratio"
             || a == "--min-interval-accept-rate"
             || a == "--max-certify-ratio"
             || a == "--max-busy-ratio"
@@ -119,7 +117,7 @@ fn main() {
                 "--max-certify-ratio" => max_certify_ratio = parsed,
                 "--max-busy-ratio" => max_busy_ratio = parsed,
                 "--max-p99-ratio" => max_p99_ratio = parsed,
-                _ => max_e20_ratio = parsed,
+                _ => max_effort_ratio = parsed,
             }
         } else {
             paths.push(a);
@@ -203,11 +201,11 @@ fn main() {
                 fe.lp_refactorizations,
             ),
         ] {
-            let ceiling = committed_n as f64 * max_e20_ratio;
+            let ceiling = committed_n as f64 * max_effort_ratio;
             if fresh_n as f64 > ceiling {
                 failures.push(format!(
                     "{gated_id} solve effort regressed: fresh {fresh_n} {what} > {ceiling:.0} ({}% of committed {committed_n})",
-                    (max_e20_ratio * 100.0).round(),
+                    (max_effort_ratio * 100.0).round(),
                 ));
             }
         }

@@ -12,9 +12,9 @@ use abt_active::{
 };
 use abt_busy::placement_from_starts;
 use abt_busy::{
-    alicherry_bhatia_run, busy_lp_telemetry, exact_busy_time, first_fit, greedy_tracking,
-    kumar_rudra_run, preemptive_bounded, preemptive_lower_bound, preemptive_unbounded,
-    solve_flexible, solve_with_placement, span_place, FirstFitOrder, IntervalAlgo,
+    alicherry_bhatia_run, exact_busy_time, first_fit, greedy_tracking, kumar_rudra_run,
+    preemptive_bounded, preemptive_lower_bound, preemptive_unbounded, solve_flexible,
+    solve_with_placement, span_place, FirstFitOrder, IntervalAlgo,
 };
 use abt_core::{busy_lower_bounds, within_factor, DemandProfile, Frac, Instance};
 use abt_lp::Rat;
@@ -2097,7 +2097,6 @@ pub fn e24() -> ExperimentReport {
         },
     ];
 
-    let lp_before = busy_lp_telemetry();
     let mut table = Table::new(["family", "algorithm", "mean cost/OPT", "max cost/OPT"]);
     let mut totals: Vec<(String, u64, f64)> = IntervalAlgo::all()
         .iter()
@@ -2141,21 +2140,11 @@ pub fn e24() -> ExperimentReport {
             ]);
         }
     }
-    let d = busy_lp_telemetry().delta(&lp_before);
     let notes = vec![
         "every algorithm stays within its proven factor of the exact optimum on all instances"
             .into(),
         "LP rounding coincides with Kumar–Rudra's padding (⌈z*⌉ = ⌈D/g⌉), so its integral costs match KR's".into(),
-        format!(
-            "busy LP telemetry: {} solves, {} pivots, {} bound flips, {:.3} ms certify ({} interval accepts, {} escalations), {} demotions",
-            d.solves,
-            d.pivots,
-            d.bound_flips,
-            d.certify_nanos as f64 / 1e6,
-            d.interval_accepts,
-            d.interval_escalations,
-            d.demotions
-        ),
+        "the busy LP is separable: its optimum Σ len·max(D/g, 1) is computed in closed form, no simplex runs".into(),
     ];
     ExperimentReport {
         id: "e24",
@@ -2183,7 +2172,6 @@ pub fn e25() -> ExperimentReport {
     };
     let gs = [1usize, 2, 4, 8, 16];
     let seeds: Vec<u64> = (0..4).collect();
-    let lp_before = busy_lp_telemetry();
     let mut table = Table::new([
         "g",
         "algorithm",
@@ -2233,17 +2221,8 @@ pub fn e25() -> ExperimentReport {
             ]);
         }
     }
-    let d = busy_lp_telemetry().delta(&lp_before);
     let notes = vec![
         "the same 40-job interval set at every g: busy time falls as capacity grows, while the cost/LB ratio stays within each algorithm's factor".into(),
-        format!(
-            "busy LP telemetry: {} solves, {} pivots, {:.3} ms certify, {} demotions, {} quarantined",
-            d.solves,
-            d.pivots,
-            d.certify_nanos as f64 / 1e6,
-            d.demotions,
-            d.quarantined
-        ),
     ];
     ExperimentReport {
         id: "e25",

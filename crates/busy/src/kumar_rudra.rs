@@ -64,13 +64,13 @@ pub fn kumar_rudra_run(inst: &Instance) -> Result<KumarRudraRun> {
     })
 }
 
-/// Phases 1–2 of Kumar–Rudra, shared with `lp_rounding`: given the real
-/// job windows and a set of padding dummies whose union profile has
-/// demand a multiple of `g` on every positive segment, assign levels
-/// (≤ 2 overlapping units per level), open two machines per band of `g`
-/// levels, and parity-split each level. Returns the schedule over real
-/// jobs and the number of levels used.
-pub(crate) fn level_band_pack(
+/// Phases 1–2 of Kumar–Rudra: given the real job windows and a set of
+/// padding dummies whose union profile has demand a multiple of `g` on
+/// every positive segment, assign levels (≤ 2 overlapping units per
+/// level), open two machines per band of `g` levels, and parity-split
+/// each level. Returns the schedule over real jobs and the number of
+/// levels used.
+fn level_band_pack(
     inst: &Instance,
     real: &[Interval],
     dummies: &[Interval],

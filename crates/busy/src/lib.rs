@@ -23,9 +23,9 @@
 //! * [`special`] — proper/clique/laminar classes: greedy 2-approximations
 //!   and the exact proper-clique DP \[12\] / laminar solver \[9\].
 //! * [`lp_rounding`] — the paper's busy-time LP (over demand-profile
-//!   segments, solved through `abt-lp`'s certified simplex behind a
-//!   supervised backend ladder) rounded to a 2-approximation vs the
-//!   profile bound and a 4-approximation vs the LP value.
+//!   segments; separable, so its optimum is computed in closed form)
+//!   rounded to a 2-approximation vs the profile bound and a
+//!   4-approximation vs the LP value.
 //! * [`exact`] — branch-and-bound optimum for ratio measurements.
 
 #![warn(missing_docs)]
@@ -56,8 +56,7 @@ pub use greedy_tracking::{
 };
 pub use kumar_rudra::{kumar_rudra, kumar_rudra_run, KumarRudraRun};
 pub use lp_rounding::{
-    build_busy_lp, busy_lp_telemetry, busy_solve_latency_snapshot, lp_rounding_busy,
-    lp_rounding_run, solve_busy_lp, BusyLpModel, BusyLpTelemetry, LpRoundingRun,
+    busy_lp_telemetry, lp_rounding_busy, lp_rounding_run, BusyLpTelemetry, LpRoundingRun,
 };
 pub use maximization::{budgeted_exact, budgeted_greedy, BudgetedSchedule};
 pub use online::{online_first_fit, OnlineScheduler};

@@ -1,5 +1,4 @@
-//! The paper's LP-rounding approximation for minimizing busy time
-//! (§4), built on the unified [`abt_lp::solve_lp`] API.
+//! The paper's LP-rounding approximation for minimizing busy time (§4).
 //!
 //! # The LP
 //!
@@ -13,28 +12,31 @@
 //!     min  Σ_i len_i · z_i
 //!     s.t. g · z_i ≥ D_i          (capacity: g jobs per busy machine)
 //!          z_i ≥ 1                 (a demanded segment needs a machine)
-//!          0 ≤ z_i ≤ ⌈D_i / g⌉    (implicit bound rows)
+//!          0 ≤ z_i ≤ ⌈D_i / g⌉
 //! ```
 //!
-//! Its optimum `Σ len_i · max(D_i/g, 1)` is a lower bound on the
-//! fractional cost of *any* feasible schedule, hence `LP ≤ OPT ≤`
-//! [`exact_busy_time`](crate::exact_busy_time). The LP is solved through
-//! the same supervised backend ladder as the active side (`Revised` →
-//! `DenseHybrid` → `DenseExact`, each rung panic-isolated), with tiered
-//! exact certification of the terminal basis.
+//! The LP is separable with positive costs, so its unique optimum is
+//! `z*_i = max(D_i/g, 1)` and its value is the fractional demand-profile
+//! bound `Σ_i len_i · max(D_i, g) / g`. That value is a lower bound on
+//! the fractional cost of *any* feasible schedule, hence `LP ≤ OPT ≤`
+//! [`exact_busy_time`](crate::exact_busy_time). [`lp_rounding_run`]
+//! computes it in closed form, as one exact `i128` numerator over `g`;
+//! no simplex runs. `tests/proptest_busy_lp.rs` checks the closed form
+//! against [`abt_lp::solve_lp`] under every backend.
 //!
 //! # The rounding
 //!
-//! Round each segment to `m_i = ⌈z*_i⌉` machines, pad the demand of
-//! segment `i` with `m_i·g − D_i` dummy jobs, and pack real + dummy
-//! jobs with the Kumar–Rudra level/band scheme (at most two units of a
-//! level overlap anywhere; two machines per band of `g` levels; parity
-//! 2-coloring per level). The packed cost is at most `2·Σ len_i·m_i`,
-//! and since `⌈z⌉ ≤ 2z` for `z ≥ 1`, the schedule costs at most
-//! **4 × the LP value** (and at most `2 ×` the integral profile bound,
-//! i.e. `2·OPT`). Every output is validated against
-//! [`BusySchedule::validate`] and checked against
-//! [`abt_core::busy_lower_bounds`] before it is returned.
+//! Round each segment to `m_i = ⌈z*_i⌉ = ⌈D_i/g⌉` machines, pad the
+//! demand of segment `i` with `m_i·g − D_i` dummy jobs, and pack real +
+//! dummy jobs with the Kumar–Rudra level/band scheme (at most two units
+//! of a level overlap anywhere; two machines per band of `g` levels;
+//! parity 2-coloring per level). That padding is exactly Kumar–Rudra's
+//! own pad to a multiple of `g`, so the schedule is
+//! [`kumar_rudra_run`]'s. The packed cost is at most
+//! `2·Σ len_i·m_i = 2 ×` the integral profile bound (`2·OPT`), and since
+//! `⌈z⌉ ≤ 2z` for `z ≥ 1`, at most **4 × the LP value**. Every output is
+//! validated against [`BusySchedule::validate`] and checked against both
+//! factors and [`abt_core::busy_lower_bounds`] before it is returned.
 //!
 //! ```
 //! use abt_busy::lp_rounding::lp_rounding_run;
@@ -54,256 +56,35 @@
 //! assert!(cost >= busy_lower_bounds(&inst).best());
 //! ```
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
+use abt_core::{busy_lower_bounds, BusySchedule, DemandProfile, Error, Instance, Interval, Result};
+use abt_lp::Rat;
 
-use abt_core::obs::{self, metrics::Counter, metrics::Histogram};
-use abt_core::{
-    busy_lower_bounds, panic_message, BusySchedule, DemandProfile, Error, Instance, Interval,
-    Result, SolveFailure,
-};
-use abt_lp::{solve_lp, Cmp, LpOptions, LpProblem, LpReport, Rat, SolveStats, SolverBackend};
+use crate::kumar_rudra::kumar_rudra_run;
 
-use crate::kumar_rudra::level_band_pack;
-
-// ---------------------------------------------------------------------------
-// Telemetry: a view over the shared `abt_core::obs` metrics registry under
-// the `busy.lp.*` prefix, mirroring `abt_active::lp_telemetry` (abt-busy
-// cannot depend on abt-active, so the bench harness merges this delta into
-// the experiment record itself).
-// ---------------------------------------------------------------------------
-
-/// Handles into the process-global registry for every busy-LP metric.
-struct BusyMetrics {
-    solves: &'static Counter,
-    fallbacks: &'static Counter,
-    pivots: &'static Counter,
-    bound_flips: &'static Counter,
-    refactorizations: &'static Counter,
-    certify_nanos: &'static Counter,
-    interval_accepts: &'static Counter,
-    interval_escalations: &'static Counter,
-    demotions: &'static Counter,
-    quarantined: &'static Counter,
-    solve_latency_us: &'static Histogram,
-}
-
-fn met() -> &'static BusyMetrics {
-    static MET: OnceLock<BusyMetrics> = OnceLock::new();
-    MET.get_or_init(|| BusyMetrics {
-        solves: obs::counter("busy.lp.solves"),
-        fallbacks: obs::counter("busy.lp.fallbacks"),
-        pivots: obs::counter("busy.lp.pivots"),
-        bound_flips: obs::counter("busy.lp.bound_flips"),
-        refactorizations: obs::counter("busy.lp.refactorizations"),
-        certify_nanos: obs::counter("busy.lp.certify_nanos"),
-        interval_accepts: obs::counter("busy.lp.interval_accepts"),
-        interval_escalations: obs::counter("busy.lp.interval_escalations"),
-        demotions: obs::counter("busy.lp.demotions"),
-        quarantined: obs::counter("busy.lp.quarantined"),
-        solve_latency_us: obs::histogram("busy.lp.solve_latency_us"),
-    })
-}
-
-/// Snapshot of the cumulative busy-LP solve counters.
-///
-/// Take one before and one after a region of work and call
-/// [`BusyLpTelemetry::delta`] to attribute effort to that region.
+/// Busy-LP solve counters, kept because the `perfbench` harness reads them.
+/// No busy LP is solved, so both fields always read 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BusyLpTelemetry {
-    /// Successful LP solves.
-    pub solves: u64,
-    /// Solves whose winning rung reported an internal fallback.
-    pub fallbacks: u64,
-    /// Simplex pivots across all solves.
+    /// Simplex pivots spent on busy LPs.
     pub pivots: u64,
-    /// Bound flips across all solves.
-    pub bound_flips: u64,
-    /// Basis refactorizations across all solves.
-    pub refactorizations: u64,
-    /// Nanoseconds spent certifying terminal bases.
-    pub certify_nanos: u64,
-    /// Certifications settled by the interval tier.
-    pub interval_accepts: u64,
-    /// Certifications escalated to the exact tier.
-    pub interval_escalations: u64,
-    /// Ladder demotions (a rung failed and the next one was tried).
+    /// Supervision-ladder demotions of busy LP solves.
     pub demotions: u64,
-    /// Solves abandoned after every rung failed.
-    pub quarantined: u64,
 }
 
 impl BusyLpTelemetry {
     /// Componentwise `self − earlier` (both cumulative snapshots).
     pub fn delta(&self, earlier: &BusyLpTelemetry) -> BusyLpTelemetry {
         BusyLpTelemetry {
-            solves: self.solves - earlier.solves,
-            fallbacks: self.fallbacks - earlier.fallbacks,
             pivots: self.pivots - earlier.pivots,
-            bound_flips: self.bound_flips - earlier.bound_flips,
-            refactorizations: self.refactorizations - earlier.refactorizations,
-            certify_nanos: self.certify_nanos - earlier.certify_nanos,
-            interval_accepts: self.interval_accepts - earlier.interval_accepts,
-            interval_escalations: self.interval_escalations - earlier.interval_escalations,
             demotions: self.demotions - earlier.demotions,
-            quarantined: self.quarantined - earlier.quarantined,
         }
     }
 }
 
-/// Cumulative busy-LP counters for this process — a view over the shared
-/// `abt_core::obs` metrics registry (`busy.lp.*` names).
+/// Cumulative busy-LP counters for this process (always zero).
 pub fn busy_lp_telemetry() -> BusyLpTelemetry {
-    let m = met();
-    BusyLpTelemetry {
-        solves: m.solves.get(),
-        fallbacks: m.fallbacks.get(),
-        pivots: m.pivots.get(),
-        bound_flips: m.bound_flips.get(),
-        refactorizations: m.refactorizations.get(),
-        certify_nanos: m.certify_nanos.get(),
-        interval_accepts: m.interval_accepts.get(),
-        interval_escalations: m.interval_escalations.get(),
-        demotions: m.demotions.get(),
-        quarantined: m.quarantined.get(),
-    }
+    BusyLpTelemetry::default()
 }
-
-/// The `busy.lp.solve_latency_us` histogram, cumulative for this process.
-/// Snapshot before/after a region and [`delta`](
-/// abt_core::obs::HistogramSnapshot::delta) the pair for in-region
-/// percentiles.
-pub fn busy_solve_latency_snapshot() -> abt_core::obs::HistogramSnapshot {
-    met().solve_latency_us.snapshot()
-}
-
-fn record_solve(rep: &LpReport) {
-    let m = met();
-    m.solves.inc();
-    if rep.fallback {
-        m.fallbacks.inc();
-    }
-    m.pivots.add(rep.stats.pivots);
-    m.bound_flips.add(rep.stats.bound_flips);
-    m.refactorizations.add(rep.stats.refactorizations);
-    m.certify_nanos.add(rep.stats.certify_nanos);
-    m.interval_accepts.add(rep.stats.interval_accepts);
-    m.interval_escalations.add(rep.stats.interval_escalations);
-}
-
-// ---------------------------------------------------------------------------
-// The LP model.
-// ---------------------------------------------------------------------------
-
-/// The busy-time LP over a demand profile's positive segments.
-#[derive(Debug, Clone)]
-pub struct BusyLpModel {
-    /// The LP: one variable per entry of `segments`, objective
-    /// coefficient = segment length.
-    pub lp: LpProblem<Rat>,
-    /// The positive-demand segments `(interval, raw demand)`, in
-    /// variable order.
-    pub segments: Vec<(Interval, usize)>,
-}
-
-/// Builds the busy-time LP for an interval instance.
-///
-/// One variable `z_i` per positive-demand segment of the instance's
-/// demand profile, with cost `len_i`, rows `g·z_i ≥ D_i` and `z_i ≥ 1`,
-/// and an implicit upper bound `z_i ≤ ⌈D_i/g⌉`.
-pub fn build_busy_lp(inst: &Instance) -> Result<BusyLpModel> {
-    if !inst.is_interval_instance() {
-        return Err(Error::Unsupported(
-            "lp_rounding requires interval jobs; use flexible::solve for general jobs".into(),
-        ));
-    }
-    let g = inst.g() as i64;
-    let windows: Vec<Interval> = inst.jobs().iter().map(|j| j.window()).collect();
-    let profile = DemandProfile::new(&windows);
-    let mut lp = LpProblem::new();
-    let mut segments = Vec::new();
-    for &(iv, d) in profile.segments() {
-        if d == 0 {
-            continue;
-        }
-        let z = lp.add_var(Rat::from_int(iv.len()));
-        lp.add_constraint(
-            vec![(z, Rat::from_int(g))],
-            Cmp::Ge,
-            Rat::from_int(d as i64),
-        );
-        lp.add_constraint(vec![(z, Rat::ONE)], Cmp::Ge, Rat::ONE);
-        lp.set_upper(z, Rat::from_int((d as i64 + g - 1) / g));
-        segments.push((iv, d));
-    }
-    Ok(BusyLpModel { lp, segments })
-}
-
-// ---------------------------------------------------------------------------
-// The supervised solve ladder.
-// ---------------------------------------------------------------------------
-
-/// Solves a busy-time LP through the degradation ladder
-/// `Revised → DenseHybrid → DenseExact`, panic-isolating each rung.
-///
-/// Mirrors `abt_active::supervise::supervised_solve`: a failing rung
-/// records a demotion and the next rung is tried; only the winning
-/// rung's own internal-fallback flag counts toward the fallback rate.
-/// If every rung fails the solve is quarantined.
-pub fn solve_busy_lp(lp: &LpProblem<Rat>) -> Result<LpReport> {
-    let rungs = [
-        SolverBackend::Revised,
-        SolverBackend::DenseHybrid,
-        SolverBackend::DenseExact,
-    ];
-    let mut span = abt_core::obs_span!("solve.component", model = "busy", vars = lp.num_vars());
-    let started = std::time::Instant::now();
-    let mut first_failure: Option<SolveFailure> = None;
-    for (i, backend) in rungs.into_iter().enumerate() {
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            solve_lp(lp, &LpOptions::new().backend(backend))
-        }));
-        let failure = match attempt {
-            Ok(Ok(rep)) => {
-                record_solve(&rep);
-                met()
-                    .solve_latency_us
-                    .record(started.elapsed().as_micros() as u64);
-                span.field("rung", format_args!("{backend:?}"));
-                return Ok(rep);
-            }
-            Ok(Err(f)) => f,
-            Err(p) => SolveFailure::Panicked(panic_message(p.as_ref())),
-        };
-        met().demotions.inc();
-        obs::trace::event("supervise.demotion", || {
-            vec![
-                ("model", "busy".to_string()),
-                ("failure", failure.to_string()),
-                ("from", format!("{backend:?}")),
-                (
-                    "to",
-                    rungs
-                        .get(i + 1)
-                        .map_or("quarantine".into(), |b| format!("{b:?}")),
-                ),
-            ]
-        });
-        first_failure.get_or_insert(failure);
-    }
-    met().quarantined.inc();
-    obs::trace::event("supervise.quarantine", || {
-        vec![("model", "busy".to_string())]
-    });
-    Err(Error::Quarantined(format!(
-        "busy LP: every ladder rung failed; first failure: {}",
-        first_failure.expect("at least one rung ran")
-    )))
-}
-
-// ---------------------------------------------------------------------------
-// Rounding.
-// ---------------------------------------------------------------------------
 
 /// Diagnostic output of an LP-rounding run.
 #[derive(Debug, Clone)]
@@ -314,17 +95,12 @@ pub struct LpRoundingRun {
     pub cost: i64,
     /// The exact rational LP optimum `Σ len_i · max(D_i/g, 1)`.
     pub lp_objective: Rat,
-    /// The rounded machine-time `Σ len_i · ⌈z*_i⌉` charged by the
-    /// packing (the packed cost is at most twice this).
-    pub rounded_profile: i64,
-    /// The integral demand-profile lower bound `Σ ⌈D_i/g⌉·len_i`.
+    /// The integral demand-profile lower bound `Σ ⌈D_i/g⌉·len_i` — the
+    /// rounded machine-time `Σ len_i · ⌈z*_i⌉` charged by the packing
+    /// (the packed cost is at most twice this).
     pub profile_bound: i64,
     /// Number of Kumar–Rudra levels used by the packing.
     pub levels: usize,
-    /// Whether the winning ladder rung reported an internal fallback.
-    pub fallback: bool,
-    /// Simplex/certification effort of the winning solve.
-    pub stats: SolveStats,
 }
 
 impl LpRoundingRun {
@@ -344,42 +120,35 @@ pub fn lp_rounding_busy(inst: &Instance) -> Result<BusySchedule> {
 
 /// Runs LP rounding, returning diagnostics.
 ///
-/// Builds the busy-time LP, solves it through the supervised ladder,
-/// rounds each segment to `m_i = ⌈z*_i⌉` machines, pads with
-/// `m_i·g − D_i` dummies per segment, and packs with the Kumar–Rudra
-/// level/band scheme. The output is validated and checked against both
-/// factor guarantees (`≤ 2·profile` and `≤ 4·LP`) and the instance's
-/// busy-time lower bounds before it is returned.
+/// Computes the busy LP's optimum in closed form, rounds each segment to
+/// `⌈z*_i⌉ = ⌈D_i/g⌉` machines, and packs with the Kumar–Rudra
+/// level/band scheme (see the module docs). The output is validated and
+/// checked against both factor guarantees (`≤ 2·profile` and `≤ 4·LP`)
+/// and the instance's busy-time lower bounds before it is returned; a
+/// failed check is an [`Error::InvalidSchedule`].
 pub fn lp_rounding_run(inst: &Instance) -> Result<LpRoundingRun> {
-    let model = build_busy_lp(inst)?;
-    let g = inst.g() as i64;
-    let windows: Vec<Interval> = inst.jobs().iter().map(|j| j.window()).collect();
-    let profile = DemandProfile::new(&windows);
-    let profile_bound = profile.cost(g as usize);
-
-    let rep = solve_busy_lp(&model.lp)?;
-    let lp_objective = model.lp.objective_value(&rep.solution.x);
-
-    // Round: m_i = ⌈z*_i⌉ machines on segment i; pad the demand up to
-    // m_i·g with dummies so the level/band packing can charge segment i
-    // exactly m_i machine-intervals per color class.
-    let mut dummies: Vec<Interval> = Vec::new();
-    let mut rounded_profile = 0i64;
-    for (i, &(iv, d)) in model.segments.iter().enumerate() {
-        let m = rep.solution.x[i].ceil() as i64;
-        debug_assert!(m >= 1 && m == (d as i64 + g - 1) / g);
-        rounded_profile += m * iv.len();
-        for _ in 0..(m * g - d as i64) {
-            dummies.push(iv);
-        }
+    if !inst.is_interval_instance() {
+        return Err(Error::Unsupported(
+            "lp_rounding requires interval jobs; use flexible::solve for general jobs".into(),
+        ));
     }
+    let g = inst.g() as i128;
+    let windows: Vec<Interval> = inst.jobs().iter().map(|j| j.window()).collect();
+    let numer: i128 = DemandProfile::new(&windows)
+        .segments()
+        .iter()
+        .filter(|&&(_, d)| d > 0)
+        .map(|&(iv, d)| iv.len() as i128 * (d as i128).max(g))
+        .sum();
+    let lp_objective = Rat::new(numer, g);
 
-    let (schedule, levels) = level_band_pack(inst, &windows, &dummies)?;
-    schedule.validate(inst)?;
-    let cost = schedule.total_busy_time(inst);
-    if cost > 2 * rounded_profile {
+    let kr = kumar_rudra_run(inst)?;
+    kr.schedule.validate(inst)?;
+    let cost = kr.schedule.total_busy_time(inst);
+    if cost > 2 * kr.profile_bound {
         return Err(Error::InvalidSchedule(format!(
-            "lp_rounding exceeded its factor: cost {cost} > 2×rounded profile {rounded_profile}"
+            "lp_rounding exceeded its factor: cost {cost} > 2×profile bound {}",
+            kr.profile_bound
         )));
     }
     if cost < busy_lower_bounds(inst).best() {
@@ -388,16 +157,17 @@ pub fn lp_rounding_run(inst: &Instance) -> Result<LpRoundingRun> {
         )));
     }
     let run = LpRoundingRun {
-        schedule,
+        schedule: kr.schedule,
         cost,
         lp_objective,
-        rounded_profile,
-        profile_bound,
-        levels,
-        fallback: rep.fallback,
-        stats: rep.stats,
+        profile_bound: kr.profile_bound,
+        levels: kr.levels,
     };
-    debug_assert!(run.within_four_lp());
+    if !run.within_four_lp() {
+        return Err(Error::InvalidSchedule(format!(
+            "lp_rounding exceeded its factor: cost {cost} > 4×LP {lp_objective}"
+        )));
+    }
     Ok(run)
 }
 
@@ -405,7 +175,6 @@ pub fn lp_rounding_run(inst: &Instance) -> Result<LpRoundingRun> {
 mod tests {
     use super::*;
     use crate::exact::exact_busy_time;
-    use crate::kumar_rudra::kumar_rudra_run;
     use abt_core::{within_factor, Job};
 
     fn interval_inst(ivs: &[(i64, i64)], g: usize) -> Instance {
@@ -434,6 +203,16 @@ mod tests {
         let run = check(&inst);
         assert_eq!(run.lp_objective, Rat::new(7, 2));
         assert_eq!(run.profile_bound, 4); // ⌈1/2⌉+⌈2/2⌉+⌈3/2⌉
+    }
+
+    #[test]
+    fn four_lp_check_rejects_one_past_the_bound() {
+        // LP = 7/2, so 4·LP = 14 exactly: 14 passes, 15 does not.
+        let mut run = check(&interval_inst(&[(0, 3), (1, 3), (2, 3)], 2));
+        run.cost = 14;
+        assert!(run.within_four_lp());
+        run.cost = 15;
+        assert!(!run.within_four_lp());
     }
 
     #[test]
@@ -467,16 +246,6 @@ mod tests {
                 kr.schedule.total_busy_time(&inst)
             );
         }
-    }
-
-    #[test]
-    fn ladder_solves_record_telemetry() {
-        let before = busy_lp_telemetry();
-        let inst = interval_inst(&[(0, 4), (1, 5)], 2);
-        check(&inst);
-        let d = busy_lp_telemetry().delta(&before);
-        assert_eq!(d.solves, 1);
-        assert_eq!(d.quarantined, 0);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! parallel region equals the sum of the per-thread contributions.
 //!
 //! Telemetry facades elsewhere in the workspace (`lp_telemetry()` in
-//! `abt-active`, `busy_lp_telemetry()` in `abt-busy`) are thin views
-//! over these metrics — the registry is the single source of truth.
+//! `abt-active`) are thin views over these metrics — the registry is the
+//! single source of truth.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -220,15 +220,6 @@ impl HistogramSnapshot {
     /// The raw bucket counts (index ↦ count; see [`HISTOGRAM_BUCKETS`]).
     pub fn counts(&self) -> &[u64] {
         &self.counts
-    }
-
-    /// Bucket-wise `self + other` — merges two histograms with the shared
-    /// bucket layout into one population (e.g. active-side and busy-side
-    /// solve latencies for a combined percentile).
-    pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        HistogramSnapshot {
-            counts: std::array::from_fn(|i| self.counts[i] + other.counts[i]),
-        }
     }
 
     /// Deterministic percentile extraction: the inclusive upper edge of

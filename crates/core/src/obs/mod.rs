@@ -9,8 +9,8 @@
 //! The three pieces compose into a single reporting path:
 //!
 //! * **Metrics** are the always-on truth. The legacy telemetry facades
-//!   (`abt_active::lp_telemetry`, `abt_busy::busy_lp_telemetry`, the
-//!   persistence counters) are views over registry counters/gauges, and
+//!   (`abt_active::lp_telemetry`, the persistence counters) are views
+//!   over registry counters/gauges, and
 //!   solve latencies land in histograms with deterministic
 //!   p50/p90/p99 extraction.
 //! * **Spans** time the pipeline phases (`solve.decompose` →

@@ -1,25 +1,19 @@
-//! The unified solver surface: one fallible core, [`solve_lp`], replacing
-//! the accreted `solve_revised*` / `try_solve_revised*` /
-//! `solve_hybrid*` entry-point zoo with a single policy-driven dispatch.
+//! The unified solver surface: one fallible core, [`solve_lp`], the single
+//! entry point to every engine in this crate, dispatched by policy.
 //!
 //! [`LpOptions`] carries every solve policy — engine
 //! ([`SolverBackend`]), float-pass pricing and budgets
 //! ([`crate::bounds::BoundedOptions`]), certification tier
 //! ([`CertifyMode`]), and an optional warm-start snapshot pool — behind a
 //! chainable builder, so adding a policy is a new option field rather
-//! than a new `solve_*` name. The legacy entry points survive as thin
-//! `#[deprecated]` shims over the same engines (removal is planned two
-//! growth generations out; see `ARCHITECTURE.md`), so downstream code
-//! migrates at its own pace with zero behaviour change.
+//! than a new `solve_*` name. The engines read the options directly and
+//! all return an [`LpReport`].
 
 use crate::bounds::BoundedOptions;
 use crate::model::LpProblem;
 use crate::rational::Rat;
-use crate::simplex::{
-    self, solve_hybrid_core, try_solve_revised_core, CertifyMode, LpSolution, RevisedOptions,
-    SolveStats,
-};
-use crate::warm::{try_solve_revised_warm_core, BasisSnapshot, WarmReport};
+use crate::simplex::{self, dense_hybrid, revised_cold, CertifyMode, LpSolution, SolveStats};
+use crate::warm::{revised_warm, BasisSnapshot};
 use abt_core::error::SolveFailure;
 
 /// Which solver engine [`solve_lp`] runs.
@@ -37,7 +31,7 @@ pub enum SolverBackend {
     /// The bounded revised simplex — implicit bounds, Schrage-style VUB
     /// pivoting, partial pricing, sparse-LU certification, optional warm
     /// starts. The default, and the only backend that consults
-    /// `snapshots`, budgets, and `certify`.
+    /// `snapshots` and budgets.
     #[default]
     Revised,
 }
@@ -57,8 +51,9 @@ pub struct LpOptions<'pool> {
     /// Float-pass pricing window and pivot/refactorization/wall-time
     /// budgets (`Revised` backend only).
     pub pricing: BoundedOptions,
-    /// Certification tier policy for the terminal basis (`Revised`
-    /// backend only; the dense backends certify exactly by construction).
+    /// Certification tier policy for the terminal basis (`Revised` and
+    /// `DenseHybrid`; `DenseExact` pivots in exact rationals and has
+    /// nothing to certify).
     pub certify: CertifyMode,
     /// Warm-start candidates, tried in order (`Revised` backend only).
     pub snapshots: &'pool [BasisSnapshot],
@@ -112,19 +107,10 @@ impl<'pool> LpOptions<'pool> {
         self.warm_only = on;
         self
     }
-
-    /// The revised-engine view of this policy.
-    pub(crate) fn revised(&self) -> RevisedOptions {
-        RevisedOptions {
-            pricing: self.pricing,
-            certify: self.certify,
-        }
-    }
 }
 
 /// Result of [`solve_lp`]: the certified solution plus provenance and
-/// solve counters — the union of the legacy `HybridReport` and
-/// `WarmReport` surfaces.
+/// solve counters.
 #[derive(Debug, Clone)]
 pub struct LpReport {
     /// The exact solution: status, objective, `x`, row duals. Bit
@@ -145,19 +131,20 @@ pub struct LpReport {
 }
 
 impl LpReport {
-    fn from_warm(wr: WarmReport) -> LpReport {
+    /// A report of a dense backend: no warm start and no snapshot.
+    pub(crate) fn dense(solution: LpSolution<Rat>, fallback: bool, stats: SolveStats) -> LpReport {
         LpReport {
-            solution: wr.report.solution,
-            fallback: wr.report.fallback,
-            warm_hit: wr.warm_hit,
-            snapshot: wr.snapshot,
-            stats: wr.report.stats,
+            solution,
+            fallback,
+            warm_hit: false,
+            snapshot: None,
+            stats,
         }
     }
 }
 
-/// Solves `lp` under the policy in `opts` — **the** entry point every
-/// other solve name shims onto.
+/// Solves `lp` under the policy in `opts` — **the** entry point to the
+/// dense, hybrid, and revised engines.
 ///
 /// Dispatch: the `DenseExact` and `DenseHybrid` backends never fail (the
 /// hybrid absorbs refutations in its internal exact fallback). The
@@ -195,28 +182,16 @@ impl LpReport {
 /// ```
 pub fn solve_lp(lp: &LpProblem<Rat>, opts: &LpOptions) -> Result<LpReport, SolveFailure> {
     match opts.backend {
-        SolverBackend::DenseExact => Ok(LpReport {
-            solution: simplex::solve(lp),
-            fallback: true,
-            warm_hit: false,
-            snapshot: None,
-            stats: SolveStats::default(),
-        }),
-        SolverBackend::DenseHybrid => {
-            let rep = solve_hybrid_core(lp, opts.certify);
-            Ok(LpReport {
-                solution: rep.solution,
-                fallback: rep.fallback,
-                warm_hit: false,
-                snapshot: None,
-                stats: rep.stats,
-            })
-        }
+        SolverBackend::DenseExact => Ok(LpReport::dense(
+            simplex::solve(lp),
+            true,
+            SolveStats::default(),
+        )),
+        SolverBackend::DenseHybrid => Ok(dense_hybrid(lp, opts)),
         SolverBackend::Revised => {
-            let ropts = opts.revised();
             if !opts.snapshots.is_empty() {
-                match try_solve_revised_warm_core(lp, &ropts, opts.snapshots) {
-                    Ok(wr) => return Ok(LpReport::from_warm(wr)),
+                match revised_warm(lp, opts) {
+                    Ok(rep) => return Ok(rep),
                     // A pool miss is a routine cache outcome; fall through
                     // to the cold solve unless the caller owns that
                     // decision.
@@ -226,15 +201,7 @@ pub fn solve_lp(lp: &LpProblem<Rat>, opts: &LpOptions) -> Result<LpReport, Solve
             } else if opts.warm_only {
                 return Err(SolveFailure::ShapeDrift);
             }
-            let (report, prop) = try_solve_revised_core(lp, &ropts)?;
-            let snapshot = prop.as_ref().and_then(BasisSnapshot::from_proposal);
-            Ok(LpReport {
-                solution: report.solution,
-                fallback: report.fallback,
-                warm_hit: false,
-                snapshot,
-                stats: report.stats,
-            })
+            revised_cold(lp, opts)
         }
     }
 }

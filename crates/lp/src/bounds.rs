@@ -53,8 +53,9 @@
 //!
 //! The float pass never certifies anything: its terminal
 //! [`basis`](BoundedBasis::basis)/[`state`](BoundedBasis::state) proposal is
-//! re-verified exactly (see [`crate::simplex::solve_revised`]), and any
-//! numerical mishap here merely costs a fallback to the exact solver.
+//! re-verified exactly (see the [`crate::simplex`] module docs), and any
+//! numerical mishap here is a typed failure that demotes the solve to an
+//! exact backend.
 //!
 //! # Scratch space
 //!

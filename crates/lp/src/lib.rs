@@ -3,19 +3,20 @@
 //! A self-contained linear-programming substrate: a dense two-phase primal
 //! simplex solver over a flat row-major tableau, generic over an exact
 //! `i128` rational scalar (so the §3 rounding's case analysis is
-//! noise-free) or `f64`; a float-first **hybrid** solve ([`solve_hybrid`])
-//! that runs the search in `f64` and re-verifies the terminal basis
-//! exactly; and the bounded-variable **revised** hybrid ([`solve_revised`])
-//! — implicit `[0, u]` variable bounds *and* Schrage-style variable upper
-//! bounds `x ≤ y` ([`LpProblem::set_vub`]) handled by the pivoting rules
-//! ([`bounds`]), partial pricing, exact verification through a sparse
-//! rational LU of the (key-column-augmented) basis matrix ([`lu`]), and
-//! per-thread scratch reuse through the slab arena ([`arena`]) — the
-//! default path for the active-time LPs. The [`warm`] module adds
-//! **warm starts**: [`BasisSnapshot`]s of finished solves re-installed
-//! into structurally identical problems ([`solve_revised_warm`]), with
-//! the same exact certification, so streams of sibling LPs skip most of
-//! the pivot work.
+//! noise-free) or `f64`; a float-first **hybrid** solve that runs the
+//! search in `f64` and re-verifies the terminal basis exactly; and the
+//! bounded-variable **revised** hybrid — implicit `[0, u]` variable
+//! bounds *and* Schrage-style variable upper bounds `x ≤ y`
+//! ([`LpProblem::set_vub`]) handled by the pivoting rules ([`bounds`]),
+//! partial pricing, exact verification through a sparse rational LU of
+//! the (key-column-augmented) basis matrix ([`lu`]), and per-thread
+//! scratch reuse through the slab arena ([`arena`]) — the default path
+//! for the active-time LPs. The [`warm`] module adds **warm starts**:
+//! [`BasisSnapshot`]s of finished solves re-installed into structurally
+//! identical problems ([`LpOptions::snapshots`]), with the same exact
+//! certification, so streams of sibling LPs skip most of the pivot work.
+//! [`solve_lp`] is the one entry point to all three engines
+//! ([`SolverBackend`]).
 //!
 //! The allowed offline dependency set contains no LP solver (the paper's
 //! reproduction band notes the thin LP ecosystem), so this crate implements
@@ -83,14 +84,5 @@ pub use lu::SparseLu;
 pub use model::{Cmp, Constraint, LpProblem, VarId};
 pub use rational::Rat;
 pub use scalar::{Scalar, F64_EPS};
-pub use simplex::{
-    solve, CertifyMode, HybridReport, LpSolution, LpStatus, RevisedOptions, SolveStats,
-};
-#[allow(deprecated)] // the legacy names stay re-exported through their deprecation window
-pub use simplex::{
-    solve_hybrid, solve_hybrid_report, solve_revised, solve_revised_report, solve_revised_with,
-    try_solve_revised_with,
-};
-#[allow(deprecated)] // the legacy names stay re-exported through their deprecation window
-pub use warm::{solve_revised_warm, try_solve_revised_cold, try_solve_revised_warm};
-pub use warm::{BasisSnapshot, WarmReport};
+pub use simplex::{solve, CertifyMode, LpSolution, LpStatus, SolveStats};
+pub use warm::BasisSnapshot;

@@ -3,9 +3,10 @@
 //! attached two ways:
 //!
 //! * [`LpProblem::set_upper`] — an **implicit** bound `x_v ≤ u` carried on
-//!   the variable itself. The bounded revised simplex
-//!   ([`crate::simplex::solve_revised`]) handles these inside the pivoting
-//!   rules, so they never become tableau rows; the dense solvers
+//!   the variable itself. The bounded revised simplex (the
+//!   [`SolverBackend::Revised`](crate::SolverBackend::Revised) backend of
+//!   [`crate::solve_lp`]) handles these inside the pivoting rules, so
+//!   they never become tableau rows; the dense solvers
 //!   materialize them as rows internally via [`LpProblem::bounds_as_rows`].
 //! * [`LpProblem::bound_var`] — an **explicit** `≤` row. This is the seed
 //!   formulation, kept as the differential-test oracle: the two encodings

@@ -1,8 +1,12 @@
 //! Simplex solvers: a dense two-phase primal simplex over a flat tableau,
 //! a float-first **hybrid** mode for exact-rational problems, and the
-//! bounded-variable **revised** hybrid ([`solve_revised`]) that keeps
-//! variable bounds out of the tableau and verifies terminal bases with a
-//! sparse exact LU.
+//! bounded-variable **revised** hybrid that keeps variable bounds out of
+//! the tableau and verifies terminal bases with a sparse exact LU. All
+//! three are reached through [`crate::api::solve_lp`]
+//! ([`SolverBackend::DenseExact`](crate::SolverBackend::DenseExact),
+//! [`DenseHybrid`](crate::SolverBackend::DenseHybrid) and
+//! [`Revised`](crate::SolverBackend::Revised)); [`solve`] stays public as
+//! the generic dense oracle.
 //!
 //! # Tableau layout
 //!
@@ -22,14 +26,15 @@
 //!   scalar type `S` (exact [`Rat`] or tolerance-
 //!   aware `f64`). Anti-cycling: Dantzig's rule with an automatic permanent
 //!   switch to Bland's rule after a run of degenerate pivots.
-//! * [`solve_hybrid`] — for `LpProblem<Rat>`: solve the whole LP in `f64`
-//!   first, then *re-verify the terminal basis exactly*. Exactness is only
-//!   needed at the final vertex, not during the search, so this is
-//!   typically an order of magnitude faster than pivoting in rationals.
+//! * The dense hybrid (`DenseHybrid`) — for `LpProblem<Rat>`: solve the
+//!   whole LP in `f64` first, then *re-verify the terminal basis exactly*.
+//!   Exactness is only needed at the final vertex, not during the search,
+//!   so this is typically an order of magnitude faster than pivoting in
+//!   rationals.
 //!
 //! # Hybrid verification contract
 //!
-//! `solve_hybrid` returns **bit-identical status and objective** to the
+//! The dense hybrid returns **bit-identical status and objective** to the
 //! pure-rational [`solve`] (`x`/`duals` may differ between alternate
 //! optimal bases, but are always an exactly-optimal vertex and exactly
 //! feasible duals). The steps:
@@ -58,8 +63,8 @@
 //!
 //! # Bounded-variable revised hybrid
 //!
-//! [`solve_revised`] upgrades the hybrid scheme along both axes named in
-//! the roadmap:
+//! The `Revised` backend upgrades the hybrid scheme along both axes named
+//! in the roadmap:
 //!
 //! * the `f64` search is the bounded **revised** simplex of
 //!   [`crate::bounds`]: implicit `[0, u]` variable bounds (plain `x ≤ const`
@@ -85,11 +90,13 @@
 //!   nonnegative). Together with complementary slackness — automatic from
 //!   the basis/glue structure — this certifies exact optimality.
 //!
-//! The contract matches [`solve_hybrid`]: **bit-identical status and
-//! objective** to the pure-rational [`solve`], with any unverifiable float
-//! outcome falling back to the exact dense solver. For problems with
-//! implicit bounds or VUBs, the dense solvers (and the fallback)
-//! materialize each as a trailing `≤` row via
+//! A certified revised answer has **bit-identical status and objective**
+//! to the pure-rational [`solve`]. Unlike the dense hybrid, the revised
+//! engine never falls back on its own: any float outcome it cannot
+//! certify is a typed [`SolveFailure`], and the caller — the supervision
+//! ladder in `abt-active` — picks the next backend. For problems with
+//! implicit bounds or VUBs, the dense solvers materialize each as a
+//! trailing `≤` row via
 //! [`LpProblem::bounds_as_rows`]/[`LpProblem::vubs_as_rows`] and drop the
 //! extra duals, so every backend accepts every problem. Note that with
 //! implicit bounds strong duality reads
@@ -98,14 +105,14 @@
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the tableau math
 
-use crate::bounds::{
-    solve_bounded_f64_with, BoundedBasis, BoundedOptions, BoundedStatus, StandardForm, VarState,
-};
+use crate::api::{LpOptions, LpReport};
+use crate::bounds::{solve_bounded_f64_with, BoundedBasis, BoundedStatus, StandardForm, VarState};
 use crate::interval::Iv;
 use crate::lu::SparseLu;
 use crate::model::{Cmp, LpProblem};
 use crate::rational::Rat;
 use crate::scalar::Scalar;
+use crate::warm::BasisSnapshot;
 use abt_core::error::{BudgetKind, SolveFailure};
 use abt_core::faultinject;
 use std::time::Instant;
@@ -168,20 +175,6 @@ pub struct SolveStats {
     /// Solves whose interval sweep was inconclusive (straddling
     /// enclosures) and escalated to the exact reduced-cost sweep.
     pub interval_escalations: u64,
-}
-
-/// Result of [`solve_hybrid_report`]: the solution plus whether the exact
-/// fallback had to run.
-#[derive(Debug, Clone)]
-pub struct HybridReport {
-    /// The exact solution (same contract as [`solve`]).
-    pub solution: LpSolution<Rat>,
-    /// `true` iff the float-first pass could not be verified and the pure
-    /// exact simplex ran. Expected to be rare; tests assert specific
-    /// adversarial instances trip it.
-    pub fallback: bool,
-    /// Iteration/verification counters (see [`SolveStats`]).
-    pub stats: SolveStats,
 }
 
 /// Number of consecutive degenerate pivots tolerated before switching to
@@ -846,31 +839,18 @@ fn verify_basis(
     })
 }
 
-/// Float-first exact solve: runs the simplex in `f64`, re-verifies the
-/// terminal basis in exact rationals, and falls back to the pure exact
-/// simplex when verification fails (see the module docs for the
-/// contract). Status and objective are always bit-identical to
+/// The dense hybrid engine behind [`crate::api::solve_lp`]'s
+/// `DenseHybrid` backend: runs the simplex in `f64`, re-verifies the
+/// terminal basis in exact rationals under `opts.certify`, and falls back
+/// to the pure exact simplex when verification fails (see the module docs
+/// for the contract). Status and objective are always bit-identical to
 /// [`solve`]`::<Rat>`.
-#[deprecated(note = "use `solve_lp` with `SolverBackend::DenseHybrid`")]
-pub fn solve_hybrid(lp: &LpProblem<Rat>) -> LpSolution<Rat> {
-    solve_hybrid_core(lp, CertifyMode::default()).solution
-}
-
-/// [`solve_hybrid`] plus whether the exact fallback ran (for tests and
-/// diagnostics).
-#[deprecated(note = "use `solve_lp` with `SolverBackend::DenseHybrid`")]
-pub fn solve_hybrid_report(lp: &LpProblem<Rat>) -> HybridReport {
-    solve_hybrid_core(lp, CertifyMode::default())
-}
-
-/// The dense hybrid engine behind [`solve_hybrid_report`] and
-/// [`crate::api::solve_lp`]'s `DenseHybrid` backend.
-pub(crate) fn solve_hybrid_core(lp: &LpProblem<Rat>, mode: CertifyMode) -> HybridReport {
+pub(crate) fn dense_hybrid(lp: &LpProblem<Rat>, opts: &LpOptions) -> LpReport {
     if lp.has_upper_bounds() || lp.has_vubs() {
         // The dense hybrid works on the row encoding; recurse on the
         // materialized problem and drop the bound/VUB rows' duals.
         let rows = lp.vubs_as_rows().bounds_as_rows();
-        let mut rep = solve_hybrid_core(&rows, mode);
+        let mut rep = dense_hybrid(&rows, opts);
         rep.solution.duals.truncate(lp.num_constraints());
         return rep;
     }
@@ -878,21 +858,13 @@ pub(crate) fn solve_hybrid_core(lp: &LpProblem<Rat>, mode: CertifyMode) -> Hybri
     if fsol.status == LpStatus::Optimal {
         let certify = std::time::Instant::now();
         let mut tally = CertifyTally::default();
-        if let Some(solution) = verify_basis(lp, &fbasis, mode, &mut tally) {
+        if let Some(solution) = verify_basis(lp, &fbasis, opts.certify, &mut tally) {
             let mut stats = SolveStats::default();
             apply_certify(&mut stats, certify.elapsed().as_nanos() as u64, &tally);
-            return HybridReport {
-                solution,
-                fallback: false,
-                stats,
-            };
+            return LpReport::dense(solution, false, stats);
         }
     }
-    HybridReport {
-        solution: solve(lp),
-        fallback: true,
-        stats: SolveStats::default(),
-    }
+    LpReport::dense(solve(lp), true, SolveStats::default())
 }
 
 /// Tri-state outcome of the exact certifier ([`verify_bounded`]).
@@ -1367,18 +1339,6 @@ fn interval_dual_sweep(
     IvSweep::Proven
 }
 
-/// Bounded-variable revised hybrid solve: runs the bounded revised simplex
-/// of [`crate::bounds`] in `f64`, verifies the terminal basis exactly with
-/// a sparse rational LU, and falls back to the pure exact simplex (on the
-/// bound/VUB-materialized row encoding) when verification fails. Status
-/// and objective are always bit-identical to [`solve`]`::<Rat>`.
-#[deprecated(note = "use `solve_lp` with the default `LpOptions`")]
-pub fn solve_revised(lp: &LpProblem<Rat>) -> LpSolution<Rat> {
-    solve_revised_core(lp, &RevisedOptions::default())
-        .0
-        .solution
-}
-
 /// Which certification tier(s) run on the terminal basis of a revised
 /// solve. Every mode ends in a *sound* certificate — the tiers differ
 /// only in how much of the proof is carried by outward-rounded `f64`
@@ -1415,7 +1375,7 @@ pub(crate) struct CertifyTally {
 }
 
 /// Folds a certification's total wall time and tier tally into the solve
-/// counters (shared by the cold, warm, and try paths).
+/// counters (shared by the revised and dense hybrid engines).
 pub(crate) fn apply_certify(stats: &mut SolveStats, total_nanos: u64, tally: &CertifyTally) {
     stats.certify_nanos = total_nanos;
     stats.certify_interval_nanos = tally.interval_nanos;
@@ -1424,94 +1384,18 @@ pub(crate) fn apply_certify(stats: &mut SolveStats, total_nanos: u64, tally: &Ce
     stats.interval_escalations = tally.interval_escalations;
 }
 
-/// Tuning knobs of [`solve_revised_with`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RevisedOptions {
-    /// Partial-pricing window of the float pass (see
-    /// [`BoundedOptions::pricing_window`]); `0` = full Dantzig pricing.
-    pub pricing: BoundedOptions,
-    /// Certification tier policy for the terminal basis. Default:
-    /// [`CertifyMode::IntervalThenExact`].
-    pub certify: CertifyMode,
-}
-
-/// [`solve_revised`] plus whether the exact fallback ran and the solve
-/// counters.
-#[deprecated(note = "use `solve_lp` with the default `LpOptions`")]
-pub fn solve_revised_report(lp: &LpProblem<Rat>) -> HybridReport {
-    solve_revised_core(lp, &RevisedOptions::default()).0
-}
-
-/// [`solve_revised_report`] with explicit [`RevisedOptions`].
-#[deprecated(note = "use `solve_lp` with `LpOptions::pricing`/`certify`")]
-pub fn solve_revised_with(lp: &LpProblem<Rat>, opts: &RevisedOptions) -> HybridReport {
-    solve_revised_core(lp, opts).0
-}
-
-/// The cold revised solve, additionally returning the float pass's
-/// verified terminal proposal (for [`crate::warm::BasisSnapshot`]
-/// extraction). The proposal is `Some` exactly when the solve completed
-/// without the exact fallback.
-pub(crate) fn solve_revised_core(
-    lp: &LpProblem<Rat>,
-    opts: &RevisedOptions,
-) -> (HybridReport, Option<BoundedBasis>) {
-    solve_revised_core_with_sf(lp, opts, StandardForm::build(&to_f64(lp)))
-}
-
-/// [`solve_revised_core`] against a prebuilt `f64` standard form, so a
-/// caller that already constructed one (the warm driver) doesn't pay for
-/// it twice.
-pub(crate) fn solve_revised_core_with_sf(
-    lp: &LpProblem<Rat>,
-    opts: &RevisedOptions,
-    sf64: StandardForm<f64>,
-) -> (HybridReport, Option<BoundedBasis>) {
-    let prop = solve_bounded_f64_with(&sf64, &opts.pricing);
-    let mut stats = SolveStats {
-        pivots: prop.pivots,
-        bound_flips: prop.bound_flips,
-        refactorizations: prop.refactorizations,
-        ..SolveStats::default()
-    };
-    if prop.status == BoundedStatus::Optimal {
-        let sfr = StandardForm::build(lp);
-        let certify = Instant::now();
-        // The legacy (non-`try_`) path certifies without a deadline: its
-        // callers have no error channel to surface a budget trip through,
-        // and silently treating one as a refutation would demote clean
-        // solves to the dense fallback.
-        let (verified, tally) = verify_bounded(lp, &sfr, &prop, None, opts.certify);
-        apply_certify(&mut stats, certify.elapsed().as_nanos() as u64, &tally);
-        if let Certified::Verified(solution) = verified {
-            return (
-                HybridReport {
-                    solution,
-                    fallback: false,
-                    stats,
-                },
-                Some(prop),
-            );
-        }
-    }
-    (
-        HybridReport {
-            solution: solve(lp),
-            fallback: true,
-            stats,
-        },
-        None,
-    )
-}
-
-/// The fallible revised solve: like [`solve_revised_with`], but instead of
-/// silently falling back to the dense exact simplex on any float-pass
-/// failure it returns a typed [`SolveFailure`] and lets the **caller**
-/// decide what to run next. This is the rung interface of the supervision
-/// ladder in `abt-active`: each failure class maps to a distinct demotion.
+/// The cold revised engine behind [`crate::api::solve_lp`]'s `Revised`
+/// backend: the bounded revised simplex of [`crate::bounds`] in `f64`
+/// under `opts.pricing`, then exact certification of its terminal basis
+/// under `opts.certify`. It never runs a dense fallback itself — every
+/// outcome it cannot certify is a typed [`SolveFailure`], so the
+/// **caller** decides what to run next. This is the rung interface of the
+/// supervision ladder in `abt-active`: each failure class maps to a
+/// distinct demotion.
 ///
 /// * `Ok(report)` — the float pass finished and the terminal basis was
-///   certified exactly optimal (`report.fallback` is always `false` here).
+///   certified exactly optimal (`report.fallback` is always `false`, and
+///   `report.snapshot` holds the basis for future warm starts).
 /// * `Err(BudgetExceeded(_))` — a pivot/refactorization/wall-time budget
 ///   in `opts.pricing` tripped, in the float pass or the certifier. The
 ///   wall-time budget is **per stage**: the float pass and the certifier
@@ -1522,31 +1406,12 @@ pub(crate) fn solve_revised_core_with_sf(
 /// * `Err(Infeasible)` — the *float* pass claims infeasibility. Tolerance
 ///   pivoting cannot certify that claim, so callers must confirm with an
 ///   exact backend before reporting infeasibility outward.
-///
-/// Unlike the legacy API this function never runs the dense fallback
-/// itself, so an `Ok` is always the cheap certified path.
-#[deprecated(note = "use `solve_lp` (the fallible core) with `SolverBackend::Revised`")]
-pub fn try_solve_revised_with(
+pub(crate) fn revised_cold(
     lp: &LpProblem<Rat>,
-    opts: &RevisedOptions,
-) -> Result<HybridReport, SolveFailure> {
-    try_solve_revised_core(lp, opts).map(|(rep, _)| rep)
-}
-
-/// [`try_solve_revised_with`] additionally returning the verified terminal
-/// proposal for snapshot extraction (always `Some` on `Ok`).
-pub(crate) fn try_solve_revised_core(
-    lp: &LpProblem<Rat>,
-    opts: &RevisedOptions,
-) -> Result<(HybridReport, Option<BoundedBasis>), SolveFailure> {
+    opts: &LpOptions,
+) -> Result<LpReport, SolveFailure> {
     let sf64 = StandardForm::build(&to_f64(lp));
     let prop = solve_bounded_f64_with(&sf64, &opts.pricing);
-    let mut stats = SolveStats {
-        pivots: prop.pivots,
-        bound_flips: prop.bound_flips,
-        refactorizations: prop.refactorizations,
-        ..SolveStats::default()
-    };
     match prop.status {
         BoundedStatus::Optimal => {}
         BoundedStatus::Budget(k) => return Err(SolveFailure::BudgetExceeded(k)),
@@ -1556,34 +1421,62 @@ pub(crate) fn try_solve_revised_core(
         }
     }
     let sfr = StandardForm::build(lp);
+    certify_proposal(lp, &sfr, &prop, opts)?.ok_or(SolveFailure::NumericalStall)
+}
+
+/// Certifies an `Optimal` float proposal of the bounded revised simplex
+/// (cold or warm) under `opts.certify` and the per-stage deadline of
+/// `opts.pricing`. `Ok(None)` is an exact refutation of the proposal;
+/// a passed deadline is a [`BudgetKind::Time`] trip.
+pub(crate) fn certify_proposal(
+    lp: &LpProblem<Rat>,
+    sfr: &StandardForm<Rat>,
+    prop: &BoundedBasis,
+    opts: &LpOptions,
+) -> Result<Option<LpReport>, SolveFailure> {
+    let mut stats = SolveStats {
+        pivots: prop.pivots,
+        bound_flips: prop.bound_flips,
+        refactorizations: prop.refactorizations,
+        ..SolveStats::default()
+    };
     let certify = Instant::now();
     let (outcome, tally) =
-        verify_bounded(lp, &sfr, &prop, opts.pricing.stage_deadline(), opts.certify);
+        verify_bounded(lp, sfr, prop, opts.pricing.stage_deadline(), opts.certify);
     apply_certify(&mut stats, certify.elapsed().as_nanos() as u64, &tally);
     match outcome {
-        Certified::Verified(solution) => Ok((
-            HybridReport {
-                solution,
-                fallback: false,
-                stats,
-            },
-            Some(prop),
-        )),
-        Certified::Refuted => Err(SolveFailure::NumericalStall),
+        Certified::Verified(solution) => Ok(Some(LpReport {
+            solution,
+            fallback: false,
+            warm_hit: false,
+            snapshot: BasisSnapshot::from_proposal(prop),
+            stats,
+        })),
+        Certified::Refuted => Ok(None),
         Certified::Deadline => Err(SolveFailure::BudgetExceeded(BudgetKind::Time)),
     }
 }
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the shimmed legacy names stay covered
-
     use super::*;
+    use crate::api::{solve_lp, SolverBackend};
+    use crate::bounds::BoundedOptions;
     use crate::model::{Cmp, LpProblem};
     use crate::rational::Rat;
 
     fn r(p: i64, q: i64) -> Rat {
         Rat::new(p as i128, q as i128)
+    }
+
+    /// The `Revised` backend's certified answer, or its typed refusal.
+    fn revised(lp: &LpProblem<Rat>) -> Result<LpReport, SolveFailure> {
+        solve_lp(lp, &LpOptions::new())
+    }
+
+    /// A dense backend's answer (the dense backends never fail).
+    fn dense(lp: &LpProblem<Rat>, backend: SolverBackend) -> LpReport {
+        solve_lp(lp, &LpOptions::new().backend(backend)).expect("dense backends never fail")
     }
 
     #[test]
@@ -1720,9 +1613,9 @@ mod tests {
     // ---- hybrid-specific coverage -------------------------------------
 
     /// Runs both paths on `lp` and checks the hybrid contract.
-    fn assert_hybrid_matches(lp: &LpProblem<Rat>) -> HybridReport {
+    fn assert_hybrid_matches(lp: &LpProblem<Rat>) -> LpReport {
         let exact = solve(lp);
-        let rep = solve_hybrid_report(lp);
+        let rep = dense(lp, SolverBackend::DenseHybrid);
         assert_eq!(rep.solution.status, exact.status);
         if exact.status == LpStatus::Optimal {
             assert_eq!(rep.solution.objective, exact.objective);
@@ -1806,7 +1699,7 @@ mod tests {
         let x0 = lp.add_var(Rat::ONE.add(&eps));
         let x1 = lp.add_var(Rat::ONE);
         lp.add_constraint(vec![(x0, Rat::ONE), (x1, Rat::ONE)], Cmp::Ge, Rat::ONE);
-        let rep = solve_hybrid_report(&lp);
+        let rep = dense(&lp, SolverBackend::DenseHybrid);
         assert!(
             rep.fallback,
             "sub-epsilon cost gap must force the exact fallback"
@@ -1819,17 +1712,18 @@ mod tests {
 
     // ---- bounded revised hybrid coverage ------------------------------
 
-    /// Runs the dense exact path and the revised path on `lp` and checks
-    /// the shared contract.
-    fn assert_revised_matches(lp: &LpProblem<Rat>) -> HybridReport {
+    /// Runs the dense exact path and the revised path on an LP with an
+    /// optimum and checks the shared contract: a certified answer
+    /// bit-identical to the dense one.
+    fn assert_revised_matches(lp: &LpProblem<Rat>) -> LpReport {
         let exact = solve(lp);
-        let rep = solve_revised_report(lp);
-        assert_eq!(rep.solution.status, exact.status);
-        if exact.status == LpStatus::Optimal {
-            assert_eq!(rep.solution.objective, exact.objective);
-            assert!(lp.is_feasible(&rep.solution.x));
-            assert_eq!(lp.objective_value(&rep.solution.x), exact.objective);
-        }
+        assert_eq!(exact.status, LpStatus::Optimal);
+        let rep = revised(lp).expect("the revised backend certifies clean LPs");
+        assert!(!rep.fallback);
+        assert_eq!(rep.solution.status, LpStatus::Optimal);
+        assert_eq!(rep.solution.objective, exact.objective);
+        assert!(lp.is_feasible(&rep.solution.x));
+        assert_eq!(lp.objective_value(&rep.solution.x), exact.objective);
         rep
     }
 
@@ -1899,10 +1793,10 @@ mod tests {
         };
         for implicit in [false, true] {
             let lp = build(implicit);
-            let dense = solve(&lp);
-            let hybrid = solve_hybrid(&lp);
-            let rep = solve_revised_report(&lp);
-            for sol in [&dense, &hybrid, &rep.solution] {
+            let exact = solve(&lp);
+            let hybrid = dense(&lp, SolverBackend::DenseHybrid).solution;
+            let rep = revised(&lp).expect("certified revised solve");
+            for sol in [&exact, &hybrid, &rep.solution] {
                 assert_eq!(sol.status, LpStatus::Optimal);
                 assert_eq!(sol.objective, r(-8, 1), "implicit={implicit}");
                 assert_eq!(sol.duals.len(), lp.num_constraints());
@@ -1921,8 +1815,8 @@ mod tests {
         let _y = lp.add_var(Rat::ZERO);
         lp.add_constraint(vec![(x, Rat::ONE), (_y, Rat::ONE)], Cmp::Le, r(10, 1));
         lp.set_upper(x, r(5, 1));
-        let rep = solve_revised_report(&lp);
-        assert!(!rep.fallback, "bound-flip optimum must verify exactly");
+        let rep = revised(&lp).expect("bound-flip optimum must verify exactly");
+        assert!(!rep.fallback);
         assert_eq!(rep.solution.status, LpStatus::Optimal);
         assert_eq!(rep.solution.objective, r(-5, 1));
         assert_eq!(rep.solution.x[0], r(5, 1));
@@ -1939,7 +1833,7 @@ mod tests {
         let y = lp.add_var(r(-1, 1));
         lp.add_constraint(vec![(x, Rat::ONE), (y, Rat::ONE)], Cmp::Le, r(4, 1));
         lp.set_upper(x, Rat::ONE);
-        let rep = solve_revised_report(&lp);
+        let rep = revised(&lp).expect("certified revised solve");
         assert!(!rep.fallback);
         let sol = &rep.solution;
         assert_eq!(sol.objective, r(-6, 1)); // x=1, y=3
@@ -1951,53 +1845,62 @@ mod tests {
 
     #[test]
     fn revised_reports_infeasible_and_unbounded_exactly() {
+        // A non-Optimal float verdict is a typed refusal, never a silent
+        // dense re-run; the exact status comes from the dense backends.
         let mut inf: LpProblem<Rat> = LpProblem::new();
         let x = inf.add_var(Rat::ONE);
         inf.add_constraint(vec![(x, Rat::ONE)], Cmp::Ge, r(3, 1));
         inf.set_upper(x, Rat::ONE);
-        let rep = assert_revised_matches(&inf);
-        assert!(rep.fallback, "non-Optimal float status must re-run exactly");
-        assert_eq!(rep.solution.status, LpStatus::Infeasible);
+        assert_eq!(revised(&inf).unwrap_err(), SolveFailure::Infeasible);
+        for backend in [SolverBackend::DenseHybrid, SolverBackend::DenseExact] {
+            let rep = dense(&inf, backend);
+            assert!(rep.fallback, "non-Optimal float status must re-run exactly");
+            assert_eq!(rep.solution.status, LpStatus::Infeasible);
+        }
 
         let mut unb: LpProblem<Rat> = LpProblem::new();
         let x = unb.add_var(r(-1, 1));
         unb.add_constraint(vec![(x, Rat::ONE)], Cmp::Ge, Rat::ONE);
-        let rep = assert_revised_matches(&unb);
-        assert_eq!(rep.solution.status, LpStatus::Unbounded);
+        assert_eq!(revised(&unb).unwrap_err(), SolveFailure::NumericalStall);
+        for backend in [SolverBackend::DenseHybrid, SolverBackend::DenseExact] {
+            assert_eq!(dense(&unb, backend).solution.status, LpStatus::Unbounded);
+        }
     }
 
     #[test]
-    fn revised_falls_back_on_sub_epsilon_cost_gap() {
+    fn revised_refuses_sub_epsilon_cost_gap() {
         // Same adversarial instance as the dense hybrid: costs that
-        // collide in f64 must be caught by the exact verification.
+        // collide in f64 must be caught by the exact verification. The
+        // revised backend refuses the refuted basis as a typed stall; the
+        // dense backends answer it exactly.
         let eps = Rat::new(1, 1i128 << 60);
         let mut lp: LpProblem<Rat> = LpProblem::new();
         let x0 = lp.add_var(Rat::ONE.add(&eps));
         let x1 = lp.add_var(Rat::ONE);
         lp.add_constraint(vec![(x0, Rat::ONE), (x1, Rat::ONE)], Cmp::Ge, Rat::ONE);
-        let rep = solve_revised_report(&lp);
-        assert!(
-            rep.fallback,
-            "sub-epsilon cost gap must force the exact fallback"
-        );
-        assert_eq!(rep.solution.objective, Rat::ONE);
-        assert_eq!(rep.solution.x, vec![Rat::ZERO, Rat::ONE]);
+        assert_eq!(revised(&lp).unwrap_err(), SolveFailure::NumericalStall);
+        for backend in [SolverBackend::DenseHybrid, SolverBackend::DenseExact] {
+            let rep = dense(&lp, backend);
+            assert!(rep.fallback, "the gap must force the exact path");
+            assert_eq!(rep.solution.objective, Rat::ONE);
+            assert_eq!(rep.solution.x, vec![Rat::ZERO, Rat::ONE]);
+        }
     }
 
     // ---- VUB coverage -------------------------------------------------
 
     /// Runs the dense exact oracle (rows) against the revised solver on
-    /// both encodings of the same VUB structure.
-    fn assert_vub_matches(vub_lp: &LpProblem<Rat>) -> HybridReport {
+    /// both encodings of the same VUB structure, for an LP with an
+    /// optimum.
+    fn assert_vub_matches(vub_lp: &LpProblem<Rat>) -> LpReport {
         let oracle = solve(&vub_lp.vubs_as_rows());
-        let rep = solve_revised_report(vub_lp);
-        assert_eq!(rep.solution.status, oracle.status);
-        if oracle.status == LpStatus::Optimal {
-            assert_eq!(rep.solution.objective, oracle.objective);
-            assert!(vub_lp.is_feasible(&rep.solution.x));
-            assert_eq!(vub_lp.objective_value(&rep.solution.x), oracle.objective);
-            assert_eq!(rep.solution.duals.len(), vub_lp.num_constraints());
-        }
+        assert_eq!(oracle.status, LpStatus::Optimal);
+        let rep = revised(vub_lp).expect("the revised backend certifies clean VUB LPs");
+        assert_eq!(rep.solution.status, LpStatus::Optimal);
+        assert_eq!(rep.solution.objective, oracle.objective);
+        assert!(vub_lp.is_feasible(&rep.solution.x));
+        assert_eq!(vub_lp.objective_value(&rep.solution.x), oracle.objective);
+        assert_eq!(rep.solution.duals.len(), vub_lp.num_constraints());
         rep
     }
 
@@ -2107,8 +2010,12 @@ mod tests {
         inf.set_upper(y, Rat::ONE);
         inf.set_vub(x, y);
         inf.add_constraint(vec![(x, Rat::ONE)], Cmp::Ge, r(5, 1));
-        let rep = assert_vub_matches(&inf);
-        assert_eq!(rep.solution.status, LpStatus::Infeasible);
+        assert_eq!(revised(&inf).unwrap_err(), SolveFailure::Infeasible);
+        assert_eq!(solve(&inf.vubs_as_rows()).status, LpStatus::Infeasible);
+        assert_eq!(
+            dense(&inf, SolverBackend::DenseHybrid).solution.status,
+            LpStatus::Infeasible
+        );
 
         // Unbounded: the key has no constant bound and pays off.
         let mut unb: LpProblem<Rat> = LpProblem::new();
@@ -2116,8 +2023,12 @@ mod tests {
         let x = unb.add_var(Rat::ZERO);
         unb.set_vub(x, y);
         unb.add_constraint(vec![(x, Rat::ONE), (y, Rat::ONE)], Cmp::Ge, Rat::ONE);
-        let rep = assert_vub_matches(&unb);
-        assert_eq!(rep.solution.status, LpStatus::Unbounded);
+        assert_eq!(revised(&unb).unwrap_err(), SolveFailure::NumericalStall);
+        assert_eq!(solve(&unb.vubs_as_rows()).status, LpStatus::Unbounded);
+        assert_eq!(
+            dense(&unb, SolverBackend::DenseHybrid).solution.status,
+            LpStatus::Unbounded
+        );
     }
 
     // ---- fallible (try_) revised coverage -----------------------------
@@ -2129,7 +2040,7 @@ mod tests {
         let y = lp.add_var(Rat::ONE);
         lp.add_constraint(vec![(x, Rat::ONE), (y, r(2, 1))], Cmp::Ge, r(4, 1));
         lp.add_constraint(vec![(x, r(3, 1)), (y, Rat::ONE)], Cmp::Ge, r(6, 1));
-        let rep = try_solve_revised_with(&lp, &RevisedOptions::default()).expect("clean LP");
+        let rep = revised(&lp).expect("clean LP");
         assert!(!rep.fallback);
         assert_eq!(rep.solution.objective, r(14, 5));
         assert_eq!(rep.solution.objective, solve(&lp).objective);
@@ -2142,15 +2053,12 @@ mod tests {
         let y = lp.add_var(Rat::ONE);
         lp.add_constraint(vec![(x, Rat::ONE), (y, r(2, 1))], Cmp::Ge, r(4, 1));
         lp.add_constraint(vec![(x, r(3, 1)), (y, Rat::ONE)], Cmp::Ge, r(6, 1));
-        let opts = RevisedOptions {
-            pricing: BoundedOptions {
-                pivot_budget: 1,
-                ..BoundedOptions::default()
-            },
-            ..RevisedOptions::default()
-        };
+        let opts = LpOptions::new().pricing(BoundedOptions {
+            pivot_budget: 1,
+            ..BoundedOptions::default()
+        });
         assert_eq!(
-            try_solve_revised_with(&lp, &opts).unwrap_err(),
+            solve_lp(&lp, &opts).unwrap_err(),
             SolveFailure::BudgetExceeded(BudgetKind::Pivots)
         );
     }
@@ -2163,19 +2071,13 @@ mod tests {
         let x = inf.add_var(Rat::ONE);
         inf.add_constraint(vec![(x, Rat::ONE)], Cmp::Ge, r(3, 1));
         inf.set_upper(x, Rat::ONE);
-        assert_eq!(
-            try_solve_revised_with(&inf, &RevisedOptions::default()).unwrap_err(),
-            SolveFailure::Infeasible
-        );
+        assert_eq!(revised(&inf).unwrap_err(), SolveFailure::Infeasible);
 
         // Unbounded claims demote to an exact backend as a stall.
         let mut unb: LpProblem<Rat> = LpProblem::new();
         let x = unb.add_var(r(-1, 1));
         unb.add_constraint(vec![(x, Rat::ONE)], Cmp::Ge, Rat::ONE);
-        assert_eq!(
-            try_solve_revised_with(&unb, &RevisedOptions::default()).unwrap_err(),
-            SolveFailure::NumericalStall
-        );
+        assert_eq!(revised(&unb).unwrap_err(), SolveFailure::NumericalStall);
 
         // An exactly-refuted terminal basis (the sub-epsilon cost gap) is
         // a numerical stall, not a silent dense fallback.
@@ -2184,10 +2086,7 @@ mod tests {
         let x0 = gap.add_var(Rat::ONE.add(&eps));
         let x1 = gap.add_var(Rat::ONE);
         gap.add_constraint(vec![(x0, Rat::ONE), (x1, Rat::ONE)], Cmp::Ge, Rat::ONE);
-        assert_eq!(
-            try_solve_revised_with(&gap, &RevisedOptions::default()).unwrap_err(),
-            SolveFailure::NumericalStall
-        );
+        assert_eq!(revised(&gap).unwrap_err(), SolveFailure::NumericalStall);
     }
 
     #[test]
@@ -2197,7 +2096,7 @@ mod tests {
         let y = lp.add_var(r(2, 1));
         lp.add_constraint(vec![(x, Rat::ONE), (y, Rat::ONE)], Cmp::Ge, r(3, 1));
         lp.bound_var(x, r(2, 1));
-        let sol = solve_hybrid(&lp);
+        let sol = dense(&lp, SolverBackend::DenseHybrid).solution;
         assert_eq!(sol.status, LpStatus::Optimal);
         let mut by = Rat::ZERO;
         for (c, yv) in lp.constraints().iter().zip(&sol.duals) {

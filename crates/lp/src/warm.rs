@@ -20,25 +20,27 @@
 //!
 //! 1. **Extract** — [`BasisSnapshot::from_proposal`] clones the
 //!    basis/state vectors out of an `Optimal` [`BoundedBasis`] (the float
-//!    pass's terminal proposal). [`solve_revised_warm`] does this
-//!    automatically and hands the snapshot back in its [`WarmReport`].
-//! 2. **Install** — a later [`solve_revised_warm`] call with the snapshot
-//!    validates it against the new problem's standard form: shape check,
-//!    state consistency, then **one sparse-LU refactorization** of the
-//!    (key-column-augmented) basis and an exact-arithmetic-free primal
-//!    feasibility check of the recomputed basic values. Any failure —
-//!    shape drift, a singular basis for the new data, primal
-//!    infeasibility — falls back to the ordinary **cold** two-phase solve.
-//!    A warm install that succeeds skips phase 1 entirely (the installed
-//!    basis *is* a feasible basis: every basic artificial sits at zero)
-//!    and resumes phase-2 pivoting from the old optimum.
+//!    pass's terminal proposal). Every certified `Revised` solve of
+//!    [`crate::api::solve_lp`] does this automatically and hands the
+//!    snapshot back in [`LpReport::snapshot`].
+//! 2. **Install** — a later `solve_lp` call offering the snapshot through
+//!    [`LpOptions::snapshots`] validates it against the new problem's
+//!    standard form: shape check, state consistency, then **one
+//!    sparse-LU refactorization** of the (key-column-augmented) basis and
+//!    an exact-arithmetic-free primal feasibility check of the recomputed
+//!    basic values. Any failure — shape drift, a singular basis for the
+//!    new data, primal infeasibility — moves on to the next candidate,
+//!    and an exhausted pool falls through to the ordinary **cold**
+//!    two-phase solve (unless [`LpOptions::warm_only`]). A warm install
+//!    that succeeds skips phase 1 entirely (the installed basis *is* a
+//!    feasible basis: every basic artificial sits at zero) and resumes
+//!    phase-2 pivoting from the old optimum.
 //! 3. **Certify** — warm or cold, the terminal basis is re-verified in
-//!    exact rationals exactly like [`crate::simplex::solve_revised`], so a
-//!    warm answer is **bit-identical** to the cold one: the float search's
-//!    starting point can change which alternate optimal vertex is reached,
-//!    never the certified status or objective. An unverifiable warm
-//!    outcome re-runs cold (and, if need be, falls through to the pure
-//!    exact solver) — a warm start can only ever cost a retry, never an
+//!    exact rationals by the same certifier, so a warm answer is
+//!    **bit-identical** to the cold one: the float search's starting
+//!    point can change which alternate optimal vertex is reached, never
+//!    the certified status or objective. An unverifiable warm outcome
+//!    re-runs cold — a warm start can only ever cost a retry, never an
 //!    answer.
 //!
 //! # What "matches" means
@@ -51,17 +53,15 @@
 //! caller that hands in a stale snapshot merely pays the cold solve it
 //! would have run anyway.
 
+use crate::api::{LpOptions, LpReport};
 use crate::arena::with_arena;
 use crate::bounds::{
     solve_bounded_warm_pooled, BoundedBasis, BoundedStatus, StandardForm, VarState,
 };
 use crate::model::LpProblem;
 use crate::rational::Rat;
-use crate::simplex::{
-    apply_certify, solve_revised_core_with_sf, to_f64, verify_bounded, Certified, HybridReport,
-    RevisedOptions, SolveStats,
-};
-use abt_core::error::{BudgetKind, SolveFailure};
+use crate::simplex::{certify_proposal, to_f64};
+use abt_core::error::SolveFailure;
 
 /// A reusable snapshot of a finished bounded revised solve: the basis
 /// column per row, and the resting state of every standard-form column
@@ -194,132 +194,38 @@ impl BasisSnapshot {
     }
 }
 
-/// Result of [`solve_revised_warm`]: the exact solution (same contract as
-/// [`crate::simplex::solve_revised_report`]) plus the warm-start outcome
-/// and a snapshot of the terminal basis for future reuse.
-#[derive(Debug, Clone)]
-pub struct WarmReport {
-    /// The exact solution and solve counters. `fallback` keeps its cold
-    /// meaning — `true` only when the *pure exact dense solver* had to
-    /// run; a warm miss that re-solved cold (and verified) is not a
-    /// fallback.
-    pub report: HybridReport,
-    /// `true` iff the provided snapshot installed cleanly **and** the
-    /// warm-started float pass's terminal basis verified exactly — i.e.
-    /// the answer really was produced by the warm path.
-    pub warm_hit: bool,
-    /// Snapshot of the verified terminal basis (warm or cold), for the
-    /// next sibling/re-solve. `None` when the solve fell through to the
-    /// exact dense fallback (there is no bounded basis to snapshot).
-    pub snapshot: Option<BasisSnapshot>,
-}
-
-/// [`crate::simplex::solve_revised_with`] with optional warm starts.
-///
-/// With an empty `snapshots` slice this is exactly the cold revised
-/// solve, plus a snapshot of the terminal basis in the result. Otherwise
-/// the float pass tries each candidate snapshot **in order** until one
-/// installs and its warm run verifies exactly (see the module docs);
-/// different siblings of a family land on different optimal vertices, so
+/// The warm-only engine behind [`crate::api::solve_lp`]'s `Revised`
+/// backend when `opts.snapshots` is non-empty: tries each candidate
+/// snapshot **in order** and never falls through to a cold solve itself.
+/// Different siblings of a family land on different optimal vertices, so
 /// a small pool of candidates lifts the hit rate well above what any
 /// single snapshot achieves — a failed install costs one sparse LU
 /// factorization plus a feasibility sweep, cheap next to the cold pivot
-/// sequence it stands in for. On exhausting the pool the cold path runs
-/// unchanged. Status and objective are **always bit-identical** to
-/// [`crate::simplex::solve`]`::<Rat>`, warm or cold.
-#[deprecated(note = "use `solve_lp` with `LpOptions::snapshots`")]
-pub fn solve_revised_warm(
-    lp: &LpProblem<Rat>,
-    opts: &RevisedOptions,
-    snapshots: &[BasisSnapshot],
-) -> WarmReport {
-    // Both standard forms are built at most once per call: the f64 form is
-    // shared by every candidate install and handed on to the cold path,
-    // and the (expensive) rational form is built lazily on the first
-    // candidate that reaches exact verification.
-    let sf64 = StandardForm::build(&to_f64(lp));
-    let mut sfr: Option<StandardForm<Rat>> = None;
-    for snap in snapshots {
-        if !snap.matches_shape(&sf64) {
-            continue;
-        }
-        let Some(prop) =
-            with_arena(|arena| solve_bounded_warm_pooled(&sf64, &opts.pricing, snap, arena))
-        else {
-            continue; // install failed: try the next candidate
-        };
-        if prop.status != BoundedStatus::Optimal {
-            continue; // warm run stalled/diverged: try the next
-        }
-        let sfr = sfr.get_or_insert_with(|| StandardForm::build(lp));
-        let certify = std::time::Instant::now();
-        // Legacy path: no certifier deadline (see
-        // `solve_revised_core_with_sf` for the rationale).
-        let (verified, tally) = verify_bounded(lp, sfr, &prop, None, opts.certify);
-        let mut stats = SolveStats {
-            pivots: prop.pivots,
-            bound_flips: prop.bound_flips,
-            refactorizations: prop.refactorizations,
-            ..SolveStats::default()
-        };
-        apply_certify(&mut stats, certify.elapsed().as_nanos() as u64, &tally);
-        if let Certified::Verified(solution) = verified {
-            let snapshot = BasisSnapshot::from_proposal(&prop);
-            return WarmReport {
-                report: HybridReport {
-                    solution,
-                    fallback: false,
-                    stats,
-                },
-                warm_hit: true,
-                snapshot,
-            };
-        }
-    }
-    let (report, prop) = solve_revised_core_with_sf(lp, opts, sf64);
-    let snapshot = prop.as_ref().and_then(BasisSnapshot::from_proposal);
-    WarmReport {
-        report,
-        warm_hit: false,
-        snapshot,
-    }
-}
-
-/// The fallible, **warm-only** variant of [`solve_revised_warm`]: tries
-/// each candidate snapshot in order, and — unlike the legacy driver —
-/// never falls through to a cold solve. This is rung 1 of the supervision
-/// ladder in `abt-active`: the supervisor decides what a miss costs.
+/// sequence it stands in for.
 ///
 /// * `Ok(report)` — some candidate installed, its warm float run finished
 ///   `Optimal`, and the terminal basis certified exactly
 ///   (`report.warm_hit` is always `true` here).
-/// * `Err(ShapeDrift)` — no candidate produced a certified answer (empty
-///   pool, shape mismatches, failed installs, stalled warm runs, or exact
-///   refutations). A routine cache miss, **not** a fault: supervisors
-///   drop through to the cold rung without recording a demotion.
+/// * `Err(ShapeDrift)` — no candidate produced a certified answer (shape
+///   mismatches, failed installs, stalled warm runs, or exact
+///   refutations). A routine cache miss, **not** a fault: `solve_lp`
+///   falls through to the cold solve unless `opts.warm_only`, and
+///   supervisors drop through to the cold rung without recording a
+///   demotion.
 /// * `Err(BudgetExceeded(_))` — a budget in `opts.pricing` tripped during
 ///   a warm run or its certification. Genuine budget pressure: surfaced
 ///   immediately rather than burning the remaining candidates.
-#[deprecated(note = "use `solve_lp` with `LpOptions::snapshots` and `warm_only`")]
-pub fn try_solve_revised_warm(
+pub(crate) fn revised_warm(
     lp: &LpProblem<Rat>,
-    opts: &RevisedOptions,
-    snapshots: &[BasisSnapshot],
-) -> Result<WarmReport, SolveFailure> {
-    try_solve_revised_warm_core(lp, opts, snapshots)
-}
-
-/// The warm-only engine behind [`try_solve_revised_warm`] and
-/// [`crate::api::solve_lp`]'s warm rung.
-pub(crate) fn try_solve_revised_warm_core(
-    lp: &LpProblem<Rat>,
-    opts: &RevisedOptions,
-    snapshots: &[BasisSnapshot],
-) -> Result<WarmReport, SolveFailure> {
-    let mut span = abt_core::obs_span!("solve.warm", candidates = snapshots.len());
+    opts: &LpOptions,
+) -> Result<LpReport, SolveFailure> {
+    let mut span = abt_core::obs_span!("solve.warm", candidates = opts.snapshots.len());
+    // Both standard forms are built at most once per call: the f64 form is
+    // shared by every candidate install, and the (expensive) rational form
+    // is built lazily on the first candidate that reaches certification.
     let sf64 = StandardForm::build(&to_f64(lp));
     let mut sfr: Option<StandardForm<Rat>> = None;
-    for snap in snapshots {
+    for snap in opts.snapshots {
         if !snap.matches_shape(&sf64) {
             continue;
         }
@@ -334,65 +240,36 @@ pub(crate) fn try_solve_revised_warm_core(
             _ => continue, // warm run stalled/diverged: try the next
         }
         let sfr = sfr.get_or_insert_with(|| StandardForm::build(lp));
-        let certify = std::time::Instant::now();
-        let (outcome, tally) =
-            verify_bounded(lp, sfr, &prop, opts.pricing.stage_deadline(), opts.certify);
-        let mut stats = SolveStats {
-            pivots: prop.pivots,
-            bound_flips: prop.bound_flips,
-            refactorizations: prop.refactorizations,
-            ..SolveStats::default()
-        };
-        apply_certify(&mut stats, certify.elapsed().as_nanos() as u64, &tally);
-        match outcome {
-            Certified::Verified(solution) => {
-                span.field("hit", true);
-                let snapshot = BasisSnapshot::from_proposal(&prop);
-                return Ok(WarmReport {
-                    report: HybridReport {
-                        solution,
-                        fallback: false,
-                        stats,
-                    },
-                    warm_hit: true,
-                    snapshot,
-                });
-            }
-            Certified::Deadline => return Err(SolveFailure::BudgetExceeded(BudgetKind::Time)),
-            Certified::Refuted => continue, // exact refutation: next candidate
+        // `None` is an exact refutation: try the next candidate.
+        if let Some(mut rep) = certify_proposal(lp, sfr, &prop, opts)? {
+            span.field("hit", true);
+            rep.warm_hit = true;
+            return Ok(rep);
         }
     }
     Err(SolveFailure::ShapeDrift)
 }
 
-/// The fallible **cold** revised solve with a snapshot of the terminal
-/// basis: exactly [`solve_revised_warm`] with an empty pool, but typed
-/// failures instead of silent dense fallbacks — rung 2 of the supervision
-/// ladder in `abt-active`. Budgets in `opts.pricing` are enforced in the
-/// float pass and the exact certifier; see
-/// [`crate::simplex::try_solve_revised_with`] for the failure mapping.
-#[deprecated(note = "use `solve_lp` with an empty snapshot pool")]
-pub fn try_solve_revised_cold(
-    lp: &LpProblem<Rat>,
-    opts: &RevisedOptions,
-) -> Result<WarmReport, SolveFailure> {
-    let (report, prop) = crate::simplex::try_solve_revised_core(lp, opts)?;
-    let snapshot = prop.as_ref().and_then(BasisSnapshot::from_proposal);
-    Ok(WarmReport {
-        report,
-        warm_hit: false,
-        snapshot,
-    })
-}
-
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the shimmed legacy names stay covered
-
     use super::*;
+    use crate::api::solve_lp;
     use crate::arena::with_arena;
+    use crate::bounds::BoundedOptions;
     use crate::model::{Cmp, LpProblem};
     use crate::simplex::{solve, LpStatus};
+    use abt_core::error::BudgetKind;
+
+    /// A default `Revised` solve offering `pool` as warm-start candidates
+    /// (a miss falls through to the cold solve).
+    fn solve_with(lp: &LpProblem<Rat>, pool: &[BasisSnapshot]) -> LpReport {
+        solve_lp(lp, &LpOptions::new().snapshots(pool)).expect("clean solve")
+    }
+
+    /// A warm-only `Revised` solve: a pool miss is `ShapeDrift`.
+    fn warm_only(lp: &LpProblem<Rat>, pool: &[BasisSnapshot]) -> Result<LpReport, SolveFailure> {
+        solve_lp(lp, &LpOptions::new().snapshots(pool).warm_only(true))
+    }
 
     fn r(p: i64, q: i64) -> Rat {
         Rat::new(p as i128, q as i128)
@@ -438,11 +315,11 @@ mod tests {
     #[test]
     fn cold_solve_yields_a_snapshot_and_matches_exact() {
         let lp = lp1_like([3, 2, 1], [3, 2]);
-        let out = solve_revised_warm(&lp, &RevisedOptions::default(), &[]);
+        let out = solve_with(&lp, &[]);
         assert!(!out.warm_hit);
-        assert!(!out.report.fallback);
-        assert_eq!(out.report.solution.status, LpStatus::Optimal);
-        assert_eq!(out.report.solution.objective, solve(&lp).objective);
+        assert!(!out.fallback);
+        assert_eq!(out.solution.status, LpStatus::Optimal);
+        assert_eq!(out.solution.objective, solve(&lp).objective);
         let snap = out.snapshot.expect("optimal cold solve must snapshot");
         assert_eq!(snap.basis.len(), snap.m);
         assert_eq!(snap.state.len(), snap.ncols);
@@ -454,28 +331,24 @@ mod tests {
         // different demands and widths) warm: bit-identical to its own
         // exact solve, with no more pivots than its cold solve needs.
         let rep = lp1_like([3, 2, 1], [3, 2]);
-        let cold_rep = solve_revised_warm(&rep, &RevisedOptions::default(), &[]);
+        let cold_rep = solve_with(&rep, &[]);
         let snap = cold_rep.snapshot.expect("snapshot");
 
         let sib = lp1_like([4, 2, 2], [4, 3]);
-        let cold_sib = solve_revised_warm(&sib, &RevisedOptions::default(), &[]);
-        let warm_sib = solve_revised_warm(
-            &sib,
-            &RevisedOptions::default(),
-            std::slice::from_ref(&snap),
-        );
+        let cold_sib = solve_with(&sib, &[]);
+        let warm_sib = solve_with(&sib, std::slice::from_ref(&snap));
         assert!(warm_sib.warm_hit, "structural sibling must install warm");
-        assert!(!warm_sib.report.fallback);
+        assert!(!warm_sib.fallback);
         assert_eq!(
-            warm_sib.report.solution.objective,
+            warm_sib.solution.objective,
             solve(&sib).objective,
             "warm answers must stay bit-identical to cold/exact"
         );
         assert!(
-            warm_sib.report.stats.pivots <= cold_sib.report.stats.pivots,
+            warm_sib.stats.pivots <= cold_sib.stats.pivots,
             "warm start must not pivot more than cold ({} > {})",
-            warm_sib.report.stats.pivots,
-            cold_sib.report.stats.pivots
+            warm_sib.stats.pivots,
+            cold_sib.stats.pivots
         );
         // The warm solve returns its own snapshot for further reuse.
         assert!(warm_sib.snapshot.is_some());
@@ -484,14 +357,11 @@ mod tests {
     #[test]
     fn identical_sibling_needs_zero_pivots_warm() {
         let lp = lp1_like([3, 2, 1], [3, 2]);
-        let snap = solve_revised_warm(&lp, &RevisedOptions::default(), &[])
-            .snapshot
-            .unwrap();
-        let again =
-            solve_revised_warm(&lp, &RevisedOptions::default(), std::slice::from_ref(&snap));
+        let snap = solve_with(&lp, &[]).snapshot.unwrap();
+        let again = solve_with(&lp, std::slice::from_ref(&snap));
         assert!(again.warm_hit);
-        assert_eq!(again.report.stats.pivots, 0, "old optimum is still optimal");
-        assert_eq!(again.report.solution.objective, solve(&lp).objective);
+        assert_eq!(again.stats.pivots, 0, "old optimum is still optimal");
+        assert_eq!(again.solution.objective, solve(&lp).objective);
     }
 
     #[test]
@@ -502,64 +372,54 @@ mod tests {
         // a miss into a zero-pivot hit.
         let far = lp1_like([3, 2, 1], [3, 2]);
         let near = lp1_like([3, 2, 2], [3, 2]);
-        let far_snap = solve_revised_warm(&far, &RevisedOptions::default(), &[])
-            .snapshot
-            .unwrap();
-        let near_snap = solve_revised_warm(&near, &RevisedOptions::default(), &[])
-            .snapshot
-            .unwrap();
+        let far_snap = solve_with(&far, &[]).snapshot.unwrap();
+        let near_snap = solve_with(&near, &[]).snapshot.unwrap();
         let target = lp1_like([3, 2, 2], [3, 2]);
-        let miss = solve_revised_warm(
-            &target,
-            &RevisedOptions::default(),
-            std::slice::from_ref(&far_snap),
-        );
+        let miss = solve_with(&target, std::slice::from_ref(&far_snap));
         assert!(!miss.warm_hit, "the far snapshot alone must miss");
         let pool = [far_snap, near_snap];
-        let hit = solve_revised_warm(&target, &RevisedOptions::default(), &pool);
+        let hit = solve_with(&target, &pool);
         assert!(hit.warm_hit, "the pool's second candidate must hit");
-        assert_eq!(hit.report.stats.pivots, 0);
-        assert_eq!(hit.report.solution.objective, solve(&target).objective);
+        assert_eq!(hit.stats.pivots, 0);
+        assert_eq!(hit.solution.objective, solve(&target).objective);
     }
 
     #[test]
     fn shape_mismatch_falls_back_to_cold() {
         let lp = lp1_like([3, 2, 1], [3, 2]);
-        let snap = solve_revised_warm(&lp, &RevisedOptions::default(), &[])
-            .snapshot
-            .unwrap();
+        let snap = solve_with(&lp, &[]).snapshot.unwrap();
         // A structurally different problem: extra variable and row.
         let mut other: LpProblem<Rat> = LpProblem::new();
         let x = other.add_var(Rat::ONE);
         let y = other.add_var(Rat::ONE);
         other.add_constraint(vec![(x, Rat::ONE), (y, Rat::ONE)], Cmp::Ge, r(3, 1));
-        let out = solve_revised_warm(
-            &other,
-            &RevisedOptions::default(),
-            std::slice::from_ref(&snap),
-        );
+        let out = solve_with(&other, std::slice::from_ref(&snap));
         assert!(!out.warm_hit, "shape mismatch must not install");
-        assert_eq!(out.report.solution.objective, r(3, 1));
+        assert_eq!(out.solution.objective, r(3, 1));
     }
 
     #[test]
     fn infeasible_sibling_detected_through_the_cold_path() {
         // The warm basis cannot be primal-feasible for data that admits no
         // feasible point at all, so the install check fails and the cold
-        // two-phase run reports Infeasible exactly.
+        // run reports the float pass's Infeasible claim as a typed failure
+        // (the exact confirmation is the supervision ladder's dense rungs).
         let rep = lp1_like([3, 2, 1], [3, 2]);
-        let snap = solve_revised_warm(&rep, &RevisedOptions::default(), &[])
-            .snapshot
-            .unwrap();
+        let snap = solve_with(&rep, &[]).snapshot.unwrap();
         // Demand far beyond the capped capacity g·(w0 + w1) = 2·3 = 6.
         let sib = lp1_like([40, 1, 1], [2, 1]);
-        let out = solve_revised_warm(
-            &sib,
-            &RevisedOptions::default(),
-            std::slice::from_ref(&snap),
+        assert_eq!(
+            warm_only(&sib, std::slice::from_ref(&snap)).unwrap_err(),
+            SolveFailure::ShapeDrift
         );
-        assert!(!out.warm_hit);
-        assert_eq!(out.report.solution.status, LpStatus::Infeasible);
+        assert_eq!(
+            solve_lp(
+                &sib,
+                &LpOptions::new().snapshots(std::slice::from_ref(&snap))
+            )
+            .unwrap_err(),
+            SolveFailure::Infeasible
+        );
         assert_eq!(solve(&sib).status, LpStatus::Infeasible);
     }
 
@@ -571,25 +431,15 @@ mod tests {
         // never exceeds its bound and (b) no fresh allocations happen —
         // i.e. every checkout is served by a buffer that was given back.
         let rep = lp1_like([3, 2, 1], [3, 2]);
-        let snap = solve_revised_warm(&rep, &RevisedOptions::default(), &[])
-            .snapshot
-            .unwrap();
+        let snap = solve_with(&rep, &[]).snapshot.unwrap();
         // Same shape, infeasible data: install reaches the primal
         // feasibility check (buffers already checked out) and bails there.
         let bad = lp1_like([40, 1, 1], [2, 1]);
-        let _ = solve_revised_warm(
-            &bad,
-            &RevisedOptions::default(),
-            std::slice::from_ref(&snap),
-        );
+        let opts = LpOptions::new().snapshots(std::slice::from_ref(&snap));
+        let _ = solve_lp(&bad, &opts);
         let before = with_arena(|a| a.stats());
         for _ in 0..10 {
-            let out = solve_revised_warm(
-                &bad,
-                &RevisedOptions::default(),
-                std::slice::from_ref(&snap),
-            );
-            assert!(!out.warm_hit);
+            assert_eq!(solve_lp(&bad, &opts).unwrap_err(), SolveFailure::Infeasible);
         }
         let after = with_arena(|a| a.stats());
         assert!(
@@ -612,30 +462,18 @@ mod tests {
     fn try_warm_is_warm_only() {
         let lp = lp1_like([3, 2, 1], [3, 2]);
         // An empty pool is a routine miss — ShapeDrift, not a solve.
-        assert_eq!(
-            try_solve_revised_warm(&lp, &RevisedOptions::default(), &[]).unwrap_err(),
-            SolveFailure::ShapeDrift
-        );
-        let snap = solve_revised_warm(&lp, &RevisedOptions::default(), &[])
-            .snapshot
-            .unwrap();
-        let out =
-            try_solve_revised_warm(&lp, &RevisedOptions::default(), std::slice::from_ref(&snap))
-                .expect("matching snapshot must hit");
+        assert_eq!(warm_only(&lp, &[]).unwrap_err(), SolveFailure::ShapeDrift);
+        let snap = solve_with(&lp, &[]).snapshot.unwrap();
+        let out = warm_only(&lp, std::slice::from_ref(&snap)).expect("matching snapshot must hit");
         assert!(out.warm_hit);
-        assert_eq!(out.report.solution.objective, solve(&lp).objective);
+        assert_eq!(out.solution.objective, solve(&lp).objective);
         // A shape-mismatched pool is also just a miss.
         let mut other: LpProblem<Rat> = LpProblem::new();
         let x = other.add_var(Rat::ONE);
         other.add_constraint(vec![(x, Rat::ONE)], Cmp::Ge, r(3, 1));
         let snap2 = out.snapshot.unwrap();
         assert_eq!(
-            try_solve_revised_warm(
-                &other,
-                &RevisedOptions::default(),
-                std::slice::from_ref(&snap2)
-            )
-            .unwrap_err(),
+            warm_only(&other, std::slice::from_ref(&snap2)).unwrap_err(),
             SolveFailure::ShapeDrift
         );
     }
@@ -643,25 +481,20 @@ mod tests {
     #[test]
     fn try_cold_solves_and_snapshots() {
         let lp = lp1_like([3, 2, 1], [3, 2]);
-        let out = try_solve_revised_cold(&lp, &RevisedOptions::default()).expect("clean cold");
+        let out = solve_with(&lp, &[]);
         assert!(!out.warm_hit);
-        assert_eq!(out.report.solution.objective, solve(&lp).objective);
+        assert_eq!(out.solution.objective, solve(&lp).objective);
         let snap = out.snapshot.expect("optimal cold solve must snapshot");
         // The snapshot round-trips into a warm hit.
-        let warm =
-            try_solve_revised_warm(&lp, &RevisedOptions::default(), std::slice::from_ref(&snap))
-                .expect("own snapshot must hit");
+        let warm = warm_only(&lp, std::slice::from_ref(&snap)).expect("own snapshot must hit");
         assert!(warm.warm_hit);
         // Budgets are enforced, not ignored.
-        let tight = RevisedOptions {
-            pricing: crate::bounds::BoundedOptions {
-                pivot_budget: 1,
-                ..crate::bounds::BoundedOptions::default()
-            },
-            ..RevisedOptions::default()
-        };
+        let tight = LpOptions::new().pricing(BoundedOptions {
+            pivot_budget: 1,
+            ..BoundedOptions::default()
+        });
         assert_eq!(
-            try_solve_revised_cold(&lp, &tight).unwrap_err(),
+            solve_lp(&lp, &tight).unwrap_err(),
             SolveFailure::BudgetExceeded(BudgetKind::Pivots)
         );
     }
@@ -684,7 +517,7 @@ mod tests {
         use abt_core::persist::{Dec, Enc};
         // A real snapshot off a real solve, not a synthetic one.
         let lp = lp1_like([3, 2, 1], [3, 2]);
-        let snap = solve_revised_warm(&lp, &RevisedOptions::default(), &[])
+        let snap = solve_with(&lp, &[])
             .snapshot
             .expect("optimal solve must snapshot");
         let mut enc = Enc::new();
@@ -695,9 +528,7 @@ mod tests {
         dec.finish().expect("no trailing bytes");
         assert_eq!(back, snap);
         // And the decoded snapshot still warm-hits its own problem.
-        let out =
-            try_solve_revised_warm(&lp, &RevisedOptions::default(), std::slice::from_ref(&back))
-                .expect("decoded snapshot must hit");
+        let out = warm_only(&lp, std::slice::from_ref(&back)).expect("decoded snapshot must hit");
         assert!(out.warm_hit);
     }
 

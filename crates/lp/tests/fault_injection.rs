@@ -7,10 +7,9 @@
 //! process-global [`faultinject::exclusive`] guard.
 
 #![cfg(feature = "fault-injection")]
-#![allow(deprecated)] // the shimmed legacy solve names stay covered
 
 use abt_core::faultinject::{self, FaultSpec};
-use abt_lp::{solve, try_solve_revised_with, with_arena, Cmp, LpProblem, Rat, RevisedOptions};
+use abt_lp::{solve, solve_lp, with_arena, Cmp, LpOptions, LpProblem, Rat};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn r(p: i64, q: i64) -> Rat {
@@ -49,15 +48,13 @@ fn injected_pivot_panics_never_leak_arena_buffers() {
     // Warm the pool with clean solves so later checkouts can all be
     // served by recycled buffers.
     for k in 0..4 {
-        try_solve_revised_with(&instance(k), &RevisedOptions::default()).expect("clean solve");
+        solve_lp(&instance(k), &LpOptions::new()).expect("clean solve");
     }
     let before = with_arena(|a| a.stats());
     faultinject::configure("panic_in_pivot", FaultSpec::panic_every(1));
     for k in 0..1000 {
         let lp = instance(k % 7);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            try_solve_revised_with(&lp, &RevisedOptions::default())
-        }));
+        let caught = catch_unwind(AssertUnwindSafe(|| solve_lp(&lp, &LpOptions::new())));
         assert!(caught.is_err(), "every:1 must panic every solve");
     }
     faultinject::reset();
@@ -77,7 +74,7 @@ fn injected_pivot_panics_never_leak_arena_buffers() {
     );
     // The pool still serves clean solves with the right answers.
     let lp = instance(1);
-    let rep = try_solve_revised_with(&lp, &RevisedOptions::default()).expect("post-fault solve");
+    let rep = solve_lp(&lp, &LpOptions::new()).expect("post-fault solve");
     assert_eq!(rep.solution.objective, solve(&lp).objective);
 }
 
@@ -90,7 +87,7 @@ fn intermittent_ftran_panics_leave_survivors_bit_identical() {
     let _guard = faultinject::exclusive();
     let baselines: Vec<Rat> = (0..6)
         .map(|k| {
-            try_solve_revised_with(&instance(k), &RevisedOptions::default())
+            solve_lp(&instance(k), &LpOptions::new())
                 .expect("fault-free solve")
                 .solution
                 .objective
@@ -105,9 +102,7 @@ fn intermittent_ftran_panics_leave_survivors_bit_identical() {
     for round in 0..50 {
         for k in 0..6 {
             let lp = instance(k);
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                try_solve_revised_with(&lp, &RevisedOptions::default())
-            }));
+            let caught = catch_unwind(AssertUnwindSafe(|| solve_lp(&lp, &LpOptions::new())));
             if let Ok(Ok(rep)) = caught {
                 assert_eq!(
                     rep.solution.objective, baselines[k as usize],
@@ -170,15 +165,12 @@ fn slow_certify_with_time_budget_trips_typed() {
     use abt_lp::{BoundedOptions, BudgetKind, SolveFailure};
     let _guard = faultinject::exclusive();
     faultinject::configure("slow_certify", FaultSpec::delay_nth(1, 30));
-    let opts = RevisedOptions {
-        pricing: BoundedOptions {
-            time_budget: Some(std::time::Duration::from_millis(5)),
-            ..BoundedOptions::default()
-        },
-        ..RevisedOptions::default()
-    };
+    let opts = LpOptions::new().pricing(BoundedOptions {
+        time_budget: Some(std::time::Duration::from_millis(5)),
+        ..BoundedOptions::default()
+    });
     let lp = instance(0);
-    let out = try_solve_revised_with(&lp, &opts);
+    let out = solve_lp(&lp, &opts);
     faultinject::reset();
     // Either the float pass itself tripped the time budget first, or the
     // delayed certifier did; both are typed Time trips, never a wrong

@@ -1,5 +1,4 @@
 #![allow(clippy::needless_range_loop)] // index loops mirror the math
-#![allow(deprecated)] // the shimmed legacy solve names stay covered
 
 //! Differential test: simplex vs brute-force vertex enumeration on small
 //! random LPs with exact rational arithmetic.
@@ -9,11 +8,64 @@
 //! constraints (rows of `A` or axes). The oracle enumerates all such
 //! intersections, filters the feasible ones, and takes the best objective.
 
-use abt_lp::{solve, solve_hybrid, solve_revised, Cmp, LpProblem, LpStatus, Rat};
+use abt_lp::{
+    solve, solve_lp, Cmp, LpOptions, LpProblem, LpSolution, LpStatus, Rat, SolveFailure,
+    SolverBackend,
+};
 use proptest::prelude::*;
 
 fn r(p: i64) -> Rat {
     Rat::from_int(p)
+}
+
+/// The `DenseHybrid` backend's answer (the backend never fails).
+fn hybrid(lp: &LpProblem<Rat>) -> LpSolution<Rat> {
+    solve_lp(lp, &LpOptions::new().backend(SolverBackend::DenseHybrid))
+        .expect("the dense hybrid never fails")
+        .solution
+}
+
+/// Checks one backend's answer `sol` on `lp` against the dense exact
+/// verdict `exact`: bit-identical status and objective, and an exactly
+/// feasible vertex with one dual per row.
+fn check_answer(
+    lp: &LpProblem<Rat>,
+    sol: &LpSolution<Rat>,
+    exact: &LpSolution<Rat>,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(sol.status.clone(), exact.status.clone());
+    if exact.status == LpStatus::Optimal {
+        prop_assert_eq!(sol.objective, exact.objective);
+        prop_assert!(lp.is_feasible(&sol.x));
+        prop_assert_eq!(lp.objective_value(&sol.x), exact.objective);
+        prop_assert_eq!(sol.duals.len(), lp.num_constraints());
+    }
+    Ok(())
+}
+
+/// Checks the `Revised` backend on `lp` against the dense exact verdict
+/// `exact`. A certified answer must match it bit for bit. A typed refusal
+/// must name the exact verdict: a float `Infeasible` claim stands for an
+/// infeasible LP, an unbounded float run surfaces as a stall. Either
+/// way the supervision ladder's next rung, `DenseHybrid`, answers
+/// exactly.
+fn check_revised(lp: &LpProblem<Rat>, exact: &LpSolution<Rat>) -> Result<(), TestCaseError> {
+    match solve_lp(lp, &LpOptions::new()) {
+        Ok(rep) => {
+            prop_assert!(!rep.fallback, "a revised answer is always certified");
+            check_answer(lp, &rep.solution, exact)?;
+        }
+        Err(f) => {
+            let expected = match f {
+                SolveFailure::Infeasible => LpStatus::Infeasible,
+                SolveFailure::NumericalStall => LpStatus::Unbounded,
+                other => return Err(TestCaseError::fail(format!("unexpected failure {other}"))),
+            };
+            prop_assert_eq!(exact.status.clone(), expected);
+            check_answer(lp, &hybrid(lp), exact)?;
+        }
+    }
+    Ok(())
 }
 
 /// Solve a k×k exact linear system via Gaussian elimination; None if singular.
@@ -200,7 +252,7 @@ proptest! {
         // exactly optimal; duals exactly feasible with strong duality.
         let lp = build_boxed_lp(k, &rows, &costs);
         let exact = solve(&lp);
-        let hybrid = solve_hybrid(&lp);
+        let hybrid = hybrid(&lp);
         prop_assert_eq!(hybrid.status.clone(), exact.status.clone());
         if exact.status == LpStatus::Optimal {
             prop_assert_eq!(hybrid.objective, exact.objective);
@@ -245,7 +297,7 @@ proptest! {
         // cap, exercising the promoted-bound-row path. The VUB encoding
         // must be bit-identical (status and objective) to the dense exact
         // simplex on the row encoding, under both the revised and the
-        // dense-hybrid backends.
+        // dense-hybrid backends (a revised refusal must name the verdict).
         let nvars = 2 * k;
         let mut row_lp: LpProblem<Rat> = LpProblem::new();
         let mut vub_lp: LpProblem<Rat> = LpProblem::new();
@@ -270,17 +322,8 @@ proptest! {
             vub_lp.set_upper(0, r(dep_cap)); // promoted to a row internally
         }
         let exact = solve(&row_lp);
-        let rev = solve_revised(&vub_lp);
-        let hyb = solve_hybrid(&vub_lp);
-        for sol in [&rev, &hyb] {
-            prop_assert_eq!(sol.status.clone(), exact.status.clone());
-            if exact.status == LpStatus::Optimal {
-                prop_assert_eq!(sol.objective, exact.objective);
-                prop_assert!(vub_lp.is_feasible(&sol.x));
-                prop_assert_eq!(vub_lp.objective_value(&sol.x), exact.objective);
-                prop_assert_eq!(sol.duals.len(), vub_lp.num_constraints());
-            }
-        }
+        check_revised(&vub_lp, &exact)?;
+        check_answer(&vub_lp, &hybrid(&vub_lp), &exact)?;
     }
 }
 
@@ -296,7 +339,8 @@ proptest! {
     ) {
         // The bounded revised hybrid must be bit-identical (status and
         // objective) to the dense exact simplex whether the per-variable
-        // box is written as explicit `≤` rows or as implicit bounds.
+        // box is written as explicit `≤` rows or as implicit bounds (or
+        // refuse with a typed failure naming the verdict).
         let mut row_lp: LpProblem<Rat> = LpProblem::new();
         let mut bnd_lp: LpProblem<Rat> = LpProblem::new();
         for i in 0..k {
@@ -314,14 +358,7 @@ proptest! {
         }
         let exact = solve(&row_lp);
         for lp in [&row_lp, &bnd_lp] {
-            let rev = solve_revised(lp);
-            prop_assert_eq!(rev.status.clone(), exact.status.clone());
-            if exact.status == LpStatus::Optimal {
-                prop_assert_eq!(rev.objective, exact.objective);
-                prop_assert!(lp.is_feasible(&rev.x));
-                prop_assert_eq!(lp.objective_value(&rev.x), exact.objective);
-                prop_assert_eq!(rev.duals.len(), lp.num_constraints());
-            }
+            check_revised(lp, &exact)?;
         }
     }
 }
