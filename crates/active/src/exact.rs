@@ -73,10 +73,10 @@ pub fn exact_active_time(inst: &Instance, node_limit: Option<u64>) -> Result<Exa
         }
     }
     // Lower bound: the combinatorial bound, tightened by ⌈LP1⌉ (solved on
-    // the coalesced model with the hybrid simplex, so it is cheap relative
-    // to the search it prunes and exact, hence sound). Skipped when the
-    // warm start already matches the combinatorial bound and the LP could
-    // prove nothing new.
+    // the coalesced model by the certified revised simplex, so it is cheap
+    // relative to the search it prunes and exact, hence sound). Skipped
+    // when the warm start already matches the combinatorial bound and the
+    // LP could prove nothing new.
     let mut lb = active_lower_bound(inst);
     if best.len() as i64 > lb {
         if let Ok(lp) = solve_active_lp(inst) {
@@ -155,7 +155,7 @@ pub fn exact_active_time(inst: &Instance, node_limit: Option<u64>) -> Result<Exa
 /// subsets of a run are interchangeable, see the module docs).
 fn exact_over_runs(inst: &Instance, node_limit: Option<u64>) -> Result<ExactActive> {
     let checker = FeasibilityChecker::new(inst);
-    let runs = slot_runs(inst, true);
+    let runs = slot_runs(inst);
     let p_total = inst.total_length();
     // Per-run cap: a run no job can use never opens; otherwise no schedule
     // needs more than P = Σ p_j slots anywhere, in particular per run.

@@ -48,7 +48,7 @@ use crate::lp_model::{
     build_component_lp, component_signature, components, disaggregate, lp_telemetry,
     record_admission_reject, record_quarantine, record_recovery, record_state_corrupt,
     record_warm_attempt, revised_options, slot_runs, ActiveLp, ComponentSignature, DecomposeMode,
-    LpBackend, LpOptions, SNAPSHOT_POOL_CAP,
+    LpOptions, SNAPSHOT_POOL_CAP,
 };
 use crate::store::{encode_state, JournalOp, RecoveryReport, SolveStateStore};
 use crate::supervise::{supervised_solve, PartialSolve, QuarantinedComponent, SolveError};
@@ -139,8 +139,7 @@ impl IncrementalSolver {
 
     /// A solver with explicit [`LpOptions`]. `opts.decompose` is forced to
     /// [`DecomposeMode::Auto`] — per-component solving is what makes
-    /// incrementality work. Backends other than [`LpBackend::Revised`]
-    /// solve dirty components cold (content-cache reuse still applies).
+    /// incrementality work.
     pub fn with_options(g: usize, opts: LpOptions) -> Result<IncrementalSolver> {
         if g == 0 {
             return Err(Error::InvalidInstance("g must be at least 1".into()));
@@ -380,7 +379,7 @@ impl IncrementalSolver {
                 cold_solves: 0,
             });
         }
-        let runs = slot_runs(&inst, self.opts.coalesce);
+        let runs = slot_runs(&inst);
         let comps = components(&inst, &runs, DecomposeMode::Auto);
         let ropts = revised_options(&self.opts);
         let mut y_runs = vec![Rat::ZERO; runs.len()];
@@ -436,12 +435,12 @@ impl IncrementalSolver {
                 live_quarantine.push(ckey);
                 continue;
             }
-            // Dirty: re-solve, warm where the backend supports it.
+            // Dirty: re-solve, warm from the shape's snapshot pool.
             let lp = build_component_lp(&inst, &self.opts, &runs, comp);
             let skey = component_signature(&inst, &runs, comp);
-            let (sol, pivots, warm_hit, snapshot) = if self.opts.backend == LpBackend::Revised {
-                let entry = self.shape_cache.get(&skey);
-                let pool: &[BasisSnapshot] = entry.map(|e| e.snapshots.as_slice()).unwrap_or(&[]);
+            let entry = self.shape_cache.get(&skey);
+            let pool: &[BasisSnapshot] = entry.map(|e| e.snapshots.as_slice()).unwrap_or(&[]);
+            let (sol, pivots, warm_hit, snapshot) =
                 match supervised_solve(&lp, &ropts.snapshots(pool)) {
                     Ok(sr) => {
                         if !pool.is_empty() {
@@ -464,15 +463,7 @@ impl IncrementalSolver {
                         self.quarantine.insert(ckey, f);
                         continue;
                     }
-                }
-            } else {
-                (
-                    crate::lp_model::run_backend(&lp, &self.opts),
-                    0,
-                    false,
-                    None,
-                )
-            };
+                };
             match sol.status {
                 LpStatus::Optimal => {}
                 LpStatus::Infeasible => {
@@ -909,26 +900,23 @@ mod tests {
 
     #[test]
     fn matches_all_encoding_variants() {
-        // The incremental driver under every BoundsMode × VubMode must
+        // The incremental driver under both VubMode encodings must
         // reproduce the from-scratch objective bit for bit.
-        use crate::lp_model::{BoundsMode, VubMode};
-        for bounds in [BoundsMode::Rows, BoundsMode::Implicit] {
-            for vub in [VubMode::Rows, VubMode::Implicit] {
-                let opts = LpOptions {
-                    bounds,
-                    vub,
-                    ..LpOptions::default()
-                };
-                let mut solver = IncrementalSolver::with_options(2, opts).unwrap();
-                for k in 0..3i64 {
-                    let base = 10 * k;
-                    solver.add_job(Job::new(base, base + 5, 3));
-                    let rep = solver.solve().unwrap();
-                    let scratch = solve_active_lp_with(&solver.instance().unwrap(), &opts)
-                        .unwrap()
-                        .objective;
-                    assert_eq!(rep.lp.objective, scratch, "{bounds:?} {vub:?}");
-                }
+        use crate::lp_model::VubMode;
+        for vub in [VubMode::Rows, VubMode::Implicit] {
+            let opts = LpOptions {
+                vub,
+                ..LpOptions::default()
+            };
+            let mut solver = IncrementalSolver::with_options(2, opts).unwrap();
+            for k in 0..3i64 {
+                let base = 10 * k;
+                solver.add_job(Job::new(base, base + 5, 3));
+                let rep = solver.solve().unwrap();
+                let scratch = solve_active_lp_with(&solver.instance().unwrap(), &opts)
+                    .unwrap()
+                    .objective;
+                assert_eq!(rep.lp.objective, scratch, "{vub:?}");
             }
         }
     }

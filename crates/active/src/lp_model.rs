@@ -1,15 +1,17 @@
-//! The natural LP relaxation `LP1` of the active-time IP (§3), with slot
-//! coalescing, implicit variable bounds, implicit VUB families for the
-//! `x ≤ Y` caps, and a VUB-aware bounded revised hybrid solve as the
-//! default configuration.
+//! The natural LP relaxation `LP1` of the active-time IP (§3), solved over
+//! coalesced slot runs with implicit variable bounds, implicit VUB families
+//! for the `x ≤ Y` caps, and the VUB-aware bounded revised simplex under
+//! the supervision ladder.
 //!
-//! # The per-slot formulation (the seed model)
+//! # The per-slot formulation
 //!
 //! Variables: `y_t ∈ [0, 1]` per horizon slot (is slot `t` open?) and
 //! `x_{t,j} ≥ 0` per job and window slot (units of `j` in `t`).
 //! Constraints: `x_{t,j} ≤ y_t`, `Σ_j x_{t,j} ≤ g·y_t`, `Σ_t x_{t,j} ≥ p_j`.
 //! Objective: minimize `Σ_t y_t`. Size: `O(T·n)` variables and rows for a
-//! horizon of `T` slots.
+//! horizon of `T` slots. This model is never built here; the differential
+//! tests (`tests/proptest_hybrid_lp.rs`) write it out row by row as the
+//! oracle the coalesced model must match.
 //!
 //! # Slot coalescing (the paper's interesting intervals)
 //!
@@ -29,12 +31,9 @@
 //!
 //! # Bound encodings
 //!
-//! The capacity caps `Y_I ≤ w_I` (and `y_t ≤ 1` per-slot) are *constant*
-//! upper bounds: under [`BoundsMode::Implicit`] they ride on the variables
-//! themselves (`LpProblem::set_upper`) and never become tableau rows —
-//! the bounded-variable simplex handles them in its pivoting rules.
-//! [`BoundsMode::Rows`] keeps the seed's explicit `≤` rows as the
-//! differential-test oracle.
+//! The capacity caps `Y_I ≤ w_I` are *constant* upper bounds: they ride on
+//! the variables themselves (`LpProblem::set_upper`) and never become
+//! rows — the bounded-variable simplex handles them in its pivoting rules.
 //!
 //! The `x_{I,j} ≤ Y_I` caps bound one *variable by another* — a **variable
 //! upper bound** (VUB). They are the last `O(n²)` block of LP1: one row
@@ -44,8 +43,9 @@
 //! handles inside its pivoting rules — dependents rest *glued* to their
 //! `Y_I` key and basic keys carry Schrage-style augmented key columns —
 //! shrinking the working basis from `O(n²)` to `O(n)` rows.
-//! [`VubMode::Rows`] keeps the explicit `x − Y ≤ 0` rows as the
-//! differential-test oracle.
+//! [`VubMode::Rows`] keeps the explicit `x − Y ≤ 0` rows: the baseline
+//! encoding of [`LpOptions::pr2_revised_bounds`] that the headline
+//! speedup is measured against, and a differential oracle.
 //!
 //! # Component decomposition
 //!
@@ -89,24 +89,23 @@
 //! (E22 measures the pivot-effort reduction). The incremental re-solve
 //! driver for *mutating* instances lives in [`crate::incremental`].
 //!
-//! # Solve backends
+//! # Solving
 //!
-//! The default is [`abt_lp::solve_lp`]'s `Revised` backend under the
-//! supervision ladder ([`crate::supervise`]): a bounded revised simplex in
-//! `f64` whose terminal basis is re-verified in exact rationals (and, if
-//! that fails, re-solved by a dense rung), so the `y` values and
-//! objective remain *exact* —
-//! the rounding algorithm's case analysis (`⌊Y_i⌋`, comparisons against ½)
-//! stays noise-free. [`LpOptions`] recovers the seed behaviour (per-slot +
-//! explicit rows + pure exact simplex) and the PR-1 default (coalesced +
-//! dense hybrid) for differential tests and benchmarks.
+//! Every component LP runs down the supervision ladder
+//! ([`crate::supervise`]): a bounded revised simplex in `f64` whose
+//! terminal basis is re-verified in exact rationals (and, if that fails,
+//! re-solved by a dense rung), so the `y` values and objective remain
+//! *exact* — the rounding algorithm's case analysis (`⌊Y_i⌋`, comparisons
+//! against ½) stays noise-free. [`LpOptions`] tunes that one path:
+//! encoding, pricing, sharding, warm batching, budgets, and certification
+//! tier.
 //!
-//! Every hybrid-style solve feeds the process-wide telemetry
-//! ([`lp_telemetry`]): fallbacks plus the pivot / bound-flip /
-//! refactorization / exact-certify counters, and the sharding counters
-//! (sharded solves, components solved, largest component). The experiment
-//! harness records them per experiment and CI fails when a non-adversarial
-//! workload ever needs the exact fallback.
+//! Every solve feeds the process-wide telemetry ([`lp_telemetry`]):
+//! fallbacks plus the pivot / bound-flip / refactorization /
+//! exact-certify counters, and the sharding counters (sharded solves,
+//! components solved, largest component). The experiment harness records
+//! them per experiment and CI fails when a non-adversarial workload ever
+//! needs the exact fallback.
 
 #![allow(clippy::needless_range_loop)] // job indices are shared across parallel vectors
 
@@ -118,43 +117,18 @@ use abt_core::obs::{
 };
 use abt_core::{supervised_map, Error, Instance, Result, SolveFailure, Time};
 use abt_lp::{
-    solve, solve_lp, BasisSnapshot, BoundedOptions, CertifyMode, Cmp, LpProblem, LpReport,
-    LpSolution, LpStatus, Rat, SolverBackend, DEFAULT_PRICING_WINDOW,
+    BasisSnapshot, BoundedOptions, CertifyMode, Cmp, LpProblem, LpReport, LpSolution, LpStatus,
+    Rat, DEFAULT_PRICING_WINDOW,
 };
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use std::time::Duration;
 
-/// Which simplex path solves the model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LpBackend {
-    /// Pure exact-rational dense simplex for every pivot (the seed
-    /// behaviour).
-    Exact,
-    /// Dense float-first solve with exact terminal-basis verification and
-    /// exact fallback ([`abt_lp::SolverBackend::DenseHybrid`]) — the PR-1
-    /// default.
-    Hybrid,
-    /// Bounded-variable revised simplex in `f64` with sparse exact-LU
-    /// verification ([`abt_lp::SolverBackend::Revised`], run down the
-    /// supervision ladder). Same exact results, faster; the current
-    /// default.
-    Revised,
-}
-
-/// How constant variable upper bounds enter the model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BoundsMode {
-    /// Explicit `x ≤ u` rows (the seed encoding; dense-oracle).
-    Rows,
-    /// Implicit `[0, u]` bounds on the variables (no rows).
-    Implicit,
-}
-
 /// How the `x_{I,j} ≤ Y_I` variable upper bounds enter the model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VubMode {
-    /// Explicit `x − Y ≤ 0` rows (the seed/PR-2 encoding; dense-oracle).
+    /// Explicit `x − Y ≤ 0` rows (the baseline encoding and a
+    /// differential oracle).
     Rows,
     /// Implicit VUB families handled by the pivoting rules (no rows).
     Implicit,
@@ -185,22 +159,13 @@ pub enum WarmMode {
     /// per group solves cold and its [`abt_lp::BasisSnapshot`] seeds the
     /// siblings' warm solves (a growing per-group snapshot pool keeps the
     /// hit rate high). Exact objectives are unchanged — warm answers are
-    /// certified in rationals like cold ones. Only the
-    /// [`LpBackend::Revised`] backend warm-starts; other backends ignore
-    /// this mode.
+    /// certified in rationals like cold ones.
     Batch,
 }
 
 /// Model/solver configuration for [`solve_active_lp_with`].
 #[derive(Debug, Clone, Copy)]
 pub struct LpOptions {
-    /// Solve backend. Default: [`LpBackend::Revised`].
-    pub backend: LpBackend,
-    /// Coalesce identical-window slot runs into weighted super-slots.
-    /// Default: `true`.
-    pub coalesce: bool,
-    /// Constant-bound encoding. Default: [`BoundsMode::Implicit`].
-    pub bounds: BoundsMode,
     /// Variable-upper-bound encoding. Default: [`VubMode::Implicit`].
     pub vub: VubMode,
     /// Partial-pricing window of the revised backend (`0` = full Dantzig
@@ -232,9 +197,6 @@ pub struct LpOptions {
 impl Default for LpOptions {
     fn default() -> Self {
         LpOptions {
-            backend: LpBackend::Revised,
-            coalesce: true,
-            bounds: BoundsMode::Implicit,
             vub: VubMode::Implicit,
             pricing_window: DEFAULT_PRICING_WINDOW,
             decompose: DecomposeMode::Auto,
@@ -247,24 +209,6 @@ impl Default for LpOptions {
 }
 
 impl LpOptions {
-    /// Sets the solve backend.
-    pub fn backend(mut self, backend: LpBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Sets super-slot coalescing.
-    pub fn coalesce(mut self, coalesce: bool) -> Self {
-        self.coalesce = coalesce;
-        self
-    }
-
-    /// Sets the constant-bound encoding.
-    pub fn bounds(mut self, bounds: BoundsMode) -> Self {
-        self.bounds = bounds;
-        self
-    }
-
     /// Sets the variable-upper-bound encoding.
     pub fn vub(mut self, vub: VubMode) -> Self {
         self.vub = vub;
@@ -308,37 +252,11 @@ impl LpOptions {
         self
     }
 
-    /// The seed configuration: per-slot model, explicit bound rows, pure
-    /// exact simplex, one monolithic LP.
-    pub fn seed_exact() -> Self {
-        LpOptions::default()
-            .backend(LpBackend::Exact)
-            .coalesce(false)
-            .bounds(BoundsMode::Rows)
-            .vub(VubMode::Rows)
-            .pricing_window(0)
-            .decompose(DecomposeMode::Off)
-    }
-
-    /// The PR-1 default: coalesced model, explicit bound rows, dense
-    /// float-first hybrid. Kept as the perf baseline the revised solver is
-    /// benchmarked against.
-    pub fn pr1_hybrid() -> Self {
-        LpOptions::default()
-            .backend(LpBackend::Hybrid)
-            .bounds(BoundsMode::Rows)
-            .vub(VubMode::Rows)
-            .pricing_window(0)
-            .decompose(DecomposeMode::Off)
-    }
-
     /// The PR-2 default: coalesced model, implicit constant bounds, VUBs
     /// still rows, full Dantzig pricing. Kept as the perf baseline the
     /// VUB-aware solver is benchmarked against.
     pub fn pr2_revised_bounds() -> Self {
         LpOptions::default()
-            .backend(LpBackend::Revised)
-            .bounds(BoundsMode::Implicit)
             .vub(VubMode::Rows)
             .pricing_window(0)
             .decompose(DecomposeMode::Off)
@@ -366,8 +284,8 @@ impl LpOptions {
 /// single source of truth, shared with the `abt trace` / `--metrics`
 /// exposition surfaces.
 struct LpMetrics {
-    /// Hybrid-style LP solves (`Hybrid`/`Revised` backends, plus the
-    /// feasibility oracle below).
+    /// Supervised LP solves: one per component sub-LP, plus the
+    /// feasibility oracle below.
     solves: &'static Counter,
     /// Solves that needed the exact fallback.
     fallbacks: &'static Counter,
@@ -506,9 +424,9 @@ pub fn pivots_per_solve_snapshot() -> HistogramSnapshot {
 /// per-solve contributions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LpTelemetry {
-    /// Hybrid-style LP solves (`Hybrid`/`Revised` backends and the
-    /// fractional-feasibility oracle). Under [`DecomposeMode::Auto`] each
-    /// component sub-LP counts as one solve.
+    /// Supervised LP solves: one per component sub-LP (so under
+    /// [`DecomposeMode::Auto`] a sharded solve counts once per component),
+    /// plus one per fractional-feasibility oracle call.
     pub solves: u64,
     /// Solves that needed the exact fallback.
     pub fallbacks: u64,
@@ -762,35 +680,6 @@ pub(crate) fn revised_options(opts: &LpOptions) -> abt_lp::LpOptions<'static> {
         .certify(opts.certify)
 }
 
-pub(crate) fn run_backend(lp: &LpProblem<Rat>, opts: &LpOptions) -> LpSolution<Rat> {
-    match opts.backend {
-        LpBackend::Exact => solve(lp),
-        LpBackend::Hybrid => {
-            let started = std::time::Instant::now();
-            let rep = solve_lp(
-                lp,
-                &abt_lp::LpOptions::new()
-                    .backend(SolverBackend::DenseHybrid)
-                    .certify(opts.certify),
-            )
-            .expect("the dense hybrid backend never fails");
-            record_solve(&rep);
-            record_solve_latency(started.elapsed());
-            rep.solution
-        }
-        LpBackend::Revised => match supervised_solve(lp, &revised_options(opts)) {
-            Ok(sr) => sr.solution,
-            // Callers of this legacy entry point have no error channel,
-            // and a failure of the whole ladder (dense exact included) is
-            // not a state any of them can recover from.
-            Err(f) => {
-                record_quarantine();
-                panic!("revised solve quarantined with no error channel: {f}")
-            }
-        },
-    }
-}
-
 /// An optimal fractional solution of `LP1`.
 #[derive(Debug, Clone)]
 pub struct ActiveLp {
@@ -821,17 +710,9 @@ impl SlotRun {
 /// Splits the horizon at every job event point. Each returned run is a
 /// maximal group of slots between consecutive event points; every job is
 /// either feasible in all of a run's slots or in none of them.
-pub(crate) fn slot_runs(inst: &Instance, coalesce: bool) -> Vec<SlotRun> {
+pub(crate) fn slot_runs(inst: &Instance) -> Vec<SlotRun> {
     let lo = inst.min_release();
     let hi = inst.max_deadline();
-    if !coalesce {
-        return (lo..hi)
-            .map(|t| SlotRun {
-                start: t,
-                end: t + 1,
-            })
-            .collect();
-    }
     let mut cuts: Vec<Time> = Vec::with_capacity(2 * inst.len() + 2);
     cuts.push(lo);
     cuts.push(hi);
@@ -932,16 +813,13 @@ pub(crate) fn build_component_lp(
 ) -> LpProblem<Rat> {
     let crange = &runs[comp.run_lo..comp.run_hi];
     let mut lp: LpProblem<Rat> = LpProblem::new();
-    // Y variables: total open mass per run, bounded by the run width — as
-    // an implicit variable bound or as an explicit row per `opts.bounds`.
+    // Y variables: total open mass per run, implicitly bounded by the run
+    // width.
     let y_vars: Vec<usize> = crange
         .iter()
         .map(|run| {
             let v = lp.add_var(Rat::ONE);
-            match opts.bounds {
-                BoundsMode::Implicit => lp.set_upper(v, Rat::from_int(run.width())),
-                BoundsMode::Rows => lp.bound_var(v, Rat::from_int(run.width())),
-            }
+            lp.set_upper(v, Rat::from_int(run.width()));
             v
         })
         .collect();
@@ -1025,10 +903,8 @@ fn finish_component(
 /// a model-level verdict (LP1 infeasibility) that aborts the whole solve.
 type ComponentOutcome = std::result::Result<Result<ComponentSolution>, SolveFailure>;
 
-/// Builds and solves one component's LP1 block with the configured
-/// backend (the cold path). Revised-backend solves run through the
-/// supervision ladder; the other backends keep their legacy direct path
-/// (panics there are still isolated by the [`supervised_map`] fan-out).
+/// Builds and solves one component's LP1 block cold, down the supervision
+/// ladder.
 fn solve_component(
     inst: &Instance,
     opts: &LpOptions,
@@ -1040,10 +916,7 @@ fn solve_component(
     if sharded {
         met().max_component_vars.record_max(lp.num_vars() as u64);
     }
-    let sol = match opts.backend {
-        LpBackend::Revised => supervised_solve(&lp, &revised_options(opts))?.solution,
-        _ => run_backend(&lp, opts),
-    };
+    let sol = supervised_solve(&lp, &revised_options(opts))?.solution;
     Ok(finish_component(comp, comp.run_hi - comp.run_lo, sol))
 }
 
@@ -1248,7 +1121,7 @@ pub fn try_solve_active_lp_with(
     let (slots, runs, comps) = {
         let mut span = abt_core::obs_span!("solve.decompose");
         let slots = horizon_slots(inst);
-        let runs = slot_runs(inst, opts.coalesce);
+        let runs = slot_runs(inst);
         debug_assert_eq!(
             runs.iter().map(SlotRun::width).sum::<i64>(),
             slots.len() as i64
@@ -1263,10 +1136,7 @@ pub fn try_solve_active_lp_with(
         met().sharded_solves.inc();
         met().components.add(comps.len() as u64);
     }
-    // Warm batching applies to sharded solves on the revised backend; the
-    // other backends have no warm entry point and solve cold.
-    let batch = sharded && opts.warm == WarmMode::Batch && opts.backend == LpBackend::Revised;
-    let solved: Vec<ComponentOutcome> = if batch {
+    let solved: Vec<ComponentOutcome> = if sharded && opts.warm == WarmMode::Batch {
         solve_components_batched(inst, opts, &runs, &comps)
     } else if sharded {
         // The outer `supervised_map` additionally isolates panics raised
@@ -1383,55 +1253,26 @@ pub fn fractional_feasible(inst: &Instance, slots: &[Time], y: &[Rat]) -> bool {
 mod tests {
     use super::*;
 
-    /// A grid over backends × bound encodings × VUB encodings ×
-    /// decomposition × warm batching (plus both model shapes).
-    fn all_options() -> [LpOptions; 12] {
-        [
-            LpOptions::seed_exact(),
-            LpOptions {
-                backend: LpBackend::Exact,
-                coalesce: true,
-                bounds: BoundsMode::Implicit,
-                ..LpOptions::default()
-            },
-            LpOptions {
-                backend: LpBackend::Hybrid,
-                coalesce: false,
-                bounds: BoundsMode::Implicit,
-                vub: VubMode::Rows,
-                ..LpOptions::default()
-            },
-            LpOptions::pr1_hybrid(),
-            LpOptions {
-                backend: LpBackend::Revised,
-                coalesce: true,
-                bounds: BoundsMode::Rows,
-                vub: VubMode::Rows,
-                ..LpOptions::default()
-            },
-            LpOptions::pr2_revised_bounds(),
-            LpOptions::pr3_monolithic(),
-            LpOptions {
-                // VUB families over explicit bound rows.
-                backend: LpBackend::Revised,
-                coalesce: true,
-                bounds: BoundsMode::Rows,
-                vub: VubMode::Implicit,
-                ..LpOptions::default()
-            },
-            LpOptions {
-                // The default model under full Dantzig pricing.
-                pricing_window: 0,
-                ..LpOptions::default()
-            },
-            LpOptions {
-                // Sharding on the per-slot (uncoalesced) model.
-                coalesce: false,
-                ..LpOptions::default()
-            },
-            LpOptions::warm_batched(),
-            LpOptions::default(),
-        ]
+    /// A grid over VUB encodings × decomposition, plus full Dantzig
+    /// pricing, warm batching, the interval-only certify tier, and a
+    /// one-pivot budget that hands every component to the ladder's dense
+    /// rungs.
+    fn all_options() -> Vec<LpOptions> {
+        let mut v = Vec::new();
+        for vub in [VubMode::Rows, VubMode::Implicit] {
+            for decompose in [DecomposeMode::Off, DecomposeMode::Auto] {
+                v.push(LpOptions {
+                    vub,
+                    decompose,
+                    ..LpOptions::default()
+                });
+            }
+        }
+        v.push(LpOptions::default().pricing_window(0));
+        v.push(LpOptions::warm_batched());
+        v.push(LpOptions::default().certify(CertifyMode::Interval));
+        v.push(LpOptions::default().pivot_budget(1));
+        v
     }
 
     #[test]
@@ -1482,65 +1323,16 @@ mod tests {
     }
 
     #[test]
-    fn all_configurations_agree_on_objective() {
-        // The tentpole invariant: coalescing, the bound encoding, and the
-        // backend change the model size and the pivot arithmetic, never
-        // the exact optimum.
-        let cases = [
-            Instance::from_triples([(0, 4, 2), (1, 3, 2)], 2).unwrap(),
-            Instance::from_triples([(0, 3, 1), (1, 4, 2), (2, 6, 3)], 2).unwrap(),
-            Instance::from_triples([(0, 10, 4)], 1).unwrap(),
-            Instance::from_triples([(0, 6, 2), (3, 8, 4), (0, 2, 2), (4, 12, 3)], 3).unwrap(),
-            Instance::from_triples([(0, 20, 3), (5, 25, 4), (10, 30, 2)], 2).unwrap(),
-        ];
-        for inst in &cases {
-            let reference = solve_active_lp_with(inst, &LpOptions::seed_exact())
-                .unwrap()
-                .objective;
-            for opts in all_options() {
-                let lp = solve_active_lp_with(inst, &opts).unwrap();
-                assert_eq!(lp.objective, reference, "{opts:?} on {inst:?}");
-                // Disaggregated y stays within the per-slot bounds and sums
-                // exactly to the objective.
-                let mut sum = Rat::ZERO;
-                for v in &lp.y {
-                    assert!(v.signum() >= 0 && *v <= Rat::ONE, "{opts:?}");
-                    sum = sum.add(v);
-                }
-                assert_eq!(sum, reference, "{opts:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn degenerate_zero_slack_and_single_run_instances_agree() {
-        // Satellite coverage: (a) all-zero window slack — every x is
-        // forced, most LP rows are tight; (b) a single super-slot — all
-        // jobs share one window, so the coalesced model has exactly one
-        // run and the bound `Y ≤ w` is the only capacity on it.
-        let zero_slack =
-            Instance::from_triples([(0, 3, 3), (1, 4, 3), (2, 5, 3), (0, 2, 2)], 3).unwrap();
-        let single_run =
-            Instance::from_triples([(0, 8, 5), (0, 8, 3), (0, 8, 4), (0, 8, 2)], 2).unwrap();
-        assert_eq!(slot_runs(&single_run, true).len(), 1);
-        for inst in [&zero_slack, &single_run] {
-            let reference = solve_active_lp_with(inst, &LpOptions::seed_exact())
-                .unwrap()
-                .objective;
-            for opts in all_options() {
-                let lp = solve_active_lp_with(inst, &opts).unwrap();
-                assert_eq!(lp.objective, reference, "{opts:?} on {inst:?}");
-            }
-        }
-    }
-
-    #[test]
     fn coalescing_shrinks_long_gaps() {
         // Two short jobs separated by a huge idle stretch: the coalesced
         // model must stay tiny while the per-slot horizon is 10 000 slots.
         let inst = Instance::from_triples([(0, 3, 2), (9_997, 10_000, 2)], 1).unwrap();
-        let runs = slot_runs(&inst, true);
+        let runs = slot_runs(&inst);
         assert!(runs.len() <= 4, "got {} runs", runs.len());
+        // Jobs sharing one window coalesce into a single super-slot.
+        let single_run =
+            Instance::from_triples([(0, 8, 5), (0, 8, 3), (0, 8, 4), (0, 8, 2)], 2).unwrap();
+        assert_eq!(slot_runs(&single_run).len(), 1);
         let lp = solve_active_lp(&inst).unwrap();
         assert_eq!(lp.objective, Rat::from_int(4));
         assert_eq!(lp.slots.len(), 10_000);
@@ -1619,7 +1411,7 @@ mod tests {
             assert!(lp.y.is_empty());
             assert!(lp.slots.is_empty());
         }
-        let runs = slot_runs(&inst, true);
+        let runs = slot_runs(&inst);
         assert!(components(&inst, &runs, DecomposeMode::Auto).is_empty());
     }
 
@@ -1638,7 +1430,7 @@ mod tests {
             2,
         )
         .unwrap();
-        let runs = slot_runs(&inst, true);
+        let runs = slot_runs(&inst);
         let comps = components(&inst, &runs, DecomposeMode::Auto);
         assert_eq!(comps.len(), 3);
         assert_eq!(comps[0].jobs, vec![0, 1]);
@@ -1668,7 +1460,7 @@ mod tests {
         // Every job is alone in its window: n singleton components.
         let triples: Vec<(i64, i64, i64)> = (0..12).map(|i| (10 * i, 10 * i + 3, 2)).collect();
         let inst = Instance::from_triples(triples, 2).unwrap();
-        let runs = slot_runs(&inst, true);
+        let runs = slot_runs(&inst);
         let comps = components(&inst, &runs, DecomposeMode::Auto);
         assert_eq!(comps.len(), 12);
         assert!(comps.iter().all(|c| c.jobs.len() == 1));
@@ -1686,7 +1478,7 @@ mod tests {
         // counters.)
         let inst =
             Instance::from_triples([(0, 4, 2), (2, 8, 3), (6, 12, 2), (10, 14, 2)], 2).unwrap();
-        let runs = slot_runs(&inst, true);
+        let runs = slot_runs(&inst);
         assert_eq!(components(&inst, &runs, DecomposeMode::Auto).len(), 1);
         assert_auto_matches_off(&inst);
     }
@@ -1696,7 +1488,7 @@ mod tests {
         // d_1 = r_2: the windows share an event point but no slot, so the
         // jobs share no LP variable and must split.
         let inst = Instance::from_triples([(0, 3, 2), (3, 6, 2)], 1).unwrap();
-        let runs = slot_runs(&inst, true);
+        let runs = slot_runs(&inst);
         assert_eq!(components(&inst, &runs, DecomposeMode::Auto).len(), 2);
         assert_auto_matches_off(&inst);
     }
@@ -1706,7 +1498,7 @@ mod tests {
         // Off always yields the single all-covering component, even on a
         // shardable instance.
         let inst = Instance::from_triples([(0, 3, 1), (50, 53, 1)], 1).unwrap();
-        let runs = slot_runs(&inst, true);
+        let runs = slot_runs(&inst);
         let comps = components(&inst, &runs, DecomposeMode::Off);
         assert_eq!(comps.len(), 1);
         assert_eq!(comps[0].run_lo, 0);
@@ -1758,7 +1550,7 @@ mod tests {
             2,
         )
         .unwrap();
-        let runs = slot_runs(&inst, true);
+        let runs = slot_runs(&inst);
         let comps = components(&inst, &runs, DecomposeMode::Auto);
         assert_eq!(comps.len(), 3);
         let sigs: Vec<_> = comps

@@ -57,6 +57,10 @@ fn intermittent_faults_in_three_layers_demote_but_stay_bit_identical() {
     let d = lp_telemetry().delta(&before);
     assert!(d.demotions >= 1, "injected faults must demote");
     assert_eq!(d.quarantined, 0, "the dense rungs absorb every fault");
+    assert_eq!(
+        d.fallbacks, 0,
+        "demoted solves are certified, not fallen back"
+    );
 
     // Fault-free control: with the registry cleared, the same solves
     // record zero demotions, budget trips, and quarantines.

@@ -1,56 +1,86 @@
 //! Differential property tests for the LP pipeline: on feasible random
-//! active-time instances, every backend × bound-encoding × VUB-encoding ×
-//! model-shape configuration must reproduce the seed configuration
-//! (per-slot model, explicit bound/VUB rows, pure exact-rational simplex)
-//! bit for bit on status and objective, and the disaggregated per-slot `y`
-//! must stay a valid fractional opening.
+//! active-time instances, every `LpOptions` configuration — VUB encoding ×
+//! decomposition, full Dantzig pricing, warm batching, the three certify
+//! tiers, and a one-pivot budget that hands every component to the
+//! supervision ladder's dense hybrid rung — must reproduce the per-slot
+//! LP1 of §3 bit for bit on status and objective, and the disaggregated
+//! per-slot `y` must stay a valid fractional opening.
+//!
+//! The oracle, [`per_slot_lp1`], writes the per-slot model out row by row
+//! and solves it with the pure exact-rational dense simplex. It shares no
+//! code with the crate's coalesced model builder.
 
 use abt_active::{
-    fractional_feasible, solve_active_lp_with, BoundsMode, CertifyMode, DecomposeMode, LpBackend,
-    LpOptions, VubMode,
+    fractional_feasible, solve_active_lp_with, CertifyMode, DecomposeMode, LpOptions, VubMode,
 };
-use abt_lp::Rat;
+use abt_core::{Instance, Time};
+use abt_lp::{Cmp, LpProblem, LpStatus, Rat};
 use abt_workloads::{
     many_components, random_active_feasible, vub_heavy, ManyComponentsConfig, RandomConfig,
     VubHeavyConfig,
 };
 use proptest::prelude::*;
 
-/// The differential grid: the seed oracle plus every interesting
-/// backend × bounds × vub × coalesce combination.
-fn variants() -> Vec<LpOptions> {
-    let mut v = Vec::new();
-    for backend in [LpBackend::Exact, LpBackend::Hybrid, LpBackend::Revised] {
-        for bounds in [BoundsMode::Rows, BoundsMode::Implicit] {
-            for vub in [VubMode::Rows, VubMode::Implicit] {
-                v.push(LpOptions {
-                    backend,
-                    coalesce: true,
-                    bounds,
-                    vub,
-                    ..LpOptions::default()
-                });
+/// The per-slot LP1 of §3 over the horizon slots `t ∈ (min r_j, max d_j]`:
+/// minimize `Σ_t y_t` subject to `y_t ≤ 1`, `x_{t,j} ≤ y_t`,
+/// `Σ_j x_{t,j} ≤ g·y_t` and `Σ_t x_{t,j} ≥ p_j`, every bound an explicit
+/// row, solved by the pure exact-rational dense simplex. `None` when
+/// infeasible.
+fn per_slot_lp1(inst: &Instance) -> Option<Rat> {
+    let slots: Vec<Time> = (inst.min_release() + 1..=inst.max_deadline()).collect();
+    let mut lp: LpProblem<Rat> = LpProblem::new();
+    let y: Vec<usize> = slots.iter().map(|_| lp.add_var(Rat::ONE)).collect();
+    for &yt in &y {
+        lp.add_constraint(vec![(yt, Rat::ONE)], Cmp::Le, Rat::ONE);
+    }
+    let mut load: Vec<Vec<(usize, Rat)>> = vec![Vec::new(); slots.len()];
+    for job in inst.jobs() {
+        let mut units = Vec::new();
+        for (si, &t) in slots.iter().enumerate() {
+            if job.release < t && t <= job.deadline {
+                let x = lp.add_var(Rat::ZERO);
+                lp.add_constraint(
+                    vec![(x, Rat::ONE), (y[si], Rat::from_int(-1))],
+                    Cmp::Le,
+                    Rat::ZERO,
+                );
+                load[si].push((x, Rat::ONE));
+                units.push((x, Rat::ONE));
             }
         }
+        lp.add_constraint(units, Cmp::Ge, Rat::from_int(job.length));
     }
-    v.push(LpOptions {
-        backend: LpBackend::Revised,
-        coalesce: false,
-        ..LpOptions::default()
-    });
-    v.push(LpOptions {
-        backend: LpBackend::Hybrid,
-        coalesce: false,
-        bounds: BoundsMode::Implicit,
-        vub: VubMode::Rows,
-        ..LpOptions::default()
-    });
+    let g = Rat::from_int(inst.g() as i64);
+    for (si, mut terms) in load.into_iter().enumerate() {
+        terms.push((y[si], g.neg()));
+        lp.add_constraint(terms, Cmp::Le, Rat::ZERO);
+    }
+    let sol = abt_lp::solve(&lp);
+    match sol.status {
+        LpStatus::Optimal => Some(sol.objective),
+        LpStatus::Infeasible => None,
+        LpStatus::Unbounded => unreachable!("LP1 is bounded below by 0"),
+    }
+}
+
+/// The differential grid: every VUB encoding × decomposition mode, full
+/// Dantzig pricing, warm batching, every certify tier, and a one-pivot
+/// budget.
+fn variants() -> Vec<LpOptions> {
+    let mut v = Vec::new();
+    for vub in [VubMode::Rows, VubMode::Implicit] {
+        for decompose in [DecomposeMode::Off, DecomposeMode::Auto] {
+            v.push(LpOptions {
+                vub,
+                decompose,
+                ..LpOptions::default()
+            });
+        }
+    }
     // The default model priced with full Dantzig sweeps instead of the
     // partial-pricing window.
-    v.push(LpOptions {
-        pricing_window: 0,
-        ..LpOptions::default()
-    });
+    v.push(LpOptions::default().pricing_window(0));
+    v.push(LpOptions::warm_batched());
     // Every certification tier policy of the revised backend. The tier
     // only changes *how* dual feasibility is proven — an interval-only
     // refusal demotes down the supervision ladder — so the objective is
@@ -62,29 +92,61 @@ fn variants() -> Vec<LpOptions> {
     ] {
         v.push(LpOptions::default().certify(certify));
     }
+    // A one-pivot budget trips the cold revised rung on every non-trivial
+    // component, so the ladder's dense hybrid rung answers: the dense
+    // `f64` tableau plus its exact certificate, end to end.
+    v.push(LpOptions::default().pivot_budget(1));
     v
 }
 
-fn assert_all_variants_match(inst: &abt_core::Instance) -> Result<(), TestCaseError> {
-    let seed_lp = solve_active_lp_with(inst, &LpOptions::seed_exact())
-        .expect("instances are feasible by construction");
+fn assert_all_variants_match(inst: &Instance) -> Result<(), TestCaseError> {
+    let oracle = per_slot_lp1(inst).expect("instances are feasible by construction");
     for opts in variants() {
         let lp = solve_active_lp_with(inst, &opts).unwrap();
-        prop_assert_eq!(lp.objective, seed_lp.objective, "{:?}", opts);
-        prop_assert_eq!(lp.slots.len(), seed_lp.slots.len());
+        prop_assert_eq!(lp.objective, oracle, "{:?}", opts);
+        prop_assert_eq!(
+            lp.slots.len() as i64,
+            inst.max_deadline() - inst.min_release()
+        );
         let mut sum = Rat::ZERO;
         for y in &lp.y {
             prop_assert!(y.signum() >= 0 && *y <= Rat::ONE, "{:?}", opts);
             sum = sum.add(y);
         }
-        prop_assert_eq!(
-            sum,
-            seed_lp.objective,
-            "{:?}: Σy must equal the objective",
-            opts
-        );
+        prop_assert_eq!(sum, oracle, "{:?}: Σy must equal the objective", opts);
     }
     Ok(())
+}
+
+#[test]
+fn all_configurations_agree_on_objective() {
+    // Coalescing, the VUB encoding, sharding, and the ladder rung change
+    // the model size and the pivot arithmetic, never the exact optimum.
+    let cases = [
+        Instance::from_triples([(0, 4, 2), (1, 3, 2)], 2).unwrap(),
+        Instance::from_triples([(0, 3, 1), (1, 4, 2), (2, 6, 3)], 2).unwrap(),
+        Instance::from_triples([(0, 10, 4)], 1).unwrap(),
+        Instance::from_triples([(0, 6, 2), (3, 8, 4), (0, 2, 2), (4, 12, 3)], 3).unwrap(),
+        Instance::from_triples([(0, 20, 3), (5, 25, 4), (10, 30, 2)], 2).unwrap(),
+    ];
+    for inst in &cases {
+        assert_all_variants_match(inst).unwrap();
+    }
+}
+
+#[test]
+fn degenerate_zero_slack_and_single_run_instances_agree() {
+    // (a) All-zero window slack — every x is forced, most LP rows are
+    // tight; (b) a single super-slot — all jobs share one window, so the
+    // coalesced model has exactly one run and the bound `Y ≤ w` is the
+    // only capacity on it.
+    let zero_slack =
+        Instance::from_triples([(0, 3, 3), (1, 4, 3), (2, 5, 3), (0, 2, 2)], 3).unwrap();
+    let single_run =
+        Instance::from_triples([(0, 8, 5), (0, 8, 3), (0, 8, 4), (0, 8, 2)], 2).unwrap();
+    for inst in [&zero_slack, &single_run] {
+        assert_all_variants_match(inst).unwrap();
+    }
 }
 
 proptest! {
@@ -165,9 +227,9 @@ proptest! {
         // (degenerate corners included — a single cluster collapses Auto to
         // the monolithic path, and one job per cluster makes every
         // component a singleton). `DecomposeMode::Auto` must reproduce the
-        // monolithic `Off` objective bit for bit under every
-        // BoundsMode × VubMode encoding, and the stitched per-slot `y`
-        // must stay a feasible fractional opening.
+        // monolithic `Off` objective bit for bit under both VubMode
+        // encodings, and the stitched per-slot `y` must stay a feasible
+        // fractional opening.
         let cfg = ManyComponentsConfig {
             components,
             jobs_per_component: jobs_per,
@@ -183,32 +245,30 @@ proptest! {
         }
         let oracle = solve_active_lp_with(&inst, &LpOptions::pr3_monolithic())
             .expect("instances are feasible by construction");
-        for bounds in [BoundsMode::Rows, BoundsMode::Implicit] {
-            for vub in [VubMode::Rows, VubMode::Implicit] {
-                for decompose in [DecomposeMode::Off, DecomposeMode::Auto] {
-                    let opts = LpOptions { bounds, vub, decompose, ..LpOptions::default() };
-                    let lp = solve_active_lp_with(&inst, &opts).unwrap();
-                    prop_assert_eq!(lp.objective, oracle.objective, "{:?}", opts);
-                    let mut sum = Rat::ZERO;
-                    for y in &lp.y {
-                        prop_assert!(y.signum() >= 0 && *y <= Rat::ONE, "{:?}", opts);
-                        sum = sum.add(y);
-                    }
-                    prop_assert_eq!(
-                        sum,
-                        oracle.objective,
-                        "{:?}: stitched Σy must equal the objective",
+        for vub in [VubMode::Rows, VubMode::Implicit] {
+            for decompose in [DecomposeMode::Off, DecomposeMode::Auto] {
+                let opts = LpOptions { vub, decompose, ..LpOptions::default() };
+                let lp = solve_active_lp_with(&inst, &opts).unwrap();
+                prop_assert_eq!(lp.objective, oracle.objective, "{:?}", opts);
+                let mut sum = Rat::ZERO;
+                for y in &lp.y {
+                    prop_assert!(y.signum() >= 0 && *y <= Rat::ONE, "{:?}", opts);
+                    sum = sum.add(y);
+                }
+                prop_assert_eq!(
+                    sum,
+                    oracle.objective,
+                    "{:?}: stitched Σy must equal the objective",
+                    opts
+                );
+                // Under the default encoding, certify the stitched y
+                // actually supports a fractional schedule (LP2).
+                if vub == VubMode::Implicit {
+                    prop_assert!(
+                        fractional_feasible(&inst, &lp.slots, &lp.y),
+                        "{:?}: stitched y must be LP2-feasible",
                         opts
                     );
-                    // Under the default encodings, certify the stitched y
-                    // actually supports a fractional schedule (LP2).
-                    if bounds == BoundsMode::Implicit && vub == VubMode::Implicit {
-                        prop_assert!(
-                            fractional_feasible(&inst, &lp.slots, &lp.y),
-                            "{:?}: stitched y must be LP2-feasible",
-                            opts
-                        );
-                    }
                 }
             }
         }
@@ -240,7 +300,7 @@ proptest! {
         if triples.is_empty() {
             return Ok(());
         }
-        let inst = abt_core::Instance::from_triples(triples, g).unwrap();
+        let inst = Instance::from_triples(triples, g).unwrap();
         assert_all_variants_match(&inst)?;
     }
 }

@@ -1,18 +1,11 @@
-//! B4 — `lp_simplex`: the LP1 hot path across solver generations. Compares
-//! the seed configuration (per-slot LP1, explicit bound rows, pure
-//! exact-rational simplex), the PR-1 default (coalesced super-slots, dense
-//! `f64`-first hybrid), the PR-2 default (`revised_bounds`: implicit
-//! constant bounds, `x ≤ Y` caps as rows), the PR-3 default
-//! (`vub_implicit`: VUB-aware revised simplex, no cap rows, monolithic),
-//! and the current default (`vub_decomposed`: the same solver behind
-//! interval-graph component sharding) on `random_active_feasible`
-//! instances.
-//!
-//! The size dimension covers n ∈ {40, 200, 1000}; configurations whose
-//! dense passes are no longer practical at a size are skipped there (the
-//! seed exact solver past n = 40, the dense hybrids past n = 200).
+//! B4 — `lp_simplex`: the LP1 hot path. Compares the `revised_bounds`
+//! baseline (implicit constant bounds, `x ≤ Y` caps as rows), the
+//! `vub_implicit` configuration (VUB-aware revised simplex, no cap rows,
+//! monolithic), and the shipping default (`vub_decomposed`: the same
+//! solver behind interval-graph component sharding) on
+//! `random_active_feasible` instances with n ∈ {40, 200, 1000}.
 
-use abt_active::{solve_active_lp_with, BoundsMode, LpBackend, LpOptions};
+use abt_active::{solve_active_lp_with, LpOptions};
 use abt_workloads::{random_active_feasible, RandomConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -20,36 +13,13 @@ use std::hint::black_box;
 fn bench_lp_simplex(c: &mut Criterion) {
     let mut group = c.benchmark_group("lp_simplex");
     group.sample_size(10);
-    // (name, options, max n it is still reasonable to run at). Every
-    // generation runs monolithically (DecomposeMode::Off) so the columns
-    // compare solver generations; `vub_decomposed` is the shipping
-    // default, which additionally shards by interval-graph components.
-    let variants: [(&str, LpOptions, usize); 7] = [
-        ("seed_exact_perslot", LpOptions::seed_exact(), 40),
-        (
-            "exact_coalesced",
-            LpOptions {
-                backend: LpBackend::Exact,
-                coalesce: true,
-                bounds: BoundsMode::Rows,
-                ..LpOptions::pr3_monolithic()
-            },
-            40,
-        ),
-        ("hybrid_coalesced", LpOptions::pr1_hybrid(), 200),
-        (
-            "revised_rows",
-            LpOptions {
-                backend: LpBackend::Revised,
-                coalesce: true,
-                bounds: BoundsMode::Rows,
-                ..LpOptions::pr2_revised_bounds()
-            },
-            200,
-        ),
-        ("revised_bounds", LpOptions::pr2_revised_bounds(), 1000),
-        ("vub_implicit", LpOptions::pr3_monolithic(), 1000),
-        ("vub_decomposed", LpOptions::default(), 1000),
+    // The two baselines run monolithically (DecomposeMode::Off) so they
+    // isolate the VUB encoding; `vub_decomposed` is the shipping default,
+    // which additionally shards by interval-graph components.
+    let variants: [(&str, LpOptions); 3] = [
+        ("revised_bounds", LpOptions::pr2_revised_bounds()),
+        ("vub_implicit", LpOptions::pr3_monolithic()),
+        ("vub_decomposed", LpOptions::default()),
     ];
     for &(n, g, horizon) in &[(40usize, 4usize, 100i64), (200, 4, 400), (1000, 4, 2000)] {
         let cfg = RandomConfig {
@@ -60,10 +30,7 @@ fn bench_lp_simplex(c: &mut Criterion) {
             slack_factor: 1.0,
         };
         let inst = random_active_feasible(&cfg, 7);
-        for (name, opts, max_n) in variants {
-            if n > max_n {
-                continue;
-            }
+        for (name, opts) in variants {
             group.bench_with_input(BenchmarkId::new(name, n), &inst, |b, inst| {
                 b.iter(|| black_box(solve_active_lp_with(inst, &opts).unwrap().objective))
             });

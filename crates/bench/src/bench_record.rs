@@ -43,7 +43,7 @@
 //! |------------------|--------|-----------|-------------------------------|
 //! | `id`             | string | required  | experiment id (`e1`…); rows are matched by id across records |
 //! | `wall_ms`        | number | required  | informational (machine-dependent; never gated) |
-//! | `lp_solves`      | number | required  | hybrid-style LP solves during the experiment; under `DecomposeMode::Auto` each component sub-LP counts once |
+//! | `lp_solves`      | number | required  | supervised LP solves during the experiment; under `DecomposeMode::Auto` each component sub-LP counts once |
 //! | `fallback_rate`  | number | required  | `lp_fallbacks / lp_solves`; **any nonzero value fails the gate** — every current workload is non-adversarial |
 //! | `lp_pivots`      | number | optional (0) | solve effort; for `e20`/`e21`/`e22` the gate fails when the fresh count exceeds `--max-effort-ratio` (default 1.3) × committed — deterministic per instance, so regressions are algorithmic, never machine noise |
 //! | `lp_bound_flips` | number | optional (0) | informational              |
@@ -77,13 +77,14 @@
 //!
 //! # Parsing
 //!
-//! The JSON subset used here (objects, arrays, UTF-8 strings with the
-//! common escapes, numbers, booleans) is parsed by a tiny recursive
-//! scanner — the offline dependency set has no serde, and the perf gate
-//! must not depend on a `jq` binary being installed on the runner.
+//! The document is parsed by the workspace's one JSON codec,
+//! [`abt_core::json`] — the offline dependency set has no serde, and the
+//! perf gate must not depend on a `jq` binary being installed on the
+//! runner.
 //! Unknown keys are ignored on parse (forward compatibility); missing
 //! *required* keys are hard errors.
 
+use abt_core::json::{self, get, Json};
 use std::collections::BTreeMap;
 
 /// Schema tag written/accepted by this module.
@@ -124,7 +125,8 @@ pub struct ExperimentRecord {
     pub id: String,
     /// Wall time, ms.
     pub wall_ms: f64,
-    /// Hybrid-style LP solves performed while the experiment ran.
+    /// Supervised LP solves performed while the experiment ran (one per
+    /// component sub-LP).
     pub lp_solves: u64,
     /// Fraction of those that fell back to the exact solver.
     pub fallback_rate: f64,
@@ -226,21 +228,11 @@ pub struct BenchRecord {
     pub experiments: Vec<ExperimentRecord>,
 }
 
-/// JSON string escaping for the writer (`"`, `\\`, and control bytes; the
-/// strings here are rational literals and experiment ids, but the writer
-/// must never emit invalid JSON whatever it is handed).
+/// A string as the body of a JSON string literal (see
+/// [`json::escape_into`]).
 fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    json::escape_into(&mut out, s);
     out
 }
 
@@ -453,204 +445,6 @@ impl BenchRecord {
             experiments,
         })
     }
-}
-
-fn get<'a>(obj: &'a BTreeMap<String, Json>, key: &str) -> Result<&'a Json, String> {
-    obj.get(key).ok_or_else(|| format!("missing key {key:?}"))
-}
-
-/// A minimal JSON value (the subset `BENCH_lp.json` uses).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Object(BTreeMap<String, Json>),
-    Array(Vec<Json>),
-    Str(String),
-    Num(f64),
-    Bool(bool),
-    Null,
-}
-
-impl Json {
-    fn as_object(&self, what: &str) -> Result<&BTreeMap<String, Json>, String> {
-        match self {
-            Json::Object(m) => Ok(m),
-            other => Err(format!("{what}: expected object, got {other:?}")),
-        }
-    }
-    fn as_array(&self, what: &str) -> Result<&[Json], String> {
-        match self {
-            Json::Array(v) => Ok(v),
-            other => Err(format!("{what}: expected array, got {other:?}")),
-        }
-    }
-    fn as_str(&self, what: &str) -> Result<&str, String> {
-        match self {
-            Json::Str(s) => Ok(s),
-            other => Err(format!("{what}: expected string, got {other:?}")),
-        }
-    }
-    fn as_f64(&self, what: &str) -> Result<f64, String> {
-        match self {
-            Json::Num(v) => Ok(*v),
-            other => Err(format!("{what}: expected number, got {other:?}")),
-        }
-    }
-    fn as_bool(&self, what: &str) -> Result<bool, String> {
-        match self {
-            Json::Bool(v) => Ok(*v),
-            other => Err(format!("{what}: expected bool, got {other:?}")),
-        }
-    }
-
-    fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing content at byte {pos}"));
-        }
-        Ok(v)
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == ch {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {}", ch as char, *pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            let mut map = BTreeMap::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Object(map));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
-                map.insert(key, val);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Object(map));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut out = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Array(out));
-            }
-            loop {
-                out.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Array(out));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-            s.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|e| format!("bad number {s:?} at byte {start}: {e}"))
-        }
-        None => Err("unexpected end of input".into()),
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {}", *pos));
-    }
-    *pos += 1;
-    // Accumulate raw bytes and decode as UTF-8 at the end, so multi-byte
-    // characters survive the round trip.
-    let mut out: Vec<u8> = Vec::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => {
-                return String::from_utf8(out).map_err(|e| format!("invalid UTF-8 in string: {e}"))
-            }
-            b'\\' => {
-                let esc = *b.get(*pos).ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push(b'"'),
-                    b'\\' => out.push(b'\\'),
-                    b'/' => out.push(b'/'),
-                    b'n' => out.push(b'\n'),
-                    b't' => out.push(b'\t'),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .ok_or("truncated \\u escape")
-                            .and_then(|h| std::str::from_utf8(h).map_err(|_| "bad \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|e| format!("bad \\u escape {hex:?}: {e}"))?;
-                        *pos += 4;
-                        // Surrogate pairs are outside this subset.
-                        let ch = char::from_u32(code)
-                            .ok_or_else(|| format!("unsupported \\u codepoint {code:#x}"))?;
-                        out.extend_from_slice(ch.to_string().as_bytes());
-                    }
-                    other => return Err(format!("unsupported escape \\{}", other as char)),
-                }
-            }
-            other => out.push(other),
-        }
-    }
-    Err("unterminated string".into())
 }
 
 #[cfg(test)]

@@ -1326,14 +1326,13 @@ pub fn e18() -> ExperimentReport {
     }
 }
 
-/// E19 — LP1 solver scaling: the VUB-aware revised simplex vs the PR-2
-/// revised solver with explicit `x ≤ Y` rows, and vs the PR-1 dense
-/// hybrid as `n` grows. Exact objectives must agree bit for bit; the PR-1
-/// baseline is skipped at `n = 1000` where the dense exact verification
-/// is no longer practical to time. All columns run **monolithically**
-/// (`DecomposeMode::Off`) so the comparison isolates the solver
-/// generations — the shipping default additionally shards by
-/// interval-graph components, measured separately by E21.
+/// E19 — LP1 solver scaling: the VUB-aware revised simplex vs the same
+/// revised solver with explicit `x ≤ Y` rows
+/// ([`LpOptions::pr2_revised_bounds`](abt_active::LpOptions::pr2_revised_bounds))
+/// as `n` grows. Exact objectives must agree bit for bit. Both columns
+/// run **monolithically** (`DecomposeMode::Off`) so the comparison
+/// isolates the VUB encoding — the shipping default additionally shards
+/// by interval-graph components, measured separately by E21.
 pub fn e19() -> ExperimentReport {
     use crate::stats::time_best_ms;
     use abt_active::{lp_telemetry, solve_active_lp_with, LpOptions};
@@ -1345,18 +1344,16 @@ pub fn e19() -> ExperimentReport {
         "vub_implicit ms",
         "PR-2 revised ms",
         "vs PR-2",
-        "PR-1 hybrid ms",
-        "vs PR-1",
         "objective",
         "fallbacks",
     ]);
     let mut notes = Vec::new();
     let mut all_match = true;
     let mut any_fallback = false;
-    for (n, g, horizon, reps, run_pr1) in [
-        (40usize, 4usize, 100i64, 3usize, true),
-        (200, 4, 400, 2, true),
-        (1000, 4, 2000, 1, false),
+    for (n, g, horizon, reps) in [
+        (40usize, 4usize, 100i64, 3usize),
+        (200, 4, 400, 2),
+        (1000, 4, 2000, 1),
     ] {
         let cfg = RandomConfig {
             n,
@@ -1378,19 +1375,6 @@ pub fn e19() -> ExperimentReport {
                 .expect("feasible by construction")
         });
         all_match &= pr2.objective == vub.objective;
-        let pr1 = run_pr1.then(|| {
-            time_best_ms(reps, || {
-                solve_active_lp_with(&inst, &LpOptions::pr1_hybrid())
-                    .expect("feasible by construction")
-            })
-        });
-        let (pr1_cell, pr1_speedup_cell) = match &pr1 {
-            Some((pr1_ms, base)) => {
-                all_match &= base.objective == vub.objective;
-                (format!("{pr1_ms:.1}"), format!("{:.2}x", pr1_ms / vub_ms))
-            }
-            None => ("-".into(), "-".into()),
-        };
         table.row([
             n.to_string(),
             g.to_string(),
@@ -1398,14 +1382,12 @@ pub fn e19() -> ExperimentReport {
             format!("{vub_ms:.1}"),
             format!("{pr2_ms:.1}"),
             format!("{:.2}x", pr2_ms / vub_ms),
-            pr1_cell,
-            pr1_speedup_cell,
             vub.objective.to_string(),
             (after.fallbacks - before.fallbacks).to_string(),
         ]);
     }
     notes.push(format!(
-        "exact objectives bit-identical across solver generations wherever they ran: {}",
+        "exact objectives bit-identical across both encodings: {}",
         if all_match { "yes" } else { "NO" }
     ));
     notes.push(format!(
@@ -1416,14 +1398,11 @@ pub fn e19() -> ExperimentReport {
             "none"
         }
     ));
-    notes.push(
-        "n = 1000 skips the PR-1 dense hybrid; its dense exact verification is O(m²·cols) and no longer practical there".into(),
-    );
     ExperimentReport {
         id: "e19",
         busy: Vec::new(),
         speedup: None,
-        title: "LP1 solver scaling — VUB-aware revised simplex vs PR-2/PR-1".into(),
+        title: "LP1 solver scaling — VUB-aware revised simplex vs x ≤ Y rows".into(),
         claim: "eliminating the O(n²) x ≤ Y rows keeps LP1 solvable at n in the thousands".into(),
         table,
         notes,

@@ -23,6 +23,9 @@
 //!                                    print its span/event kind tallies
 //! ```
 //!
+//! The trace of `incremental` and `replay` needs `clusters ≥ 1` and
+//! `1 ≤ jobs_per_cluster ≤ 2·g` (g = 3); other values are usage errors.
+//!
 //! `solve` and `incremental` also accept `--pivot-budget N` and
 //! `--time-budget-ms N`: per-attempt solve budgets (0 = unlimited). A
 //! tripped budget demotes the solve down the supervision ladder (see
@@ -176,6 +179,29 @@ fn parse_budgets<'a>(args: &[&'a str]) -> Result<(Vec<&'a str>, LpOptions), Stri
         }
     }
     Ok((positional, opts))
+}
+
+/// The online-arrivals trace config for `incremental` and `replay`,
+/// checked at the input boundary: the generator guarantees a feasible
+/// trace only for `clusters ≥ 1` and `1 ≤ jobs_per_cluster ≤ 2·g`, and
+/// asserts it, so an out-of-range request must be a usage error here.
+fn arrivals_config(clusters: u64, jobs_per_cluster: u64) -> Result<OnlineArrivalsConfig, String> {
+    let base = OnlineArrivalsConfig::default();
+    if clusters == 0 {
+        return Err("clusters must be at least 1".into());
+    }
+    let max_jobs = 2 * base.g as u64;
+    if !(1..=max_jobs).contains(&jobs_per_cluster) {
+        return Err(format!(
+            "jobs_per_cluster must be in 1..={max_jobs} (2·g with g = {})",
+            base.g
+        ));
+    }
+    Ok(OnlineArrivalsConfig {
+        clusters: clusters as usize,
+        jobs_per_cluster: jobs_per_cluster as usize,
+        ..base
+    })
 }
 
 /// One-line supervision summary from a telemetry delta, including how the
@@ -357,11 +383,7 @@ fn run(args: &[&str]) -> Result<(), String> {
                     s.parse().map_err(|_| format!("bad argument '{s}'"))
                 })
             };
-            let cfg = OnlineArrivalsConfig {
-                clusters: parse_at(0, 8)? as usize,
-                jobs_per_cluster: parse_at(1, 4)? as usize,
-                ..Default::default()
-            };
+            let cfg = arrivals_config(parse_at(0, 8)?, parse_at(1, 4)?)?;
             let seed = parse_at(2, 0)?;
             let oa = online_arrivals(&cfg, seed);
             println!(
@@ -425,11 +447,7 @@ fn run(args: &[&str]) -> Result<(), String> {
                     s.parse().map_err(|_| format!("bad argument '{s}'"))
                 })
             };
-            let cfg = OnlineArrivalsConfig {
-                clusters: parse_at(0, 8)? as usize,
-                jobs_per_cluster: parse_at(1, 4)? as usize,
-                ..Default::default()
-            };
+            let cfg = arrivals_config(parse_at(0, 8)?, parse_at(1, 4)?)?;
             let seed = parse_at(2, 0)?;
             let oa = online_arrivals(&cfg, seed);
             let before = lp_telemetry();

@@ -26,6 +26,7 @@ pub mod faultinject;
 pub mod instance;
 pub mod io;
 pub mod jobs;
+pub mod json;
 pub mod obs;
 pub mod parallel;
 pub mod persist;

@@ -27,6 +27,7 @@
 //! [`validate_jsonl`] re-parses a dump and tallies span/event kinds —
 //! the CI smoke check and `abt trace --check` run on it.
 
+use crate::json::{escape_into, Json};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Mutex, OnceLock};
 
@@ -178,20 +179,6 @@ pub fn entries() -> Vec<TraceEntry> {
         .collect()
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
 fn render_line(out: &mut String, e: &TraceEntry) {
     out.push_str(&format!(
         "{{\"seq\":{},\"kind\":\"{}\",\"name\":\"",
@@ -256,25 +243,36 @@ pub struct DumpSummary {
 }
 
 /// Parses a flight-recorder JSONL dump back, checking each line is a
-/// well-formed flat JSON object with the required `seq`/`kind`/`name`
-/// keys, and tallies span/event kinds. Errors name the first offending
-/// line. Empty input is valid (an empty recorder dumps nothing).
+/// well-formed JSON object of strings, numbers and nested objects (the
+/// only value kinds [`dump_jsonl`] writes) with the required
+/// `seq`/`kind`/`name` keys, and tallies span/event kinds. Errors name
+/// the first offending line. Empty input is valid (an empty recorder
+/// dumps nothing).
 pub fn validate_jsonl(text: &str) -> Result<DumpSummary, String> {
     let mut summary = DumpSummary::default();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let obj = parse_object(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        let value = Json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        let obj = match &value {
+            Json::Object(obj) if obj.values().all(is_dump_value) => obj,
+            _ => {
+                return Err(format!(
+                    "line {}: not an object of strings, numbers and objects",
+                    i + 1
+                ))
+            }
+        };
         let kind = match obj.get("kind") {
-            Some(JsonValue::Str(s)) => s.clone(),
+            Some(Json::Str(s)) => s.clone(),
             _ => return Err(format!("line {}: missing string key \"kind\"", i + 1)),
         };
         let name = match obj.get("name") {
-            Some(JsonValue::Str(s)) => s.clone(),
+            Some(Json::Str(s)) => s.clone(),
             _ => return Err(format!("line {}: missing string key \"name\"", i + 1)),
         };
-        if !matches!(obj.get("seq"), Some(JsonValue::Num(_))) {
+        if !matches!(obj.get("seq"), Some(Json::Num(_))) {
             return Err(format!("line {}: missing numeric key \"seq\"", i + 1));
         }
         match kind.as_str() {
@@ -287,145 +285,13 @@ pub fn validate_jsonl(text: &str) -> Result<DumpSummary, String> {
     Ok(summary)
 }
 
-/// Minimal JSON value for [`validate_jsonl`] (strings, numbers, and one
-/// level of object nesting for `fields`).
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    Str(String),
-    Num(f64),
-    Obj(BTreeMap<String, JsonValue>),
-}
-
-fn parse_object(s: &str) -> Result<BTreeMap<String, JsonValue>, String> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    let obj = p.object()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes at offset {}", p.pos));
-    }
-    Ok(obj)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at offset {}", b as char, self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<BTreeMap<String, JsonValue>, String> {
-        self.expect(b'{')?;
-        let mut out = BTreeMap::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            let value = self.value()?;
-            out.insert(key, value);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'{') => Ok(JsonValue::Obj(self.object()?)),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => {
-                let start = self.pos;
-                while self.bytes.get(self.pos).is_some_and(|b| {
-                    b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')
-                }) {
-                    self.pos += 1;
-                }
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .ok()
-                    .and_then(|t| t.parse::<f64>().ok())
-                    .map(JsonValue::Num)
-                    .ok_or_else(|| format!("bad number at offset {start}"))
-            }
-            _ => Err(format!("unexpected value at offset {}", self.pos)),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at {}", self.pos))?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at offset {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (the input is a &str,
-                    // so boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
+/// Whether `v` is a value kind a dump line may hold: a string, a number,
+/// or an object of those.
+fn is_dump_value(v: &Json) -> bool {
+    match v {
+        Json::Str(_) | Json::Num(_) => true,
+        Json::Object(m) => m.values().all(is_dump_value),
+        Json::Array(_) | Json::Bool(_) | Json::Null => false,
     }
 }
 
@@ -475,6 +341,9 @@ mod tests {
         assert!(validate_jsonl("{\"seq\":1}").is_err(), "missing kind/name");
         assert!(validate_jsonl("not json").is_err());
         assert!(validate_jsonl("{\"seq\":1,\"kind\":\"span\",\"name\":\"x\"} trailing").is_err());
+        assert!(
+            validate_jsonl("{\"seq\":1,\"kind\":\"span\",\"name\":\"x\",\"ok\":true}").is_err()
+        );
         assert_eq!(validate_jsonl("").unwrap(), DumpSummary::default());
     }
 

@@ -11,7 +11,8 @@
 //! throughout. The construction is generic over the scalar and
 //! deterministic, so the `f64` search and the exact verifier build
 //! *structurally identical* forms and a basis found by one is meaningful to
-//! the other. One normalization keeps the VUB pivoting rules simple: a
+//! the other. The dense tableau of [`crate::simplex`] lays out the same
+//! form, so its bases are certified by the same verifier. One normalization keeps the VUB pivoting rules simple: a
 //! variable carrying **both** a VUB and a finite constant bound gets its
 //! constant bound materialized as a trailing `≤` row, so VUB dependents
 //! never have finite constant bounds of their own.
@@ -296,8 +297,9 @@ impl<S: Scalar> StandardForm<S> {
             .collect();
         let mut vub: Vec<Option<usize>> = (0..n).map(|v| lp.vub(v)).collect();
         let mut artificial = vec![false; n];
-        // Slack/surplus columns, then artificials, in row order (mirrors
-        // the dense builder's layout).
+        // Slack/surplus columns, then artificials, in row order. This is
+        // the one column layout of the crate: the dense tableau is filled
+        // from it, so dense and revised bases index the same columns.
         let mut init_basis = vec![usize::MAX; m];
         for (i, sense) in senses.iter().enumerate() {
             let aux = match sense {

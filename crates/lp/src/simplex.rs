@@ -11,7 +11,11 @@
 //! # Tableau layout
 //!
 //! The tableau is a single row-major arena `a: Vec<S>` of `rows` rows with
-//! stride `cols + 1`; the last entry of every row is the RHS. Row `i` is
+//! stride `cols + 1`; the last entry of every row is the RHS. Its columns
+//! are exactly those of [`StandardForm::build`] — structural, then one
+//! slack/surplus per inequality row, then the artificials, rows
+//! sign-normalized — so a dense basis is meaningful to the exact
+//! certifier without translation. Row `i` is
 //! the slice `a[i*stride .. (i+1)*stride]`, walked with
 //! [`chunks_exact`](slice::chunks_exact) — one allocation, pure index
 //! arithmetic, linear scans. A pivot normalizes the pivot row in place,
@@ -41,21 +45,25 @@
 //!
 //! 1. Solve a lossless `f64` image of the LP (coefficients in the paper's
 //!    LPs are tiny integers, exactly representable).
-//! 2. If the float solve claims `Optimal`, factor its terminal basis
-//!    *set* with a [`SparseLu`] in exact rationals (a singular proposal
-//!    fails the step) — the dense exact tableau is never re-pivoted.
-//! 3. Check, exactly: primal feasibility (`B·x_B = b` with all basic
-//!    values ≥ 0), artificials out (every basic artificial at value 0),
-//!    and dual feasibility (reduced costs of nonbasic non-artificial
-//!    columns ≥ 0 against the duals from `Bᵀ·y = c_B`). The sweep is
-//!    discharged by the [`CertifyMode`] tier policy — the directed-
-//!    rounding interval tier first under the default, escalating to the
-//!    exact rational sweep only on straddles. Together these certify the
-//!    basis is exactly optimal.
-//! 4. On any failure — or a float claim of `Infeasible`/`Unbounded`, which
+//! 2. If the float solve claims `Optimal`, hand its terminal basis to the
+//!    revised engine's exact certifier as a bounded proposal whose
+//!    nonbasic columns all rest at zero. With no bounds and no VUBs in
+//!    play, the per-resting-state certificate below reduces to the classic
+//!    one: a nonsingular basis (factored with a [`SparseLu`] in exact
+//!    rationals — the dense exact tableau is never re-pivoted), primal
+//!    feasibility (`B·x_B = b` with all basic values ≥ 0), artificials out
+//!    (every basic artificial at value 0), and dual feasibility (reduced
+//!    costs of nonbasic non-artificial columns ≥ 0 against the duals from
+//!    `Bᵀ·y = c_B`), with the sweep discharged by the [`CertifyMode`] tier
+//!    policy.
+//! 3. On any failure — or a float claim of `Infeasible`/`Unbounded`, which
 //!    tolerance-based pivoting cannot certify — fall back to the pure
 //!    exact simplex. The fallback is the correctness backstop; the float
 //!    pass is only ever an accelerator.
+//!
+//! Because the certifier is shared, a dense certification passes the same
+//! `slow_certify` failpoint and opens the same `solve.certify` span as a
+//! revised one.
 //!
 //! Two phases: artificials for `≥`/`=` rows; redundant rows are left
 //! harmlessly basic at zero after phase 1 with their artificial columns
@@ -75,9 +83,8 @@
 //!   key columns), nonbasic-at-upper states, bound flips, and a
 //!   periodically refactorized sparse LU basis with product-form updates;
 //!   and
-//! * the exact pass no longer refactorizes a dense tableau
-//!   (`O(m²·cols)`): it builds a [`SparseLu`] of the terminal basis matrix
-//!   in exact rationals — near-linear in `nnz(B)` on the paper's LPs — and
+//! * the exact pass builds a [`SparseLu`] of the terminal basis matrix in
+//!   exact rationals — near-linear in `nnz(B)` on the paper's LPs — and
 //!   certifies exact optimality **per resting state**. With the augmented
 //!   key columns `Ā_k = A_k + Σ_{glued j} A_j` and costs
 //!   `c̄_k = c_k + Σ_{glued j} c_j`: primal feasibility
@@ -109,7 +116,7 @@ use crate::api::{LpOptions, LpReport};
 use crate::bounds::{solve_bounded_f64_with, BoundedBasis, BoundedStatus, StandardForm, VarState};
 use crate::interval::Iv;
 use crate::lu::SparseLu;
-use crate::model::{Cmp, LpProblem};
+use crate::model::LpProblem;
 use crate::rational::Rat;
 use crate::scalar::Scalar;
 use crate::warm::BasisSnapshot;
@@ -338,87 +345,38 @@ struct Built<S> {
     n_art: usize,
 }
 
-/// Builds the initial tableau: structural columns, slack/surplus columns,
-/// artificials, and the slack/artificial starting basis. No cost row yet.
+/// Builds the initial tableau by laying [`StandardForm::build`]'s sparse
+/// columns — structural, then slack/surplus, then artificials, rows
+/// sign-normalized — into the dense arena, with its slack/artificial
+/// starting basis. No cost row yet. `lp` carries no implicit bounds or
+/// VUBs (callers materialize them as rows first), so the standard form
+/// has exactly one row per constraint.
 fn build<S: Scalar>(lp: &LpProblem<S>) -> Built<S> {
-    let n = lp.num_vars();
-    let m = lp.num_constraints();
-
-    // Count auxiliary columns.
-    let mut n_slack = 0;
-    let mut n_art = 0;
-    for c in lp.constraints() {
-        // After RHS normalization the sense may flip; count accordingly.
-        let rhs_neg = c.rhs.is_neg();
-        let sense = match (c.cmp, rhs_neg) {
-            (Cmp::Le, false) | (Cmp::Ge, true) => Cmp::Le,
-            (Cmp::Ge, false) | (Cmp::Le, true) => Cmp::Ge,
-            (Cmp::Eq, _) => Cmp::Eq,
-        };
-        match sense {
-            Cmp::Le => n_slack += 1,
-            Cmp::Ge => {
-                n_slack += 1;
-                n_art += 1;
-            }
-            Cmp::Eq => n_art += 1,
-        }
-    }
-    let cols = n + n_slack + n_art;
+    let sf = StandardForm::build(lp);
+    debug_assert!(sf.upper.iter().all(Option::is_none) && sf.vub.iter().all(Option::is_none));
+    let (m, cols) = (sf.m, sf.ncols);
     let stride = cols + 1;
     let mut a: Vec<S> = vec![S::zero(); m * stride];
-    let mut basis = vec![0usize; m];
-    let mut is_artificial = vec![false; cols];
-    let mut row_aux: Vec<(usize, bool, bool)> = Vec::with_capacity(m);
-
-    let mut slack_at = n;
-    let mut art_at = n + n_slack;
-    for (i, c) in lp.constraints().iter().enumerate() {
-        let row = &mut a[i * stride..(i + 1) * stride];
-        let flip = c.rhs.is_neg();
-        let sgn = if flip { S::one().neg() } else { S::one() };
-        for (v, coef) in &c.terms {
-            row[*v] = row[*v].add(&sgn.mul(coef));
-        }
-        row[cols] = sgn.mul(&c.rhs);
-        let sense = match (c.cmp, flip) {
-            (Cmp::Le, false) | (Cmp::Ge, true) => Cmp::Le,
-            (Cmp::Ge, false) | (Cmp::Le, true) => Cmp::Ge,
-            (Cmp::Eq, _) => Cmp::Eq,
-        };
-        match sense {
-            Cmp::Le => {
-                row[slack_at] = S::one();
-                basis[i] = slack_at;
-                // slack column: y_i = −r_slack
-                row_aux.push((slack_at, true, flip));
-                slack_at += 1;
-            }
-            Cmp::Ge => {
-                row[slack_at] = S::one().neg();
-                // surplus column: y_i = +r_surplus
-                row_aux.push((slack_at, false, flip));
-                slack_at += 1;
-                row[art_at] = S::one();
-                is_artificial[art_at] = true;
-                basis[i] = art_at;
-                art_at += 1;
-            }
-            Cmp::Eq => {
-                row[art_at] = S::one();
-                is_artificial[art_at] = true;
-                basis[i] = art_at;
-                // artificial column: y_i = −r_artificial
-                row_aux.push((art_at, true, flip));
-                art_at += 1;
-            }
+    for (j, col) in sf.cols.iter().enumerate() {
+        for (i, v) in col {
+            a[i * stride + j] = v.clone();
         }
     }
-
+    for (i, b) in sf.b.iter().enumerate() {
+        a[i * stride + cols] = b.clone();
+    }
+    // Each row's dual is read off its first auxiliary column — the
+    // slack/surplus when it has one, else its artificial — as
+    // `y_i = −coef·r_aux` for the column's ±1 entry.
+    let mut row_aux: Vec<Option<(usize, bool, bool)>> = vec![None; m];
+    for j in sf.nstruct..cols {
+        let (i, coef) = &sf.cols[j][0];
+        row_aux[*i].get_or_insert((j, coef.is_pos(), sf.row_flip[*i]));
+    }
     let t = Tableau {
         a,
         cost: vec![S::zero(); stride],
-        basis,
+        basis: sf.init_basis,
         barred: vec![false; cols],
         rows: m,
         cols,
@@ -426,9 +384,12 @@ fn build<S: Scalar>(lp: &LpProblem<S>) -> Built<S> {
     };
     Built {
         t,
-        is_artificial,
-        row_aux,
-        n_art,
+        is_artificial: sf.artificial,
+        row_aux: row_aux
+            .into_iter()
+            .map(|aux| aux.expect("every row has an auxiliary column"))
+            .collect(),
+        n_art: sf.n_art,
     }
 }
 
@@ -602,241 +563,33 @@ pub(crate) fn to_f64(lp: &LpProblem<Rat>) -> LpProblem<f64> {
     out
 }
 
-/// Sparse exact view of the row-encoded tableau layout of [`build`]: the
-/// same structural/slack/artificial column numbering and RHS
-/// normalization, held as sparse columns so the LU-based dense certifier
-/// never materializes (or pivots) the dense arena.
-struct SparseBuilt {
-    /// Per column: sparse `(row, value)` entries, rows ascending.
-    cols: Vec<Vec<(usize, Rat)>>,
-    /// Phase-2 cost per column (structural → objective, auxiliary → 0).
-    cost: Vec<Rat>,
-    /// Normalized (nonnegative) RHS per row.
-    rhs: Vec<Rat>,
-    is_artificial: Vec<bool>,
-    /// Per row: whether RHS normalization flipped the row (undone in the
-    /// dual read-out).
-    row_flip: Vec<bool>,
-}
-
-/// Mirrors [`build`]'s column layout — structural `0..n`, then one
-/// slack/surplus per inequality row, then artificials — as sparse exact
-/// columns. Any drift from [`build`] would desynchronize the certifier
-/// from the float pass's basis indices; the hybrid differential tests
-/// pin the two together.
-fn build_sparse(lp: &LpProblem<Rat>) -> SparseBuilt {
-    let n = lp.num_vars();
-    let m = lp.num_constraints();
-    let mut n_slack = 0;
-    let mut n_art = 0;
-    for c in lp.constraints() {
-        let sense = match (c.cmp, c.rhs.is_neg()) {
-            (Cmp::Le, false) | (Cmp::Ge, true) => Cmp::Le,
-            (Cmp::Ge, false) | (Cmp::Le, true) => Cmp::Ge,
-            (Cmp::Eq, _) => Cmp::Eq,
-        };
-        match sense {
-            Cmp::Le => n_slack += 1,
-            Cmp::Ge => {
-                n_slack += 1;
-                n_art += 1;
-            }
-            Cmp::Eq => n_art += 1,
-        }
-    }
-    let cols_n = n + n_slack + n_art;
-    let mut cols: Vec<Vec<(usize, Rat)>> = vec![Vec::new(); cols_n];
-    let mut rhs = vec![Rat::ZERO; m];
-    let mut is_artificial = vec![false; cols_n];
-    let mut row_flip = vec![false; m];
-    let mut slack_at = n;
-    let mut art_at = n + n_slack;
-    for (i, c) in lp.constraints().iter().enumerate() {
-        let flip = c.rhs.is_neg();
-        let sgn = if flip { Rat::ONE.neg() } else { Rat::ONE };
-        row_flip[i] = flip;
-        for (v, coef) in &c.terms {
-            // Repeated variables accumulate, exactly as in the dense arena.
-            let col = &mut cols[*v];
-            match col.last_mut() {
-                Some(e) if e.0 == i => e.1 = e.1.add(&sgn.mul(coef)),
-                _ => col.push((i, sgn.mul(coef))),
-            }
-        }
-        rhs[i] = sgn.mul(&c.rhs);
-        let sense = match (c.cmp, flip) {
-            (Cmp::Le, false) | (Cmp::Ge, true) => Cmp::Le,
-            (Cmp::Ge, false) | (Cmp::Le, true) => Cmp::Ge,
-            (Cmp::Eq, _) => Cmp::Eq,
-        };
-        match sense {
-            Cmp::Le => {
-                cols[slack_at].push((i, Rat::ONE));
-                slack_at += 1;
-            }
-            Cmp::Ge => {
-                cols[slack_at].push((i, Rat::ONE.neg()));
-                slack_at += 1;
-                cols[art_at].push((i, Rat::ONE));
-                is_artificial[art_at] = true;
-                art_at += 1;
-            }
-            Cmp::Eq => {
-                cols[art_at].push((i, Rat::ONE));
-                is_artificial[art_at] = true;
-                art_at += 1;
-            }
-        }
-    }
-    let mut cost = vec![Rat::ZERO; cols_n];
-    cost[..n].copy_from_slice(lp.objective());
-    SparseBuilt {
-        cols,
-        cost,
-        rhs,
-        is_artificial,
-        row_flip,
-    }
-}
-
-/// The exact rational reduced-cost sweep of the dense certifier: every
-/// nonbasic non-artificial column must price out nonnegative.
-fn dense_exact_sweep(sb: &SparseBuilt, in_basis: &[bool], y: &[Rat]) -> bool {
-    for j in 0..sb.cols.len() {
-        if in_basis[j] || sb.is_artificial[j] {
-            continue;
-        }
-        let mut d = sb.cost[j];
-        for (i, v) in &sb.cols[j] {
-            d = d.sub(&y[*i].mul(v));
-        }
-        if d.is_neg() {
-            return false;
-        }
-    }
-    true
-}
-
-/// The directed-rounding interval tier of the dense certifier: the flat
-/// (no VUB gluing) analogue of [`interval_dual_sweep`], with the same
-/// per-column exact rescue and the same escalation cap.
-fn dense_interval_sweep(sb: &SparseBuilt, in_basis: &[bool], y: &[Rat]) -> IvSweep {
-    let ivy: Vec<Iv> = y.iter().map(Iv::from_rat).collect();
-    let rescue_cap = 8 + sb.cols.len() / 8;
-    let mut rescued = 0usize;
-    for j in 0..sb.cols.len() {
-        if in_basis[j] || sb.is_artificial[j] {
-            continue;
-        }
-        let mut d = Iv::from_rat(&sb.cost[j]);
-        for (i, v) in &sb.cols[j] {
-            d = d - ivy[*i] * Iv::from_rat(v);
-        }
-        if d.proves_neg() {
-            return IvSweep::Refuted;
-        }
-        if d.proves_nonneg() {
-            continue;
-        }
-        rescued += 1;
-        if rescued > rescue_cap {
-            return IvSweep::Inconclusive;
-        }
-        let mut dx = sb.cost[j];
-        for (i, v) in &sb.cols[j] {
-            dx = dx.sub(&y[*i].mul(v));
-        }
-        if dx.is_neg() {
-            return IvSweep::Refuted;
-        }
-    }
-    IvSweep::Proven
-}
-
-/// Certifies `target` (a basis proposed by the float pass) exactly via a
-/// sparse LU of the basis matrix — primal values and duals are solved
-/// from the factorization instead of re-pivoting a dense exact tableau,
-/// and the reduced-cost sweep is discharged by the tier policy in `mode`
-/// (see [`CertifyMode`]). Returns the exact solution (bit-identical to
-/// the old tableau read-out: basic values and duals are uniquely
-/// determined by the basis) on success, `None` if the basis is singular,
-/// primal infeasible, dual infeasible, or keeps an artificial at nonzero
-/// value. An inconclusive interval sweep under `CertifyMode::Interval`
-/// also returns `None`: the dense hybrid's fallback is its escalation
-/// path.
+/// Certifies `target` (a basis proposed by the dense float pass) through
+/// the one exact certifier, [`verify_bounded`]: the dense layout is
+/// [`StandardForm::build`]'s, so the proposal is the bounded one with
+/// every nonbasic column `AtLower`. A column index outside the exact form
+/// is refuted.
 fn verify_basis(
     lp: &LpProblem<Rat>,
     target: &[usize],
     mode: CertifyMode,
-    tally: &mut CertifyTally,
-) -> Option<LpSolution<Rat>> {
-    let sb = build_sparse(lp);
-    let m = sb.rhs.len();
-    let cols_n = sb.cols.len();
-    if target.len() != m {
-        return None;
-    }
-    let mut in_basis = vec![false; cols_n];
+) -> (Certified, CertifyTally) {
+    let sf = StandardForm::build(lp);
+    let mut state = vec![VarState::AtLower; sf.ncols];
     for &c in target {
-        if c >= cols_n || std::mem::replace(&mut in_basis[c], true) {
-            return None; // out of range or duplicated column
+        match state.get_mut(c) {
+            Some(s) => *s = VarState::Basic,
+            None => return (Certified::Refuted, CertifyTally::default()),
         }
     }
-    let bcols: Vec<Vec<(usize, Rat)>> = target.iter().map(|&c| sb.cols[c].clone()).collect();
-    let lu = SparseLu::factor(m, &bcols)?;
-    // Exact primal feasibility: nonbasics rest at zero, `B·x_B = b`,
-    // every basic value ≥ 0, and no artificial stuck at nonzero value.
-    let xb = lu.solve(&sb.rhs);
-    for (k, &c) in target.iter().enumerate() {
-        if xb[k].is_neg() || (sb.is_artificial[c] && !xb[k].is_zero_s()) {
-            return None;
-        }
-    }
-    // Exact duals from `Bᵀ·y = c_B`, then the tiered reduced-cost sweep.
-    let cb: Vec<Rat> = target.iter().map(|&c| sb.cost[c]).collect();
-    let y = lu.solve_transposed(&cb);
-    let dual_ok = match mode {
-        CertifyMode::Exact => dense_exact_sweep(&sb, &in_basis, &y),
-        CertifyMode::Interval | CertifyMode::IntervalThenExact => {
-            let tick = Instant::now();
-            let sweep = dense_interval_sweep(&sb, &in_basis, &y);
-            tally.interval_nanos += tick.elapsed().as_nanos() as u64;
-            match sweep {
-                IvSweep::Proven => {
-                    tally.interval_accepts = 1;
-                    true
-                }
-                IvSweep::Refuted => false,
-                IvSweep::Deadline => unreachable!("the dense certifier has no deadline"),
-                IvSweep::Inconclusive => {
-                    tally.interval_escalations = 1;
-                    mode == CertifyMode::IntervalThenExact && dense_exact_sweep(&sb, &in_basis, &y)
-                }
-            }
-        }
+    let prop = BoundedBasis {
+        status: BoundedStatus::Optimal,
+        basis: target.to_vec(),
+        state,
+        pivots: 0,
+        bound_flips: 0,
+        refactorizations: 0,
     };
-    if !dual_ok {
-        return None;
-    }
-    let n = lp.num_vars();
-    let mut x = vec![Rat::ZERO; n];
-    for (k, &c) in target.iter().enumerate() {
-        if c < n {
-            x[c] = xb[k];
-        }
-    }
-    let objective = lp.objective_value(&x);
-    let duals: Vec<Rat> = y
-        .iter()
-        .zip(&sb.row_flip)
-        .map(|(yi, flip)| if *flip { yi.neg() } else { *yi })
-        .collect();
-    Some(LpSolution {
-        status: LpStatus::Optimal,
-        objective,
-        x,
-        duals,
-    })
+    verify_bounded(lp, &sf, &prop, None, mode)
 }
 
 /// The dense hybrid engine behind [`crate::api::solve_lp`]'s
@@ -856,9 +609,8 @@ pub(crate) fn dense_hybrid(lp: &LpProblem<Rat>, opts: &LpOptions) -> LpReport {
     }
     let (fsol, fbasis) = solve_internal(&to_f64(lp));
     if fsol.status == LpStatus::Optimal {
-        let certify = std::time::Instant::now();
-        let mut tally = CertifyTally::default();
-        if let Some(solution) = verify_basis(lp, &fbasis, opts.certify, &mut tally) {
+        let certify = Instant::now();
+        if let (Certified::Verified(solution), tally) = verify_basis(lp, &fbasis, opts.certify) {
             let mut stats = SolveStats::default();
             apply_certify(&mut stats, certify.elapsed().as_nanos() as u64, &tally);
             return LpReport::dense(solution, false, stats);
