@@ -52,6 +52,18 @@ fn bench_span_solvers(c: &mut Criterion) {
             b.iter(|| black_box(span_exact(&inst).unwrap().cost))
         });
     }
+    // The size `abt busy` meets: the busy_flexible benchmark's regime.
+    let cfg = RandomConfig {
+        n: 100,
+        g: 3,
+        horizon: 400,
+        max_len: 16,
+        slack_factor: 1.0,
+    };
+    let inst = random_flexible(&cfg, 31);
+    group.bench_with_input(BenchmarkId::new("exact", 100), &100, |b, _| {
+        b.iter(|| black_box(span_exact(&inst).unwrap().cost))
+    });
     for &n in &[100usize, 1000] {
         let cfg = RandomConfig {
             n,

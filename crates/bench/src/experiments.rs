@@ -1,6 +1,7 @@
-//! The experiment suite: one function per paper artifact (see DESIGN.md §4
-//! for the index). Each returns an [`ExperimentReport`] whose table is the
-//! regenerated figure/claim; `EXPERIMENTS.md` records this output.
+//! The experiment suite: one function per paper artifact, `e1`–`e25`, each
+//! documented with the figure or claim it regenerates ([`all_reports`]
+//! runs them in order). Each returns an [`ExperimentReport`] whose table
+//! is the regenerated figure/claim.
 
 #![allow(clippy::type_complexity)] // ad-hoc closures over small stat tuples
 

@@ -1,10 +1,10 @@
 //! # abt-bench
 //!
 //! The experiment harness: regenerates every figure-level artifact of the
-//! paper (see DESIGN.md §4 for the experiment index) and hosts the
-//! Criterion runtime benches. `cargo run -p abt-bench --release --bin
-//! experiments` prints the Markdown recorded in `EXPERIMENTS.md` and
-//! writes `BENCH_lp.json` ([`bench_record`] documents the full lp-v2
+//! paper ([`experiments`] holds one function per artifact, `e1`–`e25`)
+//! and hosts the Criterion runtime benches. `cargo run -p abt-bench
+//! --release --bin experiments` prints each experiment's Markdown table
+//! and writes `BENCH_lp.json` ([`bench_record`] documents the full lp-v2
 //! schema), which the `perf_gate` binary compares field-by-field in CI.
 //! See the repo-root `ARCHITECTURE.md` for the whole pipeline.
 //!

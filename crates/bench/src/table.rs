@@ -1,5 +1,5 @@
-//! Minimal fixed-width table rendering for the experiment reports
-//! (EXPERIMENTS.md is generated from this output).
+//! Minimal fixed-width table rendering for the experiment reports (the
+//! Markdown the `experiments` binary prints).
 
 /// A simple text table.
 #[derive(Debug, Clone)]

@@ -34,6 +34,7 @@ pub enum IntervalAlgo {
 impl IntervalAlgo {
     /// Runs this algorithm on an interval instance.
     pub fn run(&self, inst: &Instance) -> Result<BusySchedule> {
+        let _span = abt_core::obs_span!("busy.pack");
         match self {
             IntervalAlgo::FirstFit => first_fit(inst, FirstFitOrder::LengthDesc),
             IntervalAlgo::GreedyTracking => greedy_tracking(inst),

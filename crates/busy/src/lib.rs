@@ -11,7 +11,8 @@
 //! * [`kumar_rudra`](mod@kumar_rudra) / [`alicherry_bhatia`](mod@alicherry_bhatia) — the 2-approximations for
 //!   interval jobs (Appendix A; tight by the Fig. 8 instance).
 //! * [`span`] — exact / heuristic minimum-span placement (`OPT_∞`,
-//!   substituting Khandekar et al.'s DP; DESIGN.md §5.3).
+//!   substituting Khandekar et al.'s DP; the module docs give the
+//!   covering reduction and the search).
 //! * [`flexible`] — the placement→interval pipeline (3-approx end to end
 //!   with GreedyTracking, Theorem 5; 4 with KR/AB, Theorem 10).
 //! * [`preemptive`] — §4.4: exact unbounded greedy and bounded-`g` 2-approx.

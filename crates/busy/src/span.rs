@@ -3,8 +3,8 @@
 //! The flexible-job pipeline (§4.3) first fixes every job's start time so
 //! that the projection ("shadow") of the jobs onto the time axis is
 //! minimal; the paper invokes Khandekar et al.'s polynomial DP for this as
-//! a black box. We implement an exact solver from first principles via a
-//! covering reduction (DESIGN.md §5.3):
+//! a black box (full version, arXiv:1610.08154). We implement an exact
+//! solver from first principles via a covering reduction:
 //!
 //! **Reduction.** With unbounded capacity, minimizing total busy time
 //! equals choosing disjoint intervals of minimum total length such that
@@ -22,10 +22,16 @@
 //! served set, and a collision with the next interval just merges them.
 //! Once `u` is fixed, only the `O(n)` values `v ∈ {max(r_j,u) + p_j}` can
 //! be optimal right endpoints, and an interval should serve *every* job
-//! that fits it (capacity is unbounded). The search memoizes on
-//! `(frontier, unserved set)`.
-
-#![allow(clippy::type_complexity)] // the memo key/value is a documented pair
+//! that fits it (capacity is unbounded).
+//!
+//! **Memo key.** The search memoizes on the unserved set alone. A state
+//! also has a frontier — the right end `v` of the interval before it — but
+//! the frontier is read only to reject a next start `u < v`. Every other
+//! quantity (`u`, the candidate ends, the served sets, the optimum and its
+//! first interval) is a function of the set. So the caller checks
+//! `u ≥ v` before it recurses, and a set reached behind different
+//! frontiers is solved once. Jobs are relabelled by `(c_j, j)`, which
+//! makes the forced job `j*` the lowest bit of the set.
 
 use abt_core::{Error, Instance, Interval, IntervalSet, Result, Time};
 use std::collections::HashMap;
@@ -63,100 +69,106 @@ pub fn span_exact(inst: &Instance) -> Result<SpanPlacement> {
             "span_exact supports at most 127 jobs, got {n}; use span_greedy"
         )));
     }
-    let c: Vec<Time> = inst.jobs().iter().map(|j| j.latest_start()).collect();
+    // Bit `k` of a set is the job of rank `k` by `(c_j, j)`.
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&j| (inst.job(j).latest_start(), j));
 
-    struct Ctx<'a> {
-        inst: &'a Instance,
-        c: Vec<Time>,
-        memo: HashMap<(Time, u128), (i64, Option<(Time, Time)>)>,
+    struct Search {
+        /// `(r, p, c)` per rank.
+        jobs: Vec<(Time, Time, Time)>,
+        /// Unserved set → (min cost, right end of its first interval).
+        memo: HashMap<u128, (i64, Time)>,
     }
-    impl Ctx<'_> {
-        /// Returns (min cost, first interval chosen) for serving `mask`
-        /// with all intervals starting at ≥ `frontier`.
-        fn solve(&mut self, frontier: Time, mask: u128) -> (i64, Option<(Time, Time)>) {
-            if mask == 0 {
-                return (0, None);
-            }
-            if let Some(&hit) = self.memo.get(&(frontier, mask)) {
+    impl Search {
+        /// Start of the interval that serves `mask` first: `c` of the
+        /// forced (lowest) job.
+        fn start(&self, mask: u128) -> Time {
+            self.jobs[mask.trailing_zeros() as usize].2
+        }
+
+        /// Rank `k`'s requirement at start `u`: the job fits `[u, v)` iff
+        /// `max(r, u) + p ≤ v`.
+        fn req(&self, k: usize, u: Time) -> Time {
+            let (r, p, _) = self.jobs[k];
+            r.max(u) + p
+        }
+
+        /// The jobs of `mask` that fit `[u, v)`.
+        fn served(&self, mask: u128, u: Time, v: Time) -> u128 {
+            ones(mask)
+                .filter(|&k| self.req(k, u) <= v)
+                .fold(0, |s, k| s | 1 << k)
+        }
+
+        /// Min cost of serving the non-empty `mask` with intervals that
+        /// start at or after `start(mask)`, and the right end of the first.
+        fn solve(&mut self, mask: u128) -> (i64, Time) {
+            if let Some(&hit) = self.memo.get(&mask) {
                 return hit;
             }
-            // Forced job: smallest c among unserved.
-            let jmin = (0..self.inst.len())
-                .filter(|&j| mask >> j & 1 == 1)
-                .min_by_key(|&j| (self.c[j], j))
-                .unwrap();
-            let u = self.c[jmin];
-            if u < frontier {
-                self.memo.insert((frontier, mask), (INF, None));
-                return (INF, None);
-            }
-            // Candidate right endpoints: requirements of unserved jobs.
-            let req = |j: usize| -> Time {
-                let job = self.inst.job(j);
-                job.release.max(u) + job.length
-            };
-            let vmin = req(jmin);
-            let mut cands: Vec<Time> = (0..self.inst.len())
-                .filter(|&j| mask >> j & 1 == 1)
-                .map(req)
-                .filter(|&v| v >= vmin)
-                .collect();
-            cands.sort_unstable();
-            cands.dedup();
-            let mut best = (INF, None);
-            for &v in &cands {
-                let mut served = 0u128;
-                for j in 0..self.inst.len() {
-                    if mask >> j & 1 == 1 && req(j) <= v {
-                        served |= 1 << j;
-                    }
+            let u = self.start(mask);
+            let vmin = self.req(mask.trailing_zeros() as usize, u);
+            let mut req: Vec<(Time, usize)> = ones(mask).map(|k| (self.req(k, u), k)).collect();
+            req.sort_unstable();
+            let mut best = (INF, 0);
+            let mut served = 0u128;
+            let mut i = 0;
+            while i < req.len() {
+                let v = req[i].0;
+                while i < req.len() && req[i].0 == v {
+                    served |= 1 << req[i].1;
+                    i += 1;
                 }
-                let (rest, _) = self.solve(v, mask & !served);
-                if rest < INF {
-                    let cost = (v - u) + rest;
-                    if cost < best.0 {
-                        best = (cost, Some((u, v)));
-                    }
+                // Jobs done before the forced one still ride along, but
+                // an interval must serve the forced job.
+                if v < vmin {
+                    continue;
+                }
+                // Candidates ascend and the rest costs ≥ 0: nothing later
+                // is strictly cheaper.
+                if v - u >= best.0 {
+                    break;
+                }
+                let rest = mask & !served;
+                let rest_cost = if rest == 0 {
+                    0
+                } else if self.start(rest) < v {
+                    continue; // the next interval would start inside this one
+                } else {
+                    self.solve(rest).0
+                };
+                let cost = (v - u) + rest_cost;
+                if cost < best.0 {
+                    best = (cost, v);
                 }
             }
-            self.memo.insert((frontier, mask), best);
+            self.memo.insert(mask, best);
             best
         }
     }
 
-    let mut ctx = Ctx {
-        inst,
-        c,
+    let mut search = Search {
+        jobs: order
+            .iter()
+            .map(|&j| {
+                let job = inst.job(j);
+                (job.release, job.length, job.latest_start())
+            })
+            .collect(),
         memo: HashMap::new(),
     };
-    let full = if n == 128 {
-        u128::MAX
-    } else {
-        (1u128 << n) - 1
-    };
-    let lo = inst.min_release();
-    let (cost, _) = ctx.solve(lo, full);
+    let full = (1u128 << n) - 1;
+    let (cost, _) = search.solve(full);
     debug_assert!(cost < INF, "every instance is feasible with unbounded g");
 
     // Walk the memo to reconstruct the chosen intervals.
     let mut intervals: Vec<Interval> = Vec::new();
-    let mut frontier = lo;
     let mut mask = full;
     while mask != 0 {
-        let (_, first) = ctx.solve(frontier, mask);
-        let (u, v) = first.expect("non-empty mask yields an interval");
+        let (_, v) = search.solve(mask);
+        let u = search.start(mask);
         intervals.push(Interval::new(u, v));
-        let mut served = 0u128;
-        for j in 0..n {
-            if mask >> j & 1 == 1 {
-                let job = inst.job(j);
-                if job.release.max(u) + job.length <= v {
-                    served |= 1 << j;
-                }
-            }
-        }
-        mask &= !served;
-        frontier = v;
+        mask &= !search.served(mask, u, v);
     }
     let placement = place_into(inst, &intervals);
     debug_assert_eq!(
@@ -169,6 +181,17 @@ pub fn span_exact(inst: &Instance) -> Result<SpanPlacement> {
     })
 }
 
+/// The set bits of `mask`, ascending.
+fn ones(mut mask: u128) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let k = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            k
+        })
+    })
+}
+
 /// Greedy heuristic for large instances: serve the most urgent job with a
 /// minimal interval, extending while an extension is locally profitable
 /// (extension cost < length of the job it absorbs).
@@ -178,16 +201,15 @@ pub fn span_greedy(inst: &Instance) -> SpanPlacement {
     unserved.sort_by_key(|&j| (inst.job(j).latest_start(), j));
     let mut intervals: Vec<Interval> = Vec::new();
     let mut frontier = inst.min_release();
-    let i = 0;
-    while i < unserved.len() {
-        let jmin = unserved[i];
+    // `unserved` stays sorted, so its head is the most urgent job.
+    while let Some(&jmin) = unserved.first() {
         let u = inst.job(jmin).latest_start().max(frontier);
         let req = |j: usize| -> Time { inst.job(j).release.max(u) + inst.job(j).length };
         let mut v = req(jmin);
         loop {
             // Absorb any remaining job whose marginal extension is cheaper
             // than its own length (it would otherwise cost ≥ p_j later).
-            let candidate = unserved[i..]
+            let candidate = unserved
                 .iter()
                 .copied()
                 .filter(|&j| {
@@ -202,16 +224,8 @@ pub fn span_greedy(inst: &Instance) -> SpanPlacement {
         }
         intervals.push(Interval::new(u, v));
         frontier = v;
-        // Drop all served jobs.
-        let served: Vec<usize> = unserved[i..]
-            .iter()
-            .copied()
-            .filter(|&j| inst.job(j).latest_start() >= u && req(j) <= v)
-            .collect();
-        unserved.retain(|j| !served.contains(j));
-        // `i` stays: unserved[i] is now the next most-urgent job.
+        unserved.retain(|&j| !(inst.job(j).latest_start() >= u && req(j) <= v));
     }
-    let _ = i;
     SpanPlacement {
         exact: false,
         ..place_into(inst, &intervals)
@@ -220,14 +234,8 @@ pub fn span_greedy(inst: &Instance) -> SpanPlacement {
 
 /// Exact if small enough, else greedy.
 pub fn span_place(inst: &Instance) -> SpanPlacement {
-    if inst.len() <= 24 {
-        span_exact(inst).expect("n ≤ 24 is supported")
-    } else {
-        match span_exact(inst) {
-            Ok(p) => p,
-            Err(_) => span_greedy(inst),
-        }
-    }
+    let _span = abt_core::obs_span!("busy.span");
+    span_exact(inst).unwrap_or_else(|_| span_greedy(inst))
 }
 
 /// Places every job leftmost inside the first chosen interval it fits,

@@ -47,6 +47,9 @@
 //! (`name value` lines) after the command's own output. Each of the three
 //! also prints a one-line per-phase time breakdown
 //! (decompose/warm/pivot/certify/stitch) from the always-on span rollups.
+//! `busy` with an interval algorithm (`ff`, `gt`, `kr`, `ab`, `lp`) prints
+//! the same kind of line for its two phases: the min-span placement
+//! (`span`) and the interval algorithm's packing (`pack`).
 //!
 //! Instance files use the `abt-core::io` text format (`g <k>` then one
 //! `job <r> <d> <p>` per line; `#` comments allowed).
@@ -222,26 +225,33 @@ fn supervision_summary(d: &abt_active::LpTelemetry) -> String {
 }
 
 /// One-line per-phase wall-time breakdown from the always-on span
-/// rollups. The CLI is one command per process, so the cumulative rollup
-/// totals are exactly this command's totals.
-fn phase_breakdown() -> String {
+/// rollups: `(label, span name)` per phase. The CLI is one command per
+/// process, so the cumulative rollup totals are exactly this command's
+/// totals.
+fn phase_line(phases: &[(&str, &str)]) -> String {
     let rollups = obs::span_rollups();
-    let ms = |name: &str| {
-        rollups
-            .iter()
-            .find(|(n, _, _)| n == name)
-            .map(|&(_, _, nanos)| nanos as f64 / 1e6)
-            .unwrap_or(0.0)
-    };
-    format!(
-        "phases: decompose {:.1} ms, warm {:.1} ms, pivot {:.1} ms, \
-         certify {:.1} ms, stitch {:.1} ms",
-        ms("solve.decompose"),
-        ms("solve.warm"),
-        ms("solve.pivot"),
-        ms("solve.certify"),
-        ms("solve.stitch"),
-    )
+    let parts: Vec<String> = phases
+        .iter()
+        .map(|&(label, span)| {
+            let nanos = rollups
+                .iter()
+                .find(|(n, _, _)| n == span)
+                .map_or(0, |&(_, _, nanos)| nanos);
+            format!("{label} {:.1} ms", nanos as f64 / 1e6)
+        })
+        .collect();
+    format!("phases: {}", parts.join(", "))
+}
+
+/// The LP pipeline's phases (`solve`, `incremental`, `replay`).
+fn phase_breakdown() -> String {
+    phase_line(&[
+        ("decompose", "solve.decompose"),
+        ("warm", "solve.warm"),
+        ("pivot", "solve.pivot"),
+        ("certify", "solve.certify"),
+        ("stitch", "solve.stitch"),
+    ])
 }
 
 fn run(args: &[&str]) -> Result<(), String> {
@@ -374,6 +384,10 @@ fn run(args: &[&str]) -> Result<(), String> {
                     println!("machine {m}: {:?}", b.items);
                 }
             }
+            println!(
+                "{}",
+                phase_line(&[("span", "busy.span"), ("pack", "busy.pack")])
+            );
             Ok(())
         }
         ["incremental", rest @ ..] => {

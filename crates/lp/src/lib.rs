@@ -20,8 +20,8 @@
 //!
 //! The allowed offline dependency set contains no LP solver (the paper's
 //! reproduction band notes the thin LP ecosystem), so this crate implements
-//! simplex from scratch; see `DESIGN.md` §2 and the repo-root
-//! `ARCHITECTURE.md` for the three solver generations.
+//! simplex from scratch; see the repo-root `ARCHITECTURE.md` for the
+//! three solver generations.
 //!
 //! # Example
 //!
