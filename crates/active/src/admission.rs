@@ -36,6 +36,24 @@
 //! condition fails iff some prefix maximum of `f` over releases `< b`
 //! exceeds `g·b`. A lazy max segment tree gives O((n + checks) · log n)
 //! overall — essentially free next to even one simplex pivot.
+//!
+//! # Per component
+//!
+//! The condition decomposes over the connected components of the
+//! job-window interval graph. Component spans are disjoint in time, so
+//! the jobs confined to any `[a, b)` split into per-component sets, each
+//! confined to a disjoint sub-interval of `[a, b)` whose capacities sum
+//! to at most `g·(b − a)`. Hence the instance passes iff every component
+//! passes, and a component's witness is a witness for the instance. The
+//! first violated deadline `b` is the same either way: a component's
+//! deadlines all lie before the next component's, so the earliest failing
+//! component holds it. Only the witness's left end `a` may differ.
+//!
+//! A component whose LP1 block solved `Optimal` passes: its jobs confined
+//! to `[a, b)` place their `x` only in runs inside `[a, b)`, whose `Y`
+//! sum to at most `b − a`, so their demand is at most `g·(b − a)`. The
+//! incremental driver ([`crate::incremental`]) therefore checks only the
+//! components its content cache cannot serve.
 
 use abt_core::{Instance, Time};
 use std::fmt;
@@ -232,7 +250,9 @@ pub fn admission_precheck(inst: &Instance) -> Result<(), AdmissionReject> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lp_model::{components, slot_runs, DecomposeMode};
     use abt_core::Job;
+    use proptest::prelude::*;
 
     fn inst(g: usize, jobs: &[(i64, i64, i64)]) -> Instance {
         Instance::new(jobs.iter().map(|&(r, d, p)| Job::new(r, d, p)).collect(), g).unwrap()
@@ -302,5 +322,54 @@ mod tests {
             .flat_map(|k| [(k, k + 3, 1), (k, k + 2, 1)])
             .collect();
         assert_eq!(admission_precheck(&inst(2, &overlapping)), Ok(()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn the_verdict_decomposes_over_components(
+            g in 1usize..4,
+            raw in proptest::collection::vec((0i64..5, 0i64..10, 1i64..4, 0i64..4), 1..30),
+        ) {
+            // Up to five clusters 14 apart; the widest windows reach into
+            // the next cluster, so clusters sometimes merge.
+            let jobs: Vec<(i64, i64, i64)> = raw
+                .iter()
+                .map(|&(c, t, p, slack)| (14 * c + t, 14 * c + t + p + slack, p))
+                .collect();
+            let whole = inst(g, &jobs);
+            let runs = slot_runs(&whole);
+            let mut first: Option<AdmissionReject> = None;
+            for comp in components(&whole, &runs, DecomposeMode::Auto) {
+                let sub = Instance::new(comp.jobs.iter().map(|&j| *whole.job(j)).collect(), g)
+                    .unwrap();
+                let Err(rej) = admission_precheck(&sub) else {
+                    continue;
+                };
+                // The witness is a real violation of the whole instance.
+                let (a, b) = rej.window;
+                let confined: i64 = whole
+                    .jobs()
+                    .iter()
+                    .filter(|j| a <= j.release && j.deadline <= b)
+                    .map(|j| j.length)
+                    .sum();
+                prop_assert_eq!(confined, rej.demand);
+                prop_assert_eq!(rej.capacity, g as i64 * (b - a));
+                prop_assert!(confined > rej.capacity, "{:?}", rej);
+                first.get_or_insert(rej);
+            }
+            match (admission_precheck(&whole), first) {
+                (Ok(()), None) => {}
+                // The first failing component, in time order, fails at the
+                // whole sweep's first violated deadline.
+                (Err(w), Some(f)) => prop_assert_eq!(w.window.1, f.window.1),
+                (w, f) => {
+                    return Err(TestCaseError::fail(format!(
+                        "whole instance {w:?}, components {f:?}"
+                    )))
+                }
+            }
+        }
     }
 }

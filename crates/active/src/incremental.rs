@@ -7,10 +7,16 @@
 //! [`IncrementalSolver::update_window`] — widen, shrink, or shift), and
 //! re-solves **only what changed**. The machinery composes three layers:
 //!
-//! * **Component decomposition** (PR 4): every solve recomputes the
-//!   connected components of the job-window interval graph — cheap, one
-//!   sort-and-merge sweep — so a mutation's blast radius is its own
-//!   component (or the components it merges/splits).
+//! * **Component decomposition, kept across solves** — the solver keeps
+//!   the connected components of the job-window interval graph from one
+//!   solve to the next, in a map keyed by span start. Every mutation
+//!   records the windows it touches (old and new); a solve dissolves only
+//!   the kept components that overlap a touched window (half-open overlap,
+//!   `r < d′` and `r′ < d`, the rule of the whole-instance sweep) and
+//!   re-partitions their live members plus the mutated jobs with one
+//!   sort-and-merge. Untouched components keep their members, content key
+//!   and run widths, so a solve does work in proportion to what the
+//!   mutations touched, not to the job set.
 //! * **Dirty-component tracking by content** — the solver caches each
 //!   solved component under a translation-invariant *content key* (the
 //!   sorted multiset of its jobs' `(release, deadline, length)` offsets).
@@ -38,26 +44,46 @@
 //! scratch with [`solve_active_lp_with`](crate::lp_model), which the
 //! property tests assert.
 //!
+//! Admission runs per component, and only on the components the content
+//! cache cannot serve: the interval load condition decomposes over
+//! components, and a cached block certifies its content (see
+//! [`crate::admission`]). The verdict, and the first violated deadline of
+//! a rejection, are those of the whole-instance sweep.
+//!
+//! A component that must be solved builds its LP from a sub-instance of
+//! its members in ascending handle order. Its slot runs are the global
+//! runs inside its span (no other job has an event point there), so the
+//! LP, its shape signature and its content key are exactly those of the
+//! whole-instance decomposition, and the stitched per-slot `y` walks the
+//! components in time order with zeros over the gaps.
+//!
 //! Telemetry flows into the process-wide [`lp_telemetry`]
 //! (`warm_attempts` / `warm_hits` / `warm_pivots_saved`), and each
 //! [`IncrementalReport`] carries the per-solve breakdown (components
-//! reused / warm-hit / cold-solved).
+//! reused / warm-hit / cold-solved). Each solve opens the always-on spans
+//! `incremental.regroup`, `incremental.admission` and
+//! `incremental.stitch`, and adds the jobs it re-partitioned to the
+//! `incremental.jobs_regrouped` registry counter.
 
 use crate::admission::admission_precheck;
 use crate::lp_model::{
-    build_component_lp, component_signature, components, disaggregate, lp_telemetry,
-    record_admission_reject, record_quarantine, record_recovery, record_state_corrupt,
-    record_warm_attempt, revised_options, slot_runs, ActiveLp, ComponentSignature, DecomposeMode,
-    LpOptions, SNAPSHOT_POOL_CAP,
+    build_component_lp, component_signature, lp_telemetry, record_admission_reject,
+    record_quarantine, record_recovery, record_state_corrupt, record_warm_attempt, revised_options,
+    slot_runs, ActiveLp, Component, ComponentSignature, DecomposeMode, LpOptions, SlotRun,
+    SNAPSHOT_POOL_CAP,
 };
 use crate::store::{encode_state, JournalOp, RecoveryReport, SolveStateStore};
 use crate::supervise::{supervised_solve, PartialSolve, QuarantinedComponent, SolveError};
-use abt_core::active_schedule::horizon_slots;
+use abt_core::obs::metrics::{self, Counter};
 use abt_core::persist::PersistError;
 use abt_core::{Error, Instance, Job, Result, SolveFailure, Time};
 use abt_lp::{BasisSnapshot, LpStatus, Rat};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
+use std::sync::OnceLock;
+
+#[cfg(test)]
+mod oracle;
 
 /// Bound on cached component blocks; past it both caches are cleared (a
 /// rare, cheap reset that keeps a long-lived solver's memory bounded).
@@ -88,6 +114,28 @@ pub(crate) struct ShapeEntry {
 /// Handle to a job owned by an [`IncrementalSolver`] (stable across
 /// mutations; unrelated to any [`Instance`]'s job indices).
 pub type IncrementalJobId = usize;
+
+/// A component of the last solve, kept in [`IncrementalSolver`]'s map
+/// under its span start.
+struct KeptComponent {
+    /// Span end: the latest member deadline.
+    end: Time,
+    /// Member handles, ascending. This is the order of the jobs in the
+    /// current instance, so the component LP's columns come out in the
+    /// same order as in a whole-instance decomposition.
+    members: Vec<IncrementalJobId>,
+    /// Content key of the members' jobs.
+    key: ContentKey,
+    /// Widths of the component's slot runs, in time order.
+    widths: Vec<i64>,
+}
+
+/// The `incremental.jobs_regrouped` registry counter: live jobs that
+/// solves (and store attaches) re-partitioned into components.
+fn jobs_regrouped() -> &'static Counter {
+    static C: OnceLock<&'static Counter> = OnceLock::new();
+    C.get_or_init(|| metrics::counter("incremental.jobs_regrouped"))
+}
 
 /// What one [`IncrementalSolver::solve`] call did, besides solving.
 #[derive(Debug, Clone)]
@@ -127,6 +175,14 @@ pub struct IncrementalSolver {
     /// called: mutations are write-ahead journaled and solves periodically
     /// checkpoint. `None` (the default) keeps the solver purely in-memory.
     store: Option<SolveStateStore>,
+    /// The components of the current job set as of the last regroup,
+    /// keyed by span start. Spans are disjoint, so both starts and ends
+    /// ascend through the map.
+    comps: BTreeMap<Time, KeptComponent>,
+    /// Windows that mutations since the last regroup touched, old and new.
+    touched: Vec<(Time, Time)>,
+    /// Jobs added or re-windowed since the last regroup.
+    pending: Vec<IncrementalJobId>,
 }
 
 impl IncrementalSolver {
@@ -156,6 +212,9 @@ impl IncrementalSolver {
             shape_cache: HashMap::new(),
             quarantine: HashMap::new(),
             store: None,
+            comps: BTreeMap::new(),
+            touched: Vec::new(),
+            pending: Vec::new(),
         })
     }
 
@@ -193,6 +252,12 @@ impl IncrementalSolver {
             self.shape_cache = s.shapes.into_iter().collect();
             self.quarantine = s.quarantine.into_iter().collect();
         }
+        self.comps.clear();
+        self.touched.clear();
+        self.pending = (0..self.jobs.len())
+            .filter(|&h| self.jobs[h].is_some())
+            .collect();
+        self.regroup();
         self.store = Some(store);
         Ok(RecoveryReport {
             resumed_jobs: self.live,
@@ -266,25 +331,26 @@ impl IncrementalSolver {
         }
         self.live += 1;
         self.jobs.push(Some(job));
+        self.touched.push((job.release, job.deadline));
+        self.pending.push(id);
         id
     }
 
     /// Removes a job by handle (write-ahead journaled, like
     /// [`add_job`](IncrementalSolver::add_job)).
     pub fn remove_job(&mut self, id: IncrementalJobId) -> Result<()> {
-        match self.jobs.get_mut(id) {
-            Some(slot @ Some(_)) => {
-                if let Some(store) = &mut self.store {
-                    store.log_op(&JournalOp::Remove { id });
-                }
-                *slot = None;
-                self.live -= 1;
-                Ok(())
-            }
-            _ => Err(Error::InvalidInstance(format!(
+        let Some(job) = self.jobs.get(id).copied().flatten() else {
+            return Err(Error::InvalidInstance(format!(
                 "no live job with incremental id {id}"
-            ))),
+            )));
+        };
+        if let Some(store) = &mut self.store {
+            store.log_op(&JournalOp::Remove { id });
         }
+        self.jobs[id] = None;
+        self.live -= 1;
+        self.touched.push((job.release, job.deadline));
+        Ok(())
     }
 
     /// Replaces a job's window (widen, shrink, or shift), keeping its
@@ -316,6 +382,9 @@ impl IncrementalSolver {
                 deadline,
             });
         }
+        self.touched.push((slot.release, slot.deadline));
+        self.touched.push((release, deadline));
+        self.pending.push(id);
         *slot = updated;
         Ok(())
     }
@@ -356,19 +425,40 @@ impl IncrementalSolver {
             self.shape_cache.clear();
             self.quarantine.clear();
         }
-        let inst = self.instance().map_err(SolveError::Model)?;
+        // Every live job outside `pending` passed a regroup, so only a job
+        // added since can be invalid; the whole-instance check names it.
+        let invalid = |h: &IncrementalJobId| {
+            self.jobs[*h].is_some_and(|j| Job::try_new(j.release, j.deadline, j.length).is_none())
+        };
+        if self.pending.iter().any(invalid) {
+            self.instance().map_err(SolveError::Model)?;
+        }
+        self.regroup();
         // Admission control: the Hall-condition precheck bounces
         // provably-infeasible job sets before any LP is built, leaving
-        // every cache untouched (see [`crate::admission`]).
-        if let Err(rej) = admission_precheck(&inst) {
-            record_admission_reject();
-            return Err(SolveError::Rejected(rej));
+        // every cache untouched. Components the content cache serves
+        // already passed it (see [`crate::admission`]).
+        {
+            let _span = abt_core::obs_span!("incremental.admission");
+            for kept in self.comps.values() {
+                let served = self
+                    .content_cache
+                    .get(&kept.key)
+                    .is_some_and(|b| b.y_runs.len() == kept.widths.len());
+                if served {
+                    continue;
+                }
+                let sub = member_instance(&self.jobs, &kept.members, self.g);
+                if let Err(rej) = admission_precheck(&sub) {
+                    record_admission_reject();
+                    return Err(SolveError::Rejected(rej));
+                }
+            }
         }
-        let slots = horizon_slots(&inst);
-        if inst.is_empty() {
+        if self.comps.is_empty() {
             return Ok(IncrementalReport {
                 lp: ActiveLp {
-                    slots,
+                    slots: Vec::new(),
                     y: Vec::new(),
                     objective: Rat::ZERO,
                 },
@@ -379,10 +469,9 @@ impl IncrementalSolver {
                 cold_solves: 0,
             });
         }
-        let runs = slot_runs(&inst);
-        let comps = components(&inst, &runs, DecomposeMode::Auto);
         let ropts = revised_options(&self.opts);
-        let mut y_runs = vec![Rat::ZERO; runs.len()];
+        // Per-run `Y` of every component, in time order.
+        let mut y_runs: Vec<Rat> = Vec::new();
         let mut objective = Rat::ZERO;
         let mut healthy: Vec<(usize, Rat)> = Vec::new();
         let mut quarantined: Vec<QuarantinedComponent> = Vec::new();
@@ -393,21 +482,18 @@ impl IncrementalSolver {
                 y: Vec::new(),
                 objective: Rat::ZERO,
             },
-            components: comps.len(),
+            components: self.comps.len(),
             reused: 0,
             warm_attempts: 0,
             warm_hits: 0,
             cold_solves: 0,
         };
-        for (ci, comp) in comps.iter().enumerate() {
-            let n_runs = comp.run_hi - comp.run_lo;
-            let ckey = content_key(&inst, comp);
-            match self.content_cache.get(&ckey) {
+        for (ci, kept) in self.comps.values().enumerate() {
+            let n_runs = kept.widths.len();
+            match self.content_cache.get(&kept.key) {
                 Some(block) if block.y_runs.len() == n_runs => {
                     report.reused += 1;
-                    for (k, val) in block.y_runs.iter().enumerate() {
-                        y_runs[comp.run_lo + k] = *val;
-                    }
+                    y_runs.extend_from_slice(&block.y_runs);
                     objective = objective.add(&block.objective);
                     healthy.push((ci, block.objective));
                     continue;
@@ -421,23 +507,30 @@ impl IncrementalSolver {
                     // hit is lost.
                     record_state_corrupt();
                     record_recovery();
-                    self.content_cache.remove(&ckey);
+                    self.content_cache.remove(&kept.key);
                 }
                 None => {}
             }
             // A quarantined key is not retried: the ladder already failed
             // for this exact content, and re-admission is content-driven.
-            if let Some(f) = self.quarantine.get(&ckey) {
+            if let Some(f) = self.quarantine.get(&kept.key) {
                 quarantined.push(QuarantinedComponent {
-                    jobs: comp.jobs.clone(),
+                    jobs: instance_indices(&self.jobs, &kept.members),
                     failure: f.clone(),
                 });
-                live_quarantine.push(ckey);
+                live_quarantine.push(kept.key.clone());
                 continue;
             }
             // Dirty: re-solve, warm from the shape's snapshot pool.
-            let lp = build_component_lp(&inst, &self.opts, &runs, comp);
-            let skey = component_signature(&inst, &runs, comp);
+            let sub = member_instance(&self.jobs, &kept.members, self.g);
+            let runs = slot_runs(&sub);
+            let comp = Component {
+                run_lo: 0,
+                run_hi: runs.len(),
+                jobs: (0..sub.len()).collect(),
+            };
+            let lp = build_component_lp(&sub, &self.opts, &runs, &comp);
+            let skey = component_signature(&sub, &runs, &comp);
             let entry = self.shape_cache.get(&skey);
             let pool: &[BasisSnapshot] = entry.map(|e| e.snapshots.as_slice()).unwrap_or(&[]);
             let (sol, pivots, warm_hit, snapshot) =
@@ -456,11 +549,11 @@ impl IncrementalSolver {
                     Err(f) => {
                         record_quarantine();
                         quarantined.push(QuarantinedComponent {
-                            jobs: comp.jobs.clone(),
+                            jobs: instance_indices(&self.jobs, &kept.members),
                             failure: f.clone(),
                         });
-                        live_quarantine.push(ckey.clone());
-                        self.quarantine.insert(ckey, f);
+                        live_quarantine.push(kept.key.clone());
+                        self.quarantine.insert(kept.key.clone(), f);
                         continue;
                     }
                 };
@@ -480,12 +573,10 @@ impl IncrementalSolver {
                 y_runs: sol.x[..n_runs].to_vec(),
                 objective: sol.objective,
             };
-            for (k, val) in block.y_runs.iter().enumerate() {
-                y_runs[comp.run_lo + k] = *val;
-            }
+            y_runs.extend_from_slice(&block.y_runs);
             objective = objective.add(&block.objective);
             healthy.push((ci, block.objective));
-            self.content_cache.insert(ckey, block);
+            self.content_cache.insert(kept.key.clone(), block);
             // Only cold-resolved snapshots enrich the shape pool: a warm
             // hit terminated at (or near) a vertex the pool already
             // covers, so pushing it would fill the capped pool with
@@ -525,13 +616,99 @@ impl IncrementalSolver {
                 quarantined,
             }));
         }
+        let (slots, y) = self.stitch(&y_runs);
         report.lp = ActiveLp {
-            y: disaggregate(&runs, &y_runs),
             slots,
+            y,
             objective,
         };
         debug_assert_eq!(report.lp.y.len(), report.lp.slots.len());
         Ok(report)
+    }
+
+    /// Re-partitions the kept components that a mutation since the last
+    /// regroup touched: they dissolve, and their live members plus the
+    /// added or re-windowed jobs merge into new components with one
+    /// sort-and-merge. A kept component that overlaps no touched window
+    /// lost no member and gained no neighbour, so it is still a component.
+    fn regroup(&mut self) {
+        let _span = abt_core::obs_span!("incremental.regroup");
+        let mut handles = std::mem::take(&mut self.pending);
+        for (r, d) in self.touched.drain(..) {
+            // Kept spans ascend, so the ones overlapping [r, d) are the
+            // last few that start before d.
+            while let Some((&start, kept)) = self.comps.range(..d).next_back() {
+                if kept.end <= r {
+                    break;
+                }
+                let kept = self.comps.remove(&start).expect("found above");
+                handles.extend(kept.members);
+            }
+        }
+        let mut windows: Vec<(Time, Time, IncrementalJobId)> = handles
+            .into_iter()
+            .filter_map(|h| self.jobs[h].map(|j| (j.release, j.deadline, h)))
+            .collect();
+        windows.sort_unstable();
+        windows.dedup();
+        jobs_regrouped().add(windows.len() as u64);
+        let mut i = 0;
+        while i < windows.len() {
+            // A window joins the component iff it starts before the span
+            // ends: the half-open overlap rule.
+            let (start, mut end, _) = windows[i];
+            let mut j = i + 1;
+            while j < windows.len() && windows[j].0 < end {
+                end = end.max(windows[j].1);
+                j += 1;
+            }
+            let mut members: Vec<IncrementalJobId> = windows[i..j].iter().map(|w| w.2).collect();
+            members.sort_unstable();
+            let sub = member_instance(&self.jobs, &members, self.g);
+            let widths = slot_runs(&sub).iter().map(SlotRun::width).collect();
+            let key = content_key(sub.jobs());
+            self.comps.insert(
+                start,
+                KeptComponent {
+                    end,
+                    members,
+                    key,
+                    widths,
+                },
+            );
+            i = j;
+        }
+    }
+
+    /// The per-slot `y` over the horizon, from the components' per-run
+    /// `Y` in time order: zeros over the gaps between components, and each
+    /// run's mass spread evenly over its slots (`y_t = Y_I / w_I`).
+    fn stitch(&self, y_runs: &[Rat]) -> (Vec<Time>, Vec<Rat>) {
+        let _span = abt_core::obs_span!("incremental.stitch");
+        let (Some((&lo, _)), Some((_, last))) =
+            (self.comps.first_key_value(), self.comps.last_key_value())
+        else {
+            return (Vec::new(), Vec::new());
+        };
+        let mut y: Vec<Rat> = Vec::with_capacity((last.end - lo) as usize);
+        let mut at = lo;
+        let mut vals = y_runs.iter();
+        for (&start, kept) in &self.comps {
+            y.resize(y.len() + (start - at) as usize, Rat::ZERO);
+            for &w in &kept.widths {
+                // Most runs are closed; skipping their exact division
+                // gives the same zero.
+                let mass = vals.next().expect("one Y per run");
+                let share = if mass.signum() == 0 {
+                    Rat::ZERO
+                } else {
+                    mass.div(&Rat::from_int(w))
+                };
+                y.resize(y.len() + w as usize, share);
+            }
+            at = kept.end;
+        }
+        ((lo + 1..=last.end).collect(), y)
     }
 
     /// Process-wide LP telemetry snapshot, re-exported for driver callers
@@ -541,24 +718,43 @@ impl IncrementalSolver {
     }
 }
 
-/// The translation-invariant [`ContentKey`] of a component.
-fn content_key(inst: &Instance, comp: &crate::lp_model::Component) -> ContentKey {
-    let base = comp
-        .jobs
+/// The translation-invariant [`ContentKey`] of a component's jobs.
+fn content_key(jobs: &[Job]) -> ContentKey {
+    let base = jobs
         .iter()
-        .map(|&j| inst.job(j).release)
+        .map(|j| j.release)
         .min()
         .expect("components are never empty");
-    let mut key: ContentKey = comp
-        .jobs
+    let mut key: ContentKey = jobs
         .iter()
-        .map(|&j| {
-            let job = inst.job(j);
-            (job.release - base, job.deadline - base, job.length)
-        })
+        .map(|j| (j.release - base, j.deadline - base, j.length))
         .collect();
     key.sort_unstable();
     key
+}
+
+/// The sub-instance of `members`' jobs, in the order given.
+fn member_instance(jobs: &[Option<Job>], members: &[IncrementalJobId], g: usize) -> Instance {
+    let member_jobs = members
+        .iter()
+        .map(|&h| jobs[h].expect("component members are live"))
+        .collect();
+    Instance::new(member_jobs, g).expect("regrouped jobs passed validation")
+}
+
+/// The instance indices of `members` (ascending handles): each one's rank
+/// among the live handles.
+fn instance_indices(jobs: &[Option<Job>], members: &[IncrementalJobId]) -> Vec<usize> {
+    let mut rank = 0;
+    let mut from = 0;
+    members
+        .iter()
+        .map(|&h| {
+            rank += jobs[from..h].iter().filter(|j| j.is_some()).count();
+            from = h;
+            rank
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -692,6 +888,26 @@ mod tests {
         solver.remove_job(id).unwrap();
         assert!(solver.remove_job(id).is_err(), "double remove");
         assert!(IncrementalSolver::new(0).is_err());
+    }
+
+    #[test]
+    fn an_invalid_arrival_is_a_typed_error_until_it_leaves() {
+        let mut solver = IncrementalSolver::new(2).unwrap();
+        solver.add_job(Job::new(0, 4, 2));
+        // Job's fields are public, so an unchecked literal can arrive.
+        let bad = solver.add_job(Job {
+            release: 5,
+            deadline: 6,
+            length: 3,
+        });
+        match solver.try_solve() {
+            Err(SolveError::Model(Error::InvalidJob { job, .. })) => assert_eq!(job, 1),
+            other => panic!("expected InvalidJob, got {other:?}"),
+        }
+        solver.remove_job(bad).unwrap();
+        let rep = solver.solve().unwrap();
+        assert_eq!(rep.components, 1);
+        assert_eq!(rep.lp.objective, Rat::from_int(2));
     }
 
     #[test]

@@ -45,8 +45,12 @@
 //! command finishes — including after a quarantine error or panic — and
 //! `--metrics` prints the full metrics-registry exposition
 //! (`name value` lines) after the command's own output. Each of the three
-//! also prints a one-line per-phase time breakdown
-//! (decompose/warm/pivot/certify/stitch) from the always-on span rollups.
+//! also prints a one-line per-phase time breakdown from the always-on
+//! span rollups: `solve` splits into decompose/warm/pivot/certify/stitch,
+//! and `incremental` and `replay` into admission/regroup/warm/pivot/
+//! certify/stitch (the incremental driver's own spans around the LP
+//! ones). `incremental`'s totals line also counts the jobs the driver
+//! re-partitioned into components (`incremental.jobs_regrouped`).
 //! `busy` with an interval algorithm (`ff`, `gt`, `kr`, `ab`, `lp`) prints
 //! the same kind of line for its two phases: the min-span placement
 //! (`span`) and the interval algorithm's packing (`pack`).
@@ -243,7 +247,7 @@ fn phase_line(phases: &[(&str, &str)]) -> String {
     format!("phases: {}", parts.join(", "))
 }
 
-/// The LP pipeline's phases (`solve`, `incremental`, `replay`).
+/// The LP pipeline's phases (`solve`).
 fn phase_breakdown() -> String {
     phase_line(&[
         ("decompose", "solve.decompose"),
@@ -252,6 +256,23 @@ fn phase_breakdown() -> String {
         ("certify", "solve.certify"),
         ("stitch", "solve.stitch"),
     ])
+}
+
+/// The incremental driver's phases (`incremental`, `replay`).
+fn incremental_phases() -> String {
+    phase_line(&[
+        ("admission", "incremental.admission"),
+        ("regroup", "incremental.regroup"),
+        ("warm", "solve.warm"),
+        ("pivot", "solve.pivot"),
+        ("certify", "solve.certify"),
+        ("stitch", "incremental.stitch"),
+    ])
+}
+
+/// Jobs the incremental driver re-partitioned into components so far.
+fn jobs_regrouped() -> u64 {
+    obs::counter("incremental.jobs_regrouped").get()
 }
 
 fn run(args: &[&str]) -> Result<(), String> {
@@ -408,6 +429,7 @@ fn run(args: &[&str]) -> Result<(), String> {
                 cfg.templates
             );
             let before = lp_telemetry();
+            let regrouped = jobs_regrouped();
             let mut solver =
                 IncrementalSolver::with_options(oa.g, opts).map_err(|e| e.to_string())?;
             for (i, job) in oa.jobs.iter().enumerate() {
@@ -429,11 +451,18 @@ fn run(args: &[&str]) -> Result<(), String> {
             }
             let d = lp_telemetry().delta(&before);
             println!(
-                "replay totals: {} LP solves, {} pivots, warm {}/{} hits ({} pivots saved), {} fallbacks",
-                d.solves, d.pivots, d.warm_hits, d.warm_attempts, d.warm_pivots_saved, d.fallbacks
+                "replay totals: {} LP solves, {} pivots, warm {}/{} hits ({} pivots saved), \
+                 {} fallbacks, {} jobs regrouped",
+                d.solves,
+                d.pivots,
+                d.warm_hits,
+                d.warm_attempts,
+                d.warm_pivots_saved,
+                d.fallbacks,
+                jobs_regrouped() - regrouped
             );
             println!("{}", supervision_summary(&d));
-            println!("{}", phase_breakdown());
+            println!("{}", incremental_phases());
             Ok(())
         }
         ["replay", rest @ ..] => {
@@ -542,7 +571,7 @@ fn run(args: &[&str]) -> Result<(), String> {
                 },
             );
             println!("{}", supervision_summary(&d));
-            println!("{}", phase_breakdown());
+            println!("{}", incremental_phases());
             println!("final objective: {objective}");
             Ok(())
         }

@@ -16,14 +16,17 @@
 //! the nested/structured window layouts follow Cao et al.
 //! (arXiv:2207.12507).
 //!
-//! Feasibility is guaranteed exactly: every window of a stripe contains
-//! the stripe midpoint, so Hall's condition reduces to per-endpoint-
-//! interval capacity constraints (`Σ_{windows ⊆ [a,b]} len ≤ g·(b−a)`),
-//! and each drawn length is capped to keep every such constraint
-//! satisfiable for the jobs still to come. Every prefix of the arrival
-//! order only removes jobs, so prefixes stay feasible too.
+//! Feasibility is guaranteed exactly. Each drawn length is first capped
+//! by the endpoint-interval constraints (`Σ_{windows ⊆ [a,b]} len ≤
+//! g·(b−a)`, with one unit reserved for every job still to come), then
+//! shortened until the stripe so far, plus those reserved units, passes
+//! the exact `G_feas` max-flow of Fig. 2: the interval caps alone miss
+//! that a slot covered by fewer than `g` windows hosts fewer than `g`
+//! units. Every prefix of the arrival order only removes jobs, so
+//! prefixes stay feasible too.
 
 use abt_core::{Instance, Job};
+use abt_flow::{max_flow, FlowGraph};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -133,18 +136,14 @@ pub fn online_arrivals(cfg: &OnlineArrivalsConfig, seed: u64) -> OnlineArrivals 
     for c in 0..cfg.clusters {
         let layout = &layouts[c % cfg.templates];
         let base = c as i64 * (cfg.span + cfg.gap);
-        // Length caps via the exact feasibility condition. Every window
-        // contains the midpoint, so a subset's window union is itself an
-        // interval and Hall's condition reduces to: for every endpoint
-        // interval [a, b], Σ_{windows ⊆ [a,b]} len ≤ g·(b − a). Each job's
-        // cap additionally reserves one unit for every *later* job inside
+        // Length caps from the endpoint intervals: for every interval
+        // [a, b] holding this window, Σ_{windows ⊆ [a,b]} len ≤ g·(b − a).
+        // Each job's cap reserves one unit for every *later* job inside
         // the same interval, which keeps every cap ≥ 1: with
         // `jobs_per_cluster ≤ 2g` and window widths ≥ 2, an interval
-        // containing m windows has capacity g·(b−a) ≥ 2g ≥ m, and the
-        // invariant `assigned + remaining ≤ g·(b−a)` is maintained by
-        // construction — so the drawn lengths are always feasible, the
-        // rng stream is consumed uniformly (shapes stay template-fixed),
-        // and every prefix of the stripe only loosens the constraints.
+        // containing m windows has capacity g·(b−a) ≥ 2g ≥ m. The rng
+        // stream is consumed uniformly (shapes stay template-fixed), and
+        // every prefix of the stripe only loosens the constraints.
         let mut lens: Vec<i64> = Vec::with_capacity(layout.len());
         for (k, &(lo, hi)) in layout.iter().enumerate() {
             let desired = rng.gen_range(1..=cfg.max_len.min(hi - lo));
@@ -168,13 +167,57 @@ pub fn online_arrivals(cfg: &OnlineArrivalsConfig, seed: u64) -> OnlineArrivals 
                 }
             }
             debug_assert!(cap >= 1, "the 2g guard keeps every cap positive");
-            lens.push(desired.min(cap));
+            // The caps above ignore that a slot covered by fewer than g
+            // windows hosts fewer than g units, so check the stripe so far
+            // exactly, with one unit reserved for each later job, and
+            // shorten this job until it fits. Length 1 always fits: that
+            // is the previous job's check. A trace that fits never
+            // shortens here, so it comes out as before.
+            let mut len = desired.min(cap);
+            let later = layout[k + 1..].iter().map(|&(l, h)| (l, h, 1));
+            while len > 1 {
+                let stripe: Vec<(i64, i64, i64)> = layout
+                    .iter()
+                    .zip(lens.iter().chain([&len]))
+                    .map(|(&(l, h), &p)| (l, h, p))
+                    .chain(later.clone())
+                    .collect();
+                if stripe_feasible(&stripe, cfg.g) {
+                    break;
+                }
+                len -= 1;
+            }
+            lens.push(len);
         }
         for (&(lo, hi), &len) in layout.iter().zip(&lens) {
             jobs.push(Job::new(base + lo, base + hi, len));
         }
     }
     OnlineArrivals { g: cfg.g, jobs }
+}
+
+/// Whether jobs `(release, deadline, length)` fit at capacity `g` with
+/// every slot of their horizon open: the max-flow on `G_feas` (Fig. 2)
+/// saturates every job's demand. A job may use the slots
+/// `release + 1 ..= deadline`.
+fn stripe_feasible(jobs: &[(i64, i64, i64)], g: usize) -> bool {
+    let lo = jobs.iter().map(|j| j.0).min().unwrap_or(0);
+    let hi = jobs.iter().map(|j| j.1).max().unwrap_or(0);
+    let slots = (hi - lo).max(0) as usize;
+    // Nodes: source, the jobs, the slots, sink.
+    let (s, t) = (0, jobs.len() + slots + 1);
+    let slot = |time: i64| jobs.len() + (time - lo) as usize;
+    let mut net = FlowGraph::new(t + 1);
+    for (i, &(r, d, p)) in jobs.iter().enumerate() {
+        net.add_edge(s, 1 + i, p);
+        for time in r + 1..=d {
+            net.add_edge(1 + i, slot(time), 1);
+        }
+    }
+    for time in lo + 1..=hi {
+        net.add_edge(slot(time), t, g as i64);
+    }
+    max_flow(&mut net, s, t).value == jobs.iter().map(|j| j.2).sum::<i64>()
 }
 
 #[cfg(test)]
@@ -228,14 +271,60 @@ mod tests {
             jobs_per_cluster: 4,
             ..Default::default()
         };
-        let oa = online_arrivals(&cfg, 11);
-        // The endpoint-interval caps keep the mass bound on every prefix
-        // (and construction already validated each Job).
-        for k in 0..=oa.jobs.len() {
-            let inst = oa.prefix_instance(k);
-            assert_eq!(inst.len(), k);
-            assert!(inst.total_length() <= cfg.g as i64 * cfg.clusters as i64 * cfg.span);
+        for seed in 0..40 {
+            let oa = online_arrivals(&cfg, seed);
+            for k in 0..=oa.jobs.len() {
+                let inst = oa.prefix_instance(k);
+                assert_eq!(inst.len(), k);
+                assert!(
+                    stripe_feasible(&triples(&inst), cfg.g),
+                    "seed {seed}, prefix {k}"
+                );
+            }
         }
+    }
+
+    fn triples(inst: &Instance) -> Vec<(i64, i64, i64)> {
+        inst.jobs()
+            .iter()
+            .map(|j| (j.release, j.deadline, j.length))
+            .collect()
+    }
+
+    #[test]
+    fn under_covered_slots_shorten_the_draw() {
+        // The endpoint-interval caps alone gave stripe 3 of this trace
+        // the jobs (39,42,3), (38,42,2) and (39,42,3): 8 units, but the
+        // covered slots host only 7.
+        let cfg = OnlineArrivalsConfig {
+            clusters: 4,
+            jobs_per_cluster: 3,
+            templates: 2,
+            g: 2,
+            span: 10,
+            gap: 2,
+            max_len: 3,
+        };
+        let oa = online_arrivals(&cfg, 431);
+        assert!(stripe_feasible(&triples(&oa.instance()), cfg.g));
+        let stripe3: Vec<(i64, i64, i64)> = triples(&oa.instance())[9..].to_vec();
+        assert_eq!(
+            stripe3.iter().map(|j| (j.0, j.1)).collect::<Vec<_>>(),
+            [(39, 42), (38, 42), (39, 42)]
+        );
+        assert!(stripe3.iter().map(|j| j.2).sum::<i64>() <= 7);
+    }
+
+    #[test]
+    fn g_feas_counts_what_covered_slots_host() {
+        // Slot 39 is covered only by the middle window, so it hosts 1
+        // unit at g = 2, not 2.
+        assert!(!stripe_feasible(
+            &[(39, 42, 3), (38, 42, 2), (39, 42, 3)],
+            2
+        ));
+        assert!(stripe_feasible(&[(39, 42, 3), (38, 42, 1), (39, 42, 3)], 2));
+        assert!(stripe_feasible(&[], 1));
     }
 
     #[test]
