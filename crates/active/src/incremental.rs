@@ -57,7 +57,7 @@
 //! whole-instance decomposition, and the stitched per-slot `y` walks the
 //! components in time order with zeros over the gaps.
 //!
-//! Telemetry flows into the process-wide [`lp_telemetry`]
+//! Telemetry flows into the process-wide [`lp_telemetry`](crate::lp_telemetry)
 //! (`warm_attempts` / `warm_hits` / `warm_pivots_saved`), and each
 //! [`IncrementalReport`] carries the per-solve breakdown (components
 //! reused / warm-hit / cold-solved). Each solve opens the always-on spans
@@ -67,10 +67,9 @@
 
 use crate::admission::admission_precheck;
 use crate::lp_model::{
-    build_component_lp, component_signature, lp_telemetry, record_admission_reject,
-    record_quarantine, record_recovery, record_state_corrupt, record_warm_attempt, revised_options,
-    slot_runs, ActiveLp, Component, ComponentSignature, DecomposeMode, LpOptions, SlotRun,
-    SNAPSHOT_POOL_CAP,
+    build_component_lp, component_signature, record_admission_reject, record_quarantine,
+    record_recovery, record_state_corrupt, record_warm_attempt, revised_options, slot_runs,
+    ActiveLp, Component, ComponentSignature, DecomposeMode, LpOptions, SlotRun, SNAPSHOT_POOL_CAP,
 };
 use crate::store::{encode_state, JournalOp, RecoveryReport, SolveStateStore};
 use crate::supervise::{supervised_solve, PartialSolve, QuarantinedComponent, SolveError};
@@ -709,12 +708,6 @@ impl IncrementalSolver {
             at = kept.end;
         }
         ((lo + 1..=last.end).collect(), y)
-    }
-
-    /// Process-wide LP telemetry snapshot, re-exported for driver callers
-    /// (the CLI's `incremental` subcommand prints the warm counters).
-    pub fn telemetry() -> crate::lp_model::LpTelemetry {
-        lp_telemetry()
     }
 }
 

@@ -75,9 +75,9 @@ pub use exact::{exact_active_time, ExactActive};
 pub use feasibility::{feasible_on, schedule_on, FeasibilityChecker};
 pub use incremental::{IncrementalJobId, IncrementalReport, IncrementalSolver};
 pub use lp_model::{
-    component_vars_window, fractional_feasible, lp_telemetry, pivots_per_solve_snapshot,
-    solve_active_lp, solve_active_lp_with, solve_latency_snapshot, try_solve_active_lp_with,
-    ActiveLp, DecomposeMode, LpOptions, LpTelemetry, VubMode, WarmMode,
+    fractional_feasible, lp_telemetry, pivots_per_solve_snapshot, solve_active_lp,
+    solve_active_lp_with, try_solve_active_lp_with, ActiveLp, DecomposeMode, LpOptions,
+    LpTelemetry, VubMode, WarmMode,
 };
 pub use minimal::{
     is_minimal, minimal_feasible, minimal_feasible_from, ClosingOrder, MinimalResult,

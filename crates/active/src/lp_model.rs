@@ -278,308 +278,184 @@ impl LpOptions {
     }
 }
 
-/// Handles of the process-wide LP solve metrics, resolved once from the
-/// unified [`abt_core::obs::metrics`] registry (`lp.*` namespace). The
-/// legacy [`lp_telemetry`] facade reads these — the registry is the
-/// single source of truth, shared with the `abt trace` / `--metrics`
-/// exposition surfaces.
-struct LpMetrics {
-    /// Supervised LP solves: one per component sub-LP, plus the
-    /// feasibility oracle below.
-    solves: &'static Counter,
+/// Declares the `lp.*` registry counters once. From one list of
+/// `field: "lp.name"` entries it writes the private handle struct
+/// `LpMetrics`, their registration in `met()`, the public
+/// [`LpTelemetry`] fields, [`LpTelemetry::delta`] and [`lp_telemetry`].
+/// The `max_component_vars` gauge pair and the two histograms are written
+/// out by hand.
+macro_rules! lp_counters {
+    ($($(#[$doc:meta])* $field:ident: $name:literal,)*) => {
+        /// Handles of the process-wide LP solve metrics, resolved once from
+        /// the unified [`abt_core::obs::metrics`] registry (`lp.*`
+        /// namespace). The [`lp_telemetry`] facade reads these — the
+        /// registry is the single source of truth, shared with the
+        /// `abt trace` / `--metrics` exposition surfaces.
+        struct LpMetrics {
+            $($field: &'static Counter,)*
+            /// High-water gauge of the largest component sub-LP's variable
+            /// count (sharded solves only).
+            max_component_vars: &'static Gauge,
+            /// Wall-time latency of each supervised/hybrid solve,
+            /// microseconds (log-bucket histogram; feeds the per-experiment
+            /// p50/p90/p99 bench columns and the perf gate's p99 rule).
+            solve_latency_us: &'static Histogram,
+            /// Pivot count of each solve (a *deterministic* distribution —
+            /// used by the determinism tests and effort diagnostics).
+            pivots_per_solve: &'static Histogram,
+        }
+
+        /// The `lp.*` metric handles (resolved on first use).
+        fn met() -> &'static LpMetrics {
+            static MET: OnceLock<LpMetrics> = OnceLock::new();
+            MET.get_or_init(|| LpMetrics {
+                $($field: obs::metrics::counter($name),)*
+                max_component_vars: obs::metrics::gauge("lp.max_component_vars"),
+                solve_latency_us: obs::metrics::histogram("lp.solve_latency_us"),
+                pivots_per_solve: obs::metrics::histogram("lp.pivots_per_solve"),
+            })
+        }
+
+        /// A snapshot of the process-wide LP solve telemetry (see
+        /// [`lp_telemetry`]). All counters are cumulative and monotone; diff
+        /// two snapshots with [`LpTelemetry::delta`] to scope them to a
+        /// region. Every field is maintained with atomic adds (the
+        /// high-water mark with atomic max), so concurrent solves (e.g.
+        /// under `parallel_map`) are counted exactly — a delta across a
+        /// parallel region equals the sum of the per-solve contributions.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct LpTelemetry {
+            $($(#[$doc])* pub $field: u64,)*
+            /// High-water mark of the largest component sub-LP's variable
+            /// count across sharded solves. **Not** a monotone sum — see
+            /// [`LpTelemetry::delta`] for the windowed semantics, and
+            /// [`Gauge::window`] on `lp.max_component_vars` for an exact max
+            /// over an arbitrary region.
+            pub max_component_vars: u64,
+            /// Number of strict raises of the `max_component_vars` high
+            /// water (monotone). [`LpTelemetry::delta`] uses it to decide
+            /// whether the window established a new high water; not
+            /// meaningful on its own.
+            pub max_component_raises: u64,
+        }
+
+        impl LpTelemetry {
+            /// Componentwise `self − earlier` for the monotone counters.
+            ///
+            /// `max_component_vars` is a high-water mark, not a sum, and
+            /// gets **max-over-window** semantics: when the window raised
+            /// the process-wide high water (`max_component_raises`
+            /// advanced), the later snapshot's value *is* the exact
+            /// in-window maximum — the record that set it happened inside
+            /// the window — and is reported; when it did not, the delta
+            /// reports 0 rather than carrying a stale process-wide value
+            /// forward (the historical wart). A window that sharded only
+            /// below an earlier high water therefore reads 0 here; open a
+            /// [`Gauge::window`] on `lp.max_component_vars` when the exact
+            /// in-window maximum of such a region matters (the experiment
+            /// harness does).
+            pub fn delta(&self, earlier: &LpTelemetry) -> LpTelemetry {
+                LpTelemetry {
+                    $($field: self.$field - earlier.$field,)*
+                    max_component_vars: if self.max_component_raises
+                        > earlier.max_component_raises
+                    {
+                        self.max_component_vars
+                    } else {
+                        0
+                    },
+                    max_component_raises: self.max_component_raises
+                        - earlier.max_component_raises,
+                }
+            }
+        }
+
+        /// Snapshot of the cumulative LP telemetry. Callers diff two
+        /// snapshots to scope the counters to a region (the CLI's
+        /// supervision line, the benchmark's per-op split).
+        pub fn lp_telemetry() -> LpTelemetry {
+            let m = met();
+            LpTelemetry {
+                $($field: m.$field.get(),)*
+                max_component_vars: m.max_component_vars.max(),
+                max_component_raises: m.max_component_vars.raises(),
+            }
+        }
+    };
+}
+
+lp_counters! {
+    /// Supervised LP solves: one per component sub-LP (so under
+    /// [`DecomposeMode::Auto`] a sharded solve counts once per component),
+    /// plus one per fractional-feasibility oracle call.
+    solves: "lp.solves",
     /// Solves that needed the exact fallback.
-    fallbacks: &'static Counter,
-    /// Basis-changing pivot count of the float passes.
-    pivots: &'static Counter,
-    /// Bound/VUB flip count of the float passes.
-    bound_flips: &'static Counter,
-    /// LU refactorization count of the float passes.
-    refactorizations: &'static Counter,
+    fallbacks: "lp.fallbacks",
+    /// Basis-changing pivots of the float passes.
+    pivots: "lp.pivots",
+    /// Bound/VUB flips of the float passes (no basis change).
+    bound_flips: "lp.bound_flips",
+    /// LU refactorizations of the float passes (periodic and
+    /// VUB-structural).
+    refactorizations: "lp.refactorizations",
     /// Exact-certification wall time, nanoseconds.
-    certify_nanos: &'static Counter,
+    certify_nanos: "lp.certify_nanos",
     /// Certification wall time spent in the directed-rounding interval
     /// tier, nanoseconds (a subset of `certify_nanos`).
-    certify_interval_nanos: &'static Counter,
+    certify_interval_nanos: "lp.certify_interval_nanos",
     /// Certification wall time spent in the exact tier (factor, solves,
     /// primal checks, and any exact dual sweeps), nanoseconds.
-    certify_exact_nanos: &'static Counter,
-    /// Solves whose dual-feasibility proof was discharged by the
-    /// interval tier alone.
-    interval_accepts: &'static Counter,
-    /// Solves whose interval sweep was inconclusive and escalated to (or
-    /// was refused pending) the exact sweep.
-    interval_escalations: &'static Counter,
-    /// LP1 solves that sharded into >1 component.
-    sharded_solves: &'static Counter,
-    /// Component sub-LPs solved by sharded solves.
-    components: &'static Counter,
-    /// High-water gauge of the largest component sub-LP's variable count
-    /// (sharded solves only). Open an exact max-over-window region with
-    /// [`component_vars_window`].
-    max_component_vars: &'static Gauge,
-    /// Solves that were *offered* a warm-start snapshot (batched
-    /// siblings and incremental re-solves).
-    warm_attempts: &'static Counter,
-    /// Warm attempts that installed and verified warm.
-    warm_hits: &'static Counter,
-    /// Pivots saved by warm hits, measured against each hit's cold
-    /// reference, floored at zero per solve.
-    warm_pivots_saved: &'static Counter,
-    /// Failure-driven ladder demotions (see [`crate::supervise`]).
-    demotions: &'static Counter,
+    certify_exact_nanos: "lp.certify_exact_nanos",
+    /// Solves whose dual-feasibility proof was discharged by the interval
+    /// tier alone (no exact reduced-cost sweep ran).
+    interval_accepts: "lp.interval_accepts",
+    /// Solves whose interval sweep was inconclusive and escalated to the
+    /// exact sweep ([`CertifyMode::IntervalThenExact`]) or returned a
+    /// refutation for the ladder to absorb ([`CertifyMode::Interval`]).
+    interval_escalations: "lp.interval_escalations",
+    /// LP1 solves that sharded into more than one component
+    /// ([`DecomposeMode::Auto`] with a disconnected interval graph).
+    sharded_solves: "lp.sharded_solves",
+    /// Component sub-LPs solved by those sharded solves.
+    components: "lp.components",
+    /// Solves offered a warm-start snapshot ([`WarmMode::Batch`] siblings
+    /// and [`crate::incremental::IncrementalSolver`] re-solves).
+    warm_attempts: "lp.warm_attempts",
+    /// Warm attempts that installed and certified warm.
+    warm_hits: "lp.warm_hits",
+    /// Pivots saved by warm hits versus each hit's cold reference solve
+    /// (the group representative / the shape's first cold solve), floored
+    /// at zero per solve.
+    warm_pivots_saved: "lp.warm_pivots_saved",
+    /// Failure-driven supervision-ladder demotions (warm → cold revised →
+    /// dense hybrid → dense exact; see [`crate::supervise`]). Zero on
+    /// fault-free runs.
+    demotions: "lp.demotions",
     /// Solve attempts that tripped a pivot / refactorization / wall-time
-    /// budget (each such trip is also a demotion).
-    budget_trips: &'static Counter,
-    /// Components quarantined after the whole ladder failed.
-    quarantined: &'static Counter,
-    /// Cached component blocks and basis snapshots restored from a
-    /// persisted state directory (warm capital carried across process
-    /// restarts by `abt_active::store`).
-    persist_restores: &'static Counter,
-    /// Completed recovery events: journal-tail replays over a
-    /// checkpoint, and corrupt-state detections absorbed into a cold
-    /// rebuild. Always ≥ `state_corrupt` on a healthy run — a corruption
-    /// without a matching recovery means the absorption path itself
-    /// broke, which the perf gate fails on.
-    recoveries: &'static Counter,
-    /// Persisted-state corruption detections (checksum or version
-    /// drift, shape drift, malformed payloads) — each one is rejected
-    /// and rebuilt cold, never trusted.
-    state_corrupt: &'static Counter,
-    /// Solve requests bounced by admission control (the Hall-condition
-    /// precheck) before touching the solver.
-    admission_rejects: &'static Counter,
-    /// Wall-time latency of each supervised/hybrid solve, microseconds
-    /// (log-bucket histogram; feeds the per-experiment p50/p90/p99
-    /// bench fields and the `--max-p99-ratio` perf gate).
-    solve_latency_us: &'static Histogram,
-    /// Pivot count of each solve (a *deterministic* distribution — used
-    /// by the determinism tests and effort diagnostics).
-    pivots_per_solve: &'static Histogram,
-}
-
-/// The `lp.*` metric handles (resolved on first use).
-fn met() -> &'static LpMetrics {
-    static MET: OnceLock<LpMetrics> = OnceLock::new();
-    MET.get_or_init(|| LpMetrics {
-        solves: obs::metrics::counter("lp.solves"),
-        fallbacks: obs::metrics::counter("lp.fallbacks"),
-        pivots: obs::metrics::counter("lp.pivots"),
-        bound_flips: obs::metrics::counter("lp.bound_flips"),
-        refactorizations: obs::metrics::counter("lp.refactorizations"),
-        certify_nanos: obs::metrics::counter("lp.certify_nanos"),
-        certify_interval_nanos: obs::metrics::counter("lp.certify_interval_nanos"),
-        certify_exact_nanos: obs::metrics::counter("lp.certify_exact_nanos"),
-        interval_accepts: obs::metrics::counter("lp.interval_accepts"),
-        interval_escalations: obs::metrics::counter("lp.interval_escalations"),
-        sharded_solves: obs::metrics::counter("lp.sharded_solves"),
-        components: obs::metrics::counter("lp.components"),
-        max_component_vars: obs::metrics::gauge("lp.max_component_vars"),
-        warm_attempts: obs::metrics::counter("lp.warm_attempts"),
-        warm_hits: obs::metrics::counter("lp.warm_hits"),
-        warm_pivots_saved: obs::metrics::counter("lp.warm_pivots_saved"),
-        demotions: obs::metrics::counter("lp.demotions"),
-        budget_trips: obs::metrics::counter("lp.budget_trips"),
-        quarantined: obs::metrics::counter("lp.quarantined"),
-        persist_restores: obs::metrics::counter("lp.persist_restores"),
-        recoveries: obs::metrics::counter("lp.recoveries"),
-        state_corrupt: obs::metrics::counter("lp.state_corrupt"),
-        admission_rejects: obs::metrics::counter("lp.admission_rejects"),
-        solve_latency_us: obs::metrics::histogram("lp.solve_latency_us"),
-        pivots_per_solve: obs::metrics::histogram("lp.pivots_per_solve"),
-    })
-}
-
-/// Opens an **exact** max-over-window region over the largest-component
-/// high-water gauge: the returned handle's `value()` is the largest
-/// component sub-LP variable count recorded while it is alive (0 when no
-/// sharded solve ran). This is the precise per-region reading that the
-/// snapshot-pair [`LpTelemetry::delta`] cannot provide (see its docs);
-/// the experiment harness opens one per experiment row.
-pub fn component_vars_window() -> abt_core::obs::metrics::HighWaterWindow {
-    met().max_component_vars.window()
-}
-
-/// Snapshot of the solve-latency histogram (microseconds per
-/// supervised/hybrid solve). Bucket counts are cumulative and monotone:
-/// diff two snapshots with [`HistogramSnapshot::delta`] to scope
-/// deterministic p50/p90/p99 extraction to a region, as the experiment
-/// harness does per row.
-pub fn solve_latency_snapshot() -> HistogramSnapshot {
-    met().solve_latency_us.snapshot()
+    /// budget (a subset of `demotions`).
+    budget_trips: "lp.budget_trips",
+    /// Components quarantined after every ladder rung failed. Zero on
+    /// fault-free runs.
+    quarantined: "lp.quarantined",
+    /// Cached blocks and basis snapshots restored from a persisted state
+    /// directory
+    /// ([`crate::incremental::IncrementalSolver::attach_store`]).
+    persist_restores: "lp.persist_restores",
+    /// Completed recovery events: journal replays over a checkpoint plus
+    /// corrupt-state detections absorbed into cold rebuilds.
+    recoveries: "lp.recoveries",
+    /// Persisted-state corruption detections, each rejected and rebuilt
+    /// cold (the reject-don't-trust invariant). Zero unless state files
+    /// were actually damaged (or fault-injected).
+    state_corrupt: "lp.state_corrupt",
+    /// Solve requests bounced by admission control before any LP work.
+    admission_rejects: "lp.admission_rejects",
 }
 
 /// Snapshot of the pivots-per-solve histogram (a deterministic
 /// distribution: identical solves produce identical bucket counts).
 pub fn pivots_per_solve_snapshot() -> HistogramSnapshot {
     met().pivots_per_solve.snapshot()
-}
-
-/// A snapshot of the process-wide LP solve telemetry (see
-/// [`lp_telemetry`]). All counters are cumulative and monotone; diff two
-/// snapshots with [`LpTelemetry::delta`] to scope them to a region. Every
-/// field is maintained with atomic adds (the high-water mark with atomic
-/// max), so concurrent solves (e.g. under `parallel_map`) are counted
-/// exactly — a delta across a parallel region equals the sum of the
-/// per-solve contributions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LpTelemetry {
-    /// Supervised LP solves: one per component sub-LP (so under
-    /// [`DecomposeMode::Auto`] a sharded solve counts once per component),
-    /// plus one per fractional-feasibility oracle call.
-    pub solves: u64,
-    /// Solves that needed the exact fallback.
-    pub fallbacks: u64,
-    /// Basis-changing pivots of the float passes.
-    pub pivots: u64,
-    /// Bound/VUB flips of the float passes (no basis change).
-    pub bound_flips: u64,
-    /// LU refactorizations of the float passes (periodic and
-    /// VUB-structural).
-    pub refactorizations: u64,
-    /// Exact-certification wall time, nanoseconds.
-    pub certify_nanos: u64,
-    /// Certification wall time spent in the directed-rounding interval
-    /// tier, nanoseconds (a subset of `certify_nanos`).
-    pub certify_interval_nanos: u64,
-    /// Certification wall time spent in the exact tier (factor, solves,
-    /// primal checks, and any exact dual sweeps), nanoseconds.
-    pub certify_exact_nanos: u64,
-    /// Solves whose dual-feasibility proof was discharged by the interval
-    /// tier alone (no exact reduced-cost sweep ran).
-    pub interval_accepts: u64,
-    /// Solves whose interval sweep was inconclusive and escalated to the
-    /// exact sweep ([`CertifyMode::IntervalThenExact`]) or returned a
-    /// refutation for the ladder to absorb ([`CertifyMode::Interval`]).
-    pub interval_escalations: u64,
-    /// LP1 solves that sharded into more than one component
-    /// ([`DecomposeMode::Auto`] with a disconnected interval graph).
-    pub sharded_solves: u64,
-    /// Component sub-LPs solved by those sharded solves.
-    pub components: u64,
-    /// High-water mark of the largest component sub-LP's variable count
-    /// across sharded solves. **Not** a monotone sum — see
-    /// [`LpTelemetry::delta`] for the windowed semantics, and
-    /// [`component_vars_window`] for an exact max over an arbitrary
-    /// region.
-    pub max_component_vars: u64,
-    /// Number of strict raises of the `max_component_vars` high water
-    /// (monotone). [`LpTelemetry::delta`] uses it to decide whether the
-    /// window established a new high water; not meaningful on its own.
-    pub max_component_raises: u64,
-    /// Solves offered a warm-start snapshot ([`WarmMode::Batch`] siblings
-    /// and [`crate::incremental::IncrementalSolver`] re-solves).
-    pub warm_attempts: u64,
-    /// Warm attempts that installed and certified warm.
-    pub warm_hits: u64,
-    /// Pivots saved by warm hits versus each hit's cold reference solve
-    /// (the group representative / the shape's first cold solve), floored
-    /// at zero per solve.
-    pub warm_pivots_saved: u64,
-    /// Failure-driven supervision-ladder demotions (warm → cold revised →
-    /// dense hybrid → dense exact; see [`crate::supervise`]). Zero on
-    /// fault-free runs.
-    pub demotions: u64,
-    /// Solve attempts that tripped a pivot / refactorization / wall-time
-    /// budget (a subset of `demotions`).
-    pub budget_trips: u64,
-    /// Components quarantined after every ladder rung failed. Zero on
-    /// fault-free runs.
-    pub quarantined: u64,
-    /// Cached blocks and basis snapshots restored from a persisted state
-    /// directory
-    /// ([`crate::incremental::IncrementalSolver::attach_store`]).
-    pub persist_restores: u64,
-    /// Completed recovery events: journal replays over a checkpoint plus
-    /// corrupt-state detections absorbed into cold rebuilds.
-    pub recoveries: u64,
-    /// Persisted-state corruption detections, each rejected and rebuilt
-    /// cold (the reject-don't-trust invariant). Zero unless state files
-    /// were actually damaged (or fault-injected).
-    pub state_corrupt: u64,
-    /// Solve requests bounced by admission control before any LP work.
-    pub admission_rejects: u64,
-}
-
-impl LpTelemetry {
-    /// Componentwise `self − earlier` for the monotone counters.
-    ///
-    /// `max_component_vars` is a high-water mark, not a sum, and gets
-    /// **max-over-window** semantics: when the window raised the
-    /// process-wide high water (`max_component_raises` advanced), the
-    /// later snapshot's value *is* the exact in-window maximum — the
-    /// record that set it happened inside the window — and is reported;
-    /// when it did not, the delta reports 0 rather than carrying a stale
-    /// process-wide value forward (the historical wart). A window that
-    /// sharded only below an earlier high water therefore reads 0 here;
-    /// use [`component_vars_window`] when the exact in-window maximum of
-    /// such a region matters (the experiment harness does).
-    pub fn delta(&self, earlier: &LpTelemetry) -> LpTelemetry {
-        LpTelemetry {
-            solves: self.solves - earlier.solves,
-            fallbacks: self.fallbacks - earlier.fallbacks,
-            pivots: self.pivots - earlier.pivots,
-            bound_flips: self.bound_flips - earlier.bound_flips,
-            refactorizations: self.refactorizations - earlier.refactorizations,
-            certify_nanos: self.certify_nanos - earlier.certify_nanos,
-            certify_interval_nanos: self.certify_interval_nanos - earlier.certify_interval_nanos,
-            certify_exact_nanos: self.certify_exact_nanos - earlier.certify_exact_nanos,
-            interval_accepts: self.interval_accepts - earlier.interval_accepts,
-            interval_escalations: self.interval_escalations - earlier.interval_escalations,
-            sharded_solves: self.sharded_solves - earlier.sharded_solves,
-            components: self.components - earlier.components,
-            max_component_vars: if self.max_component_raises > earlier.max_component_raises {
-                self.max_component_vars
-            } else {
-                0
-            },
-            max_component_raises: self.max_component_raises - earlier.max_component_raises,
-            warm_attempts: self.warm_attempts - earlier.warm_attempts,
-            warm_hits: self.warm_hits - earlier.warm_hits,
-            warm_pivots_saved: self.warm_pivots_saved - earlier.warm_pivots_saved,
-            demotions: self.demotions - earlier.demotions,
-            budget_trips: self.budget_trips - earlier.budget_trips,
-            quarantined: self.quarantined - earlier.quarantined,
-            persist_restores: self.persist_restores - earlier.persist_restores,
-            recoveries: self.recoveries - earlier.recoveries,
-            state_corrupt: self.state_corrupt - earlier.state_corrupt,
-            admission_rejects: self.admission_rejects - earlier.admission_rejects,
-        }
-    }
-}
-
-/// Snapshot of the cumulative LP telemetry. The experiment harness diffs
-/// two snapshots to compute per-experiment fallback rates and iteration
-/// counters; CI fails when a non-adversarial workload reports a nonzero
-/// fallback rate.
-pub fn lp_telemetry() -> LpTelemetry {
-    let m = met();
-    LpTelemetry {
-        solves: m.solves.get(),
-        fallbacks: m.fallbacks.get(),
-        pivots: m.pivots.get(),
-        bound_flips: m.bound_flips.get(),
-        refactorizations: m.refactorizations.get(),
-        certify_nanos: m.certify_nanos.get(),
-        certify_interval_nanos: m.certify_interval_nanos.get(),
-        certify_exact_nanos: m.certify_exact_nanos.get(),
-        interval_accepts: m.interval_accepts.get(),
-        interval_escalations: m.interval_escalations.get(),
-        sharded_solves: m.sharded_solves.get(),
-        components: m.components.get(),
-        max_component_vars: m.max_component_vars.max(),
-        max_component_raises: m.max_component_vars.raises(),
-        warm_attempts: m.warm_attempts.get(),
-        warm_hits: m.warm_hits.get(),
-        warm_pivots_saved: m.warm_pivots_saved.get(),
-        demotions: m.demotions.get(),
-        budget_trips: m.budget_trips.get(),
-        quarantined: m.quarantined.get(),
-        persist_restores: m.persist_restores.get(),
-        recoveries: m.recoveries.get(),
-        state_corrupt: m.state_corrupt.get(),
-        admission_rejects: m.admission_rejects.get(),
-    }
 }
 
 /// Records one failure-driven ladder demotion (see [`crate::supervise`],
@@ -1440,7 +1316,7 @@ mod tests {
         // The registered window sees the exact in-window high-water mark
         // even when a concurrent test has already pushed the cumulative
         // gauge higher (the delta would then be 0 by design).
-        let window = component_vars_window();
+        let window = met().max_component_vars.window();
         assert_auto_matches_off(&inst);
         let d = lp_telemetry().delta(&before);
         assert!(d.sharded_solves >= 1, "the Auto solve must shard");

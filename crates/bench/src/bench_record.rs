@@ -1,7 +1,8 @@
 //! The `BENCH_lp.json` schema (`abt-bench/lp-v2`): a typed writer/parser
 //! pair so the CI perf gate compares *fields*, not eyeballed artifacts.
-//! This module doc is the schema's reference: every field, its optionality
-//! rule, and how the `perf_gate` binary consumes it.
+//! This module is the schema's reference: the document layout below, and
+//! [`COLUMNS`] for every telemetry column of an experiment row. The gate
+//! rules over those fields are [`crate::perf_gate::RULES`].
 //!
 //! # Document layout
 //!
@@ -19,61 +20,27 @@
 //! under a named *baseline* configuration and the named current-default
 //! *candidate*. Fields:
 //!
-//! | field          | type   | optional? | gate semantics                  |
+//! | field          | type   | optional? | meaning                         |
 //! |----------------|--------|-----------|---------------------------------|
 //! | `bench`, `family` | string | written, ignored on parse | human context only |
-//! | `n`, `g`, `horizon`, `seed` | number | required | instance identity; not gated directly |
-//! | `objective`    | string | required  | exact rational optimum (e.g. `"797/4"`); **any change fails the gate** — the exact optimum must never move |
-//! | `baseline`     | string | optional, default `"unnamed"` | gated: committed and fresh must name the *same* baseline, or the comparison is cross-generation and fails |
-//! | `baseline_ms`  | number | required  | wall time; informational        |
-//! | `candidate`    | string | optional, default `"unnamed"` | gated like `baseline` |
-//! | `candidate_ms` | number | required  | wall time; informational        |
-//! | `speedup`      | number | required  | `baseline_ms / candidate_ms`; fails the gate when it regresses below `--min-speedup-ratio` (default 0.7) × the committed value |
-//! | `fallback`     | bool   | required  | `true` fails the gate: the candidate must never need the exact fallback on the headline family |
+//! | `n`, `g`, `horizon`, `seed` | number | required | instance identity |
+//! | `objective`    | string | required  | exact rational optimum (e.g. `"797/4"`) |
+//! | `baseline`     | string | optional, default `"unnamed"` | the baseline configuration's name |
+//! | `baseline_ms`  | number | required  | wall time                       |
+//! | `candidate`    | string | optional, default `"unnamed"` | the candidate configuration's name |
+//! | `candidate_ms` | number | required  | wall time                       |
+//! | `speedup`      | number | required  | `baseline_ms / candidate_ms`    |
+//! | `fallback`     | bool   | required  | whether the candidate needed the exact fallback |
 //!
 //! # `experiments[]` — per-experiment rows
 //!
-//! Wall time plus the LP telemetry delta ([`abt_active::lp_telemetry`])
-//! scoped to that experiment's run. All counter fields after
-//! `fallback_rate` are **optional on parse and default to 0/absent**, so
-//! every earlier `lp-v2` document remains readable; the writer always
-//! emits the current full set.
-//!
-//! | field            | type   | optional? | gate semantics                |
-//! |------------------|--------|-----------|-------------------------------|
-//! | `id`             | string | required  | experiment id (`e1`…); rows are matched by id across records |
-//! | `wall_ms`        | number | required  | informational (machine-dependent; never gated) |
-//! | `lp_solves`      | number | required  | supervised LP solves during the experiment; under `DecomposeMode::Auto` each component sub-LP counts once |
-//! | `fallback_rate`  | number | required  | `lp_fallbacks / lp_solves`; **any nonzero value fails the gate** — every current workload is non-adversarial |
-//! | `lp_pivots`      | number | optional (0) | solve effort; for `e20`/`e21`/`e22` the gate fails when the fresh count exceeds `--max-effort-ratio` (default 1.3) × committed — deterministic per instance, so regressions are algorithmic, never machine noise |
-//! | `lp_bound_flips` | number | optional (0) | informational              |
-//! | `lp_refactorizations` | number | optional (0) | solve effort, gated for `e20`/`e21`/`e22` like `lp_pivots` |
-//! | `lp_certify_ms`  | number | optional (0) | exact-certification wall time; informational |
-//! | `lp_components`  | number | optional (0) | component sub-LPs solved by sharded (`DecomposeMode::Auto`) solves during the experiment |
-//! | `lp_max_component_vars` | number | optional (0) | largest component sub-LP's variable count: 0 when the experiment sharded nothing (`lp_components` = 0), otherwise the process-wide high-water mark at snapshot time |
-//! | `warm_hits`      | number | optional (0) | warm-start attempts that installed and certified warm (batched siblings + incremental re-solves); 0 for experiments that never warm-start. Informational — the warm *benefit* is gated through `e22`'s `lp_pivots` |
-//! | `warm_pivots_saved` | number | optional (0) | pivots saved by those hits versus each hit's cold reference solve (floored at zero per solve); informational |
-//! | `demotions`      | number | optional (0) | failure-driven supervision-ladder demotions (see `abt-active`'s `supervise` module). Nonzero only under fault injection or solve budgets; informational in the record (CI asserts it separately in the fault-injection smoke) |
-//! | `budget_trips`   | number | optional (0) | solve attempts that tripped a pivot/refactorization/wall-time budget (a subset of `demotions`); informational |
-//! | `quarantined`    | number | optional (0) | components whose whole supervision ladder failed; **any nonzero value fails the gate** — a fault-free benchmark run must never quarantine |
-//! | `interval_accepts` | number | optional (0) | solves whose dual-feasibility proof was discharged by the directed-rounding interval tier alone (no exact reduced-cost sweep); for `e21`/`e22` the gate fails when `interval_accepts / (interval_accepts + interval_escalations)` drops below `--min-interval-accept-rate` (default 0.9) — skipped when both counters are 0 (e.g. a `CertifyMode::Exact` run) |
-//! | `interval_escalations` | number | optional (0) | solves whose interval sweep was inconclusive and escalated to the exact sweep; the accept-rate denominator above |
-//! | `persist_restores` | number | optional (0) | cache blocks + basis snapshots restored from persisted state by `attach_store` recoveries; informational |
-//! | `recoveries`     | number | optional (0) | completed recovery events (journal-resume attaches, corruption absorptions, storm-guard quarantines); the denominator of the `e23` corruption gate |
-//! | `state_corrupt`  | number | optional (0) | persisted-state corruption detections; for `e23` the gate **fails when `state_corrupt > recoveries`** — a detection without a matching recovery means the absorption path itself broke |
-//! | `admission_rejects` | number | optional (0) | requests bounced by the Hall-condition admission precheck before any solver work; informational |
-//! | `lp_p50_ms`      | number | optional (0) | median per-solve LP latency during the experiment, from the `lp.solve_latency_us` histogram delta (`abt_core::obs`); 0 when the experiment solved nothing |
-//! | `lp_p90_ms`      | number | optional (0) | 90th-percentile per-solve LP latency; informational |
-//! | `lp_p99_ms`      | number | optional (0) | 99th-percentile per-solve LP latency; for `e19`/`e21`/`e22` the gate fails when the fresh value exceeds `--max-p99-ratio` (default 3.0) × committed — skipped when the committed value is 0 (older record or empty run) |
-//! | `phase_decompose_ms` | number | optional (0) | total wall time inside `solve.decompose` spans during the experiment (span rollup delta); informational |
-//! | `phase_warm_ms`  | number | optional (0) | total wall time inside `solve.warm` spans; informational |
-//! | `phase_pivot_ms` | number | optional (0) | total wall time inside `solve.pivot` spans (every cold float pass); informational |
-//! | `phase_certify_ms` | number | optional (0) | total wall time inside `solve.certify` spans (exact + interval certification); informational |
-//! | `phase_stitch_ms` | number | optional (0) | total wall time inside `solve.stitch` spans; informational |
-//! | `speedup`        | number | optional (absent) | an experiment-defined headline ratio — `e21` records its Auto-vs-Off LP1 wall-clock speedup, `e22` its cold/warm pivot-effort ratio; absent for experiments without one. Informational (the deterministic effort counters are what CI gates) |
-//! | `busy_cost`      | number | optional (0) | total busy time of the row's headline busy algorithm (`LpRounding`) summed over the experiment's instances; exact integer costs on seeded instance streams, so bit-deterministic across runs |
-//! | `busy_ratio`     | number | optional (0) | that algorithm's worst observed cost/lower-bound ratio; for rows carrying busy entries (`e24`/`e25`) the gate fails when the fresh value exceeds `--max-busy-ratio` (default 1.05) × committed |
-//! | `busy_algos`     | array  | optional (empty) | per-algorithm objects `{"algo", "cost", "ratio"}` ([`BusyAlgoRecord`]) covering the whole zoo; every algorithm present in both committed and fresh records is ratio-gated like `busy_ratio` |
+//! Each row carries `id` and `wall_ms` (required), then every column of
+//! [`COLUMNS`] in table order — `lp_solves` and `fallback_rate` required,
+//! the rest read as 0 when absent, so every earlier `lp-v2` document
+//! remains readable — then the optional `speedup` and, when `busy_algos`
+//! is non-empty, `busy_cost`, `busy_ratio` and `busy_algos`. The fields
+//! are documented on [`ExperimentRecord`]; each column's value is its
+//! [`Source`] read over the experiment.
 //!
 //! # Parsing
 //!
@@ -85,10 +52,171 @@
 //! *required* keys are hard errors.
 
 use abt_core::json::{self, get, Json};
+use abt_core::obs::metrics::{self, HighWaterWindow, HistogramSnapshot, Metric};
 use std::collections::BTreeMap;
 
 /// Schema tag written/accepted by this module.
 pub const SCHEMA: &str = "abt-bench/lp-v2";
+
+/// Where a column's value comes from: a reading of the
+/// [`abt_core::obs::metrics`] registry, scoped to one experiment by
+/// [`RowProbe`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Source {
+    /// A counter's growth, divided by the scale (1 for counts, `1e6` for
+    /// nanoseconds to ms).
+    Counter(&'static str, f64),
+    /// A percentile of a microsecond histogram's new observations, in ms.
+    Percentile(&'static str, f64),
+    /// The largest value a high-water gauge recorded during the row.
+    GaugeWindow(&'static str),
+    /// One counter's growth over another's (0 when the second did not
+    /// grow).
+    Ratio(&'static str, &'static str),
+}
+
+/// One telemetry column of an experiment row.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Column {
+    /// The lp-v2 key.
+    pub key: &'static str,
+    /// Decimal places the value is written with (0 for counts).
+    pub decimals: usize,
+    /// Where the `experiments` binary reads it.
+    pub source: Source,
+}
+
+/// Columns a row must carry to parse; every other column reads as 0 when
+/// absent.
+const REQUIRED: [&str; 2] = ["lp_solves", "fallback_rate"];
+
+/// Every telemetry column of an experiment row, in the order the writer
+/// emits them. The `lp.*` counters are documented on
+/// [`abt_active::LpTelemetry`]; the `span.solve.<phase>.nanos` counters are
+/// the always-on span rollups of the solve pipeline
+/// ([`abt_core::obs::span_rollups`]).
+#[rustfmt::skip]
+pub const COLUMNS: &[Column] = {
+    use Source::{Counter, GaugeWindow, Percentile, Ratio};
+    &[
+        Column { key: "lp_solves",             decimals: 0, source: Counter("lp.solves", 1.0) },
+        Column { key: "fallback_rate",         decimals: 4, source: Ratio("lp.fallbacks", "lp.solves") },
+        Column { key: "lp_pivots",             decimals: 0, source: Counter("lp.pivots", 1.0) },
+        Column { key: "lp_bound_flips",        decimals: 0, source: Counter("lp.bound_flips", 1.0) },
+        Column { key: "lp_refactorizations",   decimals: 0, source: Counter("lp.refactorizations", 1.0) },
+        Column { key: "lp_certify_ms",         decimals: 3, source: Counter("lp.certify_nanos", 1e6) },
+        Column { key: "lp_components",         decimals: 0, source: Counter("lp.components", 1.0) },
+        Column { key: "lp_max_component_vars", decimals: 0, source: GaugeWindow("lp.max_component_vars") },
+        Column { key: "warm_hits",             decimals: 0, source: Counter("lp.warm_hits", 1.0) },
+        Column { key: "warm_pivots_saved",     decimals: 0, source: Counter("lp.warm_pivots_saved", 1.0) },
+        Column { key: "demotions",             decimals: 0, source: Counter("lp.demotions", 1.0) },
+        Column { key: "budget_trips",          decimals: 0, source: Counter("lp.budget_trips", 1.0) },
+        Column { key: "quarantined",           decimals: 0, source: Counter("lp.quarantined", 1.0) },
+        Column { key: "interval_accepts",      decimals: 0, source: Counter("lp.interval_accepts", 1.0) },
+        Column { key: "interval_escalations",  decimals: 0, source: Counter("lp.interval_escalations", 1.0) },
+        Column { key: "persist_restores",      decimals: 0, source: Counter("lp.persist_restores", 1.0) },
+        Column { key: "recoveries",            decimals: 0, source: Counter("lp.recoveries", 1.0) },
+        Column { key: "state_corrupt",         decimals: 0, source: Counter("lp.state_corrupt", 1.0) },
+        Column { key: "admission_rejects",     decimals: 0, source: Counter("lp.admission_rejects", 1.0) },
+        Column { key: "lp_p50_ms",             decimals: 3, source: Percentile("lp.solve_latency_us", 0.50) },
+        Column { key: "lp_p90_ms",             decimals: 3, source: Percentile("lp.solve_latency_us", 0.90) },
+        Column { key: "lp_p99_ms",             decimals: 3, source: Percentile("lp.solve_latency_us", 0.99) },
+        Column { key: "phase_decompose_ms",    decimals: 3, source: Counter("span.solve.decompose.nanos", 1e6) },
+        Column { key: "phase_warm_ms",         decimals: 3, source: Counter("span.solve.warm.nanos", 1e6) },
+        Column { key: "phase_pivot_ms",        decimals: 3, source: Counter("span.solve.pivot.nanos", 1e6) },
+        Column { key: "phase_certify_ms",      decimals: 3, source: Counter("span.solve.certify.nanos", 1e6) },
+        Column { key: "phase_stitch_ms",       decimals: 3, source: Counter("span.solve.stitch.nanos", 1e6) },
+    ]
+};
+
+/// A counter's value, or 0 when nothing registered it.
+fn count(name: &str) -> u64 {
+    match metrics::lookup(name) {
+        Some(Metric::Counter(c)) => c.get(),
+        _ => 0,
+    }
+}
+
+/// A histogram's buckets, or `None` when nothing registered it.
+fn histogram(name: &str) -> Option<HistogramSnapshot> {
+    match metrics::lookup(name) {
+        Some(Metric::Histogram(h)) => Some(h.snapshot()),
+        _ => None,
+    }
+}
+
+/// What [`RowProbe::start`] read for one column.
+enum Start {
+    Counts(u64, u64),
+    Histogram(Option<Box<HistogramSnapshot>>),
+    Window(Option<HighWaterWindow>),
+}
+
+/// The registry readings behind one experiment row: taken when the row
+/// starts, turned into column values when it ends. It never registers a
+/// metric: a source nothing registered reads 0, and one registered during
+/// the row counts from zero.
+pub struct RowProbe {
+    start: Vec<Start>,
+}
+
+impl RowProbe {
+    /// Reads every column's source (and opens the gauge windows).
+    pub fn start() -> RowProbe {
+        let start = COLUMNS
+            .iter()
+            .map(|c| match c.source {
+                Source::Counter(name, _) => Start::Counts(count(name), 0),
+                Source::Ratio(num, den) => Start::Counts(count(num), count(den)),
+                Source::Percentile(name, _) => Start::Histogram(histogram(name).map(Box::new)),
+                Source::GaugeWindow(name) => Start::Window(match metrics::lookup(name) {
+                    Some(Metric::Gauge(g)) => Some(g.window()),
+                    _ => None,
+                }),
+            })
+            .collect();
+        RowProbe { start }
+    }
+
+    /// Every column's value over the row, keyed by column.
+    pub fn finish(self) -> BTreeMap<&'static str, f64> {
+        COLUMNS
+            .iter()
+            .zip(self.start)
+            .map(|(c, start)| {
+                let value = match (c.source, start) {
+                    (Source::Counter(name, scale), Start::Counts(n, _)) => {
+                        count(name).saturating_sub(n) as f64 / scale
+                    }
+                    (Source::Ratio(num, den), Start::Counts(n, d)) => {
+                        match count(den).saturating_sub(d) {
+                            0 => 0.0,
+                            d => count(num).saturating_sub(n) as f64 / d as f64,
+                        }
+                    }
+                    (Source::Percentile(name, q), Start::Histogram(before)) => {
+                        let since = match (histogram(name), before) {
+                            (Some(now), Some(before)) => Some(now.delta(&before)),
+                            (now, _) => now,
+                        };
+                        since.map_or(0, |h| h.percentile(q)) as f64 / 1e3
+                    }
+                    (Source::GaugeWindow(name), Start::Window(window)) => {
+                        let max = match (window, metrics::lookup(name)) {
+                            (Some(w), _) => w.value(),
+                            // Registered during the row, so it recorded only here.
+                            (None, Some(Metric::Gauge(g))) => g.max(),
+                            (None, _) => 0,
+                        };
+                        max as f64
+                    }
+                    _ => unreachable!("a probe starts each column from its own source"),
+                };
+                (c.key, value)
+            })
+            .collect()
+    }
+}
 
 /// The headline `lp_simplex` measurement.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,81 +245,17 @@ pub struct LpSimplexRecord {
     pub fallback: bool,
 }
 
-/// One experiment's wall time and LP telemetry. See the module docs for
-/// the per-field optionality and gating rules.
+/// One experiment's wall time, telemetry columns and busy summaries. See
+/// the module docs for the field rules.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentRecord {
     /// Experiment id (`e1`…).
     pub id: String,
     /// Wall time, ms.
     pub wall_ms: f64,
-    /// Supervised LP solves performed while the experiment ran (one per
-    /// component sub-LP).
-    pub lp_solves: u64,
-    /// Fraction of those that fell back to the exact solver.
-    pub fallback_rate: f64,
-    /// Basis-changing pivots across those solves.
-    pub lp_pivots: u64,
-    /// Bound/VUB flips across those solves.
-    pub lp_bound_flips: u64,
-    /// LU refactorizations across those solves.
-    pub lp_refactorizations: u64,
-    /// Exact-certification wall time across those solves, ms.
-    pub lp_certify_ms: f64,
-    /// Component sub-LPs solved by sharded (`DecomposeMode::Auto`) solves.
-    pub lp_components: u64,
-    /// High-water mark of the largest component sub-LP's variable count.
-    pub lp_max_component_vars: u64,
-    /// Warm-start attempts that installed and certified warm during the
-    /// experiment (0 for experiments that never warm-start).
-    pub warm_hits: u64,
-    /// Pivots saved by those warm hits versus their cold reference solves.
-    pub warm_pivots_saved: u64,
-    /// Failure-driven supervision-ladder demotions during the experiment
-    /// (0 on fault-free runs).
-    pub demotions: u64,
-    /// Solve attempts that tripped a pivot/refactorization/wall-time
-    /// budget (a subset of `demotions`).
-    pub budget_trips: u64,
-    /// Components whose whole supervision ladder failed (gated: must be 0
-    /// on fault-free benchmark runs).
-    pub quarantined: u64,
-    /// Solves whose dual-feasibility proof was discharged by the
-    /// directed-rounding interval tier alone (gated for `e21`/`e22`: the
-    /// accept rate must stay above `--min-interval-accept-rate`).
-    pub interval_accepts: u64,
-    /// Solves whose interval sweep was inconclusive and escalated to the
-    /// exact reduced-cost sweep.
-    pub interval_escalations: u64,
-    /// Cache blocks and basis snapshots restored from persisted state
-    /// (`attach_store` recoveries; 0 for experiments without durability).
-    pub persist_restores: u64,
-    /// Completed recovery events: journal-resume attaches, corruption
-    /// absorptions, and storm-guard quarantines.
-    pub recoveries: u64,
-    /// Persisted-state corruption detections (each absorbed by a cold
-    /// rebuild; gated for `e23`: must never exceed `recoveries`).
-    pub state_corrupt: u64,
-    /// Requests bounced by the Hall-condition admission precheck.
-    pub admission_rejects: u64,
-    /// Median per-solve LP latency (ms) from the solve-latency histogram
-    /// delta scoped to the experiment; 0 when nothing solved.
-    pub lp_p50_ms: f64,
-    /// 90th-percentile per-solve LP latency (ms); informational.
-    pub lp_p90_ms: f64,
-    /// 99th-percentile per-solve LP latency (ms); gated for `e19`/`e21`/
-    /// `e22` via `--max-p99-ratio` (skipped when the committed value is 0).
-    pub lp_p99_ms: f64,
-    /// Wall time inside `solve.decompose` spans during the experiment, ms.
-    pub phase_decompose_ms: f64,
-    /// Wall time inside `solve.warm` spans, ms.
-    pub phase_warm_ms: f64,
-    /// Wall time inside `solve.pivot` spans, ms.
-    pub phase_pivot_ms: f64,
-    /// Wall time inside `solve.certify` spans, ms.
-    pub phase_certify_ms: f64,
-    /// Wall time inside `solve.stitch` spans, ms.
-    pub phase_stitch_ms: f64,
+    /// Telemetry values keyed by [`Column::key`]; the parser and the
+    /// `experiments` binary fill every column of [`COLUMNS`].
+    pub columns: BTreeMap<&'static str, f64>,
     /// Experiment-defined headline ratio (e.g. `e21`'s Auto-vs-Off LP1
     /// speedup, `e22`'s cold/warm pivot-effort ratio); `None` for
     /// experiments without one.
@@ -199,11 +263,18 @@ pub struct ExperimentRecord {
     /// Total busy time of the headline busy algorithm (`LpRounding`)
     /// across the experiment's instances (0 for non-busy experiments).
     pub busy_cost: u64,
-    /// The headline busy algorithm's worst cost/lower-bound ratio
-    /// (gated for `e24`/`e25` via `--max-busy-ratio`; 0 otherwise).
+    /// The headline busy algorithm's worst cost/lower-bound ratio (0 for
+    /// non-busy experiments).
     pub busy_ratio: f64,
     /// Per-algorithm busy summaries (empty for non-busy experiments).
     pub busy_algos: Vec<BusyAlgoRecord>,
+}
+
+impl ExperimentRecord {
+    /// The value of column `key` (0 when the row lacks it).
+    pub fn column(&self, key: &str) -> f64 {
+        self.columns.get(key).copied().unwrap_or(0.0)
+    }
 }
 
 /// One busy algorithm's aggregate inside an experiment row (`busy_algos`).
@@ -266,13 +337,19 @@ impl BenchRecord {
         ));
         out.push_str("  \"experiments\": [\n");
         for (i, e) in self.experiments.iter().enumerate() {
-            let speedup = e
-                .speedup
-                .map(|s| format!(", \"speedup\": {s:.2}"))
-                .unwrap_or_default();
-            let busy = if e.busy_algos.is_empty() {
-                String::new()
-            } else {
+            out.push_str(&format!(
+                "    {{\"id\": \"{}\", \"wall_ms\": {:.3}",
+                esc(&e.id),
+                e.wall_ms
+            ));
+            for c in COLUMNS {
+                let (v, decimals) = (e.column(c.key), c.decimals);
+                out.push_str(&format!(", \"{}\": {v:.decimals$}", c.key));
+            }
+            if let Some(s) = e.speedup {
+                out.push_str(&format!(", \"speedup\": {s:.2}"));
+            }
+            if !e.busy_algos.is_empty() {
                 let entries: Vec<String> = e
                     .busy_algos
                     .iter()
@@ -285,66 +362,18 @@ impl BenchRecord {
                         )
                     })
                     .collect();
-                format!(
+                out.push_str(&format!(
                     ", \"busy_cost\": {}, \"busy_ratio\": {:.4}, \"busy_algos\": [{}]",
                     e.busy_cost,
                     e.busy_ratio,
                     entries.join(", ")
-                )
-            };
-            out.push_str(&format!(
-                concat!(
-                    "    {{\"id\": \"{}\", \"wall_ms\": {:.3}, \"lp_solves\": {}, ",
-                    "\"fallback_rate\": {:.4}, \"lp_pivots\": {}, \"lp_bound_flips\": {}, ",
-                    "\"lp_refactorizations\": {}, \"lp_certify_ms\": {:.3}, ",
-                    "\"lp_components\": {}, \"lp_max_component_vars\": {}, ",
-                    "\"warm_hits\": {}, \"warm_pivots_saved\": {}, ",
-                    "\"demotions\": {}, \"budget_trips\": {}, \"quarantined\": {}, ",
-                    "\"interval_accepts\": {}, \"interval_escalations\": {}, ",
-                    "\"persist_restores\": {}, \"recoveries\": {}, ",
-                    "\"state_corrupt\": {}, \"admission_rejects\": {}, ",
-                    "\"lp_p50_ms\": {:.3}, \"lp_p90_ms\": {:.3}, \"lp_p99_ms\": {:.3}, ",
-                    "\"phase_decompose_ms\": {:.3}, \"phase_warm_ms\": {:.3}, ",
-                    "\"phase_pivot_ms\": {:.3}, \"phase_certify_ms\": {:.3}, ",
-                    "\"phase_stitch_ms\": {:.3}{}{}}}{}\n"
-                ),
-                esc(&e.id),
-                e.wall_ms,
-                e.lp_solves,
-                e.fallback_rate,
-                e.lp_pivots,
-                e.lp_bound_flips,
-                e.lp_refactorizations,
-                e.lp_certify_ms,
-                e.lp_components,
-                e.lp_max_component_vars,
-                e.warm_hits,
-                e.warm_pivots_saved,
-                e.demotions,
-                e.budget_trips,
-                e.quarantined,
-                e.interval_accepts,
-                e.interval_escalations,
-                e.persist_restores,
-                e.recoveries,
-                e.state_corrupt,
-                e.admission_rejects,
-                e.lp_p50_ms,
-                e.lp_p90_ms,
-                e.lp_p99_ms,
-                e.phase_decompose_ms,
-                e.phase_warm_ms,
-                e.phase_pivot_ms,
-                e.phase_certify_ms,
-                e.phase_stitch_ms,
-                speedup,
-                busy,
-                if i + 1 < self.experiments.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
+                ));
+            }
+            out.push_str(if i + 1 < self.experiments.len() {
+                "},\n"
+            } else {
+                "}\n"
+            });
         }
         out.push_str("  ]\n}\n");
         out
@@ -389,36 +418,21 @@ impl BenchRecord {
             .enumerate()
         {
             let e = e.as_object(&format!("experiments[{i}]"))?;
+            let id = get(e, "id")?.as_str("id")?.to_string();
+            let wall_ms = get(e, "wall_ms")?.as_f64("wall_ms")?;
+            let mut columns = BTreeMap::new();
+            for c in COLUMNS {
+                let v = if REQUIRED.contains(&c.key) {
+                    get(e, c.key)?.as_f64(c.key)?
+                } else {
+                    opt_num(e, c.key)
+                };
+                columns.insert(c.key, v);
+            }
             experiments.push(ExperimentRecord {
-                id: get(e, "id")?.as_str("id")?.to_string(),
-                wall_ms: get(e, "wall_ms")?.as_f64("wall_ms")?,
-                lp_solves: get(e, "lp_solves")?.as_f64("lp_solves")? as u64,
-                fallback_rate: get(e, "fallback_rate")?.as_f64("fallback_rate")?,
-                lp_pivots: opt_num(e, "lp_pivots") as u64,
-                lp_bound_flips: opt_num(e, "lp_bound_flips") as u64,
-                lp_refactorizations: opt_num(e, "lp_refactorizations") as u64,
-                lp_certify_ms: opt_num(e, "lp_certify_ms"),
-                lp_components: opt_num(e, "lp_components") as u64,
-                lp_max_component_vars: opt_num(e, "lp_max_component_vars") as u64,
-                warm_hits: opt_num(e, "warm_hits") as u64,
-                warm_pivots_saved: opt_num(e, "warm_pivots_saved") as u64,
-                demotions: opt_num(e, "demotions") as u64,
-                budget_trips: opt_num(e, "budget_trips") as u64,
-                quarantined: opt_num(e, "quarantined") as u64,
-                interval_accepts: opt_num(e, "interval_accepts") as u64,
-                interval_escalations: opt_num(e, "interval_escalations") as u64,
-                persist_restores: opt_num(e, "persist_restores") as u64,
-                recoveries: opt_num(e, "recoveries") as u64,
-                state_corrupt: opt_num(e, "state_corrupt") as u64,
-                admission_rejects: opt_num(e, "admission_rejects") as u64,
-                lp_p50_ms: opt_num(e, "lp_p50_ms"),
-                lp_p90_ms: opt_num(e, "lp_p90_ms"),
-                lp_p99_ms: opt_num(e, "lp_p99_ms"),
-                phase_decompose_ms: opt_num(e, "phase_decompose_ms"),
-                phase_warm_ms: opt_num(e, "phase_warm_ms"),
-                phase_pivot_ms: opt_num(e, "phase_pivot_ms"),
-                phase_certify_ms: opt_num(e, "phase_certify_ms"),
-                phase_stitch_ms: opt_num(e, "phase_stitch_ms"),
+                id,
+                wall_ms,
+                columns,
                 speedup: e.get("speedup").and_then(|v| v.as_f64("speedup").ok()),
                 busy_cost: opt_num(e, "busy_cost") as u64,
                 busy_ratio: opt_num(e, "busy_ratio"),
@@ -451,6 +465,15 @@ impl BenchRecord {
 mod tests {
     use super::*;
 
+    /// A row's columns: the given values, every other column 0.
+    fn columns(values: &[(&'static str, f64)]) -> BTreeMap<&'static str, f64> {
+        let mut out: BTreeMap<&'static str, f64> = COLUMNS.iter().map(|c| (c.key, 0.0)).collect();
+        for &(key, v) in values {
+            assert!(out.insert(key, v).is_some(), "{key} is not a column");
+        }
+        out
+    }
+
     fn sample() -> BenchRecord {
         BenchRecord {
             schema: SCHEMA.to_string(),
@@ -471,33 +494,7 @@ mod tests {
                 ExperimentRecord {
                     id: "e1".into(),
                     wall_ms: 0.091,
-                    lp_solves: 0,
-                    fallback_rate: 0.0,
-                    lp_pivots: 0,
-                    lp_bound_flips: 0,
-                    lp_refactorizations: 0,
-                    lp_certify_ms: 0.0,
-                    lp_components: 0,
-                    lp_max_component_vars: 0,
-                    warm_hits: 0,
-                    warm_pivots_saved: 0,
-                    demotions: 0,
-                    budget_trips: 0,
-                    quarantined: 0,
-                    interval_accepts: 0,
-                    interval_escalations: 0,
-                    persist_restores: 0,
-                    recoveries: 0,
-                    state_corrupt: 0,
-                    admission_rejects: 0,
-                    lp_p50_ms: 0.0,
-                    lp_p90_ms: 0.0,
-                    lp_p99_ms: 0.0,
-                    phase_decompose_ms: 0.0,
-                    phase_warm_ms: 0.0,
-                    phase_pivot_ms: 0.0,
-                    phase_certify_ms: 0.0,
-                    phase_stitch_ms: 0.0,
+                    columns: columns(&[]),
                     speedup: None,
                     busy_cost: 0,
                     busy_ratio: 0.0,
@@ -506,33 +503,33 @@ mod tests {
                 ExperimentRecord {
                     id: "e3".into(),
                     wall_ms: 3.351,
-                    lp_solves: 16,
-                    fallback_rate: 0.0,
-                    lp_pivots: 420,
-                    lp_bound_flips: 31,
-                    lp_refactorizations: 12,
-                    lp_certify_ms: 1.25,
-                    lp_components: 24,
-                    lp_max_component_vars: 96,
-                    warm_hits: 7,
-                    warm_pivots_saved: 120,
-                    demotions: 2,
-                    budget_trips: 1,
-                    quarantined: 0,
-                    interval_accepts: 14,
-                    interval_escalations: 2,
-                    persist_restores: 9,
-                    recoveries: 3,
-                    state_corrupt: 2,
-                    admission_rejects: 1,
-                    lp_p50_ms: 0.5,
-                    lp_p90_ms: 1.25,
-                    lp_p99_ms: 2.75,
-                    phase_decompose_ms: 0.125,
-                    phase_warm_ms: 0.25,
-                    phase_pivot_ms: 1.5,
-                    phase_certify_ms: 0.75,
-                    phase_stitch_ms: 0.0625,
+                    columns: columns(&[
+                        ("lp_solves", 16.0),
+                        ("lp_pivots", 420.0),
+                        ("lp_bound_flips", 31.0),
+                        ("lp_refactorizations", 12.0),
+                        ("lp_certify_ms", 1.25),
+                        ("lp_components", 24.0),
+                        ("lp_max_component_vars", 96.0),
+                        ("warm_hits", 7.0),
+                        ("warm_pivots_saved", 120.0),
+                        ("demotions", 2.0),
+                        ("budget_trips", 1.0),
+                        ("interval_accepts", 14.0),
+                        ("interval_escalations", 2.0),
+                        ("persist_restores", 9.0),
+                        ("recoveries", 3.0),
+                        ("state_corrupt", 2.0),
+                        ("admission_rejects", 1.0),
+                        ("lp_p50_ms", 0.5),
+                        ("lp_p90_ms", 1.25),
+                        ("lp_p99_ms", 2.75),
+                        ("phase_decompose_ms", 0.125),
+                        ("phase_warm_ms", 0.25),
+                        ("phase_pivot_ms", 1.5),
+                        ("phase_certify_ms", 0.75),
+                        ("phase_stitch_ms", 0.0625),
+                    ]),
                     speedup: Some(3.75),
                     busy_cost: 321,
                     busy_ratio: 1.25,
@@ -565,39 +562,71 @@ mod tests {
         assert_eq!(back.lp_simplex.candidate, "vub_implicit");
         assert!(!back.lp_simplex.fallback);
         assert_eq!(back.experiments.len(), 2);
-        assert_eq!(back.experiments[1].lp_solves, 16);
-        assert_eq!(back.experiments[1].lp_pivots, 420);
-        assert_eq!(back.experiments[1].lp_bound_flips, 31);
-        assert_eq!(back.experiments[1].lp_refactorizations, 12);
-        assert!((back.experiments[1].lp_certify_ms - 1.25).abs() < 1e-9);
-        assert!((back.experiments[1].wall_ms - 3.351).abs() < 1e-9);
-        assert_eq!(back.experiments[1].lp_components, 24);
-        assert_eq!(back.experiments[1].lp_max_component_vars, 96);
-        assert_eq!(back.experiments[1].warm_hits, 7);
-        assert_eq!(back.experiments[1].warm_pivots_saved, 120);
-        assert_eq!(back.experiments[1].demotions, 2);
-        assert_eq!(back.experiments[1].budget_trips, 1);
-        assert_eq!(back.experiments[1].quarantined, 0);
-        assert_eq!(back.experiments[1].interval_accepts, 14);
-        assert_eq!(back.experiments[1].interval_escalations, 2);
+        let e = &back.experiments[1];
+        for (key, want) in [
+            ("lp_solves", 16.0),
+            ("lp_pivots", 420.0),
+            ("lp_bound_flips", 31.0),
+            ("lp_refactorizations", 12.0),
+            ("lp_components", 24.0),
+            ("lp_max_component_vars", 96.0),
+            ("warm_hits", 7.0),
+            ("warm_pivots_saved", 120.0),
+            ("demotions", 2.0),
+            ("budget_trips", 1.0),
+            ("quarantined", 0.0),
+            ("interval_accepts", 14.0),
+            ("interval_escalations", 2.0),
+        ] {
+            assert_eq!(e.column(key), want, "{key}");
+        }
+        assert!((e.column("lp_certify_ms") - 1.25).abs() < 1e-9);
+        assert!((e.wall_ms - 3.351).abs() < 1e-9);
         assert_eq!(back.experiments[0].speedup, None);
-        assert!((back.experiments[1].speedup.unwrap() - 3.75).abs() < 1e-9);
-        assert!((back.experiments[1].lp_p50_ms - 0.5).abs() < 1e-9);
-        assert!((back.experiments[1].lp_p90_ms - 1.25).abs() < 1e-9);
-        assert!((back.experiments[1].lp_p99_ms - 2.75).abs() < 1e-9);
-        assert!((back.experiments[1].phase_decompose_ms - 0.125).abs() < 1e-9);
-        assert!((back.experiments[1].phase_warm_ms - 0.25).abs() < 1e-9);
-        assert!((back.experiments[1].phase_pivot_ms - 1.5).abs() < 1e-9);
-        assert!((back.experiments[1].phase_certify_ms - 0.75).abs() < 1e-9);
-        assert!((back.experiments[1].phase_stitch_ms - 0.062).abs() < 1e-3);
+        assert!((e.speedup.unwrap() - 3.75).abs() < 1e-9);
+        assert!((e.column("lp_p50_ms") - 0.5).abs() < 1e-9);
+        assert!((e.column("lp_p90_ms") - 1.25).abs() < 1e-9);
+        assert!((e.column("lp_p99_ms") - 2.75).abs() < 1e-9);
+        assert!((e.column("phase_decompose_ms") - 0.125).abs() < 1e-9);
+        assert!((e.column("phase_warm_ms") - 0.25).abs() < 1e-9);
+        assert!((e.column("phase_pivot_ms") - 1.5).abs() < 1e-9);
+        assert!((e.column("phase_certify_ms") - 0.75).abs() < 1e-9);
+        assert!((e.column("phase_stitch_ms") - 0.062).abs() < 1e-3);
         assert_eq!(back.experiments[0].busy_cost, 0);
         assert!(back.experiments[0].busy_algos.is_empty());
-        assert_eq!(back.experiments[1].busy_cost, 321);
-        assert!((back.experiments[1].busy_ratio - 1.25).abs() < 1e-9);
-        assert_eq!(
-            back.experiments[1].busy_algos,
-            rec.experiments[1].busy_algos
-        );
+        assert_eq!(e.busy_cost, 321);
+        assert!((e.busy_ratio - 1.25).abs() < 1e-9);
+        assert_eq!(e.busy_algos, rec.experiments[1].busy_algos);
+    }
+
+    #[test]
+    fn committed_record_roundtrips_byte_for_byte() {
+        let committed = include_str!("../../../BENCH_lp.json");
+        let rec = BenchRecord::from_json(committed).unwrap();
+        assert_eq!(rec.to_json(), committed);
+    }
+
+    #[test]
+    fn every_lp_source_names_a_registered_metric() {
+        let inst =
+            abt_core::Instance::from_triples([(0, 4, 2), (1, 3, 2), (100, 104, 3)], 2).unwrap();
+        abt_active::solve_active_lp(&inst).unwrap();
+        for c in COLUMNS {
+            let (names, kind): (Vec<&str>, fn(Metric) -> bool) = match c.source {
+                Source::Counter(name, _) => (vec![name], |m| matches!(m, Metric::Counter(_))),
+                Source::Ratio(num, den) => (vec![num, den], |m| matches!(m, Metric::Counter(_))),
+                Source::Percentile(name, _) => (vec![name], |m| matches!(m, Metric::Histogram(_))),
+                Source::GaugeWindow(name) => (vec![name], |m| matches!(m, Metric::Gauge(_))),
+            };
+            for name in names.into_iter().filter(|n| n.starts_with("lp.")) {
+                let metric = metrics::lookup(name);
+                assert!(
+                    metric.is_some_and(kind),
+                    "column {} reads {name}, which no LP1 solve registers as that kind",
+                    c.key
+                );
+            }
+        }
     }
 
     #[test]
@@ -615,25 +644,20 @@ mod tests {
             ] }"#;
         let rec = BenchRecord::from_json(txt).unwrap();
         assert_eq!(rec.lp_simplex.baseline, "unnamed");
-        assert_eq!(rec.experiments[0].lp_pivots, 0);
-        assert_eq!(rec.experiments[0].lp_certify_ms, 0.0);
-        assert_eq!(rec.experiments[0].lp_solves, 4);
-        assert_eq!(rec.experiments[0].lp_components, 0);
-        assert_eq!(rec.experiments[0].lp_max_component_vars, 0);
-        assert_eq!(rec.experiments[0].warm_hits, 0);
-        assert_eq!(rec.experiments[0].warm_pivots_saved, 0);
-        assert_eq!(rec.experiments[0].demotions, 0);
-        assert_eq!(rec.experiments[0].budget_trips, 0);
-        assert_eq!(rec.experiments[0].quarantined, 0);
-        assert_eq!(rec.experiments[0].interval_accepts, 0);
-        assert_eq!(rec.experiments[0].interval_escalations, 0);
-        assert_eq!(rec.experiments[0].speedup, None);
-        assert_eq!(rec.experiments[0].busy_cost, 0);
-        assert_eq!(rec.experiments[0].busy_ratio, 0.0);
-        assert!(rec.experiments[0].busy_algos.is_empty());
-        assert_eq!(rec.experiments[0].lp_p50_ms, 0.0);
-        assert_eq!(rec.experiments[0].lp_p99_ms, 0.0);
-        assert_eq!(rec.experiments[0].phase_pivot_ms, 0.0);
+        let e = &rec.experiments[0];
+        assert_eq!(e.column("lp_solves"), 4.0);
+        for c in COLUMNS.iter().filter(|c| c.key != "lp_solves") {
+            assert_eq!(e.columns.get(c.key), Some(&0.0), "{}", c.key);
+        }
+        assert_eq!(e.speedup, None);
+        assert_eq!(e.busy_cost, 0);
+        assert_eq!(e.busy_ratio, 0.0);
+        assert!(e.busy_algos.is_empty());
+        // The two required columns stay required.
+        for key in REQUIRED {
+            let missing = txt.replace(&format!("\"{key}\""), "\"other\"");
+            assert!(BenchRecord::from_json(&missing).is_err(), "{key}");
+        }
     }
 
     #[test]

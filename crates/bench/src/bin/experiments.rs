@@ -8,11 +8,10 @@
 //! Unless `--no-json` is given, the run writes `BENCH_lp.json`
 //! (path overridable via the `BENCH_LP_PATH` environment variable) in the
 //! `abt-bench/lp-v2` schema (see [`abt_bench::bench_record`]): the wall
-//! time and LP telemetry (fallback rate plus pivot/flip/refactorization/
-//! certify counters and the decomposition sharding counters, with `e21`'s
-//! Auto-vs-Off speedup) of every experiment that ran — the
-//! `abt_active::lp_telemetry` delta per row, with `e24`/`e25` additionally
-//! carrying per-algorithm busy cost/ratio entries — plus a dedicated
+//! time and telemetry columns of every experiment that ran — each column
+//! of [`abt_bench::bench_record::COLUMNS`] read from the metrics registry
+//! before and after the row, with `e21`'s Auto-vs-Off speedup and
+//! `e24`/`e25`'s per-algorithm busy cost/ratio entries — plus a dedicated
 //! `lp_simplex` measurement — `solve_active_lp` on a
 //! `random_active_feasible` instance (n = 1000, g = 4) under the PR-2
 //! configuration (`revised_bounds`: bounded revised simplex with the
@@ -29,25 +28,14 @@
 //! injected faults actually fired and were all absorbed below the
 //! quarantine line, with every exact objective intact.
 
-use abt_active::{
-    component_vars_window, lp_telemetry, solve_active_lp_with, solve_latency_snapshot, LpOptions,
-};
+use abt_active::{lp_telemetry, solve_active_lp_with, LpOptions};
 use abt_bench::bench_record::{
-    BenchRecord, BusyAlgoRecord, ExperimentRecord, LpSimplexRecord, SCHEMA,
+    BenchRecord, BusyAlgoRecord, ExperimentRecord, LpSimplexRecord, RowProbe, SCHEMA,
 };
 use abt_bench::experiments;
 use abt_bench::time_best_ms;
 use abt_core::obs;
 use abt_workloads::{random_active_feasible, RandomConfig};
-
-/// Sum of closed-span nanoseconds for `name` in a `span_rollups` listing.
-fn rollup_nanos(rollups: &[(String, u64, u64)], name: &str) -> u64 {
-    rollups
-        .iter()
-        .find(|(n, _, _)| n == name)
-        .map(|&(_, _, nanos)| nanos)
-        .unwrap_or(0)
-}
 
 /// The headline measurement: PR-2 `revised_bounds` baseline vs the
 /// VUB-aware `vub_implicit` solver, at the scale where the `x ≤ Y` rows
@@ -187,30 +175,13 @@ fn main() {
     let mut records: Vec<ExperimentRecord> = Vec::new();
     for (id, f) in fns {
         if run_all || selected.contains(&id) {
-            let before = lp_telemetry();
-            // An exact in-experiment high-water mark for the component-vars
-            // gauge (the cumulative delta is 0 unless the mark was raised).
-            let vars_window = component_vars_window();
-            let lat_before = solve_latency_snapshot();
-            let rollups_before = obs::span_rollups();
+            let probe = RowProbe::start();
             let started = std::time::Instant::now();
             let report = f();
             let elapsed = started.elapsed();
-            let d = lp_telemetry().delta(&before);
-            let lat = solve_latency_snapshot().delta(&lat_before);
-            let rollups = obs::span_rollups();
-            let phase_ms = |name: &str| {
-                rollup_nanos(&rollups, name).saturating_sub(rollup_nanos(&rollups_before, name))
-                    as f64
-                    / 1e6
-            };
+            let columns = probe.finish();
             println!("{}", report.to_markdown());
             println!("_(regenerated in {elapsed:.2?})_\n");
-            let fallback_rate = if d.solves == 0 {
-                0.0
-            } else {
-                d.fallbacks as f64 / d.solves as f64
-            };
             let headline_busy = report
                 .busy
                 .iter()
@@ -220,33 +191,7 @@ fn main() {
             records.push(ExperimentRecord {
                 id: id.to_string(),
                 wall_ms: elapsed.as_secs_f64() * 1e3,
-                lp_solves: d.solves,
-                fallback_rate,
-                lp_pivots: d.pivots,
-                lp_bound_flips: d.bound_flips,
-                lp_refactorizations: d.refactorizations,
-                lp_certify_ms: d.certify_nanos as f64 / 1e6,
-                lp_components: d.components,
-                lp_max_component_vars: vars_window.value(),
-                warm_hits: d.warm_hits,
-                warm_pivots_saved: d.warm_pivots_saved,
-                demotions: d.demotions,
-                budget_trips: d.budget_trips,
-                quarantined: d.quarantined,
-                interval_accepts: d.interval_accepts,
-                interval_escalations: d.interval_escalations,
-                persist_restores: d.persist_restores,
-                recoveries: d.recoveries,
-                state_corrupt: d.state_corrupt,
-                admission_rejects: d.admission_rejects,
-                lp_p50_ms: lat.percentile(0.50) as f64 / 1e3,
-                lp_p90_ms: lat.percentile(0.90) as f64 / 1e3,
-                lp_p99_ms: lat.percentile(0.99) as f64 / 1e3,
-                phase_decompose_ms: phase_ms("solve.decompose"),
-                phase_warm_ms: phase_ms("solve.warm"),
-                phase_pivot_ms: phase_ms("solve.pivot"),
-                phase_certify_ms: phase_ms("solve.certify"),
-                phase_stitch_ms: phase_ms("solve.stitch"),
+                columns,
                 speedup: report.speedup,
                 busy_cost: headline_busy.0,
                 busy_ratio: headline_busy.1,
@@ -267,8 +212,8 @@ fn main() {
         std::process::exit(2);
     }
     if expect_demotions {
-        let demotions: u64 = records.iter().map(|r| r.demotions).sum();
-        let quarantined: u64 = records.iter().map(|r| r.quarantined).sum();
+        let demotions = records.iter().map(|r| r.column("demotions")).sum::<f64>() as u64;
+        let quarantined = records.iter().map(|r| r.column("quarantined")).sum::<f64>() as u64;
         if demotions == 0 {
             eprintln!("--expect-demotions: no supervision-ladder demotions recorded — the configured faults never fired");
             std::process::exit(1);

@@ -1,7 +1,7 @@
 //! The experiment suite: one function per paper artifact, `e1`–`e25`, each
-//! documented with the figure or claim it regenerates ([`all_reports`]
-//! runs them in order). Each returns an [`ExperimentReport`] whose table
-//! is the regenerated figure/claim.
+//! documented with the figure or claim it regenerates (the `experiments`
+//! binary runs them in order). Each returns an [`ExperimentReport`] whose
+//! table is the regenerated figure/claim.
 
 #![allow(clippy::type_complexity)] // ad-hoc closures over small stat tuples
 
@@ -2232,35 +2232,4 @@ mod rand_free {
             self.0 % m
         }
     }
-}
-
-/// Runs all experiments in order.
-pub fn all_reports() -> Vec<ExperimentReport> {
-    vec![
-        e1(),
-        e2(),
-        e3(),
-        e4(),
-        e5(),
-        e6(),
-        e7(),
-        e8(),
-        e9(),
-        e10(),
-        e11(),
-        e12(),
-        e13(),
-        e14(),
-        e15(),
-        e16(),
-        e17(),
-        e18(),
-        e19(),
-        e20(),
-        e21(),
-        e22(),
-        e23(),
-        e24(),
-        e25(),
-    ]
 }

@@ -5,7 +5,8 @@
 //! and hosts the Criterion runtime benches. `cargo run -p abt-bench
 //! --release --bin experiments` prints each experiment's Markdown table
 //! and writes `BENCH_lp.json` ([`bench_record`] documents the full lp-v2
-//! schema), which the `perf_gate` binary compares field-by-field in CI.
+//! schema), which the `perf_gate` binary compares field-by-field in CI by
+//! the rules of [`perf_gate`].
 //! See the repo-root `ARCHITECTURE.md` for the whole pipeline.
 //!
 //! # Example
@@ -29,7 +30,7 @@
 //! let rec = BenchRecord::from_json(committed).unwrap();
 //! assert_eq!(rec.schema, SCHEMA);
 //! assert_eq!(rec.lp_simplex.candidate, "vub_implicit");
-//! assert_eq!(rec.experiments[0].lp_components, 1216);
+//! assert_eq!(rec.experiments[0].column("lp_components"), 1216.0);
 //! assert_eq!(rec.experiments[0].speedup, Some(19.5));
 //! // The canonical writer re-emits a parseable document.
 //! assert_eq!(BenchRecord::from_json(&rec.to_json()).unwrap(), rec);
@@ -40,11 +41,12 @@
 pub mod bench_record;
 pub mod experiments;
 pub mod parallel;
+pub mod perf_gate;
 pub mod stats;
 pub mod table;
 
 pub use bench_record::{BenchRecord, ExperimentRecord, LpSimplexRecord};
-pub use experiments::{all_reports, ExperimentReport};
+pub use experiments::ExperimentReport;
 pub use parallel::parallel_map;
 pub use stats::{ratio_summary, time_best_ms, Summary};
 pub use table::{ratio, Table};

@@ -99,32 +99,10 @@ fn level_band_pack(
         });
     }
 
-    // Phase 1: levels. Process by (level_cap asc, start asc): tightest
-    // eligibility first (eligibility sets are prefixes {1..cap}).
-    let mut order: Vec<usize> = (0..units.len()).collect();
-    order.sort_by_key(|&i| (units[i].level_cap, units[i].iv.start, i));
+    // Phase 1: levels.
     let max_level = padded_profile.max_raw_demand();
-    let mut level_members: Vec<Vec<usize>> = vec![Vec::new(); max_level + 1];
-    let mut assigned_level = vec![0usize; units.len()];
-    for &ui in &order {
-        let u = units[ui];
-        let mut placed = false;
-        for lvl in 1..=u.level_cap {
-            // At most one existing member may cover any point of u.iv.
-            let conflict = max_overlap_within(&level_members[lvl], &units, u.iv) >= 2;
-            if !conflict {
-                level_members[lvl].push(ui);
-                assigned_level[ui] = lvl;
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
-            return Err(Error::InvalidInstance(
-                "Kumar–Rudra phase 1 could not place a job within its eligible levels".into(),
-            ));
-        }
-    }
+    let level_members =
+        greedy_levels(&units, max_level).unwrap_or_else(|| cover_levels(&units, max_level));
 
     // Phase 2: two machines per band of g levels; parity-split each level.
     let bands = max_level.div_ceil(g);
@@ -159,6 +137,72 @@ fn level_band_pack(
     parts.retain(|p| !p.is_empty());
     let schedule = BusySchedule::from_interval_partition(inst, parts);
     Ok((schedule, max_level))
+}
+
+/// Phase 1 by `(level_cap, start)`: tightest eligibility first
+/// (eligibility sets are prefixes `{1..cap}`), each unit on its lowest
+/// level where at most one member already covers any of its points.
+/// `None` when a unit finds no such level within its cap.
+fn greedy_levels(units: &[Unit], max_level: usize) -> Option<Vec<Vec<usize>>> {
+    let mut order: Vec<usize> = (0..units.len()).collect();
+    order.sort_by_key(|&i| (units[i].level_cap, units[i].iv.start, i));
+    let mut level_members: Vec<Vec<usize>> = vec![Vec::new(); max_level + 1];
+    for &ui in &order {
+        let u = units[ui];
+        let lvl = (1..=u.level_cap)
+            .find(|&lvl| max_overlap_within(&level_members[lvl], units, u.iv) < 2)?;
+        level_members[lvl].push(ui);
+    }
+    Some(level_members)
+}
+
+/// Phase 1 when [`greedy_levels`] gets stuck: level by level, a
+/// farthest-reaching greedy cover of the union of the units still
+/// unassigned. A greedy cover never picks three intervals through one
+/// point, so each level overlaps at most twice; and each level takes at
+/// least one unit from every point that still has demand, so a unit whose
+/// window dips to demand `cap` is placed by level `cap`.
+fn cover_levels(units: &[Unit], max_level: usize) -> Vec<Vec<usize>> {
+    let mut rest: Vec<usize> = (0..units.len()).collect();
+    rest.sort_by_key(|&i| (units[i].iv.start, i));
+    let mut level_members: Vec<Vec<usize>> = vec![Vec::new(); max_level + 1];
+    let mut lvl = 0;
+    while !rest.is_empty() {
+        lvl += 1;
+        let mut picked = vec![false; rest.len()];
+        let mut reach = i64::MIN;
+        let mut k = 0;
+        loop {
+            // Among the units starting by `reach`, the one reaching farthest.
+            let mut best: Option<usize> = None;
+            while k < rest.len() && units[rest[k]].iv.start <= reach {
+                let end = units[rest[k]].iv.end;
+                if end > reach && best.is_none_or(|b| end > units[rest[b]].iv.end) {
+                    best = Some(k);
+                }
+                k += 1;
+            }
+            match best {
+                Some(b) => {
+                    picked[b] = true;
+                    reach = units[rest[b]].iv.end;
+                }
+                None if k < rest.len() => reach = units[rest[k]].iv.start,
+                None => break,
+            }
+        }
+        let mut left = Vec::with_capacity(rest.len());
+        for (&ui, on_level) in rest.iter().zip(picked) {
+            if on_level {
+                debug_assert!(lvl <= units[ui].level_cap);
+                level_members[lvl].push(ui);
+            } else {
+                left.push(ui);
+            }
+        }
+        rest = left;
+    }
+    level_members
 }
 
 /// Maximum number of `members` (plus the candidate) simultaneously covering
@@ -281,6 +325,28 @@ mod tests {
             let inst = interval_inst(&ivs, g);
             check(&inst);
         }
+    }
+
+    #[test]
+    fn greedy_dead_end_falls_back_to_cover_levels() {
+        // The (level_cap, start) greedy strands a unit here, though a valid
+        // assignment exists: level 1 holds [5,9) [8,12) [11,16) [14,18),
+        // level 2 holds [7,9) [8,12) [11,15).
+        let ivs = [
+            (8, 12),
+            (14, 18),
+            (7, 9),
+            (8, 12),
+            (11, 15),
+            (11, 16),
+            (5, 9),
+        ];
+        let inst = interval_inst(&ivs, 1);
+        let run = check(&inst);
+        assert_eq!(run.schedule.total_busy_time(&inst), 27);
+        assert_eq!(run.schedule.machine_count(), 4);
+        let lp = crate::lp_rounding::lp_rounding_run(&inst).unwrap();
+        assert_eq!(lp.cost, 27);
     }
 
     #[test]

@@ -21,8 +21,6 @@
 //! * [`online`] — the release-ordered online setting (§1.3 related work).
 //! * [`widths`] — the Khandekar et al. width-demand generalization
 //!   (narrow/wide FirstFit 5-approximation) discussed in §1.
-//! * [`special`] — proper/clique/laminar classes: greedy 2-approximations
-//!   and the exact proper-clique DP \[12\] / laminar solver \[9\].
 //! * [`lp_rounding`] — the paper's busy-time LP (over demand-profile
 //!   segments; separable, so its optimum is computed in closed form)
 //!   rounded to a 2-approximation vs the profile bound and a
@@ -42,7 +40,6 @@ pub mod maximization;
 pub mod online;
 pub mod preemptive;
 pub mod span;
-pub mod special;
 pub mod tracks;
 pub mod widths;
 
@@ -66,8 +63,4 @@ pub use preemptive::{
     UnboundedPreemptive,
 };
 pub use span::{span_brute_force, span_exact, span_greedy, span_place, SpanPlacement};
-pub use special::{
-    clique_greedy, is_clique, is_laminar, is_proper, laminar_solve, proper_clique_exact,
-    proper_greedy,
-};
 pub use widths::{width_first_fit, WideJob, WidthInstance, WidthSchedule};

@@ -69,17 +69,6 @@ impl ActiveSchedule {
         self.active.len() as i64
     }
 
-    /// Load (number of scheduled job-units) per slot.
-    pub fn slot_loads(&self) -> BTreeMap<Time, usize> {
-        let mut loads: BTreeMap<Time, usize> = self.active.iter().map(|&t| (t, 0)).collect();
-        for slots in &self.assignment {
-            for &t in slots {
-                *loads.entry(t).or_insert(0) += 1;
-            }
-        }
-        loads
-    }
-
     /// Checks full feasibility against `inst`:
     /// every job gets exactly `p_j` distinct slots, all inside its window and
     /// inside `A`; no slot holds more than `g` units.
@@ -132,22 +121,6 @@ impl ActiveSchedule {
             }
         }
         Ok(())
-    }
-
-    /// Slots that are active and *full* (exactly `g` units) / *non-full*
-    /// (Definition 3). Returns `(full, non_full)`.
-    pub fn full_and_nonfull(&self, inst: &Instance) -> (Vec<Time>, Vec<Time>) {
-        let loads = self.slot_loads();
-        let mut full = Vec::new();
-        let mut non_full = Vec::new();
-        for &t in &self.active {
-            if loads.get(&t).copied().unwrap_or(0) >= inst.g() {
-                full.push(t);
-            } else {
-                non_full.push(t);
-            }
-        }
-        (full, non_full)
     }
 }
 
@@ -207,18 +180,5 @@ mod tests {
     fn duplicate_slot_detected() {
         let s = ActiveSchedule::new([1, 2, 3], vec![vec![2, 2], vec![1], vec![2, 3]]);
         assert!(s.validate(&inst()).is_err());
-    }
-
-    #[test]
-    fn full_nonfull_partition() {
-        let s = ActiveSchedule::new([1, 2, 3], vec![vec![1, 2], vec![2], vec![2, 3]]);
-        // slot2 is... loads: slot1:1, slot2:3? no — job0:{1,2}, job1:{2}, job2:{2,3}
-        // slot 2 load = 3 > g; use a valid one instead:
-        let s2 = ActiveSchedule::new([1, 2, 3], vec![vec![1, 2], vec![1], vec![2, 3]]);
-        s2.validate(&inst()).unwrap();
-        let (full, non_full) = s2.full_and_nonfull(&inst());
-        assert_eq!(full, vec![1, 2]);
-        assert_eq!(non_full, vec![3]);
-        drop(s);
     }
 }

@@ -243,10 +243,14 @@ impl HistogramSnapshot {
     }
 }
 
-/// One registered metric (see [`render`]).
-enum Metric {
+/// One registered metric (see [`lookup`] and [`render`]).
+#[derive(Debug, Clone, Copy)]
+pub enum Metric {
+    /// A [`Counter`].
     Counter(&'static Counter),
+    /// A [`Gauge`].
     Gauge(&'static Gauge),
+    /// A [`Histogram`].
     Histogram(&'static Histogram),
 }
 
@@ -315,6 +319,14 @@ pub fn histogram(name: &'static str) -> &'static Histogram {
         }
     };
     got.unwrap_or_else(|| panic!("metric {name:?} is not a histogram"))
+}
+
+/// The metric registered under `name`, if any. Unlike [`counter`],
+/// [`gauge`] and [`histogram`] this never registers, so a reader that
+/// misspells a name gets `None` rather than a fresh zero.
+pub fn lookup(name: &str) -> Option<Metric> {
+    let reg = registry().lock().expect("metrics registry poisoned");
+    reg.get(name).copied()
 }
 
 /// Renders every registered metric as `name value` lines (sorted by

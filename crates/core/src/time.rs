@@ -187,11 +187,6 @@ impl IntervalSet {
         i < self.parts.len() && self.parts[i].contains_interval(iv)
     }
 
-    /// Measure of the intersection with `iv`.
-    pub fn measure_within(&self, iv: &Interval) -> i64 {
-        self.parts.iter().map(|p| p.overlap_len(iv)).sum()
-    }
-
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
         self.parts.is_empty()
@@ -299,7 +294,6 @@ mod tests {
         assert!(s.contains(11));
         assert!(s.covers(&Interval::new(1, 4)));
         assert!(!s.covers(&Interval::new(4, 9)));
-        assert_eq!(s.measure_within(&Interval::new(3, 10)), 2 + 2);
     }
 
     #[test]
