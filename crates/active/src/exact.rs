@@ -25,7 +25,7 @@
 use crate::feasibility::FeasibilityChecker;
 use crate::lp_model::{slot_runs, solve_active_lp, SlotRun};
 use crate::minimal::{minimal_feasible, ClosingOrder};
-use abt_core::active_schedule::horizon_slots;
+use abt_core::active_schedule::{horizon_len, horizon_slots};
 use abt_core::{active_lower_bound, ActiveSchedule, Error, Instance, Result, Time};
 
 /// Horizon length (in slots) beyond which the per-slot branch-and-bound
@@ -49,13 +49,16 @@ pub struct ExactActive {
 /// [`Error::Unsupported`] so callers can fall back to approximations.
 /// Horizons longer than [`RUN_BRANCH_SLOT_LIMIT`] slots are solved by
 /// event-point-run branching (see the module docs) instead of per-slot
-/// branching, so sparse instances with huge horizons terminate.
+/// branching, so sparse instances with huge horizons terminate; a horizon
+/// whose length overflows `i64` is refused with [`Error::HorizonTooLong`].
 pub fn exact_active_time(inst: &Instance, node_limit: Option<u64>) -> Result<ExactActive> {
-    if !inst.is_empty() && inst.max_deadline() - inst.min_release() > RUN_BRANCH_SLOT_LIMIT {
+    if !inst.is_empty()
+        && horizon_len(inst.min_release(), inst.max_deadline())? > RUN_BRANCH_SLOT_LIMIT
+    {
         return exact_over_runs(inst, node_limit);
     }
     let checker = FeasibilityChecker::new(inst);
-    let all = horizon_slots(inst);
+    let all = horizon_slots(inst)?;
     if !checker.is_feasible(&all) {
         return Err(Error::Infeasible("no feasible schedule exists".into()));
     }

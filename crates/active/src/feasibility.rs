@@ -128,7 +128,7 @@ mod tests {
     #[test]
     fn all_slots_feasible_when_capacity_suffices() {
         let inst = Instance::from_triples([(0, 3, 2), (0, 3, 2), (1, 4, 1)], 2).unwrap();
-        let slots = horizon_slots(&inst);
+        let slots = horizon_slots(&inst).unwrap();
         let sched = schedule_on(&inst, &slots).expect("feasible");
         sched.validate(&inst).unwrap();
     }
@@ -163,7 +163,7 @@ mod tests {
     fn extracted_schedule_is_always_valid() {
         // Paper Fig. 3-ish mix with full and non-full slots.
         let inst = Instance::from_triples([(0, 6, 3), (1, 5, 2), (2, 4, 2), (0, 2, 1)], 2).unwrap();
-        let slots = horizon_slots(&inst);
+        let slots = horizon_slots(&inst).unwrap();
         let sched = schedule_on(&inst, &slots).unwrap();
         sched.validate(&inst).unwrap();
         assert_eq!(sched.cost(), 6);

@@ -73,6 +73,7 @@ use crate::lp_model::{
 };
 use crate::store::{encode_state, JournalOp, RecoveryReport, SolveStateStore};
 use crate::supervise::{supervised_solve, PartialSolve, QuarantinedComponent, SolveError};
+use abt_core::active_schedule::per_slot_horizon_len;
 use abt_core::obs::metrics::{self, Counter};
 use abt_core::persist::PersistError;
 use abt_core::{Error, Instance, Job, Result, SolveFailure, Time};
@@ -454,6 +455,12 @@ impl IncrementalSolver {
                 }
             }
         }
+        // The stitch below writes one `y` per slot of the span.
+        if let (Some((&lo, _)), Some((_, last))) =
+            (self.comps.first_key_value(), self.comps.last_key_value())
+        {
+            per_slot_horizon_len(lo, last.end).map_err(SolveError::Model)?;
+        }
         if self.comps.is_empty() {
             return Ok(IncrementalReport {
                 lp: ActiveLp {
@@ -528,12 +535,12 @@ impl IncrementalSolver {
                 run_hi: runs.len(),
                 jobs: (0..sub.len()).collect(),
             };
-            let lp = build_component_lp(&sub, &self.opts, &runs, &comp);
+            let clp = build_component_lp(&sub, &self.opts, &runs, &comp);
             let skey = component_signature(&sub, &runs, &comp);
             let entry = self.shape_cache.get(&skey);
             let pool: &[BasisSnapshot] = entry.map(|e| e.snapshots.as_slice()).unwrap_or(&[]);
             let (sol, pivots, warm_hit, snapshot) =
-                match supervised_solve(&lp, &ropts.snapshots(pool)) {
+                match supervised_solve(&clp.lp, &ropts.snapshots(pool).start(clp.start.as_ref())) {
                     Ok(sr) => {
                         if !pool.is_empty() {
                             report.warm_attempts += 1;
@@ -901,6 +908,28 @@ mod tests {
         let rep = solver.solve().unwrap();
         assert_eq!(rep.components, 1);
         assert_eq!(rep.lp.objective, Rat::from_int(2));
+    }
+
+    #[test]
+    fn a_horizon_past_the_per_slot_limit_is_refused() {
+        // The stitch would write 8·10⁹ per-slot values.
+        let mut solver = IncrementalSolver::new(2).unwrap();
+        for (r, d, p) in [
+            (0, 8_000_000_000, 3),
+            (1, 8_000_000_001, 2),
+            (5, 7_999_999_990, 4),
+            (2, 9, 1),
+            (7_999_999_000, 8_000_000_000, 5),
+        ] {
+            solver.add_job(Job::try_new(r, d, p).unwrap());
+        }
+        assert!(matches!(
+            solver.solve(),
+            Err(Error::HorizonTooLong {
+                slots: 8_000_000_001,
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -90,7 +90,7 @@ impl OracleSolver {
             record_admission_reject();
             return Err(SolveError::Rejected(rej));
         }
-        let slots = horizon_slots(&inst);
+        let slots = horizon_slots(&inst).map_err(SolveError::Model)?;
         if inst.is_empty() {
             return Ok(IncrementalReport {
                 lp: ActiveLp {
@@ -162,12 +162,12 @@ impl OracleSolver {
                 continue;
             }
             // Dirty: re-solve, warm from the shape's snapshot pool.
-            let lp = build_component_lp(&inst, &self.opts, &runs, comp);
+            let clp = build_component_lp(&inst, &self.opts, &runs, comp);
             let skey = component_signature(&inst, &runs, comp);
             let entry = self.shape_cache.get(&skey);
             let pool: &[BasisSnapshot] = entry.map(|e| e.snapshots.as_slice()).unwrap_or(&[]);
             let (sol, pivots, warm_hit, snapshot) =
-                match supervised_solve(&lp, &ropts.snapshots(pool)) {
+                match supervised_solve(&clp.lp, &ropts.snapshots(pool).start(clp.start.as_ref())) {
                     Ok(sr) => {
                         if !pool.is_empty() {
                             report.warm_attempts += 1;

@@ -89,16 +89,35 @@
 //! (E22 measures the pivot-effort reduction). The incremental re-solve
 //! driver for *mutating* instances lives in [`crate::incremental`].
 //!
+//! # Crash start
+//!
+//! A cold solve from the all-slack basis spends most of its pivots in
+//! phase 1, searching for *a* feasible point of LP1 — yet with every slot
+//! open, LP1 is the all-open case of the `G_feas` feasibility test (Fig.
+//! 2), and a greedy finds such a point combinatorially. Under
+//! [`VubMode::Implicit`] every component block therefore carries a crash
+//! start ([`abt_lp::StartBasis`], built beside the block by
+//! `build_component_lp`): used runs open at `Y_I = w_I`, jobs placed by
+//! an earliest-deadline greedy, each job short of its length left to its
+//! artificial. The cold rung factors it in place of the all-slack basis
+//! and runs phase 1 only while an artificial is positive; a covered start
+//! goes straight to phase 2. Every LP1 call site — the sharded and
+//! monolithic solves, both phases of the batch planner, and the
+//! incremental driver's dirty components — gets it; [`VubMode::Rows`]
+//! keeps the all-slack start. Warm installs are unchanged: a started
+//! solve is a cold solve. The start moves pivots, never answers: the
+//! terminal basis is certified exactly like any other.
+//!
 //! # Solving
 //!
 //! Every component LP runs down the supervision ladder
-//! ([`crate::supervise`]): a bounded revised simplex in `f64` whose
-//! terminal basis is re-verified in exact rationals (and, if that fails,
-//! re-solved by a dense rung), so the `y` values and objective remain
-//! *exact* — the rounding algorithm's case analysis (`⌊Y_i⌋`, comparisons
-//! against ½) stays noise-free. [`LpOptions`] tunes that one path:
-//! encoding, pricing, sharding, warm batching, budgets, and certification
-//! tier.
+//! ([`crate::supervise`]): a bounded revised simplex in `f64`, from the
+//! block's crash start, whose terminal basis is re-verified in exact
+//! rationals (and, if that fails, re-solved by a dense rung), so the `y`
+//! values and objective remain *exact* — the rounding algorithm's case
+//! analysis (`⌊Y_i⌋`, comparisons against ½) stays noise-free.
+//! [`LpOptions`] tunes that one path: encoding, pricing, sharding, warm
+//! batching, budgets, and certification tier.
 //!
 //! Every solve feeds the process-wide telemetry ([`lp_telemetry`]):
 //! fallbacks plus the pivot / bound-flip / refactorization /
@@ -118,7 +137,7 @@ use abt_core::obs::{
 use abt_core::{supervised_map, Error, Instance, Result, SolveFailure, Time};
 use abt_lp::{
     BasisSnapshot, BoundedOptions, CertifyMode, Cmp, LpProblem, LpReport, LpSolution, LpStatus,
-    Rat, DEFAULT_PRICING_WINDOW,
+    Rat, RowStart, StartBasis, VarState, DEFAULT_PRICING_WINDOW,
 };
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -393,6 +412,9 @@ lp_counters! {
     fallbacks: "lp.fallbacks",
     /// Basis-changing pivots of the float passes.
     pivots: "lp.pivots",
+    /// The pivots of the float passes' phase 1 (a subset of `pivots`):
+    /// the search for a feasible basis that the crash start leaves over.
+    phase1_pivots: "lp.phase1_pivots",
     /// Bound/VUB flips of the float passes (no basis change).
     bound_flips: "lp.bound_flips",
     /// LU refactorizations of the float passes (periodic and
@@ -523,6 +545,7 @@ pub(crate) fn record_solve(rep: &LpReport) {
         m.fallbacks.inc();
     }
     m.pivots.add(rep.stats.pivots);
+    m.phase1_pivots.add(rep.stats.phase1_pivots);
     m.bound_flips.add(rep.stats.bound_flips);
     m.refactorizations.add(rep.stats.refactorizations);
     m.certify_nanos.add(rep.stats.certify_nanos);
@@ -675,18 +698,26 @@ struct ComponentSolution {
     objective: Rat,
 }
 
-/// Builds one component's LP1 block. Variable layout: the `Y` variables
-/// come first (ids `0..n_runs`, one per run of the component's range),
-/// then the `x_{I,j}` variables per member job in `comp.jobs` order. The
-/// construction mirrors the monolithic model exactly, so the all-covering
-/// component of [`DecomposeMode::Off`] reproduces the pre-sharding LP bit
-/// for bit.
+/// One component's LP1 block and the basis its cold solve starts from.
+pub(crate) struct ComponentLp {
+    pub(crate) lp: LpProblem<Rat>,
+    /// The crash start of [`crash_start`]; `None` under [`VubMode::Rows`],
+    /// which keeps the all-slack start.
+    pub(crate) start: Option<StartBasis>,
+}
+
+/// Builds one component's LP1 block and its crash start. Variable layout:
+/// the `Y` variables come first (ids `0..n_runs`, one per run of the
+/// component's range), then the `x_{I,j}` variables per member job in
+/// `comp.jobs` order. The construction mirrors the monolithic model
+/// exactly, so the all-covering component of [`DecomposeMode::Off`]
+/// reproduces the pre-sharding LP bit for bit.
 pub(crate) fn build_component_lp(
     inst: &Instance,
     opts: &LpOptions,
     runs: &[SlotRun],
     comp: &Component,
-) -> LpProblem<Rat> {
+) -> ComponentLp {
     let crange = &runs[comp.run_lo..comp.run_hi];
     let mut lp: LpProblem<Rat> = LpProblem::new();
     // Y variables: total open mass per run, implicitly bounded by the run
@@ -735,14 +766,17 @@ pub(crate) fn build_component_lp(
             per_run[ri].push((v, Rat::ONE));
         }
     }
+    let mut cap_rows: Vec<Option<usize>> = vec![None; crange.len()];
     for (ri, mut terms) in per_run.into_iter().enumerate() {
         if terms.is_empty() {
             continue;
         }
         terms.push((y_vars[ri], g.neg()));
+        cap_rows[ri] = Some(lp.num_constraints());
         lp.add_constraint(terms, Cmp::Le, Rat::ZERO);
     }
     // Σ_I x_{I,j} ≥ p_j.
+    let first_job_row = lp.num_constraints();
     for (cj, row) in x_vars.iter().enumerate() {
         let terms: Vec<(usize, Rat)> = row.iter().map(|&(_, v)| (v, Rat::ONE)).collect();
         lp.add_constraint(
@@ -751,7 +785,93 @@ pub(crate) fn build_component_lp(
             Rat::from_int(inst.job(comp.jobs[cj]).length),
         );
     }
-    lp
+    let start = (opts.vub == VubMode::Implicit).then(|| {
+        let mut start = StartBasis {
+            vars: vec![VarState::AtLower; lp.num_vars()],
+            rows: vec![RowStart::Slack; lp.num_constraints()],
+        };
+        crash_start(
+            inst,
+            comp,
+            crange,
+            &x_vars,
+            &cap_rows,
+            first_job_row,
+            &mut start,
+        );
+        start
+    });
+    ComponentLp { lp, start }
+}
+
+/// Fills `start` with LP1's crash start: every slot of the component open
+/// (the all-open case of the `G_feas` test, Fig. 2) and the jobs placed
+/// greedily, so that phase 1 has nothing or little left to do.
+///
+/// Jobs in (deadline, release) order fill their runs left to right, each
+/// step taking `min(need, w_I, room)`: a full `w_I` glues `x_{I,j}` to
+/// `Y_I`; a remainder below `w_I` that fits is one basic `x` in the job's
+/// row, which finishes the job; otherwise the run is saturated by a basic
+/// `x` in its capacity row in place of the slack. Every run that received
+/// work rests its `Y_I` at `w_I`; a job covered exactly keeps its surplus
+/// basic at 0, and a job the greedy leaves short its artificial at the
+/// residual. A capacity row is saturated at most once and a job's row
+/// owns at most its one remainder, and each such edge points to a row
+/// filled later, so the basic columns form trees with exactly one
+/// slack/surplus/artificial root each: the basis is triangular up to
+/// permutation, and every basic value lies within its bounds and VUBs.
+fn crash_start(
+    inst: &Instance,
+    comp: &Component,
+    crange: &[SlotRun],
+    x_vars: &[Vec<(usize, usize)>],
+    cap_rows: &[Option<usize>],
+    first_job_row: usize,
+    start: &mut StartBasis,
+) {
+    let g = inst.g() as i128;
+    let full: Vec<i128> = crange.iter().map(|run| g * run.width() as i128).collect();
+    let mut room = full.clone();
+    let mut order: Vec<usize> = (0..comp.jobs.len()).collect();
+    order.sort_by_key(|&cj| {
+        let job = inst.job(comp.jobs[cj]);
+        (job.deadline, job.release)
+    });
+    for cj in order {
+        let mut need = inst.job(comp.jobs[cj]).length as i128;
+        for &(ri, v) in &x_vars[cj] {
+            if need == 0 {
+                break;
+            }
+            let w = crange[ri].width() as i128;
+            let r = room[ri];
+            if need >= w && r >= w {
+                start.vars[v] = VarState::AtVub;
+                room[ri] -= w;
+                need -= w;
+            } else if need < w && r >= need {
+                start.vars[v] = VarState::Basic;
+                start.rows[first_job_row + cj] = RowStart::Var(v);
+                room[ri] -= need;
+                need = 0;
+            } else if r > 0 {
+                let cap = cap_rows[ri].expect("a run with x variables has a capacity row");
+                start.vars[v] = VarState::Basic;
+                start.rows[cap] = RowStart::Var(v);
+                room[ri] = 0;
+                need -= r;
+            }
+        }
+        if need > 0 {
+            start.rows[first_job_row + cj] = RowStart::Artificial;
+        }
+    }
+    // `Y_I` of local run `ri` is variable `ri`.
+    for ri in 0..crange.len() {
+        if room[ri] < full[ri] {
+            start.vars[ri] = VarState::AtUpper;
+        }
+    }
 }
 
 /// Converts a solved component LP into its [`ComponentSolution`] block
@@ -788,11 +908,13 @@ fn solve_component(
     comp: &Component,
     sharded: bool,
 ) -> ComponentOutcome {
-    let lp = build_component_lp(inst, opts, runs, comp);
+    let clp = build_component_lp(inst, opts, runs, comp);
     if sharded {
-        met().max_component_vars.record_max(lp.num_vars() as u64);
+        met()
+            .max_component_vars
+            .record_max(clp.lp.num_vars() as u64);
     }
-    let sol = supervised_solve(&lp, &revised_options(opts))?.solution;
+    let sol = supervised_solve(&clp.lp, &revised_options(opts).start(clp.start.as_ref()))?.solution;
     Ok(finish_component(comp, comp.run_hi - comp.run_lo, sol))
 }
 
@@ -873,9 +995,11 @@ fn solve_components_batched(
     let rep_outs: Vec<std::result::Result<RepOutcome, SolveFailure>> =
         supervised_map(rep_ids, |ci| {
             let comp = &comps[ci];
-            let lp = build_component_lp(inst, opts, runs, comp);
-            met().max_component_vars.record_max(lp.num_vars() as u64);
-            let sr = supervised_solve(&lp, &ropts)?;
+            let clp = build_component_lp(inst, opts, runs, comp);
+            met()
+                .max_component_vars
+                .record_max(clp.lp.num_vars() as u64);
+            let sr = supervised_solve(&clp.lp, &ropts.start(clp.start.as_ref()))?;
             let pivots = sr.stats.pivots;
             Ok((
                 finish_component(comp, comp.run_hi - comp.run_lo, sr.solution),
@@ -923,10 +1047,13 @@ fn solve_components_batched(
         let wave_outs: Vec<std::result::Result<SiblingOutcome, SolveFailure>> =
             supervised_map(batch.clone(), |(ci, gi)| {
                 let comp = &comps[ci];
-                let lp = build_component_lp(inst, opts, runs, comp);
-                met().max_component_vars.record_max(lp.num_vars() as u64);
+                let clp = build_component_lp(inst, opts, runs, comp);
+                met()
+                    .max_component_vars
+                    .record_max(clp.lp.num_vars() as u64);
                 let (pool, rep_pivots) = &pools_ref[gi];
-                let sr = supervised_solve(&lp, &ropts.snapshots(pool))?;
+                let sr =
+                    supervised_solve(&clp.lp, &ropts.snapshots(pool).start(clp.start.as_ref()))?;
                 // An empty pool (e.g. the representative fell back to the
                 // dense exact solver) means the sibling was never *offered*
                 // a snapshot — don't count a phantom attempt.
@@ -996,7 +1123,7 @@ pub fn try_solve_active_lp_with(
 ) -> std::result::Result<ActiveLp, SolveError> {
     let (slots, runs, comps) = {
         let mut span = abt_core::obs_span!("solve.decompose");
-        let slots = horizon_slots(inst);
+        let slots = horizon_slots(inst).map_err(SolveError::Model)?;
         let runs = slot_runs(inst);
         debug_assert_eq!(
             runs.iter().map(SlotRun::width).sum::<i64>(),
@@ -1124,6 +1251,9 @@ pub fn fractional_feasible(inst: &Instance, slots: &[Time], y: &[Rat]) -> bool {
         .unwrap_or_else(|f| panic!("feasibility oracle quarantined: {f}"));
     matches!(sr.solution.status, LpStatus::Optimal)
 }
+
+#[cfg(test)]
+mod crash;
 
 #[cfg(test)]
 mod tests {

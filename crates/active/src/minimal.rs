@@ -87,7 +87,7 @@ pub struct MinimalResult {
 /// closing candidates in `order`. Errors if the instance is infeasible even
 /// with every slot open.
 pub fn minimal_feasible(inst: &Instance, order: ClosingOrder) -> Result<MinimalResult> {
-    let all = horizon_slots(inst);
+    let all = horizon_slots(inst)?;
     minimal_feasible_from(inst, &all, order)
 }
 

@@ -178,7 +178,10 @@ pub fn lp_rounding(inst: &Instance) -> Result<RoundingOutcome> {
 }
 
 /// Rounding given an already-solved LP (lets experiments reuse the solve).
+/// §3.1 right-shifting and the §3 rounding run under the always-on
+/// `active.rounding` span.
 pub fn lp_rounding_from(inst: &Instance, lp: &ActiveLp) -> Result<RoundingOutcome> {
+    let _span = abt_core::obs_span!("active.rounding");
     let rs: RightShifted = right_shift(inst, lp);
     let checker = FeasibilityChecker::new(inst);
     let half = Rat::new(1, 2);

@@ -13,7 +13,8 @@
 //!    offers snapshots. A pool miss (`ShapeDrift`) is a routine cache
 //!    outcome and drops through silently; any other failure demotes.
 //! 2. **Cold revised** (the default `Revised` backend) — the bounded
-//!    revised simplex with budgets armed. A float-level `Infeasible` claim
+//!    revised simplex with budgets armed, from the caller's crash start
+//!    (`opts.start`) when it offers one. A float-level `Infeasible` claim
 //!    drops through silently (confirming it is the exact tier's job);
 //!    panics, budget trips, and numerical stalls demote.
 //! 3. **Dense hybrid** (`SolverBackend::DenseHybrid`) — dense float
@@ -53,8 +54,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// Solves `lp` down the degradation ladder (see the module docs),
 /// recording demotions and budget trips in the process-wide telemetry.
 /// Every rung runs under the pricing, budgets and certify policy of
-/// `opts`; `opts.snapshots` feeds the warm rung, and the ladder itself
-/// picks each rung's backend.
+/// `opts`; `opts.snapshots` feeds the warm rung, `opts.start` the cold
+/// revised rung, and the ladder itself picks each rung's backend.
 /// Returns `Err` only when every rung failed — the caller quarantines the
 /// work item; the error is the root-cause failure (the first one that
 /// forced a demotion, or the final rung's panic when nothing demoted).
@@ -107,8 +108,9 @@ pub(crate) fn supervised_solve(
             ),
         }
     }
-    // Rung 2 — cold revised with budgets armed.
-    match catch_unwind(AssertUnwindSafe(|| solve_lp(lp, &base))) {
+    // Rung 2 — cold revised with budgets armed, from the crash start.
+    let cold = base.start(opts.start);
+    match catch_unwind(AssertUnwindSafe(|| solve_lp(lp, &cold))) {
         Ok(Ok(rep)) => return Ok(finish(rep, "cold revised", &mut span)),
         // A float-level infeasibility claim needs exact confirmation — the
         // next rung's job. Not a fault.

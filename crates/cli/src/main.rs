@@ -53,7 +53,12 @@
 //! re-partitioned into components (`incremental.jobs_regrouped`).
 //! `busy` with an interval algorithm (`ff`, `gt`, `kr`, `ab`, `lp`) prints
 //! the same kind of line for its two phases: the min-span placement
-//! (`span`) and the interval algorithm's packing (`pack`).
+//! (`span`) and the interval algorithm's packing (`pack`). `active …
+//! rounding` prints one for the LP pipeline (decompose/pivot/certify/
+//! stitch) and the §3.1 right-shift plus §3 rounding (`rounding`).
+//!
+//! The per-slot commands (`solve`, `active`) refuse a horizon longer than
+//! `abt-core`'s `MAX_HORIZON_SLOTS` with a typed error (exit 2).
 //!
 //! Instance files use the `abt-core::io` text format (`g <k>` then one
 //! `job <r> <d> <p>` per line; `#` comments allowed).
@@ -258,6 +263,18 @@ fn phase_breakdown() -> String {
     ])
 }
 
+/// `active … rounding`'s phases: the LP pipeline's, then §3.1
+/// right-shifting plus §3 rounding (`active.rounding`).
+fn rounding_phases() -> String {
+    phase_line(&[
+        ("decompose", "solve.decompose"),
+        ("pivot", "solve.pivot"),
+        ("certify", "solve.certify"),
+        ("stitch", "solve.stitch"),
+        ("rounding", "active.rounding"),
+    ])
+}
+
 /// The incremental driver's phases (`incremental`, `replay`).
 fn incremental_phases() -> String {
     phase_line(&[
@@ -323,8 +340,8 @@ fn run(args: &[&str]) -> Result<(), String> {
             println!("LP1 optimum: {}", lp.objective);
             println!("fractionally open slots: {open} of {}", lp.slots.len());
             println!(
-                "solves: {} ({} components), {} pivots, {} fallbacks",
-                d.solves, d.components, d.pivots, d.fallbacks
+                "solves: {} ({} components), {} pivots ({} in phase 1), {} fallbacks",
+                d.solves, d.components, d.pivots, d.phase1_pivots, d.fallbacks
             );
             println!("{}", supervision_summary(&d));
             println!("{}", phase_breakdown());
@@ -345,6 +362,7 @@ fn run(args: &[&str]) -> Result<(), String> {
                         r.lp_objective,
                         r.within_two_lp()
                     );
+                    println!("{}", rounding_phases());
                     (r.opened.len(), r.opened)
                 }
                 "exact" => {

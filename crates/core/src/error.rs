@@ -30,6 +30,14 @@ pub enum Error {
     /// No feasible solution exists (active-time model only; the busy-time
     /// model is always feasible).
     Infeasible(String),
+    /// The instance's horizon is longer than the per-slot code paths
+    /// accept (see `active_schedule::MAX_HORIZON_SLOTS`).
+    HorizonTooLong {
+        /// Slots in the horizon, `T − r_min`.
+        slots: i128,
+        /// The most slots accepted.
+        limit: i64,
+    },
     /// A supervised solve quarantined part of the work after every rung of
     /// its degradation ladder failed. The message summarizes which parts
     /// were lost; callers needing the healthy partial result use the typed
@@ -46,6 +54,10 @@ impl fmt::Display for Error {
             Error::Parse { line, reason } => write!(f, "parse error on line {line}: {reason}"),
             Error::Unsupported(r) => write!(f, "unsupported: {r}"),
             Error::Infeasible(r) => write!(f, "infeasible: {r}"),
+            Error::HorizonTooLong { slots, limit } => write!(
+                f,
+                "horizon of {slots} slots exceeds the per-slot limit of {limit} slots"
+            ),
             Error::Quarantined(r) => write!(f, "quarantined: {r}"),
         }
     }

@@ -4,7 +4,8 @@
 //! [`LpOptions`] carries every solve policy — engine
 //! ([`SolverBackend`]), float-pass pricing and budgets
 //! ([`crate::bounds::BoundedOptions`]), certification tier
-//! ([`CertifyMode`]), and an optional warm-start snapshot pool — behind a
+//! ([`CertifyMode`]), an optional warm-start snapshot pool, and an
+//! optional crash start for the cold solve — behind a
 //! chainable builder, so adding a policy is a new option field rather
 //! than a new `solve_*` name. The engines read the options directly and
 //! all return an [`LpReport`].
@@ -13,7 +14,7 @@ use crate::bounds::BoundedOptions;
 use crate::model::LpProblem;
 use crate::rational::Rat;
 use crate::simplex::{self, dense_hybrid, revised_cold, CertifyMode, LpSolution, SolveStats};
-use crate::warm::{revised_warm, BasisSnapshot};
+use crate::warm::{revised_warm, BasisSnapshot, StartBasis};
 use abt_core::error::SolveFailure;
 
 /// Which solver engine [`solve_lp`] runs.
@@ -57,6 +58,10 @@ pub struct LpOptions<'pool> {
     pub certify: CertifyMode,
     /// Warm-start candidates, tried in order (`Revised` backend only).
     pub snapshots: &'pool [BasisSnapshot],
+    /// The starting basis of a cold `Revised` solve (see [`StartBasis`]);
+    /// `None` starts from the all-slack basis. Warm installs and the dense
+    /// backends ignore it.
+    pub start: Option<&'pool StartBasis>,
     /// With a `true`, a `Revised` solve never falls through to a cold
     /// solve: exhausting `snapshots` returns
     /// [`SolveFailure::ShapeDrift`]. This is rung 1 of the supervision
@@ -91,15 +96,16 @@ impl<'pool> LpOptions<'pool> {
     }
 
     /// Offers warm-start candidates (tried in order; see
-    /// [`crate::warm`]). Re-borrows the options at the pool's lifetime.
-    pub fn snapshots<'b>(self, pool: &'b [BasisSnapshot]) -> LpOptions<'b> {
-        LpOptions {
-            backend: self.backend,
-            pricing: self.pricing,
-            certify: self.certify,
-            snapshots: pool,
-            warm_only: self.warm_only,
-        }
+    /// [`crate::warm`]).
+    pub fn snapshots(mut self, pool: &'pool [BasisSnapshot]) -> Self {
+        self.snapshots = pool;
+        self
+    }
+
+    /// Sets the cold solve's starting basis (see [`LpOptions::start`]).
+    pub fn start(mut self, start: Option<&'pool StartBasis>) -> Self {
+        self.start = start;
+        self
     }
 
     /// Makes a `Revised` solve warm-only (see [`LpOptions::warm_only`]).

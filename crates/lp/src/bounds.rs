@@ -20,7 +20,15 @@
 //! # Bounded revised simplex
 //!
 //! [`solve_bounded_f64`] runs a two-phase revised simplex in which neither
-//! constant bounds nor VUBs become rows. A nonbasic variable rests at a
+//! constant bounds nor VUBs become rows. The pass starts from the
+//! all-slack/artificial basis and runs phase 1 whenever the form has
+//! artificials — unless the caller hands [`solve_bounded_f64_with`] a
+//! starting basis (a crash start, see [`crate::warm::StartBasis`]). That
+//! start is factored *in place of* the all-slack basis, checked against
+//! the same bounds and VUBs as a warm install, and phase 1 then runs only
+//! while one of its basic artificials is positive: a start that covers
+//! every `≥` row goes straight to phase 2. A start that fails a check is
+//! dropped for the all-slack basis. A nonbasic variable rests at a
 //! bound ([`VarState::AtLower`]/[`VarState::AtUpper`]) **or glued to its
 //! VUB key** ([`VarState::AtVub`], value identically equal to the key's).
 //! The resting-state invariants:
@@ -94,11 +102,12 @@ const REFACTOR_EVERY: usize = 128;
 /// entering column), so refactorization also triggers once applying the
 /// file costs more than a handful of dense passes.
 const ETA_NNZ_PER_ROW: usize = 12;
-/// Primal-feasibility tolerance of the warm-start install check (mirrors
-/// the phase-1 infeasibility threshold): a snapshot whose recomputed basic
-/// values violate a bound by more than this cannot seed a primal phase-2
-/// run and falls back to the cold two-phase solve.
-const WARM_FEAS_TOL: f64 = 1e-7;
+/// Primal-feasibility tolerance: of the warm-start install check (a
+/// snapshot whose recomputed basic values violate a bound by more than
+/// this cannot seed a primal phase-2 run and falls back to the cold
+/// solve), of the crash-start check, and of phase 1 (a sum of basic
+/// artificials above it is infeasibility).
+const FEAS_TOL: f64 = 1e-7;
 
 /// Where a variable currently rests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,6 +205,9 @@ pub struct BoundedBasis {
     pub state: Vec<VarState>,
     /// Basis-changing pivots performed.
     pub pivots: u64,
+    /// The pivots of phase 1 (a subset of `pivots`; 0 when the starting
+    /// basis was already feasible).
+    pub phase1_pivots: u64,
     /// Bound/VUB flips performed (iterations with no basis change).
     pub bound_flips: u64,
     /// LU refactorizations (periodic and VUB-structural).
@@ -383,8 +395,13 @@ struct Rev<'a> {
     /// Scratch basic-cost vector for the BTRAN of each iteration.
     cb: Vec<f64>,
     pivots: u64,
+    /// `pivots` when phase 1 ended (or stopped).
+    phase1_pivots: u64,
     bound_flips: u64,
     refactorizations: u64,
+    /// Whether the pass started from a caller's crash start rather than
+    /// the all-slack basis.
+    started: bool,
     /// Pivot budget (`0` = unlimited), from [`BoundedOptions`].
     pivot_budget: u64,
     /// Refactorization budget (`0` = unlimited).
@@ -435,29 +452,35 @@ enum Hit {
 }
 
 impl<'a> Rev<'a> {
-    fn new(sf: &'a StandardForm<f64>, arena: &'a mut SolveArena) -> Option<Rev<'a>> {
-        // Factor the starting basis before touching the arena, so a
-        // singular start never strands checked-out buffers.
-        let lu = SparseLu::factor(
-            sf.m,
-            &sf.init_basis
-                .iter()
-                .map(|&j| sf.cols[j].clone())
-                .collect::<Vec<_>>(),
-        )?;
-        let basis = sf.init_basis.clone();
-        let mut state = vec![VarState::AtLower; sf.ncols];
-        let mut pos = vec![usize::MAX; sf.ncols];
-        for (i, &j) in basis.iter().enumerate() {
-            state[j] = VarState::Basic;
-            pos[j] = i;
-        }
+    /// The solver at its starting basis: `start` (a crash start in this
+    /// form's columns) when its states fit the form, it is nonsingular and
+    /// its basic values lie within their bounds and VUBs — artificials may
+    /// be positive, phase 1 is there for them — else the all-slack basis.
+    /// Either is factored once and is not counted as a refactorization.
+    /// `None` only if the all-slack basis itself is singular.
+    fn new(
+        sf: &'a StandardForm<f64>,
+        arena: &'a mut SolveArena,
+        start: Option<&BasisSnapshot>,
+    ) -> Option<Rev<'a>> {
         let mut deps: Vec<Vec<usize>> = vec![Vec::new(); sf.ncols];
         for j in 0..sf.ncols {
             if let Some(k) = sf.vub[j] {
                 deps[k].push(j);
             }
         }
+        // Factor the starting basis before touching the arena, so a
+        // singular start never strands checked-out buffers.
+        let crash = start.and_then(|snap| {
+            let pos = snapshot_positions(sf, snap)?;
+            let lu = SparseLu::factor(sf.m, &basis_columns(sf, &deps, &snap.basis, &snap.state))?;
+            Some((snap.basis.clone(), snap.state.clone(), pos, lu))
+        });
+        let started = crash.is_some();
+        let (basis, state, pos, lu) = match crash {
+            Some(parts) => parts,
+            None => all_slack(sf, &deps)?,
+        };
         let aq = arena.take_f64(sf.m, 0.0);
         let cb = arena.take_f64(sf.m, 0.0);
         let mut rev = Rev {
@@ -476,14 +499,21 @@ impl<'a> Rev<'a> {
             aq,
             cb,
             pivots: 0,
+            phase1_pivots: 0,
             bound_flips: 0,
             refactorizations: 0,
+            started,
             pivot_budget: 0,
             refactor_budget: 0,
             deadline: None,
             ticks: 0,
         };
         rev.recompute_xb();
+        if started && !rev.primal_feasible(false) {
+            (rev.basis, rev.state, rev.pos, rev.lu) = all_slack(sf, &rev.deps)?;
+            rev.started = false;
+            rev.recompute_xb();
+        }
         Some(rev)
     }
 
@@ -535,6 +565,7 @@ impl<'a> Rev<'a> {
                 std::mem::take(&mut self.state)
             },
             pivots: self.pivots,
+            phase1_pivots: self.phase1_pivots,
             bound_flips: self.bound_flips,
             refactorizations: self.refactorizations,
         }
@@ -542,14 +573,14 @@ impl<'a> Rev<'a> {
 
     /// Attempts to install a [`BasisSnapshot`] taken from a structurally
     /// identical problem: validates the snapshot's states against this
-    /// standard form, adopts its basis/state vectors, refactorizes the
-    /// (key-column-augmented) basis **once** to validate it, and checks
-    /// the recomputed basic values are primal feasible for *this*
-    /// problem's data (within [`WARM_FEAS_TOL`]; exactness comes from the
-    /// caller's rational certification, never from here). On success the
-    /// solver is ready for a phase-2 run — artificials are barred and
-    /// every basic artificial sits at (numerical) zero, so the installed
-    /// basis is a feasible starting basis and phase 1 is skipped.
+    /// standard form, refactorizes its (key-column-augmented) basis
+    /// **once** (counted) to validate it, adopts it, and checks the
+    /// recomputed basic values are primal feasible for *this* problem's
+    /// data (within [`FEAS_TOL`]; exactness comes from the caller's
+    /// rational certification, never from here). On success the solver is
+    /// ready for a phase-2 run — artificials are barred and every basic
+    /// artificial sits at (numerical) zero, so the installed basis is a
+    /// feasible starting basis and phase 1 is skipped.
     ///
     /// Returns `false` on any failed check; the caller must then give the
     /// checked-out scratch back via [`Rev::finish`] before falling back to
@@ -557,89 +588,70 @@ impl<'a> Rev<'a> {
     /// half-adopted, which `finish(Stalled)` discards.
     fn install_snapshot(&mut self, snap: &BasisSnapshot) -> bool {
         let sf = self.sf;
-        if snap.m != sf.m
-            || snap.ncols != sf.ncols
-            || snap.basis.len() != sf.m
-            || snap.state.len() != sf.ncols
-        {
+        let Some(pos) = snapshot_positions(sf, snap) else {
             return false;
-        }
-        // State consistency against this form: finite bounds where states
-        // claim them, VUBs where glue states claim them, flat families,
-        // exactly m basic columns matching the basis vector.
-        let mut basic_count = 0usize;
-        for j in 0..sf.ncols {
-            match snap.state[j] {
-                VarState::Basic => basic_count += 1,
-                VarState::AtUpper => {
-                    if sf.upper[j].is_none() {
-                        return false;
-                    }
-                }
-                VarState::AtVub => {
-                    let Some(k) = sf.vub[j] else { return false };
-                    if snap.state[k] == VarState::AtVub {
-                        return false;
-                    }
-                }
-                VarState::AtLower => {}
-            }
-        }
-        if basic_count != sf.m {
-            return false;
-        }
-        let mut pos = vec![usize::MAX; sf.ncols];
-        for (i, &j) in snap.basis.iter().enumerate() {
-            if j >= sf.ncols || snap.state[j] != VarState::Basic || pos[j] != usize::MAX {
-                return false;
-            }
-            pos[j] = i;
-        }
-        // Adopt the snapshot and validate with one refactorization.
+        };
+        let cols = basis_columns(sf, &self.deps, &snap.basis, &snap.state);
+        let Some(lu) = SparseLu::factor(sf.m, &cols) else {
+            return false; // singular for this data
+        };
         self.basis.copy_from_slice(&snap.basis);
         self.state.copy_from_slice(&snap.state);
         self.pos = pos;
-        let Some(lu) = SparseLu::factor(sf.m, &self.basis_cols()) else {
-            return false; // singular for this data
-        };
         self.lu = lu;
         self.refactorizations += 1;
         self.recompute_xb();
-        // Primal feasibility of the recomputed basic values: bounds,
-        // VUB caps (against basic or resting keys), artificials at zero.
-        for i in 0..sf.m {
+        if !self.primal_feasible(true) {
+            return false;
+        }
+        // Phase 1 is skipped: bar every artificial from re-entering (the
+        // phase-2 ratio test additionally freezes the basic ones at 0).
+        self.bar_artificials();
+        true
+    }
+
+    /// Whether the basic values lie within their bounds and VUB caps
+    /// (against basic or resting keys), within [`FEAS_TOL`] — and, with
+    /// `artificials_at_zero`, whether every basic artificial is zero.
+    fn primal_feasible(&self, artificials_at_zero: bool) -> bool {
+        let sf = self.sf;
+        (0..sf.m).all(|i| {
             let vi = self.basis[i];
             let x = self.xb[i];
-            if x < -WARM_FEAS_TOL {
+            if x < -FEAS_TOL || (artificials_at_zero && sf.artificial[vi] && x > FEAS_TOL) {
                 return false;
             }
-            if sf.artificial[vi] && x.abs() > WARM_FEAS_TOL {
+            if sf.upper[vi].is_some_and(|u| x > u + FEAS_TOL) {
                 return false;
             }
-            if let Some(u) = sf.upper[vi] {
-                if x > u + WARM_FEAS_TOL {
-                    return false;
-                }
-            }
-            if let Some(k) = sf.vub[vi] {
+            sf.vub[vi].is_none_or(|k| {
                 let kv = if self.pos[k] == usize::MAX {
                     self.key_rest_value(k)
                 } else {
                     self.xb[self.pos[k]]
                 };
-                if x > kv + WARM_FEAS_TOL {
-                    return false;
-                }
-            }
-        }
-        // Phase 1 is skipped: bar every artificial from re-entering (the
-        // phase-2 ratio test additionally freezes the basic ones at 0).
-        for j in 0..sf.ncols {
-            if sf.artificial[j] {
+                x <= kv + FEAS_TOL
+            })
+        })
+    }
+
+    /// The sum of the positive basic artificials: the phase-1 objective.
+    fn infeasibility(&self) -> f64 {
+        self.basis
+            .iter()
+            .zip(&self.xb)
+            .filter(|(&j, _)| self.sf.artificial[j])
+            .map(|(_, &v)| v.max(0.0))
+            .sum()
+    }
+
+    /// Bars every artificial from entering the basis (phase 2).
+    fn bar_artificials(&mut self) {
+        for j in 0..self.sf.ncols {
+            if self.sf.artificial[j] {
                 self.barred[j] = true;
             }
         }
-        true
     }
 
     /// The sparse eta column for `w` from the arena pool: keeps the pivot
@@ -667,16 +679,11 @@ impl<'a> Rev<'a> {
     /// The augmented (Schrage key) column of `v`: its own column plus the
     /// columns of every dependent currently glued to it.
     fn aug_col(&self, v: usize) -> Vec<(usize, f64)> {
-        let glued: Vec<usize> = self.deps[v]
-            .iter()
-            .copied()
-            .filter(|&j| self.state[j] == VarState::AtVub)
-            .collect();
-        augmented_column(&self.sf.cols, v, &glued)
+        key_column(self.sf, &self.deps, &self.state, v)
     }
 
     fn basis_cols(&self) -> Vec<Vec<(usize, f64)>> {
-        self.basis.iter().map(|&j| self.aug_col(j)).collect()
+        basis_columns(self.sf, &self.deps, &self.basis, &self.state)
     }
 
     /// `xb = B̄⁻¹·(b − Σ_{j at a fixed value} val_j·A_j)` from scratch.
@@ -1418,6 +1425,92 @@ impl Drop for Rev<'_> {
     }
 }
 
+/// The all-slack/artificial starting basis of `sf`, factored: basis,
+/// states, column → position map, LU.
+#[allow(clippy::type_complexity)]
+fn all_slack(
+    sf: &StandardForm<f64>,
+    deps: &[Vec<usize>],
+) -> Option<(Vec<usize>, Vec<VarState>, Vec<usize>, SparseLu<f64>)> {
+    let basis = sf.init_basis.clone();
+    let mut state = vec![VarState::AtLower; sf.ncols];
+    let mut pos = vec![usize::MAX; sf.ncols];
+    for (i, &j) in basis.iter().enumerate() {
+        state[j] = VarState::Basic;
+        pos[j] = i;
+    }
+    let lu = SparseLu::factor(sf.m, &basis_columns(sf, deps, &basis, &state))?;
+    Some((basis, state, pos, lu))
+}
+
+/// Checks a snapshot's states against `sf` — its shape, finite bounds
+/// where states claim them, VUBs where glue states claim them, flat
+/// families, exactly `m` basic columns matching the basis vector — and
+/// returns its column → basis position map.
+fn snapshot_positions(sf: &StandardForm<f64>, snap: &BasisSnapshot) -> Option<Vec<usize>> {
+    if snap.m != sf.m
+        || snap.ncols != sf.ncols
+        || snap.basis.len() != sf.m
+        || snap.state.len() != sf.ncols
+    {
+        return None;
+    }
+    let mut basic_count = 0usize;
+    for j in 0..sf.ncols {
+        let fits = match snap.state[j] {
+            VarState::Basic => {
+                basic_count += 1;
+                true
+            }
+            VarState::AtUpper => sf.upper[j].is_some(),
+            VarState::AtVub => sf.vub[j].is_some_and(|k| snap.state[k] != VarState::AtVub),
+            VarState::AtLower => true,
+        };
+        if !fits {
+            return None;
+        }
+    }
+    if basic_count != sf.m {
+        return None;
+    }
+    let mut pos = vec![usize::MAX; sf.ncols];
+    for (i, &j) in snap.basis.iter().enumerate() {
+        if j >= sf.ncols || snap.state[j] != VarState::Basic || pos[j] != usize::MAX {
+            return None;
+        }
+        pos[j] = i;
+    }
+    Some(pos)
+}
+
+/// The augmented key column of `v` under `state` (see [`augmented_column`]).
+fn key_column(
+    sf: &StandardForm<f64>,
+    deps: &[Vec<usize>],
+    state: &[VarState],
+    v: usize,
+) -> Vec<(usize, f64)> {
+    let glued: Vec<usize> = deps[v]
+        .iter()
+        .copied()
+        .filter(|&j| state[j] == VarState::AtVub)
+        .collect();
+    augmented_column(&sf.cols, v, &glued)
+}
+
+/// The (augmented) basis matrix columns of `basis` under `state`.
+fn basis_columns(
+    sf: &StandardForm<f64>,
+    deps: &[Vec<usize>],
+    basis: &[usize],
+    state: &[VarState],
+) -> Vec<Vec<(usize, f64)>> {
+    basis
+        .iter()
+        .map(|&j| key_column(sf, deps, state, j))
+        .collect()
+}
+
 /// The augmented (Schrage key) column `A_base + Σ_{j ∈ glued} A_j` as a
 /// sorted sparse merge. Shared by the `f64` iteration and the exact `Rat`
 /// certification so the two sides always build the same basis matrix.
@@ -1454,20 +1547,26 @@ fn bump(col: &mut Vec<(usize, f64)>, r: usize, delta: f64) {
 }
 
 /// Two-phase bounded revised simplex over a `StandardForm<f64>` with the
-/// default options. The result is a *proposal*: callers must verify
-/// `Optimal` outcomes exactly and must treat every other status as "rerun
-/// exactly".
+/// default options, from the all-slack basis. The result is a *proposal*:
+/// callers must verify `Optimal` outcomes exactly and must treat every
+/// other status as "rerun exactly".
 pub fn solve_bounded_f64(sf: &StandardForm<f64>) -> BoundedBasis {
-    solve_bounded_f64_with(sf, &BoundedOptions::default())
+    solve_bounded_f64_with(sf, &BoundedOptions::default(), None)
 }
 
-/// [`solve_bounded_f64`] with explicit [`BoundedOptions`]. Scratch space
-/// comes from (and returns to) the calling thread's
-/// [`SolveArena`].
-pub fn solve_bounded_f64_with(sf: &StandardForm<f64>, opts: &BoundedOptions) -> BoundedBasis {
+/// [`solve_bounded_f64`] with explicit [`BoundedOptions`] and an optional
+/// crash start in `sf`'s columns (see the module docs; `None` is the
+/// all-slack basis). Scratch space comes from (and returns to) the
+/// calling thread's [`SolveArena`].
+pub fn solve_bounded_f64_with(
+    sf: &StandardForm<f64>,
+    opts: &BoundedOptions,
+    start: Option<&BasisSnapshot>,
+) -> BoundedBasis {
     let mut span = abt_core::obs_span!("solve.pivot", cols = sf.ncols, rows = sf.m);
-    let basis = crate::arena::with_arena(|arena| solve_bounded_pooled(sf, opts, arena));
+    let basis = crate::arena::with_arena(|arena| solve_bounded_pooled(sf, opts, start, arena));
     span.field("pivots", basis.pivots);
+    span.field("phase1_pivots", basis.phase1_pivots);
     span.field("status", format_args!("{:?}", basis.status));
     basis
 }
@@ -1479,7 +1578,7 @@ pub fn solve_bounded_f64_with(sf: &StandardForm<f64>, opts: &BoundedOptions) -> 
 /// installed basis is feasible with artificials at zero, so phase 1 is
 /// skipped. Returns `None` when the snapshot cannot be
 /// installed for this problem (shape drift, singular basis, primal
-/// infeasibility) — the caller must fall back to the cold two-phase solve.
+/// infeasibility) — the caller must fall back to the cold solve.
 /// Like [`solve_bounded_f64_with`], an `Optimal` result is a *proposal*
 /// that must be verified exactly.
 pub fn solve_bounded_f64_warm_with(
@@ -1497,7 +1596,7 @@ pub(crate) fn solve_bounded_warm_pooled(
     snap: &BasisSnapshot,
     arena: &mut SolveArena,
 ) -> Option<BoundedBasis> {
-    let mut rev = Rev::new(sf, arena)?;
+    let mut rev = Rev::new(sf, arena, None)?;
     rev.arm_budgets(opts);
     if !rev.install_snapshot(snap) {
         // The early-exit path of a failed install: `finish` gives every
@@ -1515,28 +1614,42 @@ pub(crate) fn solve_bounded_warm_pooled(
     Some(rev.finish(status))
 }
 
+/// The cold pass: phase 1 (when the start needs it), then phase 2, from
+/// `start` or the all-slack basis (see [`Rev::new`]).
 fn solve_bounded_pooled(
     sf: &StandardForm<f64>,
     opts: &BoundedOptions,
+    start: Option<&BasisSnapshot>,
     arena: &mut SolveArena,
 ) -> BoundedBasis {
-    let Some(mut rev) = Rev::new(sf, arena) else {
+    let Some(mut rev) = Rev::new(sf, arena, start) else {
         return BoundedBasis {
             status: BoundedStatus::Stalled,
             basis: Vec::new(),
             state: Vec::new(),
             pivots: 0,
+            phase1_pivots: 0,
             bound_flips: 0,
             refactorizations: 0,
         };
     };
     rev.arm_budgets(opts);
     let window = opts.pricing_window;
-    if sf.n_art > 0 {
+    // From the all-slack basis phase 1 runs whenever the form has
+    // artificials; from a crash start only while a basic artificial is
+    // positive.
+    let phase1 = if rev.started {
+        rev.infeasibility() > FEAS_TOL
+    } else {
+        sf.n_art > 0
+    };
+    if phase1 {
         let cost1: Vec<f64> = (0..sf.ncols)
             .map(|j| if sf.artificial[j] { 1.0 } else { 0.0 })
             .collect();
-        match rev.optimize(&cost1, false, window) {
+        let outcome = rev.optimize(&cost1, false, window);
+        rev.phase1_pivots = rev.pivots;
+        match outcome {
             StepOutcome::Optimal => {}
             StepOutcome::Budget(k) => return rev.finish(BoundedStatus::Budget(k)),
             // Phase 1 is bounded below by 0; treat anything else as a stall.
@@ -1544,22 +1657,11 @@ fn solve_bounded_pooled(
                 return rev.finish(BoundedStatus::Stalled)
             }
         }
-        let infeasibility: f64 = rev
-            .basis
-            .iter()
-            .zip(&rev.xb)
-            .filter(|(&j, _)| sf.artificial[j])
-            .map(|(_, &v)| v.max(0.0))
-            .sum();
-        if infeasibility > 1e-7 {
+        if rev.infeasibility() > FEAS_TOL {
             return rev.finish(BoundedStatus::Infeasible);
         }
-        for j in 0..sf.ncols {
-            if sf.artificial[j] {
-                rev.barred[j] = true;
-            }
-        }
     }
+    rev.bar_artificials();
     let status = match rev.optimize(&sf.cost, true, window) {
         StepOutcome::Optimal => BoundedStatus::Optimal,
         StepOutcome::Unbounded => BoundedStatus::Unbounded,
@@ -1724,6 +1826,7 @@ mod tests {
                 pricing_window: 0,
                 ..BoundedOptions::default()
             },
+            None,
         );
         let part = solve_bounded_f64_with(
             &s,
@@ -1731,6 +1834,7 @@ mod tests {
                 pricing_window: 2,
                 ..BoundedOptions::default()
             },
+            None,
         );
         assert_eq!(full.status, BoundedStatus::Optimal);
         assert_eq!(part.status, BoundedStatus::Optimal);
@@ -1753,6 +1857,7 @@ mod tests {
                 pivot_budget: 1,
                 ..BoundedOptions::default()
             },
+            None,
         );
         assert_eq!(out.status, BoundedStatus::Budget(BudgetKind::Pivots));
         assert!(out.basis.is_empty(), "a budget stop is not a verdict");
@@ -1763,6 +1868,7 @@ mod tests {
                 pivot_budget: 10_000,
                 ..BoundedOptions::default()
             },
+            None,
         );
         assert_eq!(ok.status, BoundedStatus::Optimal);
     }
@@ -1772,7 +1878,7 @@ mod tests {
         let mut lp: LpProblem<f64> = LpProblem::new();
         let x = lp.add_var(1.0);
         lp.add_constraint(vec![(x, 1.0)], Cmp::Ge, 3.0);
-        let out = solve_bounded_f64_with(&sf(&lp), &BoundedOptions::default());
+        let out = solve_bounded_f64_with(&sf(&lp), &BoundedOptions::default(), None);
         assert_eq!(out.status, BoundedStatus::Optimal);
     }
 
@@ -1793,6 +1899,7 @@ mod tests {
                 time_budget: Some(std::time::Duration::ZERO),
                 ..BoundedOptions::default()
             },
+            None,
         );
         // Either the solve finished inside the first TIME_CHECK_EVERY
         // iterations (legal) or it tripped the time budget; it must never

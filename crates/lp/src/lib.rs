@@ -14,7 +14,10 @@
 //! for the active-time LPs. The [`warm`] module adds **warm starts**:
 //! [`BasisSnapshot`]s of finished solves re-installed into structurally
 //! identical problems ([`LpOptions::snapshots`]), with the same exact
-//! certification, so streams of sibling LPs skip most of the pivot work.
+//! certification, so streams of sibling LPs skip most of the pivot work —
+//! and **crash starts**: a [`StartBasis`] a caller builds for a cold
+//! solve ([`LpOptions::start`]), so phase 1 runs only on what it leaves
+//! infeasible.
 //! [`solve_lp`] is the one entry point to all three engines
 //! ([`SolverBackend`]).
 //!
@@ -85,4 +88,4 @@ pub use model::{Cmp, Constraint, LpProblem, VarId};
 pub use rational::Rat;
 pub use scalar::{Scalar, F64_EPS};
 pub use simplex::{solve, CertifyMode, LpSolution, LpStatus, SolveStats};
-pub use warm::BasisSnapshot;
+pub use warm::{BasisSnapshot, RowStart, StartBasis};

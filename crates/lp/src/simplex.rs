@@ -158,6 +158,9 @@ pub struct LpSolution<S> {
 pub struct SolveStats {
     /// Basis-changing pivots of the float pass.
     pub pivots: u64,
+    /// The pivots of the float pass's phase 1 (a subset of `pivots`; 0
+    /// for warm solves and for cold solves whose start was feasible).
+    pub phase1_pivots: u64,
     /// Bound/VUB flips of the float pass (iterations without a basis
     /// change).
     pub bound_flips: u64,
@@ -586,6 +589,7 @@ fn verify_basis(
         basis: target.to_vec(),
         state,
         pivots: 0,
+        phase1_pivots: 0,
         bound_flips: 0,
         refactorizations: 0,
     };
@@ -1138,8 +1142,10 @@ pub(crate) fn apply_certify(stats: &mut SolveStats, total_nanos: u64, tally: &Ce
 
 /// The cold revised engine behind [`crate::api::solve_lp`]'s `Revised`
 /// backend: the bounded revised simplex of [`crate::bounds`] in `f64`
-/// under `opts.pricing`, then exact certification of its terminal basis
-/// under `opts.certify`. It never runs a dense fallback itself — every
+/// under `opts.pricing` — from `opts.start` when one is offered and fits
+/// (see [`crate::warm::StartBasis`]), else from the all-slack basis —
+/// then exact certification of its terminal basis under `opts.certify`.
+/// It never runs a dense fallback itself — every
 /// outcome it cannot certify is a typed [`SolveFailure`], so the
 /// **caller** decides what to run next. This is the rung interface of the
 /// supervision ladder in `abt-active`: each failure class maps to a
@@ -1163,7 +1169,8 @@ pub(crate) fn revised_cold(
     opts: &LpOptions,
 ) -> Result<LpReport, SolveFailure> {
     let sf64 = StandardForm::build(&to_f64(lp));
-    let prop = solve_bounded_f64_with(&sf64, &opts.pricing);
+    let start = opts.start.and_then(|s| s.snapshot(&sf64));
+    let prop = solve_bounded_f64_with(&sf64, &opts.pricing, start.as_ref());
     match prop.status {
         BoundedStatus::Optimal => {}
         BoundedStatus::Budget(k) => return Err(SolveFailure::BudgetExceeded(k)),
@@ -1188,6 +1195,7 @@ pub(crate) fn certify_proposal(
 ) -> Result<Option<LpReport>, SolveFailure> {
     let mut stats = SolveStats {
         pivots: prop.pivots,
+        phase1_pivots: prop.phase1_pivots,
         bound_flips: prop.bound_flips,
         refactorizations: prop.refactorizations,
         ..SolveStats::default()

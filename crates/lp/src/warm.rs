@@ -1,6 +1,7 @@
 //! Warm-start machinery for the bounded revised simplex: basis
 //! **snapshots** extracted from a finished solve and re-installed into a
-//! fresh one.
+//! fresh one, and **crash starts** ([`StartBasis`]) that a caller builds
+//! from what it knows about its problem and hands to a cold solve.
 //!
 //! # Why warm starts
 //!
@@ -29,12 +30,13 @@
 //!    sparse-LU refactorization** of the (key-column-augmented) basis and
 //!    an exact-arithmetic-free primal feasibility check of the recomputed
 //!    basic values. Any failure — shape drift, a singular basis for the
-//!    new data, primal infeasibility — moves on to the next candidate,
-//!    and an exhausted pool falls through to the ordinary **cold**
-//!    two-phase solve (unless [`LpOptions::warm_only`]). A warm install
-//!    that succeeds skips phase 1 entirely (the installed basis *is* a
-//!    feasible basis: every basic artificial sits at zero) and resumes
-//!    phase-2 pivoting from the old optimum.
+//!    new data, primal infeasibility (a basic artificial off zero
+//!    included) — moves on to the next candidate, and an exhausted pool
+//!    falls through to the ordinary **cold** solve (unless
+//!    [`LpOptions::warm_only`]). A warm install that succeeds skips phase
+//!    1 entirely (the installed basis *is* a feasible basis: every basic
+//!    artificial sits at zero) and resumes phase-2 pivoting from the old
+//!    optimum. The factorization counts as a refactorization.
 //! 3. **Certify** — warm or cold, the terminal basis is re-verified in
 //!    exact rationals by the same certifier, so a warm answer is
 //!    **bit-identical** to the cold one: the float search's starting
@@ -42,6 +44,24 @@
 //!    the certified status or objective. An unverifiable warm outcome
 //!    re-runs cold — a warm start can only ever cost a retry, never an
 //!    answer.
+//!
+//! # Crash starts
+//!
+//! A cold solve needs no snapshot to skip most of phase 1 — only a basis
+//! that is *nearly* feasible. A [`StartBasis`] states one in the
+//! problem's own terms: a resting state per variable and, per row, the
+//! column basic in its place (its slack or surplus, its artificial, or a
+//! structural variable). Offered through [`LpOptions::start`], it reaches
+//! the cold solve only: [`StartBasis::snapshot`] maps it onto the
+//! standard-form columns, and the float pass factors it in place of the
+//! all-slack basis (uncounted, like the all-slack factorization it
+//! replaces), checks it with the warm install's bound and VUB checks —
+//! here a basic artificial may be positive — and runs phase 1 only while
+//! one is. A start that fails any check is dropped for the all-slack
+//! basis. The terminal basis is certified exactly like any other, so a
+//! start changes pivot counts and possibly which optimal vertex is
+//! reached, never a status or objective. `abt-active` builds one for
+//! every LP1 block (see its `lp_model` module docs).
 //!
 //! # What "matches" means
 //!
@@ -58,10 +78,80 @@ use crate::arena::with_arena;
 use crate::bounds::{
     solve_bounded_warm_pooled, BoundedBasis, BoundedStatus, StandardForm, VarState,
 };
-use crate::model::LpProblem;
+use crate::model::{LpProblem, VarId};
 use crate::rational::Rat;
 use crate::simplex::{certify_proposal, to_f64};
 use abt_core::error::SolveFailure;
+
+/// A starting basis for a cold solve, in the problem's own variables and
+/// rows (see the module docs' "Crash starts"). The basis is the set of
+/// columns the rows name; every basic value follows from the resting
+/// states, so a start carries no numbers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StartBasis {
+    /// Resting state per variable, indexed by [`VarId`]:
+    /// [`VarState::Basic`] exactly for the variables some row names.
+    pub vars: Vec<VarState>,
+    /// Per constraint, in order: the column basic in its place.
+    pub rows: Vec<RowStart>,
+}
+
+/// Which column holds a row's place in a [`StartBasis`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowStart {
+    /// The row's own slack (a `≤` row after sign normalization) or
+    /// surplus (a `≥` row).
+    Slack,
+    /// The row's artificial (a `≥` or `=` row).
+    Artificial,
+    /// A structural variable.
+    Var(VarId),
+}
+
+impl StartBasis {
+    /// The start in `sf`'s columns: a row's slack, surplus and artificial
+    /// are its singleton auxiliary columns, and rows past
+    /// [`StartBasis::rows`] (promoted bound rows) keep their slack.
+    /// `None` when the start names a column the row lacks or does not fit
+    /// the form's size; the install step checks everything else.
+    pub fn snapshot<S>(&self, sf: &StandardForm<S>) -> Option<BasisSnapshot> {
+        if self.vars.len() != sf.nstruct || self.rows.len() > sf.m {
+            return None;
+        }
+        let mut slack = vec![usize::MAX; sf.m];
+        let mut art = vec![usize::MAX; sf.m];
+        for j in sf.nstruct..sf.ncols {
+            let &(row, _) = sf.cols[j].first()?;
+            if sf.artificial[j] {
+                art[row] = j;
+            } else {
+                slack[row] = j;
+            }
+        }
+        let mut state = vec![VarState::AtLower; sf.ncols];
+        state[..sf.nstruct].copy_from_slice(&self.vars);
+        let mut basis = Vec::with_capacity(sf.m);
+        for i in 0..sf.m {
+            let col = match self.rows.get(i).copied().unwrap_or(RowStart::Slack) {
+                RowStart::Slack => slack[i],
+                RowStart::Artificial => art[i],
+                RowStart::Var(v) if v < sf.nstruct => v,
+                RowStart::Var(_) => usize::MAX,
+            };
+            if col == usize::MAX {
+                return None;
+            }
+            state[col] = VarState::Basic;
+            basis.push(col);
+        }
+        Some(BasisSnapshot {
+            m: sf.m,
+            ncols: sf.ncols,
+            basis,
+            state,
+        })
+    }
+}
 
 /// A reusable snapshot of a finished bounded revised solve: the basis
 /// column per row, and the resting state of every standard-form column
@@ -506,6 +596,7 @@ mod tests {
             basis: Vec::new(),
             state: Vec::new(),
             pivots: 0,
+            phase1_pivots: 0,
             bound_flips: 0,
             refactorizations: 0,
         };
