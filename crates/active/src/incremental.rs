@@ -1,11 +1,11 @@
 //! Incremental re-solving of LP1 over a **mutating instance** — the
-//! online-arrivals driver of the warm-start subsystem.
+//! online-arrivals driver.
 //!
 //! [`IncrementalSolver`] owns a job set that callers mutate between
 //! solves ([`IncrementalSolver::add_job`],
 //! [`IncrementalSolver::remove_job`], and the window edits of
 //! [`IncrementalSolver::update_window`] — widen, shrink, or shift), and
-//! re-solves **only what changed**. The machinery composes three layers:
+//! re-solves **only what changed**. The machinery composes two layers:
 //!
 //! * **Component decomposition, kept across solves** — the solver keeps
 //!   the connected components of the job-window interval graph from one
@@ -26,23 +26,16 @@
 //!   content changed — including merges and splits, whose products are
 //!   new keys. Deletions don't invalidate survivors: an untouched
 //!   component keeps its key whatever happens elsewhere.
-//! * **Warm starts** ([`abt_lp::warm`]) — a dirty component that must be
-//!   re-solved first looks up its *shape* (the structural
-//!   [`ComponentSignature`](crate::lp_model)) in a snapshot cache. A hit
-//!   resumes phase-2 pivoting from a previously certified basis — for the
-//!   streaming-arrivals regime (Chang–Khuller–Mukherjee's online
-//!   active-time, arXiv:1610.08154) where new components echo the shapes
-//!   of earlier ones, this turns most re-solves into a handful of pivots.
-//!   The per-shape pool keeps up to
-//!   [`SNAPSHOT_POOL_CAP`](crate::lp_model) candidate snapshots
-//!   (different siblings land on different optimal vertices).
+//!
+//! A dirty component solves cold down the supervision ladder, from the
+//! crash start its LP block carries (see [`crate::lp_model`]).
 //!
 //! **Exactness is preserved end to end**: cached blocks carry the exact
-//! rational `Y`/objective they were certified with, warm solves are
-//! certified like cold ones, and the stitched objective is an exact
-//! rational sum — bit-identical to solving the current instance from
-//! scratch with [`solve_active_lp_with`](crate::lp_model), which the
-//! property tests assert.
+//! rational `Y`/objective they were certified with, and the stitched
+//! objective is an exact rational sum — bit-identical to solving the
+//! current instance from scratch with
+//! [`solve_active_lp_with`](crate::lp_model), which the property tests
+//! assert.
 //!
 //! Admission runs per component, and only on the components the content
 //! cache cannot serve: the interval load condition decomposes over
@@ -53,31 +46,29 @@
 //! A component that must be solved builds its LP from a sub-instance of
 //! its members in ascending handle order. Its slot runs are the global
 //! runs inside its span (no other job has an event point there), so the
-//! LP, its shape signature and its content key are exactly those of the
-//! whole-instance decomposition, and the stitched per-slot `y` walks the
-//! components in time order with zeros over the gaps.
+//! LP and its content key are exactly those of the whole-instance
+//! decomposition, and the stitched per-slot `y` walks the components in
+//! time order with zeros over the gaps.
 //!
-//! Telemetry flows into the process-wide [`lp_telemetry`](crate::lp_telemetry)
-//! (`warm_attempts` / `warm_hits` / `warm_pivots_saved`), and each
-//! [`IncrementalReport`] carries the per-solve breakdown (components
-//! reused / warm-hit / cold-solved). Each solve opens the always-on spans
+//! Each [`IncrementalReport`] carries the per-solve breakdown (components
+//! reused / solved cold). Each solve opens the always-on spans
 //! `incremental.regroup`, `incremental.admission` and
 //! `incremental.stitch`, and adds the jobs it re-partitioned to the
 //! `incremental.jobs_regrouped` registry counter.
 
 use crate::admission::admission_precheck;
 use crate::lp_model::{
-    build_component_lp, component_signature, record_admission_reject, record_quarantine,
-    record_recovery, record_state_corrupt, record_warm_attempt, revised_options, slot_runs,
-    ActiveLp, Component, ComponentSignature, DecomposeMode, LpOptions, SlotRun, SNAPSHOT_POOL_CAP,
+    build_component_lp, record_admission_reject, record_quarantine, record_recovery,
+    record_state_corrupt, revised_options, slot_runs, ActiveLp, Component, DecomposeMode,
+    LpOptions, SlotRun,
 };
 use crate::store::{encode_state, JournalOp, RecoveryReport, SolveStateStore};
 use crate::supervise::{supervised_solve, PartialSolve, QuarantinedComponent, SolveError};
-use abt_core::active_schedule::per_slot_horizon_len;
+use abt_core::active_schedule::{horizon_len, per_slot_horizon_len};
 use abt_core::obs::metrics::{self, Counter};
 use abt_core::persist::PersistError;
 use abt_core::{Error, Instance, Job, Result, SolveFailure, Time};
-use abt_lp::{BasisSnapshot, LpStatus, Rat};
+use abt_lp::{LpStatus, Rat};
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::OnceLock;
@@ -85,8 +76,9 @@ use std::sync::OnceLock;
 #[cfg(test)]
 mod oracle;
 
-/// Bound on cached component blocks; past it both caches are cleared (a
-/// rare, cheap reset that keeps a long-lived solver's memory bounded).
+/// Bound on cached component blocks; past it the content cache and the
+/// quarantine are cleared (a rare, cheap reset that keeps a long-lived
+/// solver's memory bounded).
 const CACHE_CAP: usize = 16_384;
 
 /// Translation-invariant content of a component: the sorted multiset of
@@ -101,14 +93,6 @@ pub(crate) type ContentKey = Vec<(i64, i64, i64)>;
 pub(crate) struct CachedBlock {
     pub(crate) y_runs: Vec<Rat>,
     pub(crate) objective: Rat,
-}
-
-/// A shape's snapshot pool plus the pivot count of the first cold solve
-/// that seeded it (the reference for `warm_pivots_saved`).
-#[derive(Clone)]
-pub(crate) struct ShapeEntry {
-    pub(crate) snapshots: Vec<BasisSnapshot>,
-    pub(crate) reference_pivots: u64,
 }
 
 /// Handle to a job owned by an [`IncrementalSolver`] (stable across
@@ -147,12 +131,14 @@ pub struct IncrementalReport {
     pub components: usize,
     /// Components reused verbatim from the content cache (no LP solve).
     pub reused: usize,
-    /// Components re-solved with a warm-start attempt.
+    /// Always 0: re-solves have no warm starts. Kept only because the
+    /// benchmark harness (`perfbench/src/churn.rs`) reads it.
     pub warm_attempts: usize,
-    /// Warm attempts that hit (installed and certified).
+    /// Always 0, like [`IncrementalReport::warm_attempts`] and for the
+    /// same reason.
     pub warm_hits: usize,
-    /// Components solved cold (first sighting of their shape, or every
-    /// warm candidate missed).
+    /// Components solved (cold, from their crash start) because the
+    /// content cache could not serve them.
     pub cold_solves: usize,
 }
 
@@ -163,7 +149,6 @@ pub struct IncrementalSolver {
     jobs: Vec<Option<Job>>,
     live: usize,
     content_cache: HashMap<ContentKey, CachedBlock>,
-    shape_cache: HashMap<ComponentSignature, ShapeEntry>,
     /// Components whose supervision ladder failed entirely, keyed by
     /// content: a quarantined key is **not retried** on later solves —
     /// re-admission happens automatically when the offending content
@@ -186,9 +171,7 @@ pub struct IncrementalSolver {
 }
 
 impl IncrementalSolver {
-    /// A solver with the default [`LpOptions`] (warm starts are always
-    /// attempted on re-solves, whatever `opts.warm` says — that flag
-    /// governs the batch planner, not this driver).
+    /// A solver with the default [`LpOptions`].
     pub fn new(g: usize) -> Result<IncrementalSolver> {
         IncrementalSolver::with_options(g, LpOptions::default())
     }
@@ -209,7 +192,6 @@ impl IncrementalSolver {
             jobs: Vec::new(),
             live: 0,
             content_cache: HashMap::new(),
-            shape_cache: HashMap::new(),
             quarantine: HashMap::new(),
             store: None,
             comps: BTreeMap::new(),
@@ -219,12 +201,11 @@ impl IncrementalSolver {
     }
 
     /// Attaches a durable state directory and recovers whatever it holds:
-    /// the last checkpoint (job set, content cache, snapshot pools,
-    /// quarantine) plus the journaled mutations past it. See
-    /// [`crate::store`] for the recovery procedure, the restart-storm
-    /// guard, and the reject-don't-trust invariant — a corrupt or
-    /// version-drifted state file costs warm capital, never correctness,
-    /// and never an error from this method.
+    /// the last checkpoint (job set, content cache, quarantine) plus the
+    /// journaled mutations past it. See [`crate::store`] for the recovery
+    /// procedure, the restart-storm guard, and the reject-don't-trust
+    /// invariant — a corrupt or version-drifted state file costs cached
+    /// work, never correctness, and never an error from this method.
     ///
     /// Replaces the solver's in-memory state with the recovered one (call
     /// it on a fresh solver). From here on, every
@@ -243,13 +224,11 @@ impl IncrementalSolver {
         self.jobs.clear();
         self.live = 0;
         self.content_cache.clear();
-        self.shape_cache.clear();
         self.quarantine.clear();
         if let Some(s) = state {
             self.live = s.jobs.iter().flatten().count();
             self.jobs = s.jobs;
             self.content_cache = s.blocks.into_iter().collect();
-            self.shape_cache = s.shapes.into_iter().collect();
             self.quarantine = s.quarantine.into_iter().collect();
         }
         self.comps.clear();
@@ -257,7 +236,9 @@ impl IncrementalSolver {
         self.pending = (0..self.jobs.len())
             .filter(|&h| self.jobs[h].is_some())
             .collect();
-        self.regroup();
+        // A component span too long to regroup leaves its jobs pending:
+        // the next solve refuses it, as it would a fresh arrival.
+        let _ = self.regroup();
         self.store = Some(store);
         Ok(RecoveryReport {
             resumed_jobs: self.live,
@@ -288,7 +269,6 @@ impl IncrementalSolver {
             seq,
             &self.jobs,
             &self.content_cache,
-            &self.shape_cache,
             &self.quarantine,
         );
         let store = self.store.as_mut().expect("checked above");
@@ -400,7 +380,7 @@ impl IncrementalSolver {
     }
 
     /// Re-solves LP1 for the current job set, reusing cached component
-    /// blocks and warm-starting the dirty ones. The objective (and the
+    /// blocks and solving the dirty ones cold. The objective (and the
     /// stitched per-slot `y`'s feasibility) is bit-identical to a from-
     /// scratch [`solve_active_lp_with`](crate::lp_model::solve_active_lp_with)
     /// on [`IncrementalSolver::instance`].
@@ -422,7 +402,6 @@ impl IncrementalSolver {
     pub fn try_solve(&mut self) -> std::result::Result<IncrementalReport, SolveError> {
         if self.content_cache.len() > CACHE_CAP {
             self.content_cache.clear();
-            self.shape_cache.clear();
             self.quarantine.clear();
         }
         // Every live job outside `pending` passed a regroup, so only a job
@@ -433,7 +412,7 @@ impl IncrementalSolver {
         if self.pending.iter().any(invalid) {
             self.instance().map_err(SolveError::Model)?;
         }
-        self.regroup();
+        self.regroup().map_err(SolveError::Model)?;
         // Admission control: the Hall-condition precheck bounces
         // provably-infeasible job sets before any LP is built, leaving
         // every cache untouched. Components the content cache serves
@@ -527,7 +506,7 @@ impl IncrementalSolver {
                 live_quarantine.push(kept.key.clone());
                 continue;
             }
-            // Dirty: re-solve, warm from the shape's snapshot pool.
+            // Dirty: re-solve cold, from the block's crash start.
             let sub = member_instance(&self.jobs, &kept.members, self.g);
             let runs = slot_runs(&sub);
             let comp = Component {
@@ -536,33 +515,19 @@ impl IncrementalSolver {
                 jobs: (0..sub.len()).collect(),
             };
             let clp = build_component_lp(&sub, &self.opts, &runs, &comp);
-            let skey = component_signature(&sub, &runs, &comp);
-            let entry = self.shape_cache.get(&skey);
-            let pool: &[BasisSnapshot] = entry.map(|e| e.snapshots.as_slice()).unwrap_or(&[]);
-            let (sol, pivots, warm_hit, snapshot) =
-                match supervised_solve(&clp.lp, &ropts.snapshots(pool).start(clp.start.as_ref())) {
-                    Ok(sr) => {
-                        if !pool.is_empty() {
-                            report.warm_attempts += 1;
-                            let reference = entry.map(|e| e.reference_pivots).unwrap_or(0);
-                            record_warm_attempt(sr.warm_hit, reference, sr.stats.pivots);
-                            if sr.warm_hit {
-                                report.warm_hits += 1;
-                            }
-                        }
-                        (sr.solution, sr.stats.pivots, sr.warm_hit, sr.snapshot)
-                    }
-                    Err(f) => {
-                        record_quarantine();
-                        quarantined.push(QuarantinedComponent {
-                            jobs: instance_indices(&self.jobs, &kept.members),
-                            failure: f.clone(),
-                        });
-                        live_quarantine.push(kept.key.clone());
-                        self.quarantine.insert(kept.key.clone(), f);
-                        continue;
-                    }
-                };
+            let sol = match supervised_solve(&clp.lp, &ropts.start(clp.start.as_ref())) {
+                Ok(sr) => sr.solution,
+                Err(f) => {
+                    record_quarantine();
+                    quarantined.push(QuarantinedComponent {
+                        jobs: instance_indices(&self.jobs, &kept.members),
+                        failure: f.clone(),
+                    });
+                    live_quarantine.push(kept.key.clone());
+                    self.quarantine.insert(kept.key.clone(), f);
+                    continue;
+                }
+            };
             match sol.status {
                 LpStatus::Optimal => {}
                 LpStatus::Infeasible => {
@@ -572,9 +537,7 @@ impl IncrementalSolver {
                 }
                 LpStatus::Unbounded => unreachable!("LP1 objective is bounded below by 0"),
             }
-            if !warm_hit {
-                report.cold_solves += 1;
-            }
+            report.cold_solves += 1;
             let block = CachedBlock {
                 y_runs: sol.x[..n_runs].to_vec(),
                 objective: sol.objective,
@@ -583,21 +546,6 @@ impl IncrementalSolver {
             objective = objective.add(&block.objective);
             healthy.push((ci, block.objective));
             self.content_cache.insert(kept.key.clone(), block);
-            // Only cold-resolved snapshots enrich the shape pool: a warm
-            // hit terminated at (or near) a vertex the pool already
-            // covers, so pushing it would fill the capped pool with
-            // duplicates and crowd out genuinely new vertices.
-            if !warm_hit {
-                if let Some(s) = snapshot {
-                    let entry = self.shape_cache.entry(skey).or_insert_with(|| ShapeEntry {
-                        snapshots: Vec::new(),
-                        reference_pivots: pivots,
-                    });
-                    if entry.snapshots.len() < SNAPSHOT_POOL_CAP {
-                        entry.snapshots.push(s);
-                    }
-                }
-            }
         }
         // Quarantine entries whose content no longer exists (the offending
         // job was removed or mutated) are pruned: the key can only recur
@@ -637,44 +585,62 @@ impl IncrementalSolver {
     /// added or re-windowed jobs merge into new components with one
     /// sort-and-merge. A kept component that overlaps no touched window
     /// lost no member and gained no neighbour, so it is still a component.
-    fn regroup(&mut self) {
+    ///
+    /// A new component whose span is longer than `i64` holds is refused
+    /// with [`Error::HorizonTooLong`] before anything changes: its run
+    /// widths and content key would overflow.
+    fn regroup(&mut self) -> Result<()> {
         let _span = abt_core::obs_span!("incremental.regroup");
-        let mut handles = std::mem::take(&mut self.pending);
-        for (r, d) in self.touched.drain(..) {
+        let mut dissolved: Vec<Time> = Vec::new();
+        for &(r, d) in &self.touched {
             // Kept spans ascend, so the ones overlapping [r, d) are the
             // last few that start before d.
-            while let Some((&start, kept)) = self.comps.range(..d).next_back() {
+            for (&start, kept) in self.comps.range(..d).rev() {
                 if kept.end <= r {
                     break;
                 }
-                let kept = self.comps.remove(&start).expect("found above");
-                handles.extend(kept.members);
+                dissolved.push(start);
             }
         }
-        let mut windows: Vec<(Time, Time, IncrementalJobId)> = handles
-            .into_iter()
-            .filter_map(|h| self.jobs[h].map(|j| (j.release, j.deadline, h)))
+        dissolved.sort_unstable();
+        dissolved.dedup();
+        let mut windows: Vec<(Time, Time, IncrementalJobId)> = dissolved
+            .iter()
+            .flat_map(|start| &self.comps[start].members)
+            .chain(&self.pending)
+            .filter_map(|&h| self.jobs[h].map(|j| (j.release, j.deadline, h)))
             .collect();
         windows.sort_unstable();
         windows.dedup();
-        jobs_regrouped().add(windows.len() as u64);
+        // A window joins the component iff it starts before the span
+        // ends: the half-open overlap rule.
+        let mut groups: Vec<(usize, usize, Time)> = Vec::new();
         let mut i = 0;
         while i < windows.len() {
-            // A window joins the component iff it starts before the span
-            // ends: the half-open overlap rule.
-            let (start, mut end, _) = windows[i];
+            let mut end = windows[i].1;
             let mut j = i + 1;
             while j < windows.len() && windows[j].0 < end {
                 end = end.max(windows[j].1);
                 j += 1;
             }
+            horizon_len(windows[i].0, end)?;
+            groups.push((i, j, end));
+            i = j;
+        }
+        for start in &dissolved {
+            self.comps.remove(start);
+        }
+        self.touched.clear();
+        self.pending.clear();
+        jobs_regrouped().add(windows.len() as u64);
+        for (i, j, end) in groups {
             let mut members: Vec<IncrementalJobId> = windows[i..j].iter().map(|w| w.2).collect();
             members.sort_unstable();
             let sub = member_instance(&self.jobs, &members, self.g);
             let widths = slot_runs(&sub).iter().map(SlotRun::width).collect();
             let key = content_key(sub.jobs());
             self.comps.insert(
-                start,
+                windows[i].0,
                 KeptComponent {
                     end,
                     members,
@@ -682,8 +648,8 @@ impl IncrementalSolver {
                     widths,
                 },
             );
-            i = j;
         }
+        Ok(())
     }
 
     /// The per-slot `y` over the horizon, from the components' per-run
@@ -811,38 +777,7 @@ mod tests {
         // fully clean re-solve touches no LP at all.
         assert_eq!(again.reused, 2, "nothing changed: everything is clean");
         assert_eq!(again.cold_solves, 0);
-        assert_eq!(again.warm_attempts, 0);
         assert_eq!(again.lp.objective, before.lp.objective);
-    }
-
-    #[test]
-    fn shape_echoes_warm_start_new_components() {
-        // Arrivals into fresh stripes with the same window layout: from
-        // the second stripe on, the new component's shape is cached and
-        // re-solves attempt warm starts.
-        let mut solver = IncrementalSolver::new(2).unwrap();
-        let mut warm_attempts = 0;
-        for k in 0..4i64 {
-            // Distinct lengths per stripe keep the content keys fresh
-            // (identical content would short-circuit into the content
-            // cache with no solve at all), while the window layout — and
-            // so the shape — repeats.
-            let base = 20 * k;
-            solver.add_job(Job::new(base, base + 6, 2 + k));
-            solver.add_job(Job::new(base + 1, base + 5, 2));
-            let rep = solver.solve().unwrap();
-            warm_attempts += rep.warm_attempts;
-            assert_eq!(
-                rep.lp.objective,
-                solve_active_lp(&solver.instance().unwrap())
-                    .unwrap()
-                    .objective
-            );
-        }
-        assert!(
-            warm_attempts >= 3,
-            "later stripes must attempt warm starts (got {warm_attempts})"
-        );
     }
 
     #[test]
@@ -932,6 +867,62 @@ mod tests {
         ));
     }
 
+    /// A window whose length overflows `i64`: `solve_active_lp` refuses
+    /// its instance with `HorizonTooLong`.
+    fn overlong_job() -> Job {
+        Job::try_new(-9_223_372_036_854_775_000, 9_223_372_036_854_775_000, 5).unwrap()
+    }
+
+    fn is_horizon_too_long<T>(res: Result<T>) -> bool {
+        matches!(
+            res,
+            Err(Error::HorizonTooLong { slots, .. }) if slots == 18_446_744_073_709_550_000
+        )
+    }
+
+    #[test]
+    fn a_span_longer_than_i64_is_refused_before_regrouping() {
+        // One window too long for `i64`, and two windows that each fit
+        // but whose component spans too long.
+        let two = [
+            Job::try_new(-9_223_372_036_854_775_000, 0, 1).unwrap(),
+            Job::try_new(-1, 9_223_372_036_854_775_000, 1).unwrap(),
+        ];
+        for jobs in [vec![overlong_job()], two.to_vec()] {
+            let inst = Instance::new(jobs.clone(), 1).unwrap();
+            assert!(is_horizon_too_long(solve_active_lp(&inst)));
+            let mut solver = IncrementalSolver::new(1).unwrap();
+            let ids: Vec<_> = jobs.iter().map(|&j| solver.add_job(j)).collect();
+            assert!(is_horizon_too_long(solver.solve()));
+            // The refusal changed nothing: the jobs stay until they leave.
+            assert!(is_horizon_too_long(solver.solve()));
+            for id in ids {
+                solver.remove_job(id).unwrap();
+            }
+            solver.add_job(Job::new(0, 4, 2));
+            assert_eq!(solver.solve().unwrap().lp.objective, Rat::from_int(2));
+        }
+    }
+
+    #[test]
+    fn a_recovered_window_longer_than_i64_is_refused_on_the_next_solve() {
+        let dir = tmp_state_dir("overlong");
+        let id = {
+            let mut solver = IncrementalSolver::new(1).unwrap();
+            solver.attach_store(&dir).unwrap();
+            solver.add_job(Job::new(0, 4, 2));
+            solver.add_job(overlong_job())
+        };
+        // The journaled arrival is recovered, not regrouped.
+        let mut solver = IncrementalSolver::new(1).unwrap();
+        let rep = solver.attach_store(&dir).unwrap();
+        assert_eq!(rep.resumed_jobs, 2);
+        assert!(is_horizon_too_long(solver.solve()));
+        solver.remove_job(id).unwrap();
+        assert_eq!(solver.solve().unwrap().lp.objective, Rat::from_int(2));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn infeasible_mutation_is_reported() {
         let mut solver = IncrementalSolver::new(1).unwrap();
@@ -982,7 +973,7 @@ mod tests {
         let resolved = solver.solve().unwrap();
         assert_eq!(resolved.lp.objective, clean.lp.objective);
         assert_eq!(resolved.reused, 0, "poisoned block must not be reused");
-        assert!(resolved.cold_solves + resolved.warm_hits >= 1);
+        assert!(resolved.cold_solves >= 1);
     }
 
     fn tmp_state_dir(tag: &str) -> std::path::PathBuf {
@@ -1049,7 +1040,7 @@ mod tests {
         assert!(rep.cold_start, "corrupt checkpoint is discarded");
         assert_eq!(rep.corruption_events, 1);
         assert_eq!(rep.resumed_jobs, 0);
-        // The job set is gone (warm capital lost), but re-adding and
+        // The job set is gone (cached work lost), but re-adding and
         // solving is exact — corruption never costs correctness.
         solver.add_job(Job::new(0, 4, 2));
         solver.add_job(Job::new(8, 12, 2));

@@ -12,20 +12,18 @@
 //! whole-instance decomposition.
 
 use super::{
-    CachedBlock, ContentKey, IncrementalJobId, IncrementalReport, IncrementalSolver, ShapeEntry,
-    CACHE_CAP,
+    CachedBlock, ContentKey, IncrementalJobId, IncrementalReport, IncrementalSolver, CACHE_CAP,
 };
 use crate::admission::admission_precheck;
 use crate::lp_model::{
-    build_component_lp, component_signature, components, disaggregate, record_admission_reject,
-    record_quarantine, record_recovery, record_state_corrupt, record_warm_attempt, revised_options,
-    slot_runs, ActiveLp, ComponentSignature, DecomposeMode, LpOptions, SlotRun, VubMode,
-    SNAPSHOT_POOL_CAP,
+    build_component_lp, components, disaggregate, record_admission_reject, record_quarantine,
+    record_recovery, record_state_corrupt, revised_options, slot_runs, ActiveLp, DecomposeMode,
+    LpOptions, SlotRun, VubMode,
 };
 use crate::supervise::{supervised_solve, PartialSolve, QuarantinedComponent, SolveError};
 use abt_core::active_schedule::horizon_slots;
 use abt_core::{Error, Instance, Job, Result, SolveFailure, Time};
-use abt_lp::{BasisSnapshot, LpStatus, Rat};
+use abt_lp::{LpStatus, Rat};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -36,7 +34,6 @@ struct OracleSolver {
     opts: LpOptions,
     jobs: Vec<Option<Job>>,
     content_cache: HashMap<ContentKey, CachedBlock>,
-    shape_cache: HashMap<ComponentSignature, ShapeEntry>,
     quarantine: HashMap<ContentKey, SolveFailure>,
 }
 
@@ -50,7 +47,6 @@ impl OracleSolver {
             },
             jobs: Vec::new(),
             content_cache: HashMap::new(),
-            shape_cache: HashMap::new(),
             quarantine: HashMap::new(),
         }
     }
@@ -79,7 +75,6 @@ impl OracleSolver {
     fn try_solve(&mut self) -> std::result::Result<IncrementalReport, SolveError> {
         if self.content_cache.len() > CACHE_CAP {
             self.content_cache.clear();
-            self.shape_cache.clear();
             self.quarantine.clear();
         }
         let inst = self.instance().map_err(SolveError::Model)?;
@@ -161,35 +156,21 @@ impl OracleSolver {
                 live_quarantine.push(ckey);
                 continue;
             }
-            // Dirty: re-solve, warm from the shape's snapshot pool.
+            // Dirty: re-solve cold, from the block's crash start.
             let clp = build_component_lp(&inst, &self.opts, &runs, comp);
-            let skey = component_signature(&inst, &runs, comp);
-            let entry = self.shape_cache.get(&skey);
-            let pool: &[BasisSnapshot] = entry.map(|e| e.snapshots.as_slice()).unwrap_or(&[]);
-            let (sol, pivots, warm_hit, snapshot) =
-                match supervised_solve(&clp.lp, &ropts.snapshots(pool).start(clp.start.as_ref())) {
-                    Ok(sr) => {
-                        if !pool.is_empty() {
-                            report.warm_attempts += 1;
-                            let reference = entry.map(|e| e.reference_pivots).unwrap_or(0);
-                            record_warm_attempt(sr.warm_hit, reference, sr.stats.pivots);
-                            if sr.warm_hit {
-                                report.warm_hits += 1;
-                            }
-                        }
-                        (sr.solution, sr.stats.pivots, sr.warm_hit, sr.snapshot)
-                    }
-                    Err(f) => {
-                        record_quarantine();
-                        quarantined.push(QuarantinedComponent {
-                            jobs: comp.jobs.clone(),
-                            failure: f.clone(),
-                        });
-                        live_quarantine.push(ckey.clone());
-                        self.quarantine.insert(ckey, f);
-                        continue;
-                    }
-                };
+            let sol = match supervised_solve(&clp.lp, &ropts.start(clp.start.as_ref())) {
+                Ok(sr) => sr.solution,
+                Err(f) => {
+                    record_quarantine();
+                    quarantined.push(QuarantinedComponent {
+                        jobs: comp.jobs.clone(),
+                        failure: f.clone(),
+                    });
+                    live_quarantine.push(ckey.clone());
+                    self.quarantine.insert(ckey, f);
+                    continue;
+                }
+            };
             match sol.status {
                 LpStatus::Optimal => {}
                 LpStatus::Infeasible => {
@@ -199,9 +180,7 @@ impl OracleSolver {
                 }
                 LpStatus::Unbounded => unreachable!("LP1 objective is bounded below by 0"),
             }
-            if !warm_hit {
-                report.cold_solves += 1;
-            }
+            report.cold_solves += 1;
             let block = CachedBlock {
                 y_runs: sol.x[..n_runs].to_vec(),
                 objective: sol.objective,
@@ -212,21 +191,6 @@ impl OracleSolver {
             objective = objective.add(&block.objective);
             healthy.push((ci, block.objective));
             self.content_cache.insert(ckey, block);
-            // Only cold-resolved snapshots enrich the shape pool: a warm
-            // hit terminated at (or near) a vertex the pool already
-            // covers, so pushing it would fill the capped pool with
-            // duplicates and crowd out genuinely new vertices.
-            if !warm_hit {
-                if let Some(s) = snapshot {
-                    let entry = self.shape_cache.entry(skey).or_insert_with(|| ShapeEntry {
-                        snapshots: Vec::new(),
-                        reference_pivots: pivots,
-                    });
-                    if entry.snapshots.len() < SNAPSHOT_POOL_CAP {
-                        entry.snapshots.push(s);
-                    }
-                }
-            }
         }
         // Quarantine entries whose content no longer exists (the offending
         // job was removed or mutated) are pruned: the key can only recur
@@ -496,15 +460,6 @@ impl Pair {
             v
         };
         prop_assert_eq!(keys(&self.new.quarantine), keys(&self.old.quarantine));
-        let pools = |s: &HashMap<ComponentSignature, ShapeEntry>| {
-            let mut v: Vec<(ComponentSignature, usize, u64)> = s
-                .iter()
-                .map(|(k, e)| (k.clone(), e.snapshots.len(), e.reference_pivots))
-                .collect();
-            v.sort();
-            v
-        };
-        prop_assert_eq!(pools(&self.new.shape_cache), pools(&self.old.shape_cache));
         self.check_kept_components()?;
         Ok(kind)
     }

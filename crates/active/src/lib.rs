@@ -11,12 +11,10 @@
 //! * [`rounding`] — the LP-rounding 2-approximation (Theorem 2), on top of
 //!   [`lp_model`] (the `LP1` relaxation, solved with exact rationals,
 //!   sharded along interval-graph components under
-//!   [`DecomposeMode::Auto`], with warm-started sibling batching under
-//!   [`WarmMode::Batch`]) and [`right_shift`](mod@right_shift) (§3.1
+//!   [`DecomposeMode::Auto`]) and [`right_shift`](mod@right_shift) (§3.1
 //!   preprocessing).
-//! * [`incremental`] — the warm-started incremental re-solve driver for
-//!   mutating instances / online arrival streams
-//!   ([`IncrementalSolver`]).
+//! * [`incremental`] — the incremental re-solve driver for mutating
+//!   instances / online arrival streams ([`IncrementalSolver`]).
 //! * [`exact`] — branch-and-bound optimum for ratio measurements.
 //! * [`unit`](mod@unit) — the exact rightmost-greedy for unit jobs
 //!   (Chang–Gabow–Khuller special case).
@@ -77,7 +75,7 @@ pub use incremental::{IncrementalJobId, IncrementalReport, IncrementalSolver};
 pub use lp_model::{
     fractional_feasible, lp_telemetry, pivots_per_solve_snapshot, solve_active_lp,
     solve_active_lp_with, try_solve_active_lp_with, ActiveLp, DecomposeMode, LpOptions,
-    LpTelemetry, VubMode, WarmMode,
+    LpTelemetry, VubMode,
 };
 pub use minimal::{
     is_minimal, minimal_feasible, minimal_feasible_from, ClosingOrder, MinimalResult,

@@ -70,25 +70,6 @@
 //! component LPs reuses its scratch buffers instead of churning the global
 //! allocator.
 //!
-//! # Warm-started sibling batching
-//!
-//! On the families that shard well the components are often
-//! *near-identical* — nested windows and arrival streams repeat the same
-//! window layouts with different job lengths. Under [`WarmMode::Batch`]
-//! the sharded solve runs a **batch planner**: components are grouped by
-//! structural signature (run count + per-job relative run spans — equal
-//! signatures build LPs with identical standard-form structure), one
-//! representative per group solves cold, and the siblings warm-start from
-//! a per-group [`abt_lp::BasisSnapshot`] pool seeded by the
-//! representative and grown by every cold-resolved miss (offered through
-//! [`abt_lp::LpOptions::snapshots`]). Siblings run in parallel waves so the
-//! pool growth stays deterministic — warm pivot counts are exactly
-//! reproducible run to run. Warm answers are certified in exact rationals
-//! like cold ones, so `Batch` never changes an objective; cold
-//! [`WarmMode::Off`] remains the default and the differential oracle
-//! (E22 measures the pivot-effort reduction). The incremental re-solve
-//! driver for *mutating* instances lives in [`crate::incremental`].
-//!
 //! # Crash start
 //!
 //! A cold solve from the all-slack basis spends most of its pivots in
@@ -102,11 +83,10 @@
 //! artificial. The cold rung factors it in place of the all-slack basis
 //! and runs phase 1 only while an artificial is positive; a covered start
 //! goes straight to phase 2. Every LP1 call site — the sharded and
-//! monolithic solves, both phases of the batch planner, and the
-//! incremental driver's dirty components — gets it; [`VubMode::Rows`]
-//! keeps the all-slack start. Warm installs are unchanged: a started
-//! solve is a cold solve. The start moves pivots, never answers: the
-//! terminal basis is certified exactly like any other.
+//! monolithic solves and the incremental driver's dirty components
+//! ([`crate::incremental`]) — gets it; [`VubMode::Rows`] keeps the
+//! all-slack start. The start moves pivots, never answers: the terminal
+//! basis is certified exactly like any other.
 //!
 //! # Solving
 //!
@@ -116,8 +96,8 @@
 //! rationals (and, if that fails, re-solved by a dense rung), so the `y`
 //! values and objective remain *exact* — the rounding algorithm's case
 //! analysis (`⌊Y_i⌋`, comparisons against ½) stays noise-free.
-//! [`LpOptions`] tunes that one path: encoding, pricing, sharding, warm
-//! batching, budgets, and certification tier.
+//! [`LpOptions`] tunes that one path: encoding, pricing, sharding,
+//! budgets, and certification tier.
 //!
 //! Every solve feeds the process-wide telemetry ([`lp_telemetry`]):
 //! fallbacks plus the pivot / bound-flip / refactorization /
@@ -136,10 +116,9 @@ use abt_core::obs::{
 };
 use abt_core::{supervised_map, Error, Instance, Result, SolveFailure, Time};
 use abt_lp::{
-    BasisSnapshot, BoundedOptions, CertifyMode, Cmp, LpProblem, LpReport, LpSolution, LpStatus,
-    Rat, RowStart, StartBasis, VarState, DEFAULT_PRICING_WINDOW,
+    BoundedOptions, CertifyMode, Cmp, LpProblem, LpReport, LpSolution, LpStatus, Rat, RowStart,
+    StartBasis, VarState, DEFAULT_PRICING_WINDOW,
 };
-use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -166,22 +145,6 @@ pub enum DecomposeMode {
     Auto,
 }
 
-/// Whether a sharded solve batches *similar* component sub-LPs into
-/// warm-started sibling solves (see the module docs and
-/// [`abt_lp::warm`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WarmMode {
-    /// Every component solves cold (the pre-warm-start behaviour and the
-    /// differential oracle).
-    Off,
-    /// Components are grouped by structural signature; one representative
-    /// per group solves cold and its [`abt_lp::BasisSnapshot`] seeds the
-    /// siblings' warm solves (a growing per-group snapshot pool keeps the
-    /// hit rate high). Exact objectives are unchanged — warm answers are
-    /// certified in rationals like cold ones.
-    Batch,
-}
-
 /// Model/solver configuration for [`solve_active_lp_with`].
 #[derive(Debug, Clone, Copy)]
 pub struct LpOptions {
@@ -192,10 +155,6 @@ pub struct LpOptions {
     pub pricing_window: usize,
     /// Interval-graph component sharding. Default: [`DecomposeMode::Auto`].
     pub decompose: DecomposeMode,
-    /// Warm-started sibling batching of the sharded solves. Default:
-    /// [`WarmMode::Off`] (the cold path stays the shipping default and the
-    /// perf baseline; [`LpOptions::warm_batched`] turns batching on).
-    pub warm: WarmMode,
     /// Basis-changing pivot budget per revised solve attempt (`0` =
     /// unlimited, the default). A trip surfaces as a typed
     /// `BudgetExceeded` failure and demotes the solve down the
@@ -219,7 +178,6 @@ impl Default for LpOptions {
             vub: VubMode::Implicit,
             pricing_window: DEFAULT_PRICING_WINDOW,
             decompose: DecomposeMode::Auto,
-            warm: WarmMode::Off,
             pivot_budget: 0,
             time_budget_ms: 0,
             certify: CertifyMode::IntervalThenExact,
@@ -243,12 +201,6 @@ impl LpOptions {
     /// Sets component sharding.
     pub fn decompose(mut self, decompose: DecomposeMode) -> Self {
         self.decompose = decompose;
-        self
-    }
-
-    /// Sets warm-started sibling batching.
-    pub fn warm(mut self, warm: WarmMode) -> Self {
-        self.warm = warm;
         self
     }
 
@@ -288,21 +240,14 @@ impl LpOptions {
     pub fn pr3_monolithic() -> Self {
         LpOptions::default().decompose(DecomposeMode::Off)
     }
-
-    /// The warm-batched configuration: the default sharded solve plus
-    /// [`WarmMode::Batch`] sibling batching. Cold [`LpOptions::default`]
-    /// is its differential oracle and perf baseline (E22).
-    pub fn warm_batched() -> Self {
-        LpOptions::default().warm(WarmMode::Batch)
-    }
 }
 
 /// Declares the `lp.*` registry counters once. From one list of
 /// `field: "lp.name"` entries it writes the private handle struct
 /// `LpMetrics`, their registration in `met()`, the public
 /// [`LpTelemetry`] fields, [`LpTelemetry::delta`] and [`lp_telemetry`].
-/// The `max_component_vars` gauge pair and the two histograms are written
-/// out by hand.
+/// The `max_component_vars` gauge pair, the two histograms and the
+/// always-zero `warm_pivots_saved` are written out by hand.
 macro_rules! lp_counters {
     ($($(#[$doc:meta])* $field:ident: $name:literal,)*) => {
         /// Handles of the process-wide LP solve metrics, resolved once from
@@ -345,6 +290,9 @@ macro_rules! lp_counters {
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct LpTelemetry {
             $($(#[$doc])* pub $field: u64,)*
+            /// Always 0: LP1 solves have no warm starts. Kept only because
+            /// the benchmark harness (`perfbench/src/trace.rs`) reads it.
+            pub warm_pivots_saved: u64,
             /// High-water mark of the largest component sub-LP's variable
             /// count across sharded solves. **Not** a monotone sum — see
             /// [`LpTelemetry::delta`] for the windowed semantics, and
@@ -376,6 +324,7 @@ macro_rules! lp_counters {
             pub fn delta(&self, earlier: &LpTelemetry) -> LpTelemetry {
                 LpTelemetry {
                     $($field: self.$field - earlier.$field,)*
+                    warm_pivots_saved: 0,
                     max_component_vars: if self.max_component_raises
                         > earlier.max_component_raises
                     {
@@ -396,6 +345,7 @@ macro_rules! lp_counters {
             let m = met();
             LpTelemetry {
                 $($field: m.$field.get(),)*
+                warm_pivots_saved: 0,
                 max_component_vars: m.max_component_vars.max(),
                 max_component_raises: m.max_component_vars.raises(),
             }
@@ -440,17 +390,8 @@ lp_counters! {
     sharded_solves: "lp.sharded_solves",
     /// Component sub-LPs solved by those sharded solves.
     components: "lp.components",
-    /// Solves offered a warm-start snapshot ([`WarmMode::Batch`] siblings
-    /// and [`crate::incremental::IncrementalSolver`] re-solves).
-    warm_attempts: "lp.warm_attempts",
-    /// Warm attempts that installed and certified warm.
-    warm_hits: "lp.warm_hits",
-    /// Pivots saved by warm hits versus each hit's cold reference solve
-    /// (the group representative / the shape's first cold solve), floored
-    /// at zero per solve.
-    warm_pivots_saved: "lp.warm_pivots_saved",
-    /// Failure-driven supervision-ladder demotions (warm → cold revised →
-    /// dense hybrid → dense exact; see [`crate::supervise`]). Zero on
+    /// Failure-driven supervision-ladder demotions (cold revised → dense
+    /// hybrid → dense exact; see [`crate::supervise`]). Zero on
     /// fault-free runs.
     demotions: "lp.demotions",
     /// Solve attempts that tripped a pivot / refactorization / wall-time
@@ -459,8 +400,7 @@ lp_counters! {
     /// Components quarantined after every ladder rung failed. Zero on
     /// fault-free runs.
     quarantined: "lp.quarantined",
-    /// Cached blocks and basis snapshots restored from a persisted state
-    /// directory
+    /// Cached blocks restored from a persisted state directory
     /// ([`crate::incremental::IncrementalSolver::attach_store`]).
     persist_restores: "lp.persist_restores",
     /// Completed recovery events: journal replays over a checkpoint plus
@@ -499,7 +439,7 @@ pub(crate) fn record_quarantine() {
     obs::trace::event("supervise.quarantine", Vec::new);
 }
 
-/// Records `n` cached blocks / snapshots restored from persisted state.
+/// Records `n` cached blocks restored from persisted state.
 pub(crate) fn record_persist_restores(n: u64) {
     met().persist_restores.add(n);
     obs::trace::event("persist.restore", || vec![("blocks", n.to_string())]);
@@ -522,20 +462,6 @@ pub(crate) fn record_state_corrupt() {
 pub(crate) fn record_admission_reject() {
     met().admission_rejects.inc();
     obs::trace::event("admission.reject", Vec::new);
-}
-
-/// Records one warm-start attempt into the process-wide telemetry: whether
-/// it hit, and (for hits) the pivots saved against `reference_pivots` —
-/// the cold pivot count of the solve the snapshot came from. Used by the
-/// batch planner below and by [`crate::incremental::IncrementalSolver`].
-pub(crate) fn record_warm_attempt(hit: bool, reference_pivots: u64, warm_pivots: u64) {
-    let m = met();
-    m.warm_attempts.inc();
-    if hit {
-        m.warm_hits.inc();
-        m.warm_pivots_saved
-            .add(reference_pivots.saturating_sub(warm_pivots));
-    }
 }
 
 pub(crate) fn record_solve(rep: &LpReport) {
@@ -918,176 +844,6 @@ fn solve_component(
     Ok(finish_component(comp, comp.run_hi - comp.run_lo, sol))
 }
 
-/// A component's structural signature: run count plus, per member job (in
-/// `comp.jobs` order), the relative run range its window covers. Two
-/// components with equal signatures (under the same [`LpOptions`] and the
-/// same instance-wide `g`) build LPs with **identical standard-form
-/// structure** — same variable layout, same row sparsity pattern, same
-/// VUB families — differing only in data (run widths, job lengths), which
-/// is exactly what a [`BasisSnapshot`] can bridge.
-pub(crate) type ComponentSignature = (usize, Vec<(usize, usize)>);
-
-/// Computes the [`ComponentSignature`] of `comp` over `runs`.
-pub(crate) fn component_signature(
-    inst: &Instance,
-    runs: &[SlotRun],
-    comp: &Component,
-) -> ComponentSignature {
-    let crange = &runs[comp.run_lo..comp.run_hi];
-    let spans = comp
-        .jobs
-        .iter()
-        .map(|&j| {
-            let job = inst.job(j);
-            let lo = crange.partition_point(|run| run.start < job.release);
-            let hi = crange.partition_point(|run| run.end <= job.deadline);
-            (lo, hi)
-        })
-        .collect();
-    (crange.len(), spans)
-}
-
-/// Per-signature snapshot pool cap of the batch planner (and of the
-/// incremental solver's shape cache): small enough that a miss sweep
-/// stays cheap, large enough to cover the handful of distinct optimal
-/// vertices a family's siblings land on.
-pub(crate) const SNAPSHOT_POOL_CAP: usize = 8;
-
-/// Sibling wave sizes of the batch planner: the first wave per group is
-/// [`FIRST_WAVE`] members, doubling up to [`MAX_WAVE`]. Waves trade a
-/// little wall-clock batching latency for a growing snapshot pool: every
-/// sibling in wave `k` sees the snapshots contributed by waves `< k`
-/// (cold-resolved misses included), which lifts the hit rate far above
-/// what the lone representative snapshot achieves — and starting small
-/// fills the pool after only a handful of solves, so the bulk of the
-/// group already sees a diverse candidate set. Pool growth is
-/// deterministic — contributions are appended in sibling order, so pivot
-/// counts are exactly reproducible run to run.
-const FIRST_WAVE: usize = 4;
-/// Cap on the doubling wave size (see [`FIRST_WAVE`]).
-const MAX_WAVE: usize = 32;
-
-/// The batch planner ([`WarmMode::Batch`]): groups components by
-/// [`ComponentSignature`], solves one representative per group cold, and
-/// warm-starts the siblings from a per-group snapshot pool seeded by the
-/// representative and grown by every subsequent cold-resolved miss.
-/// Returns the component solutions in `comps` order. Exactness is
-/// untouched: warm or cold, every answer is certified in rationals.
-fn solve_components_batched(
-    inst: &Instance,
-    opts: &LpOptions,
-    runs: &[SlotRun],
-    comps: &[Component],
-) -> Vec<ComponentOutcome> {
-    let ropts = revised_options(opts);
-    let mut groups: BTreeMap<ComponentSignature, Vec<usize>> = BTreeMap::new();
-    for (ci, comp) in comps.iter().enumerate() {
-        groups
-            .entry(component_signature(inst, runs, comp))
-            .or_default()
-            .push(ci);
-    }
-    let group_members: Vec<Vec<usize>> = groups.into_values().collect();
-    // Phase A — representatives (the first member of each group) solve
-    // cold, in parallel across groups, each under the supervision ladder.
-    let rep_ids: Vec<usize> = group_members.iter().map(|g| g[0]).collect();
-    type RepOutcome = (Result<ComponentSolution>, Option<BasisSnapshot>, u64);
-    let rep_outs: Vec<std::result::Result<RepOutcome, SolveFailure>> =
-        supervised_map(rep_ids, |ci| {
-            let comp = &comps[ci];
-            let clp = build_component_lp(inst, opts, runs, comp);
-            met()
-                .max_component_vars
-                .record_max(clp.lp.num_vars() as u64);
-            let sr = supervised_solve(&clp.lp, &ropts.start(clp.start.as_ref()))?;
-            let pivots = sr.stats.pivots;
-            Ok((
-                finish_component(comp, comp.run_hi - comp.run_lo, sr.solution),
-                sr.snapshot,
-                pivots,
-            ))
-        });
-    let mut out: Vec<Option<ComponentOutcome>> = (0..comps.len()).map(|_| None).collect();
-    // Phase B — siblings, in parallel waves per group. Waves across groups
-    // run in one fan-out so small groups don't serialize the sweep. A
-    // quarantined representative leaves its group's pool empty — the
-    // siblings still solve (cold, supervised), only the warm seeding is
-    // lost.
-    let mut pools: Vec<(Vec<BasisSnapshot>, u64)> = Vec::with_capacity(group_members.len());
-    for (members, rep) in group_members.iter().zip(rep_outs) {
-        let mut pool = Vec::new();
-        let mut pivots = 0;
-        out[members[0]] = Some(match rep {
-            Ok((sol, snap, rep_pivots)) => {
-                pool.extend(snap);
-                pivots = rep_pivots;
-                Ok(sol)
-            }
-            Err(f) => Err(f),
-        });
-        pools.push((pool, pivots));
-    }
-    let mut offset = 1usize; // member index within each group
-    let mut wave_len = FIRST_WAVE;
-    loop {
-        // One wave: up to `wave_len` further members of every group.
-        let mut batch: Vec<(usize, usize)> = Vec::new(); // (comp idx, group idx)
-        for (gi, members) in group_members.iter().enumerate() {
-            for &ci in members.iter().skip(offset).take(wave_len) {
-                batch.push((ci, gi));
-            }
-        }
-        if batch.is_empty() {
-            break;
-        }
-        let pools_ref = &pools;
-        // Per sibling: its solved block and — for misses — the snapshot it
-        // contributes to the pool.
-        type SiblingOutcome = (Result<ComponentSolution>, Option<BasisSnapshot>);
-        let wave_outs: Vec<std::result::Result<SiblingOutcome, SolveFailure>> =
-            supervised_map(batch.clone(), |(ci, gi)| {
-                let comp = &comps[ci];
-                let clp = build_component_lp(inst, opts, runs, comp);
-                met()
-                    .max_component_vars
-                    .record_max(clp.lp.num_vars() as u64);
-                let (pool, rep_pivots) = &pools_ref[gi];
-                let sr =
-                    supervised_solve(&clp.lp, &ropts.snapshots(pool).start(clp.start.as_ref()))?;
-                // An empty pool (e.g. the representative fell back to the
-                // dense exact solver) means the sibling was never *offered*
-                // a snapshot — don't count a phantom attempt.
-                if !pool.is_empty() {
-                    record_warm_attempt(sr.warm_hit, *rep_pivots, sr.stats.pivots);
-                }
-                let contribute = if sr.warm_hit { None } else { sr.snapshot };
-                Ok((
-                    finish_component(comp, comp.run_hi - comp.run_lo, sr.solution),
-                    contribute,
-                ))
-            });
-        for ((ci, gi), res) in batch.into_iter().zip(wave_outs) {
-            out[ci] = Some(match res {
-                Ok((sol, contribute)) => {
-                    if let Some(s) = contribute {
-                        let pool = &mut pools[gi].0;
-                        if pool.len() < SNAPSHOT_POOL_CAP {
-                            pool.push(s);
-                        }
-                    }
-                    Ok(sol)
-                }
-                Err(f) => Err(f),
-            });
-        }
-        offset += wave_len;
-        wave_len = (wave_len * 2).min(MAX_WAVE);
-    }
-    out.into_iter()
-        .map(|s| s.expect("every component solved"))
-        .collect()
-}
-
 /// Builds and solves `LP1` for `inst` with the default options
 /// (coalesced super-slots, implicit bounds, bounded revised backend,
 /// component sharding).
@@ -1139,9 +895,7 @@ pub fn try_solve_active_lp_with(
         met().sharded_solves.inc();
         met().components.add(comps.len() as u64);
     }
-    let solved: Vec<ComponentOutcome> = if sharded && opts.warm == WarmMode::Batch {
-        solve_components_batched(inst, opts, &runs, &comps)
-    } else if sharded {
+    let solved: Vec<ComponentOutcome> = if sharded {
         // The outer `supervised_map` additionally isolates panics raised
         // *outside* the ladder (e.g. while building the component LP).
         supervised_map((0..comps.len()).collect::<Vec<_>>(), |ci| {
@@ -1260,9 +1014,8 @@ mod tests {
     use super::*;
 
     /// A grid over VUB encodings × decomposition, plus full Dantzig
-    /// pricing, warm batching, the interval-only certify tier, and a
-    /// one-pivot budget that hands every component to the ladder's dense
-    /// rungs.
+    /// pricing, the interval-only certify tier, and a one-pivot budget
+    /// that hands every component to the ladder's dense rungs.
     fn all_options() -> Vec<LpOptions> {
         let mut v = Vec::new();
         for vub in [VubMode::Rows, VubMode::Implicit] {
@@ -1275,7 +1028,6 @@ mod tests {
             }
         }
         v.push(LpOptions::default().pricing_window(0));
-        v.push(LpOptions::warm_batched());
         v.push(LpOptions::default().certify(CertifyMode::Interval));
         v.push(LpOptions::default().pivot_budget(1));
         v
@@ -1510,61 +1262,6 @@ mod tests {
         assert_eq!(comps[0].run_lo, 0);
         assert_eq!(comps[0].run_hi, runs.len());
         assert_eq!(comps[0].jobs, vec![0, 1]);
-    }
-
-    #[test]
-    fn warm_batched_matches_cold_and_records_telemetry() {
-        // Six identically-shaped singleton stripes with distinct lengths:
-        // the batch planner groups them into one signature group, solves
-        // the first cold, and warm-starts the other five.
-        let triples: Vec<(i64, i64, i64)> =
-            (0..6).map(|k| (10 * k, 10 * k + 6, 1 + k % 4)).collect();
-        let inst = Instance::from_triples(triples, 2).unwrap();
-        let before = lp_telemetry();
-        let warm = solve_active_lp_with(&inst, &LpOptions::warm_batched()).unwrap();
-        let d = lp_telemetry().delta(&before);
-        let cold = solve_active_lp_with(&inst, &LpOptions::default()).unwrap();
-        assert_eq!(warm.objective, cold.objective, "warm ≡ cold, bit for bit");
-        assert_eq!(warm.y.len(), cold.y.len());
-        assert!(
-            d.warm_attempts >= 5,
-            "five siblings attempted, got {}",
-            d.warm_attempts
-        );
-        assert!(d.warm_hits >= 1, "identically-shaped siblings must hit");
-        assert!(d.warm_hits <= d.warm_attempts);
-    }
-
-    #[test]
-    fn warm_batched_on_connected_instance_is_plain_monolithic() {
-        // One component: batching never engages (nothing to group), and
-        // the answer matches the default path exactly. (No exact-zero
-        // telemetry assertions: the counters are process-global atomics
-        // and sibling tests solve sharded instances concurrently.)
-        let inst = Instance::from_triples([(0, 4, 2), (2, 8, 3), (6, 12, 2)], 2).unwrap();
-        let warm = solve_active_lp_with(&inst, &LpOptions::warm_batched()).unwrap();
-        let cold = solve_active_lp_with(&inst, &LpOptions::default()).unwrap();
-        assert_eq!(warm.objective, cold.objective);
-    }
-
-    #[test]
-    fn component_signatures_group_structural_twins() {
-        // Two stripes with the same window layout but different lengths
-        // share a signature; a third with a different layout does not.
-        let inst = Instance::from_triples(
-            [(0, 6, 2), (1, 5, 1), (20, 26, 4), (21, 25, 2), (40, 43, 1)],
-            2,
-        )
-        .unwrap();
-        let runs = slot_runs(&inst);
-        let comps = components(&inst, &runs, DecomposeMode::Auto);
-        assert_eq!(comps.len(), 3);
-        let sigs: Vec<_> = comps
-            .iter()
-            .map(|c| component_signature(&inst, &runs, c))
-            .collect();
-        assert_eq!(sigs[0], sigs[1], "structural twins share a signature");
-        assert_ne!(sigs[0], sigs[2]);
     }
 
     #[test]

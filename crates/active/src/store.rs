@@ -11,11 +11,11 @@
 //!    [`MAX_RECOVERY_ATTEMPTS`] (meaning recovery itself keeps dying
 //!    before completing), the state files are moved into a `quarantined-N`
 //!    subdirectory and the solver starts cold. A poisoned state file can
-//!    cost warm capital, never a crash loop.
+//!    cost cached work, never a crash loop.
 //! 2. **Checkpoint** — the framed `checkpoint.abt` is validated
 //!    (checksum, version, kind) and decoded under full structural
-//!    validation (job invariants, rational denominators, snapshot shapes,
-//!    pool caps). *Any* drift — including a capacity `g` different from
+//!    validation (job invariants, rational denominators, failure tags).
+//!    *Any* drift — including a capacity `g` different from
 //!    the attaching solver's — rejects the checkpoint **and** the journal
 //!    (journal ops are meaningless without the base state they mutate)
 //!    and rebuilds cold, recording `state_corrupt` + `recoveries`.
@@ -41,8 +41,7 @@
 //!
 //! Decoded state is a **performance hint, never an authority**: restored
 //! cache blocks are revalidated against their component's shape on every
-//! hit, restored snapshots go through the same install-validate-certify
-//! pipeline as fresh ones, and any validation failure surfaces as
+//! hit, and any validation failure surfaces as
 //! [`SolveFailure::StateCorrupt`] absorbed by a cold re-solve. Exactness
 //! therefore never depends on the disk: a restored solver and a cold one
 //! produce bit-identical objectives, always.
@@ -52,15 +51,21 @@
 //! serving from memory — because a scheduling service must not fail
 //! writes it already acknowledged. [`SolveStateStore::degraded`] reports
 //! it.
+//!
+//! # Format
+//!
+//! A checkpoint payload holds the capacity `g`, the journal sequence
+//! number it covers, the job slots (dead handles included), the content
+//! cache and the quarantine, in that order. Checkpoints of the earlier
+//! layout, which also carried basis-snapshot pools, were sealed under
+//! frame format version 1 (see [`abt_core::persist::FORMAT_VERSION`]):
+//! attach refuses them like any other drift and rebuilds cold.
 
-use crate::incremental::{CachedBlock, ContentKey, ShapeEntry};
-use crate::lp_model::{
-    record_persist_restores, record_recovery, record_state_corrupt, ComponentSignature,
-    SNAPSHOT_POOL_CAP,
-};
+use crate::incremental::{CachedBlock, ContentKey};
+use crate::lp_model::{record_persist_restores, record_recovery, record_state_corrupt};
 use abt_core::persist::{self, Dec, Enc, Journal, PersistError, StateDir};
 use abt_core::{BudgetKind, Job, SolveFailure, Time};
-use abt_lp::{BasisSnapshot, Rat};
+use abt_lp::Rat;
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -90,8 +95,6 @@ pub struct RecoveryReport {
     pub replayed_ops: usize,
     /// Content-cache blocks restored from the checkpoint.
     pub restored_blocks: usize,
-    /// Basis snapshots restored from the checkpoint.
-    pub restored_snapshots: usize,
     /// Corruption detections absorbed during this recovery (each also
     /// recorded in the process-wide telemetry).
     pub corruption_events: usize,
@@ -199,8 +202,6 @@ pub(crate) struct PersistedState {
     pub(crate) jobs: Vec<Option<Job>>,
     /// Content-keyed cache blocks.
     pub(crate) blocks: Vec<(ContentKey, CachedBlock)>,
-    /// Shape-keyed snapshot pools.
-    pub(crate) shapes: Vec<(ComponentSignature, ShapeEntry)>,
     /// Quarantined content keys with their root-cause failures.
     pub(crate) quarantine: Vec<(ContentKey, SolveFailure)>,
 }
@@ -254,7 +255,6 @@ fn encode_failure(e: &mut Enc, f: &SolveFailure) {
             });
         }
         SolveFailure::NumericalStall => e.put_u8(2),
-        SolveFailure::ShapeDrift => e.put_u8(3),
         SolveFailure::Infeasible => e.put_u8(4),
         SolveFailure::StateCorrupt(msg) => {
             e.put_u8(5);
@@ -275,7 +275,6 @@ fn decode_failure(d: &mut Dec<'_>) -> Result<SolveFailure, PersistError> {
             }
         }),
         2 => SolveFailure::NumericalStall,
-        3 => SolveFailure::ShapeDrift,
         4 => SolveFailure::Infeasible,
         5 => SolveFailure::StateCorrupt(d.str_()?),
         t => return Err(PersistError::Malformed(format!("unknown failure tag {t}"))),
@@ -289,7 +288,6 @@ pub(crate) fn encode_state(
     seq: u64,
     jobs: &[Option<Job>],
     blocks: &HashMap<ContentKey, CachedBlock>,
-    shapes: &HashMap<ComponentSignature, ShapeEntry>,
     quarantine: &HashMap<ContentKey, SolveFailure>,
 ) -> Vec<u8> {
     let mut e = Enc::new();
@@ -316,20 +314,6 @@ pub(crate) fn encode_state(
         }
         encode_rat(&mut e, &block.objective);
     }
-    e.put_usize(shapes.len());
-    for ((nruns, spans), entry) in shapes {
-        e.put_usize(*nruns);
-        e.put_usize(spans.len());
-        for &(lo, hi) in spans {
-            e.put_usize(lo);
-            e.put_usize(hi);
-        }
-        e.put_u64(entry.reference_pivots);
-        e.put_usize(entry.snapshots.len());
-        for snap in &entry.snapshots {
-            snap.encode(&mut e);
-        }
-    }
     e.put_usize(quarantine.len());
     for (key, failure) in quarantine {
         encode_content_key(&mut e, key);
@@ -340,10 +324,9 @@ pub(crate) fn encode_state(
 
 /// Deserializes a checkpoint payload under full structural validation:
 /// every job re-passes [`Job::try_new`], every rational has a positive
-/// denominator, every snapshot re-passes [`BasisSnapshot::decode`]'s
-/// invariants, and every count is capped by the remaining input. Any
-/// deviation is a typed [`PersistError`] — never a panic, never a trusted
-/// value.
+/// denominator, every failure tag is known, and every count is capped by
+/// the remaining input. Any deviation is a typed [`PersistError`] —
+/// never a panic, never a trusted value.
 pub(crate) fn decode_state(payload: &[u8]) -> Result<PersistedState, PersistError> {
     let mut d = Dec::new(payload);
     let g = d.usize()?;
@@ -380,34 +363,6 @@ pub(crate) fn decode_state(payload: &[u8]) -> Result<PersistedState, PersistErro
         let objective = decode_rat(&mut d)?;
         blocks.push((key, CachedBlock { y_runs, objective }));
     }
-    let nshapes = d.count(1)?;
-    let mut shapes = Vec::with_capacity(nshapes);
-    for _ in 0..nshapes {
-        let nruns = d.usize()?;
-        let nspans = d.count(16)?;
-        let mut spans = Vec::with_capacity(nspans);
-        for _ in 0..nspans {
-            spans.push((d.usize()?, d.usize()?));
-        }
-        let reference_pivots = d.u64()?;
-        let nsnaps = d.usize()?;
-        if nsnaps > SNAPSHOT_POOL_CAP {
-            return Err(PersistError::Malformed(format!(
-                "snapshot pool of {nsnaps} exceeds the cap of {SNAPSHOT_POOL_CAP}"
-            )));
-        }
-        let mut snapshots = Vec::with_capacity(nsnaps);
-        for _ in 0..nsnaps {
-            snapshots.push(BasisSnapshot::decode(&mut d)?);
-        }
-        shapes.push((
-            (nruns, spans),
-            ShapeEntry {
-                snapshots,
-                reference_pivots,
-            },
-        ));
-    }
     let nquar = d.count(1)?;
     let mut quarantine = Vec::with_capacity(nquar);
     for _ in 0..nquar {
@@ -420,7 +375,6 @@ pub(crate) fn decode_state(payload: &[u8]) -> Result<PersistedState, PersistErro
         seq,
         jobs,
         blocks,
-        shapes,
         quarantine,
     })
 }
@@ -537,14 +491,8 @@ impl SolveStateStore {
         report.replayed_ops = replayed;
         if let Some(s) = &state {
             report.restored_blocks = s.blocks.len();
-            report.restored_snapshots = s
-                .shapes
-                .iter()
-                .map(|(_, e)| e.snapshots.len())
-                .sum::<usize>();
-            let restored = (report.restored_blocks + report.restored_snapshots) as u64;
-            if restored > 0 {
-                record_persist_restores(restored);
+            if report.restored_blocks > 0 {
+                record_persist_restores(report.restored_blocks as u64);
             }
             // A genuine resume (state came off disk) is a recovery event.
             record_recovery();
@@ -563,14 +511,7 @@ impl SolveStateStore {
         // journal, a cleared attempt counter.
         let payload = match &state {
             Some(s) => encode_state_from_vecs(s),
-            None => encode_state(
-                expected_g,
-                0,
-                &[],
-                &HashMap::new(),
-                &HashMap::new(),
-                &HashMap::new(),
-            ),
+            None => encode_state(expected_g, 0, &[], &HashMap::new(), &HashMap::new()),
         };
         store.write_checkpoint(&payload)?;
         store.dir.clear_recovery_attempts();
@@ -647,17 +588,12 @@ fn encode_state_from_vecs(s: &PersistedState) -> Vec<u8> {
         .iter()
         .map(|(k, b)| (k.clone(), b.clone()))
         .collect();
-    let shapes: HashMap<ComponentSignature, ShapeEntry> = s
-        .shapes
-        .iter()
-        .map(|(k, e)| (k.clone(), e.clone()))
-        .collect();
     let quarantine: HashMap<ContentKey, SolveFailure> = s
         .quarantine
         .iter()
         .map(|(k, f)| (k.clone(), f.clone()))
         .collect();
-    encode_state(s.g, s.seq, &s.jobs, &blocks, &shapes, &quarantine)
+    encode_state(s.g, s.seq, &s.jobs, &blocks, &quarantine)
 }
 
 /// Applies one journal op to a job-slot vector; `false` when the op does
@@ -726,8 +662,6 @@ pub struct CheckpointSummary {
     pub live_jobs: usize,
     /// Cached component blocks.
     pub blocks: usize,
-    /// Basis snapshots across all shape pools.
-    pub snapshots: usize,
     /// Quarantined content keys.
     pub quarantined: usize,
 }
@@ -756,7 +690,6 @@ pub fn inspect_store(root: impl AsRef<Path>) -> Result<StoreInspection, PersistE
                     seq: s.seq,
                     live_jobs: s.jobs.iter().flatten().count(),
                     blocks: s.blocks.len(),
-                    snapshots: s.shapes.iter().map(|(_, e)| e.snapshots.len()).sum(),
                     quarantined: s.quarantine.len(),
                 });
             }
@@ -835,40 +768,25 @@ mod tests {
                 objective: Rat::new(5, 4),
             },
         );
-        let mut shapes: HashMap<ComponentSignature, ShapeEntry> = HashMap::new();
-        shapes.insert(
-            (2, vec![(0, 2), (1, 2)]),
-            ShapeEntry {
-                snapshots: vec![BasisSnapshot {
-                    m: 1,
-                    ncols: 2,
-                    basis: vec![1],
-                    state: vec![abt_lp::VarState::AtLower, abt_lp::VarState::Basic],
-                }],
-                reference_pivots: 7,
-            },
-        );
         let mut quarantine = HashMap::new();
         quarantine.insert(
             vec![(0i64, 1i64, 1i64)],
             SolveFailure::BudgetExceeded(BudgetKind::Time),
         );
-        let payload = encode_state(3, 42, &jobs, &blocks, &shapes, &quarantine);
+        let payload = encode_state(3, 42, &jobs, &blocks, &quarantine);
         let s = decode_state(&payload).unwrap();
         assert_eq!(s.g, 3);
         assert_eq!(s.seq, 42);
         assert_eq!(s.jobs, jobs);
         assert_eq!(s.blocks.len(), 1);
         assert_eq!(s.blocks[0].1.objective, Rat::new(5, 4));
-        assert_eq!(s.shapes.len(), 1);
-        assert_eq!(s.shapes[0].1.reference_pivots, 7);
         assert_eq!(s.quarantine.len(), 1);
         // Every truncation is a typed reject.
         for cut in [0, 1, 8, payload.len() / 2, payload.len() - 1] {
             assert!(decode_state(&payload[..cut]).is_err());
         }
         // g = 0 is malformed.
-        let bad = encode_state(0, 0, &[], &HashMap::new(), &HashMap::new(), &HashMap::new());
+        let bad = encode_state(0, 0, &[], &HashMap::new(), &HashMap::new());
         assert!(decode_state(&bad).is_err());
     }
 }

@@ -4,22 +4,19 @@
 //! # The ladder
 //!
 //! Every revised-backend solve in this crate runs through
-//! `supervised_solve`, which retries one component's LP down four rungs
+//! `supervised_solve`, which retries one component's LP down three rungs
 //! until one produces a certified answer. Every rung is one
 //! [`abt_lp::solve_lp`] call under a different [`abt_lp::LpOptions`]
 //! policy:
 //!
-//! 1. **Warm** (`snapshots(pool).warm_only(true)`) — only when the caller
-//!    offers snapshots. A pool miss (`ShapeDrift`) is a routine cache
-//!    outcome and drops through silently; any other failure demotes.
-//! 2. **Cold revised** (the default `Revised` backend) — the bounded
+//! 1. **Cold revised** (the default `Revised` backend) — the bounded
 //!    revised simplex with budgets armed, from the caller's crash start
 //!    (`opts.start`) when it offers one. A float-level `Infeasible` claim
 //!    drops through silently (confirming it is the exact tier's job);
 //!    panics, budget trips, and numerical stalls demote.
-//! 3. **Dense hybrid** (`SolverBackend::DenseHybrid`) — dense float
+//! 2. **Dense hybrid** (`SolverBackend::DenseHybrid`) — dense float
 //!    search with exact certification and its own internal exact fallback.
-//! 4. **Dense exact** (`SolverBackend::DenseExact`) — every pivot in
+//! 3. **Dense exact** (`SolverBackend::DenseExact`) — every pivot in
 //!    rationals; the rung of last resort.
 //!
 //! Each *failure-driven* transition records a demotion in the process-wide
@@ -30,7 +27,7 @@
 //! proof, and an inconclusive interval sweep escalates or demotes, never
 //! accepts), the dense rungs exactly by construction — a solve that
 //! succeeds on **any** rung returns the same objective bit for bit:
-//! demotion trades speed, never answers. Only when all four rungs fail is
+//! demotion trades speed, never answers. Only when all three rungs fail is
 //! the component **quarantined**: the caller receives a typed
 //! [`SolveFailure`] and degrades to a [`PartialSolve`] carrying the exact
 //! objectives of every healthy component.
@@ -54,8 +51,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// Solves `lp` down the degradation ladder (see the module docs),
 /// recording demotions and budget trips in the process-wide telemetry.
 /// Every rung runs under the pricing, budgets and certify policy of
-/// `opts`; `opts.snapshots` feeds the warm rung, `opts.start` the cold
-/// revised rung, and the ladder itself picks each rung's backend.
+/// `opts`; `opts.start` feeds the cold revised rung, and the ladder itself
+/// picks each rung's backend.
 /// Returns `Err` only when every rung failed — the caller quarantines the
 /// work item; the error is the root-cause failure (the first one that
 /// forced a demotion, or the final rung's panic when nothing demoted).
@@ -93,22 +90,7 @@ pub(crate) fn supervised_solve(
         });
         first_failure.get_or_insert(f);
     };
-    // Rung 1 — warm, only when the caller offers candidates.
-    if !opts.snapshots.is_empty() {
-        let warm = base.snapshots(opts.snapshots).warm_only(true);
-        match catch_unwind(AssertUnwindSafe(|| solve_lp(lp, &warm))) {
-            Ok(Ok(rep)) => return Ok(finish(rep, "warm", &mut span)),
-            // A pool miss is a routine cache outcome, not a fault.
-            Ok(Err(SolveFailure::ShapeDrift)) => {}
-            Ok(Err(f)) => demote(f, "warm", "cold revised"),
-            Err(p) => demote(
-                SolveFailure::Panicked(panic_message(p.as_ref())),
-                "warm",
-                "cold revised",
-            ),
-        }
-    }
-    // Rung 2 — cold revised with budgets armed, from the crash start.
+    // Rung 1 — cold revised with budgets armed, from the crash start.
     let cold = base.start(opts.start);
     match catch_unwind(AssertUnwindSafe(|| solve_lp(lp, &cold))) {
         Ok(Ok(rep)) => return Ok(finish(rep, "cold revised", &mut span)),
@@ -122,7 +104,7 @@ pub(crate) fn supervised_solve(
             "dense hybrid",
         ),
     }
-    // Rung 3 — dense hybrid (its own internal exact fallback included;
+    // Rung 2 — dense hybrid (its own internal exact fallback included;
     // the backend never returns `Err`).
     let hybrid = base.backend(SolverBackend::DenseHybrid);
     match catch_unwind(AssertUnwindSafe(|| solve_lp(lp, &hybrid))) {
@@ -134,7 +116,7 @@ pub(crate) fn supervised_solve(
             "dense exact",
         ),
     }
-    // Rung 4 — dense exact, the rung of last resort. Its iteration-cap
+    // Rung 3 — dense exact, the rung of last resort. Its iteration-cap
     // panic is the one failure mode left, caught like any other.
     let exact = base.backend(SolverBackend::DenseExact);
     match catch_unwind(AssertUnwindSafe(|| solve_lp(lp, &exact))) {

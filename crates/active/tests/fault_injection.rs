@@ -33,14 +33,14 @@ fn striped_instance() -> Instance {
 }
 
 /// Tentpole differential: with failpoints firing in three layers (pivot
-/// loop, FTRAN, certifier), the sharded and warm-batched solves complete
-/// without abort and return objectives bit-identical to the fault-free
-/// runs — demotions absorb every injected fault, nothing quarantines.
+/// loop, FTRAN, certifier), the sharded solve completes without abort
+/// and returns objectives bit-identical to the fault-free run —
+/// demotions absorb every injected fault, nothing quarantines.
 #[test]
 fn intermittent_faults_in_three_layers_demote_but_stay_bit_identical() {
     let _guard = faultinject::exclusive();
     let inst = striped_instance();
-    let modes = [LpOptions::default(), LpOptions::warm_batched()];
+    let modes = [LpOptions::default()];
     let baseline: Vec<_> = modes
         .iter()
         .map(|o| solve_active_lp_with(&inst, o).unwrap().objective)
@@ -123,8 +123,7 @@ fn incremental_quarantine_readmits_on_content_change_without_resolving_clean_blo
     solver.add_job(Job::new(100, 104, 3));
     solver.add_job(Job::new(200, 203, 1));
     let clean = solver.solve().unwrap();
-    // All three singletons solve (cold, or warm off the shape cache —
-    // the stripes share a run-level shape); none can be content-reused.
+    // All three singletons solve cold; none can be content-reused.
     assert_eq!((clean.components, clean.reused), (3, 0));
     let clean_objective = clean.lp.objective;
 
@@ -177,8 +176,7 @@ fn incremental_quarantine_readmits_on_content_change_without_resolving_clean_blo
     let report = solver.solve().unwrap();
     assert_eq!(report.reused, 3, "clean blocks are still cache hits");
     assert_eq!(
-        report.cold_solves + report.warm_hits,
-        1,
+        report.cold_solves, 1,
         "the re-admitted component solves exactly once"
     );
 }
@@ -217,7 +215,7 @@ fn flight_recorder_captures_demotion_and_recovery_events_in_order() {
                 .unwrap_or_else(|| panic!("demotion event missing `{k}`: {d:?}"))
         };
         assert!(field("failure").contains("panic"), "failure: {d:?}");
-        let ladder = ["warm", "cold revised", "dense hybrid", "dense exact"];
+        let ladder = ["cold revised", "dense hybrid", "dense exact"];
         let from = ladder.iter().position(|r| *r == field("from")).unwrap();
         let to = ladder.iter().position(|r| *r == field("to")).unwrap();
         assert_eq!(to, from + 1, "demotions step one rung down: {d:?}");

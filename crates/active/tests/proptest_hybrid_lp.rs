@@ -1,6 +1,6 @@
 //! Differential property tests for the LP pipeline: on feasible random
 //! active-time instances, every `LpOptions` configuration — VUB encoding ×
-//! decomposition, full Dantzig pricing, warm batching, the three certify
+//! decomposition, full Dantzig pricing, the three certify
 //! tiers, and a one-pivot budget that hands every component to the
 //! supervision ladder's dense hybrid rung — must reproduce the per-slot
 //! LP1 of §3 bit for bit on status and objective, and the disaggregated
@@ -64,8 +64,7 @@ fn per_slot_lp1(inst: &Instance) -> Option<Rat> {
 }
 
 /// The differential grid: every VUB encoding × decomposition mode, full
-/// Dantzig pricing, warm batching, every certify tier, and a one-pivot
-/// budget.
+/// Dantzig pricing, every certify tier, and a one-pivot budget.
 fn variants() -> Vec<LpOptions> {
     let mut v = Vec::new();
     for vub in [VubMode::Rows, VubMode::Implicit] {
@@ -80,7 +79,6 @@ fn variants() -> Vec<LpOptions> {
     // The default model priced with full Dantzig sweeps instead of the
     // partial-pricing window.
     v.push(LpOptions::default().pricing_window(0));
-    v.push(LpOptions::warm_batched());
     // Every certification tier policy of the revised backend. The tier
     // only changes *how* dual feasibility is proven — an interval-only
     // refusal demotes down the supervision ladder — so the objective is

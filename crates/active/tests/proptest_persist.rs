@@ -6,9 +6,9 @@
 //! is a hint, never an input the answers depend on.
 
 use abt_active::{solve_active_lp_with, IncrementalSolver, LpOptions};
-use abt_core::persist::{open_frame, seal, Dec, Enc};
+use abt_core::persist::{open_frame, seal};
 use abt_core::Job;
-use abt_lp::{BasisSnapshot, Rat, VarState};
+use abt_lp::Rat;
 use abt_workloads::{online_arrivals, OnlineArrivalsConfig};
 use proptest::collection;
 use proptest::prelude::*;
@@ -19,60 +19,6 @@ fn tmp_state_dir(tag: &str) -> std::path::PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let n = SEQ.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!("abt-pp-{tag}-{}-{n}", std::process::id()))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-    #[test]
-    fn basis_snapshot_codec_roundtrips_and_never_panics_on_mutations(
-        m in 0usize..24,
-        ncols in 1usize..32,
-        basis_raw in collection::vec(0usize..1 << 20, 24usize),
-        state_raw in collection::vec(0usize..4, 32usize),
-        pos in 0usize..4096,
-        mask in 1usize..256,
-    ) {
-        let snap = BasisSnapshot {
-            m,
-            ncols,
-            basis: basis_raw[..m].iter().map(|&v| v % ncols).collect(),
-            state: state_raw[..ncols]
-                .iter()
-                .map(|&v| match v {
-                    0 => VarState::Basic,
-                    1 => VarState::AtLower,
-                    2 => VarState::AtUpper,
-                    _ => VarState::AtVub,
-                })
-                .collect(),
-        };
-        let mut enc = Enc::new();
-        snap.encode(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut dec = Dec::new(&bytes);
-        let back = BasisSnapshot::decode(&mut dec).expect("roundtrip must decode");
-        prop_assert!(dec.is_done());
-        prop_assert_eq!(&back, &snap);
-
-        // The payload-level codec carries no checksum (the frame does);
-        // the contract under mutation is typed-error-or-value, never a
-        // panic and never an out-of-invariant snapshot.
-        let mut flipped = bytes.clone();
-        if !flipped.is_empty() {
-            let p = pos % flipped.len();
-            flipped[p] ^= mask as u8;
-            if let Ok(s) = BasisSnapshot::decode(&mut Dec::new(&flipped)) {
-                prop_assert_eq!(s.basis.len(), s.m);
-                prop_assert_eq!(s.state.len(), s.ncols);
-                prop_assert!(s.basis.iter().all(|&c| c < s.ncols));
-            }
-        }
-        let cut = pos % (bytes.len() + 1);
-        if let Ok(s) = BasisSnapshot::decode(&mut Dec::new(&bytes[..cut])) {
-            prop_assert_eq!(s.basis.len(), s.m);
-            prop_assert_eq!(s.state.len(), s.ncols);
-        }
-    }
 }
 
 proptest! {

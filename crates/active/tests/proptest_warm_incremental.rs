@@ -1,105 +1,17 @@
-//! Differential property tests for the warm-start subsystem (PR 5):
-//! batched sibling solves (`WarmMode::Batch`) and incremental re-solves
-//! (`IncrementalSolver`) must reproduce the cold `DecomposeMode::Auto`
-//! objective **bit for bit** under both `VubMode` encodings, and the
-//! stitched per-slot `y` must remain a feasible fractional opening
-//! (certified against LP2 by the `fractional_feasible` oracle).
+//! Differential property tests for incremental re-solves
+//! (`IncrementalSolver`): every prefix of an arrival stream, and a
+//! mutated job set, must reproduce the from-scratch
+//! `DecomposeMode::Auto` objective **bit for bit** under both `VubMode`
+//! encodings, and the stitched per-slot `y` must remain a feasible
+//! fractional opening (certified against LP2 by the
+//! `fractional_feasible` oracle).
 
 use abt_active::{
-    fractional_feasible, solve_active_lp_with, IncrementalSolver, LpOptions, VubMode, WarmMode,
+    fractional_feasible, solve_active_lp_with, IncrementalSolver, LpOptions, VubMode,
 };
 use abt_lp::Rat;
-use abt_workloads::{many_components, online_arrivals, ManyComponentsConfig, OnlineArrivalsConfig};
+use abt_workloads::{online_arrivals, OnlineArrivalsConfig};
 use proptest::prelude::*;
-
-/// Asserts `WarmMode::Batch` ≡ cold `Auto` on `inst` under both
-/// `VubMode` encodings, plus LP2 feasibility of the stitched `y` under the
-/// default encoding.
-fn assert_batch_matches_cold(inst: &abt_core::Instance) -> Result<(), TestCaseError> {
-    let cold = solve_active_lp_with(inst, &LpOptions::default())
-        .expect("instances are feasible by construction");
-    for vub in [VubMode::Rows, VubMode::Implicit] {
-        let opts = LpOptions {
-            vub,
-            warm: WarmMode::Batch,
-            ..LpOptions::default()
-        };
-        let warm = solve_active_lp_with(inst, &opts).unwrap();
-        prop_assert_eq!(warm.objective, cold.objective, "{:?}", opts);
-        let mut sum = Rat::ZERO;
-        for y in &warm.y {
-            prop_assert!(y.signum() >= 0 && *y <= Rat::ONE, "{:?}", opts);
-            sum = sum.add(y);
-        }
-        prop_assert_eq!(
-            sum,
-            cold.objective,
-            "{:?}: Σy must equal the objective",
-            opts
-        );
-        if vub == VubMode::Implicit {
-            prop_assert!(
-                fractional_feasible(inst, &warm.slots, &warm.y),
-                "{:?}: warm-batched y must be LP2-feasible",
-                opts
-            );
-        }
-    }
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-    #[test]
-    fn warm_batched_preserves_lp1_exactly_on_online_arrivals(
-        seed in 0u64..1_000_000,
-        clusters in 2usize..9,
-        jobs_per in 1usize..5,
-        templates in 1usize..4,
-        g in 2usize..4,
-    ) {
-        let cfg = OnlineArrivalsConfig {
-            clusters,
-            jobs_per_cluster: jobs_per,
-            templates,
-            g,
-            span: 12,
-            gap: 3,
-            max_len: 3,
-        };
-        let inst = online_arrivals(&cfg, seed).instance();
-        assert_batch_matches_cold(&inst)?;
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-    #[test]
-    fn warm_batched_preserves_lp1_exactly_on_many_components(
-        seed in 0u64..1_000_000,
-        components in 1usize..7,
-        jobs_per in 1usize..4,
-        g in 1usize..4,
-    ) {
-        // The block-diagonal family with *random* window slack: component
-        // shapes repeat only sometimes, so this exercises mixed
-        // hit/miss/singleton-group paths of the planner.
-        let cfg = ManyComponentsConfig {
-            components,
-            jobs_per_component: jobs_per,
-            g,
-            span: 12,
-            gap: 3,
-            max_len: 3,
-            slack_factor: 1.0,
-        };
-        let inst = many_components(&cfg, seed);
-        if inst.jobs().is_empty() {
-            return Ok(());
-        }
-        assert_batch_matches_cold(&inst)?;
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]

@@ -107,8 +107,6 @@ pub const COLUMNS: &[Column] = {
         Column { key: "lp_certify_ms",         decimals: 3, source: Counter("lp.certify_nanos", 1e6) },
         Column { key: "lp_components",         decimals: 0, source: Counter("lp.components", 1.0) },
         Column { key: "lp_max_component_vars", decimals: 0, source: GaugeWindow("lp.max_component_vars") },
-        Column { key: "warm_hits",             decimals: 0, source: Counter("lp.warm_hits", 1.0) },
-        Column { key: "warm_pivots_saved",     decimals: 0, source: Counter("lp.warm_pivots_saved", 1.0) },
         Column { key: "demotions",             decimals: 0, source: Counter("lp.demotions", 1.0) },
         Column { key: "budget_trips",          decimals: 0, source: Counter("lp.budget_trips", 1.0) },
         Column { key: "quarantined",           decimals: 0, source: Counter("lp.quarantined", 1.0) },
@@ -122,7 +120,6 @@ pub const COLUMNS: &[Column] = {
         Column { key: "lp_p90_ms",             decimals: 3, source: Percentile("lp.solve_latency_us", 0.90) },
         Column { key: "lp_p99_ms",             decimals: 3, source: Percentile("lp.solve_latency_us", 0.99) },
         Column { key: "phase_decompose_ms",    decimals: 3, source: Counter("span.solve.decompose.nanos", 1e6) },
-        Column { key: "phase_warm_ms",         decimals: 3, source: Counter("span.solve.warm.nanos", 1e6) },
         Column { key: "phase_pivot_ms",        decimals: 3, source: Counter("span.solve.pivot.nanos", 1e6) },
         Column { key: "phase_certify_ms",      decimals: 3, source: Counter("span.solve.certify.nanos", 1e6) },
         Column { key: "phase_stitch_ms",       decimals: 3, source: Counter("span.solve.stitch.nanos", 1e6) },
@@ -257,8 +254,8 @@ pub struct ExperimentRecord {
     /// `experiments` binary fill every column of [`COLUMNS`].
     pub columns: BTreeMap<&'static str, f64>,
     /// Experiment-defined headline ratio (e.g. `e21`'s Auto-vs-Off LP1
-    /// speedup, `e22`'s cold/warm pivot-effort ratio); `None` for
-    /// experiments without one.
+    /// speedup, `e22`'s from-scratch/incremental pivot-effort ratio);
+    /// `None` for experiments without one.
     pub speedup: Option<f64>,
     /// Total busy time of the headline busy algorithm (`LpRounding`)
     /// across the experiment's instances (0 for non-busy experiments).
@@ -511,8 +508,6 @@ mod tests {
                         ("lp_certify_ms", 1.25),
                         ("lp_components", 24.0),
                         ("lp_max_component_vars", 96.0),
-                        ("warm_hits", 7.0),
-                        ("warm_pivots_saved", 120.0),
                         ("demotions", 2.0),
                         ("budget_trips", 1.0),
                         ("interval_accepts", 14.0),
@@ -525,7 +520,6 @@ mod tests {
                         ("lp_p90_ms", 1.25),
                         ("lp_p99_ms", 2.75),
                         ("phase_decompose_ms", 0.125),
-                        ("phase_warm_ms", 0.25),
                         ("phase_pivot_ms", 1.5),
                         ("phase_certify_ms", 0.75),
                         ("phase_stitch_ms", 0.0625),
@@ -570,8 +564,6 @@ mod tests {
             ("lp_refactorizations", 12.0),
             ("lp_components", 24.0),
             ("lp_max_component_vars", 96.0),
-            ("warm_hits", 7.0),
-            ("warm_pivots_saved", 120.0),
             ("demotions", 2.0),
             ("budget_trips", 1.0),
             ("quarantined", 0.0),
@@ -588,7 +580,6 @@ mod tests {
         assert!((e.column("lp_p90_ms") - 1.25).abs() < 1e-9);
         assert!((e.column("lp_p99_ms") - 2.75).abs() < 1e-9);
         assert!((e.column("phase_decompose_ms") - 0.125).abs() < 1e-9);
-        assert!((e.column("phase_warm_ms") - 0.25).abs() < 1e-9);
         assert!((e.column("phase_pivot_ms") - 1.5).abs() < 1e-9);
         assert!((e.column("phase_certify_ms") - 0.75).abs() < 1e-9);
         assert!((e.column("phase_stitch_ms") - 0.062).abs() < 1e-3);

@@ -1638,86 +1638,20 @@ pub fn e21() -> ExperimentReport {
     }
 }
 
-/// E22 — warm-start effort: the `online_arrivals` family solved cold
-/// (`WarmMode::Off`, the default) vs warm-batched (`WarmMode::Batch` —
-/// shape-signature grouping, one cold representative per group, siblings
-/// resumed from a snapshot pool), plus an incremental replay of the
-/// arrival stream through `IncrementalSolver` vs from-scratch re-solves
-/// per arrival. The gated headline is **solve effort** (pivot counts,
-/// deterministic per instance); objectives are asserted bit-identical —
-/// warm answers are certified in exact rationals like cold ones.
+/// E22 — incremental re-solve effort: the `online_arrivals` family
+/// solved from scratch by the default sharded solve across a grid of
+/// sizes, plus a replay of the arrival stream through `IncrementalSolver`
+/// vs from-scratch re-solves per arrival. The gated headline is **solve
+/// effort**: the replay's pivot ratio, from-scratch over incremental
+/// (deterministic per instance); the final objectives are asserted
+/// bit-identical.
 pub fn e22() -> ExperimentReport {
     use crate::stats::time_best_ms;
     use abt_active::{lp_telemetry, solve_active_lp_with, IncrementalSolver, LpOptions};
     use abt_workloads::{online_arrivals, OnlineArrivalsConfig};
 
-    let grid: Vec<(usize, usize)> = vec![
-        // (clusters, reps)
-        (8, 3),
-        (32, 2),
-        (128, 2),
-    ];
-    let mut table = Table::new([
-        "clusters",
-        "jobs",
-        "cold ms",
-        "warm ms",
-        "cold pivots",
-        "warm pivots",
-        "effort ratio",
-        "warm hits",
-        "objective",
-    ]);
-    let mut notes = Vec::new();
-    let mut headline = None;
-    let mut fallbacks = 0u64;
-    for (clusters, reps) in grid {
-        let cfg = OnlineArrivalsConfig {
-            clusters,
-            jobs_per_cluster: 4,
-            templates: 2,
-            g: 3,
-            span: 16,
-            gap: 4,
-            max_len: 4,
-        };
-        let oa = online_arrivals(&cfg, 17);
-        let inst = oa.instance();
-        let before = lp_telemetry();
-        let (cold_ms, cold) = time_best_ms(reps, || {
-            solve_active_lp_with(&inst, &LpOptions::default()).expect("feasible by construction")
-        });
-        let cold_t = lp_telemetry().delta(&before);
-        let before = lp_telemetry();
-        let (warm_ms, warm) = time_best_ms(reps, || {
-            solve_active_lp_with(&inst, &LpOptions::warm_batched())
-                .expect("feasible by construction")
-        });
-        let warm_t = lp_telemetry().delta(&before);
-        assert_eq!(
-            cold.objective, warm.objective,
-            "warm-batched LP1 must reproduce the cold objective exactly"
-        );
-        fallbacks += cold_t.fallbacks + warm_t.fallbacks;
-        let ratio = cold_t.pivots as f64 / warm_t.pivots.max(1) as f64;
-        headline = Some(ratio); // the grid ascends: keep the largest size
-        table.row([
-            clusters.to_string(),
-            inst.len().to_string(),
-            format!("{cold_ms:.1}"),
-            format!("{warm_ms:.1}"),
-            cold_t.pivots.to_string(),
-            warm_t.pivots.to_string(),
-            format!("{ratio:.2}x"),
-            format!("{}/{}", warm_t.warm_hits, warm_t.warm_attempts),
-            warm.objective.to_string(),
-        ]);
-    }
-    // Incremental replay at the middle size: every arrival re-solves only
-    // its dirty component (warm where the shape echoes an earlier one);
-    // the from-scratch driver re-solves the whole prefix cold each time.
-    let cfg = OnlineArrivalsConfig {
-        clusters: 32,
+    let cfg = |clusters| OnlineArrivalsConfig {
+        clusters,
         jobs_per_cluster: 4,
         templates: 2,
         g: 3,
@@ -1725,7 +1659,35 @@ pub fn e22() -> ExperimentReport {
         gap: 4,
         max_len: 4,
     };
-    let oa = online_arrivals(&cfg, 17);
+    let grid: Vec<(usize, usize)> = vec![
+        // (clusters, reps)
+        (8, 3),
+        (32, 2),
+        (128, 2),
+    ];
+    let mut table = Table::new(["clusters", "jobs", "cold ms", "cold pivots", "objective"]);
+    let mut notes = Vec::new();
+    let mut fallbacks = 0u64;
+    for (clusters, reps) in grid {
+        let inst = online_arrivals(&cfg(clusters), 17).instance();
+        let before = lp_telemetry();
+        let (ms, lp) = time_best_ms(reps, || {
+            solve_active_lp_with(&inst, &LpOptions::default()).expect("feasible by construction")
+        });
+        let t = lp_telemetry().delta(&before);
+        fallbacks += t.fallbacks;
+        table.row([
+            clusters.to_string(),
+            inst.len().to_string(),
+            format!("{ms:.1}"),
+            t.pivots.to_string(),
+            lp.objective.to_string(),
+        ]);
+    }
+    // Incremental replay at the middle size: every arrival re-solves only
+    // its dirty component; the from-scratch driver re-solves the whole
+    // prefix each time.
+    let oa = online_arrivals(&cfg(32), 17);
     let before = lp_telemetry();
     let mut solver = IncrementalSolver::new(oa.g).expect("g ≥ 1");
     let mut last = None;
@@ -1752,16 +1714,11 @@ pub fn e22() -> ExperimentReport {
     fallbacks += inc_t.fallbacks + scratch_t.fallbacks;
     let inc_ratio = scratch_t.pivots as f64 / inc_t.pivots.max(1) as f64;
     notes.push(format!(
-        "incremental replay of {} arrivals: {} pivots total vs {} for from-scratch re-solves per arrival ({inc_ratio:.1}x less effort), {} warm hits / {} attempts, final objectives bit-identical (asserted)",
+        "incremental replay of {} arrivals: {} pivots total vs {} for from-scratch re-solves per arrival ({inc_ratio:.1}x less effort), final objectives bit-identical (asserted)",
         oa.jobs.len(),
         inc_t.pivots,
         scratch_t.pivots,
-        inc_t.warm_hits,
-        inc_t.warm_attempts,
     ));
-    notes.push(
-        "objectives bit-identical between Off and Batch on every grid point (asserted): warm answers are certified in exact rationals like cold ones".into(),
-    );
     notes.push(format!(
         "exact fallbacks across the sweep: {}",
         if fallbacks == 0 {
@@ -1771,15 +1728,14 @@ pub fn e22() -> ExperimentReport {
         }
     ));
     notes.push(
-        "the effort ratio (cold/warm pivot counts, deterministic per instance) is the gated headline; wall time additionally reflects the planner's wave batching".into(),
+        "the effort ratio (from-scratch/incremental pivot counts, deterministic per instance) is the gated headline".into(),
     );
     ExperimentReport {
         id: "e22",
         busy: Vec::new(),
-        speedup: headline,
-        title: "Warm-start effort — online arrivals, batched siblings and incremental re-solves"
-            .into(),
-        claim: "warm-started sibling/incremental solves cut pivot effort ≥1.5x versus cold re-solves, at unchanged exact objectives".into(),
+        speedup: Some(inc_ratio),
+        title: "Incremental re-solve effort — online arrivals".into(),
+        claim: "incremental re-solves cut pivot effort ≥1.5x versus from-scratch re-solves per arrival, at unchanged exact objectives".into(),
         table,
         notes,
     }
@@ -1865,10 +1821,10 @@ pub fn e23() -> ExperimentReport {
     assert_eq!(resumed.lp.objective, scratch.objective);
     std::fs::remove_dir_all(&dir).ok();
 
-    // Scenario 2 — checkpointed warm resume: a clean shutdown's state
+    // Scenario 2 — checkpointed resume: a clean shutdown's state
     // comes back with its content cache, so the resumed solve is pure
     // cache hits.
-    let dir = state_dir("warm");
+    let dir = state_dir("resume");
     {
         let mut solver = IncrementalSolver::new(oa.g).expect("g ≥ 1");
         solver.attach_store(&dir).expect("fresh state dir");
@@ -1880,20 +1836,20 @@ pub fn e23() -> ExperimentReport {
     }
     let mut solver = IncrementalSolver::new(oa.g).expect("g ≥ 1");
     let rec = solver.attach_store(&dir).expect("recoverable state dir");
-    let warm = solver.solve().expect("feasible");
+    let again = solver.solve().expect("feasible");
     table.row([
-        "checkpointed warm resume".into(),
+        "checkpointed resume".into(),
         oa.jobs.len().to_string(),
         rec.resumed_jobs.to_string(),
         rec.replayed_ops.to_string(),
         rec.corruption_events.to_string(),
-        warm.lp.objective.to_string(),
-        (warm.lp.objective == scratch.objective).to_string(),
+        again.lp.objective.to_string(),
+        (again.lp.objective == scratch.objective).to_string(),
     ]);
-    assert_eq!(warm.lp.objective, scratch.objective);
+    assert_eq!(again.lp.objective, scratch.objective);
     notes.push(format!(
-        "warm resume re-solved {} components with {} cache reuses (restored blocks: {})",
-        warm.components, warm.reused, rec.restored_blocks
+        "the resume re-solved {} components with {} cache reuses (restored blocks: {})",
+        again.components, again.reused, rec.restored_blocks
     ));
     std::fs::remove_dir_all(&dir).ok();
 

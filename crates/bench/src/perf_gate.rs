@@ -159,7 +159,7 @@ pub const RULES: &[Rule] = &[
         ..RULE },
     // Pivot and refactorization counts are deterministic per instance, so
     // an excess is algorithmic: a broken glue-eta path (e20), component
-    // split (e21) or snapshot install (e22).
+    // split (e21) or content cache (e22).
     Rule { name: "effort_pivots", rows: Rows::Both(&["e20", "e21", "e22"]), value: Value::Column("lp_pivots"),
         fails_if: Cmp::AboveCommitted, threshold: 1.3, timing: true, message: |h| effort(h, "pivots"), ..RULE },
     Rule { name: "effort_refactorizations", rows: Rows::Both(&["e20", "e21", "e22"]), value: Value::Column("lp_refactorizations"),
@@ -172,8 +172,8 @@ pub const RULES: &[Rule] = &[
             (h.column("interval_accepts") + h.column("interval_escalations")) as u64, h.now(), h.limit),
         ..RULE },
     // Loose: a broken interval tier multiplies certify time well past
-    // 1.5×, and a lost warm path multiplies the noisy, bucket-quantized
-    // p99 past 3×.
+    // 1.5×; the p99 is noisy and bucket-quantized, so only a rise past
+    // 3× counts.
     Rule { name: "certify_ms", rows: Rows::Both(&["e19", "e22"]), value: Value::Column("lp_certify_ms"),
         fails_if: Cmp::AboveCommitted, threshold: 1.5, skip_zero_committed: true, timing: true,
         message: |h| regressed(h, "certify time", 3, " ms") },

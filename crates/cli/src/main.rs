@@ -46,9 +46,9 @@
 //! `--metrics` prints the full metrics-registry exposition
 //! (`name value` lines) after the command's own output. Each of the three
 //! also prints a one-line per-phase time breakdown from the always-on
-//! span rollups: `solve` splits into decompose/warm/pivot/certify/stitch,
-//! and `incremental` and `replay` into admission/regroup/warm/pivot/
-//! certify/stitch (the incremental driver's own spans around the LP
+//! span rollups: `solve` splits into decompose/pivot/certify/stitch, and
+//! `incremental` and `replay` into admission/regroup/pivot/certify/stitch
+//! (the incremental driver's own spans around the LP
 //! ones). `incremental`'s totals line also counts the jobs the driver
 //! re-partitioned into components (`incremental.jobs_regrouped`).
 //! `busy` with an interval algorithm (`ff`, `gt`, `kr`, `ab`, `lp`) prints
@@ -256,7 +256,6 @@ fn phase_line(phases: &[(&str, &str)]) -> String {
 fn phase_breakdown() -> String {
     phase_line(&[
         ("decompose", "solve.decompose"),
-        ("warm", "solve.warm"),
         ("pivot", "solve.pivot"),
         ("certify", "solve.certify"),
         ("stitch", "solve.stitch"),
@@ -280,7 +279,6 @@ fn incremental_phases() -> String {
     phase_line(&[
         ("admission", "incremental.admission"),
         ("regroup", "incremental.regroup"),
-        ("warm", "solve.warm"),
         ("pivot", "solve.pivot"),
         ("certify", "solve.certify"),
         ("stitch", "incremental.stitch"),
@@ -455,27 +453,21 @@ fn run(args: &[&str]) -> Result<(), String> {
                 let rep = solver.solve().map_err(|e| e.to_string())?;
                 println!(
                     "arrival {i:>3}: job [{:>4}, {:>4}) len {} → LP1 = {}  \
-                     (components {}, reused {}, warm {}/{}, cold {})",
+                     (components {}, reused {}, cold {})",
                     job.release,
                     job.deadline,
                     job.length,
                     rep.lp.objective,
                     rep.components,
                     rep.reused,
-                    rep.warm_hits,
-                    rep.warm_attempts,
                     rep.cold_solves
                 );
             }
             let d = lp_telemetry().delta(&before);
             println!(
-                "replay totals: {} LP solves, {} pivots, warm {}/{} hits ({} pivots saved), \
-                 {} fallbacks, {} jobs regrouped",
+                "replay totals: {} LP solves, {} pivots, {} fallbacks, {} jobs regrouped",
                 d.solves,
                 d.pivots,
-                d.warm_hits,
-                d.warm_attempts,
-                d.warm_pivots_saved,
                 d.fallbacks,
                 jobs_regrouped() - regrouped
             );
@@ -516,12 +508,11 @@ fn run(args: &[&str]) -> Result<(), String> {
                 IncrementalSolver::with_options(oa.g, opts).map_err(|e| e.to_string())?;
             let rec = solver.attach_store(state_dir).map_err(|e| e.to_string())?;
             println!(
-                "recovery: {} jobs resumed ({} journal ops replayed, {} blocks + {} snapshots \
-                 restored), {} corruption events absorbed{}{}",
+                "recovery: {} jobs resumed ({} journal ops replayed, {} blocks restored), \
+                 {} corruption events absorbed{}{}",
                 rec.resumed_jobs,
                 rec.replayed_ops,
                 rec.restored_blocks,
-                rec.restored_snapshots,
                 rec.corruption_events,
                 if rec.storm_quarantined {
                     "; restart storm → state quarantined"
@@ -553,15 +544,13 @@ fn run(args: &[&str]) -> Result<(), String> {
                 let rep = solver.solve().map_err(|e| e.to_string())?;
                 println!(
                     "arrival {i:>3}: job [{:>4}, {:>4}) len {} → LP1 = {}  \
-                     (components {}, reused {}, warm {}/{}, cold {})",
+                     (components {}, reused {}, cold {})",
                     job.release,
                     job.deadline,
                     job.length,
                     rep.lp.objective,
                     rep.components,
                     rep.reused,
-                    rep.warm_hits,
-                    rep.warm_attempts,
                     rep.cold_solves
                 );
                 objective = Some(rep.lp.objective);
@@ -645,9 +634,8 @@ fn run(args: &[&str]) -> Result<(), String> {
             let ins = inspect_store(dir).map_err(|e| e.to_string())?;
             match (&ins.checkpoint, &ins.checkpoint_error) {
                 (Some(c), _) => println!(
-                    "checkpoint: ok (g = {}, seq {}, {} live jobs, {} blocks, {} snapshots, \
-                     {} quarantined keys)",
-                    c.g, c.seq, c.live_jobs, c.blocks, c.snapshots, c.quarantined
+                    "checkpoint: ok (g = {}, seq {}, {} live jobs, {} blocks, {} quarantined keys)",
+                    c.g, c.seq, c.live_jobs, c.blocks, c.quarantined
                 ),
                 (None, Some(e)) => println!("checkpoint: REJECTED — {e}"),
                 (None, None) => println!("checkpoint: missing"),

@@ -1,12 +1,12 @@
 //! `abt incremental` and `abt replay` say where their time went: one
-//! `phases: admission …, regroup …, warm …, pivot …, certify …, stitch …`
+//! `phases: admission …, regroup …, pivot …, certify …, stitch …`
 //! line read from the always-on span rollups (the incremental driver's
 //! `incremental.*` spans around the LP pipeline's `solve.*` ones), and
 //! `incremental`'s totals line counts the jobs the driver re-partitioned.
 
 use std::process::Command;
 
-const LABELS: [&str; 6] = ["admission", "regroup", "warm", "pivot", "certify", "stitch"];
+const LABELS: [&str; 5] = ["admission", "regroup", "pivot", "certify", "stitch"];
 
 fn abt(args: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_abt"))

@@ -107,9 +107,6 @@ pub enum SolveFailure {
     /// its terminal basis failed exact certification — the attempt is
     /// inconclusive, not a verdict.
     NumericalStall,
-    /// A warm-start snapshot did not fit the problem's shape (and no other
-    /// candidate installed), so the warm rung has nothing to run.
-    ShapeDrift,
     /// The float pass believes the problem is infeasible. Float-level
     /// infeasibility is *not* a verdict: supervisors demote to an exact
     /// tier, whose infeasibility becomes the real [`Error::Infeasible`].
@@ -118,7 +115,7 @@ pub enum SolveFailure {
     /// version or shape drift, or a malformed payload — see
     /// `abt_core::persist`). Never a correctness risk: the reject-don't-
     /// trust invariant discards the state and rebuilds cold, so this
-    /// failure only ever costs warm capital, exactly like a demotion.
+    /// failure only ever costs cached work, exactly like a demotion.
     StateCorrupt(String),
 }
 
@@ -128,7 +125,6 @@ impl fmt::Display for SolveFailure {
             SolveFailure::Panicked(msg) => write!(f, "solve panicked: {msg}"),
             SolveFailure::BudgetExceeded(k) => write!(f, "solve exceeded its {k} budget"),
             SolveFailure::NumericalStall => write!(f, "solve stalled numerically"),
-            SolveFailure::ShapeDrift => write!(f, "no warm-start snapshot fits this shape"),
             SolveFailure::Infeasible => write!(f, "float pass reports infeasible (unverified)"),
             SolveFailure::StateCorrupt(r) => write!(f, "persisted state rejected: {r}"),
         }

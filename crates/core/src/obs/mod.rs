@@ -14,7 +14,7 @@
 //!   solve latencies land in histograms with deterministic
 //!   p50/p90/p99 extraction.
 //! * **Spans** time the pipeline phases (`solve.decompose` →
-//!   `solve.warm` → `solve.pivot` → `solve.certify` → `solve.stitch`,
+//!   `solve.pivot` → `solve.certify` → `solve.stitch`,
 //!   with `solve.component` wrapping each supervised component solve).
 //!   Closing a span always feeds a per-name duration rollup in the
 //!   registry; when tracing is armed it also appends to the flight

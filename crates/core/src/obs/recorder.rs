@@ -14,7 +14,7 @@
 //!
 //! ```json
 //! {"seq":17,"kind":"span","name":"solve.pivot","thread":3,"span":12,"parent":11,"start_us":8123,"dur_us":455,"fields":{"vars":"120"}}
-//! {"seq":18,"kind":"event","name":"supervise.demotion","thread":3,"parent":12,"start_us":8600,"fields":{"failure":"numerical stall","from":"warm","to":"cold revised"}}
+//! {"seq":18,"kind":"event","name":"supervise.demotion","thread":3,"parent":12,"start_us":8600,"fields":{"failure":"numerical stall","from":"cold revised","to":"dense hybrid"}}
 //! ```
 //!
 //! * `seq` — global append order (events interleave with span *closes*;

@@ -2,7 +2,7 @@
 //!
 //! A [`Span`] is an RAII guard ([`span`] / [`span_with`] / the
 //! [`obs_span!`](crate::obs_span) macro) timing one named phase of work
-//! — `solve.decompose`, `solve.warm`, `solve.pivot`, `solve.certify`,
+//! — `solve.decompose`, `solve.pivot`, `solve.certify`,
 //! `solve.stitch`, `solve.component`, … Guards nest per thread: a span
 //! opened while another is live on the same thread records it as its
 //! parent, so a flight-recorder dump reconstructs the per-thread span

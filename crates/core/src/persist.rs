@@ -5,14 +5,14 @@
 //!
 //! # The reject-don't-trust invariant
 //!
-//! Everything above this module (snapshot pools, component cache blocks,
+//! Everything above this module (job slots, component cache blocks,
 //! quarantine keys — see `abt-active`'s store) treats persisted bytes as
 //! an **untrusted hint**: any drift — wrong magic, wrong format version,
 //! wrong frame kind, checksum mismatch, or a payload that decodes to an
 //! out-of-shape value — is a [`PersistError`] that the caller converts to
 //! [`SolveFailure::StateCorrupt`](crate::SolveFailure) and absorbs by
 //! discarding the state and rebuilding cold. Persistence can therefore
-//! cost warm capital but never correctness: no decoded value is acted on
+//! cost cached work but never correctness: no decoded value is acted on
 //! before it re-passes the same validation a freshly computed one would.
 //!
 //! # Frame format
@@ -66,8 +66,9 @@ pub const MAGIC: [u8; 4] = *b"ABTS";
 
 /// Current on-disk format version. Bump on any layout change: old files
 /// then fail [`open_frame`] with [`PersistError::BadVersion`] and are
-/// rebuilt cold, which is always safe.
-pub const FORMAT_VERSION: u16 = 1;
+/// rebuilt cold, which is always safe. Version 2: the checkpoint payload
+/// no longer carries basis-snapshot pools.
+pub const FORMAT_VERSION: u16 = 2;
 
 /// Size of the fixed frame header (magic + version + kind + length).
 const HEADER_LEN: usize = 16;

@@ -4,17 +4,16 @@
 //! [`LpOptions`] carries every solve policy — engine
 //! ([`SolverBackend`]), float-pass pricing and budgets
 //! ([`crate::bounds::BoundedOptions`]), certification tier
-//! ([`CertifyMode`]), an optional warm-start snapshot pool, and an
-//! optional crash start for the cold solve — behind a
-//! chainable builder, so adding a policy is a new option field rather
-//! than a new `solve_*` name. The engines read the options directly and
-//! all return an [`LpReport`].
+//! ([`CertifyMode`]), and an optional crash start for the cold solve —
+//! behind a chainable builder, so adding a policy is a new option field
+//! rather than a new `solve_*` name. The engines read the options
+//! directly and all return an [`LpReport`].
 
 use crate::bounds::BoundedOptions;
 use crate::model::LpProblem;
 use crate::rational::Rat;
 use crate::simplex::{self, dense_hybrid, revised_cold, CertifyMode, LpSolution, SolveStats};
-use crate::warm::{revised_warm, BasisSnapshot, StartBasis};
+use crate::start::StartBasis;
 use abt_core::error::SolveFailure;
 
 /// Which solver engine [`solve_lp`] runs.
@@ -30,9 +29,9 @@ pub enum SolverBackend {
     /// refutation.
     DenseHybrid,
     /// The bounded revised simplex — implicit bounds, Schrage-style VUB
-    /// pivoting, partial pricing, sparse-LU certification, optional warm
-    /// starts. The default, and the only backend that consults
-    /// `snapshots` and budgets.
+    /// pivoting, partial pricing, sparse-LU certification, an optional
+    /// crash start. The default, and the only backend that consults
+    /// `start` and budgets.
     #[default]
     Revised,
 }
@@ -46,7 +45,7 @@ pub enum SolverBackend {
 /// assert_eq!(opts.certify, CertifyMode::Exact);
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
-pub struct LpOptions<'pool> {
+pub struct LpOptions<'a> {
     /// The engine to run; see [`SolverBackend`].
     pub backend: SolverBackend,
     /// Float-pass pricing window and pivot/refactorization/wall-time
@@ -56,21 +55,13 @@ pub struct LpOptions<'pool> {
     /// `DenseHybrid`; `DenseExact` pivots in exact rationals and has
     /// nothing to certify).
     pub certify: CertifyMode,
-    /// Warm-start candidates, tried in order (`Revised` backend only).
-    pub snapshots: &'pool [BasisSnapshot],
-    /// The starting basis of a cold `Revised` solve (see [`StartBasis`]);
-    /// `None` starts from the all-slack basis. Warm installs and the dense
-    /// backends ignore it.
-    pub start: Option<&'pool StartBasis>,
-    /// With a `true`, a `Revised` solve never falls through to a cold
-    /// solve: exhausting `snapshots` returns
-    /// [`SolveFailure::ShapeDrift`]. This is rung 1 of the supervision
-    /// ladder in `abt-active`, where the supervisor decides what a pool
-    /// miss costs.
-    pub warm_only: bool,
+    /// The starting basis of a `Revised` solve (see [`StartBasis`]);
+    /// `None` starts from the all-slack basis. The dense backends ignore
+    /// it.
+    pub start: Option<&'a StartBasis>,
 }
 
-impl<'pool> LpOptions<'pool> {
+impl<'a> LpOptions<'a> {
     /// The default policy: cold `Revised` backend, default pricing, no
     /// budgets, [`CertifyMode::IntervalThenExact`].
     pub fn new() -> LpOptions<'static> {
@@ -95,22 +86,9 @@ impl<'pool> LpOptions<'pool> {
         self
     }
 
-    /// Offers warm-start candidates (tried in order; see
-    /// [`crate::warm`]).
-    pub fn snapshots(mut self, pool: &'pool [BasisSnapshot]) -> Self {
-        self.snapshots = pool;
-        self
-    }
-
-    /// Sets the cold solve's starting basis (see [`LpOptions::start`]).
-    pub fn start(mut self, start: Option<&'pool StartBasis>) -> Self {
+    /// Sets the starting basis (see [`LpOptions::start`]).
+    pub fn start(mut self, start: Option<&'a StartBasis>) -> Self {
         self.start = start;
-        self
-    }
-
-    /// Makes a `Revised` solve warm-only (see [`LpOptions::warm_only`]).
-    pub fn warm_only(mut self, on: bool) -> Self {
-        self.warm_only = on;
         self
     }
 }
@@ -125,28 +103,9 @@ pub struct LpReport {
     /// `true` iff the answer came from the pure exact dense path — the
     /// `DenseExact` backend itself, or a dense-backend internal fallback.
     pub fallback: bool,
-    /// `true` iff a warm-installed snapshot produced the certified
-    /// answer.
-    pub warm_hit: bool,
-    /// Snapshot of the verified terminal basis for future warm starts
-    /// (`Revised` backend, non-fallback solves only).
-    pub snapshot: Option<BasisSnapshot>,
     /// Pivot/flip/refactorization counters and the per-tier certify
     /// clocks.
     pub stats: SolveStats,
-}
-
-impl LpReport {
-    /// A report of a dense backend: no warm start and no snapshot.
-    pub(crate) fn dense(solution: LpSolution<Rat>, fallback: bool, stats: SolveStats) -> LpReport {
-        LpReport {
-            solution,
-            fallback,
-            warm_hit: false,
-            snapshot: None,
-            stats,
-        }
-    }
 }
 
 /// Solves `lp` under the policy in `opts` — **the** entry point to the
@@ -154,11 +113,9 @@ impl LpReport {
 ///
 /// Dispatch: the `DenseExact` and `DenseHybrid` backends never fail (the
 /// hybrid absorbs refutations in its internal exact fallback). The
-/// `Revised` backend tries the warm pool first (when one is offered),
-/// falls through to a cold revised solve on a routine pool miss — unless
-/// `warm_only` — and surfaces every genuine failure as a typed
-/// [`SolveFailure`] so callers (the supervision ladder in `abt-active`)
-/// choose the next rung. An `Ok` from the `Revised` backend is always an
+/// `Revised` backend solves cold, from `opts.start` when one is offered,
+/// and surfaces every failure as a typed [`SolveFailure`] so callers
+/// (the supervision ladder in `abt-active`) choose the next rung. An `Ok` from the `Revised` backend is always an
 /// exactly certified optimum; which certification *tier* proved dual
 /// feasibility is reported in [`SolveStats::interval_accepts`] /
 /// [`SolveStats::interval_escalations`].
@@ -188,26 +145,12 @@ impl LpReport {
 /// ```
 pub fn solve_lp(lp: &LpProblem<Rat>, opts: &LpOptions) -> Result<LpReport, SolveFailure> {
     match opts.backend {
-        SolverBackend::DenseExact => Ok(LpReport::dense(
-            simplex::solve(lp),
-            true,
-            SolveStats::default(),
-        )),
+        SolverBackend::DenseExact => Ok(LpReport {
+            solution: simplex::solve(lp),
+            fallback: true,
+            stats: SolveStats::default(),
+        }),
         SolverBackend::DenseHybrid => Ok(dense_hybrid(lp, opts)),
-        SolverBackend::Revised => {
-            if !opts.snapshots.is_empty() {
-                match revised_warm(lp, opts) {
-                    Ok(rep) => return Ok(rep),
-                    // A pool miss is a routine cache outcome; fall through
-                    // to the cold solve unless the caller owns that
-                    // decision.
-                    Err(SolveFailure::ShapeDrift) if !opts.warm_only => {}
-                    Err(f) => return Err(f),
-                }
-            } else if opts.warm_only {
-                return Err(SolveFailure::ShapeDrift);
-            }
-            revised_cold(lp, opts)
-        }
+        SolverBackend::Revised => revised_cold(lp, opts),
     }
 }

@@ -23,9 +23,9 @@
 //! constant bounds nor VUBs become rows. The pass starts from the
 //! all-slack/artificial basis and runs phase 1 whenever the form has
 //! artificials — unless the caller hands [`solve_bounded_f64_with`] a
-//! starting basis (a crash start, see [`crate::warm::StartBasis`]). That
-//! start is factored *in place of* the all-slack basis, checked against
-//! the same bounds and VUBs as a warm install, and phase 1 then runs only
+//! starting basis (a crash start, see [`crate::start::StartBasis`]). That
+//! start is factored *in place of* the all-slack basis, its basic values
+//! are checked against their bounds and VUBs, and phase 1 then runs only
 //! while one of its basic artificials is positive: a start that covers
 //! every `≥` row goes straight to phase 2. A start that fails a check is
 //! dropped for the all-slack basis. A nonbasic variable rests at a
@@ -84,7 +84,7 @@ use crate::arena::SolveArena;
 use crate::lu::SparseLu;
 use crate::model::{Cmp, LpProblem};
 use crate::scalar::Scalar;
-use crate::warm::BasisSnapshot;
+use crate::start::BasisSnapshot;
 use abt_core::error::BudgetKind;
 use abt_core::faultinject;
 use std::time::{Duration, Instant};
@@ -102,11 +102,10 @@ const REFACTOR_EVERY: usize = 128;
 /// entering column), so refactorization also triggers once applying the
 /// file costs more than a handful of dense passes.
 const ETA_NNZ_PER_ROW: usize = 12;
-/// Primal-feasibility tolerance: of the warm-start install check (a
-/// snapshot whose recomputed basic values violate a bound by more than
-/// this cannot seed a primal phase-2 run and falls back to the cold
-/// solve), of the crash-start check, and of phase 1 (a sum of basic
-/// artificials above it is infeasibility).
+/// Primal-feasibility tolerance: of the crash-start check (a start whose
+/// basic values violate a bound by more than this is dropped for the
+/// all-slack basis) and of phase 1 (a sum of basic artificials above it
+/// is infeasibility).
 const FEAS_TOL: f64 = 1e-7;
 
 /// Where a variable currently rests.
@@ -509,7 +508,7 @@ impl<'a> Rev<'a> {
             ticks: 0,
         };
         rev.recompute_xb();
-        if started && !rev.primal_feasible(false) {
+        if started && !rev.primal_feasible() {
             (rev.basis, rev.state, rev.pos, rev.lu) = all_slack(sf, &rev.deps)?;
             rev.started = false;
             rev.recompute_xb();
@@ -519,7 +518,7 @@ impl<'a> Rev<'a> {
 
     /// Arms the solve budgets from the caller's options. The wall-clock
     /// deadline starts *now*, covering everything that follows (both
-    /// phases, warm installs).
+    /// phases).
     fn arm_budgets(&mut self, opts: &BoundedOptions) {
         self.pivot_budget = opts.pivot_budget;
         self.refactor_budget = opts.refactor_budget;
@@ -571,54 +570,15 @@ impl<'a> Rev<'a> {
         }
     }
 
-    /// Attempts to install a [`BasisSnapshot`] taken from a structurally
-    /// identical problem: validates the snapshot's states against this
-    /// standard form, refactorizes its (key-column-augmented) basis
-    /// **once** (counted) to validate it, adopts it, and checks the
-    /// recomputed basic values are primal feasible for *this* problem's
-    /// data (within [`FEAS_TOL`]; exactness comes from the caller's
-    /// rational certification, never from here). On success the solver is
-    /// ready for a phase-2 run — artificials are barred and every basic
-    /// artificial sits at (numerical) zero, so the installed basis is a
-    /// feasible starting basis and phase 1 is skipped.
-    ///
-    /// Returns `false` on any failed check; the caller must then give the
-    /// checked-out scratch back via [`Rev::finish`] before falling back to
-    /// a cold solve — a failed install may leave `basis`/`state`
-    /// half-adopted, which `finish(Stalled)` discards.
-    fn install_snapshot(&mut self, snap: &BasisSnapshot) -> bool {
-        let sf = self.sf;
-        let Some(pos) = snapshot_positions(sf, snap) else {
-            return false;
-        };
-        let cols = basis_columns(sf, &self.deps, &snap.basis, &snap.state);
-        let Some(lu) = SparseLu::factor(sf.m, &cols) else {
-            return false; // singular for this data
-        };
-        self.basis.copy_from_slice(&snap.basis);
-        self.state.copy_from_slice(&snap.state);
-        self.pos = pos;
-        self.lu = lu;
-        self.refactorizations += 1;
-        self.recompute_xb();
-        if !self.primal_feasible(true) {
-            return false;
-        }
-        // Phase 1 is skipped: bar every artificial from re-entering (the
-        // phase-2 ratio test additionally freezes the basic ones at 0).
-        self.bar_artificials();
-        true
-    }
-
     /// Whether the basic values lie within their bounds and VUB caps
-    /// (against basic or resting keys), within [`FEAS_TOL`] — and, with
-    /// `artificials_at_zero`, whether every basic artificial is zero.
-    fn primal_feasible(&self, artificials_at_zero: bool) -> bool {
+    /// (against basic or resting keys), within [`FEAS_TOL`]. A basic
+    /// artificial may be positive: phase 1 is there for it.
+    fn primal_feasible(&self) -> bool {
         let sf = self.sf;
         (0..sf.m).all(|i| {
             let vi = self.basis[i];
             let x = self.xb[i];
-            if x < -FEAS_TOL || (artificials_at_zero && sf.artificial[vi] && x > FEAS_TOL) {
+            if x < -FEAS_TOL {
                 return false;
             }
             if sf.upper[vi].is_some_and(|u| x > u + FEAS_TOL) {
@@ -1443,16 +1403,12 @@ fn all_slack(
     Some((basis, state, pos, lu))
 }
 
-/// Checks a snapshot's states against `sf` — its shape, finite bounds
+/// Checks a start's states against `sf` — its shape, finite bounds
 /// where states claim them, VUBs where glue states claim them, flat
 /// families, exactly `m` basic columns matching the basis vector — and
 /// returns its column → basis position map.
 fn snapshot_positions(sf: &StandardForm<f64>, snap: &BasisSnapshot) -> Option<Vec<usize>> {
-    if snap.m != sf.m
-        || snap.ncols != sf.ncols
-        || snap.basis.len() != sf.m
-        || snap.state.len() != sf.ncols
-    {
+    if snap.basis.len() != sf.m || snap.state.len() != sf.ncols {
         return None;
     }
     let mut basic_count = 0usize;
@@ -1569,49 +1525,6 @@ pub fn solve_bounded_f64_with(
     span.field("phase1_pivots", basis.phase1_pivots);
     span.field("status", format_args!("{:?}", basis.status));
     basis
-}
-
-/// Warm-started bounded solve: installs `snap` (validating the states
-/// against this standard form, refactorizing the augmented basis once,
-/// and checking primal feasibility of the recomputed basic values) and,
-/// on success, runs **phase 2 only** from the installed basis — the
-/// installed basis is feasible with artificials at zero, so phase 1 is
-/// skipped. Returns `None` when the snapshot cannot be
-/// installed for this problem (shape drift, singular basis, primal
-/// infeasibility) — the caller must fall back to the cold solve.
-/// Like [`solve_bounded_f64_with`], an `Optimal` result is a *proposal*
-/// that must be verified exactly.
-pub fn solve_bounded_f64_warm_with(
-    sf: &StandardForm<f64>,
-    opts: &BoundedOptions,
-    snap: &BasisSnapshot,
-) -> Option<BoundedBasis> {
-    crate::arena::with_arena(|arena| solve_bounded_warm_pooled(sf, opts, snap, arena))
-}
-
-/// [`solve_bounded_f64_warm_with`] against an explicit arena.
-pub(crate) fn solve_bounded_warm_pooled(
-    sf: &StandardForm<f64>,
-    opts: &BoundedOptions,
-    snap: &BasisSnapshot,
-    arena: &mut SolveArena,
-) -> Option<BoundedBasis> {
-    let mut rev = Rev::new(sf, arena, None)?;
-    rev.arm_budgets(opts);
-    if !rev.install_snapshot(snap) {
-        // The early-exit path of a failed install: `finish` gives every
-        // checked-out buffer (dense scratch and any eta columns) back to
-        // the arena before the caller falls back to the cold solve.
-        rev.finish(BoundedStatus::Stalled);
-        return None;
-    }
-    let status = match rev.optimize(&sf.cost, true, opts.pricing_window) {
-        StepOutcome::Optimal => BoundedStatus::Optimal,
-        StepOutcome::Unbounded => BoundedStatus::Unbounded,
-        StepOutcome::Stalled => BoundedStatus::Stalled,
-        StepOutcome::Budget(k) => BoundedStatus::Budget(k),
-    };
-    Some(rev.finish(status))
 }
 
 /// The cold pass: phase 1 (when the start needs it), then phase 2, from

@@ -11,12 +11,9 @@
 //! partial pricing, exact verification through a sparse rational LU of
 //! the (key-column-augmented) basis matrix ([`lu`]), and per-thread
 //! scratch reuse through the slab arena ([`arena`]) — the default path
-//! for the active-time LPs. The [`warm`] module adds **warm starts**:
-//! [`BasisSnapshot`]s of finished solves re-installed into structurally
-//! identical problems ([`LpOptions::snapshots`]), with the same exact
-//! certification, so streams of sibling LPs skip most of the pivot work —
-//! and **crash starts**: a [`StartBasis`] a caller builds for a cold
-//! solve ([`LpOptions::start`]), so phase 1 runs only on what it leaves
+//! for the active-time LPs. The [`start`] module adds **crash starts**:
+//! a [`StartBasis`] a caller builds for a cold solve
+//! ([`LpOptions::start`]), so phase 1 runs only on what it leaves
 //! infeasible.
 //! [`solve_lp`] is the one entry point to all three engines
 //! ([`SolverBackend`]).
@@ -72,15 +69,14 @@ pub mod model;
 pub mod rational;
 pub mod scalar;
 pub mod simplex;
-pub mod warm;
+pub mod start;
 
 pub use abt_core::error::{BudgetKind, SolveFailure};
 pub use api::{solve_lp, LpOptions, LpReport, SolverBackend};
 pub use arena::{with_arena, ArenaStats, SolveArena};
 pub use bounds::{
-    solve_bounded_f64, solve_bounded_f64_warm_with, solve_bounded_f64_with, BoundedBasis,
-    BoundedOptions, BoundedStatus, StandardForm, VarState, DEFAULT_PRICING_WINDOW,
-    TIME_CHECK_EVERY,
+    solve_bounded_f64, solve_bounded_f64_with, BoundedBasis, BoundedOptions, BoundedStatus,
+    StandardForm, VarState, DEFAULT_PRICING_WINDOW, TIME_CHECK_EVERY,
 };
 pub use interval::Iv;
 pub use lu::SparseLu;
@@ -88,4 +84,4 @@ pub use model::{Cmp, Constraint, LpProblem, VarId};
 pub use rational::Rat;
 pub use scalar::{Scalar, F64_EPS};
 pub use simplex::{solve, CertifyMode, LpSolution, LpStatus, SolveStats};
-pub use warm::{BasisSnapshot, RowStart, StartBasis};
+pub use start::{BasisSnapshot, RowStart, StartBasis};

@@ -119,7 +119,6 @@ use crate::lu::SparseLu;
 use crate::model::LpProblem;
 use crate::rational::Rat;
 use crate::scalar::Scalar;
-use crate::warm::BasisSnapshot;
 use abt_core::error::{BudgetKind, SolveFailure};
 use abt_core::faultinject;
 use std::time::Instant;
@@ -159,7 +158,7 @@ pub struct SolveStats {
     /// Basis-changing pivots of the float pass.
     pub pivots: u64,
     /// The pivots of the float pass's phase 1 (a subset of `pivots`; 0
-    /// for warm solves and for cold solves whose start was feasible).
+    /// for solves whose crash start was feasible).
     pub phase1_pivots: u64,
     /// Bound/VUB flips of the float pass (iterations without a basis
     /// change).
@@ -617,10 +616,18 @@ pub(crate) fn dense_hybrid(lp: &LpProblem<Rat>, opts: &LpOptions) -> LpReport {
         if let (Certified::Verified(solution), tally) = verify_basis(lp, &fbasis, opts.certify) {
             let mut stats = SolveStats::default();
             apply_certify(&mut stats, certify.elapsed().as_nanos() as u64, &tally);
-            return LpReport::dense(solution, false, stats);
+            return LpReport {
+                solution,
+                fallback: false,
+                stats,
+            };
         }
     }
-    LpReport::dense(solve(lp), true, SolveStats::default())
+    LpReport {
+        solution: solve(lp),
+        fallback: true,
+        stats: SolveStats::default(),
+    }
 }
 
 /// Tri-state outcome of the exact certifier ([`verify_bounded`]).
@@ -1140,20 +1147,19 @@ pub(crate) fn apply_certify(stats: &mut SolveStats, total_nanos: u64, tally: &Ce
     stats.interval_escalations = tally.interval_escalations;
 }
 
-/// The cold revised engine behind [`crate::api::solve_lp`]'s `Revised`
+/// The revised engine behind [`crate::api::solve_lp`]'s `Revised`
 /// backend: the bounded revised simplex of [`crate::bounds`] in `f64`
 /// under `opts.pricing` — from `opts.start` when one is offered and fits
-/// (see [`crate::warm::StartBasis`]), else from the all-slack basis —
-/// then exact certification of its terminal basis under `opts.certify`.
-/// It never runs a dense fallback itself — every
-/// outcome it cannot certify is a typed [`SolveFailure`], so the
-/// **caller** decides what to run next. This is the rung interface of the
-/// supervision ladder in `abt-active`: each failure class maps to a
-/// distinct demotion.
+/// (see [`crate::start::StartBasis`]), else from the all-slack basis —
+/// then exact certification of its terminal basis under `opts.certify`
+/// and the per-stage deadline of `opts.pricing`. It never runs a dense
+/// fallback itself — every outcome it cannot certify is a typed
+/// [`SolveFailure`], so the **caller** decides what to run next. This is
+/// the rung interface of the supervision ladder in `abt-active`: each
+/// failure class maps to a distinct demotion.
 ///
 /// * `Ok(report)` — the float pass finished and the terminal basis was
-///   certified exactly optimal (`report.fallback` is always `false`, and
-///   `report.snapshot` holds the basis for future warm starts).
+///   certified exactly optimal (`report.fallback` is always `false`).
 /// * `Err(BudgetExceeded(_))` — a pivot/refactorization/wall-time budget
 ///   in `opts.pricing` tripped, in the float pass or the certifier. The
 ///   wall-time budget is **per stage**: the float pass and the certifier
@@ -1180,19 +1186,6 @@ pub(crate) fn revised_cold(
         }
     }
     let sfr = StandardForm::build(lp);
-    certify_proposal(lp, &sfr, &prop, opts)?.ok_or(SolveFailure::NumericalStall)
-}
-
-/// Certifies an `Optimal` float proposal of the bounded revised simplex
-/// (cold or warm) under `opts.certify` and the per-stage deadline of
-/// `opts.pricing`. `Ok(None)` is an exact refutation of the proposal;
-/// a passed deadline is a [`BudgetKind::Time`] trip.
-pub(crate) fn certify_proposal(
-    lp: &LpProblem<Rat>,
-    sfr: &StandardForm<Rat>,
-    prop: &BoundedBasis,
-    opts: &LpOptions,
-) -> Result<Option<LpReport>, SolveFailure> {
     let mut stats = SolveStats {
         pivots: prop.pivots,
         phase1_pivots: prop.phase1_pivots,
@@ -1202,17 +1195,15 @@ pub(crate) fn certify_proposal(
     };
     let certify = Instant::now();
     let (outcome, tally) =
-        verify_bounded(lp, sfr, prop, opts.pricing.stage_deadline(), opts.certify);
+        verify_bounded(lp, &sfr, &prop, opts.pricing.stage_deadline(), opts.certify);
     apply_certify(&mut stats, certify.elapsed().as_nanos() as u64, &tally);
     match outcome {
-        Certified::Verified(solution) => Ok(Some(LpReport {
+        Certified::Verified(solution) => Ok(LpReport {
             solution,
             fallback: false,
-            warm_hit: false,
-            snapshot: BasisSnapshot::from_proposal(prop),
             stats,
-        })),
-        Certified::Refuted => Ok(None),
+        }),
+        Certified::Refuted => Err(SolveFailure::NumericalStall),
         Certified::Deadline => Err(SolveFailure::BudgetExceeded(BudgetKind::Time)),
     }
 }

@@ -56,12 +56,11 @@ proptest! {
                 prop_assert_eq!(t.solution.status.clone(), oracle.status.clone());
                 if oracle.status == LpStatus::Optimal {
                     // Bit-identical across tiers AND against the oracle:
-                    // objective, point, duals, and the terminal basis.
+                    // objective, point and duals.
                     prop_assert_eq!(e.solution.objective, oracle.objective);
                     prop_assert_eq!(t.solution.objective, oracle.objective);
                     prop_assert_eq!(&t.solution.x, &e.solution.x);
                     prop_assert_eq!(&t.solution.duals, &e.solution.duals);
-                    prop_assert_eq!(&t.snapshot, &e.snapshot);
                     // The tiered run must never pay for both sweeps on
                     // these well-scaled instances unless it escalated, and
                     // whichever tier proved it, the proof is counted.
@@ -83,71 +82,13 @@ proptest! {
                 let e = exact.as_ref().expect("exact agrees when interval accepts");
                 prop_assert_eq!(iv.solution.objective, e.solution.objective);
                 prop_assert_eq!(&iv.solution.x, &e.solution.x);
-                prop_assert_eq!(&iv.snapshot, &e.snapshot);
+                prop_assert_eq!(&iv.solution.duals, &e.solution.duals);
                 prop_assert_eq!(iv.stats.interval_accepts, 1);
             }
             Err(SolveFailure::NumericalStall) => {}
             Err(f) => {
                 let ef = exact.as_ref().expect_err("interval failed where exact solved");
                 prop_assert_eq!(&f, ef);
-            }
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-    #[test]
-    fn warm_solves_are_bit_identical_across_certify_modes(
-        k in 1usize..4,
-        rows in proptest::collection::vec(
-            (proptest::collection::vec(-4i64..5, 3), -3i64..9), 1..6),
-        costs in proptest::collection::vec(-5i64..6, 3),
-        ubs in proptest::collection::vec(1i64..11, 3),
-    ) {
-        let mut lp: LpProblem<Rat> = LpProblem::new();
-        for &c in costs.iter().take(k) {
-            lp.add_var(r(c));
-        }
-        for (coeffs, b) in &rows {
-            let terms: Vec<_> = (0..k).map(|i| (i, r(coeffs[i]))).collect();
-            lp.add_constraint(terms, Cmp::Le, r(*b));
-        }
-        for (i, &ub) in ubs.iter().enumerate().take(k) {
-            lp.set_upper(i, r(ub));
-        }
-        let Ok(cold) = solve_lp(&lp, &LpOptions::new()) else {
-            return Ok(()); // infeasible draws have no warm story
-        };
-        let Some(snap) = cold.snapshot.clone() else {
-            return Ok(());
-        };
-        let pool = [snap];
-        // Warm re-solves of the *same* problem from its own terminal
-        // snapshot must hit, and stay bit-identical whichever tier
-        // certifies the re-installed basis.
-        for mode in [
-            CertifyMode::Exact,
-            CertifyMode::Interval,
-            CertifyMode::IntervalThenExact,
-        ] {
-            let opts = LpOptions::new()
-                .certify(mode)
-                .snapshots(&pool)
-                .warm_only(true);
-            match solve_lp(&lp, &opts) {
-                Ok(warm) => {
-                    prop_assert!(warm.warm_hit);
-                    prop_assert_eq!(warm.solution.objective, cold.solution.objective);
-                    prop_assert_eq!(&warm.solution.x, &cold.solution.x);
-                }
-                // Interval-only certification may refuse inconclusively.
-                Err(SolveFailure::NumericalStall) => {
-                    prop_assert_eq!(mode, CertifyMode::Interval);
-                }
-                Err(other) => {
-                    prop_assert!(false, "warm re-solve failed under {mode:?}: {other:?}");
-                }
             }
         }
     }
@@ -207,7 +148,6 @@ fn adversarial_tiny_gap_escalates_to_exact() {
     assert_eq!(tiered.solution.objective, exact.solution.objective);
     assert_eq!(tiered.solution.x, exact.solution.x);
     assert_eq!(tiered.solution.duals, exact.solution.duals);
-    assert_eq!(tiered.snapshot, exact.snapshot);
 }
 
 /// Interval-only certification must *refuse* the straddle instance

@@ -45,7 +45,7 @@ fn instance(k: i64) -> LpProblem<Rat> {
 #[test]
 fn injected_pivot_panics_never_leak_arena_buffers() {
     let _guard = faultinject::exclusive();
-    // Warm the pool with clean solves so later checkouts can all be
+    // Fill the pool with clean solves so later checkouts can all be
     // served by recycled buffers.
     for k in 0..4 {
         solve_lp(&instance(k), &LpOptions::new()).expect("clean solve");

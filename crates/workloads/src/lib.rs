@@ -13,7 +13,7 @@
 //!   block-diagonal families for the comparison experiments;
 //! * [`online`] — the online-arrivals stream (jobs arriving stripe by
 //!   stripe from repeated window-layout templates), the stress family for
-//!   the warm-start/incremental subsystem;
+//!   the incremental driver;
 //! * [`traces`] — synthetic VM-consolidation and optical-lightpath traces
 //!   standing in for the motivating applications of §1.
 

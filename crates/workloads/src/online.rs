@@ -1,17 +1,14 @@
 //! The **online-arrivals** workload: jobs stream into a fixed horizon,
 //! stripe by stripe, drawn from a small set of window-layout templates.
 //!
-//! This is the stress family for the warm-start subsystem (PR 5): each
-//! *stripe* (an isolated cluster, as in
+//! This is the stress family for the incremental driver
+//! (`abt-active::incremental`): each *stripe* (an isolated cluster, as in
 //! [`many_components`](crate::random::many_components)) receives its jobs
 //! from one of `templates` fixed window layouts, so the LP1 components of
 //! same-template stripes are **structural twins** — identical run
-//! structure and per-job run spans, different job lengths. That is
-//! exactly the shape the batch planner (`WarmMode::Batch` in
-//! `abt-active::lp_model`) groups for warm-started sibling solves, and
-//! the arrival stream (stripe-major order) is exactly the regime the
-//! incremental driver (`abt-active::incremental`) serves: every arrival
-//! dirties one component whose shape echoes earlier ones. The online
+//! structure and per-job run spans, different job lengths — and the
+//! arrival stream (stripe-major order) dirties one component per arrival
+//! while every other stripe's cached block stays clean. The online
 //! active-time setting follows Chang–Khuller–Mukherjee (arXiv:1610.08154);
 //! the nested/structured window layouts follow Cao et al.
 //! (arXiv:2207.12507).
