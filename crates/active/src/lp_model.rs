@@ -367,8 +367,8 @@ lp_counters! {
     phase1_pivots: "lp.phase1_pivots",
     /// Bound/VUB flips of the float passes (no basis change).
     bound_flips: "lp.bound_flips",
-    /// LU refactorizations of the float passes (periodic and
-    /// VUB-structural).
+    /// LU refactorizations of the float passes (each when an eta file
+    /// grew too long or too dense).
     refactorizations: "lp.refactorizations",
     /// Exact-certification wall time, nanoseconds.
     certify_nanos: "lp.certify_nanos",

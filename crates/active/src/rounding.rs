@@ -254,9 +254,11 @@ pub fn lp_rounding_from(inst: &Instance, lp: &ActiveLp) -> Result<RoundingOutcom
     }
 
     // Final feasibility (guaranteed by Lemma 5; repaired defensively).
+    // One max-flow per slot set: its schedule is the answer.
     let mut repair_slots = 0usize;
     let mut open_vec: Vec<Time> = opened.iter().copied().collect();
-    if !checker.is_feasible(&open_vec) {
+    let mut schedule = checker.check(&open_vec);
+    if schedule.is_none() {
         for &t in rs.slots.iter().rev() {
             if opened.contains(&t) {
                 continue;
@@ -264,13 +266,13 @@ pub fn lp_rounding_from(inst: &Instance, lp: &ActiveLp) -> Result<RoundingOutcom
             opened.insert(t);
             repair_slots += 1;
             open_vec = opened.iter().copied().collect();
-            if checker.is_feasible(&open_vec) {
+            schedule = checker.check(&open_vec);
+            if schedule.is_some() {
                 break;
             }
         }
     }
-    let schedule = checker
-        .check(&open_vec)
+    let schedule = schedule
         .ok_or_else(|| Error::Infeasible("rounding could not recover feasibility".into()))?;
 
     let cost = open_vec.len() as i64;

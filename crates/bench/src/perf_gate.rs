@@ -453,8 +453,8 @@ mod tests {
     fn effort_pivots_rule() {
         trips(
             "effort_pivots",
-            |r| set(r, "e21", "lp_pivots", 41000.0),
-            "e21 solve effort regressed: fresh 41000 pivots > 40560 (130% of committed 31200)",
+            |r| set(r, "e21", "lp_pivots", 17000.0),
+            "e21 solve effort regressed: fresh 17000 pivots > 16110 (130% of committed 12392)",
         );
     }
 
@@ -462,8 +462,8 @@ mod tests {
     fn effort_refactorizations_rule() {
         trips(
             "effort_refactorizations",
-            |r| set(r, "e20", "lp_refactorizations", 800.0),
-            "e20 solve effort regressed: fresh 800 refactorizations > 785 (130% of committed 604)",
+            |r| set(r, "e20", "lp_refactorizations", 50.0),
+            "e20 solve effort regressed: fresh 50 refactorizations > 42 (130% of committed 32)",
         );
     }
 

@@ -338,8 +338,8 @@ fn run(args: &[&str]) -> Result<(), String> {
             println!("LP1 optimum: {}", lp.objective);
             println!("fractionally open slots: {open} of {}", lp.slots.len());
             println!(
-                "solves: {} ({} components), {} pivots ({} in phase 1), {} fallbacks",
-                d.solves, d.components, d.pivots, d.phase1_pivots, d.fallbacks
+                "solves: {} ({} components), {} pivots ({} in phase 1), {} refactorizations, {} fallbacks",
+                d.solves, d.components, d.pivots, d.phase1_pivots, d.refactorizations, d.fallbacks
             );
             println!("{}", supervision_summary(&d));
             println!("{}", phase_breakdown());

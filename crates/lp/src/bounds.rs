@@ -9,10 +9,12 @@
 //! metadata, never rows) by normalizing row signs and appending
 //! slack/surplus/artificial columns, kept **column-major and sparse**
 //! throughout. The construction is generic over the scalar and
-//! deterministic, so the `f64` search and the exact verifier build
-//! *structurally identical* forms and a basis found by one is meaningful to
-//! the other. The dense tableau of [`crate::simplex`] lays out the same
-//! form, so its bases are certified by the same verifier. One normalization keeps the VUB pivoting rules simple: a
+//! deterministic; the revised path builds the exact form once and searches
+//! over its `f64` image (`StandardForm::to_f64`), so a basis found by the
+//! float search indexes the columns the exact verifier checks. The dense
+//! tableau of [`crate::simplex`] lays out the same form, so its bases are
+//! certified by the same verifier. One normalization keeps the VUB pivoting
+//! rules simple: a
 //! variable carrying **both** a VUB and a finite constant bound gets its
 //! constant bound materialized as a trailing `≤` row, so VUB dependents
 //! never have finite constant bounds of their own.
@@ -47,10 +49,15 @@
 //!   change the augmented key column — the basis *matrix* itself, not just
 //!   which columns are basic. Each such change is the rank-one update
 //!   `B ← B ± A_col·e_p^T`, absorbed by the product-form file as the eta
-//!   `(p, ±B⁻¹A_col + e_p)`; the ratio test's den/rate thresholds
-//!   guarantee those eta pivots are well-conditioned, so a full
-//!   refactorization is only the fallback (and the periodic
-//!   length/fill-triggered refresh), never the per-event rule.
+//!   `(p, ±B⁻¹A_col + e_p)`. A pivot that also changes key columns puts
+//!   its etas in an order that keeps every intermediate basis nonsingular:
+//!   a glue grows the key column first (pivot exactly 1, the glued column
+//!   being basic), the entering column is installed at the leaving row
+//!   `r` (pivot above the ratio test's threshold), and a key column the
+//!   entering variable came off shrinks last by what is then basis column
+//!   `r` (pivot exactly 1). Structural events never refactorize: a full
+//!   refactorization runs only when the eta file grows too long or too
+//!   dense, and a singular one ends the pass as a stall.
 //!
 //! Pricing uses a rotating **partial-pricing** window
 //! ([`BoundedOptions::pricing_window`]): a window of columns is priced per
@@ -58,7 +65,10 @@
 //! window in the cycle is optimal (Bland's anti-cycling rule always scans
 //! in full). The rotation doubles as diversification: always chasing the
 //! single most negative reduced cost concentrates pivots in one VUB family
-//! and multiplies degenerate glue/unglue churn.
+//! and multiplies degenerate glue/unglue churn. Pricing reads the columns
+//! from one flat slab built per solve and sums a key's reduced cost over
+//! its list of currently glued dependents, which every state change keeps
+//! in step (ascending, so the sum runs in column order).
 //!
 //! The float pass never certifies anything: its terminal
 //! [`basis`](BoundedBasis::basis)/[`state`](BoundedBasis::state) proposal is
@@ -209,7 +219,8 @@ pub struct BoundedBasis {
     pub phase1_pivots: u64,
     /// Bound/VUB flips performed (iterations with no basis change).
     pub bound_flips: u64,
-    /// LU refactorizations (periodic and VUB-structural).
+    /// LU refactorizations (each when the eta file grew too long or too
+    /// dense).
     pub refactorizations: u64,
 }
 
@@ -360,6 +371,35 @@ impl<S: Scalar> StandardForm<S> {
             init_basis,
         }
     }
+
+    /// The same form with every number rounded to `f64`: the float pass
+    /// searches over the image of the exact form it is certified against,
+    /// column for column.
+    pub(crate) fn to_f64(&self) -> StandardForm<f64> {
+        let f = |v: &[S]| -> Vec<f64> { v.iter().map(Scalar::to_f64).collect() };
+        StandardForm {
+            m: self.m,
+            ncols: self.ncols,
+            nstruct: self.nstruct,
+            cols: self
+                .cols
+                .iter()
+                .map(|col| col.iter().map(|(i, v)| (*i, v.to_f64())).collect())
+                .collect(),
+            cost: f(&self.cost),
+            upper: self
+                .upper
+                .iter()
+                .map(|u| u.as_ref().map(Scalar::to_f64))
+                .collect(),
+            vub: self.vub.clone(),
+            b: f(&self.b),
+            artificial: self.artificial.clone(),
+            n_art: self.n_art,
+            row_flip: self.row_flip.clone(),
+            init_basis: self.init_basis.clone(),
+        }
+    }
 }
 
 /// Iteration cap (termination safety net, mirrors the dense solver's).
@@ -367,16 +407,99 @@ fn iteration_cap(rows: usize, cols: usize) -> usize {
     10_000 + 64 * (rows + cols)
 }
 
+/// `sf.cols` flattened into one slab (compressed sparse columns): column
+/// `j` is `entries[start[j]..start[j + 1]]`, sorted by row. Pricing walks
+/// every priced column each iteration, so it reads one contiguous slab
+/// rather than one heap allocation per column.
+struct FlatCols {
+    start: Vec<usize>,
+    entries: Vec<(usize, f64)>,
+}
+
+impl FlatCols {
+    fn new(cols: &[Vec<(usize, f64)>]) -> FlatCols {
+        let mut start = Vec::with_capacity(cols.len() + 1);
+        let mut entries = Vec::with_capacity(cols.iter().map(Vec::len).sum());
+        start.push(0);
+        for col in cols {
+            entries.extend_from_slice(col);
+            start.push(entries.len());
+        }
+        FlatCols { start, entries }
+    }
+
+    fn col(&self, j: usize) -> &[(usize, f64)] {
+        &self.entries[self.start[j]..self.start[j + 1]]
+    }
+}
+
+/// A factored basis: the basic column per row, every column's resting
+/// state, the column → basis position map (`usize::MAX` when nonbasic),
+/// each key's glued dependents, and the LU of the augmented basis matrix.
+struct Factored {
+    basis: Vec<usize>,
+    state: Vec<VarState>,
+    pos: Vec<usize>,
+    glued: Vec<Vec<usize>>,
+    lu: SparseLu<f64>,
+}
+
+impl Factored {
+    /// Factors `basis` under `state`; `None` if the matrix is singular.
+    fn new(
+        sf: &StandardForm<f64>,
+        basis: Vec<usize>,
+        state: Vec<VarState>,
+        pos: Vec<usize>,
+    ) -> Option<Factored> {
+        let glued = glued_lists(sf, &state);
+        let lu = SparseLu::factor(sf.m, &basis_columns(sf, &glued, &basis))?;
+        Some(Factored {
+            basis,
+            state,
+            pos,
+            glued,
+            lu,
+        })
+    }
+
+    /// The all-slack/artificial basis of `sf`, factored.
+    fn all_slack(sf: &StandardForm<f64>) -> Option<Factored> {
+        let basis = sf.init_basis.clone();
+        let mut state = vec![VarState::AtLower; sf.ncols];
+        let mut pos = vec![usize::MAX; sf.ncols];
+        for (i, &j) in basis.iter().enumerate() {
+            state[j] = VarState::Basic;
+            pos[j] = i;
+        }
+        Factored::new(sf, basis, state, pos)
+    }
+}
+
 /// The revised-simplex working state over a `StandardForm<f64>`.
 struct Rev<'a> {
     sf: &'a StandardForm<f64>,
+    /// `sf.cols` as one flat slab (see [`FlatCols`]).
+    cols: FlatCols,
     /// Per-thread slab pool the dense/eta scratch is checked out of (and
     /// given back to in [`Rev::finish`]).
     arena: &'a mut SolveArena,
     basis: Vec<usize>,
     /// Column → basis position (`usize::MAX` when nonbasic).
     pos: Vec<usize>,
+    /// Resting state per column; changed only by [`Rev::set_state`].
     state: Vec<VarState>,
+    /// Key column → the dependents currently glued to it (`AtVub`),
+    /// ascending; kept in step with `state` by [`Rev::set_state`].
+    glued: Vec<Vec<usize>>,
+    /// The running phase's cost vector (see [`Rev::load_cost`]).
+    cost: Vec<f64>,
+    /// Key column → the summed cost of its glued dependents, so the key's
+    /// basic cost is `cost[k] + aug_cost[k]`; kept in step by
+    /// [`Rev::set_state`] (rebuilding it per iteration would cost
+    /// O(total VUB memberships) — the O(n²)-class term this solver exists
+    /// to avoid).
+    aug_cost: Vec<f64>,
     /// Basic values, parallel to `basis`.
     xb: Vec<f64>,
     lu: SparseLu<f64>,
@@ -385,8 +508,6 @@ struct Rev<'a> {
     /// Total entry count of the eta file (refactorization trigger).
     eta_nnz: usize,
     barred: Vec<bool>,
-    /// Key column → its VUB dependents (static).
-    deps: Vec<Vec<usize>>,
     /// Partial-pricing rotation cursor.
     cursor: usize,
     /// Scratch dense image of the entering column (sparsely re-zeroed).
@@ -429,14 +550,14 @@ enum StepOutcome {
 }
 
 /// What the ratio test decided the step runs into.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Hit {
     /// The entering variable reaches a resting state with no structural
     /// change: its opposite constant bound, or its VUB against a nonbasic
     /// key (from either side).
     FlipTo(VarState),
-    /// The entering variable glues to its *basic* key (augments the key
-    /// column — refactorization).
+    /// The entering variable glues to its *basic* key (grows the key
+    /// column).
     FlipGlue,
     /// The entering `AtVub` variable, glued to a *basic* key, comes off
     /// the glue all the way down to 0 (shrinks the key column).
@@ -445,9 +566,28 @@ enum Hit {
     /// `AtUpper`, or `AtVub` against a nonbasic key) — an ordinary pivot.
     Leave(usize, VarState),
     /// A basic dependent hits its VUB against a basic key (or against the
-    /// entering key): it leaves the basis glued, augmenting the key column
-    /// — refactorization.
+    /// entering key): it leaves the basis glued, growing the key column.
     LeaveGlue(usize),
+}
+
+/// The ratio test's running winner: the shortest step, ties (within
+/// 1e-12) broken towards the larger pivot magnitude.
+struct Nearest {
+    t: f64,
+    hit: Hit,
+    mag: f64,
+}
+
+impl Nearest {
+    fn consider(&mut self, t: f64, mag: f64, hit: Hit) {
+        let t = t.max(0.0);
+        let tie = (t - self.t).abs() <= 1e-12;
+        if t < self.t - 1e-12 || (tie && mag > self.mag) {
+            self.t = t;
+            self.hit = hit;
+            self.mag = mag;
+        }
+    }
 }
 
 impl<'a> Rev<'a> {
@@ -462,38 +602,34 @@ impl<'a> Rev<'a> {
         arena: &'a mut SolveArena,
         start: Option<&BasisSnapshot>,
     ) -> Option<Rev<'a>> {
-        let mut deps: Vec<Vec<usize>> = vec![Vec::new(); sf.ncols];
-        for j in 0..sf.ncols {
-            if let Some(k) = sf.vub[j] {
-                deps[k].push(j);
-            }
-        }
         // Factor the starting basis before touching the arena, so a
         // singular start never strands checked-out buffers.
         let crash = start.and_then(|snap| {
             let pos = snapshot_positions(sf, snap)?;
-            let lu = SparseLu::factor(sf.m, &basis_columns(sf, &deps, &snap.basis, &snap.state))?;
-            Some((snap.basis.clone(), snap.state.clone(), pos, lu))
+            Factored::new(sf, snap.basis.clone(), snap.state.clone(), pos)
         });
         let started = crash.is_some();
-        let (basis, state, pos, lu) = match crash {
-            Some(parts) => parts,
-            None => all_slack(sf, &deps)?,
+        let f = match crash {
+            Some(f) => f,
+            None => Factored::all_slack(sf)?,
         };
         let aq = arena.take_f64(sf.m, 0.0);
         let cb = arena.take_f64(sf.m, 0.0);
         let mut rev = Rev {
             sf,
+            cols: FlatCols::new(&sf.cols),
             arena,
-            basis,
-            pos,
-            state,
+            basis: f.basis,
+            pos: f.pos,
+            state: f.state,
+            glued: f.glued,
+            cost: vec![0.0; sf.ncols],
+            aug_cost: vec![0.0; sf.ncols],
             xb: Vec::new(),
-            lu,
+            lu: f.lu,
             etas: Vec::new(),
             eta_nnz: 0,
             barred: vec![false; sf.ncols],
-            deps,
             cursor: 0,
             aq,
             cb,
@@ -509,7 +645,9 @@ impl<'a> Rev<'a> {
         };
         rev.recompute_xb();
         if started && !rev.primal_feasible() {
-            (rev.basis, rev.state, rev.pos, rev.lu) = all_slack(sf, &rev.deps)?;
+            let f = Factored::all_slack(sf)?;
+            (rev.basis, rev.pos, rev.state, rev.glued, rev.lu) =
+                (f.basis, f.pos, f.state, f.glued, f.lu);
             rev.started = false;
             rev.recompute_xb();
         }
@@ -614,6 +752,41 @@ impl<'a> Rev<'a> {
         }
     }
 
+    /// Makes `cost` the running phase's objective and sums each key's
+    /// glued dependents' costs, in ascending order, into `aug_cost`.
+    fn load_cost(&mut self, cost: &[f64]) {
+        self.cost.copy_from_slice(cost);
+        for (sum, glued) in self.aug_cost.iter_mut().zip(&self.glued) {
+            *sum = glued.iter().fold(0.0, |acc, &j| acc + cost[j]);
+        }
+    }
+
+    /// Moves column `j` to resting state `to` — the one place a state
+    /// changes — keeping its key's glued list (ascending) and augmented
+    /// cost in step.
+    fn set_state(&mut self, j: usize, to: VarState) {
+        let from = std::mem::replace(&mut self.state[j], to);
+        if from == to {
+            return;
+        }
+        if from == VarState::AtVub {
+            let k = self.sf.vub[j].expect("AtVub implies a VUB");
+            let list = &mut self.glued[k];
+            let at = list.binary_search(&j).expect("a glued dependent is listed");
+            list.remove(at);
+            self.aug_cost[k] -= self.cost[j];
+        }
+        if to == VarState::AtVub {
+            let k = self.sf.vub[j].expect("AtVub implies a VUB");
+            let list = &mut self.glued[k];
+            let at = list
+                .binary_search(&j)
+                .expect_err("an unglued dependent is not listed");
+            list.insert(at, j);
+            self.aug_cost[k] += self.cost[j];
+        }
+    }
+
     /// The sparse eta column for `w` from the arena pool: keeps the pivot
     /// entry at `r` unconditionally and drops other near-zero entries.
     fn sparse_eta(&mut self, w: &[f64], r: usize) -> Vec<(usize, f64)> {
@@ -634,16 +807,6 @@ impl<'a> Rev<'a> {
             VarState::AtUpper => self.sf.upper[k].expect("AtUpper implies a finite bound"),
             VarState::Basic | VarState::AtVub => unreachable!("not a nonbasic key"),
         }
-    }
-
-    /// The augmented (Schrage key) column of `v`: its own column plus the
-    /// columns of every dependent currently glued to it.
-    fn aug_col(&self, v: usize) -> Vec<(usize, f64)> {
-        key_column(self.sf, &self.deps, &self.state, v)
-    }
-
-    fn basis_cols(&self) -> Vec<Vec<(usize, f64)>> {
-        basis_columns(self.sf, &self.deps, &self.basis, &self.state)
     }
 
     /// `xb = B̄⁻¹·(b − Σ_{j at a fixed value} val_j·A_j)` from scratch.
@@ -667,7 +830,7 @@ impl<'a> Rev<'a> {
                 VarState::Basic | VarState::AtLower => continue,
             };
             if val != 0.0 {
-                for &(i, v) in &self.sf.cols[j] {
+                for &(i, v) in self.cols.col(j) {
                     rhs[i] -= val * v;
                 }
             }
@@ -715,7 +878,8 @@ impl<'a> Rev<'a> {
     }
 
     fn refactor(&mut self) -> bool {
-        match SparseLu::factor(self.sf.m, &self.basis_cols()) {
+        let cols = basis_columns(self.sf, &self.glued, &self.basis);
+        match SparseLu::factor(self.sf.m, &cols) {
             Some(lu) => {
                 self.lu = lu;
                 for e in self.etas.drain(..) {
@@ -748,27 +912,24 @@ impl<'a> Rev<'a> {
         });
     }
 
+    /// Grows (`sign = 1`) or shrinks (`sign = −1`) the key column at
+    /// position `pk` by the column basic at `r`, whose image is `e_r`: the
+    /// eta `(pk, e_pk + sign·e_r)`, pivot exactly 1.
+    fn key_eta(&mut self, pk: usize, r: usize, sign: f64) {
+        let mut col = self.arena.take_pairs();
+        col.extend([(r, sign), (pk, 1.0)]);
+        self.push_eta(pk, col);
+    }
+
     /// Whether the eta file is long or dense enough to refactorize.
     fn eta_file_full(&self) -> bool {
         self.etas.len() >= REFACTOR_EVERY || self.eta_nnz >= ETA_NNZ_PER_ROW * self.sf.m
     }
 
-    /// Recycles the iteration's dense temporaries on an early return from
-    /// the pivot loop, so terminal iterations (optimality, unboundedness,
-    /// refactorization failure) pool their scratch exactly like ordinary
-    /// ones — without this, every `optimize` call would drop one or two
-    /// buffers and the steady state of a solve-per-call workload would
-    /// allocate fresh ones each time.
-    fn recycle(&mut self, w: Vec<f64>, y: Vec<f64>, out: StepOutcome) -> StepOutcome {
-        self.arena.give_f64(w);
-        self.arena.give_f64(y);
-        out
-    }
-
     /// Plain reduced cost `d_j = c_j − y·A_j`.
-    fn reduced(&self, cost: &[f64], y: &[f64], j: usize) -> f64 {
-        let mut d = cost[j];
-        for &(i, v) in &self.sf.cols[j] {
+    fn reduced(&self, y: &[f64], j: usize) -> f64 {
+        let mut d = self.cost[j];
+        for &(i, v) in self.cols.col(j) {
             d -= y[i] * v;
         }
         d
@@ -782,23 +943,17 @@ impl<'a> Rev<'a> {
     /// * `AtUpper` descends: `−d̄_j`;
     /// * `AtVub` comes off the glue downwards: `−d_j` (plain — the key
     ///   stays put).
-    fn effective(&self, cost: &[f64], y: &[f64], j: usize) -> f64 {
-        let d = self.reduced(cost, y, j);
+    fn effective(&self, y: &[f64], j: usize) -> f64 {
+        let d = self.reduced(y, j);
+        let dbar = || {
+            self.glued[j]
+                .iter()
+                .fold(d, |acc, &dep| acc + self.reduced(y, dep))
+        };
         match self.state[j] {
             VarState::AtVub => -d,
-            VarState::AtLower | VarState::AtUpper => {
-                let mut dbar = d;
-                for &dep in &self.deps[j] {
-                    if self.state[dep] == VarState::AtVub {
-                        dbar += self.reduced(cost, y, dep);
-                    }
-                }
-                if self.state[j] == VarState::AtLower {
-                    dbar
-                } else {
-                    -dbar
-                }
-            }
+            VarState::AtLower => dbar(),
+            VarState::AtUpper => -dbar(),
             VarState::Basic => unreachable!(),
         }
     }
@@ -811,13 +966,13 @@ impl<'a> Rev<'a> {
     /// rotation doubles as diversification — always chasing the single
     /// most negative reduced cost concentrates the pivots in one VUB
     /// family and multiplies degenerate glue/unglue churn.
-    fn price(&mut self, cost: &[f64], y: &[f64], bland: bool, window: usize) -> Option<usize> {
+    fn price(&mut self, y: &[f64], bland: bool, window: usize) -> Option<usize> {
         let ncols = self.sf.ncols;
         let priceable = |rev: &Self, j: usize| -> Option<f64> {
             if rev.state[j] == VarState::Basic || rev.barred[j] {
                 return None;
             }
-            let eff = rev.effective(cost, y, j);
+            let eff = rev.effective(y, j);
             (eff < -ENTER_TOL).then_some(eff)
         };
         if bland {
@@ -840,7 +995,10 @@ impl<'a> Rev<'a> {
             let block = window.min(ncols - scanned);
             for _ in 0..block {
                 let j = self.cursor;
-                self.cursor = (self.cursor + 1) % ncols;
+                self.cursor += 1;
+                if self.cursor == ncols {
+                    self.cursor = 0;
+                }
                 if let Some(eff) = priceable(self, j) {
                     if best.map(|(_, b)| eff < b) != Some(false) {
                         best = Some((j, eff));
@@ -861,22 +1019,10 @@ impl<'a> Rev<'a> {
     /// them off zero — without it a cost-0 artificial could silently
     /// re-absorb constraint violation.
     fn optimize(&mut self, cost: &[f64], freeze_artificials: bool, window: usize) -> StepOutcome {
-        let m = self.sf.m;
+        self.load_cost(cost);
         let mut bland = false;
         let mut degenerate_run = 0usize;
-        let cap = iteration_cap(m, self.sf.ncols);
-        // Per-key sum of glued dependents' costs, maintained incrementally
-        // at each glue/unglue event below. Rebuilding it by scanning every
-        // key's dependent list each iteration would cost O(total VUB
-        // memberships) per iteration — the O(n²)-class term this solver
-        // exists to avoid.
-        let mut aug_cost = vec![0.0f64; self.sf.ncols];
-        for j in 0..self.sf.ncols {
-            if self.state[j] == VarState::AtVub {
-                aug_cost[self.sf.vub[j].expect("AtVub implies a VUB")] += cost[j];
-            }
-        }
-        for _ in 0..cap {
+        for _ in 0..iteration_cap(self.sf.m, self.sf.ncols) {
             // Solve budgets first: at the top of an iteration no dense
             // temporaries are in flight, so a budget stop (like the
             // injected panic below) recycles its scratch through the
@@ -889,229 +1035,26 @@ impl<'a> Rev<'a> {
             // basic-cost stub is pooled scratch refilled in place. (The
             // field is swapped out around the call because btran borrows
             // the solver state mutably for its arena.)
-            for (slot, &v) in self.cb.iter_mut().zip(self.basis.iter()) {
-                *slot = cost[v] + aug_cost[v];
+            for (slot, &v) in self.cb.iter_mut().zip(&self.basis) {
+                *slot = self.cost[v] + self.aug_cost[v];
             }
             let cb = std::mem::take(&mut self.cb);
             let y = self.btran(&cb);
             self.cb = cb;
-            let Some(q) = self.price(cost, &y, bland, window) else {
-                self.arena.give_f64(y);
+            #[cfg(test)]
+            let reference_cursor = self.cursor;
+            let entering = self.price(&y, bland, window);
+            #[cfg(test)]
+            self.check_pricing(&y, bland, window, entering, reference_cursor);
+            self.arena.give_f64(y);
+            let Some(q) = entering else {
                 return StepOutcome::Optimal;
             };
-            // Direction: +1 when rising from the lower bound, −1 when
-            // descending from the upper bound or coming off the VUB glue.
-            let sigma = if self.state[q] == VarState::AtLower {
-                1.0
-            } else {
-                -1.0
+            let t = match self.step(q, freeze_artificials) {
+                Ok((_, t)) => t,
+                Err(outcome) => return outcome,
             };
-            // Entering column: augmented when q is a key whose glued
-            // dependents ride along; the dependents of a *basic* key stay
-            // inside the basis matrix, so an entering AtVub dependent uses
-            // its plain column (the t-parametrization of the glue slack).
-            let acol = self.aug_col(q);
-            for &(i, v) in &acol {
-                self.aq[i] = v;
-            }
-            let aq = std::mem::take(&mut self.aq);
-            let w = self.ftran(&aq);
-            self.aq = aq;
-            for &(i, _) in &acol {
-                self.aq[i] = 0.0;
-            }
-
-            // ---- ratio test -------------------------------------------
-            // Entering variable's own span first (the bound-flip family).
-            let mut t_best = f64::INFINITY;
-            let mut hit = Hit::FlipTo(VarState::AtLower); // overwritten below
-            let mut hit_mag = 0.0f64; // pivot magnitude for tie-breaks
-            let consider =
-                |t: f64, mag: f64, h: Hit, t_best: &mut f64, hit: &mut Hit, hit_mag: &mut f64| {
-                    let t = t.max(0.0);
-                    let tie = (t - *t_best).abs() <= 1e-12;
-                    if t < *t_best - 1e-12 || (tie && mag > *hit_mag) {
-                        *t_best = t;
-                        *hit = h;
-                        *hit_mag = mag;
-                    }
-                };
-            match self.state[q] {
-                VarState::AtLower => {
-                    if let Some(u) = self.sf.upper[q] {
-                        consider(
-                            u,
-                            0.0,
-                            Hit::FlipTo(VarState::AtUpper),
-                            &mut t_best,
-                            &mut hit,
-                            &mut hit_mag,
-                        );
-                    }
-                    if let Some(k) = self.sf.vub[q] {
-                        if self.pos[k] == usize::MAX {
-                            let span = self.key_rest_value(k);
-                            consider(
-                                span,
-                                0.0,
-                                Hit::FlipTo(VarState::AtVub),
-                                &mut t_best,
-                                &mut hit,
-                                &mut hit_mag,
-                            );
-                        } else {
-                            // Rising towards a basic key: meet when
-                            // t = xb_k / (1 + σ·w_k).
-                            let pk = self.pos[k];
-                            let den = 1.0 + sigma * w[pk];
-                            if den > PIV_TOL {
-                                consider(
-                                    self.xb[pk].max(0.0) / den,
-                                    den.abs(),
-                                    Hit::FlipGlue,
-                                    &mut t_best,
-                                    &mut hit,
-                                    &mut hit_mag,
-                                );
-                            }
-                        }
-                    }
-                }
-                VarState::AtUpper => {
-                    // Dependents never rest AtUpper (their constant bounds
-                    // are promoted rows), so the only span is down to 0.
-                    let u = self.sf.upper[q].expect("AtUpper implies a finite bound");
-                    consider(
-                        u,
-                        0.0,
-                        Hit::FlipTo(VarState::AtLower),
-                        &mut t_best,
-                        &mut hit,
-                        &mut hit_mag,
-                    );
-                }
-                VarState::AtVub => {
-                    let k = self.sf.vub[q].expect("AtVub implies a VUB");
-                    if self.pos[k] == usize::MAX {
-                        let span = self.key_rest_value(k);
-                        consider(
-                            span,
-                            0.0,
-                            Hit::FlipTo(VarState::AtLower),
-                            &mut t_best,
-                            &mut hit,
-                            &mut hit_mag,
-                        );
-                    } else {
-                        // Descending off a basic key towards 0: the key's
-                        // value drifts too, meet at t = xb_k / (1 + σ·w_k).
-                        let pk = self.pos[k];
-                        let den = 1.0 + sigma * w[pk];
-                        if den > PIV_TOL {
-                            consider(
-                                self.xb[pk].max(0.0) / den,
-                                den.abs(),
-                                Hit::FlipUnglue,
-                                &mut t_best,
-                                &mut hit,
-                                &mut hit_mag,
-                            );
-                        }
-                    }
-                }
-                VarState::Basic => unreachable!(),
-            }
-            // Basic variables hitting a bound.
-            for i in 0..m {
-                let vi = self.basis[i];
-                let d = sigma * w[i];
-                if d > PIV_TOL {
-                    consider(
-                        self.xb[i].max(0.0) / d,
-                        d.abs(),
-                        Hit::Leave(i, VarState::AtLower),
-                        &mut t_best,
-                        &mut hit,
-                        &mut hit_mag,
-                    );
-                } else if d < -PIV_TOL {
-                    // Ceilings: frozen artificials, constant bounds, and
-                    // VUBs against nonbasic keys.
-                    let mut ub = if freeze_artificials && self.sf.artificial[vi] {
-                        Some((0.0, VarState::AtLower))
-                    } else {
-                        self.sf.upper[vi].map(|u| (u, VarState::AtUpper))
-                    };
-                    // A nonbasic key is a fixed ceiling — unless it is the
-                    // entering variable itself (about to move/turn basic),
-                    // which the pairwise branch below handles as a glue.
-                    if let Some(k) = self.sf.vub[vi] {
-                        if self.pos[k] == usize::MAX && k != q {
-                            let vk = self.key_rest_value(k);
-                            if ub.map(|(u, _)| vk < u) != Some(false) {
-                                ub = Some((vk, VarState::AtVub));
-                            }
-                        }
-                    }
-                    if let Some((u, to)) = ub {
-                        consider(
-                            (u - self.xb[i]).max(0.0) / -d,
-                            d.abs(),
-                            Hit::Leave(i, to),
-                            &mut t_best,
-                            &mut hit,
-                            &mut hit_mag,
-                        );
-                    }
-                }
-                // Pairwise VUB limits: a basic dependent closing on its
-                // basic key, or on the entering variable when that is its
-                // key.
-                if let Some(k) = self.sf.vub[vi] {
-                    if self.pos[k] != usize::MAX {
-                        let pk = self.pos[k];
-                        let rate = sigma * (w[pk] - w[i]);
-                        if rate > PIV_TOL {
-                            let s = (self.xb[pk] - self.xb[i]).max(0.0);
-                            consider(
-                                s / rate,
-                                rate.abs(),
-                                Hit::LeaveGlue(i),
-                                &mut t_best,
-                                &mut hit,
-                                &mut hit_mag,
-                            );
-                        }
-                    } else if k == q {
-                        // Entering key vs its basic dependent: the slack
-                        // (val_q + σt) − (xb_i − σ t w_i) shrinks when
-                        // σ(1 + w_i) < 0.
-                        let start = match self.state[q] {
-                            VarState::AtLower => 0.0,
-                            VarState::AtUpper => {
-                                self.sf.upper[q].expect("AtUpper implies a finite bound")
-                            }
-                            _ => unreachable!("keys are never AtVub"),
-                        };
-                        let rate = -sigma * (1.0 + w[i]);
-                        if rate > PIV_TOL {
-                            let s = (start - self.xb[i]).max(0.0);
-                            consider(
-                                s / rate,
-                                rate.abs(),
-                                Hit::LeaveGlue(i),
-                                &mut t_best,
-                                &mut hit,
-                                &mut hit_mag,
-                            );
-                        }
-                    }
-                }
-            }
-            if t_best.is_infinite() {
-                return self.recycle(w, y, StepOutcome::Unbounded);
-            }
-            if t_best <= ENTER_TOL {
+            if t <= ENTER_TOL {
                 degenerate_run += 1;
                 if degenerate_run >= DEGENERATE_SWITCH {
                     bland = true;
@@ -1119,247 +1062,324 @@ impl<'a> Rev<'a> {
             } else {
                 degenerate_run = 0;
             }
-            let t = t_best;
-            // ---- apply -------------------------------------------------
-            // Glue/unglue events change basis *columns* (augmented key
-            // columns grow or shrink), not just which columns are basic.
-            // Each such change is the rank-one update `B ← B ± A_col·e_p^T`,
-            // which the product-form eta file absorbs as the eta
-            // `(p, ±B⁻¹A_col + e_p)`; the ratio test's rate/den thresholds
-            // guarantee the eta pivot entries are well-conditioned, so a
-            // full refactorization is only the fallback, never the rule.
-            //
-            // When q was glued to a basic key, its departure shrinks that
-            // key column whatever else happens; capture the key's position
-            // now — the bookkeeping below may move or evict the key.
-            let unglue_pk: Option<usize> = (self.state[q] == VarState::AtVub)
-                .then(|| self.pos[self.sf.vub[q].expect("AtVub implies a VUB")])
-                .filter(|&pk| pk != usize::MAX);
-            let unglues_entering = unglue_pk.is_some();
-            let entering_was_glued = self.state[q] == VarState::AtVub;
-            // The value the entering variable takes if it pivots into the
-            // basis at step t, against the pre-update basic values: the
-            // t-parametrization off a basic key (v_q(t) = xb_pk +
-            // t·(w_pk − 1)), an ascent from 0, or a descent from the
-            // constant bound / nonbasic key's value. Shared by the leave
-            // arms below.
-            let enter_value = if let Some(pk) = unglue_pk {
-                self.xb[pk] + t * (w[pk] - 1.0)
-            } else if sigma > 0.0 {
-                t
-            } else {
-                let start = match self.sf.upper[q] {
-                    Some(u) => u,
-                    None => {
-                        let k = self.sf.vub[q].expect("descent needs a bound");
-                        self.key_rest_value(k)
-                    }
-                };
-                start - t
-            };
-            match hit {
-                Hit::FlipTo(new_state) => {
-                    // Entering flips between fixed resting values; only
-                    // possible with a nonbasic (or absent) key, so no
-                    // column changes. (`unglues_entering` implies the span
-                    // candidate was FlipUnglue, never FlipTo.)
-                    debug_assert!(!unglues_entering);
-                    if t > 0.0 {
-                        for i in 0..m {
-                            self.xb[i] -= sigma * t * w[i];
-                        }
-                    }
-                    if entering_was_glued {
-                        aug_cost[self.sf.vub[q].expect("AtVub implies a VUB")] -= cost[q];
-                    }
-                    if new_state == VarState::AtVub {
-                        aug_cost[self.sf.vub[q].expect("AtVub target implies a VUB")] += cost[q];
-                    }
-                    self.state[q] = new_state;
-                    self.bound_flips += 1;
+        }
+        StepOutcome::Stalled
+    }
+
+    /// One iteration once pricing chose `q`: the FTRAN of its column, the
+    /// ratio test and the update. Returns what the step ran into and its
+    /// length, or the outcome that ends the pass.
+    fn step(&mut self, q: usize, freeze_artificials: bool) -> Result<(Hit, f64), StepOutcome> {
+        // Direction: +1 when rising from the lower bound, −1 when
+        // descending from the upper bound or coming off the VUB glue.
+        let sigma = if self.state[q] == VarState::AtLower {
+            1.0
+        } else {
+            -1.0
+        };
+        // Entering column: augmented when q is a key whose glued
+        // dependents ride along; the dependents of a *basic* key stay
+        // inside the basis matrix, so an entering AtVub dependent uses
+        // its plain column (the t-parametrization of the glue slack).
+        for &j in std::iter::once(&q).chain(&self.glued[q]) {
+            for &(i, v) in self.cols.col(j) {
+                self.aq[i] += v;
+            }
+        }
+        let aq = std::mem::take(&mut self.aq);
+        let w = self.ftran(&aq);
+        self.aq = aq;
+        for &j in std::iter::once(&q).chain(&self.glued[q]) {
+            for &(i, _) in self.cols.col(j) {
+                self.aq[i] = 0.0;
+            }
+        }
+        let Some((t, hit)) = self.ratio_test(q, sigma, &w, freeze_artificials) else {
+            self.arena.give_f64(w);
+            return Err(StepOutcome::Unbounded);
+        };
+        self.apply(q, sigma, t, hit, &w);
+        self.arena.give_f64(w);
+        if self.eta_file_full() && !self.refactor() {
+            return Err(StepOutcome::Stalled);
+        }
+        Ok((hit, t))
+    }
+
+    /// The ratio test of entering `q` along direction `σ`, `w = B̄⁻¹a_q`:
+    /// the step length and what it runs into, or `None` when nothing
+    /// bounds the step (unbounded).
+    fn ratio_test(
+        &self,
+        q: usize,
+        sigma: f64,
+        w: &[f64],
+        freeze_artificials: bool,
+    ) -> Option<(f64, Hit)> {
+        let mut near = Nearest {
+            t: f64::INFINITY,
+            hit: Hit::FlipTo(VarState::AtLower), // overwritten below
+            mag: 0.0,
+        };
+        // Entering variable's own span first (the bound-flip family).
+        match self.state[q] {
+            VarState::AtLower => {
+                if let Some(u) = self.sf.upper[q] {
+                    near.consider(u, 0.0, Hit::FlipTo(VarState::AtUpper));
                 }
-                Hit::FlipGlue => {
-                    // q (a dependent, plain column — deps are never keys)
-                    // rises onto its basic key at position pk:
-                    // B ← B + A_q·e_pk^T, eta (pk, w + e_pk) with pivot
-                    // 1 + w_pk > PIV_TOL by the den check above.
-                    let key = self.sf.vub[q].expect("FlipGlue implies a VUB");
-                    let pk = self.pos[key];
-                    if t > 0.0 {
-                        for i in 0..m {
-                            self.xb[i] -= sigma * t * w[i];
-                        }
-                    }
-                    self.state[q] = VarState::AtVub;
-                    aug_cost[key] += cost[q];
-                    self.bound_flips += 1;
-                    let mut col = self.sparse_eta(&w, pk);
-                    bump(&mut col, pk, 1.0);
-                    self.push_eta(pk, col);
-                    if self.eta_file_full() && !self.refactor() {
-                        return self.recycle(w, y, StepOutcome::Stalled);
-                    }
-                }
-                Hit::FlipUnglue => {
-                    // q comes off its basic key down to 0:
-                    // B ← B − A_q·e_pk^T, eta (pk, −w + e_pk) with pivot
-                    // 1 − w_pk > PIV_TOL by the den check above.
-                    let key = self.sf.vub[q].expect("FlipUnglue implies a VUB");
-                    let pk = self.pos[key];
-                    if t > 0.0 {
-                        for i in 0..m {
-                            self.xb[i] -= sigma * t * w[i];
-                        }
-                    }
-                    self.state[q] = VarState::AtLower;
-                    aug_cost[key] -= cost[q];
-                    self.bound_flips += 1;
-                    let mut neg = self.arena.take_f64(m, 0.0);
-                    for (o, &v) in neg.iter_mut().zip(&w) {
-                        *o = -v;
-                    }
-                    let mut col = self.sparse_eta(&neg, pk);
-                    self.arena.give_f64(neg);
-                    bump(&mut col, pk, 1.0);
-                    self.push_eta(pk, col);
-                    if self.eta_file_full() && !self.refactor() {
-                        return self.recycle(w, y, StepOutcome::Stalled);
-                    }
-                }
-                Hit::Leave(r, to) => {
-                    let lvar = self.basis[r];
-                    if entering_was_glued {
-                        aug_cost[self.sf.vub[q].expect("AtVub implies a VUB")] -= cost[q];
-                    }
-                    if to == VarState::AtVub {
-                        aug_cost[self.sf.vub[lvar].expect("AtVub target implies a VUB")] +=
-                            cost[lvar];
-                    }
-                    self.state[lvar] = to;
-                    self.pos[lvar] = usize::MAX;
-                    self.basis[r] = q;
-                    self.pos[q] = r;
-                    self.state[q] = VarState::Basic;
-                    self.pivots += 1;
-                    if t > 0.0 {
-                        for i in 0..m {
-                            if i != r {
-                                self.xb[i] -= sigma * t * w[i];
-                            }
-                        }
-                    }
-                    self.xb[r] = enter_value;
-                    if let Some(pk) = unglue_pk {
-                        // Shrink the key column first (eta1), then install
-                        // the entering column at r against the shrunk
-                        // basis (eta2, direction w transformed by eta1).
-                        let den = 1.0 - w[pk];
-                        if den.abs() <= PIV_TOL {
-                            if !self.refactor() {
-                                return self.recycle(w, y, StepOutcome::Stalled);
-                            }
-                        } else {
-                            let mut neg = self.arena.take_f64(m, 0.0);
-                            for (o, &v) in neg.iter_mut().zip(&w) {
-                                *o = -v;
-                            }
-                            let mut col = self.sparse_eta(&neg, pk);
-                            bump(&mut col, pk, 1.0);
-                            self.push_eta(pk, col);
-                            let scale = w[pk] / den;
-                            let mut w2 = neg; // reuse the pooled buffer
-                            for (o, &v) in w2.iter_mut().zip(&w) {
-                                *o = v * (1.0 + scale);
-                            }
-                            w2[pk] = scale;
-                            if w2[r].abs() <= PIV_TOL {
-                                self.arena.give_f64(w2);
-                                if !self.refactor() {
-                                    return self.recycle(w, y, StepOutcome::Stalled);
-                                }
-                            } else {
-                                let col = self.sparse_eta(&w2, r);
-                                self.arena.give_f64(w2);
-                                self.push_eta(r, col);
-                            }
-                        }
+                if let Some(k) = self.sf.vub[q] {
+                    if self.pos[k] == usize::MAX {
+                        let span = self.key_rest_value(k);
+                        near.consider(span, 0.0, Hit::FlipTo(VarState::AtVub));
                     } else {
-                        let col = self.sparse_eta(&w, r);
-                        self.push_eta(r, col);
-                    }
-                    if self.eta_file_full() && !self.refactor() {
-                        return self.recycle(w, y, StepOutcome::Stalled);
-                    }
-                }
-                Hit::LeaveGlue(r) => {
-                    // The basic dependent at row r leaves glued to its key
-                    // — already basic at pk, or the entering q itself. Its
-                    // column A_dep is the current basis column r, so
-                    // B⁻¹A_dep = e_r exactly and the glue etas are
-                    // analytic.
-                    let lvar = self.basis[r];
-                    let key = self.sf.vub[lvar].expect("LeaveGlue implies a VUB");
-                    let pk = self.pos[key];
-                    if entering_was_glued {
-                        aug_cost[self.sf.vub[q].expect("AtVub implies a VUB")] -= cost[q];
-                    }
-                    aug_cost[key] += cost[lvar];
-                    self.state[lvar] = VarState::AtVub;
-                    self.pos[lvar] = usize::MAX;
-                    self.basis[r] = q;
-                    self.pos[q] = r;
-                    self.state[q] = VarState::Basic;
-                    self.pivots += 1;
-                    if t > 0.0 {
-                        for i in 0..m {
-                            if i != r {
-                                self.xb[i] -= sigma * t * w[i];
-                            }
+                        // Rising towards a basic key: meet when
+                        // t = xb_k / (1 + σ·w_k).
+                        let pk = self.pos[k];
+                        let den = 1.0 + sigma * w[pk];
+                        if den > PIV_TOL {
+                            near.consider(self.xb[pk].max(0.0) / den, den.abs(), Hit::FlipGlue);
                         }
-                    }
-                    self.xb[r] = enter_value;
-                    if unglues_entering {
-                        // Three column changes at once (q's old key
-                        // shrinks, the new glue, the install): rare —
-                        // refactorize.
-                        if !self.refactor() {
-                            return self.recycle(w, y, StepOutcome::Stalled);
-                        }
-                    } else if pk != usize::MAX {
-                        // Key basic at pk: eta1 = (pk, e_r + e_pk) grows
-                        // the key column (pivot exactly 1); eta2 installs
-                        // the entering column, whose eta1-transformed
-                        // direction differs from w only at r and pk, with
-                        // pivot w_r − w_pk (|·| = the ratio-test rate).
-                        let mut glue = self.arena.take_pairs();
-                        glue.extend([(r, 1.0), (pk, 1.0)]);
-                        self.push_eta(pk, glue);
-                        let mut w2 = self.arena.take_f64(m, 0.0);
-                        w2.copy_from_slice(&w);
-                        w2[r] -= w[pk];
-                        let col = self.sparse_eta(&w2, r);
-                        self.arena.give_f64(w2);
-                        self.push_eta(r, col);
-                    } else {
-                        // The key is the entering q: install the augmented
-                        // column + the fresh glue in one eta with pivot
-                        // 1 + w_r (|·| = the ratio-test rate).
-                        debug_assert_eq!(key, q);
-                        let mut col = self.sparse_eta(&w, r);
-                        bump(&mut col, r, 1.0);
-                        self.push_eta(r, col);
-                    }
-                    if self.eta_file_full() && !self.refactor() {
-                        return self.recycle(w, y, StepOutcome::Stalled);
                     }
                 }
             }
-            // Recycle the iteration's dense temporaries (terminal paths
-            // above recycle through [`Rev::recycle`]).
-            self.arena.give_f64(w);
-            self.arena.give_f64(y);
+            VarState::AtUpper => {
+                // Dependents never rest AtUpper (their constant bounds
+                // are promoted rows), so the only span is down to 0.
+                let u = self.sf.upper[q].expect("AtUpper implies a finite bound");
+                near.consider(u, 0.0, Hit::FlipTo(VarState::AtLower));
+            }
+            VarState::AtVub => {
+                let k = self.sf.vub[q].expect("AtVub implies a VUB");
+                if self.pos[k] == usize::MAX {
+                    let span = self.key_rest_value(k);
+                    near.consider(span, 0.0, Hit::FlipTo(VarState::AtLower));
+                } else {
+                    // Descending off a basic key towards 0: the key's
+                    // value drifts too, meet at t = xb_k / (1 + σ·w_k).
+                    let pk = self.pos[k];
+                    let den = 1.0 + sigma * w[pk];
+                    if den > PIV_TOL {
+                        near.consider(self.xb[pk].max(0.0) / den, den.abs(), Hit::FlipUnglue);
+                    }
+                }
+            }
+            VarState::Basic => unreachable!(),
         }
-        StepOutcome::Stalled
+        // Basic variables hitting a bound.
+        for i in 0..self.sf.m {
+            let vi = self.basis[i];
+            let d = sigma * w[i];
+            if d > PIV_TOL {
+                near.consider(
+                    self.xb[i].max(0.0) / d,
+                    d.abs(),
+                    Hit::Leave(i, VarState::AtLower),
+                );
+            } else if d < -PIV_TOL {
+                // Ceilings: frozen artificials, constant bounds, and
+                // VUBs against nonbasic keys.
+                let mut ub = if freeze_artificials && self.sf.artificial[vi] {
+                    Some((0.0, VarState::AtLower))
+                } else {
+                    self.sf.upper[vi].map(|u| (u, VarState::AtUpper))
+                };
+                // A nonbasic key is a fixed ceiling — unless it is the
+                // entering variable itself (about to move/turn basic),
+                // which the pairwise branch below handles as a glue.
+                if let Some(k) = self.sf.vub[vi] {
+                    if self.pos[k] == usize::MAX && k != q {
+                        let vk = self.key_rest_value(k);
+                        if ub.map(|(u, _)| vk < u) != Some(false) {
+                            ub = Some((vk, VarState::AtVub));
+                        }
+                    }
+                }
+                if let Some((u, to)) = ub {
+                    near.consider((u - self.xb[i]).max(0.0) / -d, d.abs(), Hit::Leave(i, to));
+                }
+            }
+            // Pairwise VUB limits: a basic dependent closing on its
+            // basic key, or on the entering variable when that is its
+            // key.
+            if let Some(k) = self.sf.vub[vi] {
+                if self.pos[k] != usize::MAX {
+                    let pk = self.pos[k];
+                    let rate = sigma * (w[pk] - w[i]);
+                    if rate > PIV_TOL {
+                        let s = (self.xb[pk] - self.xb[i]).max(0.0);
+                        near.consider(s / rate, rate.abs(), Hit::LeaveGlue(i));
+                    }
+                } else if k == q {
+                    // Entering key vs its basic dependent: the slack
+                    // (val_q + σt) − (xb_i − σ t w_i) shrinks when
+                    // σ(1 + w_i) < 0.
+                    let start = match self.state[q] {
+                        VarState::AtLower => 0.0,
+                        VarState::AtUpper => {
+                            self.sf.upper[q].expect("AtUpper implies a finite bound")
+                        }
+                        _ => unreachable!("keys are never AtVub"),
+                    };
+                    let rate = -sigma * (1.0 + w[i]);
+                    if rate > PIV_TOL {
+                        let s = (start - self.xb[i]).max(0.0);
+                        near.consider(s / rate, rate.abs(), Hit::LeaveGlue(i));
+                    }
+                }
+            }
+        }
+        near.t.is_finite().then_some((near.t, near.hit))
+    }
+
+    /// Moves the basic values a step `t` along `−σ·w`, except at row
+    /// `skip` (the row the entering variable takes over, or `usize::MAX`).
+    fn advance(&mut self, sigma: f64, t: f64, w: &[f64], skip: usize) {
+        if t > 0.0 {
+            for (i, x) in self.xb.iter_mut().enumerate() {
+                if i != skip {
+                    *x -= sigma * t * w[i];
+                }
+            }
+        }
+    }
+
+    /// Applies the step: values, states, and the product-form update of
+    /// the basis matrix.
+    ///
+    /// Glue/unglue events change basis *columns* (augmented key columns
+    /// grow or shrink), not just which columns are basic. Each change is
+    /// the rank-one update `B ← B ± A_col·e_p^T`, absorbed as one eta, and
+    /// every eta's pivot is either exactly 1 or an entry the ratio test
+    /// kept above [`PIV_TOL`], so no event refactorizes. When one step
+    /// changes several columns, the etas go in an order that keeps every
+    /// intermediate basis nonsingular: grow a key column (pivot 1), then
+    /// install the entering column at the leaving row `r`, then shrink the
+    /// key column the entering variable came off by its own column — which
+    /// by then is basis column `r`, image `e_r` (pivot 1).
+    fn apply(&mut self, q: usize, sigma: f64, t: f64, hit: Hit, w: &[f64]) {
+        // When q was glued to a basic key, its departure shrinks that key
+        // column whatever else happens; capture the key's position now —
+        // the bookkeeping below may move or evict the key.
+        let unglue_pk: Option<usize> = (self.state[q] == VarState::AtVub)
+            .then(|| self.pos[self.sf.vub[q].expect("AtVub implies a VUB")])
+            .filter(|&pk| pk != usize::MAX);
+        // The value the entering variable takes if it pivots into the
+        // basis at step t, against the pre-update basic values: the
+        // t-parametrization off a basic key (v_q(t) = xb_pk +
+        // t·(w_pk − 1)), an ascent from 0, or a descent from the
+        // constant bound / nonbasic key's value.
+        let enter_value = if let Some(pk) = unglue_pk {
+            self.xb[pk] + t * (w[pk] - 1.0)
+        } else if sigma > 0.0 {
+            t
+        } else {
+            let start = match self.sf.upper[q] {
+                Some(u) => u,
+                None => {
+                    let k = self.sf.vub[q].expect("descent needs a bound");
+                    self.key_rest_value(k)
+                }
+            };
+            start - t
+        };
+        match hit {
+            Hit::FlipTo(new_state) => {
+                // Entering flips between fixed resting values; only
+                // possible with a nonbasic (or absent) key, so no column
+                // changes. (An entering variable glued to a basic key
+                // meets FlipUnglue, never FlipTo.)
+                debug_assert!(unglue_pk.is_none());
+                self.advance(sigma, t, w, usize::MAX);
+                self.set_state(q, new_state);
+                self.bound_flips += 1;
+            }
+            Hit::FlipGlue => {
+                // q (a dependent, plain column — deps are never keys)
+                // rises onto its basic key at position pk:
+                // B ← B + A_q·e_pk^T, eta (pk, w + e_pk) with pivot
+                // 1 + w_pk > PIV_TOL by the den check.
+                let pk = self.pos[self.sf.vub[q].expect("FlipGlue implies a VUB")];
+                self.advance(sigma, t, w, usize::MAX);
+                self.set_state(q, VarState::AtVub);
+                self.bound_flips += 1;
+                let mut col = self.sparse_eta(w, pk);
+                bump(&mut col, pk, 1.0);
+                self.push_eta(pk, col);
+            }
+            Hit::FlipUnglue => {
+                // q comes off its basic key down to 0:
+                // B ← B − A_q·e_pk^T, eta (pk, −w + e_pk) with pivot
+                // 1 − w_pk > PIV_TOL by the den check.
+                let pk = self.pos[self.sf.vub[q].expect("FlipUnglue implies a VUB")];
+                self.advance(sigma, t, w, usize::MAX);
+                self.set_state(q, VarState::AtLower);
+                self.bound_flips += 1;
+                let mut col = self.sparse_eta(w, pk);
+                for e in &mut col {
+                    e.1 = -e.1;
+                }
+                bump(&mut col, pk, 1.0);
+                self.push_eta(pk, col);
+            }
+            Hit::Leave(r, to) => {
+                let lvar = self.basis[r];
+                self.pivot_in(q, r, sigma, t, w, enter_value);
+                self.set_state(lvar, to);
+                // Install A_q at r: eta (r, w), pivot w_r (|w_r| > PIV_TOL
+                // by the ratio test). When q came off a basic key at
+                // pk == r the key itself left, and this is the whole
+                // update.
+                let col = self.sparse_eta(w, r);
+                self.push_eta(r, col);
+                if let Some(pk) = unglue_pk.filter(|&pk| pk != r) {
+                    self.key_eta(pk, r, -1.0);
+                }
+            }
+            Hit::LeaveGlue(r) => {
+                // The basic dependent at row r leaves glued to its key —
+                // already basic at pk, or the entering q itself. Its
+                // column A_dep is the current basis column r, so
+                // B⁻¹A_dep = e_r exactly and the glue etas are analytic.
+                let lvar = self.basis[r];
+                let key = self.sf.vub[lvar].expect("LeaveGlue implies a VUB");
+                let pk = self.pos[key];
+                self.pivot_in(q, r, sigma, t, w, enter_value);
+                self.set_state(lvar, VarState::AtVub);
+                let mut col = self.sparse_eta(w, r);
+                if pk != usize::MAX {
+                    // Key basic at pk: grow its column by A_dep (pivot
+                    // 1), then install the entering column, whose
+                    // direction against the grown basis differs from w
+                    // only at r: w_r − w_pk (|·| = the ratio-test rate).
+                    self.key_eta(pk, r, 1.0);
+                    bump(&mut col, r, -w[pk]);
+                } else {
+                    // The key is the entering q: install the augmented
+                    // column plus the fresh glue in one eta with pivot
+                    // 1 + w_r (|·| = the ratio-test rate).
+                    debug_assert_eq!(key, q);
+                    bump(&mut col, r, 1.0);
+                }
+                self.push_eta(r, col);
+                if let Some(pkq) = unglue_pk {
+                    self.key_eta(pkq, r, -1.0);
+                }
+            }
+        }
+    }
+
+    /// The basis bookkeeping of a pivot: `q` turns basic at row `r`
+    /// (whose variable the caller then moves to its resting state) with
+    /// value `enter_value`, the other basic values advance by the step.
+    fn pivot_in(&mut self, q: usize, r: usize, sigma: f64, t: f64, w: &[f64], enter_value: f64) {
+        let lvar = self.basis[r];
+        self.set_state(q, VarState::Basic);
+        self.pos[lvar] = usize::MAX;
+        self.basis[r] = q;
+        self.pos[q] = r;
+        self.pivots += 1;
+        self.advance(sigma, t, w, r);
+        self.xb[r] = enter_value;
     }
 }
 
@@ -1383,24 +1403,6 @@ impl Drop for Rev<'_> {
             self.arena.give_pairs(e.rest);
         }
     }
-}
-
-/// The all-slack/artificial starting basis of `sf`, factored: basis,
-/// states, column → position map, LU.
-#[allow(clippy::type_complexity)]
-fn all_slack(
-    sf: &StandardForm<f64>,
-    deps: &[Vec<usize>],
-) -> Option<(Vec<usize>, Vec<VarState>, Vec<usize>, SparseLu<f64>)> {
-    let basis = sf.init_basis.clone();
-    let mut state = vec![VarState::AtLower; sf.ncols];
-    let mut pos = vec![usize::MAX; sf.ncols];
-    for (i, &j) in basis.iter().enumerate() {
-        state[j] = VarState::Basic;
-        pos[j] = i;
-    }
-    let lu = SparseLu::factor(sf.m, &basis_columns(sf, deps, &basis, &state))?;
-    Some((basis, state, pos, lu))
 }
 
 /// Checks a start's states against `sf` — its shape, finite bounds
@@ -1439,31 +1441,27 @@ fn snapshot_positions(sf: &StandardForm<f64>, snap: &BasisSnapshot) -> Option<Ve
     Some(pos)
 }
 
-/// The augmented key column of `v` under `state` (see [`augmented_column`]).
-fn key_column(
-    sf: &StandardForm<f64>,
-    deps: &[Vec<usize>],
-    state: &[VarState],
-    v: usize,
-) -> Vec<(usize, f64)> {
-    let glued: Vec<usize> = deps[v]
-        .iter()
-        .copied()
-        .filter(|&j| state[j] == VarState::AtVub)
-        .collect();
-    augmented_column(&sf.cols, v, &glued)
+/// Key column → its dependents glued to it under `state`, ascending.
+fn glued_lists(sf: &StandardForm<f64>, state: &[VarState]) -> Vec<Vec<usize>> {
+    let mut glued = vec![Vec::new(); sf.ncols];
+    for (j, s) in state.iter().enumerate() {
+        if *s == VarState::AtVub {
+            glued[sf.vub[j].expect("AtVub implies a VUB")].push(j);
+        }
+    }
+    glued
 }
 
-/// The (augmented) basis matrix columns of `basis` under `state`.
+/// The (augmented) basis matrix columns of `basis` (see
+/// [`augmented_column`]).
 fn basis_columns(
     sf: &StandardForm<f64>,
-    deps: &[Vec<usize>],
+    glued: &[Vec<usize>],
     basis: &[usize],
-    state: &[VarState],
 ) -> Vec<Vec<(usize, f64)>> {
     basis
         .iter()
-        .map(|&j| key_column(sf, deps, state, j))
+        .map(|&j| augmented_column(&sf.cols, j, &glued[j]))
         .collect()
 }
 
@@ -1587,10 +1585,131 @@ fn solve_bounded_pooled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{solve_lp, LpOptions, SolverBackend};
     use crate::model::{Cmp, LpProblem};
+    use crate::rational::Rat;
+    use crate::simplex::LpStatus;
+    use abt_core::error::SolveFailure;
+    use proptest::prelude::*;
+    use std::cell::Cell;
 
     fn sf(lp: &LpProblem<f64>) -> StandardForm<f64> {
         StandardForm::build(lp)
+    }
+
+    thread_local! {
+        /// Iterations on this thread whose entering column was checked
+        /// against [`Rev::price_reference`].
+        pub(super) static PRICING_CHECKS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    impl Rev<'_> {
+        /// The per-column pricing that [`Rev::price`] replaced, kept as its
+        /// oracle: reduced costs over `sf.cols`, every dependent of a key
+        /// rechecked for glue, the cursor wrapped with `%`.
+        fn price_reference(
+            &self,
+            y: &[f64],
+            bland: bool,
+            window: usize,
+            cursor: &mut usize,
+        ) -> Option<usize> {
+            let sf = self.sf;
+            let ncols = sf.ncols;
+            let mut deps: Vec<Vec<usize>> = vec![Vec::new(); ncols];
+            for j in 0..ncols {
+                if let Some(k) = sf.vub[j] {
+                    deps[k].push(j);
+                }
+            }
+            let reduced = |j: usize| {
+                let mut d = self.cost[j];
+                for &(i, v) in &sf.cols[j] {
+                    d -= y[i] * v;
+                }
+                d
+            };
+            let effective = |j: usize| {
+                let d = reduced(j);
+                match self.state[j] {
+                    VarState::AtVub => -d,
+                    VarState::AtLower | VarState::AtUpper => {
+                        let mut dbar = d;
+                        for &dep in &deps[j] {
+                            if self.state[dep] == VarState::AtVub {
+                                dbar += reduced(dep);
+                            }
+                        }
+                        if self.state[j] == VarState::AtLower {
+                            dbar
+                        } else {
+                            -dbar
+                        }
+                    }
+                    VarState::Basic => unreachable!(),
+                }
+            };
+            let priceable = |j: usize| -> Option<f64> {
+                if self.state[j] == VarState::Basic || self.barred[j] {
+                    return None;
+                }
+                let eff = effective(j);
+                (eff < -ENTER_TOL).then_some(eff)
+            };
+            if bland {
+                return (0..ncols).find(|&j| priceable(j).is_some());
+            }
+            if window == 0 || window >= ncols {
+                let mut best: Option<(usize, f64)> = None;
+                for j in 0..ncols {
+                    if let Some(eff) = priceable(j) {
+                        if best.map(|(_, b)| eff < b) != Some(false) {
+                            best = Some((j, eff));
+                        }
+                    }
+                }
+                return best.map(|(j, _)| j);
+            }
+            let mut scanned = 0;
+            while scanned < ncols {
+                let mut best: Option<(usize, f64)> = None;
+                let block = window.min(ncols - scanned);
+                for _ in 0..block {
+                    let j = *cursor;
+                    *cursor = (*cursor + 1) % ncols;
+                    if let Some(eff) = priceable(j) {
+                        if best.map(|(_, b)| eff < b) != Some(false) {
+                            best = Some((j, eff));
+                        }
+                    }
+                }
+                scanned += block;
+                if let Some((j, _)) = best {
+                    return Some(j);
+                }
+            }
+            None
+        }
+
+        /// Asserts that [`Rev::price`], run from cursor `cursor` against
+        /// `y`, chose `entering` and left the cursor where the reference
+        /// does.
+        pub(super) fn check_pricing(
+            &self,
+            y: &[f64],
+            bland: bool,
+            window: usize,
+            entering: Option<usize>,
+            mut cursor: usize,
+        ) {
+            let expected = self.price_reference(y, bland, window, &mut cursor);
+            assert_eq!(
+                (entering, self.cursor),
+                (expected, cursor),
+                "flat pricing left the per-column reference (bland {bland}, window {window})"
+            );
+            PRICING_CHECKS.with(|c| c.set(c.get() + 1));
+        }
     }
 
     #[test]
@@ -1825,5 +1944,307 @@ mod tests {
             "unexpected status {:?}",
             out.status
         );
+    }
+
+    /// Steps `q` into the hand-written basis `basis` of `lp` (columns in
+    /// `glued` rest glued to their keys, every other nonbasic column at its
+    /// lower bound) and checks the update: the ratio test ran into
+    /// `expect`, nothing was refactorized, the glued lists match the
+    /// states, and FTRAN/BTRAN through the eta file agree with a fresh LU
+    /// of the augmented basis within 1e-9. Returns the new basis and
+    /// basic values.
+    fn step_from(
+        lp: &LpProblem<f64>,
+        basis: &[usize],
+        glued: &[usize],
+        q: usize,
+        expect: Hit,
+    ) -> (Vec<usize>, Vec<f64>) {
+        let sf = sf(lp);
+        let mut state = vec![VarState::AtLower; sf.ncols];
+        for &j in basis {
+            state[j] = VarState::Basic;
+        }
+        for &j in glued {
+            state[j] = VarState::AtVub;
+        }
+        let snap = BasisSnapshot {
+            basis: basis.to_vec(),
+            state,
+        };
+        let mut arena = SolveArena::new();
+        let mut rev = Rev::new(&sf, &mut arena, Some(&snap)).expect("the start factors");
+        assert!(rev.started, "the hand-written basis is primal feasible");
+        rev.load_cost(&sf.cost);
+        let Ok((hit, _)) = rev.step(q, true) else {
+            panic!("the step is bounded");
+        };
+        assert_eq!(hit, expect);
+        assert_eq!(rev.refactorizations, 0, "a structural event refactorized");
+        assert_eq!(rev.glued, glued_lists(&sf, &rev.state));
+        let fresh = SparseLu::factor(sf.m, &basis_columns(&sf, &rev.glued, &rev.basis))
+            .expect("the updated basis is nonsingular");
+        for k in 0..=sf.m {
+            // The unit vectors, then a dense one.
+            let v: Vec<f64> = (0..sf.m)
+                .map(|i| {
+                    if k == sf.m {
+                        1.0 + i as f64
+                    } else {
+                        (i == k) as u8 as f64
+                    }
+                })
+                .collect();
+            for (got, want) in [
+                (rev.ftran(&v), fresh.solve(&v)),
+                (rev.btran(&v), fresh.solve_transposed(&v)),
+            ] {
+                for (g, w) in got.iter().zip(&want) {
+                    assert!(
+                        (g - w).abs() <= 1e-9,
+                        "eta file {got:?} vs fresh LU {want:?}"
+                    );
+                }
+            }
+        }
+        (rev.basis.clone(), rev.xb.clone())
+    }
+
+    /// One VUB family: key `y` (column 0, `y ≤ y_cap`) with dependent `x`
+    /// (column 1), and `z` (column 2) beside it: `x + z = 4` (row 0, its
+    /// artificial is column 4) and `y ≤ 8` (row 1, slack column 3).
+    fn one_family(y_cap: f64) -> LpProblem<f64> {
+        let mut lp: LpProblem<f64> = LpProblem::new();
+        let y = lp.add_var(0.0);
+        let x = lp.add_var(0.0);
+        let z = lp.add_var(0.0);
+        lp.set_upper(y, y_cap);
+        lp.set_vub(x, y);
+        lp.add_constraint(vec![(x, 1.0), (z, 1.0)], Cmp::Eq, 4.0);
+        lp.add_constraint(vec![(y, 1.0)], Cmp::Le, 8.0);
+        lp
+    }
+
+    #[test]
+    fn unglue_leave_off_a_basic_key_is_two_etas() {
+        // y = 4 basic with x glued (its column is A_y + A_x), slack 4.
+        // x comes off the glue: w = B̄⁻¹A_x = (1, −1), so w_pk = 1 and x
+        // never reaches 0 — the slack leaves at r = 1 ≠ pk = 0, and the
+        // key column loses A_x after A_x is installed at r.
+        let (basis, xb) = step_from(
+            &one_family(10.0),
+            &[0, 3],
+            &[1],
+            1,
+            Hit::Leave(1, VarState::AtLower),
+        );
+        assert_eq!(basis, [0, 1]);
+        assert_eq!(xb, [8.0, 4.0]);
+    }
+
+    #[test]
+    fn unglue_leave_of_the_key_itself_is_one_eta() {
+        // As above with y ≤ 5: the key reaches its bound first, so it
+        // leaves at r = pk and x takes its place with its plain column.
+        let (basis, xb) = step_from(
+            &one_family(5.0),
+            &[0, 3],
+            &[1],
+            1,
+            Hit::Leave(0, VarState::AtUpper),
+        );
+        assert_eq!(basis, [1, 3]);
+        assert_eq!(xb, [4.0, 3.0]);
+    }
+
+    #[test]
+    fn leave_glue_while_ungluing_within_one_family() {
+        // Key y (column 0, ≤ 10) with dependents x1, x2 (columns 1, 2):
+        // x1 + x2 = 4 (row 0, artificial column 4), y ≤ 3 (row 1, slack
+        // column 3). From y = 3 with x1 glued and x2 = 1 basic, x1 comes
+        // off the glue and x2 rises onto y: x2 glues, x1 turns basic.
+        let mut lp: LpProblem<f64> = LpProblem::new();
+        let y = lp.add_var(0.0);
+        let x1 = lp.add_var(0.0);
+        let x2 = lp.add_var(0.0);
+        lp.set_upper(y, 10.0);
+        lp.set_vub(x1, y);
+        lp.set_vub(x2, y);
+        lp.add_constraint(vec![(x1, 1.0), (x2, 1.0)], Cmp::Eq, 4.0);
+        lp.add_constraint(vec![(y, 1.0)], Cmp::Le, 3.0);
+        let (basis, xb) = step_from(&lp, &[y, x2], &[x1], x1, Hit::LeaveGlue(1));
+        assert_eq!(basis, [y, x1]);
+        assert_eq!(xb, [3.0, 1.0]);
+    }
+
+    #[test]
+    fn leave_glue_while_ungluing_across_two_families() {
+        // Keys y1, y2 (columns 0, 1) with dependents x1 → y1, x2 → y2
+        // (columns 2, 3): x1 + x2 = 4 (row 0, artificial column 6),
+        // y1 ≤ 3 and y2 ≤ 2 (rows 1, 2, slacks 4, 5). x1 comes off y1
+        // while x2 rises onto y2: three etas, none refactorizes.
+        let mut lp: LpProblem<f64> = LpProblem::new();
+        let y1 = lp.add_var(0.0);
+        let y2 = lp.add_var(0.0);
+        let x1 = lp.add_var(0.0);
+        let x2 = lp.add_var(0.0);
+        lp.set_upper(y1, 10.0);
+        lp.set_upper(y2, 10.0);
+        lp.set_vub(x1, y1);
+        lp.set_vub(x2, y2);
+        lp.add_constraint(vec![(x1, 1.0), (x2, 1.0)], Cmp::Eq, 4.0);
+        lp.add_constraint(vec![(y1, 1.0)], Cmp::Le, 3.0);
+        lp.add_constraint(vec![(y2, 1.0)], Cmp::Le, 2.0);
+        let (basis, xb) = step_from(&lp, &[y1, x2, y2], &[x1], x1, Hit::LeaveGlue(1));
+        assert_eq!(basis, [y1, x1, y2]);
+        assert_eq!(xb, [3.0, 2.0, 2.0]);
+    }
+
+    /// SplitMix64: the test LPs below are drawn from one seed.
+    struct Draw(u64);
+
+    impl Draw {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        fn int(&mut self, lo: i64, hi: i64) -> i64 {
+            lo + self.below((hi - lo + 1) as usize) as i64
+        }
+    }
+
+    /// An LP1-shaped block: run keys `Y_I ≤ w_I` of cost 1, per job a
+    /// dependent `x_{I,j}` in each run of its random window, capacity rows
+    /// `Σ_j x_{I,j} − g·Y_I ≤ 0` and demand rows `Σ_I x_{I,j} ≥ p_j`.
+    fn lp1_block(d: &mut Draw) -> LpProblem<Rat> {
+        let runs = 2 + d.below(6);
+        let g = d.int(1, 3);
+        let widths: Vec<i64> = (0..runs).map(|_| d.int(1, 3)).collect();
+        let mut lp: LpProblem<Rat> = LpProblem::new();
+        let keys: Vec<usize> = widths
+            .iter()
+            .map(|&w| {
+                let v = lp.add_var(Rat::ONE);
+                lp.set_upper(v, Rat::from_int(w));
+                v
+            })
+            .collect();
+        let mut capacity: Vec<Vec<(usize, Rat)>> = vec![Vec::new(); runs];
+        let mut demand = Vec::new();
+        for _ in 0..1 + d.below(8) {
+            let lo = d.below(runs);
+            let hi = lo + 1 + d.below(runs - lo);
+            let room: i64 = widths[lo..hi].iter().sum();
+            let mut terms = Vec::new();
+            for ri in lo..hi {
+                let x = lp.add_var(Rat::ZERO);
+                lp.set_vub(x, keys[ri]);
+                capacity[ri].push((x, Rat::ONE));
+                terms.push((x, Rat::ONE));
+            }
+            demand.push((terms, d.int(1, room)));
+        }
+        for (ri, mut terms) in capacity.into_iter().enumerate() {
+            if !terms.is_empty() {
+                terms.push((keys[ri], Rat::from_int(-g)));
+                lp.add_constraint(terms, Cmp::Le, Rat::ZERO);
+            }
+        }
+        for (terms, p) in demand {
+            lp.add_constraint(terms, Cmp::Ge, Rat::from_int(p));
+        }
+        lp
+    }
+
+    /// A feasible, bounded random VUB LP: keys with constant bounds, each
+    /// with a few dependents (some also with a constant bound, promoted
+    /// to a row), plain bounded columns, and rows of small integer
+    /// coefficients of every sense around a random integer point that
+    /// satisfies all of it.
+    fn random_vub_lp(d: &mut Draw) -> LpProblem<Rat> {
+        let mut lp: LpProblem<Rat> = LpProblem::new();
+        let mut point: Vec<i64> = Vec::new();
+        for _ in 0..1 + d.below(3) {
+            let cap = d.int(1, 5);
+            let key = lp.add_var(Rat::from_int(d.int(-3, 3)));
+            lp.set_upper(key, Rat::from_int(cap));
+            let at = d.int(0, cap);
+            point.push(at);
+            for _ in 0..1 + d.below(4) {
+                let dep = lp.add_var(Rat::from_int(d.int(-3, 3)));
+                lp.set_vub(dep, key);
+                let mut val = d.int(0, at);
+                if d.below(4) == 0 {
+                    let own = d.int(0, cap);
+                    lp.set_upper(dep, Rat::from_int(own));
+                    val = val.min(own);
+                }
+                point.push(val);
+            }
+        }
+        for _ in 0..d.below(3) {
+            let cap = d.int(1, 5);
+            let v = lp.add_var(Rat::from_int(d.int(-3, 3)));
+            lp.set_upper(v, Rat::from_int(cap));
+            point.push(d.int(0, cap));
+        }
+        let n = point.len();
+        for _ in 0..1 + d.below(6) {
+            let mut terms = Vec::new();
+            let mut at = 0;
+            for _ in 0..1 + d.below(4) {
+                let v = d.below(n);
+                let a = [-3, -2, -1, 1, 2, 3][d.below(6)];
+                terms.push((v, Rat::from_int(a)));
+                at += a * point[v];
+            }
+            let (cmp, rhs) = match d.below(3) {
+                0 => (Cmp::Le, at + d.int(0, 2)),
+                1 => (Cmp::Ge, at - d.int(0, 2)),
+                _ => (Cmp::Eq, at),
+            };
+            lp.add_constraint(terms, cmp, Rat::from_int(rhs));
+        }
+        lp
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        #[test]
+        fn flat_pricing_and_eta_updates_keep_dense_exact_answers(
+            lp1 in 0usize..2,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut d = Draw(seed);
+            let lp = if lp1 == 1 { lp1_block(&mut d) } else { random_vub_lp(&mut d) };
+            let exact = solve_lp(&lp, &LpOptions::new().backend(SolverBackend::DenseExact))
+                .expect("the dense exact backend never fails")
+                .solution;
+            // Full Dantzig, a tiny rotating window, and the default.
+            for window in [0, 2, DEFAULT_PRICING_WINDOW] {
+                let checks = PRICING_CHECKS.with(Cell::get);
+                let opts = LpOptions::new().pricing(BoundedOptions {
+                    pricing_window: window,
+                    ..BoundedOptions::default()
+                });
+                match solve_lp(&lp, &opts) {
+                    Ok(rep) => {
+                        prop_assert_eq!(exact.status.clone(), LpStatus::Optimal);
+                        prop_assert_eq!(rep.solution.objective, exact.objective);
+                    }
+                    Err(SolveFailure::Infeasible) => {
+                        prop_assert_eq!(exact.status.clone(), LpStatus::Infeasible);
+                    }
+                    Err(other) => {
+                        return Err(TestCaseError::fail(format!("window {window}: {other}")));
+                    }
+                }
+                prop_assert!(PRICING_CHECKS.with(Cell::get) > checks, "no iteration was priced");
+            }
+        }
     }
 }

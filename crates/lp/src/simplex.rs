@@ -163,8 +163,8 @@ pub struct SolveStats {
     /// Bound/VUB flips of the float pass (iterations without a basis
     /// change).
     pub bound_flips: u64,
-    /// LU refactorizations of the float pass (periodic and
-    /// VUB-structural).
+    /// LU refactorizations of the float pass (each when its eta file
+    /// grew too long or too dense).
     pub refactorizations: u64,
     /// Total wall time of the certification step (both tiers), in
     /// nanoseconds. Always `certify_interval_nanos + certify_exact_nanos`
@@ -1174,7 +1174,8 @@ pub(crate) fn revised_cold(
     lp: &LpProblem<Rat>,
     opts: &LpOptions,
 ) -> Result<LpReport, SolveFailure> {
-    let sf64 = StandardForm::build(&to_f64(lp));
+    let sfr = StandardForm::build(lp);
+    let sf64 = sfr.to_f64();
     let start = opts.start.and_then(|s| s.snapshot(&sf64));
     let prop = solve_bounded_f64_with(&sf64, &opts.pricing, start.as_ref());
     match prop.status {
@@ -1185,7 +1186,6 @@ pub(crate) fn revised_cold(
             return Err(SolveFailure::NumericalStall)
         }
     }
-    let sfr = StandardForm::build(lp);
     let mut stats = SolveStats {
         pivots: prop.pivots,
         phase1_pivots: prop.phase1_pivots,
