@@ -26,20 +26,30 @@
 //!   content changed — including merges and splits, whose products are
 //!   new keys. Deletions don't invalidate survivors: an untouched
 //!   component keeps its key whatever happens elsewhere.
+//! * **Held blocks** — a kept component holds its solved block (objective
+//!   and open runs) from the solve that served it until it dissolves. Only
+//!   the components the last regroup created hold none: they alone
+//!   consult the content cache, the quarantine, the admission precheck
+//!   and the supervision ladder, from a sub-instance of their members
+//!   built once. A solve therefore looks up, admits and solves in
+//!   proportion to what the mutations touched; the ~80 untouched
+//!   components of a typical op cost one pass over their held runs.
 //!
 //! A dirty component solves cold down the supervision ladder, from the
 //! crash start its LP block carries (see [`crate::lp_model`]).
 //!
-//! **Exactness is preserved end to end**: cached blocks carry the exact
-//! rational `Y`/objective they were certified with, and the stitched
-//! objective is an exact rational sum — bit-identical to solving the
-//! current instance from scratch with
+//! **Exactness is preserved end to end**: cached and held blocks carry
+//! the exact rational `Y`/objective they were certified with, and the
+//! assembled objective is an exact rational sum — bit-identical to
+//! solving the current instance from scratch with
 //! [`solve_active_lp_with`](crate::lp_model), which the property tests
-//! assert.
+//! assert. The report counters are those of a driver that consults the
+//! cache for every component: a held block's key is in the cache, and
+//! the cache-size reset drops the held blocks with the cache.
 //!
-//! Admission runs per component, and only on the components the content
-//! cache cannot serve: the interval load condition decomposes over
-//! components, and a cached block certifies its content (see
+//! Admission runs per component, and only on the new components the
+//! content cache cannot serve: the interval load condition decomposes
+//! over components, and a cached or held block certifies its content (see
 //! [`crate::admission`]). The verdict, and the first violated deadline of
 //! a rejection, are those of the whole-instance sweep.
 //!
@@ -47,24 +57,26 @@
 //! its members in ascending handle order. Its slot runs are the global
 //! runs inside its span (no other job has an event point there), so the
 //! LP and its content key are exactly those of the whole-instance
-//! decomposition, and the stitched per-slot `y` walks the components in
-//! time order with zeros over the gaps.
+//! decomposition, and the answer's open runs are the held blocks' runs in
+//! time order: nothing is written per slot, so a span of any length that
+//! fits `i64` answers.
 //!
 //! Each [`IncrementalReport`] carries the per-solve breakdown (components
 //! reused / solved cold). Each solve opens the always-on spans
 //! `incremental.regroup`, `incremental.admission` and
-//! `incremental.stitch`, and adds the jobs it re-partitioned to the
-//! `incremental.jobs_regrouped` registry counter.
+//! `incremental.stitch` (the assembly of the open runs), and adds the
+//! jobs it re-partitioned to the `incremental.jobs_regrouped` registry
+//! counter.
 
 use crate::admission::admission_precheck;
 use crate::lp_model::{
-    build_component_lp, record_admission_reject, record_quarantine, record_recovery,
-    record_state_corrupt, revised_options, slot_runs, ActiveLp, Component, DecomposeMode,
-    LpOptions, SlotRun,
+    build_component_lp, push_open_runs, record_admission_reject, record_quarantine,
+    record_recovery, record_state_corrupt, revised_options, slot_runs, ActiveLp, Component,
+    DecomposeMode, LpOptions, OpenRun, SlotRun,
 };
 use crate::store::{encode_state, JournalOp, RecoveryReport, SolveStateStore};
 use crate::supervise::{supervised_solve, PartialSolve, QuarantinedComponent, SolveError};
-use abt_core::active_schedule::{horizon_len, per_slot_horizon_len};
+use abt_core::active_schedule::horizon_len;
 use abt_core::obs::metrics::{self, Counter};
 use abt_core::persist::PersistError;
 use abt_core::{Error, Instance, Job, Result, SolveFailure, Time};
@@ -76,9 +88,9 @@ use std::sync::OnceLock;
 #[cfg(test)]
 mod oracle;
 
-/// Bound on cached component blocks; past it the content cache and the
-/// quarantine are cleared (a rare, cheap reset that keeps a long-lived
-/// solver's memory bounded).
+/// Bound on cached component blocks; past it the content cache, the
+/// quarantine and the held blocks are cleared (a rare, cheap reset that
+/// keeps a long-lived solver's memory bounded).
 const CACHE_CAP: usize = 16_384;
 
 /// Translation-invariant content of a component: the sorted multiset of
@@ -112,6 +124,46 @@ struct KeptComponent {
     key: ContentKey,
     /// Widths of the component's slot runs, in time order.
     widths: Vec<i64>,
+    /// The solved block, or what the next solve needs to get one.
+    block: Block,
+}
+
+/// A kept component's answer.
+enum Block {
+    /// Not served yet (created by the last regroup, quarantined, or its
+    /// held block dropped): the sub-instance of the members, for the
+    /// admission precheck and the component LP.
+    Fresh(Instance),
+    /// The exact objective and open runs of the block that served it.
+    Held { objective: Rat, open: Vec<OpenRun> },
+}
+
+impl Block {
+    /// Open runs held (0 while fresh).
+    fn open_runs(&self) -> usize {
+        match self {
+            Block::Fresh(_) => 0,
+            Block::Held { open, .. } => open.len(),
+        }
+    }
+
+    /// `block` laid out from span start `start` over runs of `widths`.
+    fn held(start: Time, widths: &[i64], block: &CachedBlock) -> Block {
+        let runs = widths.iter().scan(start, |at, &w| {
+            let run = SlotRun {
+                start: *at,
+                end: *at + w,
+            };
+            *at = run.end;
+            Some(run)
+        });
+        let mut open = Vec::new();
+        push_open_runs(&mut open, runs, &block.y_runs);
+        Block::Held {
+            objective: block.objective,
+            open,
+        }
+    }
 }
 
 /// The `incremental.jobs_regrouped` registry counter: live jobs that
@@ -124,8 +176,11 @@ fn jobs_regrouped() -> &'static Counter {
 /// What one [`IncrementalSolver::solve`] call did, besides solving.
 #[derive(Debug, Clone)]
 pub struct IncrementalReport {
-    /// The exact LP1 optimum of the current job set (same contract as
-    /// [`solve_active_lp_with`](crate::lp_model::solve_active_lp_with)).
+    /// The exact LP1 optimum of the current job set as open runs and
+    /// objective: the same objective and runs as
+    /// [`solve_active_lp_with`](crate::lp_model::solve_active_lp_with) on
+    /// [`IncrementalSolver::instance`], assembled from the components'
+    /// blocks in time order.
     pub lp: ActiveLp,
     /// Components of the current interval graph.
     pub components: usize,
@@ -379,9 +434,9 @@ impl IncrementalSolver {
         Instance::new(self.jobs(), self.g)
     }
 
-    /// Re-solves LP1 for the current job set, reusing cached component
-    /// blocks and solving the dirty ones cold. The objective (and the
-    /// stitched per-slot `y`'s feasibility) is bit-identical to a from-
+    /// Re-solves LP1 for the current job set, reusing held and cached
+    /// component blocks and solving the dirty ones cold. The objective
+    /// (and the assembled runs' feasibility) is bit-identical to a from-
     /// scratch [`solve_active_lp_with`](crate::lp_model::solve_active_lp_with)
     /// on [`IncrementalSolver::instance`].
     ///
@@ -396,13 +451,14 @@ impl IncrementalSolver {
     /// The fallible-solve surface of [`IncrementalSolver::solve`]: when
     /// some components' supervision ladders failed entirely, returns
     /// [`SolveError::Partial`] carrying the exact objectives of every
-    /// healthy component — clean components keep their cached blocks (and
-    /// are **never re-solved** on later calls), and the quarantined keys
-    /// are skipped until their content changes.
+    /// healthy component — clean components keep their blocks (and are
+    /// **never re-solved** on later calls), and the quarantined keys are
+    /// skipped until their content changes.
     pub fn try_solve(&mut self) -> std::result::Result<IncrementalReport, SolveError> {
         if self.content_cache.len() > CACHE_CAP {
             self.content_cache.clear();
             self.quarantine.clear();
+            self.drop_held(|_| true);
         }
         // Every live job outside `pending` passed a regroup, so only a job
         // added since can be invalid; the whole-instance check names it.
@@ -415,11 +471,17 @@ impl IncrementalSolver {
         self.regroup().map_err(SolveError::Model)?;
         // Admission control: the Hall-condition precheck bounces
         // provably-infeasible job sets before any LP is built, leaving
-        // every cache untouched. Components the content cache serves
-        // already passed it (see [`crate::admission`]).
+        // every cache untouched. Held blocks and the components the
+        // content cache serves already passed it (see
+        // [`crate::admission`]).
+        let mut fresh: Vec<Time> = Vec::new();
         {
             let _span = abt_core::obs_span!("incremental.admission");
-            for kept in self.comps.values() {
+            for (&start, kept) in &self.comps {
+                let Block::Fresh(sub) = &kept.block else {
+                    continue;
+                };
+                fresh.push(start);
                 let served = self
                     .content_cache
                     .get(&kept.key)
@@ -427,24 +489,16 @@ impl IncrementalSolver {
                 if served {
                     continue;
                 }
-                let sub = member_instance(&self.jobs, &kept.members, self.g);
-                if let Err(rej) = admission_precheck(&sub) {
+                if let Err(rej) = admission_precheck(sub) {
                     record_admission_reject();
                     return Err(SolveError::Rejected(rej));
                 }
             }
         }
-        // The stitch below writes one `y` per slot of the span.
-        if let (Some((&lo, _)), Some((_, last))) =
-            (self.comps.first_key_value(), self.comps.last_key_value())
-        {
-            per_slot_horizon_len(lo, last.end).map_err(SolveError::Model)?;
-        }
         if self.comps.is_empty() {
             return Ok(IncrementalReport {
                 lp: ActiveLp {
-                    slots: Vec::new(),
-                    y: Vec::new(),
+                    runs: Vec::new(),
                     objective: Rat::ZERO,
                 },
                 components: 0,
@@ -454,33 +508,19 @@ impl IncrementalSolver {
                 cold_solves: 0,
             });
         }
+        // Serve the new components in time order: from the content cache,
+        // else cold down the supervision ladder, from the block's crash
+        // start.
         let ropts = revised_options(&self.opts);
-        // Per-run `Y` of every component, in time order.
-        let mut y_runs: Vec<Rat> = Vec::new();
-        let mut objective = Rat::ZERO;
-        let mut healthy: Vec<(usize, Rat)> = Vec::new();
-        let mut quarantined: Vec<QuarantinedComponent> = Vec::new();
-        let mut live_quarantine: Vec<ContentKey> = Vec::new();
-        let mut report = IncrementalReport {
-            lp: ActiveLp {
-                slots: Vec::new(),
-                y: Vec::new(),
-                objective: Rat::ZERO,
-            },
-            components: self.comps.len(),
-            reused: 0,
-            warm_attempts: 0,
-            warm_hits: 0,
-            cold_solves: 0,
-        };
-        for (ci, kept) in self.comps.values().enumerate() {
-            let n_runs = kept.widths.len();
+        let mut cold_solves = 0;
+        for start in fresh {
+            let kept = self
+                .comps
+                .get_mut(&start)
+                .expect("fresh components are kept");
             match self.content_cache.get(&kept.key) {
-                Some(block) if block.y_runs.len() == n_runs => {
-                    report.reused += 1;
-                    y_runs.extend_from_slice(&block.y_runs);
-                    objective = objective.add(&block.objective);
-                    healthy.push((ci, block.objective));
+                Some(block) if block.y_runs.len() == kept.widths.len() => {
+                    kept.block = Block::held(start, &kept.widths, block);
                     continue;
                 }
                 Some(_) => {
@@ -498,32 +538,23 @@ impl IncrementalSolver {
             }
             // A quarantined key is not retried: the ladder already failed
             // for this exact content, and re-admission is content-driven.
-            if let Some(f) = self.quarantine.get(&kept.key) {
-                quarantined.push(QuarantinedComponent {
-                    jobs: instance_indices(&self.jobs, &kept.members),
-                    failure: f.clone(),
-                });
-                live_quarantine.push(kept.key.clone());
+            if self.quarantine.contains_key(&kept.key) {
                 continue;
             }
-            // Dirty: re-solve cold, from the block's crash start.
-            let sub = member_instance(&self.jobs, &kept.members, self.g);
-            let runs = slot_runs(&sub);
+            let Block::Fresh(sub) = &kept.block else {
+                unreachable!("only fresh components are served")
+            };
+            let runs = slot_runs(sub);
             let comp = Component {
                 run_lo: 0,
                 run_hi: runs.len(),
                 jobs: (0..sub.len()).collect(),
             };
-            let clp = build_component_lp(&sub, &self.opts, &runs, &comp);
+            let clp = build_component_lp(sub, &self.opts, &runs, &comp);
             let sol = match supervised_solve(&clp.lp, &ropts.start(clp.start.as_ref())) {
                 Ok(sr) => sr.solution,
                 Err(f) => {
                     record_quarantine();
-                    quarantined.push(QuarantinedComponent {
-                        jobs: instance_indices(&self.jobs, &kept.members),
-                        failure: f.clone(),
-                    });
-                    live_quarantine.push(kept.key.clone());
                     self.quarantine.insert(kept.key.clone(), f);
                     continue;
                 }
@@ -537,20 +568,54 @@ impl IncrementalSolver {
                 }
                 LpStatus::Unbounded => unreachable!("LP1 objective is bounded below by 0"),
             }
-            report.cold_solves += 1;
+            cold_solves += 1;
             let block = CachedBlock {
-                y_runs: sol.x[..n_runs].to_vec(),
+                y_runs: sol.x[..kept.widths.len()].to_vec(),
                 objective: sol.objective,
             };
-            y_runs.extend_from_slice(&block.y_runs);
-            objective = objective.add(&block.objective);
-            healthy.push((ci, block.objective));
+            kept.block = Block::held(start, &kept.widths, &block);
             self.content_cache.insert(kept.key.clone(), block);
         }
+        // Assemble the answer from the held blocks in time order; a
+        // component without one is quarantined.
+        let mut runs: Vec<OpenRun> = Vec::new();
+        let mut objective = Rat::ZERO;
+        let mut quarantined: Vec<QuarantinedComponent> = Vec::new();
+        let mut live_quarantine: Vec<&ContentKey> = Vec::new();
+        {
+            let _span = abt_core::obs_span!("incremental.stitch");
+            runs.reserve_exact(self.comps.values().map(|k| k.block.open_runs()).sum());
+            for kept in self.comps.values() {
+                match &kept.block {
+                    Block::Held {
+                        objective: obj,
+                        open,
+                    } => {
+                        runs.extend_from_slice(open);
+                        objective = objective.add(obj);
+                    }
+                    Block::Fresh(_) => {
+                        quarantined.push(QuarantinedComponent {
+                            jobs: instance_indices(&self.jobs, &kept.members),
+                            failure: self.quarantine[&kept.key].clone(),
+                        });
+                        live_quarantine.push(&kept.key);
+                    }
+                }
+            }
+        }
+        let report = IncrementalReport {
+            lp: ActiveLp { runs, objective },
+            components: self.comps.len(),
+            reused: self.comps.len() - cold_solves - quarantined.len(),
+            warm_attempts: 0,
+            warm_hits: 0,
+            cold_solves,
+        };
         // Quarantine entries whose content no longer exists (the offending
         // job was removed or mutated) are pruned: the key can only recur
         // through fresh content, which solves cold like any first sighting.
-        self.quarantine.retain(|k, _| live_quarantine.contains(k));
+        self.quarantine.retain(|k, _| live_quarantine.contains(&k));
         // Periodic compaction: fold the journal into a fresh checkpoint of
         // the post-solve state (partial solves included — their healthy
         // blocks are cache content worth persisting).
@@ -562,22 +627,35 @@ impl IncrementalSolver {
             self.checkpoint_now();
         }
         if !quarantined.is_empty() {
-            // Healthy blocks (including the ones just solved) stay cached,
-            // so the solver keeps serving them on every later call.
+            // Healthy blocks (including the ones just solved) stay held
+            // and cached, so the solver keeps serving them on every later
+            // call.
+            let healthy = self
+                .comps
+                .values()
+                .enumerate()
+                .filter_map(|(ci, kept)| match kept.block {
+                    Block::Held { objective, .. } => Some((ci, objective)),
+                    Block::Fresh(_) => None,
+                })
+                .collect();
             return Err(SolveError::Partial(PartialSolve {
-                healthy_objective: objective,
+                healthy_objective: report.lp.objective,
                 healthy,
                 quarantined,
             }));
         }
-        let (slots, y) = self.stitch(&y_runs);
-        report.lp = ActiveLp {
-            slots,
-            y,
-            objective,
-        };
-        debug_assert_eq!(report.lp.y.len(), report.lp.slots.len());
         Ok(report)
+    }
+
+    /// Drops the held blocks of the kept components `select` picks: the
+    /// next solve serves them like new components.
+    fn drop_held(&mut self, select: impl Fn(&KeptComponent) -> bool) {
+        for kept in self.comps.values_mut() {
+            if matches!(kept.block, Block::Held { .. }) && select(kept) {
+                kept.block = Block::Fresh(member_instance(&self.jobs, &kept.members, self.g));
+            }
+        }
     }
 
     /// Re-partitions the kept components that a mutation since the last
@@ -646,41 +724,11 @@ impl IncrementalSolver {
                     members,
                     key,
                     widths,
+                    block: Block::Fresh(sub),
                 },
             );
         }
         Ok(())
-    }
-
-    /// The per-slot `y` over the horizon, from the components' per-run
-    /// `Y` in time order: zeros over the gaps between components, and each
-    /// run's mass spread evenly over its slots (`y_t = Y_I / w_I`).
-    fn stitch(&self, y_runs: &[Rat]) -> (Vec<Time>, Vec<Rat>) {
-        let _span = abt_core::obs_span!("incremental.stitch");
-        let (Some((&lo, _)), Some((_, last))) =
-            (self.comps.first_key_value(), self.comps.last_key_value())
-        else {
-            return (Vec::new(), Vec::new());
-        };
-        let mut y: Vec<Rat> = Vec::with_capacity((last.end - lo) as usize);
-        let mut at = lo;
-        let mut vals = y_runs.iter();
-        for (&start, kept) in &self.comps {
-            y.resize(y.len() + (start - at) as usize, Rat::ZERO);
-            for &w in &kept.widths {
-                // Most runs are closed; skipping their exact division
-                // gives the same zero.
-                let mass = vals.next().expect("one Y per run");
-                let share = if mass.signum() == 0 {
-                    Rat::ZERO
-                } else {
-                    mass.div(&Rat::from_int(w))
-                };
-                y.resize(y.len() + w as usize, share);
-            }
-            at = kept.end;
-        }
-        ((lo + 1..=last.end).collect(), y)
     }
 }
 
@@ -726,7 +774,7 @@ fn instance_indices(jobs: &[Option<Job>], members: &[IncrementalJobId]) -> Vec<u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lp_model::{solve_active_lp, solve_active_lp_with};
+    use crate::lp_model::{lp_telemetry, solve_active_lp, solve_active_lp_with};
 
     #[test]
     fn matches_from_scratch_solves_across_mutations() {
@@ -816,7 +864,7 @@ mod tests {
         let mut solver = IncrementalSolver::new(3).unwrap();
         let rep = solver.solve().unwrap();
         assert_eq!(rep.lp.objective, Rat::ZERO);
-        assert!(rep.lp.y.is_empty());
+        assert!(rep.lp.runs.is_empty());
         assert!(solver.remove_job(7).is_err());
         let id = solver.add_job(Job::new(0, 4, 2));
         assert!(solver.update_window(id, 0, 1).is_err(), "window too small");
@@ -846,8 +894,9 @@ mod tests {
     }
 
     #[test]
-    fn a_horizon_past_the_per_slot_limit_is_refused() {
-        // The stitch would write 8·10⁹ per-slot values.
+    fn a_horizon_past_the_per_slot_limit_is_answered_as_runs() {
+        // 8·10⁹ slots: nothing is written per slot, so the span answers
+        // like any other, with the mass bound 15/2.
         let mut solver = IncrementalSolver::new(2).unwrap();
         for (r, d, p) in [
             (0, 8_000_000_000, 3),
@@ -858,13 +907,17 @@ mod tests {
         ] {
             solver.add_job(Job::try_new(r, d, p).unwrap());
         }
-        assert!(matches!(
-            solver.solve(),
-            Err(Error::HorizonTooLong {
-                slots: 8_000_000_001,
-                ..
-            })
-        ));
+        let rep = solver.solve().unwrap();
+        assert_eq!(rep.lp.objective, Rat::new(15, 2));
+        assert_eq!((rep.components, rep.cold_solves), (1, 1));
+        let scratch = solve_active_lp(&solver.instance().unwrap()).unwrap();
+        assert_eq!(scratch.objective, rep.lp.objective);
+        let mass = rep
+            .lp
+            .runs
+            .iter()
+            .fold(Rat::ZERO, |acc, run| acc.add(&run.mass));
+        assert_eq!(mass, rep.lp.objective);
     }
 
     /// A window whose length overflows `i64`: `solve_active_lp` refuses
@@ -957,23 +1010,46 @@ mod tests {
 
     #[test]
     fn poisoned_cache_block_is_absorbed_not_panicked() {
-        // Satellite of the durability work: a cached block whose run
-        // count disagrees with its key (reachable only via drifted
-        // persisted state) must demote to a cold re-solve, never panic,
-        // never change the answer.
+        // A cached block whose run count disagrees with its key is
+        // reachable only via drifted persisted state: checkpoint one,
+        // re-attach and solve. The block must be dropped and its
+        // component solved cold — never a panic, never a changed answer.
+        let dir = tmp_state_dir("poison");
+        let clean = {
+            let mut solver = IncrementalSolver::new(2).unwrap();
+            solver.attach_store(&dir).unwrap();
+            solver.add_job(Job::new(0, 4, 2));
+            solver.add_job(Job::new(1, 3, 2));
+            let clean = solver.solve().unwrap();
+            // Poison every cached block with an impossible shape.
+            for block in solver.content_cache.values_mut() {
+                block.y_runs = vec![Rat::ZERO; 1usize];
+                block.objective = Rat::from_int(999);
+            }
+            assert!(solver.checkpoint_now());
+            clean.lp.objective
+        };
         let mut solver = IncrementalSolver::new(2).unwrap();
-        solver.add_job(Job::new(0, 4, 2));
-        solver.add_job(Job::new(1, 3, 2));
-        let clean = solver.solve().unwrap();
-        // Poison every cached block with an impossible shape.
-        for block in solver.content_cache.values_mut() {
-            block.y_runs = vec![Rat::ZERO; 1usize];
-            block.objective = Rat::from_int(999);
-        }
+        let rep = solver.attach_store(&dir).unwrap();
+        assert_eq!((rep.restored_blocks, rep.corruption_events), (1, 0));
+        let before = lp_telemetry();
         let resolved = solver.solve().unwrap();
-        assert_eq!(resolved.lp.objective, clean.lp.objective);
+        let d = lp_telemetry().delta(&before);
+        assert_eq!(resolved.lp.objective, clean);
         assert_eq!(resolved.reused, 0, "poisoned block must not be reused");
-        assert!(resolved.cold_solves >= 1);
+        assert_eq!(resolved.cold_solves, 1);
+        // The cold solve's block replaced the poisoned one.
+        let kept = solver.comps.values().next().unwrap();
+        let block = &solver.content_cache[&kept.key];
+        assert_eq!(
+            (block.y_runs.len(), block.objective),
+            (kept.widths.len(), clean)
+        );
+        // Lower bounds: the counters are process-wide and sibling tests
+        // run concurrently (tests/poisoned_checkpoint.rs pins exactly one
+        // of each in a binary of its own).
+        assert!(d.state_corrupt >= 1 && d.recoveries >= 1, "{d:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     fn tmp_state_dir(tag: &str) -> std::path::PathBuf {

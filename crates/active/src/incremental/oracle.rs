@@ -4,24 +4,25 @@
 //! [`OracleSolver::try_solve`] re-derives everything on every solve: it
 //! builds the current [`Instance`], runs the admission sweep over all of
 //! it, recomputes the slot runs, the components and every content key,
-//! and disaggregates the whole horizon. It has caches of its own. The
-//! property tests below feed one mutation stream to both drivers and
-//! require the same answers, the same report counters, the same outcome
-//! on rejection and quarantine, and the same cache contents after every
-//! solve; they also check the kept component map against a fresh
-//! whole-instance decomposition.
+//! looks every component up in its content cache, and collects the open
+//! runs over the whole horizon. It has caches of its own and holds no
+//! blocks. The property tests below feed one mutation stream to both
+//! drivers and require the same answers (open runs and objective), the
+//! same report counters, the same outcome on rejection and quarantine,
+//! and the same cache contents after every solve; they also check the
+//! kept component map against a fresh whole-instance decomposition.
 
 use super::{
     CachedBlock, ContentKey, IncrementalJobId, IncrementalReport, IncrementalSolver, CACHE_CAP,
 };
 use crate::admission::admission_precheck;
 use crate::lp_model::{
-    build_component_lp, components, disaggregate, record_admission_reject, record_quarantine,
+    build_component_lp, components, push_open_runs, record_admission_reject, record_quarantine,
     record_recovery, record_state_corrupt, revised_options, slot_runs, ActiveLp, DecomposeMode,
     LpOptions, SlotRun, VubMode,
 };
 use crate::supervise::{supervised_solve, PartialSolve, QuarantinedComponent, SolveError};
-use abt_core::active_schedule::horizon_slots;
+use abt_core::active_schedule::horizon_len;
 use abt_core::{Error, Instance, Job, Result, SolveFailure, Time};
 use abt_lp::{LpStatus, Rat};
 use proptest::prelude::*;
@@ -85,12 +86,11 @@ impl OracleSolver {
             record_admission_reject();
             return Err(SolveError::Rejected(rej));
         }
-        let slots = horizon_slots(&inst).map_err(SolveError::Model)?;
+        horizon_len(inst.min_release(), inst.max_deadline()).map_err(SolveError::Model)?;
         if inst.is_empty() {
             return Ok(IncrementalReport {
                 lp: ActiveLp {
-                    slots,
-                    y: Vec::new(),
+                    runs: Vec::new(),
                     objective: Rat::ZERO,
                 },
                 components: 0,
@@ -110,8 +110,7 @@ impl OracleSolver {
         let mut live_quarantine: Vec<ContentKey> = Vec::new();
         let mut report = IncrementalReport {
             lp: ActiveLp {
-                slots: Vec::new(),
-                y: Vec::new(),
+                runs: Vec::new(),
                 objective: Rat::ZERO,
             },
             components: comps.len(),
@@ -205,12 +204,8 @@ impl OracleSolver {
                 quarantined,
             }));
         }
-        report.lp = ActiveLp {
-            y: disaggregate(&runs, &y_runs),
-            slots,
-            objective,
-        };
-        debug_assert_eq!(report.lp.y.len(), report.lp.slots.len());
+        push_open_runs(&mut report.lp.runs, runs, &y_runs);
+        report.lp.objective = objective;
         Ok(report)
     }
 }
@@ -256,13 +251,18 @@ enum Op {
     /// rejects. They are removed again after the solve.
     Burst(Time),
     /// Drops the `pick`-th component's cached block and quarantines its
-    /// key, as a failed supervision ladder would.
+    /// key, as a failed supervision ladder would on a new component.
     Quarantine(usize),
     /// Re-admits every quarantined key.
     ClearQuarantine,
     /// Appends a run to the `pick`-th component's cached block, giving it
-    /// the wrong run count, as drifted persisted state would.
+    /// the wrong run count, as drifted persisted state would, and drops
+    /// the blocks held under its key, as a re-attach would: the next
+    /// solve reads the poisoned block.
     Poison(usize),
+    /// Fills both content caches past [`CACHE_CAP`], so the next solve
+    /// resets them (and the held blocks).
+    Flood,
 }
 
 /// A component as span start, span end, member handles, content key and
@@ -376,6 +376,7 @@ impl Pair {
             Op::Quarantine(pick) => {
                 if let Some(key) = self.nth_key(pick) {
                     let failure = SolveFailure::Panicked("injected".into());
+                    self.new.drop_held(|kept| kept.key == key);
                     self.new.content_cache.remove(&key);
                     self.old.content_cache.remove(&key);
                     self.new.quarantine.insert(key.clone(), failure.clone());
@@ -388,10 +389,22 @@ impl Pair {
             }
             Op::Poison(pick) => {
                 if let Some(key) = self.nth_key(pick) {
+                    self.new.drop_held(|kept| kept.key == key);
                     for cache in [&mut self.new.content_cache, &mut self.old.content_cache] {
                         if let Some(block) = cache.get_mut(&key) {
                             block.y_runs.push(Rat::ZERO);
                         }
+                    }
+                }
+            }
+            Op::Flood => {
+                for cache in [&mut self.new.content_cache, &mut self.old.content_cache] {
+                    for t in 0..=CACHE_CAP as i64 {
+                        let block = CachedBlock {
+                            y_runs: vec![Rat::ONE],
+                            objective: Rat::ONE,
+                        };
+                        cache.insert(vec![(-t - 1, 0, 1)], block);
                     }
                 }
             }
@@ -406,8 +419,7 @@ impl Pair {
         let old = self.old.try_solve();
         let kind = match (&new, &old) {
             (Ok(a), Ok(b)) => {
-                prop_assert_eq!(&a.lp.slots, &b.lp.slots);
-                prop_assert_eq!(&a.lp.y, &b.lp.y);
+                prop_assert_eq!(&a.lp.runs, &b.lp.runs);
                 prop_assert_eq!(a.lp.objective, b.lp.objective);
                 prop_assert_eq!(
                     (a.components, a.reused, a.warm_attempts),
@@ -597,6 +609,9 @@ fn scripted_stream_covers_every_mutation_kind() {
         Op::ClearQuarantine,
         Op::Poison(1),
         Op::Arrive(50, 52, 1),
+        // Every component is served again after the reset.
+        Op::Flood,
+        Op::Arrive(60, 63, 2),
         Op::Empty,
         Op::Arrive(5, 9, 3),
     ];

@@ -51,6 +51,9 @@
 //! assert_eq!(auto.objective, mono.objective); // exact stitching
 //! // 2 fractional slots for the first cluster + 3 for the second.
 //! assert_eq!(auto.objective, abt_lp::Rat::from_int(5));
+//! // The answer is the open runs; the idle slots between the clusters
+//! // stay closed.
+//! assert!(auto.runs.iter().all(|run| run.end <= 4 || run.start >= 100));
 //! ```
 
 #![warn(missing_docs)]
@@ -75,7 +78,7 @@ pub use incremental::{IncrementalJobId, IncrementalReport, IncrementalSolver};
 pub use lp_model::{
     fractional_feasible, lp_telemetry, pivots_per_solve_snapshot, solve_active_lp,
     solve_active_lp_with, try_solve_active_lp_with, ActiveLp, DecomposeMode, LpOptions,
-    LpTelemetry, VubMode,
+    LpTelemetry, OpenRun, VubMode,
 };
 pub use minimal::{
     is_minimal, minimal_feasible, minimal_feasible_from, ClosingOrder, MinimalResult,

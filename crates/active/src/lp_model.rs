@@ -26,8 +26,12 @@
 //! constraint and the objective. With at most `2n` event points this cuts
 //! the model from `O(T·n)` to `O(n²)` — the dominant win on long horizons.
 //!
-//! The reported [`ActiveLp`] stays per-slot (the §3.1 right-shifting
-//! consumes per-slot `y`), using the exact uniform disaggregation.
+//! The reported [`ActiveLp`] is per run as well: its open runs, each
+//! with its exact mass `Y_I > 0`, and nothing per slot, so its size and
+//! the time to build it follow the event points, not the horizon. The
+//! §3.1 right-shifting sums run masses per deadline segment;
+//! [`ActiveLp::slot_values`] writes out the uniform disaggregation over a
+//! slot list for the per-slot consumers (LP2 checks, tests).
 //!
 //! # Bound encodings
 //!
@@ -109,7 +113,7 @@
 #![allow(clippy::needless_range_loop)] // job indices are shared across parallel vectors
 
 use crate::supervise::{supervised_solve, PartialSolve, QuarantinedComponent, SolveError};
-use abt_core::active_schedule::{horizon_slots, job_feasible_in_slot};
+use abt_core::active_schedule::{horizon_len, job_feasible_in_slot};
 use abt_core::obs::{
     self,
     metrics::{Counter, Gauge, Histogram, HistogramSnapshot},
@@ -505,15 +509,75 @@ pub(crate) fn revised_options(opts: &LpOptions) -> abt_lp::LpOptions<'static> {
         .certify(opts.certify)
 }
 
-/// An optimal fractional solution of `LP1`.
+/// One open run of an LP1 answer: the slots `(start, end]`, each open to
+/// `y_t = mass / (end − start)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpenRun {
+    /// Exclusive left end.
+    pub start: Time,
+    /// Inclusive right end.
+    pub end: Time,
+    /// The run's exact open mass `Y_I`, with `0 < Y_I ≤ end − start`.
+    pub mass: Rat,
+}
+
+impl OpenRun {
+    /// Slots in the run.
+    pub fn width(&self) -> i64 {
+        self.end - self.start
+    }
+}
+
+/// An optimal fractional solution of `LP1`, as the runs it opens.
 #[derive(Debug, Clone)]
 pub struct ActiveLp {
-    /// Horizon slots, ascending; parallel to `y`.
-    pub slots: Vec<Time>,
-    /// Optimal `y_t` per slot.
-    pub y: Vec<Rat>,
-    /// Optimal objective `Σ_t y_t` — a lower bound on integral OPT.
+    /// The open runs, ascending and disjoint, each a run between
+    /// consecutive event points; every slot outside them has `y_t = 0`.
+    pub runs: Vec<OpenRun>,
+    /// Optimal objective `Σ_t y_t = Σ_I Y_I` — a lower bound on integral
+    /// OPT.
     pub objective: Rat,
+}
+
+impl ActiveLp {
+    /// Slots with `y_t > 0`: the open runs' total width.
+    pub fn open_slots(&self) -> i64 {
+        self.runs.iter().map(OpenRun::width).sum()
+    }
+
+    /// The uniform disaggregation onto `slots` (ascending): `y_t = Y_I /
+    /// w_I` on a slot of open run `I`, 0 on every other slot.
+    pub fn slot_values(&self, slots: &[Time]) -> Vec<Rat> {
+        let mut runs = self.runs.iter().peekable();
+        slots
+            .iter()
+            .map(|&t| {
+                while runs.next_if(|run| run.end < t).is_some() {}
+                match runs.peek() {
+                    Some(run) if run.start < t => run.mass.div(&Rat::from_int(run.width())),
+                    _ => Rat::ZERO,
+                }
+            })
+            .collect()
+    }
+}
+
+/// Appends to `out` each run of `runs` whose mass in `y_runs` (one per
+/// run, in order) is positive.
+pub(crate) fn push_open_runs(
+    out: &mut Vec<OpenRun>,
+    runs: impl IntoIterator<Item = SlotRun>,
+    y_runs: &[Rat],
+) {
+    for (run, &mass) in runs.into_iter().zip(y_runs) {
+        if mass.signum() > 0 {
+            out.push(OpenRun {
+                start: run.start,
+                end: run.end,
+                mass,
+            });
+        }
+    }
 }
 
 /// A maximal run of horizon slots with identical feasible job sets:
@@ -852,7 +916,7 @@ pub fn solve_active_lp(inst: &Instance) -> Result<ActiveLp> {
 }
 
 /// Builds and solves `LP1` for `inst` under explicit [`LpOptions`]. Every
-/// configuration returns the same exact objective; `y` may differ between
+/// configuration returns the same exact objective; the runs may differ between
 /// alternate LP optima.
 ///
 /// Under [`DecomposeMode::Auto`] a disconnected instance is sharded into
@@ -877,18 +941,18 @@ pub fn try_solve_active_lp_with(
     inst: &Instance,
     opts: &LpOptions,
 ) -> std::result::Result<ActiveLp, SolveError> {
-    let (slots, runs, comps) = {
+    let (runs, comps) = {
         let mut span = abt_core::obs_span!("solve.decompose");
-        let slots = horizon_slots(inst).map_err(SolveError::Model)?;
+        // Run widths are differences of event points: the horizon's
+        // length must fit `i64`.
+        let len =
+            horizon_len(inst.min_release(), inst.max_deadline()).map_err(SolveError::Model)?;
         let runs = slot_runs(inst);
-        debug_assert_eq!(
-            runs.iter().map(SlotRun::width).sum::<i64>(),
-            slots.len() as i64
-        );
+        debug_assert_eq!(runs.iter().map(SlotRun::width).sum::<i64>(), len);
         let comps = components(inst, &runs, opts.decompose);
         span.field("runs", runs.len());
         span.field("components", comps.len());
-        (slots, runs, comps)
+        (runs, comps)
     };
     let sharded = comps.len() > 1;
     if sharded {
@@ -907,20 +971,18 @@ pub fn try_solve_active_lp_with(
             .map(|comp| solve_component(inst, opts, &runs, comp, false))
             .collect()
     };
-    // Stitch: per-run Y values land back on their global run index (runs
-    // outside every component keep Y = 0), objectives sum exactly;
-    // quarantined components are collected into the partial result.
+    // Stitch: each component's open runs, in time order (runs outside
+    // every component stay closed), objectives sum exactly; quarantined
+    // components are collected into the partial result.
     let _stitch = abt_core::obs_span!("solve.stitch");
-    let mut y_runs = vec![Rat::ZERO; runs.len()];
+    let mut open: Vec<OpenRun> = Vec::new();
     let mut objective = Rat::ZERO;
     let mut healthy: Vec<(usize, Rat)> = Vec::new();
     let mut quarantined: Vec<QuarantinedComponent> = Vec::new();
     for (ci, res) in solved.into_iter().enumerate() {
         match res {
             Ok(Ok(cs)) => {
-                for (k, val) in cs.y_runs.iter().enumerate() {
-                    y_runs[cs.run_lo + k] = *val;
-                }
+                push_open_runs(&mut open, runs[cs.run_lo..].iter().copied(), &cs.y_runs);
                 objective = objective.add(&cs.objective);
                 healthy.push((ci, cs.objective));
             }
@@ -941,27 +1003,10 @@ pub fn try_solve_active_lp_with(
             quarantined,
         }));
     }
-    let y = disaggregate(&runs, &y_runs);
-    debug_assert_eq!(y.len(), slots.len());
     Ok(ActiveLp {
-        slots,
-        y,
+        runs: open,
         objective,
     })
-}
-
-/// Uniform exact disaggregation of per-run `Y` mass back to per-slot `y`
-/// (`y_t = Y_I / w_I` on every slot of run `I`).
-pub(crate) fn disaggregate(runs: &[SlotRun], y_runs: &[Rat]) -> Vec<Rat> {
-    let total: i64 = runs.iter().map(SlotRun::width).sum();
-    let mut y: Vec<Rat> = Vec::with_capacity(total as usize);
-    for (ri, run) in runs.iter().enumerate() {
-        let share = y_runs[ri].div(&Rat::from_int(run.width()));
-        for _ in 0..run.width() {
-            y.push(share);
-        }
-    }
-    y
 }
 
 /// Checks whether a *fractional* assignment exists for all jobs given fixed
@@ -1007,7 +1052,7 @@ pub fn fractional_feasible(inst: &Instance, slots: &[Time], y: &[Rat]) -> bool {
 }
 
 #[cfg(test)]
-mod crash;
+pub(crate) mod crash;
 
 #[cfg(test)]
 mod tests {
@@ -1074,8 +1119,9 @@ mod tests {
     fn y_respects_bounds() {
         let inst = Instance::from_triples([(0, 3, 2), (0, 3, 1)], 1).unwrap();
         let lp = solve_active_lp(&inst).unwrap();
-        for v in &lp.y {
-            assert!(v.signum() >= 0 && *v <= Rat::ONE);
+        assert_runs_are_valid(&lp);
+        for v in lp.slot_values(&[1, 2, 3]) {
+            assert!(v.signum() >= 0 && v <= Rat::ONE);
         }
         assert_eq!(lp.objective, Rat::from_int(3));
     }
@@ -1093,7 +1139,9 @@ mod tests {
         assert_eq!(slot_runs(&single_run).len(), 1);
         let lp = solve_active_lp(&inst).unwrap();
         assert_eq!(lp.objective, Rat::from_int(4));
-        assert_eq!(lp.slots.len(), 10_000);
+        // The answer is two runs, not 10 000 slots.
+        assert_eq!(lp.runs.len(), 2);
+        assert_eq!(lp.open_slots(), 6);
     }
 
     #[test]
@@ -1143,20 +1191,28 @@ mod tests {
         }
     }
 
+    /// Ascending, disjoint runs with `0 < Y ≤ width` whose masses sum to
+    /// the objective.
+    fn assert_runs_are_valid(lp: &ActiveLp) {
+        let mut sum = Rat::ZERO;
+        let mut at = Time::MIN;
+        for run in &lp.runs {
+            assert!(at <= run.start && run.start < run.end, "{:?}", lp.runs);
+            assert!(run.mass.signum() > 0 && run.mass <= Rat::from_int(run.width()));
+            sum = sum.add(&run.mass);
+            at = run.end;
+        }
+        assert_eq!(sum, lp.objective);
+    }
+
     /// The Auto-vs-Off differential pair for one instance: identical exact
-    /// objectives and a valid disaggregated `y` on both sides.
+    /// objectives and valid runs on both sides.
     fn assert_auto_matches_off(inst: &Instance) -> (Rat, Rat) {
         let auto = solve_active_lp_with(inst, &LpOptions::default()).unwrap();
         let off = solve_active_lp_with(inst, &LpOptions::pr3_monolithic()).unwrap();
         assert_eq!(auto.objective, off.objective);
-        for lp in [&auto, &off] {
-            let mut sum = Rat::ZERO;
-            for v in &lp.y {
-                assert!(v.signum() >= 0 && *v <= Rat::ONE);
-                sum = sum.add(v);
-            }
-            assert_eq!(sum, lp.objective);
-        }
+        assert_runs_are_valid(&auto);
+        assert_runs_are_valid(&off);
         (auto.objective, off.objective)
     }
 
@@ -1166,8 +1222,7 @@ mod tests {
         for opts in [LpOptions::default(), LpOptions::pr3_monolithic()] {
             let lp = solve_active_lp_with(&inst, &opts).unwrap();
             assert_eq!(lp.objective, Rat::ZERO);
-            assert!(lp.y.is_empty());
-            assert!(lp.slots.is_empty());
+            assert!(lp.runs.is_empty());
         }
         let runs = slot_runs(&inst);
         assert!(components(&inst, &runs, DecomposeMode::Auto).is_empty());
@@ -1204,12 +1259,10 @@ mod tests {
         assert!(d.sharded_solves >= 1, "the Auto solve must shard");
         assert!(d.components >= 3, "three component sub-LPs must be solved");
         assert!(window.value() >= 1);
-        // Gap runs stay closed: every slot in (4, 100] has y = 0.
+        // Gap runs stay closed: no open run meets (4, 100].
         let auto = solve_active_lp(&inst).unwrap();
-        for (slot, y) in auto.slots.iter().zip(&auto.y) {
-            if *slot > 4 && *slot <= 100 {
-                assert_eq!(*y, Rat::ZERO, "slot {slot} lies in the gap");
-            }
+        for run in &auto.runs {
+            assert!(run.end <= 4 || run.start >= 100, "{run:?} lies in the gap");
         }
     }
 

@@ -244,6 +244,59 @@ fn a_starved_pivot_budget_still_demotes_and_never_quarantines() {
     assert!(d.budget_trips >= 1 && d.demotions >= 1, "{d:?}");
 }
 
+/// A generated instance of one of five families, as drawn by the property
+/// tests: random feasible windows (`family` 0), the same with zero window
+/// slack (1), VUB-heavy nests (2), many components (3) and an
+/// online-arrivals prefix (4 and up).
+pub(crate) fn generated(family: usize, seed: u64, n: usize, g: usize, horizon: i64) -> Instance {
+    match family {
+        // Random feasible windows, and the same with zero window slack
+        // (tight windows: every assignment forced).
+        0 | 1 => random_active_feasible(
+            &RandomConfig {
+                n,
+                g,
+                horizon,
+                max_len: 5,
+                slack_factor: if family == 0 { 1.0 } else { 0.0 },
+            },
+            seed,
+        ),
+        2 => vub_heavy(
+            &VubHeavyConfig {
+                n,
+                g: g.max(2),
+                horizon: horizon.max(16),
+                max_len: 4,
+                fan_in: 2 + n % 3,
+            },
+            seed,
+        ),
+        3 => many_components(
+            &ManyComponentsConfig {
+                components: 1 + n % 5,
+                jobs_per_component: 1 + g,
+                g,
+                span: 6 + horizon % 8,
+                gap: 1 + horizon % 4,
+                max_len: 3,
+                slack_factor: 1.0,
+            },
+            seed,
+        ),
+        _ => {
+            let cfg = OnlineArrivalsConfig {
+                clusters: 1 + n % 4,
+                jobs_per_cluster: 1 + n % (2 * g),
+                g,
+                ..OnlineArrivalsConfig::default()
+            };
+            let trace = online_arrivals(&cfg, seed);
+            trace.prefix_instance(1 + (seed as usize) % trace.jobs.len())
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
@@ -254,46 +307,6 @@ proptest! {
         g in 1usize..5,
         horizon in 8i64..30,
     ) {
-        let inst = match family {
-            // Random feasible windows, and the same with zero window
-            // slack (tight windows: every assignment forced).
-            0 | 1 => random_active_feasible(
-                &RandomConfig {
-                    n,
-                    g,
-                    horizon,
-                    max_len: 5,
-                    slack_factor: if family == 0 { 1.0 } else { 0.0 },
-                },
-                seed,
-            ),
-            2 => vub_heavy(
-                &VubHeavyConfig { n, g: g.max(2), horizon: horizon.max(16), max_len: 4, fan_in: 2 + n % 3 },
-                seed,
-            ),
-            3 => many_components(
-                &ManyComponentsConfig {
-                    components: 1 + n % 5,
-                    jobs_per_component: 1 + g,
-                    g,
-                    span: 6 + horizon % 8,
-                    gap: 1 + horizon % 4,
-                    max_len: 3,
-                    slack_factor: 1.0,
-                },
-                seed,
-            ),
-            _ => {
-                let cfg = OnlineArrivalsConfig {
-                    clusters: 1 + n % 4,
-                    jobs_per_cluster: 1 + n % (2 * g),
-                    g,
-                    ..OnlineArrivalsConfig::default()
-                };
-                let trace = online_arrivals(&cfg, seed);
-                trace.prefix_instance(1 + (seed as usize) % trace.jobs.len())
-            }
-        };
-        check_instance(&inst)?;
+        check_instance(&generated(family, seed, n, g, horizon))?;
     }
 }

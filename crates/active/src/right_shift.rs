@@ -6,13 +6,24 @@
 //! `t_{d_i} − ⌊Y_i⌋` carries the fractional remainder (*half open* if
 //! `≥ ½`, *barely open* if `< ½`), and everything earlier closes. Lemma 3:
 //! the result is still fractionally feasible with unchanged cost.
+//!
+//! The segments are summed run by run. Every distinct deadline is an event
+//! point, and `t_{d_0}` is the start of the first open run, so every
+//! segment boundary is a run boundary: `Y_i` is the sum of the masses of
+//! the open runs inside segment `i`, the same exact rational as the sum of
+//! its slots' `y_t`, in time proportional to the runs rather than the
+//! horizon. [`RightShifted::shifted_y`] writes out the shifted `y` over a
+//! slot list for per-slot checks.
 
 use crate::lp_model::ActiveLp;
 use abt_core::{Instance, JobId, Time};
 use abt_lp::Rat;
 
+#[cfg(test)]
+pub(crate) mod per_slot;
+
 /// One deadline segment of the right-shifted solution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Segment {
     /// Exclusive left end: the previous distinct deadline (or the slot just
     /// before the earliest positive-`y` slot for the first segment).
@@ -31,34 +42,48 @@ pub struct RightShifted {
     /// Segments in increasing deadline order; their `y_sum`s add up to the
     /// LP objective.
     pub segments: Vec<Segment>,
-    /// Horizon slots (ascending), parallel to `shifted_y`.
-    pub slots: Vec<Time>,
-    /// The right-shifted `y` values (Fig. 4's `LP2`).
-    pub shifted_y: Vec<Rat>,
+}
+
+impl RightShifted {
+    /// The right-shifted `y` (Fig. 4's `LP2`) over `slots` (ascending):
+    /// in each segment its last `⌊Y_i⌋` slots at 1 and the slot before
+    /// them at the fractional remainder; 0 on every other slot.
+    pub fn shifted_y(&self, slots: &[Time]) -> Vec<Rat> {
+        let mut shifted_y = vec![Rat::ZERO; slots.len()];
+        let idx_of = |t: Time| -> Option<usize> { slots.binary_search(&t).ok() };
+        for seg in &self.segments {
+            let floor = seg.y_sum.floor() as i64;
+            let frac = seg.y_sum.fract();
+            for k in 0..floor {
+                if let Some(i) = idx_of(seg.deadline - k) {
+                    shifted_y[i] = Rat::ONE;
+                }
+            }
+            if frac.signum() > 0 {
+                if let Some(i) = idx_of(seg.deadline - floor) {
+                    shifted_y[i] = frac;
+                }
+            }
+        }
+        shifted_y
+    }
 }
 
 /// Computes the right-shifted structure from an optimal LP solution.
 pub fn right_shift(inst: &Instance, lp: &ActiveLp) -> RightShifted {
-    let slots = &lp.slots;
-    let first_slot = slots.first().copied().unwrap_or(0);
-
     // Distinct deadlines, ascending, with their job sets.
     let mut deadlines: Vec<Time> = inst.jobs().iter().map(|j| j.deadline).collect();
     deadlines.sort_unstable();
     deadlines.dedup();
 
-    // The dummy boundary t_{d_0}: just before the earliest positive-y slot
-    // (clamped to the horizon start).
-    let earliest_positive = slots
-        .iter()
-        .zip(&lp.y)
-        .find(|(_, y)| y.signum() > 0)
-        .map(|(&t, _)| t)
-        .unwrap_or(first_slot);
-    let t0 = (earliest_positive - 1).max(first_slot - 1);
+    // The dummy boundary t_{d_0}: just before the earliest positive-y
+    // slot, which opens the first open run (the horizon start when
+    // nothing is open).
+    let t0 = lp.runs.first().map_or(inst.min_release(), |run| run.start);
 
     let mut segments = Vec::with_capacity(deadlines.len());
     let mut prev = t0;
+    let mut runs = lp.runs.iter().peekable();
     for &d in &deadlines {
         if d <= prev {
             // Deadline precedes all fractional mass; its segment is empty of
@@ -72,11 +97,13 @@ pub fn right_shift(inst: &Instance, lp: &ActiveLp) -> RightShifted {
             continue;
         }
         let mut y_sum = Rat::ZERO;
-        for (i, &t) in slots.iter().enumerate() {
-            if t > prev && t <= d {
-                y_sum = y_sum.add(&lp.y[i]);
-            }
+        while let Some(run) = runs.next_if(|run| run.end <= d) {
+            y_sum = y_sum.add(&run.mass);
         }
+        debug_assert!(
+            runs.peek().is_none_or(|run| run.start >= d),
+            "deadline {d} cuts an open run"
+        );
         segments.push(Segment {
             start: prev,
             deadline: d,
@@ -85,37 +112,15 @@ pub fn right_shift(inst: &Instance, lp: &ActiveLp) -> RightShifted {
         });
         prev = d;
     }
+    // Segments are one per distinct deadline, in deadline order.
     for (id, j) in inst.jobs().iter().enumerate() {
-        let seg = segments
-            .iter_mut()
-            .find(|s| s.deadline == j.deadline)
+        let at = deadlines
+            .binary_search(&j.deadline)
             .expect("every job deadline has a segment");
-        seg.jobs.push(id);
+        segments[at].jobs.push(id);
     }
 
-    // Materialize the shifted y vector.
-    let mut shifted_y = vec![Rat::ZERO; slots.len()];
-    let idx_of = |t: Time| -> Option<usize> { slots.binary_search(&t).ok() };
-    for seg in &segments {
-        let floor = seg.y_sum.floor() as i64;
-        let frac = seg.y_sum.fract();
-        for k in 0..floor {
-            if let Some(i) = idx_of(seg.deadline - k) {
-                shifted_y[i] = Rat::ONE;
-            }
-        }
-        if frac.signum() > 0 {
-            if let Some(i) = idx_of(seg.deadline - floor) {
-                shifted_y[i] = frac;
-            }
-        }
-    }
-
-    RightShifted {
-        segments,
-        slots: slots.clone(),
-        shifted_y,
-    }
+    RightShifted { segments }
 }
 
 /// Total `Σ_i Y_i` (equals the LP objective; checked in tests).
@@ -128,7 +133,8 @@ pub fn total_mass(rs: &RightShifted) -> Rat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lp_model::{fractional_feasible, solve_active_lp};
+    use crate::lp_model::{fractional_feasible, solve_active_lp, OpenRun};
+    use abt_core::active_schedule::horizon_slots;
 
     fn rat(p: i64, q: i64) -> Rat {
         Rat::new(p as i128, q as i128)
@@ -150,15 +156,17 @@ mod tests {
         let inst = Instance::from_triples([(0, 4, 2), (1, 3, 2), (2, 6, 1)], 2).unwrap();
         let lp = solve_active_lp(&inst).unwrap();
         let rs = right_shift(&inst, &lp);
+        let slots = horizon_slots(&inst).unwrap();
+        let shifted_y = rs.shifted_y(&slots);
         // Within each segment: reading right-to-left we must see ones, then
         // at most one fractional value, then zeros (Observation 1).
         for seg in &rs.segments {
             let mut state = 0; // 0 = ones, 1 = fraction seen, 2 = zeros
-            for (i, &t) in rs.slots.iter().enumerate().rev() {
+            for (i, &t) in slots.iter().enumerate().rev() {
                 if t > seg.deadline || t <= seg.start {
                     continue;
                 }
-                let y = rs.shifted_y[i];
+                let y = shifted_y[i];
                 match state {
                     0 if y == Rat::ONE => {}
                     0 if y.is_zero() => state = 2,
@@ -182,8 +190,9 @@ mod tests {
         for inst in cases {
             let lp = solve_active_lp(&inst).unwrap();
             let rs = right_shift(&inst, &lp);
+            let slots = horizon_slots(&inst).unwrap();
             assert!(
-                fractional_feasible(&inst, &rs.slots, &rs.shifted_y),
+                fractional_feasible(&inst, &slots, &rs.shifted_y(&slots)),
                 "right-shifted solution must stay feasible (Lemma 3)"
             );
         }
@@ -195,13 +204,16 @@ mod tests {
         // 4-slot segment becomes [_, 0.17, 1, 1].
         let inst = Instance::from_triples([(0, 4, 1)], 1).unwrap(); // shape only
         let lp = ActiveLp {
-            slots: vec![1, 2, 3, 4],
-            y: vec![rat(6, 10), rat(55, 100), rat(55, 100), rat(47, 100)],
+            runs: vec![OpenRun {
+                start: 0,
+                end: 4,
+                mass: rat(217, 100),
+            }],
             objective: rat(217, 100),
         };
         let rs = right_shift(&inst, &lp);
         assert_eq!(
-            rs.shifted_y,
+            rs.shifted_y(&[1, 2, 3, 4]),
             vec![Rat::ZERO, rat(17, 100), Rat::ONE, Rat::ONE]
         );
         assert_eq!(rs.segments.len(), 1);

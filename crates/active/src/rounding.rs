@@ -20,10 +20,16 @@
 //!
 //! The outcome carries the exact LP objective so callers can assert
 //! `cost ≤ 2·LP ≤ 2·OPT` with rational arithmetic.
+//!
+//! The LP answer and its right-shift are per run; the schedule this
+//! produces is per slot, so [`lp_rounding_from`] refuses a horizon past
+//! [`MAX_HORIZON_SLOTS`](abt_core::active_schedule::MAX_HORIZON_SLOTS)
+//! before it lists a slot.
 
 use crate::feasibility::FeasibilityChecker;
 use crate::lp_model::{solve_active_lp, ActiveLp};
-use crate::right_shift::{right_shift, RightShifted};
+use crate::right_shift::{right_shift, Segment};
+use abt_core::active_schedule::horizon_slots;
 use abt_core::{ActiveSchedule, Error, Instance, JobId, Result, Time};
 use abt_lp::Rat;
 use std::collections::BTreeSet;
@@ -179,10 +185,34 @@ pub fn lp_rounding(inst: &Instance) -> Result<RoundingOutcome> {
 
 /// Rounding given an already-solved LP (lets experiments reuse the solve).
 /// §3.1 right-shifting and the §3 rounding run under the always-on
-/// `active.rounding` span.
+/// `active.rounding` span; inside it, `active.right_shift` times §3.1 and
+/// `active.rounding.flow` every max-flow feasibility check. A horizon
+/// longer than the per-slot schedule accepts is refused with
+/// [`Error::HorizonTooLong`].
 pub fn lp_rounding_from(inst: &Instance, lp: &ActiveLp) -> Result<RoundingOutcome> {
     let _span = abt_core::obs_span!("active.rounding");
-    let rs: RightShifted = right_shift(inst, lp);
+    let slots = horizon_slots(inst)?;
+    let rs = {
+        let _span = abt_core::obs_span!("active.right_shift");
+        right_shift(inst, lp)
+    };
+    round_segments(inst, &rs.segments, &slots, lp.objective)
+}
+
+/// `check`'s max-flow, under the `active.rounding.flow` span.
+fn flow_check(checker: &FeasibilityChecker, slots: &[Time]) -> Option<ActiveSchedule> {
+    let _span = abt_core::obs_span!("active.rounding.flow");
+    checker.check(slots)
+}
+
+/// The §3 rounding of right-shifted `segments`; the defensive repair opens
+/// slots of `slots` (the horizon, ascending) from the right.
+pub(crate) fn round_segments(
+    inst: &Instance,
+    segments: &[Segment],
+    slots: &[Time],
+    lp_objective: Rat,
+) -> Result<RoundingOutcome> {
     let checker = FeasibilityChecker::new(inst);
     let half = Rat::new(1, 2);
 
@@ -192,7 +222,7 @@ pub fn lp_rounding_from(inst: &Instance, lp: &ActiveLp) -> Result<RoundingOutcom
     let mut jobs_so_far: Vec<JobId> = Vec::new();
     let mut anomalies = 0usize;
 
-    for seg in &rs.segments {
+    for seg in segments {
         jobs_so_far.extend_from_slice(&seg.jobs);
         let y = seg.y_sum;
         let floor = y.floor() as i64;
@@ -241,7 +271,11 @@ pub fn lp_rounding_from(inst: &Instance, lp: &ActiveLp) -> Result<RoundingOutcom
             } else {
                 // Barely open: try to close it.
                 let open_now: Vec<Time> = opened.iter().copied().collect();
-                if checker.is_feasible_subset(&jobs_so_far, &open_now) {
+                let closable = {
+                    let _span = abt_core::obs_span!("active.rounding.flow");
+                    checker.is_feasible_subset(&jobs_so_far, &open_now)
+                };
+                if closable {
                     proxy = Some((v, loc));
                 } else {
                     opened.insert(loc);
@@ -257,16 +291,16 @@ pub fn lp_rounding_from(inst: &Instance, lp: &ActiveLp) -> Result<RoundingOutcom
     // One max-flow per slot set: its schedule is the answer.
     let mut repair_slots = 0usize;
     let mut open_vec: Vec<Time> = opened.iter().copied().collect();
-    let mut schedule = checker.check(&open_vec);
+    let mut schedule = flow_check(&checker, &open_vec);
     if schedule.is_none() {
-        for &t in rs.slots.iter().rev() {
+        for &t in slots.iter().rev() {
             if opened.contains(&t) {
                 continue;
             }
             opened.insert(t);
             repair_slots += 1;
             open_vec = opened.iter().copied().collect();
-            schedule = checker.check(&open_vec);
+            schedule = flow_check(&checker, &open_vec);
             if schedule.is_some() {
                 break;
             }
@@ -287,7 +321,7 @@ pub fn lp_rounding_from(inst: &Instance, lp: &ActiveLp) -> Result<RoundingOutcom
     Ok(RoundingOutcome {
         opened: open_vec,
         schedule,
-        lp_objective: lp.objective,
+        lp_objective,
         cost,
         charges,
         anomalies,

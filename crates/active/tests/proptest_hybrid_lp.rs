@@ -3,8 +3,8 @@
 //! decomposition, full Dantzig pricing, the three certify
 //! tiers, and a one-pivot budget that hands every component to the
 //! supervision ladder's dense hybrid rung — must reproduce the per-slot
-//! LP1 of §3 bit for bit on status and objective, and the disaggregated
-//! per-slot `y` must stay a valid fractional opening.
+//! LP1 of §3 bit for bit on status and objective, and the open runs,
+//! disaggregated per slot, must stay a valid fractional opening.
 //!
 //! The oracle, [`per_slot_lp1`], writes the per-slot model out row by row
 //! and solves it with the pure exact-rational dense simplex. It shares no
@@ -13,6 +13,7 @@
 use abt_active::{
     fractional_feasible, solve_active_lp_with, CertifyMode, DecomposeMode, LpOptions, VubMode,
 };
+use abt_core::active_schedule::horizon_slots;
 use abt_core::{Instance, Time};
 use abt_lp::{Cmp, LpProblem, LpStatus, Rat};
 use abt_workloads::{
@@ -102,12 +103,9 @@ fn assert_all_variants_match(inst: &Instance) -> Result<(), TestCaseError> {
     for opts in variants() {
         let lp = solve_active_lp_with(inst, &opts).unwrap();
         prop_assert_eq!(lp.objective, oracle, "{:?}", opts);
-        prop_assert_eq!(
-            lp.slots.len() as i64,
-            inst.max_deadline() - inst.min_release()
-        );
+        let slots = horizon_slots(inst).unwrap();
         let mut sum = Rat::ZERO;
-        for y in &lp.y {
+        for y in &lp.slot_values(&slots) {
             prop_assert!(y.signum() >= 0 && *y <= Rat::ONE, "{:?}", opts);
             sum = sum.add(y);
         }
@@ -226,8 +224,8 @@ proptest! {
         // the monolithic path, and one job per cluster makes every
         // component a singleton). `DecomposeMode::Auto` must reproduce the
         // monolithic `Off` objective bit for bit under both VubMode
-        // encodings, and the stitched per-slot `y` must stay a feasible
-        // fractional opening.
+        // encodings, and the stitched runs, disaggregated per slot, must
+        // stay a feasible fractional opening.
         let cfg = ManyComponentsConfig {
             components,
             jobs_per_component: jobs_per,
@@ -248,8 +246,10 @@ proptest! {
                 let opts = LpOptions { vub, decompose, ..LpOptions::default() };
                 let lp = solve_active_lp_with(&inst, &opts).unwrap();
                 prop_assert_eq!(lp.objective, oracle.objective, "{:?}", opts);
+                let slots = horizon_slots(&inst).unwrap();
+                let y = lp.slot_values(&slots);
                 let mut sum = Rat::ZERO;
-                for y in &lp.y {
+                for y in &y {
                     prop_assert!(y.signum() >= 0 && *y <= Rat::ONE, "{:?}", opts);
                     sum = sum.add(y);
                 }
@@ -259,12 +259,12 @@ proptest! {
                     "{:?}: stitched Σy must equal the objective",
                     opts
                 );
-                // Under the default encoding, certify the stitched y
+                // Under the default encoding, certify the stitched runs
                 // actually supports a fractional schedule (LP2).
                 if vub == VubMode::Implicit {
                     prop_assert!(
-                        fractional_feasible(&inst, &lp.slots, &lp.y),
-                        "{:?}: stitched y must be LP2-feasible",
+                        fractional_feasible(&inst, &slots, &y),
+                        "{:?}: stitched runs must be LP2-feasible",
                         opts
                     );
                 }

@@ -2,16 +2,24 @@
 //! (`IncrementalSolver`): every prefix of an arrival stream, and a
 //! mutated job set, must reproduce the from-scratch
 //! `DecomposeMode::Auto` objective **bit for bit** under both `VubMode`
-//! encodings, and the stitched per-slot `y` must remain a feasible
-//! fractional opening (certified against LP2 by the
-//! `fractional_feasible` oracle).
+//! encodings, and the assembled open runs, spread uniformly over their
+//! slots, must remain a feasible fractional opening (certified against
+//! LP2 by the `fractional_feasible` oracle).
 
 use abt_active::{
-    fractional_feasible, solve_active_lp_with, IncrementalSolver, LpOptions, VubMode,
+    fractional_feasible, solve_active_lp_with, ActiveLp, IncrementalSolver, LpOptions, VubMode,
 };
+use abt_core::active_schedule::horizon_slots;
+use abt_core::Instance;
 use abt_lp::Rat;
 use abt_workloads::{online_arrivals, OnlineArrivalsConfig};
 use proptest::prelude::*;
+
+/// Whether `lp`'s runs, disaggregated over `inst`'s horizon, pass LP2.
+fn lp2_feasible(inst: &Instance, lp: &ActiveLp) -> bool {
+    let slots = horizon_slots(inst).unwrap();
+    fractional_feasible(inst, &slots, &lp.slot_values(&slots))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -25,7 +33,7 @@ proptest! {
     ) {
         // Replay an arrival stream through the incremental driver and
         // check *every* prefix against a from-scratch cold solve: exact
-        // objective equality plus LP2 feasibility of the stitched y.
+        // objective equality plus LP2 feasibility of the assembled runs.
         let opts = LpOptions {
             vub: if vub_implicit == 1 { VubMode::Implicit } else { VubMode::Rows },
             ..LpOptions::default()
@@ -54,21 +62,17 @@ proptest! {
                 opts
             );
             let mut sum = Rat::ZERO;
-            for y in &rep.lp.y {
-                prop_assert!(y.signum() >= 0 && *y <= Rat::ONE);
-                sum = sum.add(y);
+            for run in &rep.lp.runs {
+                prop_assert!(run.mass.signum() > 0 && run.mass <= Rat::from_int(run.width()));
+                sum = sum.add(&run.mass);
             }
             prop_assert_eq!(sum, scratch.objective);
         }
-        // Certify the final stitched y against LP2 once per case (the
+        // Certify the final assembled runs against LP2 once per case (the
         // oracle itself solves an LP, so per-prefix checks would dominate
         // the test's runtime).
         let rep = solver.solve().unwrap();
-        prop_assert!(fractional_feasible(
-            &oa.instance(),
-            &rep.lp.slots,
-            &rep.lp.y
-        ));
+        prop_assert!(lp2_feasible(&oa.instance(), &rep.lp));
     }
 }
 
@@ -113,10 +117,6 @@ proptest! {
         let scratch = solve_active_lp_with(&solver.instance().unwrap(), &LpOptions::default())
             .unwrap();
         prop_assert_eq!(rep.lp.objective, scratch.objective);
-        prop_assert!(fractional_feasible(
-            &solver.instance().unwrap(),
-            &rep.lp.slots,
-            &rep.lp.y
-        ));
+        prop_assert!(lp2_feasible(&solver.instance().unwrap(), &rep.lp));
     }
 }

@@ -17,6 +17,7 @@ use abt_busy::{
     preemptive_bounded, preemptive_lower_bound, preemptive_unbounded, solve_flexible,
     solve_with_placement, span_place, FirstFitOrder, IntervalAlgo,
 };
+use abt_core::active_schedule::horizon_slots;
 use abt_core::{busy_lower_bounds, within_factor, DemandProfile, Frac, Instance};
 use abt_lp::Rat;
 use abt_workloads::{
@@ -248,7 +249,8 @@ pub fn e3() -> ExperimentReport {
             .segments
             .iter()
             .fold(Rat::ZERO, |acc, s| acc.add(&s.y_sum));
-        let feasible = fractional_feasible(&inst, &rs.slots, &rs.shifted_y);
+        let slots = horizon_slots(&inst).ok()?;
+        let feasible = fractional_feasible(&inst, &slots, &rs.shifted_y(&slots));
         Some((name, lp.objective, shifted_cost, feasible))
     });
     let mut all_ok = true;

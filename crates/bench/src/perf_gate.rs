@@ -374,6 +374,31 @@ mod tests {
         assert_eq!(failures(doctor), [message], "{name}");
     }
 
+    /// The committed value of column `key` in row `id`.
+    fn committed_column(id: &str, key: &str) -> f64 {
+        row(&mut committed(), id).column(key)
+    }
+
+    /// Rule `name`'s threshold.
+    fn threshold(name: &str) -> f64 {
+        RULES.iter().find(|r| r.name == name).unwrap().threshold
+    }
+
+    /// An `AboveCommitted` rule trips on row `id` when its column `key` is
+    /// doctored to `threshold + 1` times the committed value, rounded up
+    /// to a whole number (the effort columns are counts). Returns
+    /// `(fresh, limit, percent, committed)` for the expected message.
+    fn above_committed(name: &str, id: &str, key: &'static str) -> (f64, f64, f64, f64) {
+        let (committed, t) = (committed_column(id, key), threshold(name));
+        assert!(committed > 0.0, "{id} {key}");
+        (
+            (committed * (t + 1.0)).ceil(),
+            committed * t,
+            (t * 100.0).round(),
+            committed,
+        )
+    }
+
     #[test]
     fn committed_record_passes_against_itself() {
         let rec = committed();
@@ -451,28 +476,38 @@ mod tests {
 
     #[test]
     fn effort_pivots_rule() {
+        let (fresh, limit, percent, base) = above_committed("effort_pivots", "e21", "lp_pivots");
         trips(
             "effort_pivots",
-            |r| set(r, "e21", "lp_pivots", 17000.0),
-            "e21 solve effort regressed: fresh 17000 pivots > 16110 (130% of committed 12392)",
+            |r| set(r, "e21", "lp_pivots", fresh),
+            &format!("e21 solve effort regressed: fresh {fresh} pivots > {limit:.0} ({percent}% of committed {base})"),
         );
     }
 
     #[test]
     fn effort_refactorizations_rule() {
+        let (fresh, limit, percent, base) =
+            above_committed("effort_refactorizations", "e20", "lp_refactorizations");
         trips(
             "effort_refactorizations",
-            |r| set(r, "e20", "lp_refactorizations", 50.0),
-            "e20 solve effort regressed: fresh 50 refactorizations > 42 (130% of committed 32)",
+            |r| set(r, "e20", "lp_refactorizations", fresh),
+            &format!("e20 solve effort regressed: fresh {fresh} refactorizations > {limit:.0} ({percent}% of committed {base})"),
         );
     }
 
     #[test]
     fn accept_rate_rule() {
+        // As many escalations as accepts: a rate of one half.
+        let accepts = committed_column("e22", "interval_accepts");
+        assert!(threshold("accept_rate") > 0.5 && accepts > 0.0);
         trips(
             "accept_rate",
-            |r| set(r, "e22", "interval_escalations", 400.0),
-            "e22 interval accept rate collapsed: 2877 accepts / 3277 attempts = 0.878 < 0.9",
+            |r| set(r, "e22", "interval_escalations", accepts),
+            &format!(
+                "e22 interval accept rate collapsed: {accepts} accepts / {} attempts = 0.500 < {}",
+                2.0 * accepts,
+                threshold("accept_rate")
+            ),
         );
         // A row without attempts (an exact-mode run) is skipped.
         assert!(failures(|r| set(r, "e22", "interval_accepts", 0.0)).is_empty());
@@ -480,10 +515,11 @@ mod tests {
 
     #[test]
     fn certify_ms_rule() {
+        let (fresh, limit, percent, base) = above_committed("certify_ms", "e19", "lp_certify_ms");
         trips(
             "certify_ms",
-            |r| set(r, "e19", "lp_certify_ms", 50.0),
-            "e19 certify time regressed: fresh 50.000 ms > 42.475 ms (150% of committed 28.317 ms)",
+            |r| set(r, "e19", "lp_certify_ms", fresh),
+            &format!("e19 certify time regressed: fresh {fresh:.3} ms > {limit:.3} ms ({percent}% of committed {base:.3} ms)"),
         );
         // Skipped when the committed value is 0.
         let mut committed = committed();
@@ -495,10 +531,11 @@ mod tests {
 
     #[test]
     fn p99_ms_rule() {
+        let (fresh, limit, percent, base) = above_committed("p99_ms", "e21", "lp_p99_ms");
         trips(
             "p99_ms",
-            |r| set(r, "e21", "lp_p99_ms", 1.0),
-            "e21 p99 solve latency regressed: fresh 1.000 ms > 0.477 ms (300% of committed 0.159 ms)",
+            |r| set(r, "e21", "lp_p99_ms", fresh),
+            &format!("e21 p99 solve latency regressed: fresh {fresh:.3} ms > {limit:.3} ms ({percent}% of committed {base:.3} ms)"),
         );
         // Skipped when the committed value is 0.
         let mut committed = committed();

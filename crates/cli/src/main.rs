@@ -55,10 +55,15 @@
 //! the same kind of line for its two phases: the min-span placement
 //! (`span`) and the interval algorithm's packing (`pack`). `active …
 //! rounding` prints one for the LP pipeline (decompose/pivot/certify/
-//! stitch) and the §3.1 right-shift plus §3 rounding (`rounding`).
+//! stitch) and the §3.1 right-shift plus §3 rounding (`rounding`), then a
+//! `rounding split:` line dividing that phase into the right-shift, the
+//! max-flow feasibility checks (`flow`) and the rest.
 //!
-//! The per-slot commands (`solve`, `active`) refuse a horizon longer than
-//! `abt-core`'s `MAX_HORIZON_SLOTS` with a typed error (exit 2).
+//! `solve` answers in open runs, so it answers any horizon whose length
+//! fits `i64`. `active … minimal` and `active … rounding` list the
+//! horizon's slots, so they refuse a horizon longer than `abt-core`'s
+//! `MAX_HORIZON_SLOTS` with a typed error (exit 2); `active … exact`
+//! branches over event-point runs and answers long horizons too.
 //!
 //! Instance files use the `abt-core::io` text format (`g <k>` then one
 //! `job <r> <d> <p>` per line; `#` comments allowed).
@@ -71,6 +76,7 @@ use abt_active::{
 use abt_busy::{
     exact_busy_time, preemptive_bounded, preemptive_unbounded, solve_flexible, IntervalAlgo,
 };
+use abt_core::active_schedule::horizon_len;
 use abt_core::obs;
 use abt_core::{active_lower_bound, busy_lower_bounds, io, Instance};
 use abt_workloads::{
@@ -233,23 +239,35 @@ fn supervision_summary(d: &abt_active::LpTelemetry) -> String {
     )
 }
 
+/// Total nanoseconds of the span `name` in `rollups` (0 if it never
+/// closed).
+fn span_nanos(rollups: &[(String, u64, u64)], name: &str) -> u64 {
+    rollups
+        .iter()
+        .find(|(n, _, _)| n == name)
+        .map_or(0, |&(_, _, nanos)| nanos)
+}
+
+/// `"<head>: <label> X ms, …"` over `(label, nanoseconds)` parts.
+fn ms_line(head: &str, parts: &[(&str, u64)]) -> String {
+    let parts: Vec<String> = parts
+        .iter()
+        .map(|&(label, nanos)| format!("{label} {:.1} ms", nanos as f64 / 1e6))
+        .collect();
+    format!("{head}: {}", parts.join(", "))
+}
+
 /// One-line per-phase wall-time breakdown from the always-on span
 /// rollups: `(label, span name)` per phase. The CLI is one command per
 /// process, so the cumulative rollup totals are exactly this command's
 /// totals.
 fn phase_line(phases: &[(&str, &str)]) -> String {
     let rollups = obs::span_rollups();
-    let parts: Vec<String> = phases
+    let parts: Vec<(&str, u64)> = phases
         .iter()
-        .map(|&(label, span)| {
-            let nanos = rollups
-                .iter()
-                .find(|(n, _, _)| n == span)
-                .map_or(0, |&(_, _, nanos)| nanos);
-            format!("{label} {:.1} ms", nanos as f64 / 1e6)
-        })
+        .map(|&(label, span)| (label, span_nanos(&rollups, span)))
         .collect();
-    format!("phases: {}", parts.join(", "))
+    ms_line("phases", &parts)
 }
 
 /// The LP pipeline's phases (`solve`).
@@ -272,6 +290,28 @@ fn rounding_phases() -> String {
         ("stitch", "solve.stitch"),
         ("rounding", "active.rounding"),
     ])
+}
+
+/// `active … rounding`'s split of its `rounding` phase: §3.1
+/// right-shifting (`active.right_shift`), the max-flow feasibility checks
+/// (`active.rounding.flow`), and the rest of the §3 rounding. The three
+/// parts sum to the phase.
+fn rounding_split() -> String {
+    let rollups = obs::span_rollups();
+    let [total, shift, flow] = [
+        "active.rounding",
+        "active.right_shift",
+        "active.rounding.flow",
+    ]
+    .map(|span| span_nanos(&rollups, span));
+    ms_line(
+        "rounding split",
+        &[
+            ("right-shift", shift),
+            ("flow", flow),
+            ("rest", total.saturating_sub(shift + flow)),
+        ],
+    )
 }
 
 /// The incremental driver's phases (`incremental`, `replay`).
@@ -334,9 +374,14 @@ fn run(args: &[&str]) -> Result<(), String> {
             let before = lp_telemetry();
             let lp = solve_active_lp_with(&inst, &opts).map_err(|e| e.to_string())?;
             let d = lp_telemetry().delta(&before);
-            let open = lp.y.iter().filter(|v| v.signum() > 0).count();
+            let horizon =
+                horizon_len(inst.min_release(), inst.max_deadline()).map_err(|e| e.to_string())?;
             println!("LP1 optimum: {}", lp.objective);
-            println!("fractionally open slots: {open} of {}", lp.slots.len());
+            println!(
+                "fractionally open slots: {} of {horizon} in {} runs",
+                lp.open_slots(),
+                lp.runs.len()
+            );
             println!(
                 "solves: {} ({} components), {} pivots ({} in phase 1), {} refactorizations, {} fallbacks",
                 d.solves, d.components, d.pivots, d.phase1_pivots, d.refactorizations, d.fallbacks
@@ -361,6 +406,7 @@ fn run(args: &[&str]) -> Result<(), String> {
                         r.within_two_lp()
                     );
                     println!("{}", rounding_phases());
+                    println!("{}", rounding_split());
                     (r.opened.len(), r.opened)
                 }
                 "exact" => {

@@ -1,9 +1,12 @@
-//! Horizons past the per-slot limit end in a typed refusal (exit 2), not
-//! an abort or a panic: a horizon of 8·10⁹ slots used to abort `solve`,
-//! `active … rounding` and `active … minimal` on a 64 GB allocation, and
-//! one whose length overflows `i64` made `solve`, `active … minimal` and
-//! `active … exact` panic. `active … exact` branches over event-point runs
-//! past 2048 slots, so it still answers the 8·10⁹ instance.
+//! Long horizons are answered where no per-slot output is made and
+//! refused with a typed error (exit 2) where it is, never an abort or a
+//! panic. A horizon of 8·10⁹ slots used to abort `solve`, `active …
+//! rounding` and `active … minimal` on a 64 GB allocation; LP1 now answers
+//! in open runs, so `solve` prints its optimum, and the commands that list
+//! slots refuse it before allocating. A horizon whose length overflows
+//! `i64` made `solve`, `active … minimal` and `active … exact` panic; every
+//! command refuses it. `active … exact` branches over event-point runs
+//! past 2048 slots, so it answers the 8·10⁹ instance.
 
 use std::process::{Command, Output};
 
@@ -15,7 +18,7 @@ fn abt(args: &[&str]) -> Output {
 }
 
 #[test]
-fn long_horizons_are_refused_with_a_typed_error() {
+fn long_horizons_are_answered_in_runs_and_refused_per_slot() {
     let dir = std::env::temp_dir().join(format!("abt-long-horizon-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let long = dir.join("long.txt");
@@ -31,17 +34,21 @@ fn long_horizons_are_refused_with_a_typed_error() {
         "g 1\njob -9223372036854775000 9223372036854775000 5\n",
     )
     .unwrap();
-    for (file, slots) in [(&long, "8000000001"), (&extreme, "18446744073709550000")] {
+    let refusals = [
+        (&long, "8000000001", vec!["rounding", "minimal"]),
+        (
+            &extreme,
+            "18446744073709550000",
+            vec!["solve", "rounding", "minimal", "exact"],
+        ),
+    ];
+    for (file, slots, commands) in refusals {
         let path = file.to_str().unwrap();
-        let mut runs = vec![
-            vec!["solve", path],
-            vec!["active", path, "rounding"],
-            vec!["active", path, "minimal"],
-        ];
-        if file == &extreme {
-            runs.push(vec!["active", path, "exact"]);
-        }
-        for args in runs {
+        for command in commands {
+            let args = match command {
+                "solve" => vec!["solve", path],
+                algo => vec!["active", path, algo],
+            };
             let out = abt(&args);
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert_eq!(out.status.code(), Some(2), "abt {args:?}:\n{stderr}");
@@ -51,6 +58,13 @@ fn long_horizons_are_refused_with_a_typed_error() {
             );
         }
     }
+    // LP1 answers with the mass bound 15/2, at most the integral optimum 8.
+    let out = abt(&["solve", long.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("LP1 optimum: 15/2\n"), "{stdout}");
+    assert!(stdout.contains(" of 8000000001 in "), "{stdout}");
+    assert!(stdout.contains(", 0 fallbacks\n"), "{stdout}");
     let out = abt(&["active", long.to_str().unwrap(), "exact"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}");

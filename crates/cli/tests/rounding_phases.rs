@@ -2,9 +2,29 @@
 //! `phases: decompose …, pivot …, certify …, stitch …, rounding …` line
 //! read from the always-on span rollups (the LP pipeline's `solve.*`
 //! spans, then `active.rounding` around §3.1 right-shifting plus the §3
-//! rounding).
+//! rounding), and one `rounding split: right-shift …, flow …, rest …`
+//! line dividing the `rounding` phase (`active.right_shift`, the
+//! `active.rounding.flow` max-flow checks, and the rest).
 
 use std::process::Command;
+
+/// The `(label, ms)` parts of the line of `stdout` that starts with
+/// `head`.
+fn parts<'a>(stdout: &'a str, head: &str) -> Vec<(&'a str, f64)> {
+    let line = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix(head))
+        .unwrap_or_else(|| panic!("no '{head}' line:\n{stdout}"));
+    line.split(", ")
+        .map(|part| {
+            let (label, ms) = part
+                .strip_suffix(" ms")
+                .and_then(|p| p.split_once(' '))
+                .unwrap_or_else(|| panic!("malformed phase '{part}'"));
+            (label, ms.parse().expect("phase time is a number"))
+        })
+        .collect()
+}
 
 #[test]
 fn rounding_prints_lp_and_rounding_phases() {
@@ -22,26 +42,21 @@ fn rounding_prints_lp_and_rounding_phases() {
         .expect("spawn abt");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "abt active rounding:\n{stdout}");
-    let line = stdout
-        .lines()
-        .find(|l| l.starts_with("phases: "))
-        .unwrap_or_else(|| panic!("no phases line:\n{stdout}"));
-    let parts: Vec<(&str, f64)> = line["phases: ".len()..]
-        .split(", ")
-        .map(|part| {
-            let (label, ms) = part
-                .strip_suffix(" ms")
-                .and_then(|p| p.split_once(' '))
-                .unwrap_or_else(|| panic!("malformed phase '{part}'"));
-            (label, ms.parse().expect("phase time is a number"))
-        })
-        .collect();
-    let labels: Vec<&str> = parts.iter().map(|&(l, _)| l).collect();
+    let phases = parts(&stdout, "phases: ");
+    let labels: Vec<&str> = phases.iter().map(|&(l, _)| l).collect();
     assert_eq!(
         labels,
         ["decompose", "pivot", "certify", "stitch", "rounding"],
-        "{line}"
+        "{stdout}"
     );
-    assert!(parts.iter().all(|&(_, ms)| ms >= 0.0), "{line}");
+    assert!(phases.iter().all(|&(_, ms)| ms >= 0.0), "{stdout}");
+    let split = parts(&stdout, "rounding split: ");
+    let labels: Vec<&str> = split.iter().map(|&(l, _)| l).collect();
+    assert_eq!(labels, ["right-shift", "flow", "rest"], "{stdout}");
+    assert!(split.iter().all(|&(_, ms)| ms >= 0.0), "{stdout}");
+    // The split divides the rounding phase: equal sums up to the 0.05 ms
+    // each printed figure rounds off.
+    let sum: f64 = split.iter().map(|&(_, ms)| ms).sum();
+    assert!((sum - phases[4].1).abs() <= 0.2 + 1e-9, "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,7 +1,8 @@
 //! `abt solve` reports the LP1 solve effort of the run on one line:
 //! `solves: S (C components), P pivots (P1 in phase 1), R
 //! refactorizations, F fallbacks`, every count from the same
-//! `lp_telemetry()` delta.
+//! `lp_telemetry()` delta; and the answer's shape on another:
+//! `fractionally open slots: X of H in R runs`, `H` the horizon's length.
 
 use std::process::Command;
 
@@ -54,5 +55,15 @@ fn solve_prints_pivots_phase1_refactorizations_and_fallbacks() {
     assert_eq!(solves, 1, "{line}");
     assert!(pivots > 0 && phase1 <= pivots, "{line}");
     assert_eq!(fallbacks, 0, "{line}");
+    let line = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("fractionally open slots: "))
+        .unwrap_or_else(|| panic!("no open-slots line:\n{stdout}"));
+    let (open, rest) = line.split_once(" of ").expect("X of H");
+    let (horizon, runs) = rest.split_once(" in ").expect("H in R runs");
+    let open: u64 = open.parse().unwrap();
+    let runs: u64 = runs.strip_suffix(" runs").unwrap().parse().unwrap();
+    assert_eq!(horizon, "30", "{line}");
+    assert!(runs >= 1 && open >= runs && open <= 30, "{line}");
     std::fs::remove_dir_all(&dir).ok();
 }

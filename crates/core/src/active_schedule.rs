@@ -24,14 +24,13 @@ pub fn job_feasible_in_slot(inst: &Instance, job: JobId, t: Time) -> bool {
     j.release < t && t <= j.deadline
 }
 
-/// The longest horizon, in slots, that a per-slot path accepts
-/// ([`per_slot_horizon_len`]). LP1's per-slot `y`, minimal-feasible and
-/// the exact search's per-slot branching start from [`horizon_slots`],
-/// which checks it; the incremental driver checks its stitched span. At
-/// 2²⁴ slots, a slot list (8 bytes a slot) plus LP1's exact per-slot `y`
-/// (32 bytes a slot) take 640 MiB; a longer horizon is refused with
-/// [`Error::HorizonTooLong`] before anything per slot is allocated. A
-/// stopgap until the answers are per run rather than per slot.
+/// The longest horizon, in slots, that the schedule layer accepts.
+/// LP1 answers in runs and needs only [`horizon_len`]; what lists slots —
+/// an [`ActiveSchedule`], the LP rounding's opened slots and its repair,
+/// minimal-feasible, and the exact search's per-slot branching — starts
+/// from [`horizon_slots`], which refuses a longer horizon with
+/// [`Error::HorizonTooLong`] before anything per slot is allocated (at
+/// 2²⁴ slots the slot list alone takes 128 MiB).
 pub const MAX_HORIZON_SLOTS: i64 = 1 << 24;
 
 /// The length `hi − lo` in slots of the horizon `(lo, hi]`. A length
@@ -43,9 +42,11 @@ pub fn horizon_len(lo: Time, hi: Time) -> Result<i64> {
     })
 }
 
-/// [`horizon_len`], also refused past [`MAX_HORIZON_SLOTS`]: the check a
-/// per-slot path makes before it allocates.
-pub fn per_slot_horizon_len(lo: Time, hi: Time) -> Result<i64> {
+/// All slots of the instance's horizon: `{r_min+1, …, T}`. A horizon
+/// longer than [`MAX_HORIZON_SLOTS`] is refused with
+/// [`Error::HorizonTooLong`] before any allocation.
+pub fn horizon_slots(inst: &Instance) -> Result<Vec<Time>> {
+    let (lo, hi) = (inst.min_release(), inst.max_deadline());
     let len = horizon_len(lo, hi)?;
     if len > MAX_HORIZON_SLOTS {
         return Err(Error::HorizonTooLong {
@@ -53,15 +54,6 @@ pub fn per_slot_horizon_len(lo: Time, hi: Time) -> Result<i64> {
             limit: MAX_HORIZON_SLOTS,
         });
     }
-    Ok(len)
-}
-
-/// All slots of the instance's horizon: `{r_min+1, …, T}`. A horizon
-/// longer than [`MAX_HORIZON_SLOTS`] is refused with
-/// [`Error::HorizonTooLong`] before any allocation.
-pub fn horizon_slots(inst: &Instance) -> Result<Vec<Time>> {
-    let (lo, hi) = (inst.min_release(), inst.max_deadline());
-    per_slot_horizon_len(lo, hi)?;
     Ok((lo + 1..=hi).collect())
 }
 
