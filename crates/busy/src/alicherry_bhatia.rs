@@ -14,8 +14,16 @@
 //! of ≤ `g` tracks and is busy only inside the round's demand support.
 //! Summing over rounds, the cost charges the demand-profile lower bound at
 //! most twice.
+//!
+//! **Track extraction.** The remaining jobs' demand profile has a segment
+//! between every two consecutive event times, so the idle arcs' demands
+//! come from one difference array over event indices. Job `k` of the
+//! remaining list is the graph's `k`-th arc, so a path edge `e` (forward
+//! edges are even) names job `e / 2` when that is below the list's length,
+//! and an idle arc otherwise. A round drops the extracted jobs from the
+//! remaining list through a taken mask.
 
-use abt_core::{BusySchedule, DemandProfile, Error, Instance, Interval, JobId, Result, Time};
+use abt_core::{BusySchedule, DemandProfile, Error, Instance, JobId, Result, Time};
 use abt_flow::{decompose_unit_paths, max_flow_limited, FlowGraph};
 
 /// Diagnostics of an Alicherry–Bhatia run.
@@ -46,6 +54,7 @@ pub fn alicherry_bhatia_run(inst: &Instance) -> Result<AlicherryBhatiaRun> {
         DemandProfile::new(&inst.jobs().iter().map(|j| j.window()).collect::<Vec<_>>()).cost(g);
 
     let mut remaining: Vec<JobId> = (0..inst.len()).collect();
+    let mut taken = vec![false; inst.len()];
     let mut parts: Vec<Vec<JobId>> = Vec::new();
     let mut rounds = 0usize;
     while !remaining.is_empty() {
@@ -60,13 +69,12 @@ pub fn alicherry_bhatia_run(inst: &Instance) -> Result<AlicherryBhatiaRun> {
             if track_a.is_empty() && track_b.is_empty() {
                 break; // both paths all-idle: demand exhausted
             }
-            for &j in &track_a {
-                bundle_a.push(j);
+            for &j in track_a.iter().chain(&track_b) {
+                taken[j] = true;
             }
-            for &j in &track_b {
-                bundle_b.push(j);
-            }
-            remaining.retain(|j| !track_a.contains(j) && !track_b.contains(j));
+            bundle_a.extend(track_a);
+            bundle_b.extend(track_b);
+            remaining.retain(|&j| !taken[j]);
         }
         if !bundle_a.is_empty() {
             parts.push(bundle_a);
@@ -86,6 +94,7 @@ pub fn alicherry_bhatia_run(inst: &Instance) -> Result<AlicherryBhatiaRun> {
 /// Builds the event graph of `jobs` and extracts one 2-unit flow, returning
 /// the job sets of the two unit paths.
 fn extract_two_tracks(inst: &Instance, jobs: &[JobId]) -> (Vec<JobId>, Vec<JobId>) {
+    let _span = abt_core::obs_span!("busy.ab.tracks");
     // Event times.
     let mut events: Vec<Time> = Vec::with_capacity(jobs.len() * 2);
     for &j in jobs {
@@ -98,32 +107,25 @@ fn extract_two_tracks(inst: &Instance, jobs: &[JobId]) -> (Vec<JobId>, Vec<JobId
         return (Vec::new(), Vec::new());
     }
     let node_of = |t: Time| -> usize { events.binary_search(&t).unwrap() };
-    let profile = DemandProfile::new(
-        &jobs
-            .iter()
-            .map(|&j| inst.job(j).window())
-            .collect::<Vec<_>>(),
-    );
 
     let mut graph = FlowGraph::new(events.len());
-    // Job arcs.
-    let mut arc_jobs: Vec<(usize, JobId)> = Vec::new(); // (edge id, job)
+    // Job arcs: job `jobs[k]` is edge `2k`. Each adds one unit of demand
+    // from its start event to its end event.
+    let mut demand = vec![0i64; events.len()];
     for &j in jobs {
-        let e = graph.add_edge(
-            node_of(inst.job(j).release),
-            node_of(inst.job(j).deadline),
-            1,
-        );
-        arc_jobs.push((e, j));
+        let (a, b) = (node_of(inst.job(j).release), node_of(inst.job(j).deadline));
+        graph.add_edge(a, b, 1);
+        demand[a] += 1;
+        demand[b] -= 1;
     }
     // Idle arcs between consecutive events: capacity 2 across zero-demand
     // gaps, 1 inside the support (so at every positive-demand point at most
     // one of the two unit paths idles — i.e. at least one is in a job, which
     // is exactly the "reduce demand by ≥ 1 everywhere" property).
-    for w in 0..events.len() - 1 {
-        let seg = Interval::new(events[w], events[w + 1]);
-        let demand = profile.raw_demand_at(seg.start) as i64;
-        let cap = if demand == 0 { 2 } else { 1 };
+    let mut load = 0;
+    for (w, &delta) in demand[..events.len() - 1].iter().enumerate() {
+        load += delta;
+        let cap = if load == 0 { 2 } else { 1 };
         graph.add_edge(w, w + 1, cap);
     }
     let s = 0;
@@ -133,11 +135,7 @@ fn extract_two_tracks(inst: &Instance, jobs: &[JobId]) -> (Vec<JobId>, Vec<JobId
     let paths = decompose_unit_paths(&mut graph, s, t);
     let mut tracks: Vec<Vec<JobId>> = paths
         .iter()
-        .map(|p| {
-            p.iter()
-                .filter_map(|&e| arc_jobs.iter().find(|&&(ae, _)| ae == e).map(|&(_, j)| j))
-                .collect()
-        })
+        .map(|p| p.iter().filter_map(|&e| jobs.get(e / 2).copied()).collect())
         .collect();
     tracks.resize(2, Vec::new());
     let b = tracks.pop().unwrap();

@@ -13,17 +13,33 @@
 //! graphs are bipartite), so each machine runs at most one job per level,
 //! i.e. at most `g` jobs, and each band-`i` machine is busy only where the
 //! demand is at least `i`. Total cost ≤ 2 × the profile bound ≤ 2·OPT.
+//!
+//! **Bookkeeping.** The padded profile has the real profile's segments —
+//! a dummy spans exactly one of them — with each demand rounded up to a
+//! multiple of `g`, so every unit endpoint is a segment boundary and a
+//! unit is a run of whole segments, found by binary search. Its level cap
+//! is the minimum padded demand over that run. Phase 1 keeps, per level,
+//! how many members cover each segment: a unit fits a level iff every
+//! segment of its run is covered fewer than twice, the same test as
+//! counting the members through each point of the unit. Units go in
+//! `(level_cap, start)` order to their lowest fitting level; when that
+//! greedy strands a unit, `cover_levels` redoes phase 1. Phase 2 sorts a
+//! level's members by start, so an earlier member overlaps the next one
+//! exactly when it ends past that start: the parity split keeps the last
+//! end per colour.
 
-#![allow(clippy::needless_range_loop)] // levels are 1-based indices into level_members
+use std::ops::Range;
 
-use abt_core::{BusySchedule, DemandProfile, Error, Instance, Interval, JobId, Result};
+use abt_core::{BusySchedule, DemandProfile, Error, Instance, Interval, JobId, Result, Time};
 
 /// A unit scheduled by the algorithm: a real job or a padding dummy.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct Unit {
     iv: Interval,
     job: Option<JobId>,
     level_cap: usize,
+    /// The padded-profile segments the unit spans.
+    segs: Range<usize>,
 }
 
 /// Diagnostic output of a Kumar–Rudra run.
@@ -50,107 +66,115 @@ pub fn kumar_rudra_run(inst: &Instance) -> Result<KumarRudraRun> {
         ));
     }
     let g = inst.g();
-    let real: Vec<Interval> = inst.jobs().iter().map(|j| j.window()).collect();
-    let profile = DemandProfile::new(&real);
-    let profile_bound = profile.cost(g);
-
-    // Phase 0: pad to multiples of g.
-    let dummies = profile.padding_to_multiple(g);
-    let (schedule, levels) = level_band_pack(inst, &real, &dummies)?;
+    let (units, level_members, profile_bound) = {
+        let _span = abt_core::obs_span!("busy.kr.levels");
+        let real: Vec<Interval> = inst.jobs().iter().map(|j| j.window()).collect();
+        let profile = DemandProfile::new(&real);
+        // Phase 0: pad to multiples of g.
+        let units = padded_units(&profile, &real, g);
+        // Phase 1: levels.
+        let max_level = profile.max_raw_demand().div_ceil(g) * g;
+        let segments = profile.segments().len();
+        let level_members = greedy_levels(&units, max_level, segments)
+            .unwrap_or_else(|| cover_levels(&units, max_level));
+        (units, level_members, profile.cost(g))
+    };
+    let parts = {
+        let _span = abt_core::obs_span!("busy.kr.bands");
+        band_parts(&units, &level_members, g)?
+    };
     Ok(KumarRudraRun {
-        schedule,
+        schedule: BusySchedule::from_interval_partition(inst, parts),
         profile_bound,
-        levels,
+        levels: level_members.len() - 1,
     })
 }
 
-/// Phases 1–2 of Kumar–Rudra: given the real job windows and a set of
-/// padding dummies whose union profile has demand a multiple of `g` on
-/// every positive segment, assign levels (≤ 2 overlapping units per
-/// level), open two machines per band of `g` levels, and parity-split
-/// each level. Returns the schedule over real jobs and the number of
-/// levels used.
-fn level_band_pack(
-    inst: &Instance,
-    real: &[Interval],
-    dummies: &[Interval],
-) -> Result<(BusySchedule, usize)> {
-    let g = inst.g();
-    let mut all: Vec<Interval> = real.to_vec();
-    all.extend_from_slice(dummies);
-    let padded_profile = DemandProfile::new(&all);
+/// The real job windows, then the dummies that pad every positive segment
+/// of `profile` to a multiple of `g`, each with its run of padded
+/// segments and its level cap (the least padded demand on that run).
+fn padded_units(profile: &DemandProfile, real: &[Interval], g: usize) -> Vec<Unit> {
+    let segments = profile.segments();
+    let starts: Vec<Time> = segments.iter().map(|(iv, _)| iv.start).collect();
+    let padded: Vec<usize> = segments.iter().map(|&(_, d)| d.div_ceil(g) * g).collect();
+    let dummies = profile.padding_to_multiple(g);
+    real.iter()
+        .map(|&iv| (iv, true))
+        .chain(dummies.into_iter().map(|iv| (iv, false)))
+        .enumerate()
+        .map(|(i, (iv, is_real))| {
+            let segs =
+                starts.partition_point(|&t| t < iv.start)..starts.partition_point(|&t| t < iv.end);
+            let level_cap = padded[segs.clone()].iter().copied().min().unwrap_or(0);
+            debug_assert!(level_cap >= 1);
+            Unit {
+                iv,
+                job: is_real.then_some(i),
+                level_cap,
+                segs,
+            }
+        })
+        .collect()
+}
 
-    let mut units: Vec<Unit> = Vec::with_capacity(all.len());
-    for (i, &iv) in all.iter().enumerate() {
-        let job = if i < real.len() { Some(i) } else { None };
-        // Level cap: the min raw demand over the unit's interval (padded).
-        let cap = padded_profile
-            .segments()
-            .iter()
-            .filter(|(seg, _)| seg.overlaps(&iv))
-            .map(|&(_, d)| d)
-            .min()
-            .unwrap_or(0);
-        debug_assert!(cap >= 1);
-        units.push(Unit {
-            iv,
-            job,
-            level_cap: cap,
-        });
-    }
-
-    // Phase 1: levels.
-    let max_level = padded_profile.max_raw_demand();
-    let level_members =
-        greedy_levels(&units, max_level).unwrap_or_else(|| cover_levels(&units, max_level));
-
-    // Phase 2: two machines per band of g levels; parity-split each level.
-    let bands = max_level.div_ceil(g);
-    let mut parts: Vec<Vec<JobId>> = vec![Vec::new(); bands * 2];
-    for lvl in 1..=max_level {
+/// Phase 2: two machines per band of `g` levels; each level's members,
+/// sorted by start, alternate between the band's two machines wherever
+/// they overlap. Returns the non-empty machines' real jobs.
+fn band_parts(units: &[Unit], level_members: &[Vec<usize>], g: usize) -> Result<Vec<Vec<JobId>>> {
+    let max_level = level_members.len() - 1;
+    let mut parts: Vec<Vec<JobId>> = vec![Vec::new(); max_level.div_ceil(g) * 2];
+    for (lvl, members) in level_members.iter().enumerate().skip(1) {
         let band = (lvl - 1) / g;
-        let mut members: Vec<usize> = level_members[lvl].clone();
+        let mut members: Vec<usize> = members.clone();
         members.sort_by_key(|&ui| (units[ui].iv.start, units[ui].iv.end, ui));
         // Greedy 2-coloring along the sorted order (triangle-free interval
-        // graph: a member conflicts only with its still-active predecessor).
-        let mut color = vec![0u8; members.len()];
-        for (k, &ui) in members.iter().enumerate() {
-            let mut used = [false, false];
-            for (k2, &uj) in members.iter().enumerate().take(k) {
-                if units[uj].iv.overlaps(&units[ui].iv) {
-                    used[color[k2] as usize] = true;
-                }
-            }
-            color[k] = if used[0] { 1 } else { 0 };
-            if used[color[k] as usize] {
+        // graph: a member conflicts only with its still-active
+        // predecessors, and a colour's members end in start order).
+        let mut last_end = [Time::MIN; 2];
+        for &ui in &members {
+            let iv = units[ui].iv;
+            let used = last_end.map(|end| end > iv.start);
+            let color = usize::from(used[0]);
+            if used[color] {
                 return Err(Error::InvalidInstance(
                     "Kumar–Rudra phase 2: level overlap chain is not 2-colorable".into(),
                 ));
             }
-        }
-        for (k, &ui) in members.iter().enumerate() {
+            last_end[color] = iv.end;
             if let Some(job) = units[ui].job {
-                parts[band * 2 + color[k] as usize].push(job);
+                parts[band * 2 + color].push(job);
             }
         }
     }
     parts.retain(|p| !p.is_empty());
-    let schedule = BusySchedule::from_interval_partition(inst, parts);
-    Ok((schedule, max_level))
+    Ok(parts)
 }
 
 /// Phase 1 by `(level_cap, start)`: tightest eligibility first
 /// (eligibility sets are prefixes `{1..cap}`), each unit on its lowest
-/// level where at most one member already covers any of its points.
-/// `None` when a unit finds no such level within its cap.
-fn greedy_levels(units: &[Unit], max_level: usize) -> Option<Vec<Vec<usize>>> {
+/// level where no segment of its run is already covered twice. `None`
+/// when a unit finds no such level within its cap.
+fn greedy_levels(units: &[Unit], max_level: usize, segments: usize) -> Option<Vec<Vec<usize>>> {
     let mut order: Vec<usize> = (0..units.len()).collect();
     order.sort_by_key(|&i| (units[i].level_cap, units[i].iv.start, i));
     let mut level_members: Vec<Vec<usize>> = vec![Vec::new(); max_level + 1];
+    // Per level, the members covering each segment (allocated on the
+    // level's first member).
+    let mut cover: Vec<Vec<u8>> = vec![Vec::new(); max_level + 1];
     for &ui in &order {
-        let u = units[ui];
-        let lvl = (1..=u.level_cap)
-            .find(|&lvl| max_overlap_within(&level_members[lvl], units, u.iv) < 2)?;
+        let u = &units[ui];
+        let lvl = (1..=u.level_cap).find(|&lvl| {
+            cover[lvl]
+                .get(u.segs.clone())
+                .is_none_or(|run| run.iter().all(|&c| c < 2))
+        })?;
+        let level = &mut cover[lvl];
+        if level.is_empty() {
+            level.resize(segments, 0);
+        }
+        for c in &mut level[u.segs.clone()] {
+            *c += 1;
+        }
         level_members[lvl].push(ui);
     }
     Some(level_members)
@@ -203,35 +227,6 @@ fn cover_levels(units: &[Unit], max_level: usize) -> Vec<Vec<usize>> {
         rest = left;
     }
     level_members
-}
-
-/// Maximum number of `members` (plus the candidate) simultaneously covering
-/// a point of `iv`, counting only existing members.
-fn max_overlap_within(members: &[usize], units: &[Unit], iv: Interval) -> usize {
-    let mut events: Vec<(i64, i32)> = Vec::new();
-    let mut base = 0i32;
-    for &ui in members {
-        let o = units[ui].iv;
-        if !o.overlaps(&iv) {
-            continue;
-        }
-        if o.start <= iv.start {
-            base += 1;
-        } else {
-            events.push((o.start, 1));
-        }
-        if o.end < iv.end {
-            events.push((o.end, -1));
-        }
-    }
-    events.sort_unstable();
-    let mut cur = base;
-    let mut peak = base;
-    for (_, d) in events {
-        cur += d;
-        peak = peak.max(cur);
-    }
-    peak.max(0) as usize
 }
 
 #[cfg(test)]

@@ -24,17 +24,38 @@
 //! be optimal right endpoints, and an interval should serve *every* job
 //! that fits it (capacity is unbounded).
 //!
-//! **Memo key.** The search memoizes on the unserved set alone. A state
+//! **Memo.** The search memoizes on the unserved set alone. A state
 //! also has a frontier — the right end `v` of the interval before it — but
 //! the frontier is read only to reject a next start `u < v`. Every other
 //! quantity (`u`, the candidate ends, the served sets, the optimum and its
 //! first interval) is a function of the set. So the caller checks
 //! `u ≥ v` before it recurses, and a set reached behind different
 //! frontiers is solved once. Jobs are relabelled by `(c_j, j)`, which
-//! makes the forced job `j*` the lowest bit of the set.
+//! makes the forced job `j*` the lowest bit of the set. The sets the
+//! search reaches are near-suffixes of that order — one to three per
+//! lowest rank on the benchmark's instances — so the memo is a short list
+//! per lowest rank, scanned by whole-set comparison.
+//!
+//! **Sweep.** Three prefix masks per instance answer "which jobs" with
+//! one binary search each: jobs with `r + p ≤ t`, jobs with `r < t`, and
+//! jobs with `p ≤ q`. In a state with start `u`, let `A` be the jobs of
+//! the set released at or after `u` and `B` those released before it; a
+//! right end `v` serves `(A ∩ {r + p ≤ v}) ∪ (B ∩ {p ≤ v − u})`, a few
+//! word operations. The search walks `v` upward from the forced job's
+//! deadline over the merged `r + p` and `u + p` keys, skips every `v`
+//! whose served set has not changed, and stops at the first `v` with
+//! `v − u ≥` the best cost so far (the rest costs ≥ 0).
+//!
+//! The skip keeps the smallest optimal right end. A served set changes
+//! exactly at a requirement `max(r_j, u) + p_j` of a job of the set, so
+//! the ends where it changes are the candidate ends, ascending. An unchanged
+//! set at a larger `v` leaves the same rest: its cost is strictly higher
+//! than at the end where the set last changed, and if that end was
+//! skipped because the rest's start lay inside the interval, so is this
+//! one. A candidate replaces the best only when strictly cheaper, so among
+//! equal costs the first — smallest — end wins.
 
-use abt_core::{Error, Instance, Interval, IntervalSet, Result, Time};
-use std::collections::HashMap;
+use abt_core::{Error, Instance, Interval, IntervalSet, Job, Result, Time};
 
 /// A placement of all jobs: chosen start times, the busy region, its cost.
 #[derive(Debug, Clone)]
@@ -72,91 +93,8 @@ pub fn span_exact(inst: &Instance) -> Result<SpanPlacement> {
     // Bit `k` of a set is the job of rank `k` by `(c_j, j)`.
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by_key(|&j| (inst.job(j).latest_start(), j));
-
-    struct Search {
-        /// `(r, p, c)` per rank.
-        jobs: Vec<(Time, Time, Time)>,
-        /// Unserved set → (min cost, right end of its first interval).
-        memo: HashMap<u128, (i64, Time)>,
-    }
-    impl Search {
-        /// Start of the interval that serves `mask` first: `c` of the
-        /// forced (lowest) job.
-        fn start(&self, mask: u128) -> Time {
-            self.jobs[mask.trailing_zeros() as usize].2
-        }
-
-        /// Rank `k`'s requirement at start `u`: the job fits `[u, v)` iff
-        /// `max(r, u) + p ≤ v`.
-        fn req(&self, k: usize, u: Time) -> Time {
-            let (r, p, _) = self.jobs[k];
-            r.max(u) + p
-        }
-
-        /// The jobs of `mask` that fit `[u, v)`.
-        fn served(&self, mask: u128, u: Time, v: Time) -> u128 {
-            ones(mask)
-                .filter(|&k| self.req(k, u) <= v)
-                .fold(0, |s, k| s | 1 << k)
-        }
-
-        /// Min cost of serving the non-empty `mask` with intervals that
-        /// start at or after `start(mask)`, and the right end of the first.
-        fn solve(&mut self, mask: u128) -> (i64, Time) {
-            if let Some(&hit) = self.memo.get(&mask) {
-                return hit;
-            }
-            let u = self.start(mask);
-            let vmin = self.req(mask.trailing_zeros() as usize, u);
-            let mut req: Vec<(Time, usize)> = ones(mask).map(|k| (self.req(k, u), k)).collect();
-            req.sort_unstable();
-            let mut best = (INF, 0);
-            let mut served = 0u128;
-            let mut i = 0;
-            while i < req.len() {
-                let v = req[i].0;
-                while i < req.len() && req[i].0 == v {
-                    served |= 1 << req[i].1;
-                    i += 1;
-                }
-                // Jobs done before the forced one still ride along, but
-                // an interval must serve the forced job.
-                if v < vmin {
-                    continue;
-                }
-                // Candidates ascend and the rest costs ≥ 0: nothing later
-                // is strictly cheaper.
-                if v - u >= best.0 {
-                    break;
-                }
-                let rest = mask & !served;
-                let rest_cost = if rest == 0 {
-                    0
-                } else if self.start(rest) < v {
-                    continue; // the next interval would start inside this one
-                } else {
-                    self.solve(rest).0
-                };
-                let cost = (v - u) + rest_cost;
-                if cost < best.0 {
-                    best = (cost, v);
-                }
-            }
-            self.memo.insert(mask, best);
-            best
-        }
-    }
-
-    let mut search = Search {
-        jobs: order
-            .iter()
-            .map(|&j| {
-                let job = inst.job(j);
-                (job.release, job.length, job.latest_start())
-            })
-            .collect(),
-        memo: HashMap::new(),
-    };
+    let ranked: Vec<Job> = order.iter().map(|&j| *inst.job(j)).collect();
+    let mut search = Search::new(&ranked);
     let full = (1u128 << n) - 1;
     let (cost, _) = search.solve(full);
     debug_assert!(cost < INF, "every instance is feasible with unbounded g");
@@ -181,15 +119,148 @@ pub fn span_exact(inst: &Instance) -> Result<SpanPlacement> {
     })
 }
 
-/// The set bits of `mask`, ascending.
-fn ones(mut mask: u128) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (mask != 0).then(|| {
-            let k = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            k
-        })
-    })
+/// The ranks ordered by one key: `masks[i]` holds the ranks whose key is
+/// among the `i` smallest distinct `keys`.
+struct Prefix {
+    keys: Vec<Time>,
+    masks: Vec<u128>,
+}
+
+impl Prefix {
+    fn new(keys: impl Iterator<Item = Time>) -> Prefix {
+        let mut by_key: Vec<(Time, usize)> = keys.enumerate().map(|(k, t)| (t, k)).collect();
+        by_key.sort_unstable();
+        let mut prefix = Prefix {
+            keys: Vec::new(),
+            masks: Vec::new(),
+        };
+        let mut acc = 0u128;
+        for (t, k) in by_key {
+            if prefix.keys.last() != Some(&t) {
+                prefix.keys.push(t);
+                prefix.masks.push(acc);
+            }
+            acc |= 1 << k;
+        }
+        prefix.masks.push(acc);
+        prefix
+    }
+
+    /// The number of distinct keys `≤ t`.
+    fn count_le(&self, t: Time) -> usize {
+        self.keys.partition_point(|&k| k <= t)
+    }
+
+    /// The ranks with key `≤ t`.
+    fn le(&self, t: Time) -> u128 {
+        self.masks[self.count_le(t)]
+    }
+
+    /// The ranks with key `< t`.
+    fn lt(&self, t: Time) -> u128 {
+        self.masks[self.keys.partition_point(|&k| k < t)]
+    }
+}
+
+/// The covering search over unserved sets (see the module docs).
+struct Search {
+    /// `(c, p)` per rank.
+    jobs: Vec<(Time, Time)>,
+    /// Ranks by `r + p`: the ends a job released at or after the start
+    /// needs.
+    finish: Prefix,
+    /// Ranks by release.
+    release: Prefix,
+    /// Ranks by length.
+    length: Prefix,
+    /// Per lowest rank: `(unserved set, min cost, right end of its first
+    /// interval)`.
+    memo: Vec<Vec<(u128, i64, Time)>>,
+}
+
+impl Search {
+    /// The search over `ranked`, the jobs in rank order.
+    fn new(ranked: &[Job]) -> Search {
+        Search {
+            jobs: ranked
+                .iter()
+                .map(|j| (j.latest_start(), j.length))
+                .collect(),
+            finish: Prefix::new(ranked.iter().map(|j| j.release + j.length)),
+            release: Prefix::new(ranked.iter().map(|j| j.release)),
+            length: Prefix::new(ranked.iter().map(|j| j.length)),
+            memo: vec![Vec::new(); ranked.len()],
+        }
+    }
+
+    /// Start of the interval that serves `mask` first: `c` of the forced
+    /// (lowest) job.
+    fn start(&self, mask: u128) -> Time {
+        self.jobs[mask.trailing_zeros() as usize].0
+    }
+
+    /// The jobs of `mask` that fit `[u, v)`: a job fits iff
+    /// `max(r, u) + p ≤ v`.
+    fn served(&self, mask: u128, u: Time, v: Time) -> u128 {
+        let early = self.release.lt(u);
+        mask & ((!early & self.finish.le(v)) | (early & self.length.le(v - u)))
+    }
+
+    /// Min cost of serving the non-empty `mask` with intervals that
+    /// start at or after `start(mask)`, and the right end of the first.
+    fn solve(&mut self, mask: u128) -> (i64, Time) {
+        let low = mask.trailing_zeros() as usize;
+        if let Some(&(_, cost, v)) = self.memo[low].iter().find(|e| e.0 == mask) {
+            return (cost, v);
+        }
+        let (u, p) = self.jobs[low];
+        let early = mask & self.release.lt(u);
+        let late = mask & !early;
+        // An interval must serve the forced job, so it ends at `u + p`
+        // (its deadline) or later; jobs done by then ride along.
+        let mut v = u + p;
+        let mut fi = self.finish.count_le(v);
+        let mut li = self.length.count_le(p);
+        let mut best = (INF, 0);
+        let mut last = 0u128;
+        // Ends ascend and the rest costs ≥ 0: nothing later is strictly
+        // cheaper once `v − u` reaches the best cost.
+        while v - u < best.0 {
+            let served = (late & self.finish.masks[fi]) | (early & self.length.masks[li]);
+            if served != last {
+                last = served;
+                let rest = mask & !served;
+                if rest == 0 {
+                    best = (v - u, v);
+                    break;
+                }
+                // A rest that starts inside this interval is not a
+                // canonical next interval.
+                if self.start(rest) >= v {
+                    let cost = (v - u) + self.solve(rest).0;
+                    if cost < best.0 {
+                        best = (cost, v);
+                    }
+                }
+            }
+            // The next end at which a requirement could be met.
+            let next_finish = self.finish.keys.get(fi).copied();
+            let next_length = self.length.keys.get(li).map(|&q| u.saturating_add(q));
+            v = match (next_finish, next_length) {
+                (Some(a), Some(b)) => a.min(b),
+                (Some(a), None) | (None, Some(a)) => a,
+                (None, None) => break,
+            };
+            while self.finish.keys.get(fi).is_some_and(|&t| t <= v) {
+                fi += 1;
+            }
+            while self.length.keys.get(li).is_some_and(|&q| q <= v - u) {
+                li += 1;
+            }
+        }
+        self.memo[low].push((mask, best.0, best.1));
+        best
+    }
 }
 
 /// Greedy heuristic for large instances: serve the most urgent job with a

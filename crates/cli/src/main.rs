@@ -53,7 +53,11 @@
 //! re-partitioned into components (`incremental.jobs_regrouped`).
 //! `busy` with an interval algorithm (`ff`, `gt`, `kr`, `ab`, `lp`) prints
 //! the same kind of line for its two phases: the min-span placement
-//! (`span`) and the interval algorithm's packing (`pack`). `active …
+//! (`span`) and the interval algorithm's packing (`pack`); `kr` and `lp`
+//! then print a `pack split:` line dividing `pack` into Kumar–Rudra's
+//! `levels` (profiles, level caps, phase 1), `bands` (phase 2) and the
+//! rest, and `ab` one dividing it into its track extractions (`tracks`)
+//! and the rest. `active …
 //! rounding` prints one for the LP pipeline (decompose/pivot/certify/
 //! stitch) and the §3.1 right-shift plus §3 rounding (`rounding`), then a
 //! `rounding split:` line dividing that phase into the right-shift, the
@@ -64,6 +68,10 @@
 //! horizon's slots, so they refuse a horizon longer than `abt-core`'s
 //! `MAX_HORIZON_SLOTS` with a typed error (exit 2); `active … exact`
 //! branches over event-point runs and answers long horizons too.
+//!
+//! Every command writes its output through one writer. When the reader
+//! goes away (`abt … | head`), the command stops at the failed write and
+//! exits 0 without a message.
 //!
 //! Instance files use the `abt-core::io` text format (`g <k>` then one
 //! `job <r> <d> <p>` per line; `#` comments allowed).
@@ -84,6 +92,7 @@ use abt_workloads::{
     random_flexible, random_interval, vm_trace, OnlineArrivalsConfig, OpticalTraceConfig,
     RandomConfig, VmTraceConfig,
 };
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 use std::sync::OnceLock;
 
@@ -116,18 +125,30 @@ fn main() -> ExitCode {
         }
     }
     let print_metrics = args.iter().any(|a| a == "--metrics");
-    let result = run(&args.iter().map(String::as_str).collect::<Vec<_>>());
+    let mut out = std::io::stdout();
+    let result = run(
+        &args.iter().map(String::as_str).collect::<Vec<_>>(),
+        &mut out,
+    )
+    .and_then(|()| {
+        if print_metrics {
+            write!(out, "{}", obs::metrics::render())?;
+        }
+        out.flush()?;
+        Ok(())
+    });
     // Dump on success and on typed errors alike — a quarantined solve is
     // exactly when the flight recorder matters most.
     dump_trace();
     match result {
-        Ok(()) => {
-            if print_metrics {
-                print!("{}", obs::metrics::render());
-            }
-            ExitCode::SUCCESS
+        Ok(()) => ExitCode::SUCCESS,
+        // The reader went away (`abt … | head`): nothing is left to say.
+        Err(Stop::Output(e)) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Stop::Output(e)) => {
+            eprintln!("error: writing output: {e}");
+            ExitCode::FAILURE
         }
-        Err(msg) => {
+        Err(Stop::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!(
                 "usage:\n  abt gen <interval|flexible|vm|optical|fig1|fig3|gap> [seed]\n  \
@@ -147,6 +168,32 @@ fn main() -> ExitCode {
             );
             ExitCode::from(2)
         }
+    }
+}
+
+/// Why a command stopped short of success.
+enum Stop {
+    /// A usage, input or solve error: reported with the usage text, exit 2.
+    Usage(String),
+    /// Writing to stdout failed.
+    Output(std::io::Error),
+}
+
+impl From<String> for Stop {
+    fn from(msg: String) -> Stop {
+        Stop::Usage(msg)
+    }
+}
+
+impl From<&str> for Stop {
+    fn from(msg: &str) -> Stop {
+        Stop::Usage(msg.into())
+    }
+}
+
+impl From<std::io::Error> for Stop {
+    fn from(e: std::io::Error) -> Stop {
+        Stop::Output(e)
     }
 }
 
@@ -239,6 +286,17 @@ fn supervision_summary(d: &abt_active::LpTelemetry) -> String {
     )
 }
 
+/// The component LPs a `solve` call solved: `lp.components` counts only
+/// sharded solves, and an unsharded solve is one component (its one LP,
+/// or none on an empty instance).
+fn components_solved(d: &abt_active::LpTelemetry) -> u64 {
+    if d.sharded_solves > 0 {
+        d.components
+    } else {
+        d.solves
+    }
+}
+
 /// Total nanoseconds of the span `name` in `rollups` (0 if it never
 /// closed).
 fn span_nanos(rollups: &[(String, u64, u64)], name: &str) -> u64 {
@@ -292,26 +350,47 @@ fn rounding_phases() -> String {
     ])
 }
 
+/// `"<head>: <label> X ms, …, rest Z ms"`: the span `total` divided into
+/// `(label, span)` parts, each nested inside it, and the rest. The parts
+/// sum to the total.
+fn split_line(head: &str, total: &str, parts: &[(&str, &str)]) -> String {
+    let rollups = obs::span_rollups();
+    let mut line: Vec<(&str, u64)> = parts
+        .iter()
+        .map(|&(label, span)| (label, span_nanos(&rollups, span)))
+        .collect();
+    let inner: u64 = line.iter().map(|&(_, nanos)| nanos).sum();
+    line.push(("rest", span_nanos(&rollups, total).saturating_sub(inner)));
+    ms_line(head, &line)
+}
+
 /// `active … rounding`'s split of its `rounding` phase: §3.1
 /// right-shifting (`active.right_shift`), the max-flow feasibility checks
-/// (`active.rounding.flow`), and the rest of the §3 rounding. The three
-/// parts sum to the phase.
+/// (`active.rounding.flow`), and the rest of the §3 rounding.
 fn rounding_split() -> String {
-    let rollups = obs::span_rollups();
-    let [total, shift, flow] = [
-        "active.rounding",
-        "active.right_shift",
-        "active.rounding.flow",
-    ]
-    .map(|span| span_nanos(&rollups, span));
-    ms_line(
+    split_line(
         "rounding split",
+        "active.rounding",
         &[
-            ("right-shift", shift),
-            ("flow", flow),
-            ("rest", total.saturating_sub(shift + flow)),
+            ("right-shift", "active.right_shift"),
+            ("flow", "active.rounding.flow"),
         ],
     )
+}
+
+/// `busy … kr|lp|ab`'s split of its `pack` phase: Kumar–Rudra's profiles,
+/// level caps and phase 1 (`levels`) and its phase 2 (`bands`), or
+/// Alicherry–Bhatia's track extractions (`tracks`), then the rest. `None`
+/// for the algorithms without sub-spans.
+fn pack_split(algo: IntervalAlgo) -> Option<String> {
+    let parts: &[(&str, &str)] = match algo {
+        IntervalAlgo::KumarRudra | IntervalAlgo::LpRounding => {
+            &[("levels", "busy.kr.levels"), ("bands", "busy.kr.bands")]
+        }
+        IntervalAlgo::AlicherryBhatia => &[("tracks", "busy.ab.tracks")],
+        IntervalAlgo::FirstFit | IntervalAlgo::GreedyTracking => return None,
+    };
+    Some(split_line("pack split", "busy.pack", parts))
 }
 
 /// The incremental driver's phases (`incremental`, `replay`).
@@ -330,7 +409,7 @@ fn jobs_regrouped() -> u64 {
     obs::counter("incremental.jobs_regrouped").get()
 }
 
-fn run(args: &[&str]) -> Result<(), String> {
+fn run(args: &[&str], out: &mut dyn Write) -> Result<(), Stop> {
     match args {
         ["gen", family, rest @ ..] => {
             let seed: u64 = rest
@@ -344,25 +423,31 @@ fn run(args: &[&str]) -> Result<(), String> {
                 "fig1" => fig1_example(),
                 "fig3" => fig3_minimal_tight(4).instance,
                 "gap" => integrality_gap(3).instance,
-                other => return Err(format!("unknown family '{other}'")),
+                other => return Err(format!("unknown family '{other}'").into()),
             };
-            print!("{}", io::write_instance(&inst));
+            write!(out, "{}", io::write_instance(&inst))?;
             Ok(())
         }
         ["bounds", path] => {
             let inst = load(path)?;
-            println!(
+            writeln!(
+                out,
                 "jobs: {}  g: {}  horizon: {}",
                 inst.len(),
                 inst.g(),
                 inst.horizon()
-            );
-            println!("active-time lower bound: {}", active_lower_bound(&inst));
+            )?;
+            writeln!(
+                out,
+                "active-time lower bound: {}",
+                active_lower_bound(&inst)
+            )?;
             let b = busy_lower_bounds(&inst);
-            println!(
+            writeln!(
+                out,
                 "busy-time bounds: mass={} span={} profile={}",
                 b.mass, b.span, b.profile
-            );
+            )?;
             Ok(())
         }
         ["solve", rest @ ..] => {
@@ -376,18 +461,25 @@ fn run(args: &[&str]) -> Result<(), String> {
             let d = lp_telemetry().delta(&before);
             let horizon =
                 horizon_len(inst.min_release(), inst.max_deadline()).map_err(|e| e.to_string())?;
-            println!("LP1 optimum: {}", lp.objective);
-            println!(
+            writeln!(out, "LP1 optimum: {}", lp.objective)?;
+            writeln!(
+                out,
                 "fractionally open slots: {} of {horizon} in {} runs",
                 lp.open_slots(),
                 lp.runs.len()
-            );
-            println!(
+            )?;
+            writeln!(
+                out,
                 "solves: {} ({} components), {} pivots ({} in phase 1), {} refactorizations, {} fallbacks",
-                d.solves, d.components, d.pivots, d.phase1_pivots, d.refactorizations, d.fallbacks
-            );
-            println!("{}", supervision_summary(&d));
-            println!("{}", phase_breakdown());
+                d.solves,
+                components_solved(&d),
+                d.pivots,
+                d.phase1_pivots,
+                d.refactorizations,
+                d.fallbacks
+            )?;
+            writeln!(out, "{}", supervision_summary(&d))?;
+            writeln!(out, "{}", phase_breakdown())?;
             Ok(())
         }
         ["active", path, algo] => {
@@ -400,13 +492,14 @@ fn run(args: &[&str]) -> Result<(), String> {
                 }
                 "rounding" => {
                     let r = lp_rounding(&inst).map_err(|e| e.to_string())?;
-                    println!(
+                    writeln!(
+                        out,
                         "LP = {}, certified cost ≤ 2·LP: {}",
                         r.lp_objective,
                         r.within_two_lp()
-                    );
-                    println!("{}", rounding_phases());
-                    println!("{}", rounding_split());
+                    )?;
+                    writeln!(out, "{}", rounding_phases())?;
+                    writeln!(out, "{}", rounding_split())?;
                     (r.opened.len(), r.opened)
                 }
                 "exact" => {
@@ -418,59 +511,67 @@ fn run(args: &[&str]) -> Result<(), String> {
                     let r = exact_unit_active_time(&inst).map_err(|e| e.to_string())?;
                     (r.slots.len(), r.slots)
                 }
-                other => return Err(format!("unknown active algorithm '{other}'")),
+                other => return Err(format!("unknown active algorithm '{other}'").into()),
             };
-            println!("active time: {cost}");
-            println!("active slots: {slots:?}");
+            writeln!(out, "active time: {cost}")?;
+            writeln!(out, "active slots: {slots:?}")?;
             Ok(())
         }
         ["busy", path, algo] => {
             let inst = load(path)?;
-            let schedule = match *algo {
-                "ff" => solve_flexible(&inst, IntervalAlgo::FirstFit),
-                "gt" => solve_flexible(&inst, IntervalAlgo::GreedyTracking),
-                "kr" => solve_flexible(&inst, IntervalAlgo::KumarRudra),
-                "ab" => solve_flexible(&inst, IntervalAlgo::AlicherryBhatia),
-                "lp" => solve_flexible(&inst, IntervalAlgo::LpRounding),
+            let algo = match *algo {
+                "ff" => IntervalAlgo::FirstFit,
+                "gt" => IntervalAlgo::GreedyTracking,
+                "kr" => IntervalAlgo::KumarRudra,
+                "ab" => IntervalAlgo::AlicherryBhatia,
+                "lp" => IntervalAlgo::LpRounding,
                 "exact" => {
                     let r = exact_busy_time(&inst, Some(500_000_000)).map_err(|e| e.to_string())?;
-                    println!(
+                    writeln!(
+                        out,
                         "busy time: {} on {} machines",
                         r.cost,
                         r.schedule.machine_count()
-                    );
+                    )?;
                     return Ok(());
                 }
                 "preempt" => {
                     let u = preemptive_unbounded(&inst);
                     let b = preemptive_bounded(&inst);
-                    println!("preemptive OPT∞: {}", u.cost);
-                    println!(
+                    writeln!(out, "preemptive OPT∞: {}", u.cost)?;
+                    writeln!(
+                        out,
                         "bounded-g 2-approx: {} on {} machines",
                         b.total_busy_time(),
                         b.machine_count()
-                    );
+                    )?;
                     return Ok(());
                 }
-                other => return Err(format!("unknown busy algorithm '{other}'")),
-            }
-            .map_err(|e| e.to_string())?
-            .schedule;
+                other => return Err(format!("unknown busy algorithm '{other}'").into()),
+            };
+            let schedule = solve_flexible(&inst, algo)
+                .map_err(|e| e.to_string())?
+                .schedule;
             schedule.validate(&inst).map_err(|e| e.to_string())?;
-            println!(
+            writeln!(
+                out,
                 "busy time: {} on {} machines",
                 schedule.total_busy_time(&inst),
                 schedule.machine_count()
-            );
+            )?;
             for (m, b) in schedule.bundles.iter().enumerate() {
                 if !b.items.is_empty() {
-                    println!("machine {m}: {:?}", b.items);
+                    writeln!(out, "machine {m}: {:?}", b.items)?;
                 }
             }
-            println!(
+            writeln!(
+                out,
                 "{}",
                 phase_line(&[("span", "busy.span"), ("pack", "busy.pack")])
-            );
+            )?;
+            if let Some(split) = pack_split(algo) {
+                writeln!(out, "{split}")?;
+            }
             Ok(())
         }
         ["incremental", rest @ ..] => {
@@ -483,13 +584,14 @@ fn run(args: &[&str]) -> Result<(), String> {
             let cfg = arrivals_config(parse_at(0, 8)?, parse_at(1, 4)?)?;
             let seed = parse_at(2, 0)?;
             let oa = online_arrivals(&cfg, seed);
-            println!(
+            writeln!(
+                out,
                 "online-arrivals trace: {} jobs into {} stripes (g = {}, {} templates, seed {seed})",
                 oa.jobs.len(),
                 cfg.clusters,
                 oa.g,
                 cfg.templates
-            );
+            )?;
             let before = lp_telemetry();
             let regrouped = jobs_regrouped();
             let mut solver =
@@ -497,7 +599,8 @@ fn run(args: &[&str]) -> Result<(), String> {
             for (i, job) in oa.jobs.iter().enumerate() {
                 solver.add_job(*job);
                 let rep = solver.solve().map_err(|e| e.to_string())?;
-                println!(
+                writeln!(
+                    out,
                     "arrival {i:>3}: job [{:>4}, {:>4}) len {} → LP1 = {}  \
                      (components {}, reused {}, cold {})",
                     job.release,
@@ -507,18 +610,19 @@ fn run(args: &[&str]) -> Result<(), String> {
                     rep.components,
                     rep.reused,
                     rep.cold_solves
-                );
+                )?;
             }
             let d = lp_telemetry().delta(&before);
-            println!(
+            writeln!(
+                out,
                 "replay totals: {} LP solves, {} pivots, {} fallbacks, {} jobs regrouped",
                 d.solves,
                 d.pivots,
                 d.fallbacks,
                 jobs_regrouped() - regrouped
-            );
-            println!("{}", supervision_summary(&d));
-            println!("{}", incremental_phases());
+            )?;
+            writeln!(out, "{}", supervision_summary(&d))?;
+            writeln!(out, "{}", incremental_phases())?;
             Ok(())
         }
         ["replay", rest @ ..] => {
@@ -553,7 +657,8 @@ fn run(args: &[&str]) -> Result<(), String> {
             let mut solver =
                 IncrementalSolver::with_options(oa.g, opts).map_err(|e| e.to_string())?;
             let rec = solver.attach_store(state_dir).map_err(|e| e.to_string())?;
-            println!(
+            writeln!(
+                out,
                 "recovery: {} jobs resumed ({} journal ops replayed, {} blocks restored), \
                  {} corruption events absorbed{}{}",
                 rec.resumed_jobs,
@@ -566,7 +671,7 @@ fn run(args: &[&str]) -> Result<(), String> {
                     ""
                 },
                 if rec.cold_start { "; cold start" } else { "" },
-            );
+            )?;
             // Resume where the journal left off: each arrival is exactly
             // one add_job, so the job count is the stream position.
             let done = solver.len();
@@ -575,20 +680,23 @@ fn run(args: &[&str]) -> Result<(), String> {
                     "state dir holds {done} jobs but the trace has only {} — \
                      wrong trace parameters or seed for this state dir?",
                     oa.jobs.len()
-                ));
+                )
+                .into());
             }
-            println!(
+            writeln!(
+                out,
                 "online-arrivals trace: {} jobs into {} stripes (g = {}, seed {seed}); \
                  resuming at arrival {done}",
                 oa.jobs.len(),
                 cfg.clusters,
                 oa.g,
-            );
+            )?;
             let mut objective = None;
             for (i, job) in oa.jobs.iter().enumerate().skip(done) {
                 solver.add_job(*job);
                 let rep = solver.solve().map_err(|e| e.to_string())?;
-                println!(
+                writeln!(
+                    out,
                     "arrival {i:>3}: job [{:>4}, {:>4}) len {} → LP1 = {}  \
                      (components {}, reused {}, cold {})",
                     job.release,
@@ -598,7 +706,7 @@ fn run(args: &[&str]) -> Result<(), String> {
                     rep.components,
                     rep.reused,
                     rep.cold_solves
-                );
+                )?;
                 objective = Some(rep.lp.objective);
                 if throttle_ms > 0 {
                     std::thread::sleep(std::time::Duration::from_millis(throttle_ms));
@@ -611,7 +719,8 @@ fn run(args: &[&str]) -> Result<(), String> {
             };
             solver.checkpoint_now();
             let d = lp_telemetry().delta(&before);
-            println!(
+            writeln!(
+                out,
                 "persist: {} restores, {} recoveries, {} state-corrupt, {} admission rejects{}",
                 d.persist_restores,
                 d.recoveries,
@@ -622,10 +731,10 @@ fn run(args: &[&str]) -> Result<(), String> {
                 } else {
                     ""
                 },
-            );
-            println!("{}", supervision_summary(&d));
-            println!("{}", incremental_phases());
-            println!("final objective: {objective}");
+            )?;
+            writeln!(out, "{}", supervision_summary(&d))?;
+            writeln!(out, "{}", incremental_phases())?;
+            writeln!(out, "final objective: {objective}")?;
             Ok(())
         }
         ["trace", rest @ ..] => {
@@ -649,26 +758,26 @@ fn run(args: &[&str]) -> Result<(), String> {
                         file = Some(it.next().ok_or("--check needs a file")?);
                     }
                     other if file.is_none() => file = Some(other),
-                    other => return Err(format!("unexpected trace argument '{other}'")),
+                    other => return Err(format!("unexpected trace argument '{other}'").into()),
                 }
             }
             let file = file.ok_or("trace takes a flight-recorder JSONL dump file")?;
             let text = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
             let summary = obs::validate_jsonl(&text).map_err(|e| format!("{file}: {e}"))?;
-            println!("{file}: {} entries, all valid", summary.lines);
+            writeln!(out, "{file}: {} entries, all valid", summary.lines)?;
             for (kind, n) in &summary.span_kinds {
-                println!("  span  {kind}: {n}");
+                writeln!(out, "  span  {kind}: {n}")?;
             }
             for (kind, n) in &summary.event_kinds {
-                println!("  event {kind}: {n}");
+                writeln!(out, "  event {kind}: {n}")?;
             }
             for kind in expect {
                 if !summary.span_kinds.contains_key(kind) && !summary.event_kinds.contains_key(kind)
                 {
-                    return Err(format!("expected span/event kind '{kind}' not in {file}"));
+                    return Err(format!("expected span/event kind '{kind}' not in {file}").into());
                 }
             }
-            println!("trace: OK");
+            writeln!(out, "trace: OK")?;
             Ok(())
         }
         ["recover", rest @ ..] => {
@@ -679,17 +788,21 @@ fn run(args: &[&str]) -> Result<(), String> {
             };
             let ins = inspect_store(dir).map_err(|e| e.to_string())?;
             match (&ins.checkpoint, &ins.checkpoint_error) {
-                (Some(c), _) => println!(
+                (Some(c), _) => {
+                    writeln!(
+                out,
                     "checkpoint: ok (g = {}, seq {}, {} live jobs, {} blocks, {} quarantined keys)",
                     c.g, c.seq, c.live_jobs, c.blocks, c.quarantined
-                ),
-                (None, Some(e)) => println!("checkpoint: REJECTED — {e}"),
-                (None, None) => println!("checkpoint: missing"),
-            }
+                )
+                }
+                (None, Some(e)) => writeln!(out, "checkpoint: REJECTED — {e}"),
+                (None, None) => writeln!(out, "checkpoint: missing"),
+            }?;
             match &ins.journal_error {
-                Some(e) if e == "missing" => println!("journal: missing"),
-                Some(e) => println!("journal: REJECTED — {e}"),
-                None => println!(
+                Some(e) if e == "missing" => writeln!(out, "journal: missing"),
+                Some(e) => writeln!(out, "journal: REJECTED — {e}"),
+                None => writeln!(
+                    out,
                     "journal: ok ({} records, {} pending past the checkpoint{})",
                     ins.journal_records,
                     ins.pending_ops,
@@ -699,12 +812,13 @@ fn run(args: &[&str]) -> Result<(), String> {
                         ""
                     }
                 ),
-            }
-            println!(
+            }?;
+            writeln!(
+                out,
                 "recovery attempts: {} (storm guard trips at {})",
                 ins.recovery_attempts,
                 abt_active::MAX_RECOVERY_ATTEMPTS
-            );
+            )?;
             if compact {
                 // Recover through the real attach path (absorbing any
                 // corruption exactly as a solver would), then fold the
@@ -713,10 +827,11 @@ fn run(args: &[&str]) -> Result<(), String> {
                 let mut solver = IncrementalSolver::new(g).map_err(|e| e.to_string())?;
                 let rec = solver.attach_store(dir).map_err(|e| e.to_string())?;
                 solver.checkpoint_now();
-                println!(
+                writeln!(
+                    out,
                     "compacted: {} jobs, {} ops folded, {} corruption events absorbed",
                     rec.resumed_jobs, rec.replayed_ops, rec.corruption_events
-                );
+                )?;
             }
             Ok(())
         }

@@ -1,7 +1,8 @@
 //! `abt solve` reports the LP1 solve effort of the run on one line:
 //! `solves: S (C components), P pivots (P1 in phase 1), R
 //! refactorizations, F fallbacks`, every count from the same
-//! `lp_telemetry()` delta; and the answer's shape on another:
+//! `lp_telemetry()` delta, `C` the component LPs the call solved (1 on a
+//! connected instance); and the answer's shape on another:
 //! `fractionally open slots: X of H in R runs`, `H` the horizon's length.
 
 use std::process::Command;
@@ -30,29 +31,45 @@ fn counts(line: &str) -> Option<[u64; 6]> {
     Some(out)
 }
 
-#[test]
-fn solve_prints_pivots_phase1_refactorizations_and_fallbacks() {
-    let dir = std::env::temp_dir().join(format!("abt-solve-summary-{}", std::process::id()));
+/// `abt solve` on an instance file holding `text`, in a directory of its
+/// own named after `tag`; returns stdout.
+fn solve(tag: &str, text: &str) -> String {
+    let dir = std::env::temp_dir().join(format!("abt-solve-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let file = dir.join("active.txt");
-    std::fs::write(
-        &file,
-        "g 2\njob 0 10 3\njob 2 12 4\njob 5 20 2\njob 1 9 5\njob 14 30 6\n",
-    )
-    .unwrap();
+    std::fs::write(&file, text).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_abt"))
         .args(["solve", file.to_str().unwrap()])
         .output()
         .expect("spawn abt");
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    std::fs::remove_dir_all(&dir).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(out.status.success(), "abt solve:\n{stdout}");
+    stdout
+}
+
+/// The counts of the `solves:` line of `stdout`.
+fn solves_line(stdout: &str) -> [u64; 6] {
     let line = stdout
         .lines()
         .find(|l| l.starts_with("solves: "))
         .unwrap_or_else(|| panic!("no solves line:\n{stdout}"));
-    let [solves, _components, pivots, phase1, _refactorizations, fallbacks] =
-        counts(line).unwrap_or_else(|| panic!("malformed solves line '{line}'"));
+    counts(line).unwrap_or_else(|| panic!("malformed solves line '{line}'"))
+}
+
+#[test]
+fn solve_prints_pivots_phase1_refactorizations_and_fallbacks() {
+    let stdout = solve(
+        "summary",
+        "g 2\njob 0 10 3\njob 2 12 4\njob 5 20 2\njob 1 9 5\njob 14 30 6\n",
+    );
+    let [solves, components, pivots, phase1, _refactorizations, fallbacks] = solves_line(&stdout);
+    let line = stdout.lines().find(|l| l.starts_with("solves: ")).unwrap();
     assert_eq!(solves, 1, "{line}");
+    assert_eq!(
+        components, 1,
+        "a connected instance is one component: {line}"
+    );
     assert!(pivots > 0 && phase1 <= pivots, "{line}");
     assert_eq!(fallbacks, 0, "{line}");
     let line = stdout
@@ -65,5 +82,14 @@ fn solve_prints_pivots_phase1_refactorizations_and_fallbacks() {
     let runs: u64 = runs.strip_suffix(" runs").unwrap().parse().unwrap();
     assert_eq!(horizon, "30", "{line}");
     assert!(runs >= 1 && open >= runs && open <= 30, "{line}");
-    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn solve_counts_the_components_it_solved() {
+    let stdout = solve(
+        "components",
+        "g 2\njob 0 10 3\njob 2 12 4\njob 40 50 2\njob 41 49 5\n",
+    );
+    let [solves, components, ..] = solves_line(&stdout);
+    assert_eq!((solves, components), (2, 2), "{stdout}");
 }
