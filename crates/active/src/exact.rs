@@ -51,7 +51,12 @@ pub struct ExactActive {
 /// event-point-run branching (see the module docs) instead of per-slot
 /// branching, so sparse instances with huge horizons terminate; a horizon
 /// whose length overflows `i64` is refused with [`Error::HorizonTooLong`].
+///
+/// The search runs under the always-on `active.exact` span; inside it, its
+/// LP1 bound runs under `active.exact.lp1` and its max-flow checks under
+/// `active.flow`.
 pub fn exact_active_time(inst: &Instance, node_limit: Option<u64>) -> Result<ExactActive> {
+    let _span = abt_core::obs_span!("active.exact");
     if !inst.is_empty()
         && horizon_len(inst.min_release(), inst.max_deadline())? > RUN_BRANCH_SLOT_LIMIT
     {
@@ -82,9 +87,7 @@ pub fn exact_active_time(inst: &Instance, node_limit: Option<u64>) -> Result<Exa
     // LP could prove nothing new.
     let mut lb = active_lower_bound(inst);
     if best.len() as i64 > lb {
-        if let Ok(lp) = solve_active_lp(inst) {
-            lb = lb.max(lp.objective.ceil() as i64);
-        }
+        lb = lb.max(lp1_bound(inst));
     }
 
     struct Search<'a> {
@@ -151,6 +154,12 @@ pub fn exact_active_time(inst: &Instance, node_limit: Option<u64>) -> Result<Exa
         schedule,
         nodes: search.nodes,
     })
+}
+
+/// `⌈LP1⌉` (0 if the solve fails), under the `active.exact.lp1` span.
+fn lp1_bound(inst: &Instance) -> i64 {
+    let _span = abt_core::obs_span!("active.exact.lp1");
+    solve_active_lp(inst).map_or(0, |lp| lp.objective.ceil() as i64)
 }
 
 /// Branch-and-bound over event-point runs: decides, per run, how many of
@@ -253,9 +262,7 @@ fn exact_over_runs(inst: &Instance, node_limit: Option<u64>) -> Result<ExactActi
     search.best = full;
     let mut lb = active_lower_bound(inst);
     if search.best.len() as i64 > lb {
-        if let Ok(lp) = solve_active_lp(inst) {
-            lb = lb.max(lp.objective.ceil() as i64);
-        }
+        lb = lb.max(lp1_bound(inst));
     }
     search.lb = lb;
     let mut counts = Vec::with_capacity(search.runs.len());

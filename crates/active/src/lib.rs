@@ -5,7 +5,8 @@
 //! one machine with at most `g` job-units per active slot, minimizing the
 //! number of active slots.
 //!
-//! * [`feasibility`] — the max-flow oracle `G_feas` (Fig. 2).
+//! * [`feasibility`] — the max-flow oracle `G_feas` (Fig. 2), on the
+//!   implicit network, and its growing [`FeasibilitySession`].
 //! * [`minimal`] — minimal feasible solutions: a 3-approximation for *any*
 //!   closing order (Theorem 1; tight by the Fig. 3 gadget).
 //! * [`rounding`] — the LP-rounding 2-approximation (Theorem 2), on top of
@@ -73,7 +74,7 @@ pub mod unit;
 pub use abt_lp::CertifyMode;
 pub use admission::{admission_precheck, AdmissionReject};
 pub use exact::{exact_active_time, ExactActive};
-pub use feasibility::{feasible_on, schedule_on, FeasibilityChecker};
+pub use feasibility::{feasible_on, schedule_on, FeasibilityChecker, FeasibilitySession};
 pub use incremental::{IncrementalJobId, IncrementalReport, IncrementalSolver};
 pub use lp_model::{
     fractional_feasible, lp_telemetry, pivots_per_solve_snapshot, solve_active_lp,

@@ -85,19 +85,27 @@ pub struct MinimalResult {
 
 /// Computes a minimal feasible solution starting from all horizon slots,
 /// closing candidates in `order`. Errors if the instance is infeasible even
-/// with every slot open.
+/// with every slot open. Runs under the always-on `active.minimal` span,
+/// its max-flow checks under `active.flow`.
 pub fn minimal_feasible(inst: &Instance, order: ClosingOrder) -> Result<MinimalResult> {
+    let _span = abt_core::obs_span!("active.minimal");
     let all = horizon_slots(inst)?;
-    minimal_feasible_from(inst, &all, order)
+    close_minimal(inst, &all, order)
 }
 
 /// Computes a minimal feasible solution contained in the given starting set
-/// of active slots.
+/// of active slots, under the `active.minimal` span.
 pub fn minimal_feasible_from(
     inst: &Instance,
     start: &[Time],
     order: ClosingOrder,
 ) -> Result<MinimalResult> {
+    let _span = abt_core::obs_span!("active.minimal");
+    close_minimal(inst, start, order)
+}
+
+/// Closes the slots of `start` in `order` while the rest stays feasible.
+fn close_minimal(inst: &Instance, start: &[Time], order: ClosingOrder) -> Result<MinimalResult> {
     let checker = FeasibilityChecker::new(inst);
     let mut open: Vec<Time> = start.to_vec();
     open.sort_unstable();

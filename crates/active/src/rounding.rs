@@ -21,18 +21,33 @@
 //! The outcome carries the exact LP objective so callers can assert
 //! `cost ≤ 2·LP ≤ 2·OPT` with rational arithmetic.
 //!
+//! # One growing flow
+//!
+//! Every feasibility check of the rounding — each barely-open slot's
+//! probe, Lemma 5's final check and the defensive repair's checks — runs
+//! on one [`FeasibilitySession`]. Between two checks the rounding only
+//! adds: the jobs of the next deadline and the slots it opens; it never
+//! closes a slot (a closable slot is carried as a proxy and never opened)
+//! and never drops a job. Adding nodes and arcs keeps the flow it has a
+//! valid flow, so each probe augments only the demand not yet routed, and a
+//! probe that fails keeps its partial flow: the slot opens and the next
+//! check resumes from there. The final check completes that same flow and
+//! its schedule is the answer. A maximum flow's value is unique, so every
+//! verdict, and with it every opened slot, charge and cost, is the one a
+//! from-scratch max-flow per check gives (`tests/proptest_feasibility.rs`
+//! pins this against the explicit Dinic network).
+//!
 //! The LP answer and its right-shift are per run; the schedule this
 //! produces is per slot, so [`lp_rounding_from`] refuses a horizon past
 //! [`MAX_HORIZON_SLOTS`](abt_core::active_schedule::MAX_HORIZON_SLOTS)
 //! before it lists a slot.
 
-use crate::feasibility::FeasibilityChecker;
+use crate::feasibility::FeasibilitySession;
 use crate::lp_model::{solve_active_lp, ActiveLp};
 use crate::right_shift::{right_shift, Segment};
 use abt_core::active_schedule::horizon_slots;
-use abt_core::{ActiveSchedule, Error, Instance, JobId, Result, Time};
+use abt_core::{ActiveSchedule, Error, Instance, Result, Time};
 use abt_lp::Rat;
-use std::collections::BTreeSet;
 
 /// How an opened slot was paid for (for the experiment tables).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,8 +201,8 @@ pub fn lp_rounding(inst: &Instance) -> Result<RoundingOutcome> {
 /// Rounding given an already-solved LP (lets experiments reuse the solve).
 /// §3.1 right-shifting and the §3 rounding run under the always-on
 /// `active.rounding` span; inside it, `active.right_shift` times §3.1 and
-/// `active.rounding.flow` every max-flow feasibility check. A horizon
-/// longer than the per-slot schedule accepts is refused with
+/// `active.flow` every max-flow feasibility check. A horizon longer than
+/// the per-slot schedule accepts is refused with
 /// [`Error::HorizonTooLong`].
 pub fn lp_rounding_from(inst: &Instance, lp: &ActiveLp) -> Result<RoundingOutcome> {
     let _span = abt_core::obs_span!("active.rounding");
@@ -199,12 +214,6 @@ pub fn lp_rounding_from(inst: &Instance, lp: &ActiveLp) -> Result<RoundingOutcom
     round_segments(inst, &rs.segments, &slots, lp.objective)
 }
 
-/// `check`'s max-flow, under the `active.rounding.flow` span.
-fn flow_check(checker: &FeasibilityChecker, slots: &[Time]) -> Option<ActiveSchedule> {
-    let _span = abt_core::obs_span!("active.rounding.flow");
-    checker.check(slots)
-}
-
 /// The §3 rounding of right-shifted `segments`; the defensive repair opens
 /// slots of `slots` (the horizon, ascending) from the right.
 pub(crate) fn round_segments(
@@ -213,24 +222,26 @@ pub(crate) fn round_segments(
     slots: &[Time],
     lp_objective: Rat,
 ) -> Result<RoundingOutcome> {
-    let checker = FeasibilityChecker::new(inst);
     let half = Rat::new(1, 2);
 
-    let mut opened: BTreeSet<Time> = BTreeSet::new();
+    // The opened slots and the jobs of the processed deadlines, with one
+    // flow on them that every probe, the final check and the repair grow.
+    let mut flow = FeasibilitySession::new(inst);
     let mut ledger = Ledger::new();
     let mut proxy: Option<(Rat, Time)> = None;
-    let mut jobs_so_far: Vec<JobId> = Vec::new();
     let mut anomalies = 0usize;
 
     for seg in segments {
-        jobs_so_far.extend_from_slice(&seg.jobs);
+        for &job in &seg.jobs {
+            flow.add_job(job);
+        }
         let y = seg.y_sum;
         let floor = y.floor() as i64;
         let fr = y.fract();
         // Open the ⌊Y_i⌋ fully open right-shifted slots.
         for k in 0..floor {
             let t = seg.deadline - k;
-            opened.insert(t);
+            flow.add_slot(t);
             ledger.add_full(t);
         }
         // Build the fractional residue items: at most one half-open slot and
@@ -263,53 +274,52 @@ pub(crate) fn round_segments(
         for (v, loc) in residue {
             if v == Rat::ONE {
                 // Became fully open through the merge (footnote 4).
-                opened.insert(loc);
+                flow.add_slot(loc);
                 ledger.add_full(loc);
             } else if v >= half {
-                opened.insert(loc);
+                flow.add_slot(loc);
                 ledger.add_half(loc, v);
+            } else if flow.probe() {
+                // Barely open and closable: carry it as a proxy.
+                proxy = Some((v, loc));
             } else {
-                // Barely open: try to close it.
-                let open_now: Vec<Time> = opened.iter().copied().collect();
-                let closable = {
-                    let _span = abt_core::obs_span!("active.rounding.flow");
-                    checker.is_feasible_subset(&jobs_so_far, &open_now)
-                };
-                if closable {
-                    proxy = Some((v, loc));
-                } else {
-                    opened.insert(loc);
-                    if ledger.charge_barely(v) == ChargeKind::Anomaly {
-                        anomalies += 1;
-                    }
+                // Barely open and needed: the probe's partial flow stays,
+                // and the next probe resumes it with this slot open.
+                flow.add_slot(loc);
+                if ledger.charge_barely(v) == ChargeKind::Anomaly {
+                    anomalies += 1;
                 }
             }
         }
     }
 
-    // Final feasibility (guaranteed by Lemma 5; repaired defensively).
-    // One max-flow per slot set: its schedule is the answer.
+    // Final feasibility (guaranteed by Lemma 5; repaired defensively): the
+    // same flow, completed; its schedule is the answer.
+    debug_assert_eq!(
+        segments.iter().map(|seg| seg.jobs.len()).sum::<usize>(),
+        inst.len(),
+        "the segments partition the jobs"
+    );
     let mut repair_slots = 0usize;
-    let mut open_vec: Vec<Time> = opened.iter().copied().collect();
-    let mut schedule = flow_check(&checker, &open_vec);
-    if schedule.is_none() {
-        for &t in slots.iter().rev() {
-            if opened.contains(&t) {
-                continue;
-            }
-            opened.insert(t);
+    let mut feasible = flow.probe();
+    for &t in slots.iter().rev() {
+        if feasible {
+            break;
+        }
+        if flow.add_slot(t) {
             repair_slots += 1;
-            open_vec = opened.iter().copied().collect();
-            schedule = flow_check(&checker, &open_vec);
-            if schedule.is_some() {
-                break;
-            }
+            feasible = flow.probe();
         }
     }
-    let schedule = schedule
-        .ok_or_else(|| Error::Infeasible("rounding could not recover feasibility".into()))?;
+    if !feasible {
+        return Err(Error::Infeasible(
+            "rounding could not recover feasibility".into(),
+        ));
+    }
+    let schedule = flow.schedule();
+    let opened = flow.slots().to_vec();
 
-    let cost = open_vec.len() as i64;
+    let cost = opened.len() as i64;
     let charges = vec![
         (ChargeKind::FullyOpen, ledger.tally[0]),
         (ChargeKind::SelfHalf, ledger.tally[1]),
@@ -319,7 +329,7 @@ pub(crate) fn round_segments(
         (ChargeKind::Anomaly, ledger.tally[5]),
     ];
     Ok(RoundingOutcome {
-        opened: open_vec,
+        opened,
         schedule,
         lp_objective,
         cost,

@@ -33,7 +33,7 @@ pub fn exact_unit_active_time(inst: &Instance) -> Result<UnitExact> {
             "exact_unit_active_time requires unit-length jobs".into(),
         ));
     }
-    let g = inst.g() as i64;
+    let g = i64::try_from(inst.g()).unwrap_or(i64::MAX);
 
     // Distinct constraint endpoints.
     let mut lefts: Vec<Time> = inst.jobs().iter().map(|j| j.release).collect();
@@ -57,7 +57,8 @@ pub fn exact_unit_active_time(inst: &Instance) -> Result<UnitExact> {
                 .filter(|j| j.release >= a && j.deadline <= b)
                 .count() as i64;
             if n > 0 {
-                constraints.push((a, b, (n + g - 1) / g));
+                // ⌈n/g⌉ without the overflow of n + g − 1 at a huge g.
+                constraints.push((a, b, (n - 1) / g + 1));
             }
         }
     }

@@ -61,7 +61,10 @@
 //! rounding` prints one for the LP pipeline (decompose/pivot/certify/
 //! stitch) and the §3.1 right-shift plus §3 rounding (`rounding`), then a
 //! `rounding split:` line dividing that phase into the right-shift, the
-//! max-flow feasibility checks (`flow`) and the rest.
+//! max-flow feasibility checks (`flow`) and the rest. `active … minimal`
+//! divides its algorithm into the max-flow checks (`flow`) and the rest,
+//! and `active … exact` its search into the LP1 bound (`lp1`), the
+//! max-flow checks and the rest.
 //!
 //! `solve` answers in open runs, so it answers any horizon whose length
 //! fits `i64`. `active … minimal` and `active … rounding` list the
@@ -366,15 +369,32 @@ fn split_line(head: &str, total: &str, parts: &[(&str, &str)]) -> String {
 
 /// `active … rounding`'s split of its `rounding` phase: §3.1
 /// right-shifting (`active.right_shift`), the max-flow feasibility checks
-/// (`active.rounding.flow`), and the rest of the §3 rounding.
+/// (`active.flow`), and the rest of the §3 rounding.
 fn rounding_split() -> String {
     split_line(
         "rounding split",
         "active.rounding",
         &[
             ("right-shift", "active.right_shift"),
-            ("flow", "active.rounding.flow"),
+            ("flow", "active.flow"),
         ],
+    )
+}
+
+/// `active … minimal`'s phases: its max-flow feasibility checks
+/// (`active.flow`) and the rest of minimal-feasible (`active.minimal`).
+fn minimal_phases() -> String {
+    split_line("phases", "active.minimal", &[("flow", "active.flow")])
+}
+
+/// `active … exact`'s phases: its LP1 bound (`active.exact.lp1`), its
+/// max-flow feasibility checks (`active.flow`) and the rest of the search
+/// (`active.exact`).
+fn exact_phases() -> String {
+    split_line(
+        "phases",
+        "active.exact",
+        &[("lp1", "active.exact.lp1"), ("flow", "active.flow")],
     )
 }
 
@@ -488,6 +508,7 @@ fn run(args: &[&str], out: &mut dyn Write) -> Result<(), Stop> {
                 "minimal" => {
                     let r = minimal_feasible(&inst, ClosingOrder::LeftToRight)
                         .map_err(|e| e.to_string())?;
+                    writeln!(out, "{}", minimal_phases())?;
                     (r.slots.len(), r.slots)
                 }
                 "rounding" => {
@@ -505,6 +526,7 @@ fn run(args: &[&str], out: &mut dyn Write) -> Result<(), Stop> {
                 "exact" => {
                     let r =
                         exact_active_time(&inst, Some(500_000_000)).map_err(|e| e.to_string())?;
+                    writeln!(out, "{}", exact_phases())?;
                     (r.slots.len(), r.slots)
                 }
                 "unit" => {

@@ -1,0 +1,58 @@
+//! A capacity `g` near `i64::MAX` is answered like any other. Three
+//! capacity computations used to wrap: the feasibility oracle's `g · m`
+//! precheck made `active … minimal|rounding|exact` report "infeasible" at
+//! `g = 2⁶²`, the bounds' `⌈P/g⌉` printed a negative active-time bound and
+//! mass at `g = i64::MAX`, and the unit-jobs solver's `⌈n/g⌉` left it with
+//! no slot to open ("Hall condition violated unexpectedly").
+
+use std::process::Command;
+
+/// `abt args… <file>` on an instance file holding `text`: its stdout,
+/// after asserting success.
+fn abt(name: &str, text: &str, args: &[&str]) -> String {
+    let dir = std::env::temp_dir().join(format!("abt-huge-g-{}-{name}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("inst.txt");
+    std::fs::write(&file, text).unwrap();
+    let (cmd, rest) = args.split_first().unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_abt"))
+        .arg(cmd)
+        .arg(&file)
+        .args(rest)
+        .output()
+        .expect("spawn abt");
+    std::fs::remove_dir_all(&dir).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "abt {args:?}:\n{stdout}{stderr}");
+    stdout
+}
+
+#[test]
+fn active_algorithms_answer_at_g_two_to_the_62() {
+    for algo in ["minimal", "rounding", "exact"] {
+        let stdout = abt(
+            algo,
+            "g 4611686018427387904\njob 0 2 2\n",
+            &["active", algo],
+        );
+        assert!(stdout.contains("active time: 2\n"), "{algo}:\n{stdout}");
+    }
+}
+
+#[test]
+fn bounds_stay_positive_at_g_max() {
+    let stdout = abt("bounds", "g 9223372036854775807\njob 0 2 2\n", &["bounds"]);
+    assert!(stdout.contains("active-time lower bound: 1\n"), "{stdout}");
+    assert!(stdout.contains("mass=1 "), "{stdout}");
+}
+
+#[test]
+fn unit_jobs_share_a_slot_at_g_max() {
+    let stdout = abt(
+        "unit",
+        "g 9223372036854775807\njob 0 1 1\njob 0 1 1\n",
+        &["active", "unit"],
+    );
+    assert!(stdout.contains("active time: 1\n"), "{stdout}");
+}

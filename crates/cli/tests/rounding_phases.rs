@@ -4,9 +4,12 @@
 //! spans, then `active.rounding` around §3.1 right-shifting plus the §3
 //! rounding), and one `rounding split: right-shift …, flow …, rest …`
 //! line dividing the `rounding` phase (`active.right_shift`, the
-//! `active.rounding.flow` max-flow checks, and the rest).
+//! `active.flow` max-flow checks, and the rest). `abt active … minimal`
+//! prints `phases: flow …, rest …` and `abt active … exact` prints
+//! `phases: lp1 …, flow …, rest …`, each dividing its algorithm's span.
 
 use std::process::Command;
+use std::time::Instant;
 
 /// The `(label, ms)` parts of the line of `stdout` that starts with
 /// `head`.
@@ -26,9 +29,11 @@ fn parts<'a>(stdout: &'a str, head: &str) -> Vec<(&'a str, f64)> {
         .collect()
 }
 
-#[test]
-fn rounding_prints_lp_and_rounding_phases() {
-    let dir = std::env::temp_dir().join(format!("abt-rounding-phases-{}", std::process::id()));
+/// The stdout of `abt active <instance> <algo>` on a small instance, and
+/// the wall time of the process in ms.
+fn active(algo: &str) -> (String, f64) {
+    let dir =
+        std::env::temp_dir().join(format!("abt-rounding-phases-{}-{algo}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let file = dir.join("active.txt");
     std::fs::write(
@@ -36,12 +41,21 @@ fn rounding_prints_lp_and_rounding_phases() {
         "g 2\njob 0 10 3\njob 2 12 4\njob 5 20 2\njob 1 9 5\njob 14 30 6\n",
     )
     .unwrap();
+    let started = Instant::now();
     let out = Command::new(env!("CARGO_BIN_EXE_abt"))
-        .args(["active", file.to_str().unwrap(), "rounding"])
+        .args(["active", file.to_str().unwrap(), algo])
         .output()
         .expect("spawn abt");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "abt active rounding:\n{stdout}");
+    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    std::fs::remove_dir_all(&dir).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(out.status.success(), "abt active {algo}:\n{stdout}");
+    (stdout, wall_ms)
+}
+
+#[test]
+fn rounding_prints_lp_and_rounding_phases() {
+    let (stdout, _) = active("rounding");
     let phases = parts(&stdout, "phases: ");
     let labels: Vec<&str> = phases.iter().map(|&(l, _)| l).collect();
     assert_eq!(
@@ -58,5 +72,23 @@ fn rounding_prints_lp_and_rounding_phases() {
     // each printed figure rounds off.
     let sum: f64 = split.iter().map(|&(_, ms)| ms).sum();
     assert!((sum - phases[4].1).abs() <= 0.2 + 1e-9, "{stdout}");
-    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn minimal_and_exact_print_their_phases() {
+    for (algo, want) in [
+        ("minimal", &["flow", "rest"][..]),
+        ("exact", &["lp1", "flow", "rest"][..]),
+    ] {
+        let (stdout, wall_ms) = active(algo);
+        let phases = parts(&stdout, "phases: ");
+        let labels: Vec<&str> = phases.iter().map(|&(l, _)| l).collect();
+        assert_eq!(labels, want, "{stdout}");
+        assert!(phases.iter().all(|&(_, ms)| ms >= 0.0), "{stdout}");
+        // The parts divide the algorithm's span, so their sum is its time,
+        // which the process's wall time contains.
+        let sum: f64 = phases.iter().map(|&(_, ms)| ms).sum();
+        assert!(sum <= wall_ms, "{wall_ms} ms:\n{stdout}");
+        assert!(stdout.contains("active time: "), "{stdout}");
+    }
 }

@@ -34,7 +34,7 @@ impl BusyBounds {
 
 /// Computes the busy-time lower bounds for `inst`.
 pub fn busy_lower_bounds(inst: &Instance) -> BusyBounds {
-    let g = inst.g() as i64;
+    let g = i64::try_from(inst.g()).unwrap_or(i64::MAX);
     let mass = div_ceil_i64(inst.total_length(), g);
     if inst.is_interval_instance() {
         let ivs: Vec<_> = inst.jobs().iter().map(|j| j.window()).collect();
@@ -64,7 +64,7 @@ pub fn busy_lower_bounds(inst: &Instance) -> BusyBounds {
 /// slots, at least `⌈(Σ of p_j over jobs with window ⊆ [a,b])/g⌉` slots of
 /// `[a, b]` must be active.
 pub fn active_lower_bound(inst: &Instance) -> i64 {
-    let g = inst.g() as i64;
+    let g = i64::try_from(inst.g()).unwrap_or(i64::MAX);
     let mut best = div_ceil_i64(inst.total_length(), g);
     // Covering bound over all O(n²) window-endpoint pairs.
     let mut lefts: Vec<i64> = inst.jobs().iter().map(|j| j.release).collect();
@@ -92,9 +92,11 @@ pub fn active_lower_bound(inst: &Instance) -> i64 {
     best
 }
 
+/// `⌈a / b⌉` for `a ≥ 0` and `b ≥ 1`, with no intermediate that can
+/// overflow (`a + b − 1` does for `b` near `i64::MAX`).
 #[inline]
 fn div_ceil_i64(a: i64, b: i64) -> i64 {
-    (a + b - 1).div_euclid(b)
+    a / b + i64::from(a % b != 0)
 }
 
 #[cfg(test)]

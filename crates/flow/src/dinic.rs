@@ -1,9 +1,9 @@
 //! Dinic's max-flow algorithm.
 //!
-//! Used as the feasibility oracle of the active-time model (the `G_feas`
-//! network of Fig. 2 is bipartite with unit job–slot edges, where Dinic runs
-//! in `O(E √V)`), and to extract the repeated 2-flows of the
-//! Alicherry–Bhatia busy-time algorithm.
+//! Extracts the repeated 2-flows of the Alicherry–Bhatia busy-time
+//! algorithm, and answers the explicit `G_feas` network of Fig. 2 (bipartite
+//! with unit job–slot edges, where Dinic runs in `O(E √V)`) as the test
+//! reference of the active-time feasibility oracle.
 
 use crate::graph::{EdgeId, FlowGraph, NodeId};
 use std::collections::VecDeque;

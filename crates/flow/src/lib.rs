@@ -5,8 +5,9 @@
 //! limit), minimum-cut extraction, a naive Edmonds–Karp oracle for
 //! differential testing, and integral path decomposition.
 //!
-//! Consumers: the active-time feasibility oracle (`G_feas`, Fig. 2 of the
-//! paper) and the Alicherry–Bhatia 2-approximation (Appendix A.2).
+//! Consumers: the Alicherry–Bhatia 2-approximation (Appendix A.2), and
+//! the tests that pin `abt-active`'s feasibility oracle, which runs on an
+//! implicit `G_feas` (Fig. 2 of the paper), against the explicit network.
 
 #![warn(missing_docs)]
 
