@@ -7,6 +7,10 @@
 //! the sink. Integrality of max-flow turns a feasible fractional assignment
 //! into an integral schedule for free.
 //!
+//! [`feasible_on`] and [`schedule_on`] answer one check each, behind cheap
+//! prechecks and on a flow of their own; the §3 rounding grows one
+//! [`FeasibilitySession`] through all its checks.
+//!
 //! # The implicit network
 //!
 //! Nothing of `G_feas` is stored. The open slots are kept sorted, so the
@@ -47,82 +51,50 @@
 
 use abt_core::{ActiveSchedule, Instance, JobId, Time};
 
-/// Feasibility oracle with assignment extraction.
-#[derive(Debug, Clone)]
-pub struct FeasibilityChecker<'a> {
-    inst: &'a Instance,
+/// Whether every job of `inst` fits into the active slots `slots` (sorted
+/// or not, duplicates allowed).
+pub fn feasible_on(inst: &Instance, slots: &[Time]) -> bool {
+    saturated(inst, slots).is_some()
 }
 
-impl<'a> FeasibilityChecker<'a> {
-    /// Creates an oracle for `inst`.
-    pub fn new(inst: &'a Instance) -> Self {
-        FeasibilityChecker { inst }
-    }
+/// A schedule of every job of `inst` on the active slots `slots`, if they
+/// all fit.
+pub fn schedule_on(inst: &Instance, slots: &[Time]) -> Option<ActiveSchedule> {
+    saturated(inst, slots).map(|flow| flow.schedule())
+}
 
-    /// Whether all jobs fit into the active slots `slots` (sorted or not).
-    pub fn is_feasible(&self, slots: &[Time]) -> bool {
-        self.check(slots).is_some()
-    }
+/// A session holding a maximum flow of every job of `inst` on `slots`, if
+/// it routes all their demand. The max-flow runs under the always-on
+/// `active.flow` span.
+fn saturated<'a>(inst: &'a Instance, slots: &[Time]) -> Option<FeasibilitySession<'a>> {
+    let mut sorted: Vec<Time> = slots.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
 
-    /// Whether the subset `jobs` fits into `slots`.
-    pub fn is_feasible_subset(&self, jobs: &[JobId], slots: &[Time]) -> bool {
-        self.assign_subset(jobs, slots).is_some()
-    }
-
-    /// Tries to schedule *all* jobs into `slots`; returns the schedule on
-    /// success.
-    pub fn check(&self, slots: &[Time]) -> Option<ActiveSchedule> {
-        let all: Vec<JobId> = (0..self.inst.len()).collect();
-        let assignment = self.assign_subset(&all, slots)?;
-        Some(ActiveSchedule::new(slots.iter().copied(), assignment))
-    }
-
-    /// The per-job slot assignment of the given jobs into `slots` (rows for
-    /// every job id, empty outside `jobs`) if they all fit. The max-flow
-    /// runs under the always-on `active.flow` span.
-    fn assign_subset(&self, jobs: &[JobId], slots: &[Time]) -> Option<Vec<Vec<Time>>> {
-        let inst = self.inst;
-        let mut sorted: Vec<Time> = slots.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-
-        // Cheap necessary conditions before the flow; the exact solvers
-        // probe this oracle with many infeasible slot sets, and both checks
-        // reject the bulk of them in O(n log m): each job needs p_j open
-        // slots inside its window, and the total demand cannot exceed g
-        // units per open slot (compared in i128: g·m overflows i64 for a
-        // huge g).
-        let mut total = 0i128;
-        for &job in jobs {
-            let j = inst.job(job);
-            total += i128::from(j.length);
-            let lo = sorted.partition_point(|&t| t <= j.release);
-            let hi = sorted.partition_point(|&t| t <= j.deadline);
-            if ((hi - lo) as i64) < j.length {
-                return None;
-            }
-        }
-        if total > inst.g() as i128 * sorted.len() as i128 {
+    // Cheap necessary conditions before the flow; the exact solvers probe
+    // this oracle with many infeasible slot sets, and both checks reject
+    // the bulk of them in O(n log m): each job needs p_j open slots inside
+    // its window, and the total demand cannot exceed g units per open slot
+    // (compared in i128: g·m overflows i64 for a huge g).
+    let mut total = 0i128;
+    for j in inst.jobs() {
+        total += i128::from(j.length);
+        let lo = sorted.partition_point(|&t| t <= j.release);
+        let hi = sorted.partition_point(|&t| t <= j.deadline);
+        if ((hi - lo) as i64) < j.length {
             return None;
         }
-
-        let _span = abt_core::obs_span!("active.flow");
-        let mut flow = FeasibilitySession::on_slots(inst, sorted);
-        for &job in jobs {
-            flow.add_job(job);
-        }
-        flow.saturate().then(|| flow.assignment())
     }
-}
+    if total > inst.g() as i128 * sorted.len() as i128 {
+        return None;
+    }
 
-/// Convenience: feasibility of the whole instance on `slots`.
-pub fn feasible_on(inst: &Instance, slots: &[Time]) -> bool {
-    FeasibilityChecker::new(inst).is_feasible(slots)
-}
-
-/// Convenience: schedule the whole instance on `slots` if possible.
-pub fn schedule_on(inst: &Instance, slots: &[Time]) -> Option<ActiveSchedule> {
-    FeasibilityChecker::new(inst).check(slots)
+    let _span = abt_core::obs_span!("active.flow");
+    let mut flow = FeasibilitySession::on_slots(inst, sorted);
+    for job in 0..inst.len() {
+        flow.add_job(job);
+    }
+    flow.saturate().then_some(flow)
 }
 
 /// No unit or job: the end of a list, or a node not reached.
@@ -505,10 +477,12 @@ mod tests {
     #[test]
     fn subset_feasibility() {
         let inst = Instance::from_triples([(0, 2, 2), (0, 2, 2), (4, 6, 1)], 1).unwrap();
-        let chk = FeasibilityChecker::new(&inst);
-        assert!(chk.is_feasible_subset(&[0], &[1, 2]));
-        assert!(!chk.is_feasible_subset(&[0, 1], &[1, 2]));
-        assert!(chk.is_feasible_subset(&[0, 2], &[1, 2, 5]));
+        let subset = |jobs: &[JobId]| {
+            Instance::new(jobs.iter().map(|&j| *inst.job(j)).collect(), inst.g()).unwrap()
+        };
+        assert!(feasible_on(&subset(&[0]), &[1, 2]));
+        assert!(!feasible_on(&subset(&[0, 1]), &[1, 2]));
+        assert!(feasible_on(&subset(&[0, 2]), &[1, 2, 5]));
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub mod unit;
 pub use abt_lp::CertifyMode;
 pub use admission::{admission_precheck, AdmissionReject};
 pub use exact::{exact_active_time, ExactActive};
-pub use feasibility::{feasible_on, schedule_on, FeasibilityChecker, FeasibilitySession};
+pub use feasibility::{feasible_on, schedule_on, FeasibilitySession};
 pub use incremental::{IncrementalJobId, IncrementalReport, IncrementalSolver};
 pub use lp_model::{
     fractional_feasible, lp_telemetry, pivots_per_solve_snapshot, solve_active_lp,

@@ -11,7 +11,7 @@
 //! exactly the gap Theorem 1 bounds. The order is therefore a pluggable
 //! ablation knob ([`ClosingOrder`]).
 
-use crate::feasibility::FeasibilityChecker;
+use crate::feasibility::{feasible_on, schedule_on};
 use abt_core::active_schedule::horizon_slots;
 use abt_core::{ActiveSchedule, Error, Instance, Result, Time};
 
@@ -106,24 +106,21 @@ pub fn minimal_feasible_from(
 
 /// Closes the slots of `start` in `order` while the rest stays feasible.
 fn close_minimal(inst: &Instance, start: &[Time], order: ClosingOrder) -> Result<MinimalResult> {
-    let checker = FeasibilityChecker::new(inst);
     let mut open: Vec<Time> = start.to_vec();
     open.sort_unstable();
     open.dedup();
-    if !checker.is_feasible(&open) {
+    if !feasible_on(inst, &open) {
         return Err(Error::Infeasible(
             "instance infeasible on the given starting slots".into(),
         ));
     }
     for t in order.arrange(&open) {
         let candidate: Vec<Time> = open.iter().copied().filter(|&s| s != t).collect();
-        if checker.is_feasible(&candidate) {
+        if feasible_on(inst, &candidate) {
             open = candidate;
         }
     }
-    let schedule = checker
-        .check(&open)
-        .expect("minimal set is feasible by construction");
+    let schedule = schedule_on(inst, &open).expect("minimal set is feasible by construction");
     Ok(MinimalResult {
         slots: open,
         schedule,
@@ -132,14 +129,11 @@ fn close_minimal(inst: &Instance, start: &[Time], order: ClosingOrder) -> Result
 
 /// Checks minimality: no single active slot can be closed.
 pub fn is_minimal(inst: &Instance, slots: &[Time]) -> bool {
-    let checker = FeasibilityChecker::new(inst);
-    if !checker.is_feasible(slots) {
-        return false;
-    }
-    slots.iter().all(|&t| {
-        let candidate: Vec<Time> = slots.iter().copied().filter(|&s| s != t).collect();
-        !checker.is_feasible(&candidate)
-    })
+    feasible_on(inst, slots)
+        && slots.iter().all(|&t| {
+            let candidate: Vec<Time> = slots.iter().copied().filter(|&s| s != t).collect();
+            !feasible_on(inst, &candidate)
+        })
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! breaking earlier constraints.) Cross-validated against the
 //! branch-and-bound solver in tests.
 
-use crate::feasibility::FeasibilityChecker;
+use crate::feasibility::schedule_on;
 use abt_core::{ActiveSchedule, Error, Instance, Result, Time};
 use std::collections::BTreeSet;
 
@@ -84,8 +84,7 @@ pub fn exact_unit_active_time(inst: &Instance) -> Result<UnitExact> {
     }
 
     let slots: Vec<Time> = chosen.into_iter().collect();
-    let schedule = FeasibilityChecker::new(inst)
-        .check(&slots)
+    let schedule = schedule_on(inst, &slots)
         .ok_or_else(|| Error::Infeasible("Hall condition violated unexpectedly".into()))?;
     Ok(UnitExact { slots, schedule })
 }

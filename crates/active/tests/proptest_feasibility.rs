@@ -22,7 +22,7 @@
 //!   cost, charges, anomalies and repair slots.
 
 use abt_active::{
-    lp_rounding_from, right_shift, solve_active_lp, ActiveLp, ChargeKind, FeasibilityChecker,
+    feasible_on, lp_rounding_from, right_shift, schedule_on, solve_active_lp, ActiveLp, ChargeKind,
     FeasibilitySession, Segment,
 };
 use abt_core::active_schedule::{horizon_slots, job_feasible_in_slot};
@@ -428,12 +428,13 @@ impl Draws {
 
 /// The oracle against the reference on one job subset and slot list.
 fn check_oracle(inst: &Instance, jobs: &[JobId], slots: &[Time]) -> Result<(), TestCaseError> {
-    let checker = FeasibilityChecker::new(inst);
+    let subset = Instance::new(jobs.iter().map(|&j| *inst.job(j)).collect(), inst.g()).unwrap();
     let want = reference_assign(inst, jobs, slots).is_some();
-    prop_assert_eq!(checker.is_feasible_subset(jobs, slots), want);
+    prop_assert_eq!(feasible_on(&subset, slots), want);
     let all: Vec<JobId> = (0..inst.len()).collect();
     let want_all = reference_assign(inst, &all, slots).is_some();
-    let schedule = checker.check(slots);
+    prop_assert_eq!(feasible_on(inst, slots), want_all);
+    let schedule = schedule_on(inst, slots);
     prop_assert_eq!(schedule.is_some(), want_all);
     if let Some(schedule) = schedule {
         prop_assert!(schedule.validate(inst).is_ok(), "{:?}", schedule);

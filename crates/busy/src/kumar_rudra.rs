@@ -26,11 +26,21 @@
 //! greedy strands a unit, `cover_levels` redoes phase 1. Phase 2 sorts a
 //! level's members by start, so an earlier member overlaps the next one
 //! exactly when it ends past that start: the parity split keeps the last
-//! end per colour.
+//! end per colour. The dummies are materialized, so their number grows
+//! with `g`: a padded demand past [`MAX_PADDED_DEMAND`] is refused before
+//! phase 0.
 
 use std::ops::Range;
 
 use abt_core::{BusySchedule, DemandProfile, Error, Instance, Interval, JobId, Result, Time};
+
+/// The largest padded demand `Σ_i ⌈D_i/g⌉·g`, summed over the demand
+/// profile's segments, that [`kumar_rudra_run`] accepts. Phase 0 adds
+/// `⌈D_i/g⌉·g − D_i` dummies per segment and phase 1 keeps
+/// `⌈max D/g⌉·g + 1` level lists, both at most this sum, so a larger one
+/// (a huge `g`) is refused with [`Error::Unsupported`] before anything is
+/// allocated.
+pub const MAX_PADDED_DEMAND: u128 = 1 << 24;
 
 /// A unit scheduled by the algorithm: a real job or a padding dummy.
 #[derive(Debug, Clone)]
@@ -58,7 +68,8 @@ pub fn kumar_rudra(inst: &Instance) -> Result<BusySchedule> {
     Ok(kumar_rudra_run(inst)?.schedule)
 }
 
-/// Runs Kumar–Rudra, returning diagnostics.
+/// Runs Kumar–Rudra, returning diagnostics. A padded demand past
+/// [`MAX_PADDED_DEMAND`] is refused with [`Error::Unsupported`].
 pub fn kumar_rudra_run(inst: &Instance) -> Result<KumarRudraRun> {
     if !inst.is_interval_instance() {
         return Err(Error::Unsupported(
@@ -70,6 +81,17 @@ pub fn kumar_rudra_run(inst: &Instance) -> Result<KumarRudraRun> {
         let _span = abt_core::obs_span!("busy.kr.levels");
         let real: Vec<Interval> = inst.jobs().iter().map(|j| j.window()).collect();
         let profile = DemandProfile::new(&real);
+        let padded: u128 = profile
+            .segments()
+            .iter()
+            .map(|&(_, d)| d.div_ceil(g) as u128 * g as u128)
+            .sum();
+        if padded > MAX_PADDED_DEMAND {
+            return Err(Error::Unsupported(format!(
+                "Kumar–Rudra would pad the demand profile to {padded} units, \
+                 past the limit of {MAX_PADDED_DEMAND}"
+            )));
+        }
         // Phase 0: pad to multiples of g.
         let units = padded_units(&profile, &real, g);
         // Phase 1: levels.

@@ -52,7 +52,7 @@ pub use flexible::{
 pub use greedy_tracking::{
     greedy_tracking, greedy_tracking_run, greedy_tracking_seeded, GreedyTrackingRun,
 };
-pub use kumar_rudra::{kumar_rudra, kumar_rudra_run, KumarRudraRun};
+pub use kumar_rudra::{kumar_rudra, kumar_rudra_run, KumarRudraRun, MAX_PADDED_DEMAND};
 pub use lp_rounding::{
     busy_lp_telemetry, lp_rounding_busy, lp_rounding_run, BusyLpTelemetry, LpRoundingRun,
 };

@@ -125,7 +125,9 @@ pub fn lp_rounding_busy(inst: &Instance) -> Result<BusySchedule> {
 /// level/band scheme (see the module docs). The output is validated and
 /// checked against both factor guarantees (`≤ 2·profile` and `≤ 4·LP`)
 /// and the instance's busy-time lower bounds before it is returned; a
-/// failed check is an [`Error::InvalidSchedule`].
+/// failed check is an [`Error::InvalidSchedule`]. A padding Kumar–Rudra
+/// refuses (past [`MAX_PADDED_DEMAND`](crate::MAX_PADDED_DEMAND)) is
+/// refused here too.
 pub fn lp_rounding_run(inst: &Instance) -> Result<LpRoundingRun> {
     if !inst.is_interval_instance() {
         return Err(Error::Unsupported(

@@ -69,8 +69,11 @@
 //! `solve` answers in open runs, so it answers any horizon whose length
 //! fits `i64`. `active … minimal` and `active … rounding` list the
 //! horizon's slots, so they refuse a horizon longer than `abt-core`'s
-//! `MAX_HORIZON_SLOTS` with a typed error (exit 2); `active … exact`
-//! branches over event-point runs and answers long horizons too.
+//! `MAX_HORIZON_SLOTS` with a typed error (exit 2); `active … exact` is
+//! one search over event-point runs, so it answers long horizons too.
+//! `busy … kr|lp` pad the demand profile with dummy jobs to a multiple of
+//! `g`, so they refuse a padding past `abt-busy`'s `MAX_PADDED_DEMAND`
+//! (2²⁴ units, reached by a huge `g`) with a typed error (exit 2).
 //!
 //! Every command writes its output through one writer. When the reader
 //! goes away (`abt … | head`), the command stops at the failed write and
@@ -81,15 +84,15 @@
 
 use abt_active::{
     exact_active_time, exact_unit_active_time, inspect_store, lp_rounding, lp_telemetry,
-    minimal_feasible, solve_active_lp_with, CertifyMode, ClosingOrder, IncrementalSolver,
-    LpOptions,
+    minimal_feasible, solve_active_lp_with, CertifyMode, ClosingOrder, IncrementalReport,
+    IncrementalSolver, LpOptions,
 };
 use abt_busy::{
     exact_busy_time, preemptive_bounded, preemptive_unbounded, solve_flexible, IntervalAlgo,
 };
 use abt_core::active_schedule::horizon_len;
 use abt_core::obs;
-use abt_core::{active_lower_bound, busy_lower_bounds, io, Instance};
+use abt_core::{active_lower_bound, busy_lower_bounds, io, Instance, Job};
 use abt_workloads::{
     fig1_example, fig3_minimal_tight, integrality_gap, online_arrivals, optical_trace,
     random_flexible, random_interval, vm_trace, OnlineArrivalsConfig, OpticalTraceConfig,
@@ -429,6 +432,39 @@ fn jobs_regrouped() -> u64 {
     obs::counter("incremental.jobs_regrouped").get()
 }
 
+/// Adds each numbered arrival to `solver` and re-solves, printing one
+/// line per arrival and pausing `throttle_ms` after each (0 = none); the
+/// loop of `incremental` and `replay`. Returns the last report, if any.
+fn solve_arrivals<'a>(
+    out: &mut dyn Write,
+    solver: &mut IncrementalSolver,
+    arrivals: impl Iterator<Item = (usize, &'a Job)>,
+    throttle_ms: u64,
+) -> Result<Option<IncrementalReport>, Stop> {
+    let mut last = None;
+    for (i, job) in arrivals {
+        solver.add_job(*job);
+        let rep = solver.solve().map_err(|e| e.to_string())?;
+        writeln!(
+            out,
+            "arrival {i:>3}: job [{:>4}, {:>4}) len {} → LP1 = {}  \
+             (components {}, reused {}, cold {})",
+            job.release,
+            job.deadline,
+            job.length,
+            rep.lp.objective,
+            rep.components,
+            rep.reused,
+            rep.cold_solves
+        )?;
+        last = Some(rep);
+        if throttle_ms > 0 {
+            std::thread::sleep(std::time::Duration::from_millis(throttle_ms));
+        }
+    }
+    Ok(last)
+}
+
 fn run(args: &[&str], out: &mut dyn Write) -> Result<(), Stop> {
     match args {
         ["gen", family, rest @ ..] => {
@@ -618,22 +654,7 @@ fn run(args: &[&str], out: &mut dyn Write) -> Result<(), Stop> {
             let regrouped = jobs_regrouped();
             let mut solver =
                 IncrementalSolver::with_options(oa.g, opts).map_err(|e| e.to_string())?;
-            for (i, job) in oa.jobs.iter().enumerate() {
-                solver.add_job(*job);
-                let rep = solver.solve().map_err(|e| e.to_string())?;
-                writeln!(
-                    out,
-                    "arrival {i:>3}: job [{:>4}, {:>4}) len {} → LP1 = {}  \
-                     (components {}, reused {}, cold {})",
-                    job.release,
-                    job.deadline,
-                    job.length,
-                    rep.lp.objective,
-                    rep.components,
-                    rep.reused,
-                    rep.cold_solves
-                )?;
-            }
+            solve_arrivals(out, &mut solver, oa.jobs.iter().enumerate(), 0)?;
             let d = lp_telemetry().delta(&before);
             writeln!(
                 out,
@@ -713,29 +734,9 @@ fn run(args: &[&str], out: &mut dyn Write) -> Result<(), Stop> {
                 cfg.clusters,
                 oa.g,
             )?;
-            let mut objective = None;
-            for (i, job) in oa.jobs.iter().enumerate().skip(done) {
-                solver.add_job(*job);
-                let rep = solver.solve().map_err(|e| e.to_string())?;
-                writeln!(
-                    out,
-                    "arrival {i:>3}: job [{:>4}, {:>4}) len {} → LP1 = {}  \
-                     (components {}, reused {}, cold {})",
-                    job.release,
-                    job.deadline,
-                    job.length,
-                    rep.lp.objective,
-                    rep.components,
-                    rep.reused,
-                    rep.cold_solves
-                )?;
-                objective = Some(rep.lp.objective);
-                if throttle_ms > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(throttle_ms));
-                }
-            }
-            let objective = match objective {
-                Some(o) => o,
+            let arrivals = oa.jobs.iter().enumerate().skip(done);
+            let objective = match solve_arrivals(out, &mut solver, arrivals, throttle_ms)? {
+                Some(rep) => rep.lp.objective,
                 // Fully caught up already: one clean re-solve for the line.
                 None => solver.solve().map_err(|e| e.to_string())?.lp.objective,
             };

@@ -1,27 +1,42 @@
-//! A capacity `g` near `i64::MAX` is answered like any other. Three
+//! A capacity `g` near `i64::MAX` is answered like any other, or refused
+//! with a typed error where the answer's size grows with `g`. Three
 //! capacity computations used to wrap: the feasibility oracle's `g · m`
 //! precheck made `active … minimal|rounding|exact` report "infeasible" at
 //! `g = 2⁶²`, the bounds' `⌈P/g⌉` printed a negative active-time bound and
 //! mass at `g = i64::MAX`, and the unit-jobs solver's `⌈n/g⌉` left it with
-//! no slot to open ("Hall condition violated unexpectedly").
+//! no slot to open ("Hall condition violated unexpectedly"). And `busy …
+//! kr|lp` padded the demand profile with `g − 1` dummy jobs at `g = 2⁶²`
+//! until the process was killed; they now refuse it (exit 2).
+//!
+//! Every child runs with its address space capped at 1 GiB, so a run that
+//! grows with `g` fails fast instead of exhausting the machine's memory.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
-/// `abt args… <file>` on an instance file holding `text`: its stdout,
-/// after asserting success.
-fn abt(name: &str, text: &str, args: &[&str]) -> String {
+/// `abt args… <file>` on an instance file holding `text`, under the
+/// address-space cap.
+fn abt(name: &str, text: &str, args: &[&str]) -> Output {
     let dir = std::env::temp_dir().join(format!("abt-huge-g-{}-{name}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let file = dir.join("inst.txt");
     std::fs::write(&file, text).unwrap();
     let (cmd, rest) = args.split_first().unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_abt"))
+    let out = Command::new("sh")
+        .arg("-c")
+        .arg("ulimit -v 1048576 && exec \"$0\" \"$@\"")
+        .arg(env!("CARGO_BIN_EXE_abt"))
         .arg(cmd)
         .arg(&file)
         .args(rest)
         .output()
-        .expect("spawn abt");
+        .expect("spawn sh");
     std::fs::remove_dir_all(&dir).ok();
+    out
+}
+
+/// The stdout of [`abt`], after asserting success.
+fn answer(name: &str, text: &str, args: &[&str]) -> String {
+    let out = abt(name, text, args);
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "abt {args:?}:\n{stdout}{stderr}");
@@ -31,7 +46,7 @@ fn abt(name: &str, text: &str, args: &[&str]) -> String {
 #[test]
 fn active_algorithms_answer_at_g_two_to_the_62() {
     for algo in ["minimal", "rounding", "exact"] {
-        let stdout = abt(
+        let stdout = answer(
             algo,
             "g 4611686018427387904\njob 0 2 2\n",
             &["active", algo],
@@ -42,17 +57,33 @@ fn active_algorithms_answer_at_g_two_to_the_62() {
 
 #[test]
 fn bounds_stay_positive_at_g_max() {
-    let stdout = abt("bounds", "g 9223372036854775807\njob 0 2 2\n", &["bounds"]);
+    let stdout = answer("bounds", "g 9223372036854775807\njob 0 2 2\n", &["bounds"]);
     assert!(stdout.contains("active-time lower bound: 1\n"), "{stdout}");
     assert!(stdout.contains("mass=1 "), "{stdout}");
 }
 
 #[test]
 fn unit_jobs_share_a_slot_at_g_max() {
-    let stdout = abt(
+    let stdout = answer(
         "unit",
         "g 9223372036854775807\njob 0 1 1\njob 0 1 1\n",
         &["active", "unit"],
     );
     assert!(stdout.contains("active time: 1\n"), "{stdout}");
+}
+
+#[test]
+fn kumar_rudra_and_lp_refuse_a_huge_padding() {
+    for algo in ["kr", "lp"] {
+        let out = abt(algo, "g 4611686018427387904\njob 0 2 2\n", &["busy", algo]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{algo}:\n{stderr}");
+        assert!(
+            stderr.contains(
+                "error: unsupported: Kumar–Rudra would pad the demand profile to \
+                 4611686018427387904 units, past the limit of 16777216\n"
+            ),
+            "{algo}:\n{stderr}"
+        );
+    }
 }

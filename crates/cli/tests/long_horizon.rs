@@ -5,8 +5,8 @@
 //! in open runs, so `solve` prints its optimum, and the commands that list
 //! slots refuse it before allocating. A horizon whose length overflows
 //! `i64` made `solve`, `active … minimal` and `active … exact` panic; every
-//! command refuses it. `active … exact` branches over event-point runs
-//! past 2048 slots, so it answers the 8·10⁹ instance.
+//! command refuses it. `active … exact` is one search over event-point
+//! runs, so it answers the 8·10⁹ instance.
 
 use std::process::{Command, Output};
 

@@ -27,8 +27,7 @@ pub fn job_feasible_in_slot(inst: &Instance, job: JobId, t: Time) -> bool {
 /// The longest horizon, in slots, that the schedule layer accepts.
 /// LP1 answers in runs and needs only [`horizon_len`]; what lists slots —
 /// an [`ActiveSchedule`], the LP rounding's opened slots and its repair,
-/// minimal-feasible, and the exact search's per-slot branching — starts
-/// from [`horizon_slots`], which refuses a longer horizon with
+/// and minimal-feasible — starts from [`horizon_slots`], which refuses a longer horizon with
 /// [`Error::HorizonTooLong`] before anything per slot is allocated (at
 /// 2²⁴ slots the slot list alone takes 128 MiB).
 pub const MAX_HORIZON_SLOTS: i64 = 1 << 24;
