@@ -21,11 +21,14 @@
 //! prune is sound). The incumbent starts as every run at its cap, and the
 //! search stops once the incumbent meets the lower bound. The tree's depth
 //! is the number of runs (fewer than `2n`), not the horizon's length, so a
-//! sparse instance with a huge horizon is answered like a dense one.
+//! sparse instance with a huge horizon is answered like a dense one. Each
+//! feasibility check lists its open slots, at most every run at its cap, so
+//! an instance whose caps sum past [`MAX_HORIZON_SLOTS`] (a job longer
+//! than that, say) is refused before the first check.
 
 use crate::feasibility::{feasible_on, schedule_on};
 use crate::lp_model::{slot_runs, solve_active_lp, SlotRun};
-use abt_core::active_schedule::horizon_len;
+use abt_core::active_schedule::{horizon_len, MAX_HORIZON_SLOTS};
 use abt_core::{active_lower_bound, ActiveSchedule, Error, Instance, Result, Time};
 
 /// Result of an exact solve.
@@ -45,7 +48,9 @@ pub struct ExactActive {
 /// [`Error::Unsupported`] so callers can fall back to approximations. The
 /// search branches over event-point runs (see the module docs), so the
 /// horizon's length alone does not grow it; a horizon whose length
-/// overflows `i64` is refused with [`Error::HorizonTooLong`].
+/// overflows `i64` is refused with [`Error::HorizonTooLong`], and runs
+/// whose caps sum past [`MAX_HORIZON_SLOTS`] slots with
+/// [`Error::Unsupported`] (the checks list that many slots).
 ///
 /// The search runs under the always-on `active.exact` span; inside it, its
 /// LP1 bound runs under `active.exact.lp1` and its max-flow checks under
@@ -71,6 +76,14 @@ pub fn exact_active_time(inst: &Instance, node_limit: Option<u64>) -> Result<Exa
             }
         })
         .collect();
+    // A check lists at most every run at its cap.
+    let listed: i128 = caps.iter().map(|&c| i128::from(c)).sum();
+    if listed > i128::from(MAX_HORIZON_SLOTS) {
+        return Err(Error::Unsupported(format!(
+            "the exact search would list up to {listed} slots, past the per-slot limit of \
+             {MAX_HORIZON_SLOTS}"
+        )));
+    }
     let mut search = Search {
         inst,
         runs,

@@ -100,16 +100,16 @@ fn latest_closed(open: &IntervalSet, deadline: Time, amount: i64) -> Vec<Interva
     let comps = open.components();
     let mut idx = comps.partition_point(|c| c.start < deadline);
     while need > 0 {
-        let gap_start = if idx == 0 {
-            i64::MIN / 2
-        } else {
-            comps[idx - 1].end
+        // Closed time reaches back without limit before the first open
+        // component; a gap too long for `i64` saturates (it still covers
+        // `need`).
+        let gap = match idx.checked_sub(1) {
+            Some(prev) => cursor.saturating_sub(comps[prev].end).max(0),
+            None => need,
         };
-        let gap_end = cursor;
-        let gap = (gap_end - gap_start).max(0);
         let take = need.min(gap);
         if take > 0 {
-            out.push(Interval::new(gap_end - take, gap_end));
+            out.push(Interval::new(cursor - take, cursor));
             need -= take;
         }
         if idx == 0 {

@@ -23,8 +23,9 @@
 //!                                    print its span/event kind tallies
 //! ```
 //!
-//! The trace of `incremental` and `replay` needs `clusters ≥ 1` and
-//! `1 ≤ jobs_per_cluster ≤ 2·g` (g = 3); other values are usage errors.
+//! The trace of `incremental` and `replay` needs `clusters ≥ 1`,
+//! `1 ≤ jobs_per_cluster ≤ 2·g` (g = 3) and at most 2²⁴ jobs in all;
+//! other values are usage errors.
 //!
 //! `solve` and `incremental` also accept `--pivot-budget N` and
 //! `--time-budget-ms N`: per-attempt solve budgets (0 = unlimited). A
@@ -70,7 +71,9 @@
 //! fits `i64`. `active … minimal` and `active … rounding` list the
 //! horizon's slots, so they refuse a horizon longer than `abt-core`'s
 //! `MAX_HORIZON_SLOTS` with a typed error (exit 2); `active … exact` is
-//! one search over event-point runs, so it answers long horizons too.
+//! one search over event-point runs, so it answers long horizons too, and
+//! refuses (exit 2) only runs whose caps sum past that limit, such as a
+//! job longer than it.
 //! `busy … kr|lp` pad the demand profile with dummy jobs to a multiple of
 //! `g`, so they refuse a padding past `abt-busy`'s `MAX_PADDED_DEMAND`
 //! (2²⁴ units, reached by a huge `g`) with a typed error (exit 2).
@@ -252,10 +255,16 @@ fn parse_budgets<'a>(args: &[&'a str]) -> Result<(Vec<&'a str>, LpOptions), Stri
     Ok((positional, opts))
 }
 
+/// The most jobs an `incremental` or `replay` trace may hold (2²⁴, the
+/// same limit as `MAX_HORIZON_SLOTS`): the generator allocates the whole
+/// trace up front.
+const MAX_TRACE_JOBS: u64 = 1 << 24;
+
 /// The online-arrivals trace config for `incremental` and `replay`,
 /// checked at the input boundary: the generator guarantees a feasible
 /// trace only for `clusters ≥ 1` and `1 ≤ jobs_per_cluster ≤ 2·g`, and
-/// asserts it, so an out-of-range request must be a usage error here.
+/// asserts it, so an out-of-range request must be a usage error here. So
+/// is a trace of more than [`MAX_TRACE_JOBS`] jobs.
 fn arrivals_config(clusters: u64, jobs_per_cluster: u64) -> Result<OnlineArrivalsConfig, String> {
     let base = OnlineArrivalsConfig::default();
     if clusters == 0 {
@@ -266,6 +275,11 @@ fn arrivals_config(clusters: u64, jobs_per_cluster: u64) -> Result<OnlineArrival
         return Err(format!(
             "jobs_per_cluster must be in 1..={max_jobs} (2·g with g = {})",
             base.g
+        ));
+    }
+    if clusters.saturating_mul(jobs_per_cluster) > MAX_TRACE_JOBS {
+        return Err(format!(
+            "clusters × jobs_per_cluster must be at most {MAX_TRACE_JOBS} jobs"
         ));
     }
     Ok(OnlineArrivalsConfig {

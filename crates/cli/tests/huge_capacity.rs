@@ -6,7 +6,10 @@
 //! mass at `g = i64::MAX`, and the unit-jobs solver's `⌈n/g⌉` left it with
 //! no slot to open ("Hall condition violated unexpectedly"). And `busy …
 //! kr|lp` padded the demand profile with `g − 1` dummy jobs at `g = 2⁶²`
-//! until the process was killed; they now refuse it (exit 2).
+//! until the process was killed; they now refuse it (exit 2). A long job
+//! is refused the same way by `active … exact`, whose feasibility checks
+//! list every run at its cap: at 10⁹ slots it aborted on an 8 GB
+//! allocation.
 //!
 //! Every child runs with its address space capped at 1 GiB, so a run that
 //! grows with `g` fails fast instead of exhausting the machine's memory.
@@ -86,4 +89,22 @@ fn kumar_rudra_and_lp_refuse_a_huge_padding() {
             "{algo}:\n{stderr}"
         );
     }
+}
+
+#[test]
+fn exact_refuses_a_job_past_the_per_slot_limit() {
+    let out = abt(
+        "exact-long",
+        "g 1\njob 0 1000000000 1000000000\n",
+        &["active", "exact"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains(
+            "error: unsupported: the exact search would list up to 1000000000 slots, \
+             past the per-slot limit of 16777216"
+        ),
+        "{stderr}"
+    );
 }

@@ -6,9 +6,12 @@
 //! slots refuse it before allocating. A horizon whose length overflows
 //! `i64` made `solve`, `active … minimal` and `active … exact` panic; every
 //! command refuses it. `active … exact` is one search over event-point
-//! runs, so it answers the 8·10⁹ instance.
+//! runs, so it answers the 8·10⁹ instance. `busy … preempt` looped forever
+//! on a deadline from 2⁶² up: the closed gap before the first open
+//! component wrapped to 0, so nothing ever opened.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn abt(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_abt"))
@@ -69,5 +72,52 @@ fn long_horizons_are_answered_in_runs_and_refused_per_slot() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}");
     assert!(stdout.contains("active time: 8"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `abt args…` with its address space capped at 1 GiB, killed if it is
+/// still running after `limit`.
+fn abt_within(args: &[&str], limit: Duration) -> Output {
+    let mut child = Command::new("sh")
+        .arg("-c")
+        .arg("ulimit -v 1048576 && exec \"$0\" \"$@\"")
+        .arg(env!("CARGO_BIN_EXE_abt"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn sh");
+    let started = Instant::now();
+    while child.try_wait().expect("poll abt").is_none() {
+        if started.elapsed() > limit {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("abt {args:?} still running after {limit:?}");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    child.wait_with_output().expect("collect abt")
+}
+
+#[test]
+fn preempt_answers_deadlines_from_two_to_the_62() {
+    let dir = std::env::temp_dir().join(format!("abt-preempt-far-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for deadline in [
+        "4611686018427387903",
+        "4611686018427387904",
+        "9223372036854775807",
+    ] {
+        let file = dir.join(format!("d{deadline}.txt"));
+        std::fs::write(&file, format!("g 2\njob 0 {deadline} 2\n")).unwrap();
+        let args = ["busy", file.to_str().unwrap(), "preempt"];
+        let out = abt_within(&args, Duration::from_secs(20));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "abt {args:?}:\n{stdout}");
+        assert!(
+            stdout.contains("preemptive OPT∞: 2\n"),
+            "abt {args:?}:\n{stdout}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

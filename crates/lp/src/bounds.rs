@@ -65,10 +65,16 @@
 //! window in the cycle is optimal (Bland's anti-cycling rule always scans
 //! in full). The rotation doubles as diversification: always chasing the
 //! single most negative reduced cost concentrates pivots in one VUB family
-//! and multiplies degenerate glue/unglue churn. Pricing reads the columns
-//! from one flat slab built per solve and sums a key's reduced cost over
-//! its list of currently glued dependents, which every state change keeps
-//! in step (ascending, so the sum runs in column order).
+//! and multiplies degenerate glue/unglue churn. Each iteration prices from
+//! one reduced-cost vector, filled over the window (at most two slices of
+//! columns) by three straight passes: the plain `d = c − y·A` over one
+//! flat slab of the columns built per solve; each key's sum over its list
+//! of currently glued dependents (ascending, so the sum runs in column
+//! order); and a per-column direction (+1 at the lower bound, −1 at the
+//! upper bound or glued, 0 for basic and barred columns). Every state
+//! change keeps the glued lists and the directions in step. The selection
+//! is then a branch-light minimum over those slices, so the work of an
+//! iteration follows the window, not the column count.
 //!
 //! The float pass never certifies anything: its terminal
 //! [`basis`](BoundedBasis::basis)/[`state`](BoundedBasis::state) proposal is
@@ -97,6 +103,7 @@ use crate::scalar::Scalar;
 use crate::start::BasisSnapshot;
 use abt_core::error::BudgetKind;
 use abt_core::faultinject;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Entering tolerance on reduced costs.
@@ -508,6 +515,14 @@ struct Rev<'a> {
     /// Total entry count of the eta file (refactorization trigger).
     eta_nnz: usize,
     barred: Vec<bool>,
+    /// Pricing direction per column (see [`direction`]); kept in step by
+    /// [`Rev::set_state`] and recomputed by [`Rev::load_cost`].
+    dir: Vec<f64>,
+    /// The columns that are some column's VUB key, ascending.
+    keys: Vec<usize>,
+    /// Scratch: the effective reduced costs of the columns priced this
+    /// iteration (see [`Rev::effective_costs`]).
+    eff: Vec<f64>,
     /// Partial-pricing rotation cursor.
     cursor: usize,
     /// Scratch dense image of the entering column (sparsely re-zeroed).
@@ -615,6 +630,9 @@ impl<'a> Rev<'a> {
         };
         let aq = arena.take_f64(sf.m, 0.0);
         let cb = arena.take_f64(sf.m, 0.0);
+        let mut keys: Vec<usize> = sf.vub.iter().flatten().copied().collect();
+        keys.sort_unstable();
+        keys.dedup();
         let mut rev = Rev {
             sf,
             cols: FlatCols::new(&sf.cols),
@@ -630,6 +648,9 @@ impl<'a> Rev<'a> {
             etas: Vec::new(),
             eta_nnz: 0,
             barred: vec![false; sf.ncols],
+            dir: vec![0.0; sf.ncols],
+            keys,
+            eff: vec![0.0; sf.ncols],
             cursor: 0,
             aq,
             cb,
@@ -752,23 +773,28 @@ impl<'a> Rev<'a> {
         }
     }
 
-    /// Makes `cost` the running phase's objective and sums each key's
-    /// glued dependents' costs, in ascending order, into `aug_cost`.
+    /// Makes `cost` the running phase's objective, sums each key's glued
+    /// dependents' costs, in ascending order, into `aug_cost`, and sets
+    /// every column's pricing direction.
     fn load_cost(&mut self, cost: &[f64]) {
         self.cost.copy_from_slice(cost);
         for (sum, glued) in self.aug_cost.iter_mut().zip(&self.glued) {
             *sum = glued.iter().fold(0.0, |acc, &j| acc + cost[j]);
         }
+        for ((dir, &state), &barred) in self.dir.iter_mut().zip(&self.state).zip(&self.barred) {
+            *dir = direction(state, barred);
+        }
     }
 
     /// Moves column `j` to resting state `to` — the one place a state
-    /// changes — keeping its key's glued list (ascending) and augmented
-    /// cost in step.
+    /// changes — keeping its pricing direction, and its key's glued list
+    /// (ascending) and augmented cost, in step.
     fn set_state(&mut self, j: usize, to: VarState) {
         let from = std::mem::replace(&mut self.state[j], to);
         if from == to {
             return;
         }
+        self.dir[j] = direction(to, self.barred[j]);
         if from == VarState::AtVub {
             let k = self.sf.vub[j].expect("AtVub implies a VUB");
             let list = &mut self.glued[k];
@@ -926,39 +952,8 @@ impl<'a> Rev<'a> {
         self.etas.len() >= REFACTOR_EVERY || self.eta_nnz >= ETA_NNZ_PER_ROW * self.sf.m
     }
 
-    /// Plain reduced cost `d_j = c_j − y·A_j`.
-    fn reduced(&self, y: &[f64], j: usize) -> f64 {
-        let mut d = self.cost[j];
-        for &(i, v) in self.cols.col(j) {
-            d -= y[i] * v;
-        }
-        d
-    }
-
-    /// The "effective" improving reduced cost of nonbasic `j` (negative =
-    /// improving), per resting state:
-    ///
-    /// * `AtLower` rises: `d̄_j` (augmented over glued dependents if `j` is
-    ///   a key — they move with it);
-    /// * `AtUpper` descends: `−d̄_j`;
-    /// * `AtVub` comes off the glue downwards: `−d_j` (plain — the key
-    ///   stays put).
-    fn effective(&self, y: &[f64], j: usize) -> f64 {
-        let d = self.reduced(y, j);
-        let dbar = || {
-            self.glued[j]
-                .iter()
-                .fold(d, |acc, &dep| acc + self.reduced(y, dep))
-        };
-        match self.state[j] {
-            VarState::AtVub => -d,
-            VarState::AtLower => dbar(),
-            VarState::AtUpper => -dbar(),
-            VarState::Basic => unreachable!(),
-        }
-    }
-
-    /// Entering-column selection: Bland (full scan, lowest index), full
+    /// Entering-column selection over the effective reduced costs (see
+    /// [`Rev::effective_costs`]): Bland (full scan, lowest index), full
     /// Dantzig (`window == 0`), or rotating-window partial pricing: price
     /// `window` columns starting at the cursor; the first window holding
     /// an improving candidate yields its best (Dantzig within the
@@ -968,49 +963,75 @@ impl<'a> Rev<'a> {
     /// family and multiplies degenerate glue/unglue churn.
     fn price(&mut self, y: &[f64], bland: bool, window: usize) -> Option<usize> {
         let ncols = self.sf.ncols;
-        let priceable = |rev: &Self, j: usize| -> Option<f64> {
-            if rev.state[j] == VarState::Basic || rev.barred[j] {
-                return None;
-            }
-            let eff = rev.effective(y, j);
-            (eff < -ENTER_TOL).then_some(eff)
-        };
-        if bland {
-            return (0..ncols).find(|&j| priceable(self, j).is_some());
-        }
-        if window == 0 || window >= ncols {
-            let mut best: Option<(usize, f64)> = None;
-            for j in 0..ncols {
-                if let Some(eff) = priceable(self, j) {
-                    if best.map(|(_, b)| eff < b) != Some(false) {
-                        best = Some((j, eff));
-                    }
-                }
-            }
-            return best.map(|(j, _)| j);
+        if bland || window == 0 || window >= ncols {
+            self.effective_costs(y, 0..ncols);
+            let e = &self.eff;
+            return if bland {
+                e.iter().position(|&v| v < -ENTER_TOL)
+            } else {
+                most_improving(e, 0, &[])
+            };
         }
         let mut scanned = 0;
         while scanned < ncols {
-            let mut best: Option<(usize, f64)> = None;
+            // The block `cursor..cursor + block`, wrapped: at most two
+            // slices, the second starting at column 0.
             let block = window.min(ncols - scanned);
-            for _ in 0..block {
-                let j = self.cursor;
-                self.cursor += 1;
-                if self.cursor == ncols {
-                    self.cursor = 0;
-                }
-                if let Some(eff) = priceable(self, j) {
-                    if best.map(|(_, b)| eff < b) != Some(false) {
-                        best = Some((j, eff));
-                    }
-                }
-            }
+            let start = self.cursor;
+            let end = start + block;
+            let (first, second) = (start..end.min(ncols), 0..end.saturating_sub(ncols));
+            self.effective_costs(y, first.clone());
+            self.effective_costs(y, second.clone());
+            let best = most_improving(&self.eff[first], start, &self.eff[second]);
+            self.cursor = if end >= ncols { end - ncols } else { end };
             scanned += block;
-            if let Some((j, _)) = best {
-                return Some(j);
+            if best.is_some() {
+                return best;
             }
         }
         None
+    }
+
+    /// Fills `eff[cols]` with those columns' effective improving reduced
+    /// costs (negative = improving) in three straight passes:
+    ///
+    /// 1. the plain reduced cost `d_j = c_j − y·A_j` of each column;
+    /// 2. each key's `d̄_k = d_k + Σ_{glued j} d_j` over its glued list, in
+    ///    ascending order (its glued dependents move with it; theirs are
+    ///    computed afresh, as they may lie outside `cols`);
+    /// 3. times the column's direction (see [`direction`]): `d̄_j` rising
+    ///    from the lower bound, `−d̄_j` descending from the upper bound,
+    ///    `−d_j` coming off the glue (a glued dependent is never a key, so
+    ///    its value is still plain — the key stays put), and 0 for basic
+    ///    and barred columns, which therefore never price as improving.
+    ///
+    /// Only the priced block is filled, so an iteration's work follows the
+    /// pricing window, not the column count.
+    fn effective_costs(&mut self, y: &[f64], cols: Range<usize>) {
+        let slab = &self.cols;
+        let reduced = |c: f64, entries: &[(usize, f64)]| {
+            let mut d = c;
+            for &(i, v) in entries {
+                d -= y[i] * v;
+            }
+            d
+        };
+        let e = &mut self.eff[cols.clone()];
+        let spans = slab.start[cols.start..=cols.end].windows(2);
+        for ((out, &c), span) in e.iter_mut().zip(&self.cost[cols.clone()]).zip(spans) {
+            *out = reduced(c, &slab.entries[span[0]..span[1]]);
+        }
+        let lo = self.keys.partition_point(|&k| k < cols.start);
+        let hi = self.keys.partition_point(|&k| k < cols.end);
+        for &k in &self.keys[lo..hi] {
+            let at = k - cols.start;
+            e[at] = self.glued[k].iter().fold(e[at], |acc, &dep| {
+                acc + reduced(self.cost[dep], slab.col(dep))
+            });
+        }
+        for (out, &dir) in e.iter_mut().zip(&self.dir[cols]) {
+            *out *= dir;
+        }
     }
 
     /// Runs the simplex loop for the cost vector `cost`. With
@@ -1441,6 +1462,35 @@ fn snapshot_positions(sf: &StandardForm<f64>, snap: &BasisSnapshot) -> Option<Ve
     Some(pos)
 }
 
+/// The pricing direction of a column resting in `state`: +1 rising from
+/// the lower bound, −1 descending from the upper bound or coming off the
+/// glue, 0 for a basic or barred column (it never enters).
+fn direction(state: VarState, barred: bool) -> f64 {
+    match state {
+        VarState::AtLower if !barred => 1.0,
+        VarState::AtUpper | VarState::AtVub if !barred => -1.0,
+        _ => 0.0,
+    }
+}
+
+/// The column of the strict minimum below `−ENTER_TOL` over `first`
+/// (columns `offset..`) and then `second` (columns `0..`), the earliest
+/// one on a tie; `None` when no value is that low.
+fn most_improving(first: &[f64], offset: usize, second: &[f64]) -> Option<usize> {
+    let mut best = (usize::MAX, -ENTER_TOL);
+    for (j, &v) in first.iter().enumerate() {
+        if v < best.1 {
+            best = (offset + j, v);
+        }
+    }
+    for (j, &v) in second.iter().enumerate() {
+        if v < best.1 {
+            best = (j, v);
+        }
+    }
+    (best.0 != usize::MAX).then_some(best.0)
+}
+
 /// Key column → its dependents glued to it under `state`, ascending.
 fn glued_lists(sf: &StandardForm<f64>, state: &[VarState]) -> Vec<Vec<usize>> {
     let mut glued = vec![Vec::new(); sf.ncols];
@@ -1601,12 +1651,14 @@ mod tests {
         /// Iterations on this thread whose entering column was checked
         /// against [`Rev::price_reference`].
         pub(super) static PRICING_CHECKS: Cell<u64> = const { Cell::new(0) };
+        /// The checked iterations that priced by Bland's rule.
+        static BLAND_CHECKS: Cell<u64> = const { Cell::new(0) };
     }
 
     impl Rev<'_> {
-        /// The per-column pricing that [`Rev::price`] replaced, kept as its
-        /// oracle: reduced costs over `sf.cols`, every dependent of a key
-        /// rechecked for glue, the cursor wrapped with `%`.
+        /// Per-column pricing, kept as the oracle of [`Rev::price`]: each
+        /// priced column's reduced cost over `sf.cols`, every dependent of
+        /// a key rechecked for glue, the cursor wrapped with `%`.
         fn price_reference(
             &self,
             y: &[f64],
@@ -1709,6 +1761,9 @@ mod tests {
                 "flat pricing left the per-column reference (bland {bland}, window {window})"
             );
             PRICING_CHECKS.with(|c| c.set(c.get() + 1));
+            if bland {
+                BLAND_CHECKS.with(|c| c.set(c.get() + 1));
+            }
         }
     }
 
@@ -2098,6 +2153,43 @@ mod tests {
         let (basis, xb) = step_from(&lp, &[y1, x2, y2], &[x1], x1, Hit::LeaveGlue(1));
         assert_eq!(basis, [y1, x1, y2]);
         assert_eq!(xb, [3.0, 2.0, 2.0]);
+    }
+
+    #[test]
+    fn blands_rule_prices_like_the_reference() {
+        // min −Σ x_i  s.t.  x_i − x_{i+1} ≤ 0 (zero right-hand sides) and
+        // x_n ≤ 3: from the all-slack basis each x_i but the last enters
+        // at a degenerate pivot, so the pass runs past DEGENERATE_SWITCH
+        // degenerate pivots and prices by Bland's rule until x_n's bound
+        // flip ends the run.
+        let n = DEGENERATE_SWITCH + 16;
+        let mut lp: LpProblem<Rat> = LpProblem::new();
+        let xs: Vec<usize> = (0..n).map(|_| lp.add_var(Rat::from_int(-1))).collect();
+        for w in xs.windows(2) {
+            lp.add_constraint(
+                vec![(w[0], Rat::ONE), (w[1], Rat::from_int(-1))],
+                Cmp::Le,
+                Rat::ZERO,
+            );
+        }
+        lp.set_upper(xs[n - 1], Rat::from_int(3));
+        let exact = solve_lp(&lp, &LpOptions::new().backend(SolverBackend::DenseExact))
+            .expect("the dense exact backend never fails")
+            .solution;
+        assert_eq!(exact.objective, Rat::from_int(-3 * n as i64));
+        for window in [0, 2, DEFAULT_PRICING_WINDOW] {
+            let bland = BLAND_CHECKS.with(Cell::get);
+            let opts = LpOptions::new().pricing(BoundedOptions {
+                pricing_window: window,
+                ..BoundedOptions::default()
+            });
+            let rep = solve_lp(&lp, &opts).expect("the chain LP solves");
+            assert_eq!(rep.solution.objective, exact.objective, "window {window}");
+            assert!(
+                BLAND_CHECKS.with(Cell::get) > bland,
+                "window {window}: no iteration priced by Bland's rule"
+            );
+        }
     }
 
     /// SplitMix64: the test LPs below are drawn from one seed.
