@@ -136,12 +136,15 @@ struct Search<'a> {
 
 impl Search<'_> {
     /// The rightmost `counts[i]` slots of each of the first `counts.len()`
-    /// runs, then the rightmost `caps[i]` slots of every later run.
+    /// runs, then the rightmost `caps[i]` slots of every later run. A run
+    /// opening no slot adds no range: at `k = 0` the start `end − k + 1`
+    /// would wrap past `i64::MAX` for a run that ends there.
     fn materialize(&self, counts: &[i64]) -> Vec<Time> {
         let caps = &self.caps[counts.len()..];
         self.runs
             .iter()
             .zip(counts.iter().chain(caps))
+            .filter(|&(_, &k)| k > 0)
             .flat_map(|(run, &k)| run.end - k + 1..=run.end)
             .collect()
     }

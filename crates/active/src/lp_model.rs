@@ -379,8 +379,10 @@ lp_counters! {
     /// Certification wall time spent in the directed-rounding interval
     /// tier, nanoseconds (a subset of `certify_nanos`).
     certify_interval_nanos: "lp.certify_interval_nanos",
-    /// Certification wall time spent in the exact tier (factor, solves,
-    /// primal checks, and any exact dual sweeps), nanoseconds.
+    /// Certification wall time outside the interval tier (proving the
+    /// float pass's values exact, or the LU factor and solves on the
+    /// fallback, the primal checks, extraction and any exact dual
+    /// sweeps), nanoseconds.
     certify_exact_nanos: "lp.certify_exact_nanos",
     /// Solves whose dual-feasibility proof was discharged by the interval
     /// tier alone (no exact reduced-cost sweep ran).
@@ -389,6 +391,12 @@ lp_counters! {
     /// exact sweep ([`CertifyMode::IntervalThenExact`]) or returned a
     /// refutation for the ladder to absorb ([`CertifyMode::Interval`]).
     interval_escalations: "lp.interval_escalations",
+    /// Certifications whose exact basic values and duals came from the
+    /// exact LU factor rather than from the float pass's own values,
+    /// proven exact (the dense hybrid rung always; the revised rung on
+    /// fractional data or values it cannot prove). Zero on integral
+    /// LP1 solves.
+    certify_lu: "lp.certify_lu",
     /// LP1 solves that sharded into more than one component
     /// ([`DecomposeMode::Auto`] with a disconnected interval graph).
     sharded_solves: "lp.sharded_solves",
@@ -484,6 +492,7 @@ pub(crate) fn record_solve(rep: &LpReport) {
     m.certify_exact_nanos.add(rep.stats.certify_exact_nanos);
     m.interval_accepts.add(rep.stats.interval_accepts);
     m.interval_escalations.add(rep.stats.interval_escalations);
+    m.certify_lu.add(rep.stats.certify_lu);
     m.pivots_per_solve.record(rep.stats.pivots);
 }
 

@@ -70,8 +70,6 @@ pub struct SpanPlacement {
     pub exact: bool,
 }
 
-const INF: i64 = i64::MAX / 4;
-
 /// Exact minimum-span placement. Exponential worst case (memoized over
 /// job subsets), so restricted to `n ≤ 127`; intended for benchmark-scale
 /// instances. Use [`span_greedy`] beyond that.
@@ -97,7 +95,6 @@ pub fn span_exact(inst: &Instance) -> Result<SpanPlacement> {
     let mut search = Search::new(&ranked);
     let full = (1u128 << n) - 1;
     let (cost, _) = search.solve(full);
-    debug_assert!(cost < INF, "every instance is feasible with unbounded g");
 
     // Walk the memo to reconstruct the chosen intervals.
     let mut intervals: Vec<Interval> = Vec::new();
@@ -208,6 +205,8 @@ impl Search {
 
     /// Min cost of serving the non-empty `mask` with intervals that
     /// start at or after `start(mask)`, and the right end of the first.
+    /// Every set has a cover, so there is no "no cover" cost: a sentinel
+    /// would tie with a real span as long as itself.
     fn solve(&mut self, mask: u128) -> (i64, Time) {
         let low = mask.trailing_zeros() as usize;
         if let Some(&(_, cost, v)) = self.memo[low].iter().find(|e| e.0 == mask) {
@@ -221,25 +220,26 @@ impl Search {
         let mut v = u + p;
         let mut fi = self.finish.count_le(v);
         let mut li = self.length.count_le(p);
-        let mut best = (INF, 0);
+        let mut best: Option<(i64, Time)> = None;
         let mut last = 0u128;
         // Ends ascend and the rest costs ≥ 0: nothing later is strictly
         // cheaper once `v − u` reaches the best cost.
-        while v - u < best.0 {
+        while best.is_none_or(|(cost, _)| v - u < cost) {
             let served = (late & self.finish.masks[fi]) | (early & self.length.masks[li]);
             if served != last {
                 last = served;
                 let rest = mask & !served;
                 if rest == 0 {
-                    best = (v - u, v);
+                    best = Some((v - u, v));
                     break;
                 }
                 // A rest that starts inside this interval is not a
-                // canonical next interval.
+                // canonical next interval. A cost past `i64` is never the
+                // cheapest: the end that serves the whole set is cheaper.
                 if self.start(rest) >= v {
-                    let cost = (v - u) + self.solve(rest).0;
-                    if cost < best.0 {
-                        best = (cost, v);
+                    let cost = self.solve(rest).0.checked_add(v - u);
+                    if let Some(cost) = cost.filter(|&c| best.is_none_or(|(b, _)| c < b)) {
+                        best = Some((cost, v));
                     }
                 }
             }
@@ -258,8 +258,10 @@ impl Search {
                 li += 1;
             }
         }
-        self.memo[low].push((mask, best.0, best.1));
-        best
+        // The last end walked serves the whole set, so a best exists.
+        let (cost, v) = best.expect("some end serves every job of the set");
+        self.memo[low].push((mask, cost, v));
+        (cost, v)
     }
 }
 

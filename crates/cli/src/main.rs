@@ -290,17 +290,19 @@ fn arrivals_config(clusters: u64, jobs_per_cluster: u64) -> Result<OnlineArrival
 }
 
 /// One-line supervision summary from a telemetry delta, including how the
-/// certification proofs split across the interval and exact tiers.
+/// certification proofs split across the interval and exact tiers and how
+/// many certifications fell back to the exact LU.
 fn supervision_summary(d: &abt_active::LpTelemetry) -> String {
     format!(
         "supervision: {} demotions ({} budget trips), {} quarantined; \
-         certify: {} interval accepts, {} escalations \
+         certify: {} interval accepts, {} escalations, {} LU \
          ({:.1} ms interval + {:.1} ms exact)",
         d.demotions,
         d.budget_trips,
         d.quarantined,
         d.interval_accepts,
         d.interval_escalations,
+        d.certify_lu,
         d.certify_interval_nanos as f64 / 1e6,
         d.certify_exact_nanos as f64 / 1e6,
     )

@@ -11,28 +11,32 @@
 //! list every run at its cap: at 10⁹ slots it aborted on an 8 GB
 //! allocation.
 //!
+//! A job of length 2⁶¹ or more made every interval arm of `busy` fail:
+//! the min-span search's "no cover" cost, about 2⁶¹, tied with the job's
+//! own span, so the placement walk pushed intervals until memory ran out,
+//! or built a reversed one and panicked.
+//!
 //! Every child runs with its address space capped at 1 GiB, so a run that
-//! grows with `g` fails fast instead of exhausting the machine's memory.
+//! grows with `g` fails fast instead of exhausting the machine's memory,
+//! and is killed if it is still running after 20 s.
 
-use std::process::{Command, Output};
+mod common;
+
+use common::abt_within;
+use std::process::Output;
+use std::time::Duration;
 
 /// `abt args… <file>` on an instance file holding `text`, under the
-/// address-space cap.
+/// address-space cap and the time limit.
 fn abt(name: &str, text: &str, args: &[&str]) -> Output {
     let dir = std::env::temp_dir().join(format!("abt-huge-g-{}-{name}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let file = dir.join("inst.txt");
     std::fs::write(&file, text).unwrap();
     let (cmd, rest) = args.split_first().unwrap();
-    let out = Command::new("sh")
-        .arg("-c")
-        .arg("ulimit -v 1048576 && exec \"$0\" \"$@\"")
-        .arg(env!("CARGO_BIN_EXE_abt"))
-        .arg(cmd)
-        .arg(&file)
-        .args(rest)
-        .output()
-        .expect("spawn sh");
+    let mut full = vec![*cmd, file.to_str().unwrap()];
+    full.extend(rest);
+    let out = abt_within(&full, Duration::from_secs(20));
     std::fs::remove_dir_all(&dir).ok();
     out
 }
@@ -107,4 +111,21 @@ fn exact_refuses_a_job_past_the_per_slot_limit() {
         ),
         "{stderr}"
     );
+}
+
+#[test]
+fn busy_places_a_job_of_length_two_to_the_61() {
+    // A rigid job of length 2⁶¹, and a flexible one of that length in a
+    // window twice as long: one machine busy for the job's length.
+    let rigid = "g 3\njob 0 2305843009213693952 2305843009213693952\n";
+    let flexible = "g 3\njob 0 4611686018427387904 2305843009213693952\n";
+    for (shape, text) in [("rigid", rigid), ("flexible", flexible)] {
+        for algo in ["ff", "gt", "kr", "ab", "lp"] {
+            let stdout = answer(&format!("long-{shape}-{algo}"), text, &["busy", algo]);
+            assert!(
+                stdout.contains("busy time: 2305843009213693952 on 1 machines\n"),
+                "{shape} {algo}:\n{stdout}"
+            );
+        }
+    }
 }

@@ -6,12 +6,17 @@
 //! slots refuse it before allocating. A horizon whose length overflows
 //! `i64` made `solve`, `active … minimal` and `active … exact` panic; every
 //! command refuses it. `active … exact` is one search over event-point
-//! runs, so it answers the 8·10⁹ instance. `busy … preempt` looped forever
+//! runs, so it answers the 8·10⁹ instance; a run ending at `i64::MAX`
+//! that its search left closed made it list all of `i64` (`capacity
+//! overflow`). `busy … preempt` looped forever
 //! on a deadline from 2⁶² up: the closed gap before the first open
 //! component wrapped to 0, so nothing ever opened.
 
-use std::process::{Command, Output, Stdio};
-use std::time::{Duration, Instant};
+mod common;
+
+use common::abt_within;
+use std::process::{Command, Output};
+use std::time::Duration;
 
 fn abt(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_abt"))
@@ -75,30 +80,6 @@ fn long_horizons_are_answered_in_runs_and_refused_per_slot() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `abt args…` with its address space capped at 1 GiB, killed if it is
-/// still running after `limit`.
-fn abt_within(args: &[&str], limit: Duration) -> Output {
-    let mut child = Command::new("sh")
-        .arg("-c")
-        .arg("ulimit -v 1048576 && exec \"$0\" \"$@\"")
-        .arg(env!("CARGO_BIN_EXE_abt"))
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn sh");
-    let started = Instant::now();
-    while child.try_wait().expect("poll abt").is_none() {
-        if started.elapsed() > limit {
-            child.kill().ok();
-            child.wait().ok();
-            panic!("abt {args:?} still running after {limit:?}");
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    child.wait_with_output().expect("collect abt")
-}
-
 #[test]
 fn preempt_answers_deadlines_from_two_to_the_62() {
     let dir = std::env::temp_dir().join(format!("abt-preempt-far-{}", std::process::id()));
@@ -119,5 +100,29 @@ fn preempt_answers_deadlines_from_two_to_the_62() {
             "abt {args:?}:\n{stdout}"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn exact_answers_runs_ending_at_i64_max() {
+    // The search closes the run [0, i64::MAX − 1) and opens the last two
+    // slots; the closed run's empty range used to wrap to all of `i64`.
+    let dir = std::env::temp_dir().join(format!("abt-exact-far-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("far.txt");
+    std::fs::write(
+        &file,
+        "g 1\njob 0 9223372036854775807 1\njob 9223372036854775806 9223372036854775807 1\n",
+    )
+    .unwrap();
+    let args = ["active", file.to_str().unwrap(), "exact"];
+    let out = abt_within(&args, Duration::from_secs(20));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "abt {args:?}:\n{stdout}{stderr}");
+    assert!(
+        stdout.contains("active time: 2\n"),
+        "abt {args:?}:\n{stdout}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

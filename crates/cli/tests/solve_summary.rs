@@ -2,8 +2,10 @@
 //! `solves: S (C components), P pivots (P1 in phase 1), R
 //! refactorizations, F fallbacks`, every count from the same
 //! `lp_telemetry()` delta, `C` the component LPs the call solved (1 on a
-//! connected instance); and the answer's shape on another:
-//! `fractionally open slots: X of H in R runs`, `H` the horizon's length.
+//! connected instance); the answer's shape on another:
+//! `fractionally open slots: X of H in R runs`, `H` the horizon's length;
+//! and on its `supervision:` line how many certifications needed the
+//! exact LU (`… escalations, L LU (…)`), none on integral data.
 
 use std::process::Command;
 
@@ -92,4 +94,22 @@ fn solve_counts_the_components_it_solved() {
     );
     let [solves, components, ..] = solves_line(&stdout);
     assert_eq!((solves, components), (2, 2), "{stdout}");
+}
+
+#[test]
+fn solve_certifies_an_integral_instance_without_the_lu() {
+    let stdout = solve(
+        "lu",
+        "g 2\njob 0 10 3\njob 2 12 4\njob 5 20 2\njob 1 9 5\njob 14 30 6\n\
+         job 40 50 2\njob 41 49 5\n",
+    );
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("supervision: "))
+        .unwrap_or_else(|| panic!("no supervision line:\n{stdout}"));
+    let lu = line
+        .split_once(" escalations, ")
+        .and_then(|(_, rest)| rest.split_once(" LU ("))
+        .map(|(count, _)| count);
+    assert_eq!(lu, Some("0"), "{line}");
 }

@@ -5,22 +5,14 @@
 //! than 2²⁴ jobs is refused the same way: `incremental 99999999999 2 1`
 //! aborted on a 4.8 TB allocation.
 
-use std::process::{Command, Output, Stdio};
+mod common;
+
+use common::{abt_capped, abt_within};
+use std::process::{Output, Stdio};
 use std::time::Duration;
 
-/// `abt args…` with its address space capped at 1 GiB, so a request that
-/// allocates for its size fails fast instead of exhausting the machine.
-fn abt_capped(args: &[&str]) -> Command {
-    let mut cmd = Command::new("sh");
-    cmd.arg("-c")
-        .arg("ulimit -v 1048576 && exec \"$0\" \"$@\"")
-        .arg(env!("CARGO_BIN_EXE_abt"))
-        .args(args);
-    cmd
-}
-
 fn abt(args: &[&str]) -> Output {
-    abt_capped(args).output().expect("spawn sh")
+    abt_within(args, Duration::from_secs(20))
 }
 
 fn assert_usage_error(out: &Output, what: &str) {

@@ -229,6 +229,13 @@ pub struct BoundedBasis {
     /// LU refactorizations (each when the eta file grew too long or too
     /// dense).
     pub refactorizations: u64,
+    /// The pass's basic values, parallel to `basis` (empty unless
+    /// `Optimal`).
+    pub xb: Vec<f64>,
+    /// The simplex multipliers of the final pricing pass, the one that
+    /// found no entering column: `B̄ᵀ·y = c̄_B` for the terminal basis
+    /// (empty unless `Optimal`).
+    pub y: Vec<f64>,
 }
 
 /// The equality standard form `min c·x, A·x = b, 0 ≤ x ≤ u` of an
@@ -558,7 +565,9 @@ struct Eta {
 }
 
 enum StepOutcome {
-    Optimal,
+    /// Carries the multipliers of the pricing pass that found no entering
+    /// column, an arena buffer.
+    Optimal(Vec<f64>),
     Unbounded,
     Stalled,
     Budget(BudgetKind),
@@ -705,11 +714,14 @@ impl<'a> Rev<'a> {
 
     /// Consumes the solver state into its result. `Stalled` and `Budget`
     /// results carry no basis/state, matching the contract that neither is
-    /// a verdict. The pooled scratch (dense vectors and eta columns) is
-    /// given back to the arena by [`Rev`]'s `Drop` impl when `self` goes
-    /// out of scope here — the same path that recycles it on an unwind.
+    /// a verdict, and only an `Optimal` one carries the basic values (the
+    /// caller adds the multipliers). The pooled scratch (dense vectors and
+    /// eta columns) is given back to the arena by [`Rev`]'s `Drop` impl
+    /// when `self` goes out of scope here — the same path that recycles it
+    /// on an unwind.
     fn finish(mut self, status: BoundedStatus) -> BoundedBasis {
         let blank = matches!(status, BoundedStatus::Stalled | BoundedStatus::Budget(_));
+        let optimal = status == BoundedStatus::Optimal;
         BoundedBasis {
             status,
             basis: if blank {
@@ -726,6 +738,8 @@ impl<'a> Rev<'a> {
             phase1_pivots: self.phase1_pivots,
             bound_flips: self.bound_flips,
             refactorizations: self.refactorizations,
+            xb: if optimal { self.xb.clone() } else { Vec::new() },
+            y: Vec::new(),
         }
     }
 
@@ -1067,10 +1081,10 @@ impl<'a> Rev<'a> {
             let entering = self.price(&y, bland, window);
             #[cfg(test)]
             self.check_pricing(&y, bland, window, entering, reference_cursor);
-            self.arena.give_f64(y);
             let Some(q) = entering else {
-                return StepOutcome::Optimal;
+                return StepOutcome::Optimal(y);
             };
+            self.arena.give_f64(y);
             let t = match self.step(q, freeze_artificials) {
                 Ok((_, t)) => t,
                 Err(outcome) => return outcome,
@@ -1592,6 +1606,8 @@ fn solve_bounded_pooled(
             phase1_pivots: 0,
             bound_flips: 0,
             refactorizations: 0,
+            xb: Vec::new(),
+            y: Vec::new(),
         };
     };
     rev.arm_budgets(opts);
@@ -1611,7 +1627,7 @@ fn solve_bounded_pooled(
         let outcome = rev.optimize(&cost1, false, window);
         rev.phase1_pivots = rev.pivots;
         match outcome {
-            StepOutcome::Optimal => {}
+            StepOutcome::Optimal(y) => rev.arena.give_f64(y),
             StepOutcome::Budget(k) => return rev.finish(BoundedStatus::Budget(k)),
             // Phase 1 is bounded below by 0; treat anything else as a stall.
             StepOutcome::Unbounded | StepOutcome::Stalled => {
@@ -1623,13 +1639,22 @@ fn solve_bounded_pooled(
         }
     }
     rev.bar_artificials();
-    let status = match rev.optimize(&sf.cost, true, window) {
-        StepOutcome::Optimal => BoundedStatus::Optimal,
-        StepOutcome::Unbounded => BoundedStatus::Unbounded,
+    let (status, y) = match rev.optimize(&sf.cost, true, window) {
+        StepOutcome::Optimal(y) => {
+            // The multipliers that proved optimality travel with the
+            // proposal to the exact certifier.
+            let kept = y.to_vec();
+            rev.arena.give_f64(y);
+            (BoundedStatus::Optimal, kept)
+        }
+        StepOutcome::Unbounded => (BoundedStatus::Unbounded, Vec::new()),
         StepOutcome::Stalled => return rev.finish(BoundedStatus::Stalled),
         StepOutcome::Budget(k) => return rev.finish(BoundedStatus::Budget(k)),
     };
-    rev.finish(status)
+    BoundedBasis {
+        y,
+        ..rev.finish(status)
+    }
 }
 
 #[cfg(test)]
@@ -2338,5 +2363,74 @@ mod tests {
                 prop_assert!(PRICING_CHECKS.with(Cell::get) > checks, "no iteration was priced");
             }
         }
+    }
+
+    /// Certifies the float pass's proposal for `lp` twice under each
+    /// certify mode: as handed over, and with its basic values and
+    /// multipliers cleared, which forces the exact LU. Asserts the same
+    /// verdict, solution and tier tally, and returns whether the first
+    /// certification went without the LU (`None` when the pass found no
+    /// optimum).
+    fn certify_both_ways(lp: &LpProblem<Rat>) -> Option<bool> {
+        use crate::simplex::{verify_bounded, Certified, CertifyMode};
+        let sf = StandardForm::build(lp);
+        let prop = solve_bounded_f64(&sf.to_f64());
+        if prop.status != BoundedStatus::Optimal {
+            return None;
+        }
+        let lu_only = BoundedBasis {
+            xb: Vec::new(),
+            y: Vec::new(),
+            ..prop.clone()
+        };
+        let mut fast = true;
+        for mode in [CertifyMode::IntervalThenExact, CertifyMode::Exact] {
+            let (given, tally) = verify_bounded(lp, &sf, &prop, None, mode);
+            let (forced, lu_tally) = verify_bounded(lp, &sf, &lu_only, None, mode);
+            assert_eq!(lu_tally.lu, 1, "cleared values force the LU");
+            fast &= tally.lu == 0;
+            assert_eq!(
+                (tally.interval_accepts, tally.interval_escalations),
+                (lu_tally.interval_accepts, lu_tally.interval_escalations),
+                "{mode:?}: the tier tally moved"
+            );
+            match (given, forced) {
+                (Certified::Verified(a), Certified::Verified(b)) => {
+                    assert_eq!(a.status, b.status);
+                    assert_eq!(a.objective, b.objective, "{mode:?}");
+                    assert_eq!(a.x, b.x, "{mode:?}");
+                    assert_eq!(a.duals, b.duals, "{mode:?}");
+                }
+                (Certified::Refuted, Certified::Refuted) => {}
+                (a, b) => panic!("{mode:?}: verdicts differ: {a:?} against the LU's {b:?}"),
+            }
+        }
+        Some(fast)
+    }
+
+    #[test]
+    fn float_values_certify_like_the_exact_lu() {
+        let cases = proptest::test_runner::effective_cases(&ProptestConfig::with_cases(96));
+        let mut d = Draw(0x0F1A_7BA5_15CE_47A1);
+        let (mut blocks, mut vub, mut vub_fast) = (0u32, 0u32, 0u32);
+        for case in 0..cases {
+            let block = lp1_block(&mut d);
+            if let Some(fast) = certify_both_ways(&block) {
+                assert!(fast, "case {case}: an LP1 block needed the LU");
+                blocks += 1;
+            }
+            if let Some(fast) = certify_both_ways(&random_vub_lp(&mut d)) {
+                vub += 1;
+                vub_fast += u32::from(fast);
+            }
+        }
+        eprintln!(
+            "float values certified {blocks} of {blocks} optimal LP1 blocks and \
+             {vub_fast} of {vub} optimal random VUB LPs without the LU"
+        );
+        assert!(
+            blocks > 0 && vub_fast > 0,
+            "the float values were never used"
+        );
     }
 }

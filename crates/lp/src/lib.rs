@@ -8,10 +8,13 @@
 //! bounded-variable **revised** hybrid — implicit `[0, u]` variable
 //! bounds *and* Schrage-style variable upper bounds `x ≤ y`
 //! ([`LpProblem::set_vub`]) handled by the pivoting rules ([`bounds`]),
-//! partial pricing, exact verification through a sparse rational LU of
-//! the (key-column-augmented) basis matrix ([`lu`]), and per-thread
-//! scratch reuse through the slab arena ([`arena`]) — the default path
-//! for the active-time LPs. The [`start`] module adds **crash starts**:
+//! partial pricing, exact verification of the float pass's own basic
+//! values and duals (rounded to rationals and proven by integer residuals
+//! and a rank check modulo a prime, with a sparse rational LU of the
+//! key-column-augmented basis matrix, [`lu`], as the fallback), and
+//! per-thread scratch reuse through the slab arena ([`arena`]) — the
+//! default path for the active-time LPs. The [`start`] module adds
+//! **crash starts**:
 //! a [`StartBasis`] a caller builds for a cold solve
 //! ([`LpOptions::start`]), so phase 1 runs only on what it leaves
 //! infeasible.
@@ -67,6 +70,7 @@ pub mod interval;
 pub mod lu;
 pub mod model;
 pub mod rational;
+mod reconstruct;
 pub mod scalar;
 pub mod simplex;
 pub mod start;

@@ -12,9 +12,12 @@
 //!
 //! * `SparseLu<f64>` inside the float-first bounded revised simplex
 //!   (refactorized periodically, with product-form updates in between), and
-//! * `SparseLu<Rat>` for the *exact* verification of the terminal basis,
-//!   replacing the PR-1 dense exact refactorization (`O(m²·cols)`) with a
-//!   factorization that is near-linear in `nnz(B)` on LP1 bases.
+//! * `SparseLu<Rat>` as the *fallback* of the exact verification of the
+//!   terminal basis: the certifier first proves the float pass's own basic
+//!   values and duals exact (`crate::reconstruct`) and factors in
+//!   rationals only when it cannot — for the dense hybrid's proposals,
+//!   fractional data, or a basis it cannot show nonsingular modulo its
+//!   prime. The factorization is near-linear in `nnz(B)` on LP1 bases.
 //!
 //! # Pivoting
 //!

@@ -47,10 +47,12 @@
 //!    LPs are tiny integers, exactly representable).
 //! 2. If the float solve claims `Optimal`, hand its terminal basis to the
 //!    revised engine's exact certifier as a bounded proposal whose
-//!    nonbasic columns all rest at zero. With no bounds and no VUBs in
-//!    play, the per-resting-state certificate below reduces to the classic
-//!    one: a nonsingular basis (factored with a [`SparseLu`] in exact
-//!    rationals — the dense exact tableau is never re-pivoted), primal
+//!    nonbasic columns all rest at zero. The proposal carries no float
+//!    values, so the certifier takes the exact LU path below. With no
+//!    bounds and no VUBs in play, the per-resting-state certificate below
+//!    reduces to the classic one: a nonsingular basis (factored with a
+//!    [`SparseLu`] in exact rationals — the dense exact tableau is never
+//!    re-pivoted), primal
 //!    feasibility (`B·x_B = b` with all basic values ≥ 0), artificials out
 //!    (every basic artificial at value 0), and dual feasibility (reduced
 //!    costs of nonbasic non-artificial columns ≥ 0 against the duals from
@@ -83,9 +85,18 @@
 //!   key columns), nonbasic-at-upper states, bound flips, and a
 //!   periodically refactorized sparse LU basis with product-form updates;
 //!   and
-//! * the exact pass builds a [`SparseLu`] of the terminal basis matrix in
-//!   exact rationals — near-linear in `nnz(B)` on the paper's LPs — and
-//!   certifies exact optimality **per resting state**. With the augmented
+//! * the exact pass needs the terminal basis's basic values and duals in
+//!   rationals. It first takes the float pass's own: its basic values and
+//!   the multipliers of its last pricing pass, rounded to small-denominator
+//!   rationals and proven exact by integer residuals over the augmented
+//!   basis and a rank check modulo a prime (`crate::reconstruct`), in
+//!   work linear in `nnz(B)`. Only when that fails (fractional data, values
+//!   it cannot prove, a basis singular modulo the prime or too dense) does
+//!   it factor the terminal basis matrix with a [`SparseLu`] in exact
+//!   rationals, the fallback, counted in [`SolveStats::certify_lu`]. A
+//!   nonsingular basis gives each system exactly one solution, so both
+//!   paths return the same values. It then certifies exact optimality
+//!   **per resting state**. With the augmented
 //!   key columns `Ā_k = A_k + Σ_{glued j} A_j` and costs
 //!   `c̄_k = c_k + Σ_{glued j} c_j`: primal feasibility
 //!   `B̄·x_B = b − Σ_{j at a fixed value} val_j·A_j` with `0 ≤ x_B ≤ u_B`
@@ -118,6 +129,7 @@ use crate::interval::Iv;
 use crate::lu::SparseLu;
 use crate::model::LpProblem;
 use crate::rational::Rat;
+use crate::reconstruct::Candidate;
 use crate::scalar::Scalar;
 use abt_core::error::{BudgetKind, SolveFailure};
 use abt_core::faultinject;
@@ -173,9 +185,10 @@ pub struct SolveStats {
     /// Wall time spent in the directed-rounding interval tier, in
     /// nanoseconds (zero under [`CertifyMode::Exact`]).
     pub certify_interval_nanos: u64,
-    /// Wall time spent in exact rational arithmetic (LU factor, basic
-    /// values, duals, and — on escalation or under
-    /// [`CertifyMode::Exact`] — the full reduced-cost sweep), in
+    /// Wall time spent outside the interval tier: proving the float
+    /// values exact (or, on the fallback, the LU factor and solves), the
+    /// primal and state checks, extraction and — on escalation or under
+    /// [`CertifyMode::Exact`] — the full reduced-cost sweep, in
     /// nanoseconds.
     pub certify_exact_nanos: u64,
     /// Solves whose dual-feasibility sweep was discharged entirely by the
@@ -184,6 +197,11 @@ pub struct SolveStats {
     /// Solves whose interval sweep was inconclusive (straddling
     /// enclosures) and escalated to the exact reduced-cost sweep.
     pub interval_escalations: u64,
+    /// Certifications whose basic values and multipliers came from the
+    /// exact LU (0 or 1 per solve): the float pass offered none (the dense
+    /// hybrid) or they could not be proven exact (see
+    /// `crate::reconstruct`).
+    pub certify_lu: u64,
 }
 
 /// Number of consecutive degenerate pivots tolerated before switching to
@@ -591,6 +609,8 @@ fn verify_basis(
         phase1_pivots: 0,
         bound_flips: 0,
         refactorizations: 0,
+        xb: Vec::new(),
+        y: Vec::new(),
     };
     verify_bounded(lp, &sf, &prop, None, mode)
 }
@@ -647,15 +667,17 @@ pub(crate) enum Certified {
 }
 
 /// Verifies, in exact rationals, the terminal basis+state proposal of the
-/// bounded `f64` revised simplex via a sparse LU of the basis matrix (see
-/// the module docs for the per-resting-state certificate).
+/// bounded `f64` revised simplex (see the module docs for the
+/// per-resting-state certificate): from the proposal's own float values
+/// when they can be proven exact, via a sparse LU of the basis matrix
+/// otherwise.
 ///
 /// The optional `deadline` bounds the certification work: it is checked
-/// at entry and between the expensive stages (after the LU factorization,
-/// after the basic-value solve, after the dual solve, and periodically
-/// inside the interval sweep), so an adversarial instance whose rationals
-/// blow up cannot pin the certifier past its budget by more than one
-/// stage.
+/// at entry and between the expensive stages (after the residual checks,
+/// after the rank check or the LU factorization, after the basic values,
+/// after the duals, and periodically inside the interval sweep), so an
+/// adversarial instance whose rationals blow up cannot pin the certifier
+/// past its budget by more than one stage.
 ///
 /// `mode` selects the certification tier policy (see [`CertifyMode`]);
 /// the returned [`CertifyTally`] records which tier discharged the dual
@@ -732,13 +754,9 @@ fn verify_bounded_staged(
     if basic_count != m {
         return Ok(None);
     }
-    let mut seen = vec![false; sf.ncols];
     let mut pos = vec![usize::MAX; sf.ncols];
     for (i, &j) in prop.basis.iter().enumerate() {
-        if j >= sf.ncols
-            || prop.state[j] != VarState::Basic
-            || std::mem::replace(&mut seen[j], true)
-        {
+        if j >= sf.ncols || prop.state[j] != VarState::Basic || pos[j] != usize::MAX {
             return Ok(None);
         }
         pos[j] = i;
@@ -753,47 +771,68 @@ fn verify_bounded_staged(
         }
     };
     // Glued dependents per key (they ride inside the augmented column of a
-    // basic key); dependents glued to nonbasic keys contribute fixed
-    // values to the right-hand side instead.
+    // basic key); dependents glued to nonbasic keys rest at fixed values,
+    // like columns at their upper bounds.
     let mut glued: Vec<Vec<usize>> = vec![Vec::new(); sf.ncols];
-    for j in 0..sf.ncols {
-        if prop.state[j] == VarState::AtVub {
-            glued[sf.vub[j].expect("checked above")].push(j);
-        }
-    }
-    let bcols: Vec<Vec<(usize, Rat)>> = prop
-        .basis
-        .iter()
-        .map(|&j| crate::bounds::augmented_column(&sf.cols, j, &glued[j]))
-        .collect();
-    let Some(lu) = SparseLu::factor(m, &bcols) else {
-        return Ok(None);
-    };
-    if expired() {
-        return Err(DeadlinePassed);
-    }
-    // Exact basic values against the bound-adjusted right-hand side.
-    let mut rhs = sf.b.clone();
+    let mut fixed: Vec<(usize, Rat)> = Vec::new();
     for j in 0..sf.ncols {
         let val = match prop.state[j] {
             VarState::AtUpper => *sf.upper[j].as_ref().expect("checked above"),
             VarState::AtVub => {
                 let k = sf.vub[j].expect("checked above");
-                if pos[k] == usize::MAX {
-                    key_rest(k)
-                } else {
+                glued[k].push(j);
+                if pos[k] != usize::MAX {
                     continue; // inside the augmented key column
                 }
+                key_rest(k)
             }
             VarState::Basic | VarState::AtLower => continue,
         };
         if !val.is_zero_s() {
-            for (i, v) in &sf.cols[j] {
-                rhs[*i] = rhs[*i].sub(&val.mul(v));
-            }
+            fixed.push((j, val));
         }
     }
-    let xb = lu.solve(&rhs);
+    // The float pass's own basic values and multipliers, proven exact (see
+    // `crate::reconstruct`); the exact LU factors the basis only when they
+    // cannot be.
+    let mut candidate = Candidate::new(sf, &prop.basis, &glued, &fixed, &prop.xb, &prop.y);
+    if candidate.is_some() {
+        if expired() {
+            return Err(DeadlinePassed);
+        }
+        candidate = candidate.filter(Candidate::full_rank);
+    }
+    let source = match candidate {
+        Some(proven) => Source::Float(proven),
+        None => {
+            tally.lu = 1;
+            let bcols: Vec<Vec<(usize, Rat)>> = prop
+                .basis
+                .iter()
+                .map(|&j| crate::bounds::augmented_column(&sf.cols, j, &glued[j]))
+                .collect();
+            let Some(lu) = SparseLu::factor(m, &bcols) else {
+                return Ok(None);
+            };
+            Source::Lu(lu)
+        }
+    };
+    if expired() {
+        return Err(DeadlinePassed);
+    }
+    // Exact basic values against the bound-adjusted right-hand side.
+    let xb = match &source {
+        Source::Float(proven) => proven.xb.rats(),
+        Source::Lu(lu) => {
+            let mut rhs = sf.b.clone();
+            for (j, val) in &fixed {
+                for (i, v) in &sf.cols[*j] {
+                    rhs[*i] = rhs[*i].sub(&val.mul(v));
+                }
+            }
+            lu.solve(&rhs)
+        }
+    };
     if expired() {
         return Err(DeadlinePassed);
     }
@@ -840,28 +879,32 @@ fn verify_bounded_staged(
         }
     }
     // Exact duals from the augmented system B̄ᵀ·y = c̄_B.
-    let cb: Vec<Rat> = prop
-        .basis
-        .iter()
-        .map(|&j| {
-            let mut c = sf.cost[j];
-            for &g in &glued[j] {
-                c = c.add(&sf.cost[g]);
-            }
-            c
-        })
-        .collect();
-    let y = lu.solve_transposed(&cb);
+    let y = match &source {
+        Source::Float(proven) => proven.y.rats(),
+        Source::Lu(lu) => {
+            let cb: Vec<Rat> = prop
+                .basis
+                .iter()
+                .map(|&j| {
+                    let mut c = sf.cost[j];
+                    for &g in &glued[j] {
+                        c = c.add(&sf.cost[g]);
+                    }
+                    c
+                })
+                .collect();
+            lu.solve_transposed(&cb)
+        }
+    };
     if expired() {
         return Err(DeadlinePassed);
     }
     // Reduced-cost sign conditions per resting state, discharged by the
     // interval tier when the mode allows and every enclosure is one-sided,
-    // by the exact rational sweep otherwise. The sweep is the dominant
-    // certification cost — O(ncols) rational dot products over a column
-    // count dwarfing the basis dimension — while everything above (exact
-    // factor, primal and dual solves) is needed for the returned solution
-    // anyway, so only the sweep is tiered.
+    // by the exact sweep otherwise. The sweep is tiered because it is an
+    // O(ncols) pass of dot products over a column count dwarfing the basis
+    // dimension, while the values above are needed for the returned
+    // solution whichever tier runs.
     let dual_ok = match mode {
         CertifyMode::Exact => exact_dual_sweep(sf, prop, &glued, &y),
         CertifyMode::Interval | CertifyMode::IntervalThenExact => {
@@ -908,6 +951,14 @@ fn verify_bounded_staged(
         x,
         duals,
     }))
+}
+
+/// Where the certifier's exact basic values and multipliers come from.
+enum Source {
+    /// The float pass's own values, proven exact.
+    Float(Candidate),
+    /// The exact LU of the augmented basis (the fallback).
+    Lu(SparseLu<Rat>),
 }
 
 /// The exact rational reduced-cost sweep over every nonbasic
@@ -1126,9 +1177,13 @@ pub enum CertifyMode {
 }
 
 /// Per-certification telemetry of one [`verify_bounded`] call: which tier
-/// discharged the dual sweep and how long the interval tier ran.
+/// discharged the dual sweep, how long the interval tier ran, and whether
+/// the exact LU supplied the basic values and multipliers.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct CertifyTally {
+    /// 1 iff the exact LU factored the basis (the float values were absent
+    /// or could not be proven exact).
+    pub(crate) lu: u64,
     /// 1 iff the interval tier proved dual feasibility (no exact sweep).
     pub(crate) interval_accepts: u64,
     /// 1 iff the interval sweep was inconclusive and the solve escalated.
@@ -1145,6 +1200,7 @@ pub(crate) fn apply_certify(stats: &mut SolveStats, total_nanos: u64, tally: &Ce
     stats.certify_exact_nanos = total_nanos.saturating_sub(tally.interval_nanos);
     stats.interval_accepts = tally.interval_accepts;
     stats.interval_escalations = tally.interval_escalations;
+    stats.certify_lu = tally.lu;
 }
 
 /// The revised engine behind [`crate::api::solve_lp`]'s `Revised`
@@ -1838,6 +1894,127 @@ mod tests {
         let x1 = gap.add_var(Rat::ONE);
         gap.add_constraint(vec![(x0, Rat::ONE), (x1, Rat::ONE)], Cmp::Ge, Rat::ONE);
         assert_eq!(revised(&gap).unwrap_err(), SolveFailure::NumericalStall);
+    }
+
+    /// The float pass's proposal for `lp` after `edit`, certified under
+    /// the default mode: the certified solution (`None` when refuted) and
+    /// whether the exact LU ran.
+    fn certify_edited(
+        lp: &LpProblem<Rat>,
+        edit: impl FnOnce(&mut BoundedBasis),
+    ) -> (Option<LpSolution<Rat>>, u64) {
+        let sf = StandardForm::build(lp);
+        let mut prop = crate::bounds::solve_bounded_f64(&sf.to_f64());
+        assert_eq!(prop.status, BoundedStatus::Optimal);
+        edit(&mut prop);
+        let (out, tally) = verify_bounded(lp, &sf, &prop, None, CertifyMode::default());
+        match out {
+            Certified::Verified(sol) => (Some(sol), tally.lu),
+            Certified::Refuted | Certified::Deadline => (None, tally.lu),
+        }
+    }
+
+    /// Asserts that `lp` certifies through the exact LU with the dense
+    /// exact oracle's objective and values.
+    fn certifies_through_the_lu(lp: &LpProblem<Rat>) {
+        let oracle = solve(lp);
+        let rep = revised(lp).expect("the revised rung certifies");
+        assert_eq!(rep.stats.certify_lu, 1, "the LU certified");
+        assert_eq!(rep.solution.objective, oracle.objective);
+        assert_eq!(rep.solution.x, oracle.x);
+    }
+
+    /// min −x − 2y  s.t.  x + y ≤ 4, x ≤ 2 (a row), 2x + y ≥ 1: x = 2,
+    /// y = 2 with nonzero basic values and multipliers.
+    fn small_lp() -> LpProblem<Rat> {
+        let mut lp: LpProblem<Rat> = LpProblem::new();
+        let x = lp.add_var(r(-1, 1));
+        let y = lp.add_var(r(-2, 1));
+        lp.add_constraint(vec![(x, Rat::ONE), (y, Rat::ONE)], Cmp::Le, r(4, 1));
+        lp.add_constraint(vec![(x, Rat::ONE)], Cmp::Le, r(2, 1));
+        lp.add_constraint(vec![(x, r(2, 1)), (y, Rat::ONE)], Cmp::Ge, Rat::ONE);
+        lp
+    }
+
+    #[test]
+    fn float_values_certify_an_integral_lp_without_the_lu() {
+        let lp = small_lp();
+        let rep = revised(&lp).expect("clean solve");
+        assert_eq!(rep.stats.certify_lu, 0);
+        assert_eq!(rep.solution.objective, solve(&lp).objective);
+        // The dense hybrid hands over no float values: it always factors.
+        let hybrid = dense(&lp, SolverBackend::DenseHybrid);
+        assert!(!hybrid.fallback);
+        assert_eq!(hybrid.stats.certify_lu, 1);
+    }
+
+    #[test]
+    fn perturbed_float_values_fail_a_residual_and_fall_back_to_the_lu() {
+        let lp = small_lp();
+        let oracle = solve(&lp);
+        let (plain, lu) = certify_edited(&lp, |_| {});
+        assert_eq!(lu, 0);
+        assert_eq!(plain.expect("verified").objective, oracle.objective);
+        for edit in [
+            (|p: &mut BoundedBasis| p.xb[0] += 0.25) as fn(&mut BoundedBasis),
+            |p| p.y[0] -= 0.5,
+            |p| p.xb[1] += 1e-6,
+        ] {
+            let (sol, lu) = certify_edited(&lp, edit);
+            assert_eq!(lu, 1, "a nonzero residual sends the solve to the LU");
+            let sol = sol.expect("the LU verifies the basis");
+            assert_eq!(sol.objective, oracle.objective);
+            assert_eq!(sol.x, oracle.x);
+        }
+    }
+
+    #[test]
+    fn a_fractional_coefficient_falls_back_to_the_lu() {
+        // min x + 3y  s.t.  x/2 + y ≥ 1, x + y ≥ 1: x = 2 is basic with a
+        // fractional coefficient, so the residuals cannot be checked in
+        // integers. (A fractional entry of a nonbasic column at zero does
+        // not matter: the residuals read only the basis and the values.)
+        let mut lp: LpProblem<Rat> = LpProblem::new();
+        let x = lp.add_var(Rat::ONE);
+        let y = lp.add_var(r(3, 1));
+        lp.add_constraint(vec![(x, r(1, 2)), (y, Rat::ONE)], Cmp::Ge, Rat::ONE);
+        lp.add_constraint(vec![(x, Rat::ONE), (y, Rat::ONE)], Cmp::Ge, Rat::ONE);
+        assert_eq!(solve(&lp).x, [r(2, 1), Rat::ZERO]);
+        certifies_through_the_lu(&lp);
+    }
+
+    #[test]
+    fn a_basis_singular_modulo_the_prime_falls_back_to_the_lu() {
+        // min p·x  s.t.  p·x ≥ p with p = 2³¹ − 1: the basis is the 1×1
+        // matrix [p], nonsingular over ℚ but zero modulo p. Both residuals
+        // hold (x = 1, y = 1), so only the rank check sends it to the LU.
+        let p = Rat::from_int((1 << 31) - 1);
+        let mut lp: LpProblem<Rat> = LpProblem::new();
+        let x = lp.add_var(p);
+        lp.add_constraint(vec![(x, p)], Cmp::Ge, p);
+        let sf = StandardForm::build(&lp);
+        let prop = crate::bounds::solve_bounded_f64(&sf.to_f64());
+        assert_eq!(
+            (prop.basis.as_slice(), prop.xb.as_slice()),
+            ([x].as_slice(), [1.0].as_slice())
+        );
+        let glued = vec![Vec::new(); sf.ncols];
+        let candidate = Candidate::new(&sf, &prop.basis, &glued, &[], &prop.xb, &prop.y)
+            .expect("both residuals hold");
+        assert!(!candidate.full_rank());
+        certifies_through_the_lu(&lp);
+    }
+
+    #[test]
+    fn a_common_denominator_past_2_to_the_40_falls_back_to_the_lu() {
+        // min Σ x_i  s.t.  q_i·x_i ≥ 1 for three primes q_i near 2¹⁵:
+        // x_i = 1/q_i, whose common denominator passes 2⁴⁰.
+        let mut lp: LpProblem<Rat> = LpProblem::new();
+        for q in [32749, 32719, 32717] {
+            let x = lp.add_var(Rat::ONE);
+            lp.add_constraint(vec![(x, r(q, 1))], Cmp::Ge, Rat::ONE);
+        }
+        certifies_through_the_lu(&lp);
     }
 
     #[test]
