@@ -71,7 +71,6 @@ pub mod store;
 pub mod supervise;
 pub mod unit;
 
-pub use abt_lp::CertifyMode;
 pub use admission::{admission_precheck, AdmissionReject};
 pub use exact::{exact_active_time, ExactActive};
 pub use feasibility::{feasible_on, schedule_on, FeasibilitySession};

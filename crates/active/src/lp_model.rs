@@ -100,8 +100,8 @@
 //! rationals (and, if that fails, re-solved by a dense rung), so the `y`
 //! values and objective remain *exact* — the rounding algorithm's case
 //! analysis (`⌊Y_i⌋`, comparisons against ½) stays noise-free.
-//! [`LpOptions`] tunes that one path: encoding, pricing, sharding,
-//! budgets, and certification tier.
+//! [`LpOptions`] tunes that one path: encoding, pricing, sharding and
+//! budgets.
 //!
 //! Every solve feeds the process-wide telemetry ([`lp_telemetry`]):
 //! fallbacks plus the pivot / bound-flip / refactorization /
@@ -120,8 +120,8 @@ use abt_core::obs::{
 };
 use abt_core::{supervised_map, Error, Instance, Result, SolveFailure, Time};
 use abt_lp::{
-    BoundedOptions, CertifyMode, Cmp, LpProblem, LpReport, LpSolution, LpStatus, Rat, RowStart,
-    StartBasis, VarState, DEFAULT_PRICING_WINDOW,
+    BoundedOptions, Cmp, LpProblem, LpReport, LpSolution, LpStatus, Rat, RowStart, StartBasis,
+    VarState, DEFAULT_PRICING_WINDOW,
 };
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -168,12 +168,6 @@ pub struct LpOptions {
     /// unlimited, the default): the float pass and the exact certifier
     /// each get a fresh clock.
     pub time_budget_ms: u64,
-    /// Certification tier policy of the revised backend (see
-    /// [`CertifyMode`]). Default: [`CertifyMode::IntervalThenExact`] —
-    /// the directed-rounding interval tier discharges most proofs,
-    /// escalating to exact rationals only on straddles. Objectives are
-    /// bit-identical under every mode.
-    pub certify: CertifyMode,
 }
 
 impl Default for LpOptions {
@@ -184,7 +178,6 @@ impl Default for LpOptions {
             decompose: DecomposeMode::Auto,
             pivot_budget: 0,
             time_budget_ms: 0,
-            certify: CertifyMode::IntervalThenExact,
         }
     }
 }
@@ -218,12 +211,6 @@ impl LpOptions {
     /// unlimited).
     pub fn time_budget_ms(mut self, ms: u64) -> Self {
         self.time_budget_ms = ms;
-        self
-    }
-
-    /// Sets the certification tier policy of the revised backend.
-    pub fn certify(mut self, certify: CertifyMode) -> Self {
-        self.certify = certify;
         self
     }
 
@@ -376,20 +363,16 @@ lp_counters! {
     refactorizations: "lp.refactorizations",
     /// Exact-certification wall time, nanoseconds.
     certify_nanos: "lp.certify_nanos",
-    /// Certification wall time spent in the directed-rounding interval
-    /// tier, nanoseconds (a subset of `certify_nanos`).
-    certify_interval_nanos: "lp.certify_interval_nanos",
-    /// Certification wall time outside the interval tier (proving the
-    /// float pass's values exact, or the LU factor and solves on the
-    /// fallback, the primal checks, extraction and any exact dual
-    /// sweeps), nanoseconds.
-    certify_exact_nanos: "lp.certify_exact_nanos",
-    /// Solves whose dual-feasibility proof was discharged by the interval
-    /// tier alone (no exact reduced-cost sweep ran).
+    /// Certifications that proved every reduced-cost sign in integers
+    /// over the duals' common denominator (see `abt-lp`'s `simplex`
+    /// module). The name predates that sweep: it counted the accepts of
+    /// an interval tier, and the benchmark harness and the perf gate's
+    /// accept-rate rule read it.
     interval_accepts: "lp.interval_accepts",
-    /// Solves whose interval sweep was inconclusive and escalated to the
-    /// exact sweep ([`CertifyMode::IntervalThenExact`]) or returned a
-    /// refutation for the ladder to absorb ([`CertifyMode::Interval`]).
+    /// Certifications whose reduced-cost sweep evaluated some VUB family
+    /// in `Rat` (fractional or large data, or an `i128` overflow). Zero
+    /// on integral LP1 data. The name predates that sweep: it counted the
+    /// escalations of an interval tier.
     interval_escalations: "lp.interval_escalations",
     /// Certifications whose exact basic values and duals came from the
     /// exact LU factor rather than from the float pass's own values,
@@ -487,9 +470,6 @@ pub(crate) fn record_solve(rep: &LpReport) {
     m.bound_flips.add(rep.stats.bound_flips);
     m.refactorizations.add(rep.stats.refactorizations);
     m.certify_nanos.add(rep.stats.certify_nanos);
-    m.certify_interval_nanos
-        .add(rep.stats.certify_interval_nanos);
-    m.certify_exact_nanos.add(rep.stats.certify_exact_nanos);
     m.interval_accepts.add(rep.stats.interval_accepts);
     m.interval_escalations.add(rep.stats.interval_escalations);
     m.certify_lu.add(rep.stats.certify_lu);
@@ -504,18 +484,14 @@ pub(crate) fn record_solve_latency(elapsed: Duration) {
 }
 
 /// The [`abt_lp::LpOptions`] implied by [`LpOptions`] for the revised
-/// backend: pricing window, the solve budgets (`0` means unlimited
-/// throughout), and the certify policy.
+/// backend: pricing window and the solve budgets (`0` means unlimited
+/// throughout).
 pub(crate) fn revised_options(opts: &LpOptions) -> abt_lp::LpOptions<'static> {
-    abt_lp::LpOptions::new()
-        .pricing(BoundedOptions {
-            pricing_window: opts.pricing_window,
-            pivot_budget: opts.pivot_budget,
-            time_budget: (opts.time_budget_ms > 0)
-                .then(|| Duration::from_millis(opts.time_budget_ms)),
-            ..BoundedOptions::default()
-        })
-        .certify(opts.certify)
+    abt_lp::LpOptions::new().pricing(BoundedOptions {
+        pricing_window: opts.pricing_window,
+        pivot_budget: opts.pivot_budget,
+        time_budget: (opts.time_budget_ms > 0).then(|| Duration::from_millis(opts.time_budget_ms)),
+    })
 }
 
 /// One open run of an LP1 answer: the slots `(start, end]`, each open to
@@ -1068,8 +1044,8 @@ mod tests {
     use super::*;
 
     /// A grid over VUB encodings × decomposition, plus full Dantzig
-    /// pricing, the interval-only certify tier, and a one-pivot budget
-    /// that hands every component to the ladder's dense rungs.
+    /// pricing and a one-pivot budget that hands every component to the
+    /// ladder's dense rungs.
     fn all_options() -> Vec<LpOptions> {
         let mut v = Vec::new();
         for vub in [VubMode::Rows, VubMode::Implicit] {
@@ -1082,7 +1058,6 @@ mod tests {
             }
         }
         v.push(LpOptions::default().pricing_window(0));
-        v.push(LpOptions::default().certify(CertifyMode::Interval));
         v.push(LpOptions::default().pivot_budget(1));
         v
     }

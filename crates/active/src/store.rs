@@ -251,7 +251,6 @@ fn encode_failure(e: &mut Enc, f: &SolveFailure) {
             e.put_u8(match k {
                 BudgetKind::Pivots => 0,
                 BudgetKind::Time => 1,
-                BudgetKind::Refactorizations => 2,
             });
         }
         SolveFailure::NumericalStall => e.put_u8(2),
@@ -269,7 +268,6 @@ fn decode_failure(d: &mut Dec<'_>) -> Result<SolveFailure, PersistError> {
         1 => SolveFailure::BudgetExceeded(match d.u8()? {
             0 => BudgetKind::Pivots,
             1 => BudgetKind::Time,
-            2 => BudgetKind::Refactorizations,
             b => {
                 return Err(PersistError::Malformed(format!("unknown budget kind {b}")));
             }
@@ -788,5 +786,19 @@ mod tests {
         // g = 0 is malformed.
         let bad = encode_state(0, 0, &[], &HashMap::new(), &HashMap::new());
         assert!(decode_state(&bad).is_err());
+    }
+
+    #[test]
+    fn budget_failures_roundtrip_and_unknown_kinds_are_refused() {
+        for kind in [BudgetKind::Pivots, BudgetKind::Time] {
+            let mut e = Enc::new();
+            encode_failure(&mut e, &SolveFailure::BudgetExceeded(kind));
+            let bytes = e.into_bytes();
+            let back = decode_failure(&mut Dec::new(&bytes)).unwrap();
+            assert_eq!(back, SolveFailure::BudgetExceeded(kind));
+        }
+        // Tag 2 named a refactorization budget that no solve ever set.
+        let err = decode_failure(&mut Dec::new(&[1, 2])).unwrap_err();
+        assert!(err.to_string().contains("unknown budget kind 2"), "{err}");
     }
 }

@@ -21,11 +21,9 @@
 //!
 //! Each *failure-driven* transition records a demotion in the process-wide
 //! telemetry ([`crate::lp_model::lp_telemetry`]); budget failures also
-//! record a budget trip. Because every rung ends in a *sound*
-//! certification — the revised rungs through the caller's
-//! [`abt_lp::CertifyMode`] tier policy (an interval-tier accept is a
-//! proof, and an inconclusive interval sweep escalates or demotes, never
-//! accepts), the dense rungs exactly by construction — a solve that
+//! record a budget trip. Because every rung ends in an *exact*
+//! certification — the hybrid rungs through the one exact certifier of
+//! `abt-lp`, the dense exact rung by construction — a solve that
 //! succeeds on **any** rung returns the same objective bit for bit:
 //! demotion trades speed, never answers. Only when all three rungs fail is
 //! the component **quarantined**: the caller receives a typed
@@ -50,9 +48,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Solves `lp` down the degradation ladder (see the module docs),
 /// recording demotions and budget trips in the process-wide telemetry.
-/// Every rung runs under the pricing, budgets and certify policy of
-/// `opts`; `opts.start` feeds the cold revised rung, and the ladder itself
-/// picks each rung's backend.
+/// Every rung runs under the pricing and budgets of `opts`; `opts.start`
+/// feeds the cold revised rung, and the ladder itself picks each rung's
+/// backend.
 /// Returns `Err` only when every rung failed — the caller quarantines the
 /// work item; the error is the root-cause failure (the first one that
 /// forced a demotion, or the final rung's panic when nothing demoted).
@@ -74,7 +72,7 @@ pub(crate) fn supervised_solve(
         span.field("rung", rung);
         rep
     };
-    let base = LpOptions::new().pricing(opts.pricing).certify(opts.certify);
+    let base = LpOptions::new().pricing(opts.pricing);
     let mut first_failure: Option<SolveFailure> = None;
     let mut demote = |f: SolveFailure, from: &'static str, to: &'static str| {
         record_demotion();

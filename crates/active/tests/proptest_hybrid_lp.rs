@@ -1,18 +1,16 @@
 //! Differential property tests for the LP pipeline: on feasible random
 //! active-time instances, every `LpOptions` configuration — VUB encoding ×
-//! decomposition, full Dantzig pricing, the three certify
-//! tiers, and a one-pivot budget that hands every component to the
-//! supervision ladder's dense hybrid rung — must reproduce the per-slot
-//! LP1 of §3 bit for bit on status and objective, and the open runs,
-//! disaggregated per slot, must stay a valid fractional opening.
+//! decomposition, full Dantzig pricing, and a one-pivot budget that hands
+//! every component to the supervision ladder's dense hybrid rung — must
+//! reproduce the per-slot LP1 of §3 bit for bit on status and objective,
+//! and the open runs, disaggregated per slot, must stay a valid
+//! fractional opening.
 //!
 //! The oracle, [`per_slot_lp1`], writes the per-slot model out row by row
 //! and solves it with the pure exact-rational dense simplex. It shares no
 //! code with the crate's coalesced model builder.
 
-use abt_active::{
-    fractional_feasible, solve_active_lp_with, CertifyMode, DecomposeMode, LpOptions, VubMode,
-};
+use abt_active::{fractional_feasible, solve_active_lp_with, DecomposeMode, LpOptions, VubMode};
 use abt_core::active_schedule::horizon_slots;
 use abt_core::{Instance, Time};
 use abt_lp::{Cmp, LpProblem, LpStatus, Rat};
@@ -65,7 +63,7 @@ fn per_slot_lp1(inst: &Instance) -> Option<Rat> {
 }
 
 /// The differential grid: every VUB encoding × decomposition mode, full
-/// Dantzig pricing, every certify tier, and a one-pivot budget.
+/// Dantzig pricing, and a one-pivot budget.
 fn variants() -> Vec<LpOptions> {
     let mut v = Vec::new();
     for vub in [VubMode::Rows, VubMode::Implicit] {
@@ -80,17 +78,6 @@ fn variants() -> Vec<LpOptions> {
     // The default model priced with full Dantzig sweeps instead of the
     // partial-pricing window.
     v.push(LpOptions::default().pricing_window(0));
-    // Every certification tier policy of the revised backend. The tier
-    // only changes *how* dual feasibility is proven — an interval-only
-    // refusal demotes down the supervision ladder — so the objective is
-    // bit-identical throughout.
-    for certify in [
-        CertifyMode::Exact,
-        CertifyMode::Interval,
-        CertifyMode::IntervalThenExact,
-    ] {
-        v.push(LpOptions::default().certify(certify));
-    }
     // A one-pivot budget trips the cold revised rung on every non-trivial
     // component, so the ladder's dense hybrid rung answers: the dense
     // `f64` tableau plus its exact certificate, end to end.

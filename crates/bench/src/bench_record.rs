@@ -92,9 +92,12 @@ const REQUIRED: [&str; 2] = ["lp_solves", "fallback_rate"];
 
 /// Every telemetry column of an experiment row, in the order the writer
 /// emits them. The `lp.*` counters are documented on
-/// [`abt_active::LpTelemetry`]; the `span.solve.<phase>.nanos` counters are
-/// the always-on span rollups of the solve pipeline
-/// ([`abt_core::obs::span_rollups`]).
+/// [`abt_active::LpTelemetry`]. `interval_accepts` and
+/// `interval_escalations` keep the names of the retired interval tier:
+/// they count the certifications that proved every reduced-cost sign in
+/// integers and those where some column family needed `Rat`. The
+/// `span.solve.<phase>.nanos` counters are the always-on span rollups of
+/// the solve pipeline ([`abt_core::obs::span_rollups`]).
 #[rustfmt::skip]
 pub const COLUMNS: &[Column] = {
     use Source::{Counter, GaugeWindow, Percentile, Ratio};

@@ -5,7 +5,6 @@
 
 #![allow(clippy::type_complexity)] // ad-hoc closures over small stat tuples
 
-use crate::parallel::parallel_map;
 use crate::table::{ratio, Table};
 use abt_active::{
     exact_active_time, fractional_feasible, is_minimal, lp_rounding, minimal_feasible, right_shift,
@@ -18,6 +17,7 @@ use abt_busy::{
     solve_with_placement, span_place, FirstFitOrder, IntervalAlgo,
 };
 use abt_core::active_schedule::horizon_slots;
+use abt_core::parallel_map;
 use abt_core::{busy_lower_bounds, within_factor, DemandProfile, Frac, Instance};
 use abt_lp::Rat;
 use abt_workloads::{

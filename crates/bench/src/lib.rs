@@ -40,13 +40,11 @@
 
 pub mod bench_record;
 pub mod experiments;
-pub mod parallel;
 pub mod perf_gate;
 pub mod stats;
 pub mod table;
 
 pub use bench_record::{BenchRecord, ExperimentRecord, LpSimplexRecord};
 pub use experiments::ExperimentReport;
-pub use parallel::parallel_map;
 pub use stats::{ratio_summary, time_best_ms, Summary};
 pub use table::{ratio, Table};

@@ -5,9 +5,10 @@
 //! by row, so their failures interleave per row.
 //!
 //! The `perf_gate` binary runs it. Its `--correctness-only` switch skips
-//! the `timing` rules (speedup, solve effort, interval accept rate,
-//! certify and p99 time), which fault injection skews: demoted solves land
-//! on dense rungs and injected certifier delays inflate certify time.
+//! the `timing` rules (speedup, solve effort, the share of certifications
+//! swept in integers, certify and p99 time), which fault injection skews:
+//! demoted solves land on dense rungs and injected certifier delays
+//! inflate certify time.
 
 use crate::bench_record::{BenchRecord, ExperimentRecord, LpSimplexRecord};
 
@@ -164,16 +165,19 @@ pub const RULES: &[Rule] = &[
         fails_if: Cmp::AboveCommitted, threshold: 1.3, timing: true, message: |h| effort(h, "pivots"), ..RULE },
     Rule { name: "effort_refactorizations", rows: Rows::Both(&["e20", "e21", "e22"]), value: Value::Column("lp_refactorizations"),
         fails_if: Cmp::AboveCommitted, threshold: 1.3, timing: true, message: |h| effort(h, "refactorizations"), ..RULE },
-    // The interval tier should discharge nearly every proof here; a
-    // collapse means every solve pays for both tiers.
+    // LP1's data are small integers, so every certification here should
+    // prove its reduced-cost signs in integers (`interval_accepts`); one
+    // that needed `Rat` for some column family (`interval_escalations`)
+    // means the integer evaluation stopped covering LP1. The columns keep
+    // the names of the interval tier the integer sweep replaced.
     Rule { name: "accept_rate", rows: Rows::Fresh(&["e21", "e22"]), value: Value::Share("interval_accepts", "interval_escalations"),
         fails_if: Cmp::Below, threshold: 0.9, timing: true,
-        message: |h| format!("{} interval accept rate collapsed: {} accepts / {} attempts = {:.3} < {}", h.id, h.column("interval_accepts") as u64,
-            (h.column("interval_accepts") + h.column("interval_escalations")) as u64, h.now(), h.limit),
+        message: |h| format!("{} integer sweep share collapsed: {} of {} certifications proved every reduced-cost sign in integers = {:.3} < {}",
+            h.id, h.column("interval_accepts") as u64, (h.column("interval_accepts") + h.column("interval_escalations")) as u64, h.now(), h.limit),
         ..RULE },
-    // Loose: a broken interval tier multiplies certify time well past
-    // 1.5×; the p99 is noisy and bucket-quantized, so only a rise past
-    // 3× counts.
+    // Loose: a certifier that falls back to `Rat` or the LU multiplies
+    // certify time well past 1.5×; the p99 is noisy and bucket-quantized,
+    // so only a rise past 3× counts.
     Rule { name: "certify_ms", rows: Rows::Both(&["e19", "e22"]), value: Value::Column("lp_certify_ms"),
         fails_if: Cmp::AboveCommitted, threshold: 1.5, skip_zero_committed: true, timing: true,
         message: |h| regressed(h, "certify time", 3, " ms") },
@@ -497,19 +501,20 @@ mod tests {
 
     #[test]
     fn accept_rate_rule() {
-        // As many escalations as accepts: a rate of one half.
+        // As many `Rat` sweeps as integer ones: a share of one half.
         let accepts = committed_column("e22", "interval_accepts");
         assert!(threshold("accept_rate") > 0.5 && accepts > 0.0);
         trips(
             "accept_rate",
             |r| set(r, "e22", "interval_escalations", accepts),
             &format!(
-                "e22 interval accept rate collapsed: {accepts} accepts / {} attempts = 0.500 < {}",
+                "e22 integer sweep share collapsed: {accepts} of {} certifications proved every \
+                 reduced-cost sign in integers = 0.500 < {}",
                 2.0 * accepts,
                 threshold("accept_rate")
             ),
         );
-        // A row without attempts (an exact-mode run) is skipped.
+        // A row without certifications (only dense exact solves) is skipped.
         assert!(failures(|r| set(r, "e22", "interval_accepts", 0.0)).is_empty());
     }
 

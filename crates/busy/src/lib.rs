@@ -62,5 +62,5 @@ pub use preemptive::{
     preemptive_bounded, preemptive_lower_bound, preemptive_unbounded, validate_unbounded,
     UnboundedPreemptive,
 };
-pub use span::{span_brute_force, span_exact, span_greedy, span_place, SpanPlacement};
+pub use span::{span_exact, span_greedy, span_place, SpanPlacement};
 pub use widths::{width_first_fit, WideJob, WidthInstance, WidthSchedule};

@@ -337,30 +337,30 @@ fn place_into(inst: &Instance, intervals: &[Interval]) -> SpanPlacement {
     }
 }
 
-/// Brute-force optimum over all integer start combinations (testing only;
-/// exponential in `n` and the horizon).
-pub fn span_brute_force(inst: &Instance) -> i64 {
-    fn rec(inst: &Instance, j: usize, placed: &mut Vec<Interval>, best: &mut i64) {
-        if j == inst.len() {
-            let m = IntervalSet::from_intervals(placed.iter().copied()).measure();
-            *best = (*best).min(m);
-            return;
-        }
-        let job = inst.job(j);
-        for s in job.release..=job.latest_start() {
-            placed.push(Interval::new(s, s + job.length));
-            rec(inst, j + 1, placed, best);
-            placed.pop();
-        }
-    }
-    let mut best = i64::MAX;
-    rec(inst, 0, &mut Vec::new(), &mut best);
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Brute-force optimum over all integer start combinations (the oracle
+    /// of [`span_exact`]; exponential in `n` and the horizon).
+    fn span_brute_force(inst: &Instance) -> i64 {
+        fn rec(inst: &Instance, j: usize, placed: &mut Vec<Interval>, best: &mut i64) {
+            if j == inst.len() {
+                let m = IntervalSet::from_intervals(placed.iter().copied()).measure();
+                *best = (*best).min(m);
+                return;
+            }
+            let job = inst.job(j);
+            for s in job.release..=job.latest_start() {
+                placed.push(Interval::new(s, s + job.length));
+                rec(inst, j + 1, placed, best);
+                placed.pop();
+            }
+        }
+        let mut best = i64::MAX;
+        rec(inst, 0, &mut Vec::new(), &mut best);
+        best
+    }
 
     fn validate(inst: &Instance, p: &SpanPlacement) {
         for (j, &s) in p.starts.iter().enumerate() {

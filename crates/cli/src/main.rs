@@ -34,11 +34,11 @@
 //! printed telemetry shows how many attempts demoted, tripped a budget,
 //! or were quarantined.
 //!
-//! Both also accept `--certify <exact|interval|auto>` selecting the
-//! certification tier policy of the revised backend (`auto`, the
-//! default, is interval-then-exact — see `abt-lp`'s `CertifyMode`).
-//! Every mode returns bit-identical objectives; the supervision summary
-//! line reports how the proofs split across the tiers.
+//! The supervision summary line of `solve`, `incremental` and `replay`
+//! also counts how the certifications went: those whose reduced-cost signs
+//! were proven wholly in integers, those where some column family needed
+//! exact rationals (`Rat`; none on integral data), and those whose exact
+//! values came from the exact LU.
 //!
 //! `solve`, `incremental`, and `replay` accept two observability flags
 //! (see `abt-core`'s `obs` module): `--trace-out PATH` arms solve-pipeline
@@ -82,13 +82,20 @@
 //! goes away (`abt … | head`), the command stops at the failed write and
 //! exits 0 without a message.
 //!
+//! A command-line mistake (an unknown subcommand or algorithm, a missing
+//! or malformed argument or flag value, out-of-range trace parameters)
+//! prints `error: …` and the usage text and exits 2. A typed refusal or an
+//! input error (an unreadable or malformed instance file, an infeasible
+//! instance, an unsupported request, a state dir that does not match the
+//! trace) prints the one `error: …` line and exits 2.
+//!
 //! Instance files use the `abt-core::io` text format (`g <k>` then one
 //! `job <r> <d> <p>` per line; `#` comments allowed).
 
 use abt_active::{
     exact_active_time, exact_unit_active_time, inspect_store, lp_rounding, lp_telemetry,
-    minimal_feasible, solve_active_lp_with, CertifyMode, ClosingOrder, IncrementalReport,
-    IncrementalSolver, LpOptions,
+    minimal_feasible, solve_active_lp_with, ClosingOrder, IncrementalReport, IncrementalSolver,
+    LpOptions,
 };
 use abt_busy::{
     exact_busy_time, preemptive_bounded, preemptive_unbounded, solve_flexible, IntervalAlgo,
@@ -157,23 +164,26 @@ fn main() -> ExitCode {
             eprintln!("error: writing output: {e}");
             ExitCode::FAILURE
         }
+        Err(Stop::Failed(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::from(2)
+        }
         Err(Stop::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!(
                 "usage:\n  abt gen <interval|flexible|vm|optical|fig1|fig3|gap> [seed]\n  \
                  abt bounds <file>\n  \
-                 abt solve <file> [--pivot-budget N] [--time-budget-ms N] [--certify M] \
+                 abt solve <file> [--pivot-budget N] [--time-budget-ms N] \
                  [--trace-out PATH] [--metrics]\n  \
                  abt active <file> <minimal|rounding|exact|unit>\n  \
                  abt busy <file> <ff|gt|kr|ab|lp|exact|preempt>\n  \
                  abt incremental [clusters] [jobs_per_cluster] [seed] \
-                 [--pivot-budget N] [--time-budget-ms N] [--certify M] \
+                 [--pivot-budget N] [--time-budget-ms N] \
                  [--trace-out PATH] [--metrics]\n  \
                  abt replay --state-dir DIR [clusters] [jobs_per_cluster] [seed] \
                  [--throttle-ms N] [budget flags] [--trace-out PATH] [--metrics]\n  \
                  abt recover <dir> [--compact]\n  \
-                 abt trace <dump.jsonl> [--expect kind1,kind2]\n  \
-                 (--certify M: exact | interval | auto)"
+                 abt trace <dump.jsonl> [--expect kind1,kind2]"
             );
             ExitCode::from(2)
         }
@@ -182,10 +192,17 @@ fn main() -> ExitCode {
 
 /// Why a command stopped short of success.
 enum Stop {
-    /// A usage, input or solve error: reported with the usage text, exit 2.
+    /// A command-line mistake: reported with the usage text, exit 2.
     Usage(String),
+    /// A typed refusal or an input error: one `error:` line, exit 2.
+    Failed(String),
     /// Writing to stdout failed.
     Output(std::io::Error),
+}
+
+/// A typed refusal or an input error, as a [`Stop::Failed`].
+fn failed(e: impl std::fmt::Display) -> Stop {
+    Stop::Failed(e.to_string())
 }
 
 impl From<String> for Stop {
@@ -206,15 +223,14 @@ impl From<std::io::Error> for Stop {
     }
 }
 
-fn load(path: &str) -> Result<Instance, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    io::read_instance(&text).map_err(|e| e.to_string())
+fn load(path: &str) -> Result<Instance, Stop> {
+    let text = std::fs::read_to_string(path).map_err(|e| failed(format!("reading {path}: {e}")))?;
+    io::read_instance(&text).map_err(failed)
 }
 
-/// Splits the solve-policy flags (`--pivot-budget N`, `--time-budget-ms
-/// N`, `--certify M`) out of `args`, returning the remaining positional
-/// arguments and an [`LpOptions`] with the policies applied (budgets: 0 =
-/// unlimited; certify: `auto` = interval-then-exact). The observability
+/// Splits the solve-budget flags (`--pivot-budget N`, `--time-budget-ms
+/// N`) out of `args`, returning the remaining positional arguments and an
+/// [`LpOptions`] with the budgets applied (0 = unlimited). The observability
 /// flags (`--trace-out PATH`, `--metrics`) are stripped here too — they
 /// are handled process-wide in `main`.
 fn parse_budgets<'a>(args: &[&'a str]) -> Result<(Vec<&'a str>, LpOptions), String> {
@@ -235,19 +251,6 @@ fn parse_budgets<'a>(args: &[&'a str]) -> Result<(Vec<&'a str>, LpOptions), Stri
                 } else {
                     opts.time_budget_ms = n;
                 }
-            }
-            "--certify" => {
-                let v = it.next().ok_or_else(|| format!("{a} needs a value"))?;
-                opts.certify = match *v {
-                    "exact" => CertifyMode::Exact,
-                    "interval" => CertifyMode::Interval,
-                    "auto" => CertifyMode::IntervalThenExact,
-                    other => {
-                        return Err(format!(
-                            "bad --certify value '{other}' (want exact|interval|auto)"
-                        ))
-                    }
-                };
             }
             other => positional.push(other),
         }
@@ -289,22 +292,21 @@ fn arrivals_config(clusters: u64, jobs_per_cluster: u64) -> Result<OnlineArrival
     })
 }
 
-/// One-line supervision summary from a telemetry delta, including how the
-/// certification proofs split across the interval and exact tiers and how
-/// many certifications fell back to the exact LU.
+/// One-line supervision summary from a telemetry delta, including how
+/// many certifications proved every reduced-cost sign in integers, how
+/// many needed `Rat` for some column family, and how many fell back to
+/// the exact LU.
 fn supervision_summary(d: &abt_active::LpTelemetry) -> String {
     format!(
         "supervision: {} demotions ({} budget trips), {} quarantined; \
-         certify: {} interval accepts, {} escalations, {} LU \
-         ({:.1} ms interval + {:.1} ms exact)",
+         certify: {} integer sweeps, {} Rat sweeps, {} LU ({:.1} ms)",
         d.demotions,
         d.budget_trips,
         d.quarantined,
         d.interval_accepts,
         d.interval_escalations,
         d.certify_lu,
-        d.certify_interval_nanos as f64 / 1e6,
-        d.certify_exact_nanos as f64 / 1e6,
+        d.certify_nanos as f64 / 1e6,
     )
 }
 
@@ -460,7 +462,7 @@ fn solve_arrivals<'a>(
     let mut last = None;
     for (i, job) in arrivals {
         solver.add_job(*job);
-        let rep = solver.solve().map_err(|e| e.to_string())?;
+        let rep = solver.solve().map_err(failed)?;
         writeln!(
             out,
             "arrival {i:>3}: job [{:>4}, {:>4}) len {} → LP1 = {}  \
@@ -529,10 +531,9 @@ fn run(args: &[&str], out: &mut dyn Write) -> Result<(), Stop> {
             };
             let inst = load(path)?;
             let before = lp_telemetry();
-            let lp = solve_active_lp_with(&inst, &opts).map_err(|e| e.to_string())?;
+            let lp = solve_active_lp_with(&inst, &opts).map_err(failed)?;
             let d = lp_telemetry().delta(&before);
-            let horizon =
-                horizon_len(inst.min_release(), inst.max_deadline()).map_err(|e| e.to_string())?;
+            let horizon = horizon_len(inst.min_release(), inst.max_deadline()).map_err(failed)?;
             writeln!(out, "LP1 optimum: {}", lp.objective)?;
             writeln!(
                 out,
@@ -558,13 +559,12 @@ fn run(args: &[&str], out: &mut dyn Write) -> Result<(), Stop> {
             let inst = load(path)?;
             let (cost, slots) = match *algo {
                 "minimal" => {
-                    let r = minimal_feasible(&inst, ClosingOrder::LeftToRight)
-                        .map_err(|e| e.to_string())?;
+                    let r = minimal_feasible(&inst, ClosingOrder::LeftToRight).map_err(failed)?;
                     writeln!(out, "{}", minimal_phases())?;
                     (r.slots.len(), r.slots)
                 }
                 "rounding" => {
-                    let r = lp_rounding(&inst).map_err(|e| e.to_string())?;
+                    let r = lp_rounding(&inst).map_err(failed)?;
                     writeln!(
                         out,
                         "LP = {}, certified cost ≤ 2·LP: {}",
@@ -576,13 +576,12 @@ fn run(args: &[&str], out: &mut dyn Write) -> Result<(), Stop> {
                     (r.opened.len(), r.opened)
                 }
                 "exact" => {
-                    let r =
-                        exact_active_time(&inst, Some(500_000_000)).map_err(|e| e.to_string())?;
+                    let r = exact_active_time(&inst, Some(500_000_000)).map_err(failed)?;
                     writeln!(out, "{}", exact_phases())?;
                     (r.slots.len(), r.slots)
                 }
                 "unit" => {
-                    let r = exact_unit_active_time(&inst).map_err(|e| e.to_string())?;
+                    let r = exact_unit_active_time(&inst).map_err(failed)?;
                     (r.slots.len(), r.slots)
                 }
                 other => return Err(format!("unknown active algorithm '{other}'").into()),
@@ -600,7 +599,7 @@ fn run(args: &[&str], out: &mut dyn Write) -> Result<(), Stop> {
                 "ab" => IntervalAlgo::AlicherryBhatia,
                 "lp" => IntervalAlgo::LpRounding,
                 "exact" => {
-                    let r = exact_busy_time(&inst, Some(500_000_000)).map_err(|e| e.to_string())?;
+                    let r = exact_busy_time(&inst, Some(500_000_000)).map_err(failed)?;
                     writeln!(
                         out,
                         "busy time: {} on {} machines",
@@ -623,10 +622,8 @@ fn run(args: &[&str], out: &mut dyn Write) -> Result<(), Stop> {
                 }
                 other => return Err(format!("unknown busy algorithm '{other}'").into()),
             };
-            let schedule = solve_flexible(&inst, algo)
-                .map_err(|e| e.to_string())?
-                .schedule;
-            schedule.validate(&inst).map_err(|e| e.to_string())?;
+            let schedule = solve_flexible(&inst, algo).map_err(failed)?.schedule;
+            schedule.validate(&inst).map_err(failed)?;
             writeln!(
                 out,
                 "busy time: {} on {} machines",
@@ -668,8 +665,7 @@ fn run(args: &[&str], out: &mut dyn Write) -> Result<(), Stop> {
             )?;
             let before = lp_telemetry();
             let regrouped = jobs_regrouped();
-            let mut solver =
-                IncrementalSolver::with_options(oa.g, opts).map_err(|e| e.to_string())?;
+            let mut solver = IncrementalSolver::with_options(oa.g, opts).map_err(failed)?;
             solve_arrivals(out, &mut solver, oa.jobs.iter().enumerate(), 0)?;
             let d = lp_telemetry().delta(&before);
             writeln!(
@@ -713,9 +709,8 @@ fn run(args: &[&str], out: &mut dyn Write) -> Result<(), Stop> {
             let seed = parse_at(2, 0)?;
             let oa = online_arrivals(&cfg, seed);
             let before = lp_telemetry();
-            let mut solver =
-                IncrementalSolver::with_options(oa.g, opts).map_err(|e| e.to_string())?;
-            let rec = solver.attach_store(state_dir).map_err(|e| e.to_string())?;
+            let mut solver = IncrementalSolver::with_options(oa.g, opts).map_err(failed)?;
+            let rec = solver.attach_store(state_dir).map_err(failed)?;
             writeln!(
                 out,
                 "recovery: {} jobs resumed ({} journal ops replayed, {} blocks restored), \
@@ -735,12 +730,11 @@ fn run(args: &[&str], out: &mut dyn Write) -> Result<(), Stop> {
             // one add_job, so the job count is the stream position.
             let done = solver.len();
             if done > oa.jobs.len() {
-                return Err(format!(
+                return Err(failed(format!(
                     "state dir holds {done} jobs but the trace has only {} — \
                      wrong trace parameters or seed for this state dir?",
                     oa.jobs.len()
-                )
-                .into());
+                )));
             }
             writeln!(
                 out,
@@ -754,7 +748,7 @@ fn run(args: &[&str], out: &mut dyn Write) -> Result<(), Stop> {
             let objective = match solve_arrivals(out, &mut solver, arrivals, throttle_ms)? {
                 Some(rep) => rep.lp.objective,
                 // Fully caught up already: one clean re-solve for the line.
-                None => solver.solve().map_err(|e| e.to_string())?.lp.objective,
+                None => solver.solve().map_err(failed)?.lp.objective,
             };
             solver.checkpoint_now();
             let d = lp_telemetry().delta(&before);
@@ -801,8 +795,9 @@ fn run(args: &[&str], out: &mut dyn Write) -> Result<(), Stop> {
                 }
             }
             let file = file.ok_or("trace takes a flight-recorder JSONL dump file")?;
-            let text = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
-            let summary = obs::validate_jsonl(&text).map_err(|e| format!("{file}: {e}"))?;
+            let text = std::fs::read_to_string(file)
+                .map_err(|e| failed(format!("reading {file}: {e}")))?;
+            let summary = obs::validate_jsonl(&text).map_err(|e| failed(format!("{file}: {e}")))?;
             writeln!(out, "{file}: {} entries, all valid", summary.lines)?;
             for (kind, n) in &summary.span_kinds {
                 writeln!(out, "  span  {kind}: {n}")?;
@@ -813,7 +808,9 @@ fn run(args: &[&str], out: &mut dyn Write) -> Result<(), Stop> {
             for kind in expect {
                 if !summary.span_kinds.contains_key(kind) && !summary.event_kinds.contains_key(kind)
                 {
-                    return Err(format!("expected span/event kind '{kind}' not in {file}").into());
+                    return Err(failed(format!(
+                        "expected span/event kind '{kind}' not in {file}"
+                    )));
                 }
             }
             writeln!(out, "trace: OK")?;
@@ -825,7 +822,7 @@ fn run(args: &[&str], out: &mut dyn Write) -> Result<(), Stop> {
                 [dir, "--compact"] | ["--compact", dir] => (*dir, true),
                 _ => return Err("recover takes <dir> and optionally --compact".into()),
             };
-            let ins = inspect_store(dir).map_err(|e| e.to_string())?;
+            let ins = inspect_store(dir).map_err(failed)?;
             match (&ins.checkpoint, &ins.checkpoint_error) {
                 (Some(c), _) => {
                     writeln!(
@@ -863,8 +860,8 @@ fn run(args: &[&str], out: &mut dyn Write) -> Result<(), Stop> {
                 // corruption exactly as a solver would), then fold the
                 // journal into a fresh checkpoint.
                 let g = ins.checkpoint.as_ref().map_or(1, |c| c.g);
-                let mut solver = IncrementalSolver::new(g).map_err(|e| e.to_string())?;
-                let rec = solver.attach_store(dir).map_err(|e| e.to_string())?;
+                let mut solver = IncrementalSolver::new(g).map_err(failed)?;
+                let rec = solver.attach_store(dir).map_err(failed)?;
                 solver.checkpoint_now();
                 writeln!(
                     out,

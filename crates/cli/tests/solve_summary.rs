@@ -4,8 +4,9 @@
 //! `lp_telemetry()` delta, `C` the component LPs the call solved (1 on a
 //! connected instance); the answer's shape on another:
 //! `fractionally open slots: X of H in R runs`, `H` the horizon's length;
-//! and on its `supervision:` line how many certifications needed the
-//! exact LU (`… escalations, L LU (…)`), none on integral data.
+//! and on its `supervision:` line how its certifications went (`certify: A
+//! integer sweeps, R Rat sweeps, L LU (…)`): on integral data every
+//! reduced-cost sign is proven in integers and none needs the exact LU.
 
 use std::process::Command;
 
@@ -96,6 +97,16 @@ fn solve_counts_the_components_it_solved() {
     assert_eq!((solves, components), (2, 2), "{stdout}");
 }
 
+/// The `A`, `R` and `L` of a `supervision:` line's `certify: A integer
+/// sweeps, R Rat sweeps, L LU (…)`, or `None` when it has another shape.
+fn certify_counts(line: &str) -> Option<[u64; 3]> {
+    let (_, rest) = line.split_once("; certify: ")?;
+    let (ints, rest) = rest.split_once(" integer sweeps, ")?;
+    let (rats, rest) = rest.split_once(" Rat sweeps, ")?;
+    let (lu, _) = rest.split_once(" LU (")?;
+    Some([ints.parse().ok()?, rats.parse().ok()?, lu.parse().ok()?])
+}
+
 #[test]
 fn solve_certifies_an_integral_instance_without_the_lu() {
     let stdout = solve(
@@ -107,9 +118,6 @@ fn solve_certifies_an_integral_instance_without_the_lu() {
         .lines()
         .find(|l| l.starts_with("supervision: "))
         .unwrap_or_else(|| panic!("no supervision line:\n{stdout}"));
-    let lu = line
-        .split_once(" escalations, ")
-        .and_then(|(_, rest)| rest.split_once(" LU ("))
-        .map(|(count, _)| count);
-    assert_eq!(lu, Some("0"), "{line}");
+    let [solves, ..] = solves_line(&stdout);
+    assert_eq!(certify_counts(line), Some([solves, 0, 0]), "{line}");
 }

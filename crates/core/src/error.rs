@@ -75,8 +75,6 @@ pub enum BudgetKind {
     Pivots,
     /// The wall-clock budget.
     Time,
-    /// The LU-refactorization budget.
-    Refactorizations,
 }
 
 impl fmt::Display for BudgetKind {
@@ -84,7 +82,6 @@ impl fmt::Display for BudgetKind {
         match self {
             BudgetKind::Pivots => write!(f, "pivot"),
             BudgetKind::Time => write!(f, "wall-time"),
-            BudgetKind::Refactorizations => write!(f, "refactorization"),
         }
     }
 }

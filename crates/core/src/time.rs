@@ -162,11 +162,6 @@ impl IntervalSet {
         self.parts.iter().map(Interval::len).sum()
     }
 
-    /// Number of maximal disjoint components.
-    pub fn component_count(&self) -> usize {
-        self.parts.len()
-    }
-
     /// The maximal disjoint components, sorted.
     pub fn components(&self) -> &[Interval] {
         &self.parts
@@ -254,7 +249,7 @@ mod tests {
         ]);
         assert_eq!(s.components(), &[Interval::new(0, 7), Interval::new(9, 12)]);
         assert_eq!(s.measure(), 10);
-        assert_eq!(s.component_count(), 2);
+        assert_eq!(s.components().len(), 2);
     }
 
     #[test]
@@ -273,16 +268,16 @@ mod tests {
         }
         assert_eq!(bulk, inc);
         assert_eq!(inc.measure(), 31);
-        assert_eq!(inc.component_count(), 1);
+        assert_eq!(inc.components().len(), 1);
     }
 
     #[test]
     fn insert_between_components() {
         let mut s = IntervalSet::from_intervals([Interval::new(0, 2), Interval::new(10, 12)]);
         s.insert(Interval::new(5, 6));
-        assert_eq!(s.component_count(), 3);
+        assert_eq!(s.components().len(), 3);
         s.insert(Interval::new(1, 11));
-        assert_eq!(s.component_count(), 1);
+        assert_eq!(s.components().len(), 1);
         assert_eq!(s.measure(), 12);
     }
 

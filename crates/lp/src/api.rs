@@ -3,16 +3,15 @@
 //!
 //! [`LpOptions`] carries every solve policy — engine
 //! ([`SolverBackend`]), float-pass pricing and budgets
-//! ([`crate::bounds::BoundedOptions`]), certification tier
-//! ([`CertifyMode`]), and an optional crash start for the cold solve —
-//! behind a chainable builder, so adding a policy is a new option field
-//! rather than a new `solve_*` name. The engines read the options
-//! directly and all return an [`LpReport`].
+//! ([`crate::bounds::BoundedOptions`]), and an optional crash start for
+//! the cold solve — behind a chainable builder, so adding a policy is a
+//! new option field rather than a new `solve_*` name. The engines read
+//! the options directly and all return an [`LpReport`].
 
 use crate::bounds::BoundedOptions;
 use crate::model::LpProblem;
 use crate::rational::Rat;
-use crate::simplex::{self, dense_hybrid, revised_cold, CertifyMode, LpSolution, SolveStats};
+use crate::simplex::{self, dense_hybrid, revised_cold, LpSolution, SolveStats};
 use crate::start::StartBasis;
 use abt_core::error::SolveFailure;
 
@@ -40,21 +39,17 @@ pub enum SolverBackend {
 /// builder:
 ///
 /// ```
-/// use abt_lp::{CertifyMode, LpOptions};
-/// let opts = LpOptions::new().certify(CertifyMode::Exact);
-/// assert_eq!(opts.certify, CertifyMode::Exact);
+/// use abt_lp::{LpOptions, SolverBackend};
+/// let opts = LpOptions::new().backend(SolverBackend::DenseHybrid);
+/// assert_eq!(opts.backend, SolverBackend::DenseHybrid);
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LpOptions<'a> {
     /// The engine to run; see [`SolverBackend`].
     pub backend: SolverBackend,
-    /// Float-pass pricing window and pivot/refactorization/wall-time
-    /// budgets (`Revised` backend only).
+    /// Float-pass pricing window and pivot/wall-time budgets (`Revised`
+    /// backend only).
     pub pricing: BoundedOptions,
-    /// Certification tier policy for the terminal basis (`Revised` and
-    /// `DenseHybrid`; `DenseExact` pivots in exact rationals and has
-    /// nothing to certify).
-    pub certify: CertifyMode,
     /// The starting basis of a `Revised` solve (see [`StartBasis`]);
     /// `None` starts from the all-slack basis. The dense backends ignore
     /// it.
@@ -63,7 +58,7 @@ pub struct LpOptions<'a> {
 
 impl<'a> LpOptions<'a> {
     /// The default policy: cold `Revised` backend, default pricing, no
-    /// budgets, [`CertifyMode::IntervalThenExact`].
+    /// budgets.
     pub fn new() -> LpOptions<'static> {
         LpOptions::default()
     }
@@ -80,12 +75,6 @@ impl<'a> LpOptions<'a> {
         self
     }
 
-    /// Sets the certification tier policy.
-    pub fn certify(mut self, certify: CertifyMode) -> Self {
-        self.certify = certify;
-        self
-    }
-
     /// Sets the starting basis (see [`LpOptions::start`]).
     pub fn start(mut self, start: Option<&'a StartBasis>) -> Self {
         self.start = start;
@@ -97,14 +86,14 @@ impl<'a> LpOptions<'a> {
 /// solve counters.
 #[derive(Debug, Clone)]
 pub struct LpReport {
-    /// The exact solution: status, objective, `x`, row duals. Bit
-    /// identical across every backend and certify mode.
+    /// The exact solution: status, objective, `x`, row duals. Status and
+    /// objective are bit identical across every backend.
     pub solution: LpSolution<Rat>,
     /// `true` iff the answer came from the pure exact dense path — the
     /// `DenseExact` backend itself, or a dense-backend internal fallback.
     pub fallback: bool,
-    /// Pivot/flip/refactorization counters and the per-tier certify
-    /// clocks.
+    /// Pivot/flip/refactorization counters, the certify clock and how
+    /// the certification went.
     pub stats: SolveStats,
 }
 
@@ -115,9 +104,10 @@ pub struct LpReport {
 /// hybrid absorbs refutations in its internal exact fallback). The
 /// `Revised` backend solves cold, from `opts.start` when one is offered,
 /// and surfaces every failure as a typed [`SolveFailure`] so callers
-/// (the supervision ladder in `abt-active`) choose the next rung. An `Ok` from the `Revised` backend is always an
-/// exactly certified optimum; which certification *tier* proved dual
-/// feasibility is reported in [`SolveStats::interval_accepts`] /
+/// (the supervision ladder in `abt-active`) choose the next rung. An `Ok`
+/// from the `Revised` backend is always an exactly certified optimum;
+/// whether its reduced-cost signs were proven wholly in integers is
+/// reported in [`SolveStats::interval_accepts`] /
 /// [`SolveStats::interval_escalations`].
 ///
 /// ```
@@ -150,7 +140,7 @@ pub fn solve_lp(lp: &LpProblem<Rat>, opts: &LpOptions) -> Result<LpReport, Solve
             fallback: true,
             stats: SolveStats::default(),
         }),
-        SolverBackend::DenseHybrid => Ok(dense_hybrid(lp, opts)),
+        SolverBackend::DenseHybrid => Ok(dense_hybrid(lp)),
         SolverBackend::Revised => revised_cold(lp, opts),
     }
 }

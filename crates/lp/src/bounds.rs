@@ -170,8 +170,6 @@ pub struct BoundedOptions {
     /// instead of spinning (active-time is NP-complete, so no exact tier
     /// can promise termination on adversarial inputs without a budget).
     pub pivot_budget: u64,
-    /// LU-refactorization budget across both phases; `0` = unlimited.
-    pub refactor_budget: u64,
     /// Wall-clock budget. Applies per stage: the float pass measures from
     /// its own entry, and the exact certifier (see
     /// [`crate::simplex`]) starts a fresh clock of the same length —
@@ -186,7 +184,6 @@ impl Default for BoundedOptions {
         BoundedOptions {
             pricing_window: DEFAULT_PRICING_WINDOW,
             pivot_budget: 0,
-            refactor_budget: 0,
             time_budget: None,
         }
     }
@@ -546,8 +543,6 @@ struct Rev<'a> {
     started: bool,
     /// Pivot budget (`0` = unlimited), from [`BoundedOptions`].
     pivot_budget: u64,
-    /// Refactorization budget (`0` = unlimited).
-    refactor_budget: u64,
     /// Wall-clock deadline for this solve (`None` = unbudgeted).
     deadline: Option<Instant>,
     /// Iterations since the solve started (wall-clock check cadence).
@@ -669,7 +664,6 @@ impl<'a> Rev<'a> {
             refactorizations: 0,
             started,
             pivot_budget: 0,
-            refactor_budget: 0,
             deadline: None,
             ticks: 0,
         };
@@ -689,7 +683,6 @@ impl<'a> Rev<'a> {
     /// phases).
     fn arm_budgets(&mut self, opts: &BoundedOptions) {
         self.pivot_budget = opts.pivot_budget;
-        self.refactor_budget = opts.refactor_budget;
         self.deadline = opts.stage_deadline();
     }
 
@@ -699,9 +692,6 @@ impl<'a> Rev<'a> {
     fn budget_trip(&mut self) -> Option<BudgetKind> {
         if self.pivot_budget != 0 && self.pivots >= self.pivot_budget {
             return Some(BudgetKind::Pivots);
-        }
-        if self.refactor_budget != 0 && self.refactorizations >= self.refactor_budget {
-            return Some(BudgetKind::Refactorizations);
         }
         if let Some(deadline) = self.deadline {
             self.ticks += 1;
@@ -2365,14 +2355,26 @@ mod tests {
         }
     }
 
-    /// Certifies the float pass's proposal for `lp` twice under each
-    /// certify mode: as handed over, and with its basic values and
-    /// multipliers cleared, which forces the exact LU. Asserts the same
-    /// verdict, solution and tier tally, and returns whether the first
-    /// certification went without the LU (`None` when the pass found no
-    /// optimum).
-    fn certify_both_ways(lp: &LpProblem<Rat>) -> Option<bool> {
-        use crate::simplex::{verify_bounded, Certified, CertifyMode};
+    /// Certifies the float pass's proposal for `lp` as handed over and with
+    /// its basic values and multipliers cleared, which forces the exact LU,
+    /// each with the sweep's integer evaluation and with every family
+    /// forced to `Rat`. Asserts the same verdict and solution all four ways,
+    /// the same tally with and without the LU, and no family in `Rat` unless
+    /// forced (the data are small integers). Returns whether the first
+    /// certification went without the LU and whether the forced one swept
+    /// a family in `Rat` (`None` when the pass found no optimum).
+    fn certify_both_ways(lp: &LpProblem<Rat>) -> Option<(bool, bool)> {
+        use crate::simplex::{tests::FORCE_RAT, verify_bounded, Certified};
+        let agree = |a: &Certified, b: &Certified, what: &str| match (a, b) {
+            (Certified::Verified(a), Certified::Verified(b)) => {
+                assert_eq!(a.status, b.status, "{what}");
+                assert_eq!(a.objective, b.objective, "{what}");
+                assert_eq!(a.x, b.x, "{what}");
+                assert_eq!(a.duals, b.duals, "{what}");
+            }
+            (Certified::Refuted, Certified::Refuted) => {}
+            (a, b) => panic!("{what}: verdicts differ: {a:?} against {b:?}"),
+        };
         let sf = StandardForm::build(lp);
         let prop = solve_bounded_f64(&sf.to_f64());
         if prop.status != BoundedStatus::Optimal {
@@ -2383,54 +2385,65 @@ mod tests {
             y: Vec::new(),
             ..prop.clone()
         };
-        let mut fast = true;
-        for mode in [CertifyMode::IntervalThenExact, CertifyMode::Exact] {
-            let (given, tally) = verify_bounded(lp, &sf, &prop, None, mode);
-            let (forced, lu_tally) = verify_bounded(lp, &sf, &lu_only, None, mode);
+        let (mut fast, mut forced_rat) = (true, false);
+        let mut in_integers: Option<Certified> = None;
+        for force_rat in [false, true] {
+            FORCE_RAT.with(|f| f.set(force_rat));
+            let (given, tally) = verify_bounded(lp, &sf, &prop, None);
+            let (forced, lu_tally) = verify_bounded(lp, &sf, &lu_only, None);
+            FORCE_RAT.with(|f| f.set(false));
             assert_eq!(lu_tally.lu, 1, "cleared values force the LU");
             fast &= tally.lu == 0;
+            let sweeps = (tally.interval_accepts, tally.interval_escalations);
             assert_eq!(
-                (tally.interval_accepts, tally.interval_escalations),
+                sweeps,
                 (lu_tally.interval_accepts, lu_tally.interval_escalations),
-                "{mode:?}: the tier tally moved"
+                "force_rat {force_rat}: the tally moved"
             );
-            match (given, forced) {
-                (Certified::Verified(a), Certified::Verified(b)) => {
-                    assert_eq!(a.status, b.status);
-                    assert_eq!(a.objective, b.objective, "{mode:?}");
-                    assert_eq!(a.x, b.x, "{mode:?}");
-                    assert_eq!(a.duals, b.duals, "{mode:?}");
-                }
-                (Certified::Refuted, Certified::Refuted) => {}
-                (a, b) => panic!("{mode:?}: verdicts differ: {a:?} against the LU's {b:?}"),
+            if force_rat {
+                forced_rat = sweeps.1 == 1;
+            } else {
+                assert_eq!(sweeps.1, 0, "a family of small integers needed Rat");
+            }
+            agree(&given, &forced, "against the LU");
+            match &in_integers {
+                None => in_integers = Some(given),
+                Some(ints) => agree(ints, &given, "Rat against integers"),
             }
         }
-        Some(fast)
+        Some((fast, forced_rat))
     }
 
     #[test]
     fn float_values_certify_like_the_exact_lu() {
         let cases = proptest::test_runner::effective_cases(&ProptestConfig::with_cases(96));
         let mut d = Draw(0x0F1A_7BA5_15CE_47A1);
-        let (mut blocks, mut vub, mut vub_fast) = (0u32, 0u32, 0u32);
+        let (mut blocks, mut vub, mut vub_fast, mut vub_rat) = (0u32, 0u32, 0u32, 0u32);
         for case in 0..cases {
             let block = lp1_block(&mut d);
-            if let Some(fast) = certify_both_ways(&block) {
+            if let Some((fast, forced_rat)) = certify_both_ways(&block) {
                 assert!(fast, "case {case}: an LP1 block needed the LU");
+                assert!(
+                    forced_rat,
+                    "case {case}: the forced sweep stayed in integers"
+                );
                 blocks += 1;
             }
-            if let Some(fast) = certify_both_ways(&random_vub_lp(&mut d)) {
+            if let Some((fast, forced_rat)) = certify_both_ways(&random_vub_lp(&mut d)) {
                 vub += 1;
                 vub_fast += u32::from(fast);
+                vub_rat += u32::from(forced_rat);
             }
         }
         eprintln!(
             "float values certified {blocks} of {blocks} optimal LP1 blocks and \
-             {vub_fast} of {vub} optimal random VUB LPs without the LU"
+             {vub_fast} of {vub} optimal random VUB LPs without the LU; the sweep \
+             agreed in integers and in Rat on all of them ({vub_rat} of the VUB LPs \
+             had a family to sweep)"
         );
         assert!(
-            blocks > 0 && vub_fast > 0,
-            "the float values were never used"
+            blocks > 0 && vub_fast > 0 && vub_rat > 0,
+            "the float values or the Rat evaluation were never used"
         );
     }
 }

@@ -30,11 +30,11 @@
 //!
 //! Build a small LP with an implicit constant bound and a VUB family, and
 //! solve it through the unified entry point ([`solve_lp`]) — the search
-//! runs in `f64`, the answer is certified (and returned) in exact
-//! rationals, with the certification itself layered: a directed-rounding
-//! interval tier ([`interval`]) discharges most proofs, escalating to
-//! exact rationals only when an enclosure straddles
-//! ([`CertifyMode::IntervalThenExact`], the default):
+//! runs in `f64`, and the answer is certified (and returned) in exact
+//! rationals: the float pass's own values are proven exact, and one sweep
+//! checks every reduced-cost sign in integers over the duals' common
+//! denominator, in [`Rat`] only where the data are fractional or too large
+//! ([`simplex`]):
 //!
 //! ```
 //! use abt_lp::{solve_lp, Cmp, LpOptions, LpProblem, LpStatus, Rat};
@@ -66,7 +66,6 @@
 pub mod api;
 pub mod arena;
 pub mod bounds;
-pub mod interval;
 pub mod lu;
 pub mod model;
 pub mod rational;
@@ -82,10 +81,9 @@ pub use bounds::{
     solve_bounded_f64, solve_bounded_f64_with, BoundedBasis, BoundedOptions, BoundedStatus,
     StandardForm, VarState, DEFAULT_PRICING_WINDOW, TIME_CHECK_EVERY,
 };
-pub use interval::Iv;
 pub use lu::SparseLu;
 pub use model::{Cmp, Constraint, LpProblem, VarId};
 pub use rational::Rat;
 pub use scalar::{Scalar, F64_EPS};
-pub use simplex::{solve, CertifyMode, LpSolution, LpStatus, SolveStats};
+pub use simplex::{solve, LpSolution, LpStatus, SolveStats};
 pub use start::{BasisSnapshot, RowStart, StartBasis};

@@ -21,8 +21,9 @@ pub struct Rat {
     d: i128,
 }
 
+/// `gcd(|a|, |b|)`, at least 1.
 #[inline]
-fn gcd(a: i128, b: i128) -> i128 {
+pub(crate) fn gcd(a: i128, b: i128) -> i128 {
     // 128-bit `%` is a software routine on every mainstream target, and
     // LP1 data keeps almost every operand within 64 bits (often ±1), so
     // dispatch to a hardware-width binary GCD whenever both fit. Every

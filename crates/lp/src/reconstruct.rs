@@ -30,9 +30,12 @@
 //! overflow, a matrix singular modulo `p` or a nucleus too large sends the
 //! solve to the LU, which decides as before. A singular `B̄` is therefore
 //! still refuted by the LU: the rank check never passes it.
+//!
+//! Whichever path supplied them, the duals reach the certifier's
+//! reduced-cost sweep as [`Duals`], over one common denominator.
 
 use crate::bounds::StandardForm;
-use crate::rational::Rat;
+use crate::rational::{self, Rat};
 
 /// Relative tolerance of a convergent (times `max(1, |v|)`).
 const REL_TOL: f64 = 1e-9;
@@ -60,14 +63,14 @@ fn int(v: &Rat) -> Option<i128> {
 
 /// An exact datum as an integer of magnitude at most 2³¹ (see
 /// [`MAX_ENTRY`]), `None` when it is fractional or larger.
-fn small(v: &Rat) -> Option<i64> {
+pub(crate) fn small(v: &Rat) -> Option<i64> {
     (v.denom() == 1 && v.numer().unsigned_abs() <= MAX_ENTRY).then(|| v.numer() as i64)
 }
 
 /// `a·n` in `i128`, for an entry `a` from [`small`] and a numerator `n` of
-/// a [`Scaled`]: one 64 × 64 → 128-bit multiplication, which cannot
-/// overflow.
-fn product(a: i64, n: i64) -> i128 {
+/// a [`Scaled`] or [`Duals`]: one 64 × 64 → 128-bit multiplication, which
+/// cannot overflow.
+pub(crate) fn product(a: i64, n: i64) -> i128 {
     i128::from(a) * i128::from(n)
 }
 
@@ -120,6 +123,43 @@ impl Scaled {
     pub(crate) fn rats(&self) -> Vec<Rat> {
         let den = i128::from(self.den);
         self.num.iter().map(|&n| Rat::new(n.into(), den)).collect()
+    }
+
+    /// The entries as [`Duals`]; every numerator is within 2⁶².
+    pub(crate) fn duals(&self) -> Duals {
+        Duals {
+            num: self.num.iter().copied().map(Some).collect(),
+            den: self.den.into(),
+        }
+    }
+}
+
+/// Duals over one common denominator, as the certifier's integer sweep
+/// reads them: `y_i = num[i] / den` with `den > 0`, and `num[i]` `None`
+/// when it passes 2⁶² ([`MAX_NUM`]).
+pub(crate) struct Duals {
+    pub(crate) num: Vec<Option<i64>>,
+    pub(crate) den: i128,
+}
+
+impl Duals {
+    /// The exact duals `y` over their least common denominator, in checked
+    /// arithmetic; `None` when that denominator leaves `i128`.
+    pub(crate) fn of(y: &[Rat]) -> Option<Duals> {
+        let mut den: i128 = 1;
+        for v in y {
+            if den % v.denom() != 0 {
+                den = (den / rational::gcd(den, v.denom())).checked_mul(v.denom())?;
+            }
+        }
+        let num = y
+            .iter()
+            .map(|v| {
+                let n = v.numer().checked_mul(den / v.denom())?;
+                (n.unsigned_abs() <= MAX_NUM as u128).then_some(n as i64)
+            })
+            .collect();
+        Some(Duals { num, den })
     }
 }
 

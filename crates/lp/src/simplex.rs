@@ -1,7 +1,7 @@
 //! Simplex solvers: a dense two-phase primal simplex over a flat tableau,
 //! a float-first **hybrid** mode for exact-rational problems, and the
 //! bounded-variable **revised** hybrid that keeps variable bounds out of
-//! the tableau and verifies terminal bases with a sparse exact LU. All
+//! the tableau and verifies its terminal basis exactly. All
 //! three are reached through [`crate::api::solve_lp`]
 //! ([`SolverBackend::DenseExact`](crate::SolverBackend::DenseExact),
 //! [`DenseHybrid`](crate::SolverBackend::DenseHybrid) and
@@ -56,8 +56,7 @@
 //!    feasibility (`B·x_B = b` with all basic values ≥ 0), artificials out
 //!    (every basic artificial at value 0), and dual feasibility (reduced
 //!    costs of nonbasic non-artificial columns ≥ 0 against the duals from
-//!    `Bᵀ·y = c_B`), with the sweep discharged by the [`CertifyMode`] tier
-//!    policy.
+//!    `Bᵀ·y = c_B`), checked by the one exact sweep described below.
 //! 3. On any failure — or a float claim of `Infeasible`/`Unbounded`, which
 //!    tolerance-based pivoting cannot certify — fall back to the pure
 //!    exact simplex. The fallback is the correctness backstop; the float
@@ -120,19 +119,36 @@
 //! implicit bounds strong duality reads
 //! `b·y + Σ_{j at upper} u_j·d_j = c·x`: the row duals alone no longer
 //! account for the bound constraints' contribution.
+//!
+//! # The reduced-cost sweep
+//!
+//! The sign conditions are checked in one pass over the VUB families —
+//! each nonbasic column with the dependents glued to it, and each basic key
+//! with its glued dependents — each rule stated once and evaluated exactly
+//! in one of two ways. In integers: over the duals' common denominator
+//! `d_y` (the float path's proven `n_y/d_y`, or the LU's rationals put over
+//! one denominator), a reduced cost is `d_y·d_j = c_j·d_y − Σ_i
+//! a_ij·n_{y,i}` in `i128`, which has the sign of `d_j`. In `Rat`: for a
+//! family whose cost or entries are fractional or pass 2³¹, that reads a
+//! dual whose scaled numerator passes 2⁶², or whose `i128` sum would
+//! overflow. Both are exact, so the verdict does not depend on which ran;
+//! [`SolveStats::interval_accepts`] and
+//! [`SolveStats::interval_escalations`] count the certifications swept
+//! wholly in integers and those where some family needed `Rat`. The
+//! deadline is checked every 512 columns.
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the tableau math
 
 use crate::api::{LpOptions, LpReport};
 use crate::bounds::{solve_bounded_f64_with, BoundedBasis, BoundedStatus, StandardForm, VarState};
-use crate::interval::Iv;
 use crate::lu::SparseLu;
 use crate::model::LpProblem;
 use crate::rational::Rat;
-use crate::reconstruct::Candidate;
+use crate::reconstruct::{product, small, Candidate, Duals};
 use crate::scalar::Scalar;
 use abt_core::error::{BudgetKind, SolveFailure};
 use abt_core::faultinject;
+use std::cmp::Ordering;
 use std::time::Instant;
 
 /// Outcome of a solve.
@@ -178,24 +194,16 @@ pub struct SolveStats {
     /// LU refactorizations of the float pass (each when its eta file
     /// grew too long or too dense).
     pub refactorizations: u64,
-    /// Total wall time of the certification step (both tiers), in
-    /// nanoseconds. Always `certify_interval_nanos + certify_exact_nanos`
-    /// up to clock granularity.
+    /// Total wall time of the certification step, in nanoseconds.
     pub certify_nanos: u64,
-    /// Wall time spent in the directed-rounding interval tier, in
-    /// nanoseconds (zero under [`CertifyMode::Exact`]).
-    pub certify_interval_nanos: u64,
-    /// Wall time spent outside the interval tier: proving the float
-    /// values exact (or, on the fallback, the LU factor and solves), the
-    /// primal and state checks, extraction and — on escalation or under
-    /// [`CertifyMode::Exact`] — the full reduced-cost sweep, in
-    /// nanoseconds.
-    pub certify_exact_nanos: u64,
-    /// Solves whose dual-feasibility sweep was discharged entirely by the
-    /// interval tier (0 or 1 per solve; summable across solves).
+    /// Certifications that proved every reduced-cost sign in integers (0
+    /// or 1 per solve; summable across solves). The name predates the
+    /// integer sweep: it counted the accepts of an interval tier.
     pub interval_accepts: u64,
-    /// Solves whose interval sweep was inconclusive (straddling
-    /// enclosures) and escalated to the exact reduced-cost sweep.
+    /// Certifications whose reduced-cost sweep evaluated some VUB family
+    /// in `Rat` (fractional or large data, or an `i128` overflow; see the
+    /// module docs), whatever its verdict. The name predates the integer
+    /// sweep: it counted the escalations of an interval tier.
     pub interval_escalations: u64,
     /// Certifications whose basic values and multipliers came from the
     /// exact LU (0 or 1 per solve): the float pass offered none (the dense
@@ -588,11 +596,7 @@ pub(crate) fn to_f64(lp: &LpProblem<Rat>) -> LpProblem<f64> {
 /// [`StandardForm::build`]'s, so the proposal is the bounded one with
 /// every nonbasic column `AtLower`. A column index outside the exact form
 /// is refuted.
-fn verify_basis(
-    lp: &LpProblem<Rat>,
-    target: &[usize],
-    mode: CertifyMode,
-) -> (Certified, CertifyTally) {
+fn verify_basis(lp: &LpProblem<Rat>, target: &[usize]) -> (Certified, CertifyTally) {
     let sf = StandardForm::build(lp);
     let mut state = vec![VarState::AtLower; sf.ncols];
     for &c in target {
@@ -612,28 +616,28 @@ fn verify_basis(
         xb: Vec::new(),
         y: Vec::new(),
     };
-    verify_bounded(lp, &sf, &prop, None, mode)
+    verify_bounded(lp, &sf, &prop, None)
 }
 
 /// The dense hybrid engine behind [`crate::api::solve_lp`]'s
 /// `DenseHybrid` backend: runs the simplex in `f64`, re-verifies the
-/// terminal basis in exact rationals under `opts.certify`, and falls back
-/// to the pure exact simplex when verification fails (see the module docs
-/// for the contract). Status and objective are always bit-identical to
+/// terminal basis in exact rationals, and falls back to the pure exact
+/// simplex when verification fails (see the module docs for the
+/// contract). Status and objective are always bit-identical to
 /// [`solve`]`::<Rat>`.
-pub(crate) fn dense_hybrid(lp: &LpProblem<Rat>, opts: &LpOptions) -> LpReport {
+pub(crate) fn dense_hybrid(lp: &LpProblem<Rat>) -> LpReport {
     if lp.has_upper_bounds() || lp.has_vubs() {
         // The dense hybrid works on the row encoding; recurse on the
         // materialized problem and drop the bound/VUB rows' duals.
         let rows = lp.vubs_as_rows().bounds_as_rows();
-        let mut rep = dense_hybrid(&rows, opts);
+        let mut rep = dense_hybrid(&rows);
         rep.solution.duals.truncate(lp.num_constraints());
         return rep;
     }
     let (fsol, fbasis) = solve_internal(&to_f64(lp));
     if fsol.status == LpStatus::Optimal {
         let certify = Instant::now();
-        if let (Certified::Verified(solution), tally) = verify_basis(lp, &fbasis, opts.certify) {
+        if let (Certified::Verified(solution), tally) = verify_basis(lp, &fbasis) {
             let mut stats = SolveStats::default();
             apply_certify(&mut stats, certify.elapsed().as_nanos() as u64, &tally);
             return LpReport {
@@ -675,25 +679,23 @@ pub(crate) enum Certified {
 /// The optional `deadline` bounds the certification work: it is checked
 /// at entry and between the expensive stages (after the residual checks,
 /// after the rank check or the LU factorization, after the basic values,
-/// after the duals, and periodically inside the interval sweep), so an
-/// adversarial instance whose rationals blow up cannot pin the certifier
-/// past its budget by more than one stage.
+/// after the duals, and every 512 columns of the reduced-cost sweep), so
+/// an adversarial instance whose rationals blow up cannot pin the
+/// certifier past its budget by more than one stage.
 ///
-/// `mode` selects the certification tier policy (see [`CertifyMode`]);
-/// the returned [`CertifyTally`] records which tier discharged the dual
-/// sweep and how long the interval tier ran.
+/// The returned [`CertifyTally`] records whether the LU ran and how the
+/// reduced-cost sweep evaluated its families.
 pub(crate) fn verify_bounded(
     lp: &LpProblem<Rat>,
     sf: &StandardForm<Rat>,
     prop: &BoundedBasis,
     deadline: Option<Instant>,
-    mode: CertifyMode,
 ) -> (Certified, CertifyTally) {
     faultinject::hit("slow_certify");
-    let mut span = abt_core::obs_span!("solve.certify", mode = format_args!("{mode:?}"));
+    let mut span = abt_core::obs_span!("solve.certify");
     let expired = || deadline.is_some_and(|d| Instant::now() >= d);
     let mut tally = CertifyTally::default();
-    let certified = match verify_bounded_staged(lp, sf, prop, &expired, mode, &mut tally) {
+    let certified = match verify_bounded_staged(lp, sf, prop, &expired, &mut tally) {
         Ok(Some(solution)) => Certified::Verified(solution),
         Ok(None) => Certified::Refuted,
         Err(DeadlinePassed) => Certified::Deadline,
@@ -718,7 +720,6 @@ fn verify_bounded_staged(
     sf: &StandardForm<Rat>,
     prop: &BoundedBasis,
     expired: &dyn Fn() -> bool,
-    mode: CertifyMode,
     tally: &mut CertifyTally,
 ) -> Result<Option<LpSolution<Rat>>, DeadlinePassed> {
     if expired() {
@@ -878,9 +879,10 @@ fn verify_bounded_staged(
             return Ok(None);
         }
     }
-    // Exact duals from the augmented system B̄ᵀ·y = c̄_B.
-    let y = match &source {
-        Source::Float(proven) => proven.y.rats(),
+    // Exact duals from the augmented system B̄ᵀ·y = c̄_B, and the same over
+    // one common denominator for the sweep's integer evaluation.
+    let (y, duals) = match &source {
+        Source::Float(proven) => (proven.y.rats(), Some(proven.y.duals())),
         Source::Lu(lu) => {
             let cb: Vec<Rat> = prop
                 .basis
@@ -893,42 +895,15 @@ fn verify_bounded_staged(
                     c
                 })
                 .collect();
-            lu.solve_transposed(&cb)
+            let y = lu.solve_transposed(&cb);
+            let duals = Duals::of(&y);
+            (y, duals)
         }
     };
     if expired() {
         return Err(DeadlinePassed);
     }
-    // Reduced-cost sign conditions per resting state, discharged by the
-    // interval tier when the mode allows and every enclosure is one-sided,
-    // by the exact sweep otherwise. The sweep is tiered because it is an
-    // O(ncols) pass of dot products over a column count dwarfing the basis
-    // dimension, while the values above are needed for the returned
-    // solution whichever tier runs.
-    let dual_ok = match mode {
-        CertifyMode::Exact => exact_dual_sweep(sf, prop, &glued, &y),
-        CertifyMode::Interval | CertifyMode::IntervalThenExact => {
-            let tick = Instant::now();
-            let sweep = interval_dual_sweep(sf, prop, &glued, &y, expired);
-            tally.interval_nanos += tick.elapsed().as_nanos() as u64;
-            match sweep {
-                IvSweep::Proven => {
-                    tally.interval_accepts = 1;
-                    true
-                }
-                IvSweep::Refuted => false,
-                IvSweep::Deadline => return Err(DeadlinePassed),
-                IvSweep::Inconclusive => {
-                    tally.interval_escalations = 1;
-                    // Pure-interval mode has no exact sweep to escalate
-                    // to: the proposal is handed back refuted and a lower
-                    // rung certifies exactly.
-                    mode == CertifyMode::IntervalThenExact && exact_dual_sweep(sf, prop, &glued, &y)
-                }
-            }
-        }
-    };
-    if !dual_ok {
+    if !dual_sweep(sf, &prop.state, &glued, &y, duals.as_ref(), expired, tally)? {
         return Ok(None);
     }
     // Certified optimal: extract structural values and row duals (promoted
@@ -961,243 +936,172 @@ enum Source {
     Lu(SparseLu<Rat>),
 }
 
-/// The exact rational reduced-cost sweep over every nonbasic
-/// non-artificial column (see the module docs for the per-resting-state
-/// certificate). Returns `false` on the first proven sign violation.
-fn exact_dual_sweep(
-    sf: &StandardForm<Rat>,
-    prop: &BoundedBasis,
-    glued: &[Vec<usize>],
-    y: &[Rat],
-) -> bool {
-    let reduced = |j: usize| -> Rat {
-        let mut d = sf.cost[j];
-        for (i, v) in &sf.cols[j] {
-            d = d.sub(&y[*i].mul(v));
+/// A reduced-cost evaluator of [`dual_sweep`]: the value of `d_j = c_j −
+/// Σ_i y_i·a_ij` for a column `j`, read only for its sign.
+trait Reduced {
+    /// A reduced cost, or a sum of them.
+    type Value: Copy;
+    /// `d_j`, or `None` when this evaluator cannot represent it.
+    fn reduced(&self, j: usize) -> Option<Self::Value>;
+    /// `a + b`, or `None` when this evaluator cannot represent it.
+    fn sum(a: Self::Value, b: Self::Value) -> Option<Self::Value>;
+    /// The sign of `v`.
+    fn sign(v: Self::Value) -> Ordering;
+}
+
+/// Reduced costs in `i128`, scaled by the duals' common denominator:
+/// `den·d_j = c_j·den − Σ_i a_ij·num_i`, which has the sign of `d_j`.
+/// `None` for a column whose cost or entries fail [`small`], that reads a
+/// dual past 2⁶², or whose sum overflows.
+struct InIntegers<'a> {
+    sf: &'a StandardForm<Rat>,
+    duals: &'a Duals,
+}
+
+impl Reduced for InIntegers<'_> {
+    type Value = i128;
+    fn reduced(&self, j: usize) -> Option<i128> {
+        let mut d = i128::from(small(&self.sf.cost[j])?).checked_mul(self.duals.den)?;
+        for (i, a) in &self.sf.cols[j] {
+            d = d.checked_sub(product(small(a)?, self.duals.num[*i]?))?;
         }
-        d
+        Some(d)
+    }
+    fn sum(a: i128, b: i128) -> Option<i128> {
+        a.checked_add(b)
+    }
+    fn sign(v: i128) -> Ordering {
+        v.cmp(&0)
+    }
+}
+
+/// Reduced costs in exact rationals: every column, at `Rat`'s price.
+struct InRat<'a> {
+    sf: &'a StandardForm<Rat>,
+    y: &'a [Rat],
+}
+
+impl Reduced for InRat<'_> {
+    type Value = Rat;
+    fn reduced(&self, j: usize) -> Option<Rat> {
+        let mut d = self.sf.cost[j];
+        for (i, v) in &self.sf.cols[j] {
+            d = d.sub(&self.y[*i].mul(v));
+        }
+        Some(d)
+    }
+    fn sum(a: Rat, b: Rat) -> Option<Rat> {
+        Some(a.add(&b))
+    }
+    fn sign(v: Rat) -> Ordering {
+        v.signum().cmp(&0)
+    }
+}
+
+/// Whether the VUB family of column `k` (resting in `state`, with the
+/// dependents `glued` to it) meets the sign rules of the module docs: every
+/// glued dependent has `d_g ≤ 0` (its multiplier `λ_g = −d_g` is
+/// nonnegative), and a nonbasic `k` has an augmented `d̄_k = d_k + Σ_g d_g`
+/// of `≥ 0` at its lower bound and `≤ 0` at its upper one. `None` when
+/// `eval` cannot evaluate the family.
+fn family_signs_hold<E: Reduced>(
+    eval: &E,
+    k: usize,
+    state: VarState,
+    glued: &[usize],
+) -> Option<bool> {
+    let mut dbar = match state {
+        VarState::Basic => None,
+        _ => Some(eval.reduced(k)?),
     };
-    // Each glued dependent's reduced cost is needed twice — for its own
-    // λ_j = −d_j ≥ 0 check and folded into its key's augmented d̄ — so
-    // compute the exact rational dot products once.
-    let dep_reduced: Vec<Option<Rat>> = (0..sf.ncols)
-        .map(|j| (prop.state[j] == VarState::AtVub).then(|| reduced(j)))
-        .collect();
-    for j in 0..sf.ncols {
-        if prop.state[j] == VarState::Basic || sf.artificial[j] {
-            continue;
+    for &g in glued {
+        let d = eval.reduced(g)?;
+        if E::sign(d) == Ordering::Greater {
+            return Some(false);
         }
-        match prop.state[j] {
-            // The VUB multiplier λ_j = −d_j must be nonnegative.
-            VarState::AtVub => {
-                if dep_reduced[j].expect("computed above").is_pos() {
-                    return false;
-                }
-            }
-            VarState::AtLower | VarState::AtUpper => {
-                // Keys answer with the augmented reduced cost — their
-                // glued dependents' multipliers fold in.
-                let mut dbar = reduced(j);
-                for &g in &glued[j] {
-                    dbar = dbar.add(&dep_reduced[g].expect("glued implies AtVub"));
-                }
-                match prop.state[j] {
-                    VarState::AtLower if dbar.is_neg() => return false,
-                    VarState::AtUpper if dbar.is_pos() => return false,
-                    _ => {}
-                }
-            }
-            VarState::Basic => unreachable!(),
+        if let Some(s) = dbar {
+            dbar = Some(E::sum(s, d)?);
         }
     }
-    true
+    Some(!matches!(
+        (state, dbar.map(E::sign)),
+        (VarState::AtLower, Some(Ordering::Less)) | (VarState::AtUpper, Some(Ordering::Greater))
+    ))
 }
 
-/// Outcome of [`interval_dual_sweep`].
-enum IvSweep {
-    /// Every reduced-cost sign condition was proven — dual feasibility is
-    /// certified without the exact sweep.
-    Proven,
-    /// Too many enclosures straddled; a full exact sweep is cheaper than
-    /// more column-by-column rescues. **Not** a verdict.
-    Inconclusive,
-    /// A sign condition is violated (proven by an enclosure or by a
-    /// rescued exact value) — the proposal is refuted, same verdict the
-    /// exact sweep would reach.
-    Refuted,
-    /// The deadline passed mid-sweep.
-    Deadline,
-}
-
-/// The directed-rounding interval tier: re-proves every reduced-cost sign
-/// condition with outward-rounded `f64` enclosures (see
-/// [`crate::interval`]) of the *exact* duals, escalating per column to an
-/// exact rational dot product when an enclosure straddles zero. Sound by
-/// construction: an enclosure can only prove a true inequality, and every
-/// refutation is either enclosure-proven or exact.
-fn interval_dual_sweep(
+/// The reduced-cost sign rules over every VUB family (see the module
+/// docs): each family in integers over `duals` when they are given and it
+/// can be, in `Rat` over `y` otherwise, the deadline checked every 512
+/// columns. Returns `false` on the first violated rule, and records in
+/// `tally` whether the certification was swept wholly in integers
+/// (`interval_accepts`) or some family needed `Rat`
+/// (`interval_escalations`).
+fn dual_sweep(
     sf: &StandardForm<Rat>,
-    prop: &BoundedBasis,
+    state: &[VarState],
     glued: &[Vec<usize>],
     y: &[Rat],
+    duals: Option<&Duals>,
     expired: &dyn Fn() -> bool,
-) -> IvSweep {
-    // Exact duals enclosed outward once; each reduced cost is then a pure
-    // f64 dot product with per-operation outward rounding.
-    let ivy: Vec<Iv> = y.iter().map(Iv::from_rat).collect();
-    let reduced_iv = |j: usize| -> Iv {
-        let mut d = Iv::from_rat(&sf.cost[j]);
-        for (i, v) in &sf.cols[j] {
-            d = d - ivy[*i] * Iv::from_rat(v);
+    tally: &mut CertifyTally,
+) -> Result<bool, DeadlinePassed> {
+    let ints = duals.map(|duals| InIntegers { sf, duals });
+    #[cfg(test)]
+    let ints = ints.filter(|_| !tests::FORCE_RAT.with(std::cell::Cell::get));
+    let rats = InRat { sf, y };
+    let (mut holds, mut in_rat) = (true, false);
+    for k in 0..sf.ncols {
+        if k % 512 == 0 && expired() {
+            return Err(DeadlinePassed);
         }
-        d
-    };
-    let reduced_exact = |j: usize| -> Rat {
-        let mut d = sf.cost[j];
-        for (i, v) in &sf.cols[j] {
-            d = d.sub(&y[*i].mul(v));
-        }
-        d
-    };
-    // Straddling columns are rescued one at a time with the exact dot
-    // product; past this cap a single full exact sweep is cheaper than
-    // more per-column rescues, so the solve escalates wholesale.
-    let rescue_cap = 8 + sf.ncols / 8;
-    let mut rescued = 0usize;
-    // Glued dependents first: their λ_j = −d_j ≥ 0 check, plus the
-    // enclosure (or rescued exact value) their key's augmented d̄ folds in.
-    let mut dep_iv: Vec<Option<Iv>> = vec![None; sf.ncols];
-    let mut dep_exact: Vec<Option<Rat>> = vec![None; sf.ncols];
-    for j in 0..sf.ncols {
-        if prop.state[j] != VarState::AtVub {
-            continue;
-        }
-        if j % 512 == 0 && expired() {
-            return IvSweep::Deadline;
-        }
-        let d = reduced_iv(j);
-        if d.proves_pos() {
-            return IvSweep::Refuted; // λ_j = −d_j provably negative
-        }
-        if d.proves_nonpos() {
-            dep_iv[j] = Some(d);
-            continue;
-        }
-        rescued += 1;
-        if rescued > rescue_cap {
-            return IvSweep::Inconclusive;
-        }
-        if expired() {
-            return IvSweep::Deadline;
-        }
-        let dx = reduced_exact(j);
-        if dx.is_pos() {
-            return IvSweep::Refuted;
-        }
-        dep_iv[j] = Some(Iv::from_rat(&dx));
-        dep_exact[j] = Some(dx);
-    }
-    for j in 0..sf.ncols {
-        if prop.state[j] == VarState::Basic || prop.state[j] == VarState::AtVub || sf.artificial[j]
-        {
-            continue;
-        }
-        if j % 512 == 0 && expired() {
-            return IvSweep::Deadline;
-        }
-        let mut dbar = reduced_iv(j);
-        for &g in &glued[j] {
-            dbar = dbar + dep_iv[g].expect("glued implies AtVub");
-        }
-        let proven = match prop.state[j] {
-            VarState::AtLower => {
-                if dbar.proves_neg() {
-                    return IvSweep::Refuted;
-                }
-                dbar.proves_nonneg()
-            }
-            VarState::AtUpper => {
-                if dbar.proves_pos() {
-                    return IvSweep::Refuted;
-                }
-                dbar.proves_nonpos()
-            }
-            VarState::Basic | VarState::AtVub => unreachable!(),
+        // Dependents are swept with their key. A basic key has no rule
+        // of its own, only its glued dependents do; an artificial has none.
+        let family = glued[k].as_slice();
+        let skip = match state[k] {
+            VarState::AtVub => true,
+            VarState::Basic => family.is_empty(),
+            VarState::AtLower | VarState::AtUpper => sf.artificial[k],
         };
-        if proven {
+        if skip {
             continue;
         }
-        rescued += 1;
-        if rescued > rescue_cap {
-            return IvSweep::Inconclusive;
-        }
-        if expired() {
-            return IvSweep::Deadline;
-        }
-        let mut dx = reduced_exact(j);
-        for &g in &glued[j] {
-            // A dependent proven nonpositive by its enclosure alone never
-            // had its exact value computed; a key rescue needs it now.
-            let gx = match &dep_exact[g] {
-                Some(v) => *v,
-                None => reduced_exact(g),
-            };
-            dx = dx.add(&gx);
-        }
-        match prop.state[j] {
-            VarState::AtLower if dx.is_neg() => return IvSweep::Refuted,
-            VarState::AtUpper if dx.is_pos() => return IvSweep::Refuted,
-            _ => {}
+        holds = match ints
+            .as_ref()
+            .and_then(|e| family_signs_hold(e, k, state[k], family))
+        {
+            Some(holds) => holds,
+            None => {
+                in_rat = true;
+                family_signs_hold(&rats, k, state[k], family).expect("`Rat` evaluates every family")
+            }
+        };
+        if !holds {
+            break;
         }
     }
-    IvSweep::Proven
+    tally.interval_accepts = u64::from(holds && !in_rat);
+    tally.interval_escalations = u64::from(in_rat);
+    Ok(holds)
 }
 
-/// Which certification tier(s) run on the terminal basis of a revised
-/// solve. Every mode ends in a *sound* certificate — the tiers differ
-/// only in how much of the proof is carried by outward-rounded `f64`
-/// intervals (see [`crate::interval`]) versus exact rationals. The
-/// returned solution (objective, `x`, duals) is computed in exact
-/// rationals under **every** mode, so reported values are bit-identical
-/// across modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CertifyMode {
-    /// The full exact rational reduced-cost sweep on every solve (the
-    /// pre-tier behaviour).
-    Exact,
-    /// Interval tier only: a solve whose enclosures straddle is handed
-    /// back refuted, and the caller (e.g. the supervision ladder) demotes
-    /// to a rung that certifies exactly. Sound, but incomplete on
-    /// adversarially tight instances.
-    Interval,
-    /// Interval tier first, escalating to the exact reduced-cost sweep
-    /// only when an enclosure straddles — the default.
-    #[default]
-    IntervalThenExact,
-}
-
-/// Per-certification telemetry of one [`verify_bounded`] call: which tier
-/// discharged the dual sweep, how long the interval tier ran, and whether
-/// the exact LU supplied the basic values and multipliers.
+/// Per-certification telemetry of one [`verify_bounded`] call: whether the
+/// exact LU supplied the basic values and multipliers, and how the
+/// reduced-cost sweep evaluated its families.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct CertifyTally {
     /// 1 iff the exact LU factored the basis (the float values were absent
     /// or could not be proven exact).
     pub(crate) lu: u64,
-    /// 1 iff the interval tier proved dual feasibility (no exact sweep).
+    /// 1 iff the sweep proved every sign in integers.
     pub(crate) interval_accepts: u64,
-    /// 1 iff the interval sweep was inconclusive and the solve escalated.
+    /// 1 iff the sweep evaluated some family in `Rat`.
     pub(crate) interval_escalations: u64,
-    /// Wall time inside the interval sweep, nanoseconds.
-    pub(crate) interval_nanos: u64,
 }
 
-/// Folds a certification's total wall time and tier tally into the solve
+/// Folds a certification's total wall time and tally into the solve
 /// counters (shared by the revised and dense hybrid engines).
 pub(crate) fn apply_certify(stats: &mut SolveStats, total_nanos: u64, tally: &CertifyTally) {
     stats.certify_nanos = total_nanos;
-    stats.certify_interval_nanos = tally.interval_nanos;
-    stats.certify_exact_nanos = total_nanos.saturating_sub(tally.interval_nanos);
     stats.interval_accepts = tally.interval_accepts;
     stats.interval_escalations = tally.interval_escalations;
     stats.certify_lu = tally.lu;
@@ -1207,8 +1111,8 @@ pub(crate) fn apply_certify(stats: &mut SolveStats, total_nanos: u64, tally: &Ce
 /// backend: the bounded revised simplex of [`crate::bounds`] in `f64`
 /// under `opts.pricing` — from `opts.start` when one is offered and fits
 /// (see [`crate::start::StartBasis`]), else from the all-slack basis —
-/// then exact certification of its terminal basis under `opts.certify`
-/// and the per-stage deadline of `opts.pricing`. It never runs a dense
+/// then exact certification of its terminal basis under the per-stage
+/// deadline of `opts.pricing`. It never runs a dense
 /// fallback itself — every outcome it cannot certify is a typed
 /// [`SolveFailure`], so the **caller** decides what to run next. This is
 /// the rung interface of the supervision ladder in `abt-active`: each
@@ -1216,8 +1120,8 @@ pub(crate) fn apply_certify(stats: &mut SolveStats, total_nanos: u64, tally: &Ce
 ///
 /// * `Ok(report)` — the float pass finished and the terminal basis was
 ///   certified exactly optimal (`report.fallback` is always `false`).
-/// * `Err(BudgetExceeded(_))` — a pivot/refactorization/wall-time budget
-///   in `opts.pricing` tripped, in the float pass or the certifier. The
+/// * `Err(BudgetExceeded(_))` — a pivot or wall-time budget in
+///   `opts.pricing` tripped, in the float pass or the certifier. The
 ///   wall-time budget is **per stage**: the float pass and the certifier
 ///   each get a fresh clock of the same duration.
 /// * `Err(NumericalStall)` — the float pass stalled or claimed unbounded,
@@ -1250,8 +1154,7 @@ pub(crate) fn revised_cold(
         ..SolveStats::default()
     };
     let certify = Instant::now();
-    let (outcome, tally) =
-        verify_bounded(lp, &sfr, &prop, opts.pricing.stage_deadline(), opts.certify);
+    let (outcome, tally) = verify_bounded(lp, &sfr, &prop, opts.pricing.stage_deadline());
     apply_certify(&mut stats, certify.elapsed().as_nanos() as u64, &tally);
     match outcome {
         Certified::Verified(solution) => Ok(LpReport {
@@ -1265,12 +1168,18 @@ pub(crate) fn revised_cold(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::api::{solve_lp, SolverBackend};
     use crate::bounds::BoundedOptions;
     use crate::model::{Cmp, LpProblem};
     use crate::rational::Rat;
+
+    thread_local! {
+        /// Sends every family of [`dual_sweep`] on this thread to `Rat`,
+        /// the evaluation the integer one is checked against.
+        pub(crate) static FORCE_RAT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
 
     fn r(p: i64, q: i64) -> Rat {
         Rat::new(p as i128, q as i128)
@@ -1896,9 +1805,9 @@ mod tests {
         assert_eq!(revised(&gap).unwrap_err(), SolveFailure::NumericalStall);
     }
 
-    /// The float pass's proposal for `lp` after `edit`, certified under
-    /// the default mode: the certified solution (`None` when refuted) and
-    /// whether the exact LU ran.
+    /// The float pass's proposal for `lp` after `edit`, certified: the
+    /// certified solution (`None` when refuted) and whether the exact LU
+    /// ran.
     fn certify_edited(
         lp: &LpProblem<Rat>,
         edit: impl FnOnce(&mut BoundedBasis),
@@ -1907,7 +1816,7 @@ mod tests {
         let mut prop = crate::bounds::solve_bounded_f64(&sf.to_f64());
         assert_eq!(prop.status, BoundedStatus::Optimal);
         edit(&mut prop);
-        let (out, tally) = verify_bounded(lp, &sf, &prop, None, CertifyMode::default());
+        let (out, tally) = verify_bounded(lp, &sf, &prop, None);
         match out {
             Certified::Verified(sol) => (Some(sol), tally.lu),
             Certified::Refuted | Certified::Deadline => (None, tally.lu),
@@ -2015,6 +1924,47 @@ mod tests {
             lp.add_constraint(vec![(x, r(q, 1))], Cmp::Ge, Rat::ONE);
         }
         certifies_through_the_lu(&lp);
+    }
+
+    #[test]
+    fn each_sign_rule_refutes_the_proposal_that_breaks_it() {
+        // Both LPs have one row, so one basic column; the proposals below
+        // are primal feasible and break exactly one sign rule each. With
+        // their values cleared the LU supplies the duals.
+        let refuted = |lp: &LpProblem<Rat>, basis: usize, state: [VarState; 3]| {
+            for force_rat in [false, true] {
+                FORCE_RAT.with(|f| f.set(force_rat));
+                let (sol, lu) = certify_edited(lp, |p| {
+                    (p.basis, p.state, p.xb, p.y) = (vec![basis], state.to_vec(), vec![], vec![]);
+                });
+                FORCE_RAT.with(|f| f.set(false));
+                assert_eq!(lu, 1);
+                assert!(sol.is_none(), "force_rat {force_rat}: verified {sol:?}");
+            }
+        };
+        use VarState::{AtLower, AtUpper, AtVub, Basic};
+        // min −x − 2y  s.t.  x + y ≤ 4, x ≤ 2, y ≤ 3 (implicit): with x at
+        // 2 and y = 2 basic, the row dual is −2 and x's reduced cost is
+        // −1 + 2 = 1, positive at its upper bound.
+        let mut lp: LpProblem<Rat> = LpProblem::new();
+        let x = lp.add_var(r(-1, 1));
+        let y = lp.add_var(r(-2, 1));
+        lp.add_constraint(vec![(x, Rat::ONE), (y, Rat::ONE)], Cmp::Le, r(4, 1));
+        lp.set_upper(x, r(2, 1));
+        lp.set_upper(y, r(3, 1));
+        assert_eq!(revised(&lp).expect("optimal").solution.objective, r(-7, 1));
+        refuted(&lp, y, [AtUpper, Basic, AtLower]);
+        // min x − k  s.t.  x + k ≤ 10, x ≤ k (VUB), k ≤ 2: with x glued to
+        // k at its upper bound and the slack basic, x's reduced cost is 1,
+        // a negative VUB multiplier (k's augmented −1 + 1 = 0 holds).
+        let mut lp: LpProblem<Rat> = LpProblem::new();
+        let x = lp.add_var(Rat::ONE);
+        let k = lp.add_var(r(-1, 1));
+        lp.add_constraint(vec![(x, Rat::ONE), (k, Rat::ONE)], Cmp::Le, r(10, 1));
+        lp.set_upper(k, r(2, 1));
+        lp.set_vub(x, k);
+        assert_eq!(revised(&lp).expect("optimal").solution.objective, r(-2, 1));
+        refuted(&lp, 2, [AtVub, AtUpper, Basic]);
     }
 
     #[test]

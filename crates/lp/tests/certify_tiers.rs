@@ -1,12 +1,12 @@
-//! Differential and adversarial tests for the layered certification
-//! tiers: every [`CertifyMode`] must return bit-identical results (the
-//! interval tier only ever changes *how* dual feasibility is proven,
-//! never *what* is reported), and an adversarially tiny dual gap must
-//! drive the interval sweep to escalation rather than a wrong verdict.
+//! Differential and adversarial tests for the certifier's reduced-cost
+//! sweep: on random VUB LPs the revised and dense hybrid backends must
+//! certify the dense exact solve's optimum, with every sign proven in
+//! integers, and each data shape that sends a column family to `Rat` — a
+//! fractional cost, an entry past 2³¹, an `i128` sum that would overflow —
+//! must certify the same answer as the dense exact solve, counted as a
+//! `Rat` sweep.
 
-use abt_lp::{
-    solve, solve_lp, CertifyMode, Cmp, LpOptions, LpProblem, LpStatus, Rat, SolveFailure,
-};
+use abt_lp::{solve, solve_lp, Cmp, LpOptions, LpProblem, LpReport, LpStatus, Rat, SolverBackend};
 use proptest::prelude::*;
 
 fn r(p: i64) -> Rat {
@@ -16,7 +16,7 @@ fn r(p: i64) -> Rat {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
     #[test]
-    fn all_certify_modes_are_bit_identical(
+    fn revised_and_hybrid_certify_the_dense_exact_optimum(
         k in 2usize..4,
         rows in proptest::collection::vec(
             (proptest::collection::vec(-4i64..5, 6), -3i64..9), 1..6),
@@ -47,61 +47,47 @@ proptest! {
             vub_lp.set_upper(key, r(ub));
         }
         let oracle = solve(&row_lp);
-        let exact = solve_lp(&vub_lp, &LpOptions::new().certify(CertifyMode::Exact));
-        let tiered =
-            solve_lp(&vub_lp, &LpOptions::new().certify(CertifyMode::IntervalThenExact));
-        match (&exact, &tiered) {
-            (Ok(e), Ok(t)) => {
-                prop_assert_eq!(e.solution.status.clone(), oracle.status.clone());
-                prop_assert_eq!(t.solution.status.clone(), oracle.status.clone());
-                if oracle.status == LpStatus::Optimal {
-                    // Bit-identical across tiers AND against the oracle:
-                    // objective, point and duals.
-                    prop_assert_eq!(e.solution.objective, oracle.objective);
-                    prop_assert_eq!(t.solution.objective, oracle.objective);
-                    prop_assert_eq!(&t.solution.x, &e.solution.x);
-                    prop_assert_eq!(&t.solution.duals, &e.solution.duals);
-                    // The tiered run must never pay for both sweeps on
-                    // these well-scaled instances unless it escalated, and
-                    // whichever tier proved it, the proof is counted.
-                    prop_assert_eq!(
-                        t.stats.interval_accepts + t.stats.interval_escalations, 1);
-                    prop_assert_eq!(e.stats.interval_accepts, 0);
-                    prop_assert_eq!(e.stats.interval_escalations, 0);
-                }
-            }
-            (Err(ef), Err(tf)) => prop_assert_eq!(ef.clone(), tf.clone()),
-            other => prop_assert!(false, "tiers disagreed on solvability: {:?}", other),
-        }
-        // Interval-only mode may refuse (NumericalStall) when the sweep is
-        // inconclusive, but an accept must be bit-identical to Exact, and
-        // a genuine failure (e.g. infeasibility) must match the other
-        // tiers' verdict.
-        match solve_lp(&vub_lp, &LpOptions::new().certify(CertifyMode::Interval)) {
-            Ok(iv) => {
-                let e = exact.as_ref().expect("exact agrees when interval accepts");
-                prop_assert_eq!(iv.solution.objective, e.solution.objective);
-                prop_assert_eq!(&iv.solution.x, &e.solution.x);
-                prop_assert_eq!(&iv.solution.duals, &e.solution.duals);
-                prop_assert_eq!(iv.stats.interval_accepts, 1);
-            }
-            Err(SolveFailure::NumericalStall) => {}
-            Err(f) => {
-                let ef = exact.as_ref().expect_err("interval failed where exact solved");
-                prop_assert_eq!(&f, ef);
-            }
+        // The revised rung certifies from the float pass's values, the
+        // dense hybrid from the LU's; on small integral data both prove
+        // every sign in integers. A revised refusal is a float-level
+        // claim that a lower rung decides.
+        let hybrid = solve_lp(&vub_lp, &LpOptions::new().backend(SolverBackend::DenseHybrid))
+            .expect("the dense hybrid never fails");
+        prop_assert_eq!(hybrid.solution.status.clone(), oracle.status.clone());
+        let revised = solve_lp(&vub_lp, &LpOptions::new());
+        for rep in revised.iter().chain((!hybrid.fallback).then_some(&hybrid)) {
+            prop_assert_eq!(rep.solution.status.clone(), LpStatus::Optimal);
+            prop_assert_eq!(rep.solution.objective, oracle.objective);
+            prop_assert!(vub_lp.is_feasible(&rep.solution.x));
+            prop_assert_eq!(
+                (rep.stats.interval_accepts, rep.stats.interval_escalations),
+                (1, 0)
+            );
         }
     }
 }
 
-/// Builds the adversarial straddle instance: minimize `−x₀` over
-/// `3·x₀ + Σⱼ xⱼ ≤ 3` with `n` satellite columns whose costs are
-/// `−1/3 + 2⁻⁶⁰`. At the optimum `x₀ = 1` is basic, the row dual is
-/// `−1/3` (non-dyadic — its f64 enclosure is one ulp wide), and every
-/// satellite's exact reduced cost is `2⁻⁶⁰`: positive, so the basis is
-/// genuinely optimal, but 10⁴× smaller than the interval sweep's
-/// outward-rounding width — every satellite column straddles zero.
-fn straddle_lp(n: usize) -> LpProblem<Rat> {
+/// `lp`'s revised certification, asserted to match the dense exact
+/// solve's objective and values, with some family swept in `Rat`.
+fn certifies_in_rat_like_the_dense_exact_solve(lp: &LpProblem<Rat>) -> LpReport {
+    let oracle = solve(lp);
+    assert_eq!(oracle.status, LpStatus::Optimal);
+    let rep = solve_lp(lp, &LpOptions::new()).expect("the revised rung certifies");
+    assert_eq!(rep.solution.objective, oracle.objective);
+    assert_eq!(rep.solution.x, oracle.x);
+    assert_eq!(
+        (rep.stats.interval_accepts, rep.stats.interval_escalations),
+        (0, 1),
+        "some family was swept in Rat"
+    );
+    rep
+}
+
+/// Minimize `−x₀` over `3·x₀ + Σⱼ xⱼ ≤ 3` with `n` satellite columns whose
+/// costs are `−1/3 + 2⁻⁶⁰`. At the optimum `x₀ = 1` is basic, the row dual
+/// is `−1/3`, and every satellite's exact reduced cost is `2⁻⁶⁰`: positive,
+/// so the basis is optimal, but far below `f64`'s resolution of the costs.
+fn tiny_gap_lp(n: usize) -> LpProblem<Rat> {
     let mut lp: LpProblem<Rat> = LpProblem::new();
     lp.add_var(r(-1));
     // −1/3 + 2⁻⁶⁰ = (3 − 2⁶⁰) / (3·2⁶⁰), exactly.
@@ -114,66 +100,84 @@ fn straddle_lp(n: usize) -> LpProblem<Rat> {
         terms.push((j + 1, Rat::ONE));
     }
     lp.add_constraint(terms, Cmp::Le, r(3));
-    // The satellites need upper bounds so the enclosing box is finite on
-    // the paths that materialize bounds; generous enough to stay slack.
     for j in 0..n {
         lp.set_upper(j + 1, r(100));
     }
     lp
 }
 
-/// With more straddling columns than the per-solve rescue cap, the
-/// interval sweep must go inconclusive and escalate — and the escalated
-/// exact sweep must certify the same bit-identical optimum the pure exact
-/// tier reports. A 2⁻⁶⁰ dual gap must never produce a wrong verdict.
+/// With 24 satellites whose 2⁻⁶⁰ gaps no `f64` sign can resolve, the
+/// sweep escalates to exact arithmetic: a fractional cost fails the
+/// integer evaluation's bound, so each satellite's family is swept in
+/// `Rat` (counted in `interval_escalations`) within the one sweep, with no
+/// re-sweep. The certified optimum is the dense exact solve's, duals
+/// included: a 2⁻⁶⁰ dual gap never produces a wrong verdict. The basic
+/// values and the dual are integral over 3, so the float values are still
+/// proven without the LU.
 #[test]
 fn adversarial_tiny_gap_escalates_to_exact() {
-    let lp = straddle_lp(24);
-    let exact = solve_lp(&lp, &LpOptions::new().certify(CertifyMode::Exact))
-        .expect("exact certification of the straddle instance");
-    assert_eq!(exact.solution.status, LpStatus::Optimal);
-    assert_eq!(exact.solution.objective, r(-1));
-    assert_eq!(exact.stats.interval_escalations, 0);
-
-    let tiered = solve_lp(
-        &lp,
-        &LpOptions::new().certify(CertifyMode::IntervalThenExact),
-    )
-    .expect("escalation must rescue the tiered solve");
-    assert_eq!(
-        tiered.stats.interval_escalations, 1,
-        "a straddle beyond the rescue cap must escalate"
-    );
-    assert_eq!(tiered.stats.interval_accepts, 0);
-    assert_eq!(tiered.solution.objective, exact.solution.objective);
-    assert_eq!(tiered.solution.x, exact.solution.x);
-    assert_eq!(tiered.solution.duals, exact.solution.duals);
+    let lp = tiny_gap_lp(24);
+    let rep = certifies_in_rat_like_the_dense_exact_solve(&lp);
+    assert_eq!(rep.solution.objective, r(-1));
+    assert_eq!(rep.solution.duals, solve(&lp).duals);
+    assert_eq!(rep.stats.certify_lu, 0);
 }
 
-/// Interval-only certification must *refuse* the straddle instance
-/// (inconclusive is not a proof) rather than accept or mis-refute it —
-/// the supervision ladder upstream absorbs the refusal by demoting.
-#[test]
-fn adversarial_tiny_gap_refuses_under_interval_only() {
-    let lp = straddle_lp(24);
-    match solve_lp(&lp, &LpOptions::new().certify(CertifyMode::Interval)) {
-        Err(SolveFailure::NumericalStall) => {}
-        other => panic!("interval-only mode must refuse the straddle instance, got {other:?}"),
-    }
-}
-
-/// A *small* number of straddling columns stays within the per-column
-/// rescue cap: the sweep rescues each straddle exactly and still accepts
-/// at the interval tier, with no escalation.
+/// With only 2 such satellites, the straddling columns are rescued where
+/// they stand: their families are swept in `Rat` inside the revised
+/// rung's one sweep, and neither backend escalates to another solve — the
+/// revised rung proves the float values without the LU, and the dense
+/// hybrid certifies the same optimum without its exact fallback.
 #[test]
 fn isolated_straddles_are_rescued_without_escalation() {
-    let lp = straddle_lp(2);
-    let rep = solve_lp(
-        &lp,
-        &LpOptions::new().certify(CertifyMode::IntervalThenExact),
-    )
-    .expect("rescued interval certification");
-    assert_eq!(rep.stats.interval_accepts, 1);
-    assert_eq!(rep.stats.interval_escalations, 0);
+    let lp = tiny_gap_lp(2);
+    let rep = certifies_in_rat_like_the_dense_exact_solve(&lp);
+    assert!(!rep.fallback);
     assert_eq!(rep.solution.objective, r(-1));
+    assert_eq!(rep.stats.certify_lu, 0);
+    let hybrid = solve_lp(&lp, &LpOptions::new().backend(SolverBackend::DenseHybrid))
+        .expect("the dense hybrid never fails");
+    assert!(
+        !hybrid.fallback,
+        "the dense hybrid certified without its exact fallback"
+    );
+    assert_eq!(hybrid.solution.objective, rep.solution.objective);
+    assert_eq!(hybrid.solution.x, rep.solution.x);
+}
+
+/// min x + 2·z  s.t.  x + z ≥ 1,  g·z ≤ g with a capacity g = 2³²: at the
+/// optimum x = 1, and z rests at zero with a reduced cost of 1 read over
+/// the entry g, which passes 2³¹. The basic columns are small, so the
+/// float values are proven without the LU.
+#[test]
+fn a_capacity_entry_past_2_to_the_31_is_swept_in_rat() {
+    let g = Rat::from_int(1 << 32);
+    let mut lp: LpProblem<Rat> = LpProblem::new();
+    let x = lp.add_var(Rat::ONE);
+    let z = lp.add_var(r(2));
+    lp.add_constraint(vec![(x, Rat::ONE), (z, Rat::ONE)], Cmp::Ge, Rat::ONE);
+    lp.add_constraint(vec![(z, g)], Cmp::Le, g);
+    let rep = certifies_in_rat_like_the_dense_exact_solve(&lp);
+    assert_eq!(rep.solution.objective, Rat::ONE);
+    assert_eq!(rep.stats.certify_lu, 0);
+}
+
+/// min x₁ + x₂ + 2³¹·w  s.t.  q₁·x₁ + w ≥ q₁,  q₂·x₂ ≥ q₂ with coprime
+/// q₁, q₂ = 2⁴⁹ ± 1: the basic columns' entries pass 2³¹, so the LU
+/// supplies the duals 1/q₁ and 1/q₂, over the common denominator
+/// q₁·q₂ ≈ 2⁹⁸. Their numerators stay below 2⁶², so the surplus columns
+/// are swept in integers, but w's cost times that denominator passes
+/// `i128`, so w's family is swept in `Rat`.
+#[test]
+fn a_family_whose_i128_sum_would_overflow_is_swept_in_rat() {
+    let (q1, q2) = (Rat::from_int((1 << 49) + 1), Rat::from_int((1 << 49) - 1));
+    let mut lp: LpProblem<Rat> = LpProblem::new();
+    let x1 = lp.add_var(Rat::ONE);
+    let x2 = lp.add_var(Rat::ONE);
+    let w = lp.add_var(Rat::from_int(1 << 31));
+    lp.add_constraint(vec![(x1, q1), (w, Rat::ONE)], Cmp::Ge, q1);
+    lp.add_constraint(vec![(x2, q2)], Cmp::Ge, q2);
+    let rep = certifies_in_rat_like_the_dense_exact_solve(&lp);
+    assert_eq!(rep.solution.objective, r(2));
+    assert_eq!(rep.stats.certify_lu, 1);
 }

@@ -124,39 +124,6 @@ fn intermittent_ftran_panics_leave_survivors_bit_identical() {
     );
 }
 
-/// The `slow_certify` failpoint plus a wall-time budget, under the
-/// default interval-then-exact certification: the deadline checks inside
-/// the *interval tier* (every 512 columns and before each per-column
-/// rescue) convert the injected delay into a typed `BudgetExceeded(Time)`
-/// — the budget machinery is live inside the new tier, not just at the
-/// certifier's entry.
-#[test]
-fn slow_certify_trips_budget_inside_interval_tier() {
-    use abt_lp::{solve_lp, BoundedOptions, BudgetKind, CertifyMode, LpOptions, SolveFailure};
-    let _guard = faultinject::exclusive();
-    let lp = instance(0);
-    for mode in [CertifyMode::Interval, CertifyMode::IntervalThenExact] {
-        // The nth trigger is per-configure: re-arm for each mode.
-        faultinject::configure("slow_certify", FaultSpec::delay_nth(1, 30));
-        let opts = LpOptions::new()
-            .pricing(BoundedOptions {
-                time_budget: Some(std::time::Duration::from_millis(5)),
-                ..BoundedOptions::default()
-            })
-            .certify(mode);
-        match solve_lp(&lp, &opts) {
-            Err(SolveFailure::BudgetExceeded(BudgetKind::Time)) => {}
-            Ok(rep) => {
-                // Timer granularity may let the solve through; then it
-                // must be exactly right.
-                assert_eq!(rep.solution.objective, solve(&lp).objective);
-            }
-            other => panic!("expected a Time budget trip or a clean solve, got {other:?}"),
-        }
-    }
-    faultinject::reset();
-}
-
 /// The `slow_certify` failpoint plus a wall-time budget: the certifier's
 /// deadline check at entry converts the injected delay into a typed
 /// `BudgetExceeded(Time)` instead of a wrong verdict.
