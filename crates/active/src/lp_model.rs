@@ -69,10 +69,9 @@
 //! any optimum and are never sent to a solver. [`DecomposeMode::Off`]
 //! keeps the monolithic solve as the differential oracle.
 //!
-//! Sharding composes with the per-thread slab arena in `abt-lp`
-//! ([`abt_lp::SolveArena`]): each worker thread solving a stream of small
-//! component LPs reuses its scratch buffers instead of churning the global
-//! allocator.
+//! Each component solve allocates its work vectors once and reuses them on
+//! every pivot (see [`abt_lp::bounds`]), so a worker thread solving a
+//! stream of small component LPs allocates per solve, not per pivot.
 //!
 //! # Crash start
 //!

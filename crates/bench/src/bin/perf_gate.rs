@@ -4,8 +4,8 @@
 //!
 //! Checks the fresh record against the committed one by the rules of
 //! [`abt_bench::perf_gate::RULES`] and exits 1 on any failure;
-//! `--correctness-only` skips the timing, effort and certification-tier
-//! rules (see [`abt_bench::perf_gate`]).
+//! `--correctness-only` skips the timing and effort rules (see
+//! [`abt_bench::perf_gate`]).
 
 use abt_bench::bench_record::BenchRecord;
 use abt_bench::perf_gate::gate;

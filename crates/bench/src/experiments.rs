@@ -1525,11 +1525,10 @@ pub fn e20() -> ExperimentReport {
 /// E21 — decomposition scaling: block-diagonal `many_components`
 /// instances solved as one monolithic LP1 (`DecomposeMode::Off`) vs
 /// sharded along the connected components of the job-window interval
-/// graph (`DecomposeMode::Auto`, the default), which fans the per-component
-/// sub-LPs through `parallel_map` and reuses per-thread scratch via the
-/// `abt-lp` slab arena. Objectives must agree bit for bit — the blocks
-/// share nothing, so the stitched rational sum *is* the monolithic
-/// optimum. The Auto-vs-Off speedup at the largest size is the headline
+/// graph (`DecomposeMode::Auto`, the default), which fans the
+/// per-component sub-LPs through `parallel_map`. Objectives must agree bit
+/// for bit — the blocks share nothing, so the stitched rational sum *is*
+/// the monolithic optimum. The Auto-vs-Off speedup at the largest size is the headline
 /// recorded into `BENCH_lp.json`; the pivot/refactorization counts of the
 /// Auto phase are deterministic per instance and gated by CI.
 pub fn e21() -> ExperimentReport {

@@ -147,7 +147,8 @@ pub fn lp_rounding_run(inst: &Instance) -> Result<LpRoundingRun> {
     let kr = kumar_rudra_run(inst)?;
     kr.schedule.validate(inst)?;
     let cost = kr.schedule.total_busy_time(inst);
-    if cost > 2 * kr.profile_bound {
+    // In i128, like `within_four_lp`: twice a bound near `i64::MAX` wraps.
+    if cost as i128 > 2 * kr.profile_bound as i128 {
         return Err(Error::InvalidSchedule(format!(
             "lp_rounding exceeded its factor: cost {cost} > 2×profile bound {}",
             kr.profile_bound

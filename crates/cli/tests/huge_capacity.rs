@@ -16,6 +16,12 @@
 //! own span, so the placement walk pushed intervals until memory ran out,
 //! or built a reversed one and panicked.
 //!
+//! Two more wrapped in release builds and printed wrong answers. Jobs
+//! whose lengths sum past `i64::MAX` gave `busy` a busy time of −2 and
+//! `bounds` an active-time bound below the longest job's length; such a
+//! file is now refused when it is read. And `busy … lp` refused a job of
+//! length `i64::MAX` because twice its profile bound wrapped.
+//!
 //! Every child runs with its address space capped at 1 GiB, so a run that
 //! grows with `g` fails fast instead of exhausting the machine's memory,
 //! and is killed if it is still running after 20 s.
@@ -127,5 +133,41 @@ fn busy_places_a_job_of_length_two_to_the_61() {
                 "{shape} {algo}:\n{stdout}"
             );
         }
+    }
+}
+
+#[test]
+fn a_total_length_past_i64_is_refused() {
+    // Σ p_j = 2⁶⁴ − 2; each job alone fits its window.
+    let text = "g 3\njob -9223372036854775808 0 9223372036854775807\n\
+                job 0 9223372036854775807 9223372036854775807\n";
+    let refusal = "error: parse error on line 3: the jobs' total length exceeds \
+                   9223372036854775807\n";
+    for args in [
+        &["busy", "ff"][..],
+        &["busy", "gt"],
+        &["busy", "kr"],
+        &["busy", "ab"],
+        &["busy", "lp"],
+        &["busy", "preempt"],
+        &["bounds"],
+    ] {
+        let out = abt(&format!("sum-{}", args.join("-")), text, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}:\n{stderr}");
+        assert_eq!(stderr, refusal, "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
+#[test]
+fn lp_rounding_keeps_its_factor_at_a_length_of_i64_max() {
+    let text = "g 2\njob -9223372036854775808 0 9223372036854775807\n";
+    for algo in ["kr", "lp"] {
+        let stdout = answer(&format!("max-{algo}"), text, &["busy", algo]);
+        assert!(
+            stdout.contains("busy time: 9223372036854775807 on 1 machines\n"),
+            "{algo}:\n{stdout}"
+        );
     }
 }

@@ -58,7 +58,8 @@ pub enum Trigger {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
     /// Panic with a message naming the site — exercises the unwind paths
-    /// (arena recycling, `supervised_map`, ladder demotion).
+    /// (`supervised_map`, ladder demotion, and the next solve on the
+    /// panicking thread).
     Panic,
     /// Sleep for the given number of milliseconds — exercises wall-time
     /// budgets without panicking.

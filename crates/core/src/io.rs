@@ -24,10 +24,13 @@ pub fn write_instance(inst: &Instance) -> String {
     out
 }
 
-/// Parses an instance from the text format.
+/// Parses an instance from the text format. The jobs' total length
+/// `Σ p_j` must fit `i64`: it bounds every schedule's cost, so no cost
+/// computed from a parsed instance can wrap.
 pub fn read_instance(text: &str) -> Result<Instance> {
     let mut g: Option<usize> = None;
     let mut jobs = Vec::new();
+    let mut total: i64 = 0;
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
@@ -71,6 +74,10 @@ pub fn read_instance(text: &str) -> Result<Instance> {
                 let job = Job::try_new(r, d, p).ok_or_else(|| Error::Parse {
                     line: lineno + 1,
                     reason: format!("inconsistent job r={r} d={d} p={p}"),
+                })?;
+                total = total.checked_add(p).ok_or_else(|| Error::Parse {
+                    line: lineno + 1,
+                    reason: format!("the jobs' total length exceeds {}", i64::MAX),
                 })?;
                 jobs.push(job);
             }
@@ -126,6 +133,15 @@ mod tests {
         assert!(read_instance("g 2\njob 0 5 9\n").is_err()); // p > window
         assert!(read_instance("g 2\nfrob 1 2 3\n").is_err());
         assert!(read_instance("g 2 7\n").is_err()); // trailing token
+        let max = i64::MAX;
+        assert!(read_instance(&format!("g 1\njob 0 {max} {max}\n")).is_ok());
+        match read_instance(&format!("g 1\njob 0 {max} {max}\njob 0 1 1\n")) {
+            Err(Error::Parse { line, reason }) => {
+                assert_eq!(line, 3);
+                assert_eq!(reason, format!("the jobs' total length exceeds {max}"));
+            }
+            other => panic!("expected a total-length refusal, got {other:?}"),
+        }
     }
 
     #[test]

@@ -97,10 +97,9 @@ where
 /// supervision; the unwind catch is a backstop for whatever the ladder did
 /// not already convert into a typed failure.
 ///
-/// Per-item state that `f` checks out of thread-local pools (the `abt-lp`
-/// `SolveArena`) must be unwind-safe by construction — the arena's
-/// checkout/giveback discipline recycles buffers on drop, so catching the
-/// unwind here never poisons or leaks the pool.
+/// No per-thread solver state survives a caught unwind: an `abt-lp` solve
+/// owns its scratch, which the unwind drops, so the next item on the
+/// thread starts from fresh buffers.
 pub fn supervised_map<T, R, F>(items: Vec<T>, f: F) -> Vec<std::result::Result<R, SolveFailure>>
 where
     T: Send,

@@ -21,11 +21,11 @@
 //!
 //! # Bounded revised simplex
 //!
-//! [`solve_bounded_f64`] runs a two-phase revised simplex in which neither
-//! constant bounds nor VUBs become rows. The pass starts from the
+//! [`solve_bounded_f64_with`] runs a two-phase revised simplex in which
+//! neither constant bounds nor VUBs become rows. The pass starts from the
 //! all-slack/artificial basis and runs phase 1 whenever the form has
-//! artificials — unless the caller hands [`solve_bounded_f64_with`] a
-//! starting basis (a crash start, see [`crate::start::StartBasis`]). That
+//! artificials — unless the caller hands it a starting basis (a crash
+//! start, see [`crate::start::StartBasis`]). That
 //! start is factored *in place of* the all-slack basis, its basic values
 //! are checked against their bounds and VUBs, and phase 1 then runs only
 //! while one of its basic artificials is positive: a start that covers
@@ -84,19 +84,18 @@
 //!
 //! # Scratch space
 //!
-//! Every dense `f64` work vector of the iteration (entering-column image,
-//! simplex-multiplier cost stub, recomputed right-hand sides, the
-//! per-pivot FTRAN/BTRAN solutions via [`SparseLu::solve_pooled`] /
-//! [`SparseLu::solve_transposed_pooled`], eta temporaries) and every
-//! product-form eta column is checked out of the per-thread
-//! [`SolveArena`] and given back when the solve finishes — capacity
-//! survives to the next solve on the thread, so a caller sweeping
-//! thousands of small component LPs (the decomposition layer in
-//! `abt-active`) stops churning the global allocator.
+//! A solve allocates its dense work vectors once, at length `m`, and
+//! reuses them on every iteration: FTRAN and BTRAN read their input from
+//! one work vector (the entering column, the right-hand side of the basic
+//! values, or the basic costs) and write the entering column's image and
+//! the simplex multipliers into vectors of their own. The off-pivot
+//! entries of every product-form eta sit in one slab, which a
+//! refactorization clears without freeing. So an iteration allocates
+//! nothing but the slab's and the glued lists' amortized growth, and
+//! nothing outlives the solve.
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the simplex math
 
-use crate::arena::SolveArena;
 use crate::lu::SparseLu;
 use crate::model::{Cmp, LpProblem};
 use crate::scalar::Scalar;
@@ -474,8 +473,9 @@ impl Factored {
         })
     }
 
-    /// The all-slack/artificial basis of `sf`, factored.
-    fn all_slack(sf: &StandardForm<f64>) -> Option<Factored> {
+    /// The all-slack/artificial basis of `sf`, factored: a unit column
+    /// per row, so never singular.
+    fn all_slack(sf: &StandardForm<f64>) -> Factored {
         let basis = sf.init_basis.clone();
         let mut state = vec![VarState::AtLower; sf.ncols];
         let mut pos = vec![usize::MAX; sf.ncols];
@@ -483,7 +483,7 @@ impl Factored {
             state[j] = VarState::Basic;
             pos[j] = i;
         }
-        Factored::new(sf, basis, state, pos)
+        Factored::new(sf, basis, state, pos).expect("the all-slack basis is an identity")
     }
 }
 
@@ -492,9 +492,6 @@ struct Rev<'a> {
     sf: &'a StandardForm<f64>,
     /// `sf.cols` as one flat slab (see [`FlatCols`]).
     cols: FlatCols,
-    /// Per-thread slab pool the dense/eta scratch is checked out of (and
-    /// given back to in [`Rev::finish`]).
-    arena: &'a mut SolveArena,
     basis: Vec<usize>,
     /// Column → basis position (`usize::MAX` when nonbasic).
     pos: Vec<usize>,
@@ -514,10 +511,22 @@ struct Rev<'a> {
     /// Basic values, parallel to `basis`.
     xb: Vec<f64>,
     lu: SparseLu<f64>,
-    /// Product-form updates since the last refactorization, sparse.
+    /// Product-form updates since the last refactorization, in order.
     etas: Vec<Eta>,
-    /// Total entry count of the eta file (refactorization trigger).
-    eta_nnz: usize,
+    /// The off-pivot entries of every eta, each eta's a contiguous run;
+    /// past the last eta's `end`, the eta being built (see
+    /// [`Rev::sparse_eta`]).
+    eta_slab: Vec<(usize, f64)>,
+    /// The input of the next FTRAN or BTRAN (the entering column, the
+    /// right-hand side of the basic values, or the basic costs), which
+    /// the solve destroys.
+    work: Vec<f64>,
+    /// The LU solves' intermediate vector.
+    lu_scratch: Vec<f64>,
+    /// FTRAN's output: the entering column's image `B̄⁻¹a_q`.
+    w: Vec<f64>,
+    /// BTRAN's output: the simplex multipliers of the current basis.
+    y: Vec<f64>,
     barred: Vec<bool>,
     /// Pricing direction per column (see [`direction`]); kept in step by
     /// [`Rev::set_state`] and recomputed by [`Rev::load_cost`].
@@ -529,10 +538,6 @@ struct Rev<'a> {
     eff: Vec<f64>,
     /// Partial-pricing rotation cursor.
     cursor: usize,
-    /// Scratch dense image of the entering column (sparsely re-zeroed).
-    aq: Vec<f64>,
-    /// Scratch basic-cost vector for the BTRAN of each iteration.
-    cb: Vec<f64>,
     pivots: u64,
     /// `pivots` when phase 1 ended (or stopped).
     phase1_pivots: u64,
@@ -551,21 +556,13 @@ struct Rev<'a> {
 
 /// One product-form update: the basis column at position `r` was replaced
 /// by a column whose `B⁻¹` image is the sparse vector with `pivot` at row
-/// `r` and `rest` elsewhere. The pivot entry is stored out-of-line so the
-/// FTRAN/BTRAN hot loops run branch-free over `rest`.
+/// `r` and `eta_slab[start..end]` elsewhere. The pivot entry is stored
+/// out-of-line so the FTRAN/BTRAN hot loops run branch-free over the rest.
 struct Eta {
     r: usize,
     pivot: f64,
-    rest: Vec<(usize, f64)>,
-}
-
-enum StepOutcome {
-    /// Carries the multipliers of the pricing pass that found no entering
-    /// column, an arena buffer.
-    Optimal(Vec<f64>),
-    Unbounded,
-    Stalled,
-    Budget(BudgetKind),
+    start: usize,
+    end: usize,
 }
 
 /// What the ratio test decided the step runs into.
@@ -615,49 +612,38 @@ impl<'a> Rev<'a> {
     /// its basic values lie within their bounds and VUBs — artificials may
     /// be positive, phase 1 is there for them — else the all-slack basis.
     /// Either is factored once and is not counted as a refactorization.
-    /// `None` only if the all-slack basis itself is singular.
-    fn new(
-        sf: &'a StandardForm<f64>,
-        arena: &'a mut SolveArena,
-        start: Option<&BasisSnapshot>,
-    ) -> Option<Rev<'a>> {
-        // Factor the starting basis before touching the arena, so a
-        // singular start never strands checked-out buffers.
+    fn new(sf: &'a StandardForm<f64>, start: Option<&BasisSnapshot>) -> Rev<'a> {
         let crash = start.and_then(|snap| {
             let pos = snapshot_positions(sf, snap)?;
             Factored::new(sf, snap.basis.clone(), snap.state.clone(), pos)
         });
         let started = crash.is_some();
-        let f = match crash {
-            Some(f) => f,
-            None => Factored::all_slack(sf)?,
-        };
-        let aq = arena.take_f64(sf.m, 0.0);
-        let cb = arena.take_f64(sf.m, 0.0);
+        let f = crash.unwrap_or_else(|| Factored::all_slack(sf));
         let mut keys: Vec<usize> = sf.vub.iter().flatten().copied().collect();
         keys.sort_unstable();
         keys.dedup();
         let mut rev = Rev {
             sf,
             cols: FlatCols::new(&sf.cols),
-            arena,
             basis: f.basis,
             pos: f.pos,
             state: f.state,
             glued: f.glued,
             cost: vec![0.0; sf.ncols],
             aug_cost: vec![0.0; sf.ncols],
-            xb: Vec::new(),
+            xb: vec![0.0; sf.m],
             lu: f.lu,
             etas: Vec::new(),
-            eta_nnz: 0,
+            eta_slab: Vec::new(),
+            work: vec![0.0; sf.m],
+            lu_scratch: vec![0.0; sf.m],
+            w: vec![0.0; sf.m],
+            y: vec![0.0; sf.m],
             barred: vec![false; sf.ncols],
             dir: vec![0.0; sf.ncols],
             keys,
             eff: vec![0.0; sf.ncols],
             cursor: 0,
-            aq,
-            cb,
             pivots: 0,
             phase1_pivots: 0,
             bound_flips: 0,
@@ -669,21 +655,13 @@ impl<'a> Rev<'a> {
         };
         rev.recompute_xb();
         if started && !rev.primal_feasible() {
-            let f = Factored::all_slack(sf)?;
+            let f = Factored::all_slack(sf);
             (rev.basis, rev.pos, rev.state, rev.glued, rev.lu) =
                 (f.basis, f.pos, f.state, f.glued, f.lu);
             rev.started = false;
             rev.recompute_xb();
         }
-        Some(rev)
-    }
-
-    /// Arms the solve budgets from the caller's options. The wall-clock
-    /// deadline starts *now*, covering everything that follows (both
-    /// phases).
-    fn arm_budgets(&mut self, opts: &BoundedOptions) {
-        self.pivot_budget = opts.pivot_budget;
-        self.deadline = opts.stage_deadline();
+        rev
     }
 
     /// Which budget, if any, is exhausted. Called at the top of every
@@ -704,32 +682,22 @@ impl<'a> Rev<'a> {
 
     /// Consumes the solver state into its result. `Stalled` and `Budget`
     /// results carry no basis/state, matching the contract that neither is
-    /// a verdict, and only an `Optimal` one carries the basic values (the
-    /// caller adds the multipliers). The pooled scratch (dense vectors and
-    /// eta columns) is given back to the arena by [`Rev`]'s `Drop` impl
-    /// when `self` goes out of scope here — the same path that recycles it
-    /// on an unwind.
-    fn finish(mut self, status: BoundedStatus) -> BoundedBasis {
+    /// a verdict, and only an `Optimal` one carries the basic values and
+    /// the multipliers of the pricing pass that found no entering column.
+    fn finish(self, status: BoundedStatus) -> BoundedBasis {
         let blank = matches!(status, BoundedStatus::Stalled | BoundedStatus::Budget(_));
         let optimal = status == BoundedStatus::Optimal;
+        let values = |v: Vec<f64>| if optimal { v } else { Vec::new() };
         BoundedBasis {
             status,
-            basis: if blank {
-                Vec::new()
-            } else {
-                std::mem::take(&mut self.basis)
-            },
-            state: if blank {
-                Vec::new()
-            } else {
-                std::mem::take(&mut self.state)
-            },
+            basis: if blank { Vec::new() } else { self.basis },
+            state: if blank { Vec::new() } else { self.state },
             pivots: self.pivots,
             phase1_pivots: self.phase1_pivots,
             bound_flips: self.bound_flips,
             refactorizations: self.refactorizations,
-            xb: if optimal { self.xb.clone() } else { Vec::new() },
-            y: Vec::new(),
+            xb: values(self.xb),
+            y: values(self.y),
         }
     }
 
@@ -817,16 +785,31 @@ impl<'a> Rev<'a> {
         }
     }
 
-    /// The sparse eta column for `w` from the arena pool: keeps the pivot
-    /// entry at `r` unconditionally and drops other near-zero entries.
-    fn sparse_eta(&mut self, w: &[f64], r: usize) -> Vec<(usize, f64)> {
-        let mut col = self.arena.take_pairs();
-        for (i, &v) in w.iter().enumerate() {
+    /// Opens the eta of `w` on the slab's tail: keeps the pivot entry at
+    /// `r` unconditionally and drops other near-zero entries. The step may
+    /// adjust the open eta ([`Rev::bump`]) before [`Rev::push_eta`] files
+    /// it.
+    fn sparse_eta(&mut self, r: usize) {
+        for (i, &v) in self.w.iter().enumerate() {
             if i == r || v.abs() > 1e-12 {
-                col.push((i, v));
+                self.eta_slab.push((i, v));
             }
         }
-        col
+    }
+
+    /// Where the open eta starts on the slab: the end of the last filed
+    /// one.
+    fn open_start(&self) -> usize {
+        self.etas.last().map_or(0, |e| e.end)
+    }
+
+    /// Adds `delta` to the open eta's entry at row `r` (present or not).
+    fn bump(&mut self, r: usize, delta: f64) {
+        let open = self.open_start();
+        match self.eta_slab[open..].iter_mut().find(|(i, _)| *i == r) {
+            Some(e) => e.1 += delta,
+            None => self.eta_slab.push((r, delta)),
+        }
     }
 
     /// The resting value of a *nonbasic* key (`AtLower`/`AtUpper` only —
@@ -844,8 +827,7 @@ impl<'a> Rev<'a> {
     /// *nonbasic* keys (dependents glued to basic keys ride inside the
     /// augmented basis columns instead).
     fn recompute_xb(&mut self) {
-        let mut rhs = self.arena.take_f64(self.sf.m, 0.0);
-        rhs.copy_from_slice(&self.sf.b);
+        self.work.copy_from_slice(&self.sf.b);
         for j in 0..self.sf.ncols {
             let val = match self.state[j] {
                 VarState::AtUpper => self.sf.upper[j].expect("AtUpper implies a finite bound"),
@@ -861,50 +843,46 @@ impl<'a> Rev<'a> {
             };
             if val != 0.0 {
                 for &(i, v) in self.cols.col(j) {
-                    rhs[i] -= val * v;
+                    self.work[i] -= val * v;
                 }
             }
         }
-        let xb = self.ftran(&rhs);
-        self.arena.give_f64(rhs);
-        let old = std::mem::replace(&mut self.xb, xb);
-        self.arena.give_f64(old);
+        // The image lands in `w`; the swap makes it the basic values and
+        // leaves the old ones for the next FTRAN to overwrite.
+        self.ftran();
+        std::mem::swap(&mut self.xb, &mut self.w);
     }
 
-    /// FTRAN through the pooled LU solve and the eta file. The returned
-    /// vector is an arena buffer — the iteration gives it back at the end
-    /// of each pivot, so the per-pivot solves stay allocator-quiet.
-    fn ftran(&mut self, v: &[f64]) -> Vec<f64> {
+    /// FTRAN: `w = B̄⁻¹·work` through the LU and the eta file (`work` is
+    /// destroyed).
+    fn ftran(&mut self) {
         faultinject::hit("panic_in_ftran");
-        let mut x = self.lu.solve_pooled(v, self.arena);
+        let x = &mut self.w;
+        self.lu.solve_into(&mut self.work, &mut self.lu_scratch, x);
         for e in &self.etas {
             let t = x[e.r] / e.pivot;
             if t != 0.0 {
-                for &(i, wi) in &e.rest {
+                for &(i, wi) in &self.eta_slab[e.start..e.end] {
                     x[i] -= wi * t;
                 }
             }
             x[e.r] = t;
         }
-        x
     }
 
-    /// BTRAN through the eta file and the pooled LU solve; like
-    /// [`Rev::ftran`], both the internal copy and the returned vector are
-    /// arena buffers.
-    fn btran(&mut self, c: &[f64]) -> Vec<f64> {
-        let mut cacc = self.arena.take_f64(c.len(), 0.0);
-        cacc.copy_from_slice(c);
+    /// BTRAN: `y = B̄⁻ᵀ·work` through the eta file and the LU (`work` is
+    /// destroyed).
+    fn btran(&mut self) {
+        let c = &mut self.work;
         for e in self.etas.iter().rev() {
             let mut acc = 0.0;
-            for &(i, wi) in &e.rest {
-                acc += cacc[i] * wi;
+            for &(i, wi) in &self.eta_slab[e.start..e.end] {
+                acc += c[i] * wi;
             }
-            cacc[e.r] = (cacc[e.r] - acc) / e.pivot;
+            c[e.r] = (c[e.r] - acc) / e.pivot;
         }
-        let z = self.lu.solve_transposed_pooled(&cacc, self.arena);
-        self.arena.give_f64(cacc);
-        z
+        self.lu
+            .solve_transposed_into(c, &mut self.lu_scratch, &mut self.y);
     }
 
     fn refactor(&mut self) -> bool {
@@ -912,10 +890,8 @@ impl<'a> Rev<'a> {
         match SparseLu::factor(self.sf.m, &cols) {
             Some(lu) => {
                 self.lu = lu;
-                for e in self.etas.drain(..) {
-                    self.arena.give_pairs(e.rest);
-                }
-                self.eta_nnz = 0;
+                self.etas.clear();
+                self.eta_slab.clear();
                 self.refactorizations += 1;
                 self.recompute_xb();
                 true
@@ -924,36 +900,39 @@ impl<'a> Rev<'a> {
         }
     }
 
-    /// Appends an eta to the product-form file, tracking its fill. `col`
-    /// must contain its pivot entry (row `r`), which is split out for the
-    /// branch-free application loops.
-    fn push_eta(&mut self, r: usize, mut col: Vec<(usize, f64)>) {
-        let at = col
+    /// Files the open eta as the update of basis row `r`. Its pivot entry
+    /// (row `r`) is split out for the branch-free application loops, by
+    /// the `swap_remove` that moves the eta's last entry into its place.
+    fn push_eta(&mut self, r: usize) {
+        let start = self.open_start();
+        let at = self.eta_slab[start..]
             .iter()
             .position(|&(i, _)| i == r)
             .expect("eta stores its pivot entry");
-        let pivot = col.swap_remove(at).1;
+        let pivot = self.eta_slab.swap_remove(start + at).1;
         debug_assert!(pivot != 0.0);
-        self.eta_nnz += col.len() + 1;
+        let end = self.eta_slab.len();
         self.etas.push(Eta {
             r,
             pivot,
-            rest: col,
+            start,
+            end,
         });
     }
 
     /// Grows (`sign = 1`) or shrinks (`sign = −1`) the key column at
     /// position `pk` by the column basic at `r`, whose image is `e_r`: the
-    /// eta `(pk, e_pk + sign·e_r)`, pivot exactly 1.
+    /// eta `(pk, e_pk + sign·e_r)`, pivot exactly 1. No eta may be open.
     fn key_eta(&mut self, pk: usize, r: usize, sign: f64) {
-        let mut col = self.arena.take_pairs();
-        col.extend([(r, sign), (pk, 1.0)]);
-        self.push_eta(pk, col);
+        self.eta_slab.extend([(r, sign), (pk, 1.0)]);
+        self.push_eta(pk);
     }
 
-    /// Whether the eta file is long or dense enough to refactorize.
+    /// Whether the eta file is long or dense enough to refactorize (its
+    /// entries, pivots included, past a multiple of the row count).
     fn eta_file_full(&self) -> bool {
-        self.etas.len() >= REFACTOR_EVERY || self.eta_nnz >= ETA_NNZ_PER_ROW * self.sf.m
+        self.etas.len() >= REFACTOR_EVERY
+            || self.eta_slab.len() + self.etas.len() >= ETA_NNZ_PER_ROW * self.sf.m
     }
 
     /// Entering-column selection over the effective reduced costs (see
@@ -965,10 +944,10 @@ impl<'a> Rev<'a> {
     /// rotation doubles as diversification — always chasing the single
     /// most negative reduced cost concentrates the pivots in one VUB
     /// family and multiplies degenerate glue/unglue churn.
-    fn price(&mut self, y: &[f64], bland: bool, window: usize) -> Option<usize> {
+    fn price(&mut self, bland: bool, window: usize) -> Option<usize> {
         let ncols = self.sf.ncols;
         if bland || window == 0 || window >= ncols {
-            self.effective_costs(y, 0..ncols);
+            self.effective_costs(0..ncols);
             let e = &self.eff;
             return if bland {
                 e.iter().position(|&v| v < -ENTER_TOL)
@@ -984,8 +963,8 @@ impl<'a> Rev<'a> {
             let start = self.cursor;
             let end = start + block;
             let (first, second) = (start..end.min(ncols), 0..end.saturating_sub(ncols));
-            self.effective_costs(y, first.clone());
-            self.effective_costs(y, second.clone());
+            self.effective_costs(first.clone());
+            self.effective_costs(second.clone());
             let best = most_improving(&self.eff[first], start, &self.eff[second]);
             self.cursor = if end >= ncols { end - ncols } else { end };
             scanned += block;
@@ -999,7 +978,8 @@ impl<'a> Rev<'a> {
     /// Fills `eff[cols]` with those columns' effective improving reduced
     /// costs (negative = improving) in three straight passes:
     ///
-    /// 1. the plain reduced cost `d_j = c_j − y·A_j` of each column;
+    /// 1. the plain reduced cost `d_j = c_j − y·A_j` of each column, over
+    ///    the multipliers [`Rev::y`];
     /// 2. each key's `d̄_k = d_k + Σ_{glued j} d_j` over its glued list, in
     ///    ascending order (its glued dependents move with it; theirs are
     ///    computed afresh, as they may lie outside `cols`);
@@ -1011,8 +991,9 @@ impl<'a> Rev<'a> {
     ///
     /// Only the priced block is filled, so an iteration's work follows the
     /// pricing window, not the column count.
-    fn effective_costs(&mut self, y: &[f64], cols: Range<usize>) {
+    fn effective_costs(&mut self, cols: Range<usize>) {
         let slab = &self.cols;
+        let y = self.y.as_slice();
         let reduced = |c: f64, entries: &[(usize, f64)]| {
             let mut d = c;
             for &(i, v) in entries {
@@ -1042,39 +1023,32 @@ impl<'a> Rev<'a> {
     /// `freeze_artificials` (phase 2), basic artificials are treated as
     /// having upper bound 0 in the ratio test, so no pivot can ever move
     /// them off zero — without it a cost-0 artificial could silently
-    /// re-absorb constraint violation.
-    fn optimize(&mut self, cost: &[f64], freeze_artificials: bool, window: usize) -> StepOutcome {
+    /// re-absorb constraint violation. Returns `Optimal` when pricing
+    /// finds no entering column (its multipliers are left in `y`), else
+    /// what stopped the loop; never `Infeasible`.
+    fn optimize(&mut self, cost: &[f64], freeze_artificials: bool, window: usize) -> BoundedStatus {
         self.load_cost(cost);
         let mut bland = false;
         let mut degenerate_run = 0usize;
         for _ in 0..iteration_cap(self.sf.m, self.sf.ncols) {
-            // Solve budgets first: at the top of an iteration no dense
-            // temporaries are in flight, so a budget stop (like the
-            // injected panic below) recycles its scratch through the
-            // ordinary `finish`/`Drop` path.
             if let Some(kind) = self.budget_trip() {
-                return StepOutcome::Budget(kind);
+                return BoundedStatus::Budget(kind);
             }
             faultinject::hit("panic_in_pivot");
-            // Simplex multipliers for the current (augmented) basis; the
-            // basic-cost stub is pooled scratch refilled in place. (The
-            // field is swapped out around the call because btran borrows
-            // the solver state mutably for its arena.)
-            for (slot, &v) in self.cb.iter_mut().zip(&self.basis) {
+            // Simplex multipliers for the current (augmented) basis, from
+            // its basic costs.
+            for (slot, &v) in self.work.iter_mut().zip(&self.basis) {
                 *slot = self.cost[v] + self.aug_cost[v];
             }
-            let cb = std::mem::take(&mut self.cb);
-            let y = self.btran(&cb);
-            self.cb = cb;
+            self.btran();
             #[cfg(test)]
             let reference_cursor = self.cursor;
-            let entering = self.price(&y, bland, window);
+            let entering = self.price(bland, window);
             #[cfg(test)]
-            self.check_pricing(&y, bland, window, entering, reference_cursor);
+            self.check_pricing(bland, window, entering, reference_cursor);
             let Some(q) = entering else {
-                return StepOutcome::Optimal(y);
+                return BoundedStatus::Optimal;
             };
-            self.arena.give_f64(y);
             let t = match self.step(q, freeze_artificials) {
                 Ok((_, t)) => t,
                 Err(outcome) => return outcome,
@@ -1088,13 +1062,13 @@ impl<'a> Rev<'a> {
                 degenerate_run = 0;
             }
         }
-        StepOutcome::Stalled
+        BoundedStatus::Stalled
     }
 
     /// One iteration once pricing chose `q`: the FTRAN of its column, the
     /// ratio test and the update. Returns what the step ran into and its
-    /// length, or the outcome that ends the pass.
-    fn step(&mut self, q: usize, freeze_artificials: bool) -> Result<(Hit, f64), StepOutcome> {
+    /// length, or the status that ends the pass.
+    fn step(&mut self, q: usize, freeze_artificials: bool) -> Result<(Hit, f64), BoundedStatus> {
         // Direction: +1 when rising from the lower bound, −1 when
         // descending from the upper bound or coming off the VUB glue.
         let sigma = if self.state[q] == VarState::AtLower {
@@ -1106,27 +1080,19 @@ impl<'a> Rev<'a> {
         // dependents ride along; the dependents of a *basic* key stay
         // inside the basis matrix, so an entering AtVub dependent uses
         // its plain column (the t-parametrization of the glue slack).
+        self.work.fill(0.0);
         for &j in std::iter::once(&q).chain(&self.glued[q]) {
             for &(i, v) in self.cols.col(j) {
-                self.aq[i] += v;
+                self.work[i] += v;
             }
         }
-        let aq = std::mem::take(&mut self.aq);
-        let w = self.ftran(&aq);
-        self.aq = aq;
-        for &j in std::iter::once(&q).chain(&self.glued[q]) {
-            for &(i, _) in self.cols.col(j) {
-                self.aq[i] = 0.0;
-            }
-        }
-        let Some((t, hit)) = self.ratio_test(q, sigma, &w, freeze_artificials) else {
-            self.arena.give_f64(w);
-            return Err(StepOutcome::Unbounded);
+        self.ftran();
+        let Some((t, hit)) = self.ratio_test(q, sigma, freeze_artificials) else {
+            return Err(BoundedStatus::Unbounded);
         };
-        self.apply(q, sigma, t, hit, &w);
-        self.arena.give_f64(w);
+        self.apply(q, sigma, t, hit);
         if self.eta_file_full() && !self.refactor() {
-            return Err(StepOutcome::Stalled);
+            return Err(BoundedStatus::Stalled);
         }
         Ok((hit, t))
     }
@@ -1134,13 +1100,8 @@ impl<'a> Rev<'a> {
     /// The ratio test of entering `q` along direction `σ`, `w = B̄⁻¹a_q`:
     /// the step length and what it runs into, or `None` when nothing
     /// bounds the step (unbounded).
-    fn ratio_test(
-        &self,
-        q: usize,
-        sigma: f64,
-        w: &[f64],
-        freeze_artificials: bool,
-    ) -> Option<(f64, Hit)> {
+    fn ratio_test(&self, q: usize, sigma: f64, freeze_artificials: bool) -> Option<(f64, Hit)> {
+        let w = self.w.as_slice();
         let mut near = Nearest {
             t: f64::INFINITY,
             hit: Hit::FlipTo(VarState::AtLower), // overwritten below
@@ -1258,11 +1219,11 @@ impl<'a> Rev<'a> {
 
     /// Moves the basic values a step `t` along `−σ·w`, except at row
     /// `skip` (the row the entering variable takes over, or `usize::MAX`).
-    fn advance(&mut self, sigma: f64, t: f64, w: &[f64], skip: usize) {
+    fn advance(&mut self, sigma: f64, t: f64, skip: usize) {
         if t > 0.0 {
             for (i, x) in self.xb.iter_mut().enumerate() {
                 if i != skip {
-                    *x -= sigma * t * w[i];
+                    *x -= sigma * t * self.w[i];
                 }
             }
         }
@@ -1281,7 +1242,7 @@ impl<'a> Rev<'a> {
     /// install the entering column at the leaving row `r`, then shrink the
     /// key column the entering variable came off by its own column — which
     /// by then is basis column `r`, image `e_r` (pivot 1).
-    fn apply(&mut self, q: usize, sigma: f64, t: f64, hit: Hit, w: &[f64]) {
+    fn apply(&mut self, q: usize, sigma: f64, t: f64, hit: Hit) {
         // When q was glued to a basic key, its departure shrinks that key
         // column whatever else happens; capture the key's position now —
         // the bookkeeping below may move or evict the key.
@@ -1294,7 +1255,7 @@ impl<'a> Rev<'a> {
         // t·(w_pk − 1)), an ascent from 0, or a descent from the
         // constant bound / nonbasic key's value.
         let enter_value = if let Some(pk) = unglue_pk {
-            self.xb[pk] + t * (w[pk] - 1.0)
+            self.xb[pk] + t * (self.w[pk] - 1.0)
         } else if sigma > 0.0 {
             t
         } else {
@@ -1314,7 +1275,7 @@ impl<'a> Rev<'a> {
                 // changes. (An entering variable glued to a basic key
                 // meets FlipUnglue, never FlipTo.)
                 debug_assert!(unglue_pk.is_none());
-                self.advance(sigma, t, w, usize::MAX);
+                self.advance(sigma, t, usize::MAX);
                 self.set_state(q, new_state);
                 self.bound_flips += 1;
             }
@@ -1324,38 +1285,39 @@ impl<'a> Rev<'a> {
                 // B ← B + A_q·e_pk^T, eta (pk, w + e_pk) with pivot
                 // 1 + w_pk > PIV_TOL by the den check.
                 let pk = self.pos[self.sf.vub[q].expect("FlipGlue implies a VUB")];
-                self.advance(sigma, t, w, usize::MAX);
+                self.advance(sigma, t, usize::MAX);
                 self.set_state(q, VarState::AtVub);
                 self.bound_flips += 1;
-                let mut col = self.sparse_eta(w, pk);
-                bump(&mut col, pk, 1.0);
-                self.push_eta(pk, col);
+                self.sparse_eta(pk);
+                self.bump(pk, 1.0);
+                self.push_eta(pk);
             }
             Hit::FlipUnglue => {
                 // q comes off its basic key down to 0:
                 // B ← B − A_q·e_pk^T, eta (pk, −w + e_pk) with pivot
                 // 1 − w_pk > PIV_TOL by the den check.
                 let pk = self.pos[self.sf.vub[q].expect("FlipUnglue implies a VUB")];
-                self.advance(sigma, t, w, usize::MAX);
+                self.advance(sigma, t, usize::MAX);
                 self.set_state(q, VarState::AtLower);
                 self.bound_flips += 1;
-                let mut col = self.sparse_eta(w, pk);
-                for e in &mut col {
+                self.sparse_eta(pk);
+                let open = self.open_start();
+                for e in &mut self.eta_slab[open..] {
                     e.1 = -e.1;
                 }
-                bump(&mut col, pk, 1.0);
-                self.push_eta(pk, col);
+                self.bump(pk, 1.0);
+                self.push_eta(pk);
             }
             Hit::Leave(r, to) => {
                 let lvar = self.basis[r];
-                self.pivot_in(q, r, sigma, t, w, enter_value);
+                self.pivot_in(q, r, sigma, t, enter_value);
                 self.set_state(lvar, to);
                 // Install A_q at r: eta (r, w), pivot w_r (|w_r| > PIV_TOL
                 // by the ratio test). When q came off a basic key at
                 // pk == r the key itself left, and this is the whole
                 // update.
-                let col = self.sparse_eta(w, r);
-                self.push_eta(r, col);
+                self.sparse_eta(r);
+                self.push_eta(r);
                 if let Some(pk) = unglue_pk.filter(|&pk| pk != r) {
                     self.key_eta(pk, r, -1.0);
                 }
@@ -1368,24 +1330,25 @@ impl<'a> Rev<'a> {
                 let lvar = self.basis[r];
                 let key = self.sf.vub[lvar].expect("LeaveGlue implies a VUB");
                 let pk = self.pos[key];
-                self.pivot_in(q, r, sigma, t, w, enter_value);
+                self.pivot_in(q, r, sigma, t, enter_value);
                 self.set_state(lvar, VarState::AtVub);
-                let mut col = self.sparse_eta(w, r);
-                if pk != usize::MAX {
+                let delta = if pk != usize::MAX {
                     // Key basic at pk: grow its column by A_dep (pivot
                     // 1), then install the entering column, whose
                     // direction against the grown basis differs from w
                     // only at r: w_r − w_pk (|·| = the ratio-test rate).
                     self.key_eta(pk, r, 1.0);
-                    bump(&mut col, r, -w[pk]);
+                    -self.w[pk]
                 } else {
                     // The key is the entering q: install the augmented
                     // column plus the fresh glue in one eta with pivot
                     // 1 + w_r (|·| = the ratio-test rate).
                     debug_assert_eq!(key, q);
-                    bump(&mut col, r, 1.0);
-                }
-                self.push_eta(r, col);
+                    1.0
+                };
+                self.sparse_eta(r);
+                self.bump(r, delta);
+                self.push_eta(r);
                 if let Some(pkq) = unglue_pk {
                     self.key_eta(pkq, r, -1.0);
                 }
@@ -1396,37 +1359,15 @@ impl<'a> Rev<'a> {
     /// The basis bookkeeping of a pivot: `q` turns basic at row `r`
     /// (whose variable the caller then moves to its resting state) with
     /// value `enter_value`, the other basic values advance by the step.
-    fn pivot_in(&mut self, q: usize, r: usize, sigma: f64, t: f64, w: &[f64], enter_value: f64) {
+    fn pivot_in(&mut self, q: usize, r: usize, sigma: f64, t: f64, enter_value: f64) {
         let lvar = self.basis[r];
         self.set_state(q, VarState::Basic);
         self.pos[lvar] = usize::MAX;
         self.basis[r] = q;
         self.pos[q] = r;
         self.pivots += 1;
-        self.advance(sigma, t, w, r);
+        self.advance(sigma, t, r);
         self.xb[r] = enter_value;
-    }
-}
-
-/// Gives every pooled scratch buffer the solver still owns (dense vectors
-/// and eta columns) back to the arena. This is the single recycling point
-/// for **every** exit path: [`Rev::finish`] relies on it for ordinary
-/// returns, and an unwind out of the pivot loop (an injected failpoint, a
-/// defensive `panic!`) runs it too — so a panicking component solve never
-/// leaks the arena's capacity or poisons its pool. Buffers already taken
-/// out by `finish` are capacity-0 `Vec`s by then, which
-/// [`SolveArena::give_f64`] ignores. (Dense temporaries held in locals
-/// mid-iteration — an FTRAN image in flight when a panic fires — are
-/// simply freed by their own drops; the pool loses nothing, it just
-/// re-allocates that buffer on the next checkout.)
-impl Drop for Rev<'_> {
-    fn drop(&mut self) {
-        self.arena.give_f64(std::mem::take(&mut self.aq));
-        self.arena.give_f64(std::mem::take(&mut self.cb));
-        self.arena.give_f64(std::mem::take(&mut self.xb));
-        for e in self.etas.drain(..) {
-            self.arena.give_pairs(e.rest);
-        }
     }
 }
 
@@ -1545,62 +1486,21 @@ pub(crate) fn augmented_column<S: Scalar>(
     out
 }
 
-/// Adds `delta` to the entry at row `r` of a sparse eta column (present or
-/// not).
-fn bump(col: &mut Vec<(usize, f64)>, r: usize, delta: f64) {
-    match col.iter_mut().find(|(i, _)| *i == r) {
-        Some(e) => e.1 += delta,
-        None => col.push((r, delta)),
-    }
-}
-
-/// Two-phase bounded revised simplex over a `StandardForm<f64>` with the
-/// default options, from the all-slack basis. The result is a *proposal*:
-/// callers must verify `Optimal` outcomes exactly and must treat every
-/// other status as "rerun exactly".
-pub fn solve_bounded_f64(sf: &StandardForm<f64>) -> BoundedBasis {
-    solve_bounded_f64_with(sf, &BoundedOptions::default(), None)
-}
-
-/// [`solve_bounded_f64`] with explicit [`BoundedOptions`] and an optional
-/// crash start in `sf`'s columns (see the module docs; `None` is the
-/// all-slack basis). Scratch space comes from (and returns to) the
-/// calling thread's [`SolveArena`].
+/// Two-phase bounded revised simplex over a `StandardForm<f64>` under
+/// `opts`, from a crash start in `sf`'s columns (see the module docs) or,
+/// with `None` or a start that fails its checks, the all-slack basis. The
+/// result is a *proposal*: callers must verify `Optimal` outcomes exactly
+/// and must treat every other status as "rerun exactly".
 pub fn solve_bounded_f64_with(
     sf: &StandardForm<f64>,
     opts: &BoundedOptions,
     start: Option<&BasisSnapshot>,
 ) -> BoundedBasis {
     let mut span = abt_core::obs_span!("solve.pivot", cols = sf.ncols, rows = sf.m);
-    let basis = crate::arena::with_arena(|arena| solve_bounded_pooled(sf, opts, start, arena));
-    span.field("pivots", basis.pivots);
-    span.field("phase1_pivots", basis.phase1_pivots);
-    span.field("status", format_args!("{:?}", basis.status));
-    basis
-}
-
-/// The cold pass: phase 1 (when the start needs it), then phase 2, from
-/// `start` or the all-slack basis (see [`Rev::new`]).
-fn solve_bounded_pooled(
-    sf: &StandardForm<f64>,
-    opts: &BoundedOptions,
-    start: Option<&BasisSnapshot>,
-    arena: &mut SolveArena,
-) -> BoundedBasis {
-    let Some(mut rev) = Rev::new(sf, arena, start) else {
-        return BoundedBasis {
-            status: BoundedStatus::Stalled,
-            basis: Vec::new(),
-            state: Vec::new(),
-            pivots: 0,
-            phase1_pivots: 0,
-            bound_flips: 0,
-            refactorizations: 0,
-            xb: Vec::new(),
-            y: Vec::new(),
-        };
-    };
-    rev.arm_budgets(opts);
+    let mut rev = Rev::new(sf, start);
+    // The wall-clock deadline starts now and covers both phases.
+    rev.pivot_budget = opts.pivot_budget;
+    rev.deadline = opts.stage_deadline();
     let window = opts.pricing_window;
     // From the all-slack basis phase 1 runs whenever the form has
     // artificials; from a crash start only while a basic artificial is
@@ -1610,41 +1510,32 @@ fn solve_bounded_pooled(
     } else {
         sf.n_art > 0
     };
-    if phase1 {
-        let cost1: Vec<f64> = (0..sf.ncols)
-            .map(|j| if sf.artificial[j] { 1.0 } else { 0.0 })
-            .collect();
-        let outcome = rev.optimize(&cost1, false, window);
-        rev.phase1_pivots = rev.pivots;
-        match outcome {
-            StepOutcome::Optimal(y) => rev.arena.give_f64(y),
-            StepOutcome::Budget(k) => return rev.finish(BoundedStatus::Budget(k)),
-            // Phase 1 is bounded below by 0; treat anything else as a stall.
-            StepOutcome::Unbounded | StepOutcome::Stalled => {
-                return rev.finish(BoundedStatus::Stalled)
+    let status = 'pass: {
+        if phase1 {
+            let cost1: Vec<f64> = (0..sf.ncols)
+                .map(|j| if sf.artificial[j] { 1.0 } else { 0.0 })
+                .collect();
+            let outcome = rev.optimize(&cost1, false, window);
+            rev.phase1_pivots = rev.pivots;
+            match outcome {
+                BoundedStatus::Optimal => {}
+                BoundedStatus::Budget(k) => break 'pass BoundedStatus::Budget(k),
+                // Phase 1 is bounded below by 0; treat anything else as a
+                // stall.
+                _ => break 'pass BoundedStatus::Stalled,
+            }
+            if rev.infeasibility() > FEAS_TOL {
+                break 'pass BoundedStatus::Infeasible;
             }
         }
-        if rev.infeasibility() > FEAS_TOL {
-            return rev.finish(BoundedStatus::Infeasible);
-        }
-    }
-    rev.bar_artificials();
-    let (status, y) = match rev.optimize(&sf.cost, true, window) {
-        StepOutcome::Optimal(y) => {
-            // The multipliers that proved optimality travel with the
-            // proposal to the exact certifier.
-            let kept = y.to_vec();
-            rev.arena.give_f64(y);
-            (BoundedStatus::Optimal, kept)
-        }
-        StepOutcome::Unbounded => (BoundedStatus::Unbounded, Vec::new()),
-        StepOutcome::Stalled => return rev.finish(BoundedStatus::Stalled),
-        StepOutcome::Budget(k) => return rev.finish(BoundedStatus::Budget(k)),
+        rev.bar_artificials();
+        rev.optimize(&sf.cost, true, window)
     };
-    BoundedBasis {
-        y,
-        ..rev.finish(status)
-    }
+    let basis = rev.finish(status);
+    span.field("pivots", basis.pivots);
+    span.field("phase1_pivots", basis.phase1_pivots);
+    span.field("status", format_args!("{:?}", basis.status));
+    basis
 }
 
 #[cfg(test)]
@@ -1763,13 +1654,12 @@ mod tests {
         /// does.
         pub(super) fn check_pricing(
             &self,
-            y: &[f64],
             bland: bool,
             window: usize,
             entering: Option<usize>,
             mut cursor: usize,
         ) {
-            let expected = self.price_reference(y, bland, window, &mut cursor);
+            let expected = self.price_reference(&self.y, bland, window, &mut cursor);
             assert_eq!(
                 (entering, self.cursor),
                 (expected, cursor),
@@ -1856,7 +1746,7 @@ mod tests {
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 10.0);
         lp.set_upper(x, 5.0);
         let s = sf(&lp);
-        let out = solve_bounded_f64(&s);
+        let out = solve_bounded_f64_with(&s, &BoundedOptions::default(), None);
         assert_eq!(out.status, BoundedStatus::Optimal);
         assert_eq!(out.state[x], VarState::AtUpper);
         // The slack stayed basic: no pivot happened at all.
@@ -1872,7 +1762,7 @@ mod tests {
         inf.add_constraint(vec![(x, 1.0)], Cmp::Ge, 3.0);
         inf.set_upper(x, 1.0);
         assert_eq!(
-            solve_bounded_f64(&sf(&inf)).status,
+            solve_bounded_f64_with(&sf(&inf), &BoundedOptions::default(), None).status,
             BoundedStatus::Infeasible
         );
 
@@ -1880,7 +1770,7 @@ mod tests {
         let x = unb.add_var(-1.0);
         unb.add_constraint(vec![(x, 1.0)], Cmp::Ge, 1.0);
         assert_eq!(
-            solve_bounded_f64(&sf(&unb)).status,
+            solve_bounded_f64_with(&sf(&unb), &BoundedOptions::default(), None).status,
             BoundedStatus::Unbounded
         );
     }
@@ -1896,7 +1786,7 @@ mod tests {
         lp.set_upper(y, 4.0);
         lp.set_vub(x, y);
         let s = sf(&lp);
-        let out = solve_bounded_f64(&s);
+        let out = solve_bounded_f64_with(&s, &BoundedOptions::default(), None);
         assert_eq!(out.status, BoundedStatus::Optimal);
         // x rests on its VUB (glued) or basic at the same value; either way
         // the proposal must be consistent enough for exact verification —
@@ -2042,9 +1932,11 @@ mod tests {
             basis: basis.to_vec(),
             state,
         };
-        let mut arena = SolveArena::new();
-        let mut rev = Rev::new(&sf, &mut arena, Some(&snap)).expect("the start factors");
-        assert!(rev.started, "the hand-written basis is primal feasible");
+        let mut rev = Rev::new(&sf, Some(&snap));
+        assert!(
+            rev.started,
+            "the hand-written basis factors and is primal feasible"
+        );
         rev.load_cost(&sf.cost);
         let Ok((hit, _)) = rev.step(q, true) else {
             panic!("the step is bounded");
@@ -2065,9 +1957,13 @@ mod tests {
                     }
                 })
                 .collect();
+            rev.work.copy_from_slice(&v);
+            rev.ftran();
+            rev.work.copy_from_slice(&v);
+            rev.btran();
             for (got, want) in [
-                (rev.ftran(&v), fresh.solve(&v)),
-                (rev.btran(&v), fresh.solve_transposed(&v)),
+                (&rev.w, fresh.solve(&v)),
+                (&rev.y, fresh.solve_transposed(&v)),
             ] {
                 for (g, w) in got.iter().zip(&want) {
                     assert!(
@@ -2376,7 +2272,7 @@ mod tests {
             (a, b) => panic!("{what}: verdicts differ: {a:?} against {b:?}"),
         };
         let sf = StandardForm::build(lp);
-        let prop = solve_bounded_f64(&sf.to_f64());
+        let prop = solve_bounded_f64_with(&sf.to_f64(), &BoundedOptions::default(), None);
         if prop.status != BoundedStatus::Optimal {
             return None;
         }

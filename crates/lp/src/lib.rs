@@ -11,10 +11,10 @@
 //! partial pricing, exact verification of the float pass's own basic
 //! values and duals (rounded to rationals and proven by integer residuals
 //! and a rank check modulo a prime, with a sparse rational LU of the
-//! key-column-augmented basis matrix, [`lu`], as the fallback), and
-//! per-thread scratch reuse through the slab arena ([`arena`]) — the
-//! default path for the active-time LPs. The [`start`] module adds
-//! **crash starts**:
+//! key-column-augmented basis matrix, [`lu`], as the fallback), and a
+//! pivot loop that allocates its work vectors once per solve and keeps
+//! its eta file in one slab — the default path for the active-time LPs.
+//! The [`start`] module adds **crash starts**:
 //! a [`StartBasis`] a caller builds for a cold solve
 //! ([`LpOptions::start`]), so phase 1 runs only on what it leaves
 //! infeasible.
@@ -64,7 +64,6 @@
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod arena;
 pub mod bounds;
 pub mod lu;
 pub mod model;
@@ -76,10 +75,9 @@ pub mod start;
 
 pub use abt_core::error::{BudgetKind, SolveFailure};
 pub use api::{solve_lp, LpOptions, LpReport, SolverBackend};
-pub use arena::{with_arena, ArenaStats, SolveArena};
 pub use bounds::{
-    solve_bounded_f64, solve_bounded_f64_with, BoundedBasis, BoundedOptions, BoundedStatus,
-    StandardForm, VarState, DEFAULT_PRICING_WINDOW, TIME_CHECK_EVERY,
+    solve_bounded_f64_with, BoundedBasis, BoundedOptions, BoundedStatus, StandardForm, VarState,
+    DEFAULT_PRICING_WINDOW, TIME_CHECK_EVERY,
 };
 pub use lu::SparseLu;
 pub use model::{Cmp, Constraint, LpProblem, VarId};

@@ -29,7 +29,6 @@
 //! exactly nonzero pivot is valid and the magnitude preference merely keeps
 //! intermediate numerators small.
 
-use crate::arena::SolveArena;
 use crate::scalar::Scalar;
 
 /// How many candidate columns the pivot search inspects per step.
@@ -255,7 +254,7 @@ impl<S: Scalar> SparseLu<S> {
     /// FTRAN core on caller-provided length-`m` buffers: `y` holds the
     /// right-hand side on entry and is destroyed; `xstep` is scratch; `x`
     /// receives the solution (every entry is overwritten).
-    fn solve_into(&self, y: &mut [S], xstep: &mut [S], x: &mut [S]) {
+    pub(crate) fn solve_into(&self, y: &mut [S], xstep: &mut [S], x: &mut [S]) {
         for k in 0..self.m {
             let yk = y[self.steprow[k]].clone();
             if !yk.is_zero_s() {
@@ -293,7 +292,7 @@ impl<S: Scalar> SparseLu<S> {
     /// BTRAN core on caller-provided length-`m` buffers: `cacc` holds the
     /// cost vector on entry and is destroyed; `w` is scratch; `z` receives
     /// the solution (every entry is overwritten).
-    fn solve_transposed_into(&self, cacc: &mut [S], w: &mut [S], z: &mut [S]) {
+    pub(crate) fn solve_transposed_into(&self, cacc: &mut [S], w: &mut [S], z: &mut [S]) {
         for k in 0..self.m {
             let wk = cacc[self.stepcol[k]].div(&self.upiv[k]);
             if !wk.is_zero_s() {
@@ -318,39 +317,6 @@ impl<S: Scalar> SparseLu<S> {
     /// Matrix dimension.
     pub fn dim(&self) -> usize {
         self.m
-    }
-}
-
-impl SparseLu<f64> {
-    /// [`SparseLu::solve`] with every work vector drawn from (and the
-    /// scratch returned to) `arena`. The returned solution is itself an
-    /// arena buffer — give it back when done to keep the revised simplex's
-    /// per-pivot FTRANs allocator-quiet.
-    pub fn solve_pooled(&self, v: &[f64], arena: &mut SolveArena) -> Vec<f64> {
-        assert_eq!(v.len(), self.m);
-        let mut y = arena.take_f64(self.m, 0.0);
-        y.copy_from_slice(v);
-        let mut xstep = arena.take_f64(self.m, 0.0);
-        let mut x = arena.take_f64(self.m, 0.0);
-        self.solve_into(&mut y, &mut xstep, &mut x);
-        arena.give_f64(y);
-        arena.give_f64(xstep);
-        x
-    }
-
-    /// [`SparseLu::solve_transposed`] with every work vector drawn from
-    /// (and the scratch returned to) `arena`; the returned solution is an
-    /// arena buffer.
-    pub fn solve_transposed_pooled(&self, c: &[f64], arena: &mut SolveArena) -> Vec<f64> {
-        assert_eq!(c.len(), self.m);
-        let mut cacc = arena.take_f64(self.m, 0.0);
-        cacc.copy_from_slice(c);
-        let mut w = arena.take_f64(self.m, 0.0);
-        let mut z = arena.take_f64(self.m, 0.0);
-        self.solve_transposed_into(&mut cacc, &mut w, &mut z);
-        arena.give_f64(cacc);
-        arena.give_f64(w);
-        z
     }
 }
 

@@ -1813,7 +1813,7 @@ pub(crate) mod tests {
         edit: impl FnOnce(&mut BoundedBasis),
     ) -> (Option<LpSolution<Rat>>, u64) {
         let sf = StandardForm::build(lp);
-        let mut prop = crate::bounds::solve_bounded_f64(&sf.to_f64());
+        let mut prop = solve_bounded_f64_with(&sf.to_f64(), &BoundedOptions::default(), None);
         assert_eq!(prop.status, BoundedStatus::Optimal);
         edit(&mut prop);
         let (out, tally) = verify_bounded(lp, &sf, &prop, None);
@@ -1902,7 +1902,7 @@ pub(crate) mod tests {
         let x = lp.add_var(p);
         lp.add_constraint(vec![(x, p)], Cmp::Ge, p);
         let sf = StandardForm::build(&lp);
-        let prop = crate::bounds::solve_bounded_f64(&sf.to_f64());
+        let prop = solve_bounded_f64_with(&sf.to_f64(), &BoundedOptions::default(), None);
         assert_eq!(
             (prop.basis.as_slice(), prop.xb.as_slice()),
             ([x].as_slice(), [1.0].as_slice())
