@@ -15,13 +15,21 @@
 //! Summing over rounds, the cost charges the demand-profile lower bound at
 //! most twice.
 //!
-//! **Track extraction.** The remaining jobs' demand profile has a segment
-//! between every two consecutive event times, so the idle arcs' demands
-//! come from one difference array over event indices. Job `k` of the
-//! remaining list is the graph's `k`-th arc, so a path edge `e` (forward
-//! edges are even) names job `e / 2` when that is below the list's length,
-//! and an idle arc otherwise. A round drops the extracted jobs from the
-//! remaining list through a taken mask.
+//! **Track extraction.** The run sorts every job's two event times once
+//! and keeps each job's positions in that list. An extraction marks the
+//! events of the remaining jobs and numbers the marked ones in time
+//! order, which is the sorted, deduplicated event list of the remaining
+//! jobs without sorting it again. The remaining jobs' demand profile has
+//! a segment between every two consecutive events, so the idle arcs'
+//! demands come from one difference array over those numbers. Job `k` of
+//! the remaining list is the graph's `k`-th arc, so a path edge `e`
+//! (forward edges are even) names job `e / 2` when that is below the
+//! list's length, and an idle arc otherwise. Every extraction of a run
+//! builds its network in one [`FlowGraph`], cleared in place, with the
+//! flow and decomposition buffers it keeps; a node lists its arcs in the
+//! order they were added, so each extraction returns the tracks a fresh
+//! graph would. A round drops the extracted jobs from the remaining list
+//! through a taken mask.
 
 use abt_core::{BusySchedule, DemandProfile, Error, Instance, JobId, Result, Time};
 use abt_flow::{decompose_unit_paths, max_flow_limited, FlowGraph};
@@ -39,20 +47,31 @@ pub struct AlicherryBhatiaRun {
 
 /// Runs Alicherry–Bhatia on an interval instance.
 pub fn alicherry_bhatia(inst: &Instance) -> Result<BusySchedule> {
-    Ok(alicherry_bhatia_run(inst)?.schedule)
+    Ok(pack(inst)?.0)
 }
 
 /// Runs Alicherry–Bhatia, returning diagnostics.
 pub fn alicherry_bhatia_run(inst: &Instance) -> Result<AlicherryBhatiaRun> {
+    let (schedule, rounds) = pack(inst)?;
+    let profile_bound =
+        DemandProfile::new(&inst.jobs().iter().map(|j| j.window()).collect::<Vec<_>>())
+            .cost(inst.g());
+    Ok(AlicherryBhatiaRun {
+        schedule,
+        profile_bound,
+        rounds,
+    })
+}
+
+/// The schedule and the number of two-bundle rounds.
+fn pack(inst: &Instance) -> Result<(BusySchedule, usize)> {
     if !inst.is_interval_instance() {
         return Err(Error::Unsupported(
             "alicherry_bhatia requires interval jobs; use flexible::solve for general jobs".into(),
         ));
     }
     let g = inst.g();
-    let profile_bound =
-        DemandProfile::new(&inst.jobs().iter().map(|j| j.window()).collect::<Vec<_>>()).cost(g);
-
+    let mut tracks = Tracks::new(inst);
     let mut remaining: Vec<JobId> = (0..inst.len()).collect();
     let mut taken = vec![false; inst.len()];
     let mut parts: Vec<Vec<JobId>> = Vec::new();
@@ -65,7 +84,7 @@ pub fn alicherry_bhatia_run(inst: &Instance) -> Result<AlicherryBhatiaRun> {
             if remaining.is_empty() {
                 break;
             }
-            let (track_a, track_b) = extract_two_tracks(inst, &remaining);
+            let (track_a, track_b) = tracks.extract(&remaining);
             if track_a.is_empty() && track_b.is_empty() {
                 break; // both paths all-idle: demand exhausted
             }
@@ -83,64 +102,106 @@ pub fn alicherry_bhatia_run(inst: &Instance) -> Result<AlicherryBhatiaRun> {
             parts.push(bundle_b);
         }
     }
-    let schedule = BusySchedule::from_interval_partition(inst, parts);
-    Ok(AlicherryBhatiaRun {
-        schedule,
-        profile_bound,
-        rounds,
-    })
+    Ok((BusySchedule::from_interval_partition(inst, parts), rounds))
 }
 
-/// Builds the event graph of `jobs` and extracts one 2-unit flow, returning
-/// the job sets of the two unit paths.
-fn extract_two_tracks(inst: &Instance, jobs: &[JobId]) -> (Vec<JobId>, Vec<JobId>) {
-    let _span = abt_core::obs_span!("busy.ab.tracks");
-    // Event times.
-    let mut events: Vec<Time> = Vec::with_capacity(jobs.len() * 2);
-    for &j in jobs {
-        events.push(inst.job(j).release);
-        events.push(inst.job(j).deadline);
-    }
-    events.sort_unstable();
-    events.dedup();
-    if events.is_empty() {
-        return (Vec::new(), Vec::new());
-    }
-    let node_of = |t: Time| -> usize { events.binary_search(&t).unwrap() };
+/// Marks an event that no remaining job has.
+const NO_NODE: usize = usize::MAX;
 
-    let mut graph = FlowGraph::new(events.len());
-    // Job arcs: job `jobs[k]` is edge `2k`. Each adds one unit of demand
-    // from its start event to its end event.
-    let mut demand = vec![0i64; events.len()];
-    for &j in jobs {
-        let (a, b) = (node_of(inst.job(j).release), node_of(inst.job(j).deadline));
-        graph.add_edge(a, b, 1);
-        demand[a] += 1;
-        demand[b] -= 1;
+/// One run's event numbering and the network its extractions rebuild in
+/// place.
+struct Tracks {
+    /// Per job: the positions of its release and deadline among every
+    /// job's event times, sorted and deduplicated.
+    ends: Vec<(usize, usize)>,
+    /// Per event: its node in the current extraction's graph, or
+    /// [`NO_NODE`] when no remaining job has it.
+    node: Vec<usize>,
+    /// Per node: the demand change there.
+    demand: Vec<i64>,
+    graph: FlowGraph,
+}
+
+impl Tracks {
+    fn new(inst: &Instance) -> Tracks {
+        let mut events: Vec<Time> = Vec::with_capacity(inst.len() * 2);
+        for j in inst.jobs() {
+            events.push(j.release);
+            events.push(j.deadline);
+        }
+        events.sort_unstable();
+        events.dedup();
+        let at = |t: Time| -> usize { events.partition_point(|&e| e < t) };
+        let ends = inst
+            .jobs()
+            .iter()
+            .map(|j| (at(j.release), at(j.deadline)))
+            .collect();
+        Tracks {
+            node: vec![NO_NODE; events.len()],
+            demand: Vec::with_capacity(events.len()),
+            graph: FlowGraph::new(events.len()),
+            ends,
+        }
     }
-    // Idle arcs between consecutive events: capacity 2 across zero-demand
-    // gaps, 1 inside the support (so at every positive-demand point at most
-    // one of the two unit paths idles — i.e. at least one is in a job, which
-    // is exactly the "reduce demand by ≥ 1 everywhere" property).
-    let mut load = 0;
-    for (w, &delta) in demand[..events.len() - 1].iter().enumerate() {
-        load += delta;
-        let cap = if load == 0 { 2 } else { 1 };
-        graph.add_edge(w, w + 1, cap);
+
+    /// Builds the event graph of `jobs` and extracts one 2-unit flow,
+    /// returning the job sets of the two unit paths.
+    fn extract(&mut self, jobs: &[JobId]) -> (Vec<JobId>, Vec<JobId>) {
+        let _span = abt_core::obs_span!("busy.ab.tracks");
+        // Mark the remaining jobs' events, then number the marked ones in
+        // time order.
+        self.node.fill(NO_NODE);
+        for &j in jobs {
+            let (a, b) = self.ends[j];
+            self.node[a] = 0;
+            self.node[b] = 0;
+        }
+        let mut nodes = 0;
+        for node in self.node.iter_mut().filter(|node| **node != NO_NODE) {
+            *node = nodes;
+            nodes += 1;
+        }
+        if nodes == 0 {
+            return (Vec::new(), Vec::new());
+        }
+        let graph = &mut self.graph;
+        graph.clear(nodes);
+        // Job arcs: job `jobs[k]` is edge `2k`. Each adds one unit of demand
+        // from its start event to its end event.
+        self.demand.clear();
+        self.demand.resize(nodes, 0);
+        for &j in jobs {
+            let (a, b) = self.ends[j];
+            let (a, b) = (self.node[a], self.node[b]);
+            graph.add_edge(a, b, 1);
+            self.demand[a] += 1;
+            self.demand[b] -= 1;
+        }
+        // Idle arcs between consecutive events: capacity 2 across zero-demand
+        // gaps, 1 inside the support (so at every positive-demand point at most
+        // one of the two unit paths idles — i.e. at least one is in a job, which
+        // is exactly the "reduce demand by ≥ 1 everywhere" property).
+        let mut load = 0;
+        for (w, &delta) in self.demand[..nodes - 1].iter().enumerate() {
+            load += delta;
+            let cap = if load == 0 { 2 } else { 1 };
+            graph.add_edge(w, w + 1, cap);
+        }
+        let s = 0;
+        let t = nodes - 1;
+        let flow = max_flow_limited(graph, s, t, Some(2));
+        debug_assert_eq!(flow.value, 2, "event graph always carries a 2-flow");
+        let paths = decompose_unit_paths(graph, s, t);
+        let mut tracks: Vec<Vec<JobId>> = paths
+            .iter()
+            .map(|p| p.iter().filter_map(|&e| jobs.get(e / 2).copied()).collect())
+            .collect();
+        tracks.resize(2, Vec::new());
+        let b = tracks.pop().unwrap();
+        let a = tracks.pop().unwrap();
+        (a, b)
     }
-    let s = 0;
-    let t = events.len() - 1;
-    let flow = max_flow_limited(&mut graph, s, t, Some(2));
-    debug_assert_eq!(flow.value, 2, "event graph always carries a 2-flow");
-    let paths = decompose_unit_paths(&mut graph, s, t);
-    let mut tracks: Vec<Vec<JobId>> = paths
-        .iter()
-        .map(|p| p.iter().filter_map(|&e| jobs.get(e / 2).copied()).collect())
-        .collect();
-    tracks.resize(2, Vec::new());
-    let b = tracks.pop().unwrap();
-    let a = tracks.pop().unwrap();
-    (a, b)
 }
 
 #[cfg(test)]

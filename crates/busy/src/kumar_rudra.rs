@@ -76,11 +76,20 @@ pub fn kumar_rudra_run(inst: &Instance) -> Result<KumarRudraRun> {
             "kumar_rudra requires interval jobs; use flexible::solve for general jobs".into(),
         ));
     }
+    let real: Vec<Interval> = inst.jobs().iter().map(|j| j.window()).collect();
+    kumar_rudra_on(inst, &real, &DemandProfile::new(&real))
+}
+
+/// [`kumar_rudra_run`] on an interval instance whose job windows `real`
+/// and their demand profile the caller has already built.
+pub(crate) fn kumar_rudra_on(
+    inst: &Instance,
+    real: &[Interval],
+    profile: &DemandProfile,
+) -> Result<KumarRudraRun> {
     let g = inst.g();
-    let (units, level_members, profile_bound) = {
+    let (units, level_members) = {
         let _span = abt_core::obs_span!("busy.kr.levels");
-        let real: Vec<Interval> = inst.jobs().iter().map(|j| j.window()).collect();
-        let profile = DemandProfile::new(&real);
         let padded: u128 = profile
             .segments()
             .iter()
@@ -93,13 +102,13 @@ pub fn kumar_rudra_run(inst: &Instance) -> Result<KumarRudraRun> {
             )));
         }
         // Phase 0: pad to multiples of g.
-        let units = padded_units(&profile, &real, g);
+        let units = padded_units(profile, real, g);
         // Phase 1: levels.
         let max_level = profile.max_raw_demand().div_ceil(g) * g;
         let segments = profile.segments().len();
         let level_members = greedy_levels(&units, max_level, segments)
             .unwrap_or_else(|| cover_levels(&units, max_level));
-        (units, level_members, profile.cost(g))
+        (units, level_members)
     };
     let parts = {
         let _span = abt_core::obs_span!("busy.kr.bands");
@@ -107,7 +116,7 @@ pub fn kumar_rudra_run(inst: &Instance) -> Result<KumarRudraRun> {
     };
     Ok(KumarRudraRun {
         schedule: BusySchedule::from_interval_partition(inst, parts),
-        profile_bound,
+        profile_bound: profile.cost(g),
         levels: level_members.len() - 1,
     })
 }

@@ -32,7 +32,7 @@
 //! of a level overlap anywhere; two machines per band of `g` levels;
 //! parity 2-coloring per level). That padding is exactly Kumar–Rudra's
 //! own pad to a multiple of `g`, so the schedule is
-//! [`kumar_rudra_run`]'s. The packed cost is at most
+//! [`kumar_rudra_run`](crate::kumar_rudra_run)'s. The packed cost is at most
 //! `2·Σ len_i·m_i = 2 ×` the integral profile bound (`2·OPT`), and since
 //! `⌈z⌉ ≤ 2z` for `z ≥ 1`, at most **4 × the LP value**. Every output is
 //! validated against [`BusySchedule::validate`] and checked against both
@@ -56,10 +56,10 @@
 //! assert!(cost >= busy_lower_bounds(&inst).best());
 //! ```
 
-use abt_core::{busy_lower_bounds, BusySchedule, DemandProfile, Error, Instance, Interval, Result};
+use abt_core::{BusyBounds, BusySchedule, DemandProfile, Error, Instance, Interval, Result};
 use abt_lp::Rat;
 
-use crate::kumar_rudra::kumar_rudra_run;
+use crate::kumar_rudra::kumar_rudra_on;
 
 /// Busy-LP solve counters, kept because the `perfbench` harness reads them.
 /// No busy LP is solved, so both fields always read 0.
@@ -136,7 +136,8 @@ pub fn lp_rounding_run(inst: &Instance) -> Result<LpRoundingRun> {
     }
     let g = inst.g() as i128;
     let windows: Vec<Interval> = inst.jobs().iter().map(|j| j.window()).collect();
-    let numer: i128 = DemandProfile::new(&windows)
+    let profile = DemandProfile::new(&windows);
+    let numer: i128 = profile
         .segments()
         .iter()
         .filter(|&&(_, d)| d > 0)
@@ -144,7 +145,7 @@ pub fn lp_rounding_run(inst: &Instance) -> Result<LpRoundingRun> {
         .sum();
     let lp_objective = Rat::new(numer, g);
 
-    let kr = kumar_rudra_run(inst)?;
+    let kr = kumar_rudra_on(inst, &windows, &profile)?;
     kr.schedule.validate(inst)?;
     let cost = kr.schedule.total_busy_time(inst);
     // In i128, like `within_four_lp`: twice a bound near `i64::MAX` wraps.
@@ -154,7 +155,7 @@ pub fn lp_rounding_run(inst: &Instance) -> Result<LpRoundingRun> {
             kr.profile_bound
         )));
     }
-    if cost < busy_lower_bounds(inst).best() {
+    if cost < lower_bound(inst, &profile, kr.profile_bound) {
         return Err(Error::InvalidSchedule(format!(
             "lp_rounding undercut the busy lower bound: cost {cost}"
         )));
@@ -174,11 +175,27 @@ pub fn lp_rounding_run(inst: &Instance) -> Result<LpRoundingRun> {
     Ok(run)
 }
 
+/// [`busy_lower_bounds`](abt_core::busy_lower_bounds)`(inst).best()` on an
+/// interval instance, from the demand profile of its windows and that
+/// profile's bound: the mass bound, the windows' span and the profile
+/// bound.
+fn lower_bound(inst: &Instance, profile: &DemandProfile, profile_bound: i64) -> i64 {
+    let g = i64::try_from(inst.g()).unwrap_or(i64::MAX);
+    let total = inst.total_length();
+    BusyBounds {
+        mass: total / g + i64::from(total % g != 0),
+        span: profile.span(),
+        profile: profile_bound,
+    }
+    .best()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exact::exact_busy_time;
-    use abt_core::{within_factor, Job};
+    use crate::kumar_rudra::kumar_rudra_run;
+    use abt_core::{busy_lower_bounds, within_factor, Job};
 
     fn interval_inst(ivs: &[(i64, i64)], g: usize) -> Instance {
         Instance::new(ivs.iter().map(|&(a, b)| Job::interval(a, b)).collect(), g).unwrap()
@@ -194,7 +211,13 @@ mod tests {
             "cost {cost} > 2×profile {}",
             run.profile_bound
         );
-        assert!(cost >= busy_lower_bounds(inst).best());
+        let windows: Vec<Interval> = inst.jobs().iter().map(|j| j.window()).collect();
+        let best = busy_lower_bounds(inst).best();
+        assert_eq!(
+            lower_bound(inst, &DemandProfile::new(&windows), run.profile_bound),
+            best
+        );
+        assert!(cost >= best);
         run
     }
 

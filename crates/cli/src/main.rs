@@ -53,12 +53,14 @@
 //! ones). `incremental`'s totals line also counts the jobs the driver
 //! re-partitioned into components (`incremental.jobs_regrouped`).
 //! `busy` with an interval algorithm (`ff`, `gt`, `kr`, `ab`, `lp`) prints
-//! the same kind of line for its two phases: the min-span placement
+//! the same kind of line for its three phases: reading the instance file's
+//! text (`parse`, `abt-core`'s `core.parse` span), the min-span placement
 //! (`span`) and the interval algorithm's packing (`pack`); `kr` and `lp`
 //! then print a `pack split:` line dividing `pack` into Kumar–Rudra's
-//! `levels` (profiles, level caps, phase 1), `bands` (phase 2) and the
-//! rest, and `ab` one dividing it into its track extractions (`tracks`)
-//! and the rest. `active …
+//! `levels` (padding, level caps, phase 1), `bands` (phase 2) and the
+//! rest (the demand profile, which `lp` builds once for its LP value and
+//! Kumar–Rudra, and `lp`'s checks), and `ab` one dividing it into its
+//! track extractions (`tracks`) and the rest. `active …
 //! rounding` prints one for the LP pipeline (decompose/pivot/certify/
 //! stitch) and the §3.1 right-shift plus §3 rounding (`rounding`), then a
 //! `rounding split:` line dividing that phase into the right-shift, the
@@ -419,7 +421,7 @@ fn exact_phases() -> String {
     )
 }
 
-/// `busy … kr|lp|ab`'s split of its `pack` phase: Kumar–Rudra's profiles,
+/// `busy … kr|lp|ab`'s split of its `pack` phase: Kumar–Rudra's padding,
 /// level caps and phase 1 (`levels`) and its phase 2 (`bands`), or
 /// Alicherry–Bhatia's track extractions (`tracks`), then the rest. `None`
 /// for the algorithms without sub-spans.
@@ -638,7 +640,11 @@ fn run(args: &[&str], out: &mut dyn Write) -> Result<(), Stop> {
             writeln!(
                 out,
                 "{}",
-                phase_line(&[("span", "busy.span"), ("pack", "busy.pack")])
+                phase_line(&[
+                    ("parse", "core.parse"),
+                    ("span", "busy.span"),
+                    ("pack", "busy.pack")
+                ])
             )?;
             if let Some(split) = pack_split(algo) {
                 writeln!(out, "{split}")?;

@@ -1,7 +1,8 @@
 //! `abt busy` with an interval algorithm says where its time went: one
-//! `phases: span X ms, pack Y ms` line read from the always-on span
-//! rollups (`busy.span` around the min-span placement, `busy.pack`
-//! around the interval algorithm), and for `kr`, `lp` and `ab` a
+//! `phases: parse X ms, span Y ms, pack Z ms` line read from the
+//! always-on span rollups (`core.parse` around reading the instance text,
+//! `busy.span` around the min-span placement, `busy.pack` around the
+//! interval algorithm), and for `kr`, `lp` and `ab` a
 //! `pack split:` line dividing the pack phase into Kumar–Rudra's
 //! `levels` and `bands` or Alicherry–Bhatia's `tracks`, then the rest.
 
@@ -49,7 +50,11 @@ fn busy_prints_span_and_pack_phases() {
         let phases = parts(&stdout, "phases: ")
             .unwrap_or_else(|| panic!("abt busy {algo}: no phases line:\n{stdout}"));
         let labels: Vec<&str> = phases.iter().map(|&(l, _)| l).collect();
-        assert_eq!(labels, ["span", "pack"], "abt busy {algo}:\n{stdout}");
+        assert_eq!(
+            labels,
+            ["parse", "span", "pack"],
+            "abt busy {algo}:\n{stdout}"
+        );
         assert!(phases.iter().all(|&(_, ms)| ms >= 0.0), "{stdout}");
         let split = parts(&stdout, "pack split: ");
         let Some(want) = split_labels else {
@@ -68,7 +73,7 @@ fn busy_prints_span_and_pack_phases() {
         let sum: f64 = split.iter().map(|&(_, ms)| ms).sum();
         let bound = 0.05 * (split.len() + 1) as f64 + 1e-9;
         assert!(
-            (sum - phases[1].1).abs() <= bound,
+            (sum - phases[2].1).abs() <= bound,
             "abt busy {algo}:\n{stdout}"
         );
     }

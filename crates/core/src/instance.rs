@@ -29,7 +29,11 @@ impl Instance {
                     reason: format!("length {} must be positive", j.length),
                 });
             }
-            if j.release + j.length > j.deadline {
+            // `Job::try_new`'s rule: a window end past `i64` is too short.
+            if j.release
+                .checked_add(j.length)
+                .is_none_or(|end| end > j.deadline)
+            {
                 return Err(Error::InvalidJob {
                     job: idx,
                     reason: format!(
@@ -218,6 +222,11 @@ mod tests {
         assert!(Instance::from_triples([(0, 4, 2)], 0).is_err());
         assert!(Instance::from_triples([(0, 4, 5)], 1).is_err());
         assert!(Instance::from_triples([(0, 4, 0)], 1).is_err());
+        // A job whose window end `r + p` is past `i64`.
+        assert!(matches!(
+            Instance::from_triples([(i64::MAX - 1, i64::MAX, 5)], 1),
+            Err(Error::InvalidJob { job: 0, .. })
+        ));
     }
 
     #[test]

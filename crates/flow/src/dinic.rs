@@ -5,7 +5,7 @@
 //! with unit job–slot edges, where Dinic runs in `O(E √V)`) as the test
 //! reference of the active-time feasibility oracle.
 
-use crate::graph::{EdgeId, FlowGraph, NodeId};
+use crate::graph::{Edge, EdgeId, FlowGraph, NodeId, Scratch, NO_EDGE};
 use std::collections::VecDeque;
 
 /// Result of a max-flow computation.
@@ -17,26 +17,36 @@ pub struct MaxFlow {
 
 /// Runs Dinic's algorithm from `s` to `t`, mutating the residual graph.
 /// `limit` optionally caps the amount of flow pushed (useful for extracting
-/// exactly-2-unit flows).
+/// exactly-2-unit flows). The level, edge-cursor and queue buffers are
+/// the graph's own, kept across runs (see [`FlowGraph`]).
 pub fn max_flow_limited(g: &mut FlowGraph, s: NodeId, t: NodeId, limit: Option<i64>) -> MaxFlow {
     assert_ne!(s, t, "source equals sink");
     let n = g.node_count();
     let mut total = 0i64;
     let cap_left = |total: i64| limit.map_or(i64::MAX, |l| l - total);
-    let mut level = vec![-1i32; n];
-    let mut it = vec![0usize; n];
+    let mut scratch = std::mem::take(&mut g.scratch);
+    let Scratch {
+        level,
+        cursor,
+        queue,
+        ..
+    } = &mut scratch;
+    level.clear();
+    level.resize(n, -1);
     while cap_left(total) > 0 {
         // BFS phase: build level graph.
         level.iter_mut().for_each(|l| *l = -1);
         level[s] = 0;
-        let mut q = VecDeque::new();
-        q.push_back(s);
-        while let Some(v) = q.pop_front() {
-            for &e in g.out_edges(v) {
+        queue.clear();
+        queue.push(s);
+        let mut head = 0;
+        while let Some(&v) = queue.get(head) {
+            head += 1;
+            for e in g.out_edges(v) {
                 let edge = g.edge(e);
                 if edge.cap > 0 && level[edge.to] < 0 {
                     level[edge.to] = level[v] + 1;
-                    q.push_back(edge.to);
+                    queue.push(edge.to);
                 }
             }
         }
@@ -44,9 +54,10 @@ pub fn max_flow_limited(g: &mut FlowGraph, s: NodeId, t: NodeId, limit: Option<i
             break;
         }
         // DFS phase: blocking flow.
-        it.iter_mut().for_each(|i| *i = 0);
+        cursor.clear();
+        cursor.extend((0..n).map(|v| g.first_edge(v)));
         loop {
-            let pushed = dfs(g, s, t, cap_left(total), &level, &mut it);
+            let pushed = dfs(g, s, t, cap_left(total), level, cursor);
             if pushed == 0 {
                 break;
             }
@@ -56,6 +67,7 @@ pub fn max_flow_limited(g: &mut FlowGraph, s: NodeId, t: NodeId, limit: Option<i
             }
         }
     }
+    g.scratch = scratch;
     MaxFlow { value: total }
 }
 
@@ -70,26 +82,23 @@ fn dfs(
     t: NodeId,
     limit: i64,
     level: &[i32],
-    it: &mut [usize],
+    cursor: &mut [EdgeId],
 ) -> i64 {
     if v == t || limit == 0 {
         return limit;
     }
-    while it[v] < g.out_edges(v).len() {
-        let e = g.out_edges(v)[it[v]];
-        let (to, cap) = {
-            let edge = g.edge(e);
-            (edge.to, edge.cap)
-        };
+    while cursor[v] != NO_EDGE {
+        let e = cursor[v];
+        let Edge { to, cap, next, .. } = *g.edge(e);
         if cap > 0 && level[to] == level[v] + 1 {
-            let pushed = dfs(g, to, t, limit.min(cap), level, it);
+            let pushed = dfs(g, to, t, limit.min(cap), level, cursor);
             if pushed > 0 {
                 g.edge_mut(e).cap -= pushed;
                 g.edge_mut(e ^ 1).cap += pushed;
                 return pushed;
             }
         }
-        it[v] += 1;
+        cursor[v] = next;
     }
     0
 }
@@ -101,7 +110,7 @@ pub fn min_cut_source_side(g: &FlowGraph, s: NodeId) -> Vec<bool> {
     seen[s] = true;
     q.push_back(s);
     while let Some(v) = q.pop_front() {
-        for &e in g.out_edges(v) {
+        for e in g.out_edges(v) {
             let edge = g.edge(e);
             if edge.cap > 0 && !seen[edge.to] {
                 seen[edge.to] = true;
@@ -125,7 +134,7 @@ pub fn max_flow_naive(g: &mut FlowGraph, s: NodeId, t: NodeId) -> MaxFlow {
         let mut q = VecDeque::new();
         q.push_back(s);
         'bfs: while let Some(v) = q.pop_front() {
-            for &e in g.out_edges(v) {
+            for e in g.out_edges(v) {
                 let edge = g.edge(e);
                 if edge.cap > 0 && !seen[edge.to] {
                     seen[edge.to] = true;
@@ -201,7 +210,7 @@ mod tests {
             if !side[v] {
                 continue;
             }
-            for &e in g.out_edges(v) {
+            for e in g.out_edges(v) {
                 if e % 2 == 0 && !side[g.edge(e).to] {
                     cut += g.edge(e).orig_cap;
                 }

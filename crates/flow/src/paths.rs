@@ -14,24 +14,23 @@ pub type FlowPath = Vec<EdgeId>;
 ///
 /// Consumes the flow (edge flows are decremented as paths are peeled), so
 /// call it once after the flow computation. Cycles of flow (which carry no
-/// `s→t` value) are left in place and ignored.
+/// `s→t` value) are left in place and ignored. The walks' visited marks
+/// are the graph's own buffer, kept across runs (see [`FlowGraph`]).
 pub fn decompose_unit_paths(g: &mut FlowGraph, s: NodeId, t: NodeId) -> Vec<FlowPath> {
+    let mut seen = std::mem::take(&mut g.scratch.seen);
     let mut paths = Vec::new();
     loop {
         // Walk greedily along edges with positive flow.
         let mut path = Vec::new();
         let mut v = s;
-        let mut seen = vec![false; g.node_count()];
+        seen.clear();
+        seen.resize(g.node_count(), false);
         seen[s] = true;
         while v != t {
-            let mut next = None;
-            for &e in g.out_edges(v) {
-                // Forward edges are even; flow(e) > 0 means it carries flow.
-                if e % 2 == 0 && g.flow(e) > 0 && !seen[g.edge(e).to] {
-                    next = Some(e);
-                    break;
-                }
-            }
+            // Forward edges are even; flow(e) > 0 means it carries flow.
+            let next = g
+                .out_edges(v)
+                .find(|&e| e % 2 == 0 && g.flow(e) > 0 && !seen[g.edge(e).to]);
             match next {
                 Some(e) => {
                     path.push(e);
@@ -42,6 +41,7 @@ pub fn decompose_unit_paths(g: &mut FlowGraph, s: NodeId, t: NodeId) -> Vec<Flow
             }
         }
         if v != t || path.is_empty() {
+            g.scratch.seen = seen;
             return paths;
         }
         // Peel one unit along the path.
