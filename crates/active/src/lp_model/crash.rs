@@ -82,7 +82,7 @@ fn start_residual(clp: &ComponentLp, start: &StartBasis) -> Result<Rat, String> 
             }
         }
     }
-    let cols: Vec<Vec<(usize, Rat)>> = snap.basis.iter().map(|&j| sf.cols[j].clone()).collect();
+    let cols: Vec<Vec<(usize, Rat)>> = snap.basis.iter().map(|&j| sf.cols[j].to_vec()).collect();
     let lu = SparseLu::factor(sf.m, &cols).ok_or("singular start")?;
     let xb = lu.solve(&rhs);
     let mut residual = Rat::ZERO;

@@ -47,7 +47,10 @@
 //! `--metrics` prints the full metrics-registry exposition
 //! (`name value` lines) after the command's own output. Each of the three
 //! also prints a one-line per-phase time breakdown from the always-on
-//! span rollups: `solve` splits into decompose/pivot/certify/stitch, and
+//! span rollups: `solve` splits into decompose/pivot/certify/stitch, then
+//! prints a `pivot split:` line dividing the pivot phase into the float
+//! pass's LU factorizations (`factor`, the `solve.factor` spans) and the
+//! rest, and
 //! `incremental` and `replay` into admission/regroup/pivot/certify/stitch
 //! (the incremental driver's own spans around the LP
 //! ones). `incremental`'s totals line also counts the jobs the driver
@@ -62,7 +65,8 @@
 //! Kumar–Rudra, and `lp`'s checks), and `ab` one dividing it into its
 //! track extractions (`tracks`) and the rest. `active …
 //! rounding` prints one for the LP pipeline (decompose/pivot/certify/
-//! stitch) and the §3.1 right-shift plus §3 rounding (`rounding`), then a
+//! stitch) and the §3.1 right-shift plus §3 rounding (`rounding`), then
+//! the same `pivot split:` line as `solve`, then a
 //! `rounding split:` line dividing that phase into the right-shift, the
 //! max-flow feasibility checks (`flow`) and the rest. `active … minimal`
 //! divides its algorithm into the max-flow checks (`flow`) and the rest,
@@ -390,6 +394,13 @@ fn split_line(head: &str, total: &str, parts: &[(&str, &str)]) -> String {
     ms_line(head, &line)
 }
 
+/// `solve`'s and `active … rounding`'s split of the pivot phase: the
+/// float pass's LU factorizations (`solve.factor`: the start factor and
+/// each refactorization) and the rest.
+fn pivot_split() -> String {
+    split_line("pivot split", "solve.pivot", &[("factor", "solve.factor")])
+}
+
 /// `active … rounding`'s split of its `rounding` phase: §3.1
 /// right-shifting (`active.right_shift`), the max-flow feasibility checks
 /// (`active.flow`), and the rest of the §3 rounding.
@@ -555,6 +566,7 @@ fn run(args: &[&str], out: &mut dyn Write) -> Result<(), Stop> {
             )?;
             writeln!(out, "{}", supervision_summary(&d))?;
             writeln!(out, "{}", phase_breakdown())?;
+            writeln!(out, "{}", pivot_split())?;
             Ok(())
         }
         ["active", path, algo] => {
@@ -574,6 +586,7 @@ fn run(args: &[&str], out: &mut dyn Write) -> Result<(), Stop> {
                         r.within_two_lp()
                     )?;
                     writeln!(out, "{}", rounding_phases())?;
+                    writeln!(out, "{}", pivot_split())?;
                     writeln!(out, "{}", rounding_split())?;
                     (r.opened.len(), r.opened)
                 }

@@ -8,10 +8,15 @@
 //! into `min c·x  s.t.  A·x = b, 0 ≤ x ≤ u, b ≥ 0` (VUBs carried as side
 //! metadata, never rows) by normalizing row signs and appending
 //! slack/surplus/artificial columns, kept **column-major and sparse**
-//! throughout. The construction is generic over the scalar and
-//! deterministic; the revised path builds the exact form once and searches
-//! over its `f64` image (`StandardForm::to_f64`), so a basis found by the
-//! float search indexes the columns the exact verifier checks. The dense
+//! throughout: the columns are one compressed-sparse-column slab
+//! ([`Columns`]), which [`StandardForm::build`] fills in two passes over
+//! the rows (count each column's rows, then place the entries, summing a
+//! row's repeated terms and dropping what cancels; a flipped row's terms
+//! are negated, not multiplied by −1). The construction is generic over
+//! the scalar and deterministic; the revised path builds the exact form
+//! once and searches over its `f64` image (`StandardForm::to_f64`, one
+//! pass over the slab), so a basis found by the float search indexes the
+//! columns the exact verifier checks. The dense
 //! tableau of [`crate::simplex`] lays out the same form, so its bases are
 //! certified by the same verifier. One normalization keeps the VUB pivoting
 //! rules simple: a
@@ -67,8 +72,8 @@
 //! single most negative reduced cost concentrates pivots in one VUB family
 //! and multiplies degenerate glue/unglue churn. Each iteration prices from
 //! one reduced-cost vector, filled over the window (at most two slices of
-//! columns) by three straight passes: the plain `d = c − y·A` over one
-//! flat slab of the columns built per solve; each key's sum over its list
+//! columns) by three straight passes: the plain `d = c − y·A` over the
+//! `f64` form's column slab; each key's sum over its list
 //! of currently glued dependents (ascending, so the sum runs in column
 //! order); and a per-column direction (+1 at the lower bound, −1 at the
 //! upper bound or glued, 0 for basic and barred columns). Every state
@@ -90,19 +95,24 @@
 //! values, or the basic costs) and write the entering column's image and
 //! the simplex multipliers into vectors of their own. The off-pivot
 //! entries of every product-form eta sit in one slab, which a
-//! refactorization clears without freeing. So an iteration allocates
-//! nothing but the slab's and the glued lists' amortized growth, and
-//! nothing outlives the solve.
+//! refactorization clears without freeing. The LU factors and the
+//! factorization's workspace ([`crate::lu`]) are the solve's too, sized
+//! at the start for the form's nonzeros: the start factor, the all-slack
+//! fallback and every refactorization gather the augmented basis columns
+//! straight into the workspace and refactor in place, each under a
+//! `solve.factor` span. So an iteration allocates nothing but the eta
+//! slab's and the glued lists' amortized growth, a refactorization
+//! nothing at all on LP1, and nothing outlives the solve.
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the simplex math
 
-use crate::lu::SparseLu;
+use crate::lu::{LuWork, SparseLu};
 use crate::model::{Cmp, LpProblem};
 use crate::scalar::Scalar;
 use crate::start::BasisSnapshot;
 use abt_core::error::BudgetKind;
 use abt_core::faultinject;
-use std::ops::Range;
+use std::ops::{Index, Range};
 use std::time::{Duration, Instant};
 
 /// Entering tolerance on reduced costs.
@@ -234,6 +244,30 @@ pub struct BoundedBasis {
     pub y: Vec<f64>,
 }
 
+/// Sparse columns in one slab (compressed sparse columns): column `j` is
+/// `entries[start[j]..start[j + 1]]`, sorted by row. Indexing yields a
+/// column's entries `(row, value)`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Columns<S> {
+    pub(crate) start: Vec<usize>,
+    pub(crate) entries: Vec<(usize, S)>,
+}
+
+impl<S> Columns<S> {
+    /// The columns in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[(usize, S)]> {
+        self.start.windows(2).map(|w| &self.entries[w[0]..w[1]])
+    }
+}
+
+impl<S> Index<usize> for Columns<S> {
+    type Output = [(usize, S)];
+
+    fn index(&self, j: usize) -> &[(usize, S)] {
+        &self.entries[self.start[j]..self.start[j + 1]]
+    }
+}
+
 /// The equality standard form `min c·x, A·x = b, 0 ≤ x ≤ u` of an
 /// [`LpProblem`], column-major, with VUBs as side metadata.
 #[derive(Debug, Clone)]
@@ -245,8 +279,8 @@ pub struct StandardForm<S> {
     pub ncols: usize,
     /// Structural columns (`0..nstruct` are the problem's variables).
     pub nstruct: usize,
-    /// Sparse columns, each sorted by row.
-    pub cols: Vec<Vec<(usize, S)>>,
+    /// Sparse columns, each sorted by row, in one slab.
+    pub cols: Columns<S>,
     /// Phase-2 objective (0 on auxiliary columns).
     pub cost: Vec<S>,
     /// Per-column finite upper bound (`None` = +∞). Lower bounds are 0.
@@ -278,30 +312,24 @@ impl<S: Scalar> StandardForm<S> {
             .filter(|&v| lp.vub(v).is_some())
             .filter_map(|v| lp.upper(v).map(|u| (v, u.clone())))
             .collect();
-        let m = lp.num_constraints() + promoted.len();
-        let mut cols: Vec<Vec<(usize, S)>> = vec![Vec::new(); n];
+        let rows = lp.constraints();
+        let m = rows.len() + promoted.len();
         let mut b = Vec::with_capacity(m);
         let mut row_flip = Vec::with_capacity(m);
-        // Structural entries, visiting rows in order keeps columns sorted.
         let mut senses: Vec<Cmp> = Vec::with_capacity(m);
-        for (i, c) in lp.constraints().iter().enumerate() {
+        // Count: each row a column appears in (repeated terms once), so
+        // column `v`'s entries get `start[v]..start[v + 1]`.
+        let mut start = vec![0usize; n + 1];
+        let mut next = vec![usize::MAX; n]; // the last row counted, then the fill cursor
+        for (i, c) in rows.iter().enumerate() {
             let flip = c.rhs.is_neg();
-            let sgn = if flip { S::one().neg() } else { S::one() };
-            for (v, coef) in &c.terms {
-                let val = sgn.mul(coef);
-                match cols[*v].last_mut() {
-                    Some(last) if last.0 == i => last.1 = last.1.add(&val),
-                    _ => cols[*v].push((i, val)),
+            for &(v, _) in &c.terms {
+                if next[v] != i {
+                    next[v] = i;
+                    start[v + 1] += 1;
                 }
             }
-            for col in c.terms.iter().map(|t| t.0) {
-                if let Some(last) = cols[col].last() {
-                    if last.0 == i && last.1.is_zero_s() {
-                        cols[col].pop();
-                    }
-                }
-            }
-            b.push(sgn.mul(&c.rhs));
+            b.push(if flip { c.rhs.neg() } else { c.rhs.clone() });
             row_flip.push(flip);
             senses.push(match (c.cmp, flip) {
                 (Cmp::Le, false) | (Cmp::Ge, true) => Cmp::Le,
@@ -309,13 +337,61 @@ impl<S: Scalar> StandardForm<S> {
                 (Cmp::Eq, _) => Cmp::Eq,
             });
         }
+        for (v, _) in &promoted {
+            start[v + 1] += 1;
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        next.copy_from_slice(&start[..n]);
+        // Fill, visiting rows in order so columns come out sorted: a
+        // repeated term adds onto its row's entry, and an entry the row's
+        // terms cancel to zero is dropped.
+        let mut entries = vec![(0, S::zero()); start[n]];
+        for (i, c) in rows.iter().enumerate() {
+            for (v, coef) in &c.terms {
+                let val = if row_flip[i] {
+                    coef.neg()
+                } else {
+                    coef.clone()
+                };
+                let at = next[*v];
+                if at > start[*v] && entries[at - 1].0 == i {
+                    entries[at - 1].1 = entries[at - 1].1.add(&val);
+                } else {
+                    entries[at] = (i, val);
+                    next[*v] = at + 1;
+                }
+            }
+            for &(v, _) in &c.terms {
+                let at = next[v];
+                if at > start[v] && entries[at - 1].0 == i && entries[at - 1].1.is_zero_s() {
+                    next[v] = at - 1;
+                }
+            }
+        }
         // Promoted bound rows `x_v ≤ u` (rhs ≥ 0 by construction).
         for (v, u) in &promoted {
             let i = b.len();
-            cols[*v].push((i, S::one()));
+            entries[next[*v]] = (i, S::one());
+            next[*v] += 1;
             b.push(u.clone());
             row_flip.push(false);
             senses.push(Cmp::Le);
+        }
+        // Close the gaps that dropped entries left.
+        if (0..n).any(|v| next[v] != start[v + 1]) {
+            let mut kept = 0;
+            for v in 0..n {
+                let run = start[v]..next[v];
+                start[v] = kept;
+                for k in run {
+                    entries.swap(kept, k);
+                    kept += 1;
+                }
+            }
+            start[n] = kept;
+            entries.truncate(kept);
         }
         let mut cost: Vec<S> = lp.objective().to_vec();
         let mut upper: Vec<Option<S>> = (0..n)
@@ -333,36 +409,33 @@ impl<S: Scalar> StandardForm<S> {
         // the one column layout of the crate: the dense tableau is filled
         // from it, so dense and revised bases index the same columns.
         let mut init_basis = vec![usize::MAX; m];
+        let mut push_aux = |i: usize, coef: S, art: bool| -> usize {
+            entries.push((i, coef));
+            start.push(entries.len());
+            cost.push(S::zero());
+            upper.push(None);
+            vub.push(None);
+            artificial.push(art);
+            start.len() - 2
+        };
         for (i, sense) in senses.iter().enumerate() {
-            let aux = match sense {
-                Cmp::Le => Some((S::one(), true)),        // slack, starts basic
-                Cmp::Ge => Some((S::one().neg(), false)), // surplus
-                Cmp::Eq => None,
-            };
-            if let Some((coef, basic)) = aux {
-                cols.push(vec![(i, coef)]);
-                cost.push(S::zero());
-                upper.push(None);
-                vub.push(None);
-                artificial.push(false);
-                if basic {
-                    init_basis[i] = cols.len() - 1;
+            match sense {
+                Cmp::Le => init_basis[i] = push_aux(i, S::one(), false), // slack, starts basic
+                Cmp::Ge => {
+                    push_aux(i, S::one().neg(), false); // surplus
                 }
+                Cmp::Eq => {}
             }
         }
         let mut n_art = 0;
         for (i, sense) in senses.iter().enumerate() {
             if matches!(sense, Cmp::Ge | Cmp::Eq) {
-                cols.push(vec![(i, S::one())]);
-                cost.push(S::zero());
-                upper.push(None);
-                vub.push(None);
-                artificial.push(true);
-                init_basis[i] = cols.len() - 1;
+                init_basis[i] = push_aux(i, S::one(), true);
                 n_art += 1;
             }
         }
-        let ncols = cols.len();
+        let ncols = start.len() - 1;
+        let cols = Columns { start, entries };
         debug_assert_eq!(cost.len(), ncols);
         debug_assert_eq!(upper.len(), ncols);
         debug_assert!(init_basis.iter().all(|&c| c != usize::MAX));
@@ -391,11 +464,15 @@ impl<S: Scalar> StandardForm<S> {
             m: self.m,
             ncols: self.ncols,
             nstruct: self.nstruct,
-            cols: self
-                .cols
-                .iter()
-                .map(|col| col.iter().map(|(i, v)| (*i, v.to_f64())).collect())
-                .collect(),
+            cols: Columns {
+                start: self.cols.start.clone(),
+                entries: self
+                    .cols
+                    .entries
+                    .iter()
+                    .map(|(i, v)| (*i, v.to_f64()))
+                    .collect(),
+            },
             cost: f(&self.cost),
             upper: self
                 .upper
@@ -417,81 +494,9 @@ fn iteration_cap(rows: usize, cols: usize) -> usize {
     10_000 + 64 * (rows + cols)
 }
 
-/// `sf.cols` flattened into one slab (compressed sparse columns): column
-/// `j` is `entries[start[j]..start[j + 1]]`, sorted by row. Pricing walks
-/// every priced column each iteration, so it reads one contiguous slab
-/// rather than one heap allocation per column.
-struct FlatCols {
-    start: Vec<usize>,
-    entries: Vec<(usize, f64)>,
-}
-
-impl FlatCols {
-    fn new(cols: &[Vec<(usize, f64)>]) -> FlatCols {
-        let mut start = Vec::with_capacity(cols.len() + 1);
-        let mut entries = Vec::with_capacity(cols.iter().map(Vec::len).sum());
-        start.push(0);
-        for col in cols {
-            entries.extend_from_slice(col);
-            start.push(entries.len());
-        }
-        FlatCols { start, entries }
-    }
-
-    fn col(&self, j: usize) -> &[(usize, f64)] {
-        &self.entries[self.start[j]..self.start[j + 1]]
-    }
-}
-
-/// A factored basis: the basic column per row, every column's resting
-/// state, the column → basis position map (`usize::MAX` when nonbasic),
-/// each key's glued dependents, and the LU of the augmented basis matrix.
-struct Factored {
-    basis: Vec<usize>,
-    state: Vec<VarState>,
-    pos: Vec<usize>,
-    glued: Vec<Vec<usize>>,
-    lu: SparseLu<f64>,
-}
-
-impl Factored {
-    /// Factors `basis` under `state`; `None` if the matrix is singular.
-    fn new(
-        sf: &StandardForm<f64>,
-        basis: Vec<usize>,
-        state: Vec<VarState>,
-        pos: Vec<usize>,
-    ) -> Option<Factored> {
-        let glued = glued_lists(sf, &state);
-        let lu = SparseLu::factor(sf.m, &basis_columns(sf, &glued, &basis))?;
-        Some(Factored {
-            basis,
-            state,
-            pos,
-            glued,
-            lu,
-        })
-    }
-
-    /// The all-slack/artificial basis of `sf`, factored: a unit column
-    /// per row, so never singular.
-    fn all_slack(sf: &StandardForm<f64>) -> Factored {
-        let basis = sf.init_basis.clone();
-        let mut state = vec![VarState::AtLower; sf.ncols];
-        let mut pos = vec![usize::MAX; sf.ncols];
-        for (i, &j) in basis.iter().enumerate() {
-            state[j] = VarState::Basic;
-            pos[j] = i;
-        }
-        Factored::new(sf, basis, state, pos).expect("the all-slack basis is an identity")
-    }
-}
-
 /// The revised-simplex working state over a `StandardForm<f64>`.
 struct Rev<'a> {
     sf: &'a StandardForm<f64>,
-    /// `sf.cols` as one flat slab (see [`FlatCols`]).
-    cols: FlatCols,
     basis: Vec<usize>,
     /// Column → basis position (`usize::MAX` when nonbasic).
     pos: Vec<usize>,
@@ -510,7 +515,11 @@ struct Rev<'a> {
     aug_cost: Vec<f64>,
     /// Basic values, parallel to `basis`.
     xb: Vec<f64>,
+    /// The LU of the augmented basis matrix at the last factorization,
+    /// refactored in place through `lu_work`, which it keeps for the
+    /// whole solve.
     lu: SparseLu<f64>,
+    lu_work: LuWork<f64>,
     /// Product-form updates since the last refactorization, in order.
     etas: Vec<Eta>,
     /// The off-pivot entries of every eta, each eta's a contiguous run;
@@ -613,27 +622,26 @@ impl<'a> Rev<'a> {
     /// be positive, phase 1 is there for them — else the all-slack basis.
     /// Either is factored once and is not counted as a refactorization.
     fn new(sf: &'a StandardForm<f64>, start: Option<&BasisSnapshot>) -> Rev<'a> {
-        let crash = start.and_then(|snap| {
-            let pos = snapshot_positions(sf, snap)?;
-            Factored::new(sf, snap.basis.clone(), snap.state.clone(), pos)
-        });
-        let started = crash.is_some();
-        let f = crash.unwrap_or_else(|| Factored::all_slack(sf));
         let mut keys: Vec<usize> = sf.vub.iter().flatten().copied().collect();
         keys.sort_unstable();
         keys.dedup();
+        // No basis matrix of the form has more nonzeros than the form, and
+        // on LP1 no slab of the LU's elimination outgrows this room.
+        let room = sf.cols.entries.len() + 2 * sf.m;
         let mut rev = Rev {
             sf,
-            cols: FlatCols::new(&sf.cols),
-            basis: f.basis,
-            pos: f.pos,
-            state: f.state,
-            glued: f.glued,
+            basis: Vec::new(),
+            pos: Vec::new(),
+            state: Vec::new(),
+            glued: Vec::new(),
             cost: vec![0.0; sf.ncols],
             aug_cost: vec![0.0; sf.ncols],
             xb: vec![0.0; sf.m],
-            lu: f.lu,
-            etas: Vec::new(),
+            lu: SparseLu::with_capacity(sf.m, room),
+            lu_work: LuWork::with_capacity(sf.m, room),
+            // A step files at most three etas, and the file refactorizes
+            // once it holds REFACTOR_EVERY.
+            etas: Vec::with_capacity(REFACTOR_EVERY + 2),
             eta_slab: Vec::new(),
             work: vec![0.0; sf.m],
             lu_scratch: vec![0.0; sf.m],
@@ -648,20 +656,58 @@ impl<'a> Rev<'a> {
             phase1_pivots: 0,
             bound_flips: 0,
             refactorizations: 0,
-            started,
+            started: false,
             pivot_budget: 0,
             deadline: None,
             ticks: 0,
         };
-        rev.recompute_xb();
-        if started && !rev.primal_feasible() {
-            let f = Factored::all_slack(sf);
-            (rev.basis, rev.pos, rev.state, rev.glued, rev.lu) =
-                (f.basis, f.pos, f.state, f.glued, f.lu);
-            rev.started = false;
+        if let Some((snap, pos)) =
+            start.and_then(|snap| Some((snap, snapshot_positions(sf, snap)?)))
+        {
+            rev.basis.clone_from(&snap.basis);
+            rev.state.clone_from(&snap.state);
+            rev.pos = pos;
+            rev.glued = glued_lists(sf, &rev.state);
+            if rev.factor() {
+                rev.recompute_xb();
+                rev.started = rev.primal_feasible();
+            }
+        }
+        if !rev.started {
+            rev.all_slack();
             rev.recompute_xb();
         }
         rev
+    }
+
+    /// Installs the all-slack/artificial basis of `sf` and factors it: a
+    /// unit column per row, so never singular.
+    fn all_slack(&mut self) {
+        let sf = self.sf;
+        self.basis.clone_from(&sf.init_basis);
+        self.state = vec![VarState::AtLower; sf.ncols];
+        self.pos = vec![usize::MAX; sf.ncols];
+        for (i, &j) in self.basis.iter().enumerate() {
+            self.state[j] = VarState::Basic;
+            self.pos[j] = i;
+        }
+        self.glued = vec![Vec::new(); sf.ncols];
+        assert!(self.factor(), "the all-slack basis is an identity");
+    }
+
+    /// Factors the augmented basis matrix into `lu` in place, each basis
+    /// column gathered with its glued dependents' columns straight into
+    /// the workspace (the sum [`augmented_column`] builds). `false` if it
+    /// is singular.
+    fn factor(&mut self) -> bool {
+        let _span = abt_core::obs_span!("solve.factor");
+        let cols = &self.sf.cols;
+        self.lu_work.load(self.sf.m);
+        for &j in &self.basis {
+            let summed = std::iter::once(&j).chain(&self.glued[j]);
+            self.lu_work.push_column(summed.map(|&g| &cols[g]));
+        }
+        self.lu.refactor(&mut self.lu_work)
     }
 
     /// Which budget, if any, is exhausted. Called at the top of every
@@ -842,7 +888,7 @@ impl<'a> Rev<'a> {
                 VarState::Basic | VarState::AtLower => continue,
             };
             if val != 0.0 {
-                for &(i, v) in self.cols.col(j) {
+                for &(i, v) in &self.sf.cols[j] {
                     self.work[i] -= val * v;
                 }
             }
@@ -885,19 +931,17 @@ impl<'a> Rev<'a> {
             .solve_transposed_into(c, &mut self.lu_scratch, &mut self.y);
     }
 
+    /// Refactors the current basis and clears the eta file; `false` if
+    /// the basis is singular (the pass then stalls).
     fn refactor(&mut self) -> bool {
-        let cols = basis_columns(self.sf, &self.glued, &self.basis);
-        match SparseLu::factor(self.sf.m, &cols) {
-            Some(lu) => {
-                self.lu = lu;
-                self.etas.clear();
-                self.eta_slab.clear();
-                self.refactorizations += 1;
-                self.recompute_xb();
-                true
-            }
-            None => false,
+        if !self.factor() {
+            return false;
         }
+        self.etas.clear();
+        self.eta_slab.clear();
+        self.refactorizations += 1;
+        self.recompute_xb();
+        true
     }
 
     /// Files the open eta as the update of basis row `r`. Its pivot entry
@@ -992,7 +1036,7 @@ impl<'a> Rev<'a> {
     /// Only the priced block is filled, so an iteration's work follows the
     /// pricing window, not the column count.
     fn effective_costs(&mut self, cols: Range<usize>) {
-        let slab = &self.cols;
+        let slab = &self.sf.cols;
         let y = self.y.as_slice();
         let reduced = |c: f64, entries: &[(usize, f64)]| {
             let mut d = c;
@@ -1010,9 +1054,9 @@ impl<'a> Rev<'a> {
         let hi = self.keys.partition_point(|&k| k < cols.end);
         for &k in &self.keys[lo..hi] {
             let at = k - cols.start;
-            e[at] = self.glued[k].iter().fold(e[at], |acc, &dep| {
-                acc + reduced(self.cost[dep], slab.col(dep))
-            });
+            e[at] = self.glued[k]
+                .iter()
+                .fold(e[at], |acc, &dep| acc + reduced(self.cost[dep], &slab[dep]));
         }
         for (out, &dir) in e.iter_mut().zip(&self.dir[cols]) {
             *out *= dir;
@@ -1082,7 +1126,7 @@ impl<'a> Rev<'a> {
         // its plain column (the t-parametrization of the glue slack).
         self.work.fill(0.0);
         for &j in std::iter::once(&q).chain(&self.glued[q]) {
-            for &(i, v) in self.cols.col(j) {
+            for &(i, v) in &self.sf.cols[j] {
                 self.work[i] += v;
             }
         }
@@ -1447,31 +1491,19 @@ fn glued_lists(sf: &StandardForm<f64>, state: &[VarState]) -> Vec<Vec<usize>> {
     glued
 }
 
-/// The (augmented) basis matrix columns of `basis` (see
-/// [`augmented_column`]).
-fn basis_columns(
-    sf: &StandardForm<f64>,
-    glued: &[Vec<usize>],
-    basis: &[usize],
-) -> Vec<Vec<(usize, f64)>> {
-    basis
-        .iter()
-        .map(|&j| augmented_column(&sf.cols, j, &glued[j]))
-        .collect()
-}
-
 /// The augmented (Schrage key) column `A_base + Σ_{j ∈ glued} A_j` as a
-/// sorted sparse merge. Shared by the `f64` iteration and the exact `Rat`
-/// certification so the two sides always build the same basis matrix.
+/// sorted sparse merge: the exact certification's basis columns. The
+/// float pass gathers the same sums straight into its LU workspace
+/// ([`LuWork::push_column`]), so the two sides build the same basis matrix.
 pub(crate) fn augmented_column<S: Scalar>(
-    cols: &[Vec<(usize, S)>],
+    cols: &Columns<S>,
     base: usize,
     glued: &[usize],
 ) -> Vec<(usize, S)> {
     if glued.is_empty() {
-        return cols[base].clone();
+        return cols[base].to_vec();
     }
-    let mut merged = cols[base].clone();
+    let mut merged = cols[base].to_vec();
     for &j in glued {
         merged.extend_from_slice(&cols[j]);
     }
@@ -1944,8 +1976,12 @@ mod tests {
         assert_eq!(hit, expect);
         assert_eq!(rev.refactorizations, 0, "a structural event refactorized");
         assert_eq!(rev.glued, glued_lists(&sf, &rev.state));
-        let fresh = SparseLu::factor(sf.m, &basis_columns(&sf, &rev.glued, &rev.basis))
-            .expect("the updated basis is nonsingular");
+        let cols: Vec<Vec<(usize, f64)>> = rev
+            .basis
+            .iter()
+            .map(|&j| augmented_column(&sf.cols, j, &rev.glued[j]))
+            .collect();
+        let fresh = SparseLu::factor(sf.m, &cols).expect("the updated basis is nonsingular");
         for k in 0..=sf.m {
             // The unit vectors, then a dense one.
             let v: Vec<f64> = (0..sf.m)
@@ -2100,6 +2136,230 @@ mod tests {
                 BLAND_CHECKS.with(Cell::get) > bland,
                 "window {window}: no iteration priced by Bland's rule"
             );
+        }
+    }
+
+    /// [`StandardForm`] as it was built before its columns moved into one
+    /// slab: a `Vec` per column, each row's sign flipped by a `Rat`
+    /// multiply. [`reference_build`] keeps that construction verbatim as
+    /// the oracle of [`StandardForm::build`].
+    struct ReferenceForm<S> {
+        m: usize,
+        ncols: usize,
+        nstruct: usize,
+        cols: Vec<Vec<(usize, S)>>,
+        cost: Vec<S>,
+        upper: Vec<Option<S>>,
+        vub: Vec<Option<usize>>,
+        b: Vec<S>,
+        artificial: Vec<bool>,
+        n_art: usize,
+        row_flip: Vec<bool>,
+        init_basis: Vec<usize>,
+    }
+
+    fn reference_build<S: Scalar>(lp: &LpProblem<S>) -> ReferenceForm<S> {
+        let n = lp.num_vars();
+        // Constant bounds of VUB dependents get promoted to rows.
+        let promoted: Vec<(usize, S)> = (0..n)
+            .filter(|&v| lp.vub(v).is_some())
+            .filter_map(|v| lp.upper(v).map(|u| (v, u.clone())))
+            .collect();
+        let m = lp.num_constraints() + promoted.len();
+        let mut cols: Vec<Vec<(usize, S)>> = vec![Vec::new(); n];
+        let mut b = Vec::with_capacity(m);
+        let mut row_flip = Vec::with_capacity(m);
+        // Structural entries, visiting rows in order keeps columns sorted.
+        let mut senses: Vec<Cmp> = Vec::with_capacity(m);
+        for (i, c) in lp.constraints().iter().enumerate() {
+            let flip = c.rhs.is_neg();
+            let sgn = if flip { S::one().neg() } else { S::one() };
+            for (v, coef) in &c.terms {
+                let val = sgn.mul(coef);
+                match cols[*v].last_mut() {
+                    Some(last) if last.0 == i => last.1 = last.1.add(&val),
+                    _ => cols[*v].push((i, val)),
+                }
+            }
+            for col in c.terms.iter().map(|t| t.0) {
+                if let Some(last) = cols[col].last() {
+                    if last.0 == i && last.1.is_zero_s() {
+                        cols[col].pop();
+                    }
+                }
+            }
+            b.push(sgn.mul(&c.rhs));
+            row_flip.push(flip);
+            senses.push(match (c.cmp, flip) {
+                (Cmp::Le, false) | (Cmp::Ge, true) => Cmp::Le,
+                (Cmp::Ge, false) | (Cmp::Le, true) => Cmp::Ge,
+                (Cmp::Eq, _) => Cmp::Eq,
+            });
+        }
+        // Promoted bound rows `x_v ≤ u` (rhs ≥ 0 by construction).
+        for (v, u) in &promoted {
+            let i = b.len();
+            cols[*v].push((i, S::one()));
+            b.push(u.clone());
+            row_flip.push(false);
+            senses.push(Cmp::Le);
+        }
+        let mut cost: Vec<S> = lp.objective().to_vec();
+        let mut upper: Vec<Option<S>> = (0..n)
+            .map(|v| {
+                if lp.vub(v).is_some() {
+                    None // promoted to a row above
+                } else {
+                    lp.upper(v).cloned()
+                }
+            })
+            .collect();
+        let mut vub: Vec<Option<usize>> = (0..n).map(|v| lp.vub(v)).collect();
+        let mut artificial = vec![false; n];
+        // Slack/surplus columns, then artificials, in row order. This is
+        // the one column layout of the crate: the dense tableau is filled
+        // from it, so dense and revised bases index the same columns.
+        let mut init_basis = vec![usize::MAX; m];
+        for (i, sense) in senses.iter().enumerate() {
+            let aux = match sense {
+                Cmp::Le => Some((S::one(), true)),        // slack, starts basic
+                Cmp::Ge => Some((S::one().neg(), false)), // surplus
+                Cmp::Eq => None,
+            };
+            if let Some((coef, basic)) = aux {
+                cols.push(vec![(i, coef)]);
+                cost.push(S::zero());
+                upper.push(None);
+                vub.push(None);
+                artificial.push(false);
+                if basic {
+                    init_basis[i] = cols.len() - 1;
+                }
+            }
+        }
+        let mut n_art = 0;
+        for (i, sense) in senses.iter().enumerate() {
+            if matches!(sense, Cmp::Ge | Cmp::Eq) {
+                cols.push(vec![(i, S::one())]);
+                cost.push(S::zero());
+                upper.push(None);
+                vub.push(None);
+                artificial.push(true);
+                init_basis[i] = cols.len() - 1;
+                n_art += 1;
+            }
+        }
+        let ncols = cols.len();
+        debug_assert_eq!(cost.len(), ncols);
+        debug_assert_eq!(upper.len(), ncols);
+        debug_assert!(init_basis.iter().all(|&c| c != usize::MAX));
+        ReferenceForm {
+            m,
+            ncols,
+            nstruct: n,
+            cols,
+            cost,
+            upper,
+            vub,
+            b,
+            artificial,
+            n_art,
+            row_flip,
+            init_basis,
+        }
+    }
+
+    /// Asserts that `sf` is the form [`reference_build`] makes of `lp`,
+    /// every number compared by `key` (an `f64`'s bits, a `Rat` itself).
+    fn assert_form_matches<S: Scalar, K: PartialEq + std::fmt::Debug>(
+        lp: &LpProblem<S>,
+        sf: &StandardForm<S>,
+        key: impl Fn(&S) -> K,
+    ) {
+        let old = reference_build(lp);
+        let keyed = |v: &[S]| v.iter().map(&key).collect::<Vec<K>>();
+        let cols = |c: &[(usize, S)]| c.iter().map(|(i, v)| (*i, key(v))).collect::<Vec<_>>();
+        assert_eq!(
+            (sf.m, sf.ncols, sf.nstruct, sf.n_art),
+            (old.m, old.ncols, old.nstruct, old.n_art)
+        );
+        assert_eq!(sf.cols.iter().len(), old.cols.len());
+        for (j, (new, old)) in sf.cols.iter().zip(&old.cols).enumerate() {
+            assert_eq!(cols(new), cols(old), "column {j}");
+        }
+        assert_eq!(keyed(&sf.b), keyed(&old.b), "b");
+        assert_eq!(keyed(&sf.cost), keyed(&old.cost), "cost");
+        let upper = |u: &[Option<S>]| u.iter().map(|u| u.as_ref().map(&key)).collect::<Vec<_>>();
+        assert_eq!(upper(&sf.upper), upper(&old.upper), "upper");
+        assert_eq!(sf.vub, old.vub, "vub");
+        assert_eq!(sf.row_flip, old.row_flip, "row_flip");
+        assert_eq!(sf.init_basis, old.init_basis, "init_basis");
+        assert_eq!(sf.artificial, old.artificial, "artificial");
+    }
+
+    /// A random LP over every case the standard form normalizes: repeated
+    /// terms (which sum), terms that cancel (which drop), negative
+    /// right-hand sides (rows flip), all three senses, and dependents with
+    /// both a VUB and a constant bound (promoted to rows). `value` maps a
+    /// small integer draw to the scalar.
+    fn random_form_lp<S: Scalar>(d: &mut Draw, value: impl Fn(i64) -> S) -> LpProblem<S> {
+        let mut lp: LpProblem<S> = LpProblem::new();
+        let n = 1 + d.below(7);
+        for _ in 0..n {
+            lp.add_var(value(d.int(-3, 3)));
+        }
+        let mut dependent = vec![false; n];
+        for v in 0..n {
+            if d.below(3) == 0 {
+                lp.set_upper(v, value(d.int(0, 5)));
+            }
+            let key = d.below(v.max(1));
+            if v > 0 && !dependent[key] && d.below(2) == 0 {
+                lp.set_vub(v, key);
+                dependent[v] = true;
+            }
+        }
+        for _ in 0..d.below(7) {
+            let mut terms = Vec::new();
+            for _ in 0..1 + d.below(5) {
+                let v = d.below(n);
+                let a = d.int(-3, 3);
+                terms.push((v, value(a)));
+                match d.below(4) {
+                    0 => terms.push((v, value(-a))),           // cancels
+                    1 => terms.push((v, value(d.int(-2, 2)))), // repeats
+                    _ => {}
+                }
+            }
+            let cmp = [Cmp::Le, Cmp::Ge, Cmp::Eq][d.below(3)];
+            lp.add_constraint(terms, cmp, value(d.int(-4, 4)));
+        }
+        lp
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn forms_match_the_replaced_build(seed in 0u64..u64::MAX) {
+            let mut d = Draw(seed);
+            let rat = random_form_lp(&mut d, Rat::from_int);
+            let sf = StandardForm::build(&rat);
+            assert_form_matches(&rat, &sf, |v: &Rat| *v);
+            // The f64 image, column for column, and an f64 problem of its
+            // own, whose tiny coefficients drop like zeros.
+            let image = sf.to_f64();
+            let old = reference_build(&rat);
+            for (new, old) in image.cols.iter().zip(&old.cols) {
+                let old: Vec<(usize, u64)> = old.iter().map(|(i, v)| (*i, v.to_f64().to_bits())).collect();
+                let new: Vec<(usize, u64)> = new.iter().map(|(i, v)| (*i, v.to_bits())).collect();
+                prop_assert_eq!(new, old);
+            }
+            let float = random_form_lp(&mut d, |a| match a {
+                2 => 1e-10,
+                -2 => 0.5,
+                a => a as f64 / 3.0,
+            });
+            assert_form_matches(&float, &StandardForm::build(&float), |v: &f64| v.to_bits());
         }
     }
 

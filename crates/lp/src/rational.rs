@@ -9,7 +9,11 @@
 //! cross-reduction to delay overflow; a genuine `i128` overflow panics with
 //! a clear message (the workspace's LPs have tiny coefficients — {0, 1, g} —
 //! and near-network structure, so vertex arithmetic stays small; the `f64`
-//! backend exists for stress scales).
+//! backend exists for stress scales). Since the operands almost always fit
+//! in 64 bits, every product is one hardware 64×64→128 multiply when both
+//! factors fit in `i64` (it cannot overflow), and a checked `i128` multiply
+//! otherwise. The order is exact: cross products past `i128` are compared
+//! at 256 bits.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -74,6 +78,32 @@ fn overflow() -> ! {
     panic!("abt-lp: exact rational overflow (i128); use the f64 backend for this problem size")
 }
 
+/// `a·b`, or `None` past `i128`. When both factors fit in `i64` this is
+/// one hardware widening multiply, which cannot overflow; otherwise the
+/// checked `i128` product.
+#[inline]
+fn product(a: i128, b: i128) -> Option<i128> {
+    match (i64::try_from(a), i64::try_from(b)) {
+        (Ok(a), Ok(b)) => Some(i128::from(a) * i128::from(b)),
+        _ => a.checked_mul(b),
+    }
+}
+
+/// The exact 256-bit product `a·b` as `(high, low)` 128-bit halves,
+/// schoolbook over 64-bit limbs.
+fn wide_product(a: u128, b: u128) -> (u128, u128) {
+    const LO: u128 = u64::MAX as u128;
+    let (a1, a0) = (a >> 64, a & LO);
+    let (b1, b0) = (b >> 64, b & LO);
+    let low = a0 * b0;
+    // Each cross term is below 2¹²⁸, but their sum with the carry out of
+    // `low` may pass it: each overflow goes to the high half.
+    let (mid, carry) = (a1 * b0).overflowing_add(a0 * b1);
+    let (mid, carry2) = mid.overflowing_add(low >> 64);
+    let high = a1 * b1 + (mid >> 64) + ((u128::from(carry) + u128::from(carry2)) << 64);
+    (high, (mid << 64) | (low & LO))
+}
+
 impl Rat {
     /// Zero.
     pub const ZERO: Rat = Rat { n: 0, d: 1 };
@@ -115,12 +145,10 @@ impl Rat {
         } else {
             (o.d / g, self.d / g)
         };
-        let num = self
-            .n
-            .checked_mul(e_g)
-            .and_then(|x| o.n.checked_mul(b_g).and_then(|y| x.checked_add(y)))
+        let num = product(self.n, e_g)
+            .and_then(|x| product(o.n, b_g).and_then(|y| x.checked_add(y)))
             .unwrap_or_else(|| overflow());
-        let den = self.d.checked_mul(e_g).unwrap_or_else(|| overflow());
+        let den = product(self.d, e_g).unwrap_or_else(|| overflow());
         Rat::new(num, den)
     }
 
@@ -143,8 +171,8 @@ impl Rat {
         } else {
             (o.n / g2, self.d / g2)
         };
-        let n = an.checked_mul(bn).unwrap_or_else(|| overflow());
-        let d = ad.checked_mul(bd).unwrap_or_else(|| overflow());
+        let n = product(an, bn).unwrap_or_else(|| overflow());
+        let d = product(ad, bd).unwrap_or_else(|| overflow());
         Rat { n, d } // already reduced by construction
     }
 
@@ -192,9 +220,14 @@ impl Rat {
         self.n.signum() as i32
     }
 
-    /// Lossy conversion for reporting.
+    /// Lossy conversion for reporting. A numerator and denominator that
+    /// fit in `i64` convert through it: the same values, without the
+    /// software `i128` conversion.
     pub fn to_f64(&self) -> f64 {
-        self.n as f64 / self.d as f64
+        match (i64::try_from(self.n), i64::try_from(self.d)) {
+            (Ok(n), Ok(d)) => n as f64 / d as f64,
+            _ => self.n as f64 / self.d as f64,
+        }
     }
 }
 
@@ -206,15 +239,22 @@ impl PartialOrd for Rat {
 
 impl Ord for Rat {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Compare a/b vs c/e via a·e vs c·b with checked arithmetic.
-        let l = self.n.checked_mul(other.d);
-        let r = other.n.checked_mul(self.d);
-        match (l, r) {
-            (Some(l), Some(r)) => l.cmp(&r),
-            _ => self
-                .to_f64()
-                .partial_cmp(&other.to_f64())
-                .unwrap_or(Ordering::Equal),
+        // a/b against c/e is a·e against c·b (denominators are positive).
+        if let (Some(l), Some(r)) = (product(self.n, other.d), product(other.n, self.d)) {
+            return l.cmp(&r);
+        }
+        // Past i128: the signs decide, else the magnitudes' 256-bit cross
+        // products (reversed for two negatives).
+        let sign = self.n.signum().cmp(&other.n.signum());
+        if sign != Ordering::Equal {
+            return sign;
+        }
+        let l = wide_product(self.n.unsigned_abs(), other.d.unsigned_abs());
+        let r = wide_product(other.n.unsigned_abs(), self.d.unsigned_abs());
+        if self.n < 0 {
+            r.cmp(&l)
+        } else {
+            l.cmp(&r)
         }
     }
 }
@@ -269,6 +309,164 @@ mod tests {
         assert!(Rat::new(2, 3) < Rat::new(3, 4));
         assert!(Rat::new(-1, 2) < Rat::ZERO);
         assert_eq!(Rat::new(2, 4).cmp(&Rat::new(1, 2)), Ordering::Equal);
+    }
+
+    #[test]
+    fn order_is_exact_past_i128() {
+        // Cross products past i128: an f64 comparison called these equal.
+        let big = 10i128.pow(30);
+        let (a, b) = (
+            Rat::new(big + 1, 1_000_000_007),
+            Rat::new(big, 1_000_000_007),
+        );
+        assert_eq!(a.cmp(&b), Ordering::Greater);
+        assert_eq!(b.cmp(&a), Ordering::Less);
+        assert_eq!(a.neg().cmp(&b.neg()), Ordering::Less);
+        let top = i128::MAX / 3;
+        let (c, d) = (
+            Rat::new(top, 1_000_000_009),
+            Rat::new(top - 1, 1_000_000_009),
+        );
+        assert_eq!(c.cmp(&d), Ordering::Greater);
+        assert_eq!(d.neg().cmp(&c.neg()), Ordering::Greater);
+        assert_eq!(c.cmp(&c), Ordering::Equal);
+        assert_ne!(a, b);
+        assert_ne!(c, d);
+    }
+
+    #[test]
+    fn wide_product_carries() {
+        let max = u128::MAX;
+        assert_eq!(wide_product(max, max), (max - 1, 1));
+        assert_eq!(wide_product(1 << 127, 2), (1, 0));
+        assert_eq!(wide_product(max, 1), (0, max));
+        assert_eq!(wide_product(0, max), (0, 0));
+        // The middle sum fits, and the carry out of the low product
+        // overflows it.
+        assert_eq!(
+            wide_product(max, (2 << 64) | u128::from(u64::MAX)),
+            ((3 << 64) - 2, max - (3 << 64) + 2)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "exact rational overflow")]
+    fn sum_past_i128_panics() {
+        let _ = Rat::new(i128::MAX, 3).add(&Rat::new(i128::MAX, 5));
+    }
+
+    #[test]
+    #[should_panic(expected = "exact rational overflow")]
+    fn product_past_i128_panics() {
+        let _ = Rat::new(1 << 100, 3).mul(&Rat::new(1 << 40, 7));
+    }
+
+    /// `a·b` in 32-bit limbs, least significant first: the oracle's own
+    /// wide product, independent of [`wide_product`]'s 64-bit halves.
+    fn limbs(a: u128, b: u128) -> [u64; 8] {
+        let split = |v: u128| [0, 32, 64, 96].map(|s| (v >> s) as u32 as u64);
+        let (a, b) = (split(a), split(b));
+        let mut acc = [0u64; 8];
+        for i in 0..4 {
+            let mut carry = 0;
+            for j in 0..4 {
+                let t = acc[i + j] + a[i] * b[j] + carry;
+                acc[i + j] = t & 0xFFFF_FFFF;
+                carry = t >> 32;
+            }
+            if i + 4 < 8 {
+                acc[i + 4] += carry;
+            }
+        }
+        acc
+    }
+
+    /// The order of `x` and `y` by their cross products in limbs.
+    fn oracle_cmp(x: &Rat, y: &Rat) -> Ordering {
+        let (sx, sy) = (x.numer().signum(), y.numer().signum());
+        if sx != sy {
+            return sx.cmp(&sy);
+        }
+        let l = limbs(x.numer().unsigned_abs(), y.denom() as u128);
+        let r = limbs(y.numer().unsigned_abs(), x.denom() as u128);
+        let magnitude = l.iter().rev().cmp(r.iter().rev());
+        if sx < 0 {
+            magnitude.reverse()
+        } else {
+            magnitude
+        }
+    }
+
+    /// The previous sum and product: checked `i128` throughout.
+    fn add_checked(x: &Rat, y: &Rat) -> Option<Rat> {
+        let g = gcd(x.d, y.d);
+        let (e_g, b_g) = (y.d / g, x.d / g);
+        let num = x.n.checked_mul(e_g)?.checked_add(y.n.checked_mul(b_g)?)?;
+        Some(Rat::new(num, x.d.checked_mul(e_g)?))
+    }
+
+    fn mul_checked(x: &Rat, y: &Rat) -> Option<Rat> {
+        let (g1, g2) = (gcd(x.n, y.d), gcd(y.n, x.d));
+        let n = (x.n / g1).checked_mul(y.n / g2)?;
+        let d = (x.d / g2).checked_mul(y.d / g1)?;
+        Some(Rat { n, d })
+    }
+
+    /// SplitMix64 over one seed: rationals of every bit length.
+    struct Draw(u64);
+
+    impl Draw {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// A nonnegative value of at most `bits` bits, `bits < 128`.
+        fn bits(&mut self, bits: u32) -> i128 {
+            let v = u128::from(self.next()) << 64 | u128::from(self.next());
+            v.checked_shr(128 - bits).unwrap_or(0) as i128
+        }
+
+        fn rat(&mut self) -> Rat {
+            let nb = (self.next() % 128) as u32;
+            let db = 1 + (self.next() % 127) as u32;
+            let n = self.bits(nb);
+            let n = if self.next().is_multiple_of(2) { n } else { -n };
+            Rat::new(n, self.bits(db).max(1))
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+        #[test]
+        fn order_and_arithmetic_match_wide_oracles(seed in 0u64..u64::MAX) {
+            let mut d = Draw(seed);
+            for _ in 0..32 {
+                let (a, b) = (d.bits(127) as u128 * 2 + d.bits(1) as u128, d.bits(127) as u128);
+                let l = limbs(a, b);
+                let halves = |lo: usize| (0..4).fold(0u128, |acc, k| acc | u128::from(l[lo + k] as u32) << (32 * k));
+                proptest::prop_assert_eq!(wide_product(a, b), (halves(4), halves(0)));
+                let (x, y) = (d.rat(), d.rat());
+                // Neighbours share a denominator and differ in the last
+                // unit, where a rounded comparison fails first.
+                let next = Rat::new(x.n.saturating_add(1), x.d);
+                for (a, b) in [(x, y), (x, next), (y, x), (x, x)] {
+                    proptest::prop_assert_eq!(a.cmp(&b), oracle_cmp(&a, &b), "{} against {}", a, b);
+                    proptest::prop_assert_eq!(a.cmp(&b) == Ordering::Equal, a == b);
+                    if let Some(sum) = add_checked(&a, &b) {
+                        proptest::prop_assert_eq!(a.add(&b), sum);
+                    }
+                    if let Some(prod) = mul_checked(&a, &b) {
+                        proptest::prop_assert_eq!(a.mul(&b), prod);
+                    }
+                    let f = a.to_f64();
+                    proptest::prop_assert_eq!(f.to_bits(), (a.n as f64 / a.d as f64).to_bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //! amortized growth of the eta slab and the glued lists: each solve
 //! allocates its work vectors once and reuses them on every iteration.
 //! A pass that allocated fresh vectors per FTRAN, BTRAN or eta would make
-//! several allocations per pivot.
+//! several allocations per pivot. A refactorization allocates nothing
+//! either: the LU refactors in place through a workspace the solve keeps,
+//! where a fresh factor made about four allocations per row.
 //!
-//! One test in a binary of its own, under a counting global allocator
+//! Two tests in a binary of their own, under a counting global allocator
 //! that counts only on the thread that arms it.
 
 use abt_lp::{
@@ -167,4 +169,45 @@ fn pivots_allocate_less_than_once_each() {
             "seed {seed}: 50 more pivots made {extra} more allocations"
         );
     }
+}
+
+#[test]
+fn refactorizations_allocate_nothing() {
+    let mut extra = 0;
+    for seed in 1..=7 {
+        let sf = StandardForm::build(&lp1_block(seed));
+        let solve = |pivot_budget| {
+            let opts = BoundedOptions {
+                pivot_budget,
+                ..BoundedOptions::default()
+            };
+            solve_bounded_f64_with(&sf, &opts, None)
+        };
+        // The first budget whose pass refactorizes: its last pivot filled
+        // the eta file.
+        let whole = solve(0);
+        assert!(
+            whole.refactorizations > 0,
+            "seed {seed}: no refactorization"
+        );
+        let first = (1..=whole.pivots)
+            .find(|&budget| solve(budget).refactorizations > 0)
+            .expect("some budget refactorizes");
+        let (before, before_allocs) = counted(|| solve(first - 1));
+        let (after, after_allocs) = counted(|| solve(first));
+        assert_eq!(before.refactorizations, 0, "seed {seed}");
+        assert_eq!(after.refactorizations, 1, "seed {seed}");
+        eprintln!(
+            "seed {seed}: the pass refactorizes at pivot {first}; {before_allocs} allocations \
+             stopped before it, {after_allocs} across it"
+        );
+        extra += after_allocs.saturating_sub(before_allocs);
+    }
+    // The pivots that filled the eta files may grow a glued list between
+    // them (one does); a factor that allocated would add one or more per
+    // seed, and a fresh one about four per row.
+    assert!(
+        extra <= 1,
+        "seven refactorizations and their pivots made {extra} allocations"
+    );
 }
