@@ -71,8 +71,8 @@
 use crate::admission::admission_precheck;
 use crate::lp_model::{
     build_component_lp, push_open_runs, record_admission_reject, record_quarantine,
-    record_recovery, record_state_corrupt, revised_options, slot_runs, ActiveLp, Component,
-    DecomposeMode, LpOptions, OpenRun, SlotRun,
+    record_recovery, record_state_corrupt, slot_runs, ActiveLp, Component, DecomposeMode,
+    LpOptions, OpenRun, SlotRun,
 };
 use crate::store::{encode_state, JournalOp, RecoveryReport, SolveStateStore};
 use crate::supervise::{supervised_solve, PartialSolve, QuarantinedComponent, SolveError};
@@ -511,7 +511,7 @@ impl IncrementalSolver {
         // Serve the new components in time order: from the content cache,
         // else cold down the supervision ladder, from the block's crash
         // start.
-        let ropts = revised_options(&self.opts);
+        let ropts = abt_lp::LpOptions::new().pricing(self.opts.pricing);
         let mut cold_solves = 0;
         for start in fresh {
             let kept = self

@@ -18,8 +18,8 @@ use super::{
 use crate::admission::admission_precheck;
 use crate::lp_model::{
     build_component_lp, components, push_open_runs, record_admission_reject, record_quarantine,
-    record_recovery, record_state_corrupt, revised_options, slot_runs, ActiveLp, DecomposeMode,
-    LpOptions, SlotRun, VubMode,
+    record_recovery, record_state_corrupt, slot_runs, ActiveLp, DecomposeMode, LpOptions, SlotRun,
+    VubMode,
 };
 use crate::supervise::{supervised_solve, PartialSolve, QuarantinedComponent, SolveError};
 use abt_core::active_schedule::horizon_len;
@@ -102,7 +102,7 @@ impl OracleSolver {
         }
         let runs = slot_runs(&inst);
         let comps = components(&inst, &runs, DecomposeMode::Auto);
-        let ropts = revised_options(&self.opts);
+        let ropts = abt_lp::LpOptions::new().pricing(self.opts.pricing);
         let mut y_runs = vec![Rat::ZERO; runs.len()];
         let mut objective = Rat::ZERO;
         let mut healthy: Vec<(usize, Rat)> = Vec::new();

@@ -77,8 +77,8 @@ pub use feasibility::{feasible_on, schedule_on, FeasibilitySession};
 pub use incremental::{IncrementalJobId, IncrementalReport, IncrementalSolver};
 pub use lp_model::{
     fractional_feasible, lp_telemetry, pivots_per_solve_snapshot, solve_active_lp,
-    solve_active_lp_with, try_solve_active_lp_with, ActiveLp, DecomposeMode, LpOptions,
-    LpTelemetry, OpenRun, VubMode,
+    solve_active_lp_with, try_solve_active_lp_with, vars_per_solve_snapshot, ActiveLp,
+    DecomposeMode, LpOptions, LpTelemetry, OpenRun, VubMode,
 };
 pub use minimal::{
     is_minimal, minimal_feasible, minimal_feasible_from, ClosingOrder, MinimalResult,

@@ -104,8 +104,9 @@
 //!
 //! Every solve feeds the process-wide telemetry ([`lp_telemetry`]):
 //! fallbacks plus the pivot / bound-flip / refactorization /
-//! exact-certify counters, and the sharding counters (sharded solves,
-//! components solved, largest component). The experiment harness records
+//! exact-certify counters, the sharding counters (sharded solves,
+//! components solved), and one observation per solve in the latency,
+//! pivot and variable-count histograms. The experiment harness records
 //! them per experiment and CI fails when a non-adversarial workload ever
 //! needs the exact fallback.
 
@@ -115,12 +116,12 @@ use crate::supervise::{supervised_solve, PartialSolve, QuarantinedComponent, Sol
 use abt_core::active_schedule::{horizon_len, job_feasible_in_slot};
 use abt_core::obs::{
     self,
-    metrics::{Counter, Gauge, Histogram, HistogramSnapshot},
+    metrics::{Counter, Histogram, HistogramSnapshot},
 };
 use abt_core::{supervised_map, Error, Instance, Result, SolveFailure, Time};
 use abt_lp::{
     BoundedOptions, Cmp, LpProblem, LpReport, LpSolution, LpStatus, Rat, RowStart, StartBasis,
-    VarState, DEFAULT_PRICING_WINDOW,
+    VarState,
 };
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -153,30 +154,23 @@ pub enum DecomposeMode {
 pub struct LpOptions {
     /// Variable-upper-bound encoding. Default: [`VubMode::Implicit`].
     pub vub: VubMode,
-    /// Partial-pricing window of the revised backend (`0` = full Dantzig
-    /// sweeps). Default: [`DEFAULT_PRICING_WINDOW`].
-    pub pricing_window: usize,
     /// Interval-graph component sharding. Default: [`DecomposeMode::Auto`].
     pub decompose: DecomposeMode,
-    /// Basis-changing pivot budget per revised solve attempt (`0` =
-    /// unlimited, the default). A trip surfaces as a typed
-    /// `BudgetExceeded` failure and demotes the solve down the
-    /// supervision ladder instead of spinning.
-    pub pivot_budget: u64,
-    /// Wall-time budget per revised solve *stage* in milliseconds (`0` =
-    /// unlimited, the default): the float pass and the exact certifier
-    /// each get a fresh clock.
-    pub time_budget_ms: u64,
+    /// The revised backend's partial-pricing window and its budgets per
+    /// solve attempt (`0` / `None` = unlimited, the default). A tripped
+    /// budget surfaces as a typed `BudgetExceeded` failure and demotes the
+    /// solve down the supervision ladder instead of spinning; the time
+    /// budget restarts for each stage (the float pass and the exact
+    /// certifier).
+    pub pricing: BoundedOptions,
 }
 
 impl Default for LpOptions {
     fn default() -> Self {
         LpOptions {
             vub: VubMode::Implicit,
-            pricing_window: DEFAULT_PRICING_WINDOW,
             decompose: DecomposeMode::Auto,
-            pivot_budget: 0,
-            time_budget_ms: 0,
+            pricing: BoundedOptions::default(),
         }
     }
 }
@@ -190,7 +184,7 @@ impl LpOptions {
 
     /// Sets the partial-pricing window (`0` = full Dantzig sweeps).
     pub fn pricing_window(mut self, window: usize) -> Self {
-        self.pricing_window = window;
+        self.pricing.pricing_window = window;
         self
     }
 
@@ -202,14 +196,7 @@ impl LpOptions {
 
     /// Sets the per-attempt pivot budget (`0` = unlimited).
     pub fn pivot_budget(mut self, budget: u64) -> Self {
-        self.pivot_budget = budget;
-        self
-    }
-
-    /// Sets the per-stage wall-time budget in milliseconds (`0` =
-    /// unlimited).
-    pub fn time_budget_ms(mut self, ms: u64) -> Self {
-        self.time_budget_ms = ms;
+        self.pricing.pivot_budget = budget;
         self
     }
 
@@ -236,8 +223,8 @@ impl LpOptions {
 /// `field: "lp.name"` entries it writes the private handle struct
 /// `LpMetrics`, their registration in `met()`, the public
 /// [`LpTelemetry`] fields, [`LpTelemetry::delta`] and [`lp_telemetry`].
-/// The `max_component_vars` gauge pair, the two histograms and the
-/// always-zero `warm_pivots_saved` are written out by hand.
+/// The three per-solve histograms and the always-zero
+/// `warm_pivots_saved` are written out by hand.
 macro_rules! lp_counters {
     ($($(#[$doc:meta])* $field:ident: $name:literal,)*) => {
         /// Handles of the process-wide LP solve metrics, resolved once from
@@ -247,9 +234,6 @@ macro_rules! lp_counters {
         /// `abt trace` / `--metrics` exposition surfaces.
         struct LpMetrics {
             $($field: &'static Counter,)*
-            /// High-water gauge of the largest component sub-LP's variable
-            /// count (sharded solves only).
-            max_component_vars: &'static Gauge,
             /// Wall-time latency of each supervised/hybrid solve,
             /// microseconds (log-bucket histogram; feeds the per-experiment
             /// p50/p90/p99 bench columns and the perf gate's p99 rule).
@@ -257,6 +241,9 @@ macro_rules! lp_counters {
             /// Pivot count of each solve (a *deterministic* distribution —
             /// used by the determinism tests and effort diagnostics).
             pivots_per_solve: &'static Histogram,
+            /// Variable count of each solve's LP (a component sub-LP under
+            /// sharding; deterministic like `pivots_per_solve`).
+            vars_per_solve: &'static Histogram,
         }
 
         /// The `lp.*` metric handles (resolved on first use).
@@ -264,66 +251,33 @@ macro_rules! lp_counters {
             static MET: OnceLock<LpMetrics> = OnceLock::new();
             MET.get_or_init(|| LpMetrics {
                 $($field: obs::metrics::counter($name),)*
-                max_component_vars: obs::metrics::gauge("lp.max_component_vars"),
                 solve_latency_us: obs::metrics::histogram("lp.solve_latency_us"),
                 pivots_per_solve: obs::metrics::histogram("lp.pivots_per_solve"),
+                vars_per_solve: obs::metrics::histogram("lp.vars_per_solve"),
             })
         }
 
         /// A snapshot of the process-wide LP solve telemetry (see
         /// [`lp_telemetry`]). All counters are cumulative and monotone; diff
         /// two snapshots with [`LpTelemetry::delta`] to scope them to a
-        /// region. Every field is maintained with atomic adds (the
-        /// high-water mark with atomic max), so concurrent solves (e.g.
-        /// under `parallel_map`) are counted exactly — a delta across a
-        /// parallel region equals the sum of the per-solve contributions.
+        /// region. Every field is maintained with atomic adds, so
+        /// concurrent solves (e.g. under `parallel_map`) are counted
+        /// exactly — a delta across a parallel region equals the sum of
+        /// the per-solve contributions.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct LpTelemetry {
             $($(#[$doc])* pub $field: u64,)*
             /// Always 0: LP1 solves have no warm starts. Kept only because
             /// the benchmark harness (`perfbench/src/trace.rs`) reads it.
             pub warm_pivots_saved: u64,
-            /// High-water mark of the largest component sub-LP's variable
-            /// count across sharded solves. **Not** a monotone sum — see
-            /// [`LpTelemetry::delta`] for the windowed semantics, and
-            /// [`Gauge::window`] on `lp.max_component_vars` for an exact max
-            /// over an arbitrary region.
-            pub max_component_vars: u64,
-            /// Number of strict raises of the `max_component_vars` high
-            /// water (monotone). [`LpTelemetry::delta`] uses it to decide
-            /// whether the window established a new high water; not
-            /// meaningful on its own.
-            pub max_component_raises: u64,
         }
 
         impl LpTelemetry {
-            /// Componentwise `self − earlier` for the monotone counters.
-            ///
-            /// `max_component_vars` is a high-water mark, not a sum, and
-            /// gets **max-over-window** semantics: when the window raised
-            /// the process-wide high water (`max_component_raises`
-            /// advanced), the later snapshot's value *is* the exact
-            /// in-window maximum — the record that set it happened inside
-            /// the window — and is reported; when it did not, the delta
-            /// reports 0 rather than carrying a stale process-wide value
-            /// forward (the historical wart). A window that sharded only
-            /// below an earlier high water therefore reads 0 here; open a
-            /// [`Gauge::window`] on `lp.max_component_vars` when the exact
-            /// in-window maximum of such a region matters (the experiment
-            /// harness does).
+            /// Componentwise `self − earlier`.
             pub fn delta(&self, earlier: &LpTelemetry) -> LpTelemetry {
                 LpTelemetry {
                     $($field: self.$field - earlier.$field,)*
-                    warm_pivots_saved: 0,
-                    max_component_vars: if self.max_component_raises
-                        > earlier.max_component_raises
-                    {
-                        self.max_component_vars
-                    } else {
-                        0
-                    },
-                    max_component_raises: self.max_component_raises
-                        - earlier.max_component_raises,
+                    ..LpTelemetry::default()
                 }
             }
         }
@@ -335,9 +289,7 @@ macro_rules! lp_counters {
             let m = met();
             LpTelemetry {
                 $($field: m.$field.get(),)*
-                warm_pivots_saved: 0,
-                max_component_vars: m.max_component_vars.max(),
-                max_component_raises: m.max_component_vars.raises(),
+                ..LpTelemetry::default()
             }
         }
     };
@@ -414,6 +366,12 @@ pub fn pivots_per_solve_snapshot() -> HistogramSnapshot {
     met().pivots_per_solve.snapshot()
 }
 
+/// Snapshot of the `lp.vars_per_solve` histogram: the variable count of
+/// each solve's LP, deterministic like [`pivots_per_solve_snapshot`].
+pub fn vars_per_solve_snapshot() -> HistogramSnapshot {
+    met().vars_per_solve.snapshot()
+}
+
 /// Records one failure-driven ladder demotion (see [`crate::supervise`],
 /// which additionally emits the structured `supervise.demotion` event
 /// with the failure and rung context).
@@ -458,7 +416,9 @@ pub(crate) fn record_admission_reject() {
     obs::trace::event("admission.reject", Vec::new);
 }
 
-pub(crate) fn record_solve(rep: &LpReport) {
+/// Records one certified solve of an LP with `vars` variables: its
+/// counters, and one observation in the pivot and variable histograms.
+pub(crate) fn record_solve(rep: &LpReport, vars: usize) {
     let m = met();
     m.solves.inc();
     if rep.fallback {
@@ -473,6 +433,7 @@ pub(crate) fn record_solve(rep: &LpReport) {
     m.interval_escalations.add(rep.stats.interval_escalations);
     m.certify_lu.add(rep.stats.certify_lu);
     m.pivots_per_solve.record(rep.stats.pivots);
+    m.vars_per_solve.record(vars as u64);
 }
 
 /// Records one solve's wall-time latency into the `lp.solve_latency_us`
@@ -480,17 +441,6 @@ pub(crate) fn record_solve(rep: &LpReport) {
 /// solve's clock).
 pub(crate) fn record_solve_latency(elapsed: Duration) {
     met().solve_latency_us.record(elapsed.as_micros() as u64);
-}
-
-/// The [`abt_lp::LpOptions`] implied by [`LpOptions`] for the revised
-/// backend: pricing window and the solve budgets (`0` means unlimited
-/// throughout).
-pub(crate) fn revised_options(opts: &LpOptions) -> abt_lp::LpOptions<'static> {
-    abt_lp::LpOptions::new().pricing(BoundedOptions {
-        pricing_window: opts.pricing_window,
-        pivot_budget: opts.pivot_budget,
-        time_budget: (opts.time_budget_ms > 0).then(|| Duration::from_millis(opts.time_budget_ms)),
-    })
 }
 
 /// One open run of an LP1 answer: the slots `(start, end]`, each open to
@@ -880,15 +830,10 @@ fn solve_component(
     opts: &LpOptions,
     runs: &[SlotRun],
     comp: &Component,
-    sharded: bool,
 ) -> ComponentOutcome {
     let clp = build_component_lp(inst, opts, runs, comp);
-    if sharded {
-        met()
-            .max_component_vars
-            .record_max(clp.lp.num_vars() as u64);
-    }
-    let sol = supervised_solve(&clp.lp, &revised_options(opts).start(clp.start.as_ref()))?.solution;
+    let ropts = abt_lp::LpOptions::new().pricing(opts.pricing);
+    let sol = supervised_solve(&clp.lp, &ropts.start(clp.start.as_ref()))?.solution;
     Ok(finish_component(comp, comp.run_hi - comp.run_lo, sol))
 }
 
@@ -947,12 +892,12 @@ pub fn try_solve_active_lp_with(
         // The outer `supervised_map` additionally isolates panics raised
         // *outside* the ladder (e.g. while building the component LP).
         supervised_map((0..comps.len()).collect::<Vec<_>>(), |ci| {
-            solve_component(inst, opts, &runs, &comps[ci], true)
+            solve_component(inst, opts, &runs, &comps[ci])
         })
     } else {
         comps
             .iter()
-            .map(|comp| solve_component(inst, opts, &runs, comp, false))
+            .map(|comp| solve_component(inst, opts, &runs, comp))
             .collect()
     };
     // Stitch: each component's open runs, in time order (runs outside
@@ -1233,15 +1178,14 @@ mod tests {
         assert_eq!(comps[1].jobs, vec![2, 3]);
         assert_eq!(comps[2].jobs, vec![4]);
         let before = lp_telemetry();
-        // The registered window sees the exact in-window high-water mark
-        // even when a concurrent test has already pushed the cumulative
-        // gauge higher (the delta would then be 0 by design).
-        let window = met().max_component_vars.window();
+        let vars_before = vars_per_solve_snapshot();
         assert_auto_matches_off(&inst);
         let d = lp_telemetry().delta(&before);
         assert!(d.sharded_solves >= 1, "the Auto solve must shard");
         assert!(d.components >= 3, "three component sub-LPs must be solved");
-        assert!(window.value() >= 1);
+        let vars = vars_per_solve_snapshot().delta(&vars_before);
+        assert!(vars.count() >= 4, "every solve records its variables");
+        assert!(vars.percentile(1.0) >= 1);
         // Gap runs stay closed: no open run meets (4, 100].
         let auto = solve_active_lp(&inst).unwrap();
         for run in &auto.runs {
@@ -1309,10 +1253,7 @@ mod tests {
         // process-global and other tests solve concurrently.)
         let inst = Instance::from_triples([(0, 6, 3), (1, 5, 2), (2, 6, 3)], 2).unwrap();
         let reference = solve_active_lp_with(&inst, &LpOptions::default()).unwrap();
-        let starved = LpOptions {
-            pivot_budget: 1,
-            ..LpOptions::default()
-        };
+        let starved = LpOptions::default().pivot_budget(1);
         let before = lp_telemetry();
         let lp = solve_active_lp_with(&inst, &starved).unwrap();
         let d = lp_telemetry().delta(&before);

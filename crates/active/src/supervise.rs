@@ -67,7 +67,7 @@ pub(crate) fn supervised_solve(
     let mut span = abt_core::obs_span!("solve.component", vars = lp.num_vars());
     let started = std::time::Instant::now();
     let finish = |rep: LpReport, rung: &'static str, span: &mut obs::Span| {
-        record_solve(&rep);
+        record_solve(&rep, lp.num_vars());
         record_solve_latency(started.elapsed());
         span.field("rung", rung);
         rep

@@ -52,7 +52,7 @@
 //! *required* keys are hard errors.
 
 use abt_core::json::{self, get, Json};
-use abt_core::obs::metrics::{self, HighWaterWindow, HistogramSnapshot, Metric};
+use abt_core::obs::metrics::{self, HistogramSnapshot, Metric};
 use std::collections::BTreeMap;
 
 /// Schema tag written/accepted by this module.
@@ -68,8 +68,6 @@ pub enum Source {
     Counter(&'static str, f64),
     /// A percentile of a microsecond histogram's new observations, in ms.
     Percentile(&'static str, f64),
-    /// The largest value a high-water gauge recorded during the row.
-    GaugeWindow(&'static str),
     /// One counter's growth over another's (0 when the second did not
     /// grow).
     Ratio(&'static str, &'static str),
@@ -91,8 +89,10 @@ pub struct Column {
 const REQUIRED: [&str; 2] = ["lp_solves", "fallback_rate"];
 
 /// Every telemetry column of an experiment row, in the order the writer
-/// emits them. The `lp.*` counters are documented on
-/// [`abt_active::LpTelemetry`]. `interval_accepts` and
+/// emits them. Each reads a registry counter or histogram over the row
+/// (see [`Source`]). The `lp.*` counters are documented on
+/// [`abt_active::LpTelemetry`]; `lp.solve_latency_us` holds each solve's
+/// wall time in microseconds. `interval_accepts` and
 /// `interval_escalations` keep the names of the retired interval tier:
 /// they count the certifications that proved every reduced-cost sign in
 /// integers and those where some column family needed `Rat`. The
@@ -100,7 +100,7 @@ const REQUIRED: [&str; 2] = ["lp_solves", "fallback_rate"];
 /// the solve pipeline ([`abt_core::obs::span_rollups`]).
 #[rustfmt::skip]
 pub const COLUMNS: &[Column] = {
-    use Source::{Counter, GaugeWindow, Percentile, Ratio};
+    use Source::{Counter, Percentile, Ratio};
     &[
         Column { key: "lp_solves",             decimals: 0, source: Counter("lp.solves", 1.0) },
         Column { key: "fallback_rate",         decimals: 4, source: Ratio("lp.fallbacks", "lp.solves") },
@@ -109,7 +109,6 @@ pub const COLUMNS: &[Column] = {
         Column { key: "lp_refactorizations",   decimals: 0, source: Counter("lp.refactorizations", 1.0) },
         Column { key: "lp_certify_ms",         decimals: 3, source: Counter("lp.certify_nanos", 1e6) },
         Column { key: "lp_components",         decimals: 0, source: Counter("lp.components", 1.0) },
-        Column { key: "lp_max_component_vars", decimals: 0, source: GaugeWindow("lp.max_component_vars") },
         Column { key: "demotions",             decimals: 0, source: Counter("lp.demotions", 1.0) },
         Column { key: "budget_trips",          decimals: 0, source: Counter("lp.budget_trips", 1.0) },
         Column { key: "quarantined",           decimals: 0, source: Counter("lp.quarantined", 1.0) },
@@ -149,7 +148,6 @@ fn histogram(name: &str) -> Option<HistogramSnapshot> {
 enum Start {
     Counts(u64, u64),
     Histogram(Option<Box<HistogramSnapshot>>),
-    Window(Option<HighWaterWindow>),
 }
 
 /// The registry readings behind one experiment row: taken when the row
@@ -161,7 +159,7 @@ pub struct RowProbe {
 }
 
 impl RowProbe {
-    /// Reads every column's source (and opens the gauge windows).
+    /// Reads every column's source.
     pub fn start() -> RowProbe {
         let start = COLUMNS
             .iter()
@@ -169,10 +167,6 @@ impl RowProbe {
                 Source::Counter(name, _) => Start::Counts(count(name), 0),
                 Source::Ratio(num, den) => Start::Counts(count(num), count(den)),
                 Source::Percentile(name, _) => Start::Histogram(histogram(name).map(Box::new)),
-                Source::GaugeWindow(name) => Start::Window(match metrics::lookup(name) {
-                    Some(Metric::Gauge(g)) => Some(g.window()),
-                    _ => None,
-                }),
             })
             .collect();
         RowProbe { start }
@@ -200,15 +194,6 @@ impl RowProbe {
                             (now, _) => now,
                         };
                         since.map_or(0, |h| h.percentile(q)) as f64 / 1e3
-                    }
-                    (Source::GaugeWindow(name), Start::Window(window)) => {
-                        let max = match (window, metrics::lookup(name)) {
-                            (Some(w), _) => w.value(),
-                            // Registered during the row, so it recorded only here.
-                            (None, Some(Metric::Gauge(g))) => g.max(),
-                            (None, _) => 0,
-                        };
-                        max as f64
                     }
                     _ => unreachable!("a probe starts each column from its own source"),
                 };
@@ -510,7 +495,6 @@ mod tests {
                         ("lp_refactorizations", 12.0),
                         ("lp_certify_ms", 1.25),
                         ("lp_components", 24.0),
-                        ("lp_max_component_vars", 96.0),
                         ("demotions", 2.0),
                         ("budget_trips", 1.0),
                         ("interval_accepts", 14.0),
@@ -566,7 +550,6 @@ mod tests {
             ("lp_bound_flips", 31.0),
             ("lp_refactorizations", 12.0),
             ("lp_components", 24.0),
-            ("lp_max_component_vars", 96.0),
             ("demotions", 2.0),
             ("budget_trips", 1.0),
             ("quarantined", 0.0),
@@ -610,7 +593,6 @@ mod tests {
                 Source::Counter(name, _) => (vec![name], |m| matches!(m, Metric::Counter(_))),
                 Source::Ratio(num, den) => (vec![num, den], |m| matches!(m, Metric::Counter(_))),
                 Source::Percentile(name, _) => (vec![name], |m| matches!(m, Metric::Histogram(_))),
-                Source::GaugeWindow(name) => (vec![name], |m| matches!(m, Metric::Gauge(_))),
             };
             for name in names.into_iter().filter(|n| n.starts_with("lp.")) {
                 let metric = metrics::lookup(name);

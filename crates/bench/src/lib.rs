@@ -24,8 +24,7 @@
 //!         "candidate_ms": 407.0, "speedup": 3.39, "fallback": false},
 //!     "experiments": [
 //!         {"id": "e21", "wall_ms": 900.0, "lp_solves": 1216,
-//!          "fallback_rate": 0.0, "lp_components": 1216,
-//!          "lp_max_component_vars": 32, "speedup": 19.5}
+//!          "fallback_rate": 0.0, "lp_components": 1216, "speedup": 19.5}
 //!     ] }"#;
 //! let rec = BenchRecord::from_json(committed).unwrap();
 //! assert_eq!(rec.schema, SCHEMA);

@@ -26,31 +26,55 @@ struct OpenBundle {
     intervals: Vec<Interval>,
 }
 
-impl OpenBundle {
-    /// Max simultaneous intervals within `iv` if we were to add it.
-    fn fits(&self, iv: Interval, g: usize) -> bool {
-        // Sweep only over events inside iv.
-        let mut events: Vec<(i64, i32)> = Vec::new();
-        let mut base = 0i32; // intervals covering iv.start
-        for other in &self.intervals {
-            if other.start <= iv.start && iv.start < other.end {
-                base += 1;
-            } else if other.start > iv.start && other.start < iv.end {
-                events.push((other.start, 1));
-            }
-            if other.end > iv.start && other.end < iv.end {
-                events.push((other.end, -1));
-            }
+/// Whether an interval of weight `w` fits over `iv` on a machine of
+/// capacity `g` that already runs the weighted intervals `running`: the
+/// peak total weight of `running` inside `iv` is at most `g − w`.
+/// Intervals are half-open, so one that ends where another starts never
+/// runs beside it. The one fit check of FirstFit (weight 1), its online
+/// variant and the width-aware FirstFit (weight `w_j`); written as
+/// `peak ≤ g − w`, it cannot overflow at any `g`.
+pub(crate) fn fits(
+    running: impl IntoIterator<Item = (Interval, usize)>,
+    iv: Interval,
+    w: usize,
+    g: usize,
+) -> bool {
+    let Some(room) = g.checked_sub(w) else {
+        return false;
+    };
+    // The weight running at `iv.start`, then every start and end inside
+    // `iv`; at one instant the ends (`false`) sort before the starts.
+    let mut base = 0;
+    let mut events: Vec<(i64, bool, usize)> = Vec::new();
+    for (other, wo) in running {
+        if !other.overlaps(&iv) {
+            continue;
         }
-        let mut cur = base;
-        let mut peak = base;
-        events.sort_unstable();
-        for (_, d) in events {
-            cur += d;
-            peak = peak.max(cur);
+        if other.start <= iv.start {
+            base += wo;
+        } else {
+            events.push((other.start, true, wo));
         }
-        (peak as usize) < g // adding iv raises every covered point by 1
+        if other.end < iv.end {
+            events.push((other.end, false, wo));
+        }
     }
+    if base > room {
+        return false;
+    }
+    events.sort_unstable();
+    let mut cur = base;
+    for (_, start, wo) in events {
+        if start {
+            cur += wo;
+            if cur > room {
+                return false;
+            }
+        } else {
+            cur -= wo;
+        }
+    }
+    true
 }
 
 /// Runs FirstFit on an interval instance. Errors on flexible jobs (convert
@@ -73,7 +97,9 @@ pub fn first_fit(inst: &Instance, order: FirstFitOrder) -> Result<BusySchedule> 
     let mut bundles: Vec<OpenBundle> = Vec::new();
     for id in ids {
         let iv = inst.job(id).window();
-        let target = bundles.iter_mut().find(|b| b.fits(iv, g));
+        let target = bundles
+            .iter_mut()
+            .find(|b| fits(b.intervals.iter().map(|&o| (o, 1)), iv, 1, g));
         match target {
             Some(b) => {
                 b.ids.push(id);
@@ -164,6 +190,43 @@ mod tests {
             first_fit(&inst, FirstFitOrder::LengthDesc),
             Err(Error::Unsupported(_))
         ));
+    }
+
+    #[test]
+    fn fits_matches_a_count_at_every_point() {
+        // The sweep against its definition: at every integer point of `iv`
+        // the weight already running there, plus `w`, stays within `g`.
+        let mut state = 0x5EEDu64;
+        let mut next = move |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        for _ in 0..2000 {
+            let draw = |next: &mut dyn FnMut(u64) -> u64| {
+                let start = next(10) as i64;
+                Interval::new(start, start + 1 + next(6) as i64)
+            };
+            let running: Vec<(Interval, usize)> = (0..next(6))
+                .map(|_| (draw(&mut next), 1 + next(3) as usize))
+                .collect();
+            let iv = draw(&mut next);
+            let (w, g) = (1 + next(3) as usize, 1 + next(7) as usize);
+            let at_every_point = (iv.start..iv.end).all(|t| {
+                let load: usize = running
+                    .iter()
+                    .filter(|(o, _)| o.start <= t && t < o.end)
+                    .map(|&(_, wo)| wo)
+                    .sum();
+                load + w <= g
+            });
+            assert_eq!(
+                fits(running.iter().copied(), iv, w, g),
+                at_every_point,
+                "{running:?} {iv:?} w={w} g={g}"
+            );
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! arrival costs `O(machines × jobs-per-machine)` — a genuinely online data
 //! structure rather than a replay of the offline code.
 
+use crate::firstfit::fits;
 use abt_core::{Bundle, BusySchedule, Error, Instance, Interval, JobId, Result};
 
 /// Incremental online scheduler for interval jobs.
@@ -47,7 +48,7 @@ impl OnlineScheduler {
         let m = self
             .machines
             .iter()
-            .position(|mach| fits(mach, iv, self.g))
+            .position(|mach| fits(mach.iter().map(|&o| (o, 1)), iv, 1, self.g))
             .unwrap_or_else(|| {
                 self.machines.push(Vec::new());
                 self.machines.len() - 1
@@ -78,34 +79,6 @@ impl OnlineScheduler {
         }
         BusySchedule { bundles }
     }
-}
-
-fn fits(machine: &[Interval], iv: Interval, g: usize) -> bool {
-    // Arrivals are release-ordered, so only jobs still running at iv.start
-    // or starting inside iv matter; count the peak inside iv.
-    let mut events: Vec<(i64, i32)> = Vec::new();
-    let mut base = 0i32;
-    for other in machine {
-        if !other.overlaps(&iv) {
-            continue;
-        }
-        if other.start <= iv.start {
-            base += 1;
-        } else {
-            events.push((other.start, 1));
-        }
-        if other.end < iv.end {
-            events.push((other.end, -1));
-        }
-    }
-    events.sort_unstable();
-    let mut cur = base;
-    let mut peak = base;
-    for (_, d) in events {
-        cur += d;
-        peak = peak.max(cur);
-    }
-    (peak as usize) < g
 }
 
 /// Runs the online scheduler over a whole interval instance (jobs presented

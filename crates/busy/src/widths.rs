@@ -10,7 +10,8 @@
 //! a unit-capacity sub-instance). **Narrow** jobs (`w_j ≤ g/2`) go through
 //! width-aware FirstFit in non-increasing length order.
 
-use abt_core::{Error, Interval, IntervalSet, Job, JobId, Result, Time};
+use crate::firstfit::fits;
+use abt_core::{Error, IntervalSet, Job, JobId, Result, Time};
 
 /// A job with a capacity demand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,7 +158,13 @@ pub fn width_first_fit(inst: &WidthInstance) -> WidthSchedule {
         let iv = wj.job.window();
         let slot = machines[narrow_start..]
             .iter()
-            .position(|ids| fits_width(inst, ids, iv, wj.width as i64))
+            .position(|ids| {
+                let running = ids.iter().map(|&o| {
+                    let wo = inst.jobs()[o];
+                    (wo.job.window(), wo.width)
+                });
+                fits(running, iv, wj.width, inst.g())
+            })
             .map(|p| p + narrow_start);
         match slot {
             Some(m) => machines[m].push(j),
@@ -165,35 +172,6 @@ pub fn width_first_fit(inst: &WidthInstance) -> WidthSchedule {
         }
     }
     WidthSchedule { machines }
-}
-
-/// Whether adding a `width`-wide job over `iv` keeps the machine within g.
-fn fits_width(inst: &WidthInstance, ids: &[JobId], iv: Interval, width: i64) -> bool {
-    let mut events: Vec<(Time, i64)> = Vec::new();
-    let mut base = 0i64;
-    for &j in ids {
-        let wj = inst.jobs()[j];
-        let o = wj.job.window();
-        if !o.overlaps(&iv) {
-            continue;
-        }
-        if o.start <= iv.start {
-            base += wj.width as i64;
-        } else {
-            events.push((o.start, wj.width as i64));
-        }
-        if o.end < iv.end {
-            events.push((o.end, -(wj.width as i64)));
-        }
-    }
-    events.sort_unstable();
-    let mut cur = base;
-    let mut peak = base;
-    for (_, d) in events {
-        cur += d;
-        peak = peak.max(cur);
-    }
-    peak + width <= inst.g() as i64
 }
 
 #[cfg(test)]

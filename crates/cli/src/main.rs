@@ -44,13 +44,16 @@
 //! (see `abt-core`'s `obs` module): `--trace-out PATH` arms solve-pipeline
 //! tracing and writes the flight-recorder JSONL dump to PATH when the
 //! command finishes — including after a quarantine error or panic — and
-//! `--metrics` prints the full metrics-registry exposition
-//! (`name value` lines) after the command's own output. Each of the three
-//! also prints a one-line per-phase time breakdown from the always-on
-//! span rollups: `solve` splits into decompose/pivot/certify/stitch, then
-//! prints a `pivot split:` line dividing the pivot phase into the float
-//! pass's LU factorizations (`factor`, the `solve.factor` spans) and the
-//! rest, and
+//! `--metrics` prints the full metrics-registry exposition after the
+//! command's own output: a `name value` line per counter, and
+//! `name_count`, `name_p50`, `name_p90` and `name_p99` lines per
+//! histogram (one observation per certified LP solve in
+//! `lp.solve_latency_us`, `lp.pivots_per_solve` and `lp.vars_per_solve`).
+//! Each of the three also prints a one-line per-phase time breakdown from
+//! the always-on span rollups: `solve` splits into
+//! decompose/pivot/certify/stitch, then prints a `pivot split:` line
+//! dividing the pivot phase into the float pass's LU factorizations
+//! (`factor`, the `solve.factor` spans) and the rest, and
 //! `incremental` and `replay` into admission/regroup/pivot/certify/stitch
 //! (the incremental driver's own spans around the LP
 //! ones). `incremental`'s totals line also counts the jobs the driver
@@ -117,6 +120,7 @@ use abt_workloads::{
 use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 use std::sync::OnceLock;
+use std::time::Duration;
 
 /// Flight-recorder dump path from `--trace-out`, visible to the panic
 /// hook: a quarantine panic dumps the recorder before the process dies.
@@ -253,9 +257,9 @@ fn parse_budgets<'a>(args: &[&'a str]) -> Result<(Vec<&'a str>, LpOptions), Stri
                 let v = it.next().ok_or_else(|| format!("{a} needs a value"))?;
                 let n: u64 = v.parse().map_err(|_| format!("bad {a} value '{v}'"))?;
                 if *a == "--pivot-budget" {
-                    opts.pivot_budget = n;
+                    opts.pricing.pivot_budget = n;
                 } else {
-                    opts.time_budget_ms = n;
+                    opts.pricing.time_budget = (n > 0).then(|| Duration::from_millis(n));
                 }
             }
             other => positional.push(other),
@@ -490,7 +494,7 @@ fn solve_arrivals<'a>(
         )?;
         last = Some(rep);
         if throttle_ms > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(throttle_ms));
+            std::thread::sleep(Duration::from_millis(throttle_ms));
         }
     }
     Ok(last)

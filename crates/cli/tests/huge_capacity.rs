@@ -71,7 +71,8 @@ fn active_algorithms_answer_at_g_two_to_the_62() {
 #[test]
 fn bounds_stay_positive_at_g_max() {
     let stdout = answer("bounds", "g 9223372036854775807\njob 0 2 2\n", &["bounds"]);
-    assert!(stdout.contains("active-time lower bound: 1\n"), "{stdout}");
+    // The job's own length binds: it needs two slots however large `g` is.
+    assert!(stdout.contains("active-time lower bound: 2\n"), "{stdout}");
     assert!(stdout.contains("mass=1 "), "{stdout}");
 }
 

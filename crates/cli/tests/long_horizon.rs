@@ -10,7 +10,9 @@
 //! that its search left closed made it list all of `i64` (`capacity
 //! overflow`). `busy … preempt` looped forever
 //! on a deadline from 2⁶² up: the closed gap before the first open
-//! component wrapped to 0, so nothing ever opened.
+//! component wrapped to 0, so nothing ever opened. `bounds` scanned every
+//! (release, deadline) pair for the active-time bound, cubic in the jobs:
+//! 3,000 short jobs over a 10¹² horizon took more than 10 s.
 
 mod common;
 
@@ -125,4 +127,27 @@ fn exact_answers_runs_ending_at_i64_max() {
         "abt {args:?}:\n{stdout}"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn bounds_answers_thousands_of_short_jobs_over_a_long_horizon() {
+    // 1,500 pairs of overlapping short windows spread over 10¹² slots. A
+    // pair needs 2 slots (lengths 1 and 2) or 4 (lengths 3 and 4) at g = 2.
+    let mut text = String::from("g 2\n");
+    for i in 0..3000i64 {
+        let release = (i / 2) * 666_666_666 + (i % 2) * 3;
+        text.push_str(&format!("job {release} {} {}\n", release + 8, 1 + i % 4));
+    }
+    let dir = std::env::temp_dir().join(format!("abt-many-short-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("short.txt");
+    std::fs::write(&file, text).unwrap();
+    let out = abt_within(&["bounds", file.to_str().unwrap()], Duration::from_secs(10));
+    std::fs::remove_dir_all(&dir).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(
+        stdout.contains("active-time lower bound: 4500\n"),
+        "{stdout}"
+    );
 }

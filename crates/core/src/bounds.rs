@@ -4,10 +4,12 @@
 //! bound** `OPT_∞(J)`, and — for placed/interval jobs — the strictly
 //! stronger **demand-profile bound** `Σ_i ⌈|A(I_i)|/g⌉·ℓ(I_i)`.
 //!
-//! Active time: `⌈P/g⌉` (every active slot holds at most `g` units) and the
-//! span of the minimal slot cover required by window containment.
+//! Active time: per connected component of the job windows, `⌈P_c/g⌉`
+//! (every active slot holds at most `g` units) and the longest job (each
+//! unit of a job needs its own slot), summed over the components.
 
 use crate::instance::Instance;
+use crate::jobs::Job;
 use crate::profile::DemandProfile;
 
 /// Lower bounds for the busy-time objective on an instance.
@@ -59,37 +61,31 @@ pub fn busy_lower_bounds(inst: &Instance) -> BusyBounds {
     }
 }
 
-/// Lower bound for the active-time objective: `max(⌈P/g⌉, c)` where `c` is
-/// the interval-covering bound — for every window interval `[a, b]` of
-/// slots, at least `⌈(Σ of p_j over jobs with window ⊆ [a,b])/g⌉` slots of
-/// `[a, b]` must be active.
+/// Lower bound for the active-time objective: the sum, over the connected
+/// components of the job-window interval graph, of `max(⌈P_c/g⌉,
+/// max_{j∈c} p_j)`, where `P_c` is the component's total length.
+/// Components share no slot, so their optima add; inside one, an active
+/// slot holds at most `g` units and a job needs `p_j` distinct slots. The
+/// sum is never below `⌈P/g⌉` and never above OPT. O(n log n): the jobs
+/// are swept in release order, and a job joins the current component
+/// while its release is before the component's end (a window `[r, d)`
+/// covers the slots `r + 1 ..= d`).
 pub fn active_lower_bound(inst: &Instance) -> i64 {
     let g = i64::try_from(inst.g()).unwrap_or(i64::MAX);
-    let mut best = div_ceil_i64(inst.total_length(), g);
-    // Covering bound over all O(n²) window-endpoint pairs.
-    let mut lefts: Vec<i64> = inst.jobs().iter().map(|j| j.release).collect();
-    let mut rights: Vec<i64> = inst.jobs().iter().map(|j| j.deadline).collect();
-    lefts.sort_unstable();
-    lefts.dedup();
-    rights.sort_unstable();
-    rights.dedup();
-    for &a in &lefts {
-        for &b in &rights {
-            if b <= a {
-                continue;
-            }
-            let inside: i64 = inst
-                .jobs()
-                .iter()
-                .filter(|j| j.release >= a && j.deadline <= b)
-                .map(|j| j.length)
-                .sum();
-            if inside > 0 {
-                best = best.max(div_ceil_i64(inside, g));
-            }
+    let mut jobs: Vec<&Job> = inst.jobs().iter().collect();
+    jobs.sort_unstable_by_key(|j| j.release);
+    let mut jobs = jobs.into_iter().peekable();
+    let mut bound = 0;
+    while let Some(first) = jobs.next() {
+        let (mut end, mut mass, mut longest) = (first.deadline, first.length, first.length);
+        while let Some(j) = jobs.next_if(|j| j.release < end) {
+            end = end.max(j.deadline);
+            mass += j.length;
+            longest = longest.max(j.length);
         }
+        bound += div_ceil_i64(mass, g).max(longest);
     }
-    best
+    bound
 }
 
 /// `⌈a / b⌉` for `a ≥ 0` and `b ≥ 1`, with no intermediate that can
@@ -102,7 +98,6 @@ fn div_ceil_i64(a: i64, b: i64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jobs::Job;
 
     #[test]
     fn mass_bound_can_be_weak() {
@@ -151,13 +146,27 @@ mod tests {
 
     #[test]
     fn active_bound_combines_mass_and_covering() {
-        // 3 unit jobs all confined to slots {1,2} with g = 1: covering bound 3... but
-        // only 2 slots exist so that instance is infeasible; use g=2:
-        // ceil(3/2) = 2 from the window [0,2].
+        // One component of four unit jobs, g = 2: ⌈4/2⌉ = 2.
         let inst = Instance::from_triples([(0, 2, 1), (0, 2, 1), (0, 2, 1), (0, 9, 1)], 2).unwrap();
         assert_eq!(active_lower_bound(&inst), 2);
         // Mass bound dominates when windows are loose.
         let inst2 = Instance::from_triples([(0, 100, 30), (0, 100, 30)], 1).unwrap();
         assert_eq!(active_lower_bound(&inst2), 60);
+        // A job needs a slot per unit, whatever `g` is.
+        let long = Instance::from_triples([(0, 10, 10)], 3).unwrap();
+        assert_eq!(active_lower_bound(&long), 10);
+    }
+
+    #[test]
+    fn active_bound_sums_the_components() {
+        // Windows that only touch share no slot: three components, each
+        // needing its own slots. ⌈P/g⌉ alone would read ⌈5/3⌉ = 2.
+        let inst =
+            Instance::from_triples([(0, 3, 2), (3, 6, 1), (1, 2, 1), (10, 12, 1)], 3).unwrap();
+        assert_eq!(active_lower_bound(&inst), 2 + 1 + 1);
+        // A late release still joins a component its window overlaps.
+        let chain = Instance::from_triples([(0, 4, 1), (5, 9, 1), (3, 6, 3)], 1).unwrap();
+        assert_eq!(active_lower_bound(&chain), 5);
+        assert_eq!(active_lower_bound(&Instance::new(vec![], 2).unwrap()), 0);
     }
 }

@@ -121,14 +121,6 @@ impl FaultSpec {
             action: FaultAction::Io(fault),
         }
     }
-
-    /// Fire the given I/O fault on the `n`-th hit only.
-    pub fn io_nth(fault: IoFault, n: u64) -> FaultSpec {
-        FaultSpec {
-            trigger: Trigger::Nth(n.max(1)),
-            action: FaultAction::Io(fault),
-        }
-    }
 }
 
 /// Marks a fault-injection site. A no-op unless the `fault-injection`

@@ -1,12 +1,12 @@
-//! Process-global metrics registry: typed counters, high-water gauges,
-//! and lock-free fixed-log-bucket histograms.
+//! Process-global metrics registry: typed counters and lock-free
+//! fixed-log-bucket histograms.
 //!
 //! Every metric is registered under a stable string name the first time
-//! it is requested ([`counter`] / [`gauge`] / [`histogram`]) and lives
-//! for the rest of the process. Handles are `&'static`, so hot paths pay
-//! one registry lookup at initialization and plain relaxed atomics per
-//! update afterwards. All update paths are wait-free atomic adds /
-//! maxes, which makes the registry **concurrency-exact** under
+//! it is requested ([`counter`] / [`histogram`]) and lives for the rest
+//! of the process. Handles are `&'static`, so hot paths pay one registry
+//! lookup at initialization and plain relaxed atomics per update
+//! afterwards. All update paths are wait-free atomic adds, which makes
+//! the registry **concurrency-exact** under
 //! [`crate::parallel_map`] / [`crate::supervised_map`]: a delta across a
 //! parallel region equals the sum of the per-thread contributions.
 //!
@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock, Weak};
+use std::sync::{Mutex, OnceLock};
 
 /// A monotone event counter. Updates are single relaxed atomic adds, so
 /// concurrent increments from a parallel fan-out are counted exactly.
@@ -40,95 +40,6 @@ impl Counter {
     #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A high-water gauge: records the maximum value ever observed, counts
-/// the strict raises of that maximum, and feeds every live
-/// [`HighWaterWindow`] so callers can read an **exact** max over an
-/// arbitrary region even though the cumulative cell never resets.
-///
-/// Two read paths, with different precision:
-///
-/// * [`Gauge::window`] — exact max-over-window. The window cell starts
-///   at zero and every `record_max` call lands in it, so its value is
-///   the true maximum recorded while the window was alive, regardless
-///   of what the process-wide high water was beforehand.
-/// * the (`max`, `raises`) snapshot pair — for pure snapshot-delta
-///   consumers. If `raises` advanced across a region, the region set a
-///   new process-wide high water and `max` *is* the exact region
-///   maximum (the record that produced the final `max` happened inside
-///   the region). If `raises` did not advance, the region's maximum is
-///   unknown — it recorded nothing, or only values at or below the old
-///   high water — and delta consumers report 0 rather than carrying a
-///   stale process-wide value forward.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    max: AtomicU64,
-    raises: AtomicU64,
-    windows: RwLock<Vec<Weak<AtomicU64>>>,
-}
-
-impl Gauge {
-    /// Records an observation: raises the cumulative high water (and the
-    /// raise count, when strict) and folds `v` into every live window.
-    pub fn record_max(&self, v: u64) {
-        let mut cur = self.max.load(Ordering::Relaxed);
-        while v > cur {
-            match self
-                .max
-                .compare_exchange_weak(cur, v, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => {
-                    self.raises.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                Err(seen) => cur = seen,
-            }
-        }
-        let windows = self.windows.read().expect("gauge window lock poisoned");
-        for w in windows.iter() {
-            if let Some(cell) = w.upgrade() {
-                cell.fetch_max(v, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Cumulative (process-lifetime) high water.
-    pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
-    }
-
-    /// Number of strict raises of the cumulative high water.
-    pub fn raises(&self) -> u64 {
-        self.raises.load(Ordering::Relaxed)
-    }
-
-    /// Opens a high-water window over this gauge. The returned handle's
-    /// [`HighWaterWindow::value`] is the exact maximum of every
-    /// `record_max` observation made while the handle is alive (0 when
-    /// none were). Dead windows are pruned lazily on the next `window`
-    /// call.
-    pub fn window(&self) -> HighWaterWindow {
-        let cell = Arc::new(AtomicU64::new(0));
-        let mut windows = self.windows.write().expect("gauge window lock poisoned");
-        windows.retain(|w| w.strong_count() > 0);
-        windows.push(Arc::downgrade(&cell));
-        HighWaterWindow { cell }
-    }
-}
-
-/// An open max-over-window region of a [`Gauge`] (see [`Gauge::window`]).
-#[derive(Debug)]
-pub struct HighWaterWindow {
-    cell: Arc<AtomicU64>,
-}
-
-impl HighWaterWindow {
-    /// Exact maximum recorded into the parent gauge since this window
-    /// opened; 0 when nothing was recorded.
-    pub fn value(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
     }
 }
 
@@ -248,8 +159,6 @@ impl HistogramSnapshot {
 pub enum Metric {
     /// A [`Counter`].
     Counter(&'static Counter),
-    /// A [`Gauge`].
-    Gauge(&'static Gauge),
     /// A [`Histogram`].
     Histogram(&'static Histogram),
 }
@@ -281,26 +190,6 @@ pub fn counter(name: &'static str) -> &'static Counter {
     got.unwrap_or_else(|| panic!("metric {name:?} is not a counter"))
 }
 
-/// Returns the process-global gauge registered under `name`, creating it
-/// on first use.
-///
-/// # Panics
-///
-/// If `name` is already registered as a different metric type.
-pub fn gauge(name: &'static str) -> &'static Gauge {
-    let got = {
-        let mut reg = registry().lock().expect("metrics registry poisoned");
-        match reg
-            .entry(name)
-            .or_insert_with(|| Metric::Gauge(Box::leak(Box::default())))
-        {
-            Metric::Gauge(g) => Some(*g),
-            _ => None,
-        }
-    };
-    got.unwrap_or_else(|| panic!("metric {name:?} is not a gauge"))
-}
-
 /// Returns the process-global histogram registered under `name`, creating
 /// it on first use.
 ///
@@ -321,18 +210,18 @@ pub fn histogram(name: &'static str) -> &'static Histogram {
     got.unwrap_or_else(|| panic!("metric {name:?} is not a histogram"))
 }
 
-/// The metric registered under `name`, if any. Unlike [`counter`],
-/// [`gauge`] and [`histogram`] this never registers, so a reader that
-/// misspells a name gets `None` rather than a fresh zero.
+/// The metric registered under `name`, if any. Unlike [`counter`] and
+/// [`histogram`] this never registers, so a reader that misspells a name
+/// gets `None` rather than a fresh zero.
 pub fn lookup(name: &str) -> Option<Metric> {
     let reg = registry().lock().expect("metrics registry poisoned");
     reg.get(name).copied()
 }
 
 /// Renders every registered metric as `name value` lines (sorted by
-/// name): counters as their cumulative count, gauges as
-/// `name_max` / `name_raises`, histograms as `name_count` plus
-/// deterministic `name_p50` / `name_p90` / `name_p99` extractions. This
+/// name): counters as their cumulative count, histograms as
+/// `name_count` plus deterministic `name_p50` / `name_p90` / `name_p99`
+/// extractions. This
 /// is the plain-text exposition surface behind the CLI's `--metrics`
 /// flag.
 pub fn render() -> String {
@@ -342,10 +231,6 @@ pub fn render() -> String {
         match metric {
             Metric::Counter(c) => {
                 out.push_str(&format!("{name} {}\n", c.get()));
-            }
-            Metric::Gauge(g) => {
-                out.push_str(&format!("{name}_max {}\n", g.max()));
-                out.push_str(&format!("{name}_raises {}\n", g.raises()));
             }
             Metric::Histogram(h) => {
                 let snap = h.snapshot();
@@ -380,10 +265,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "is not a gauge")]
+    #[should_panic(expected = "is not a histogram")]
     fn type_mismatch_panics() {
         counter("test.metrics.type_mismatch");
-        gauge("test.metrics.type_mismatch");
+        histogram("test.metrics.type_mismatch");
     }
 
     #[test]
@@ -420,34 +305,5 @@ mod tests {
         };
         assert_eq!(empty.percentile(0.99), 0);
         assert_eq!(snap.delta(&empty), snap);
-    }
-
-    #[test]
-    fn gauge_windows_are_exact_over_their_lifetime() {
-        let g = gauge("test.metrics.gauge_window");
-        g.record_max(100);
-        let w = g.window();
-        assert_eq!(w.value(), 0, "a fresh window has seen nothing");
-        g.record_max(7);
-        // The cumulative high water keeps the stale 100; the window
-        // reports the exact in-window maximum.
-        assert_eq!(w.value(), 7);
-        assert!(g.max() >= 100);
-        let raises_before = g.raises();
-        g.record_max(3);
-        assert_eq!(g.raises(), raises_before, "3 raises nothing");
-        assert_eq!(w.value(), 7);
-    }
-
-    #[test]
-    fn gauge_raises_advance_only_on_strict_raises() {
-        let g = gauge("test.metrics.gauge_raises");
-        let r0 = g.raises();
-        g.record_max(10);
-        assert_eq!(g.raises(), r0 + 1);
-        g.record_max(10);
-        assert_eq!(g.raises(), r0 + 1);
-        g.record_max(11);
-        assert_eq!(g.raises(), r0 + 2);
     }
 }

@@ -1,8 +1,8 @@
 //! # Unified observability layer
 //!
 //! Generation-10 substrate shared by the whole workspace: one
-//! process-global [`metrics`] registry (counters, high-water gauges,
-//! log-bucket histograms), an RAII span/event [`trace`] API over the
+//! process-global [`metrics`] registry (counters and log-bucket
+//! histograms), an RAII span/event [`trace`] API over the
 //! solve pipeline, and a bounded ring-buffer flight [`recorder`] that
 //! dumps JSONL on demand.
 //!
@@ -10,8 +10,8 @@
 //!
 //! * **Metrics** are the always-on truth. The legacy telemetry facades
 //!   (`abt_active::lp_telemetry`, the persistence counters) are views
-//!   over registry counters/gauges, and
-//!   solve latencies land in histograms with deterministic
+//!   over registry counters, and per-solve distributions (latency,
+//!   pivots, variables) land in histograms with deterministic
 //!   p50/p90/p99 extraction.
 //! * **Spans** time the pipeline phases (`solve.decompose` →
 //!   `solve.pivot` → `solve.certify` → `solve.stitch`,
@@ -32,6 +32,6 @@ pub mod metrics;
 pub mod recorder;
 pub mod trace;
 
-pub use metrics::{counter, gauge, histogram, Counter, Gauge, Histogram, HistogramSnapshot};
+pub use metrics::{counter, histogram, Counter, Histogram, HistogramSnapshot};
 pub use recorder::{dump_jsonl, dump_to_file, validate_jsonl, DumpSummary, TraceEntry};
 pub use trace::{event, set_tracing, span, span_rollups, span_with, tracing_enabled, Span};

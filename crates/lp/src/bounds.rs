@@ -109,6 +109,7 @@
 use crate::lu::{LuWork, SparseLu};
 use crate::model::{Cmp, LpProblem};
 use crate::scalar::Scalar;
+use crate::simplex::SolveStats;
 use crate::start::BasisSnapshot;
 use abt_core::error::BudgetKind;
 use abt_core::faultinject;
@@ -225,16 +226,10 @@ pub struct BoundedBasis {
     /// Resting state of every standard-form column (meaningful when
     /// `Optimal`).
     pub state: Vec<VarState>,
-    /// Basis-changing pivots performed.
-    pub pivots: u64,
-    /// The pivots of phase 1 (a subset of `pivots`; 0 when the starting
-    /// basis was already feasible).
-    pub phase1_pivots: u64,
-    /// Bound/VUB flips performed (iterations with no basis change).
-    pub bound_flips: u64,
-    /// LU refactorizations (each when the eta file grew too long or too
-    /// dense).
-    pub refactorizations: u64,
+    /// The pass's pivots, phase-1 pivots, bound flips and
+    /// refactorizations; the certifier adds its own counts
+    /// ([`crate::simplex`]).
+    pub stats: SolveStats,
     /// The pass's basic values, parallel to `basis` (empty unless
     /// `Optimal`).
     pub xb: Vec<f64>,
@@ -547,11 +542,8 @@ struct Rev<'a> {
     eff: Vec<f64>,
     /// Partial-pricing rotation cursor.
     cursor: usize,
-    pivots: u64,
-    /// `pivots` when phase 1 ended (or stopped).
-    phase1_pivots: u64,
-    bound_flips: u64,
-    refactorizations: u64,
+    /// The pass's counts, `phase1_pivots` set when phase 1 ends (or stops).
+    stats: SolveStats,
     /// Whether the pass started from a caller's crash start rather than
     /// the all-slack basis.
     started: bool,
@@ -652,10 +644,7 @@ impl<'a> Rev<'a> {
             keys,
             eff: vec![0.0; sf.ncols],
             cursor: 0,
-            pivots: 0,
-            phase1_pivots: 0,
-            bound_flips: 0,
-            refactorizations: 0,
+            stats: SolveStats::default(),
             started: false,
             pivot_budget: 0,
             deadline: None,
@@ -714,7 +703,7 @@ impl<'a> Rev<'a> {
     /// pivot-loop iteration; the wall clock is only read every
     /// [`TIME_CHECK_EVERY`] iterations.
     fn budget_trip(&mut self) -> Option<BudgetKind> {
-        if self.pivot_budget != 0 && self.pivots >= self.pivot_budget {
+        if self.pivot_budget != 0 && self.stats.pivots >= self.pivot_budget {
             return Some(BudgetKind::Pivots);
         }
         if let Some(deadline) = self.deadline {
@@ -738,10 +727,7 @@ impl<'a> Rev<'a> {
             status,
             basis: if blank { Vec::new() } else { self.basis },
             state: if blank { Vec::new() } else { self.state },
-            pivots: self.pivots,
-            phase1_pivots: self.phase1_pivots,
-            bound_flips: self.bound_flips,
-            refactorizations: self.refactorizations,
+            stats: self.stats,
             xb: values(self.xb),
             y: values(self.y),
         }
@@ -939,7 +925,7 @@ impl<'a> Rev<'a> {
         }
         self.etas.clear();
         self.eta_slab.clear();
-        self.refactorizations += 1;
+        self.stats.refactorizations += 1;
         self.recompute_xb();
         true
     }
@@ -1321,7 +1307,7 @@ impl<'a> Rev<'a> {
                 debug_assert!(unglue_pk.is_none());
                 self.advance(sigma, t, usize::MAX);
                 self.set_state(q, new_state);
-                self.bound_flips += 1;
+                self.stats.bound_flips += 1;
             }
             Hit::FlipGlue => {
                 // q (a dependent, plain column — deps are never keys)
@@ -1331,7 +1317,7 @@ impl<'a> Rev<'a> {
                 let pk = self.pos[self.sf.vub[q].expect("FlipGlue implies a VUB")];
                 self.advance(sigma, t, usize::MAX);
                 self.set_state(q, VarState::AtVub);
-                self.bound_flips += 1;
+                self.stats.bound_flips += 1;
                 self.sparse_eta(pk);
                 self.bump(pk, 1.0);
                 self.push_eta(pk);
@@ -1343,7 +1329,7 @@ impl<'a> Rev<'a> {
                 let pk = self.pos[self.sf.vub[q].expect("FlipUnglue implies a VUB")];
                 self.advance(sigma, t, usize::MAX);
                 self.set_state(q, VarState::AtLower);
-                self.bound_flips += 1;
+                self.stats.bound_flips += 1;
                 self.sparse_eta(pk);
                 let open = self.open_start();
                 for e in &mut self.eta_slab[open..] {
@@ -1409,7 +1395,7 @@ impl<'a> Rev<'a> {
         self.pos[lvar] = usize::MAX;
         self.basis[r] = q;
         self.pos[q] = r;
-        self.pivots += 1;
+        self.stats.pivots += 1;
         self.advance(sigma, t, r);
         self.xb[r] = enter_value;
     }
@@ -1548,7 +1534,7 @@ pub fn solve_bounded_f64_with(
                 .map(|j| if sf.artificial[j] { 1.0 } else { 0.0 })
                 .collect();
             let outcome = rev.optimize(&cost1, false, window);
-            rev.phase1_pivots = rev.pivots;
+            rev.stats.phase1_pivots = rev.stats.pivots;
             match outcome {
                 BoundedStatus::Optimal => {}
                 BoundedStatus::Budget(k) => break 'pass BoundedStatus::Budget(k),
@@ -1564,8 +1550,8 @@ pub fn solve_bounded_f64_with(
         rev.optimize(&sf.cost, true, window)
     };
     let basis = rev.finish(status);
-    span.field("pivots", basis.pivots);
-    span.field("phase1_pivots", basis.phase1_pivots);
+    span.field("pivots", basis.stats.pivots);
+    span.field("phase1_pivots", basis.stats.phase1_pivots);
     span.field("status", format_args!("{:?}", basis.status));
     basis
 }
@@ -1783,8 +1769,8 @@ mod tests {
         assert_eq!(out.state[x], VarState::AtUpper);
         // The slack stayed basic: no pivot happened at all.
         assert_eq!(out.basis, s.init_basis);
-        assert_eq!(out.pivots, 0);
-        assert!(out.bound_flips >= 1);
+        assert_eq!(out.stats.pivots, 0);
+        assert!(out.stats.bound_flips >= 1);
     }
 
     #[test]
@@ -1974,7 +1960,10 @@ mod tests {
             panic!("the step is bounded");
         };
         assert_eq!(hit, expect);
-        assert_eq!(rev.refactorizations, 0, "a structural event refactorized");
+        assert_eq!(
+            rev.stats.refactorizations, 0,
+            "a structural event refactorized"
+        );
         assert_eq!(rev.glued, glued_lists(&sf, &rev.state));
         let cols: Vec<Vec<(usize, f64)>> = rev
             .basis
@@ -2545,11 +2534,12 @@ mod tests {
         let mut in_integers: Option<Certified> = None;
         for force_rat in [false, true] {
             FORCE_RAT.with(|f| f.set(force_rat));
-            let (given, tally) = verify_bounded(lp, &sf, &prop, None);
-            let (forced, lu_tally) = verify_bounded(lp, &sf, &lu_only, None);
+            let (mut tally, mut lu_tally) = (SolveStats::default(), SolveStats::default());
+            let given = verify_bounded(lp, &sf, &prop, None, &mut tally);
+            let forced = verify_bounded(lp, &sf, &lu_only, None, &mut lu_tally);
             FORCE_RAT.with(|f| f.set(false));
-            assert_eq!(lu_tally.lu, 1, "cleared values force the LU");
-            fast &= tally.lu == 0;
+            assert_eq!(lu_tally.certify_lu, 1, "cleared values force the LU");
+            fast &= tally.certify_lu == 0;
             let sweeps = (tally.interval_accepts, tally.interval_escalations);
             assert_eq!(
                 sweeps,

@@ -500,11 +500,6 @@ impl<S: Scalar> SparseLu<S> {
             z[self.steprow[k]] = acc;
         }
     }
-
-    /// Matrix dimension.
-    pub fn dim(&self) -> usize {
-        self.m
-    }
 }
 
 #[cfg(test)]

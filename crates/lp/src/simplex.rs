@@ -179,8 +179,11 @@ pub struct LpSolution<S> {
     pub duals: Vec<S>,
 }
 
-/// Iteration/verification counters of a hybrid-style solve (all zero on
-/// paths that do not track them, e.g. the dense hybrid's float pass).
+/// The counts of one solve, each written once where it happens: the
+/// bounded float pass counts its pivots, flips and refactorizations here
+/// ([`crate::bounds::BoundedBasis::stats`]), and the exact certifier adds
+/// its clock and how the certificate was proven. All zero on paths that
+/// do not track them, e.g. the dense hybrid's float pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Basis-changing pivots of the float pass.
@@ -596,27 +599,24 @@ pub(crate) fn to_f64(lp: &LpProblem<Rat>) -> LpProblem<f64> {
 /// [`StandardForm::build`]'s, so the proposal is the bounded one with
 /// every nonbasic column `AtLower`. A column index outside the exact form
 /// is refuted.
-fn verify_basis(lp: &LpProblem<Rat>, target: &[usize]) -> (Certified, CertifyTally) {
+fn verify_basis(lp: &LpProblem<Rat>, target: &[usize], stats: &mut SolveStats) -> Certified {
     let sf = StandardForm::build(lp);
     let mut state = vec![VarState::AtLower; sf.ncols];
     for &c in target {
         match state.get_mut(c) {
             Some(s) => *s = VarState::Basic,
-            None => return (Certified::Refuted, CertifyTally::default()),
+            None => return Certified::Refuted,
         }
     }
     let prop = BoundedBasis {
         status: BoundedStatus::Optimal,
         basis: target.to_vec(),
         state,
-        pivots: 0,
-        phase1_pivots: 0,
-        bound_flips: 0,
-        refactorizations: 0,
+        stats: SolveStats::default(),
         xb: Vec::new(),
         y: Vec::new(),
     };
-    verify_bounded(lp, &sf, &prop, None)
+    verify_bounded(lp, &sf, &prop, None, stats)
 }
 
 /// The dense hybrid engine behind [`crate::api::solve_lp`]'s
@@ -636,10 +636,8 @@ pub(crate) fn dense_hybrid(lp: &LpProblem<Rat>) -> LpReport {
     }
     let (fsol, fbasis) = solve_internal(&to_f64(lp));
     if fsol.status == LpStatus::Optimal {
-        let certify = Instant::now();
-        if let (Certified::Verified(solution), tally) = verify_basis(lp, &fbasis) {
-            let mut stats = SolveStats::default();
-            apply_certify(&mut stats, certify.elapsed().as_nanos() as u64, &tally);
+        let mut stats = SolveStats::default();
+        if let Certified::Verified(solution) = verify_basis(lp, &fbasis, &mut stats) {
             return LpReport {
                 solution,
                 fallback: false,
@@ -683,19 +681,22 @@ pub(crate) enum Certified {
 /// an adversarial instance whose rationals blow up cannot pin the
 /// certifier past its budget by more than one stage.
 ///
-/// The returned [`CertifyTally`] records whether the LU ran and how the
-/// reduced-cost sweep evaluated its families.
+/// It writes its own wall time, whether the exact LU ran and how the
+/// reduced-cost sweep evaluated its families into `stats`
+/// (`certify_nanos`, `certify_lu`, `interval_accepts`,
+/// `interval_escalations`).
 pub(crate) fn verify_bounded(
     lp: &LpProblem<Rat>,
     sf: &StandardForm<Rat>,
     prop: &BoundedBasis,
     deadline: Option<Instant>,
-) -> (Certified, CertifyTally) {
+    stats: &mut SolveStats,
+) -> Certified {
+    let started = Instant::now();
     faultinject::hit("slow_certify");
     let mut span = abt_core::obs_span!("solve.certify");
     let expired = || deadline.is_some_and(|d| Instant::now() >= d);
-    let mut tally = CertifyTally::default();
-    let certified = match verify_bounded_staged(lp, sf, prop, &expired, &mut tally) {
+    let certified = match verify_bounded_staged(lp, sf, prop, &expired, stats) {
         Ok(Some(solution)) => Certified::Verified(solution),
         Ok(None) => Certified::Refuted,
         Err(DeadlinePassed) => Certified::Deadline,
@@ -708,8 +709,9 @@ pub(crate) fn verify_bounded(
             Certified::Deadline => "deadline",
         },
     );
-    span.field("interval_accepts", tally.interval_accepts);
-    (certified, tally)
+    span.field("interval_accepts", stats.interval_accepts);
+    stats.certify_nanos = started.elapsed().as_nanos() as u64;
+    certified
 }
 
 /// Error marker of [`verify_bounded_staged`]: the stage deadline passed.
@@ -720,7 +722,7 @@ fn verify_bounded_staged(
     sf: &StandardForm<Rat>,
     prop: &BoundedBasis,
     expired: &dyn Fn() -> bool,
-    tally: &mut CertifyTally,
+    stats: &mut SolveStats,
 ) -> Result<Option<LpSolution<Rat>>, DeadlinePassed> {
     if expired() {
         return Err(DeadlinePassed);
@@ -806,7 +808,7 @@ fn verify_bounded_staged(
     let source = match candidate {
         Some(proven) => Source::Float(proven),
         None => {
-            tally.lu = 1;
+            stats.certify_lu = 1;
             let bcols: Vec<Vec<(usize, Rat)>> = prop
                 .basis
                 .iter()
@@ -903,7 +905,7 @@ fn verify_bounded_staged(
     if expired() {
         return Err(DeadlinePassed);
     }
-    if !dual_sweep(sf, &prop.state, &glued, &y, duals.as_ref(), expired, tally)? {
+    if !dual_sweep(sf, &prop.state, &glued, &y, duals.as_ref(), expired, stats)? {
         return Ok(None);
     }
     // Certified optimal: extract structural values and row duals (promoted
@@ -1033,7 +1035,7 @@ fn family_signs_hold<E: Reduced>(
 /// docs): each family in integers over `duals` when they are given and it
 /// can be, in `Rat` over `y` otherwise, the deadline checked every 512
 /// columns. Returns `false` on the first violated rule, and records in
-/// `tally` whether the certification was swept wholly in integers
+/// `stats` whether the certification was swept wholly in integers
 /// (`interval_accepts`) or some family needed `Rat`
 /// (`interval_escalations`).
 fn dual_sweep(
@@ -1043,7 +1045,7 @@ fn dual_sweep(
     y: &[Rat],
     duals: Option<&Duals>,
     expired: &dyn Fn() -> bool,
-    tally: &mut CertifyTally,
+    stats: &mut SolveStats,
 ) -> Result<bool, DeadlinePassed> {
     let ints = duals.map(|duals| InIntegers { sf, duals });
     #[cfg(test)]
@@ -1079,32 +1081,9 @@ fn dual_sweep(
             break;
         }
     }
-    tally.interval_accepts = u64::from(holds && !in_rat);
-    tally.interval_escalations = u64::from(in_rat);
+    stats.interval_accepts = u64::from(holds && !in_rat);
+    stats.interval_escalations = u64::from(in_rat);
     Ok(holds)
-}
-
-/// Per-certification telemetry of one [`verify_bounded`] call: whether the
-/// exact LU supplied the basic values and multipliers, and how the
-/// reduced-cost sweep evaluated its families.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct CertifyTally {
-    /// 1 iff the exact LU factored the basis (the float values were absent
-    /// or could not be proven exact).
-    pub(crate) lu: u64,
-    /// 1 iff the sweep proved every sign in integers.
-    pub(crate) interval_accepts: u64,
-    /// 1 iff the sweep evaluated some family in `Rat`.
-    pub(crate) interval_escalations: u64,
-}
-
-/// Folds a certification's total wall time and tally into the solve
-/// counters (shared by the revised and dense hybrid engines).
-pub(crate) fn apply_certify(stats: &mut SolveStats, total_nanos: u64, tally: &CertifyTally) {
-    stats.certify_nanos = total_nanos;
-    stats.interval_accepts = tally.interval_accepts;
-    stats.interval_escalations = tally.interval_escalations;
-    stats.certify_lu = tally.lu;
 }
 
 /// The revised engine behind [`crate::api::solve_lp`]'s `Revised`
@@ -1146,17 +1125,8 @@ pub(crate) fn revised_cold(
             return Err(SolveFailure::NumericalStall)
         }
     }
-    let mut stats = SolveStats {
-        pivots: prop.pivots,
-        phase1_pivots: prop.phase1_pivots,
-        bound_flips: prop.bound_flips,
-        refactorizations: prop.refactorizations,
-        ..SolveStats::default()
-    };
-    let certify = Instant::now();
-    let (outcome, tally) = verify_bounded(lp, &sfr, &prop, opts.pricing.stage_deadline());
-    apply_certify(&mut stats, certify.elapsed().as_nanos() as u64, &tally);
-    match outcome {
+    let mut stats = prop.stats;
+    match verify_bounded(lp, &sfr, &prop, opts.pricing.stage_deadline(), &mut stats) {
         Certified::Verified(solution) => Ok(LpReport {
             solution,
             fallback: false,
@@ -1816,10 +1786,10 @@ pub(crate) mod tests {
         let mut prop = solve_bounded_f64_with(&sf.to_f64(), &BoundedOptions::default(), None);
         assert_eq!(prop.status, BoundedStatus::Optimal);
         edit(&mut prop);
-        let (out, tally) = verify_bounded(lp, &sf, &prop, None);
-        match out {
-            Certified::Verified(sol) => (Some(sol), tally.lu),
-            Certified::Refuted | Certified::Deadline => (None, tally.lu),
+        let mut stats = SolveStats::default();
+        match verify_bounded(lp, &sf, &prop, None, &mut stats) {
+            Certified::Verified(sol) => (Some(sol), stats.certify_lu),
+            Certified::Refuted | Certified::Deadline => (None, stats.certify_lu),
         }
     }
 

@@ -145,13 +145,17 @@ fn pivots_allocate_less_than_once_each() {
         // below stop it early.
         let whole = solve(0);
         assert_eq!(whole.status, BoundedStatus::Optimal, "seed {seed}");
-        assert!(whole.pivots > 60, "seed {seed}: {} pivots", whole.pivots);
+        assert!(
+            whole.stats.pivots > 60,
+            "seed {seed}: {} pivots",
+            whole.stats.pivots
+        );
         let (short, short_allocs) = counted(|| solve(10));
         let (long, long_allocs) = counted(|| solve(60));
         let stopped = |out: &BoundedBasis, budget: u64| {
             assert_eq!(out.status, BoundedStatus::Budget(BudgetKind::Pivots));
             assert_eq!(
-                (out.pivots, out.refactorizations),
+                (out.stats.pivots, out.stats.refactorizations),
                 (budget, 0),
                 "seed {seed}"
             );
@@ -162,7 +166,7 @@ fn pivots_allocate_less_than_once_each() {
         eprintln!(
             "seed {seed}: {} pivots in the whole pass; {short_allocs} allocations at \
              budget 10, {long_allocs} at budget 60",
-            whole.pivots
+            whole.stats.pivots
         );
         assert!(
             extra < 50,
@@ -187,16 +191,16 @@ fn refactorizations_allocate_nothing() {
         // the eta file.
         let whole = solve(0);
         assert!(
-            whole.refactorizations > 0,
+            whole.stats.refactorizations > 0,
             "seed {seed}: no refactorization"
         );
-        let first = (1..=whole.pivots)
-            .find(|&budget| solve(budget).refactorizations > 0)
+        let first = (1..=whole.stats.pivots)
+            .find(|&budget| solve(budget).stats.refactorizations > 0)
             .expect("some budget refactorizes");
         let (before, before_allocs) = counted(|| solve(first - 1));
         let (after, after_allocs) = counted(|| solve(first));
-        assert_eq!(before.refactorizations, 0, "seed {seed}");
-        assert_eq!(after.refactorizations, 1, "seed {seed}");
+        assert_eq!(before.stats.refactorizations, 0, "seed {seed}");
+        assert_eq!(after.stats.refactorizations, 1, "seed {seed}");
         eprintln!(
             "seed {seed}: the pass refactorizes at pivot {first}; {before_allocs} allocations \
              stopped before it, {after_allocs} across it"
