@@ -70,17 +70,17 @@
 
 use crate::admission::admission_precheck;
 use crate::lp_model::{
-    build_component_lp, push_open_runs, record_admission_reject, record_quarantine,
-    record_recovery, record_state_corrupt, slot_runs, ActiveLp, Component, DecomposeMode,
+    push_open_runs, record_admission_reject, record_quarantine, record_recovery,
+    record_state_corrupt, slot_runs, solve_block, ActiveLp, Component, DecomposeMode, LpBlock,
     LpOptions, OpenRun, SlotRun,
 };
 use crate::store::{encode_state, JournalOp, RecoveryReport, SolveStateStore};
-use crate::supervise::{supervised_solve, PartialSolve, QuarantinedComponent, SolveError};
+use crate::supervise::{PartialSolve, QuarantinedComponent, SolveError};
 use abt_core::active_schedule::horizon_len;
 use abt_core::obs::metrics::{self, Counter};
 use abt_core::persist::PersistError;
 use abt_core::{Error, Instance, Job, Result, SolveFailure, Time};
-use abt_lp::{LpStatus, Rat};
+use abt_lp::Rat;
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::OnceLock;
@@ -99,13 +99,6 @@ const CACHE_CAP: usize = 16_384;
 /// permutation of the per-job blocks, so their exact optima (objective
 /// and per-run `Y`) coincide.
 pub(crate) type ContentKey = Vec<(i64, i64, i64)>;
-
-/// A solved component block, reusable whenever the same content recurs.
-#[derive(Clone)]
-pub(crate) struct CachedBlock {
-    pub(crate) y_runs: Vec<Rat>,
-    pub(crate) objective: Rat,
-}
 
 /// Handle to a job owned by an [`IncrementalSolver`] (stable across
 /// mutations; unrelated to any [`Instance`]'s job indices).
@@ -148,7 +141,7 @@ impl Block {
     }
 
     /// `block` laid out from span start `start` over runs of `widths`.
-    fn held(start: Time, widths: &[i64], block: &CachedBlock) -> Block {
+    fn held(start: Time, widths: &[i64], block: &LpBlock) -> Block {
         let runs = widths.iter().scan(start, |at, &w| {
             let run = SlotRun {
                 start: *at,
@@ -203,7 +196,7 @@ pub struct IncrementalSolver {
     opts: LpOptions,
     jobs: Vec<Option<Job>>,
     live: usize,
-    content_cache: HashMap<ContentKey, CachedBlock>,
+    content_cache: HashMap<ContentKey, LpBlock>,
     /// Components whose supervision ladder failed entirely, keyed by
     /// content: a quarantined key is **not retried** on later solves —
     /// re-admission happens automatically when the offending content
@@ -511,7 +504,6 @@ impl IncrementalSolver {
         // Serve the new components in time order: from the content cache,
         // else cold down the supervision ladder, from the block's crash
         // start.
-        let ropts = abt_lp::LpOptions::new().pricing(self.opts.pricing);
         let mut cold_solves = 0;
         for start in fresh {
             let kept = self
@@ -550,29 +542,16 @@ impl IncrementalSolver {
                 run_hi: runs.len(),
                 jobs: (0..sub.len()).collect(),
             };
-            let clp = build_component_lp(sub, &self.opts, &runs, &comp);
-            let sol = match supervised_solve(&clp.lp, &ropts.start(clp.start.as_ref())) {
-                Ok(sr) => sr.solution,
+            let block = match solve_block(sub, &self.opts, &runs, &comp) {
+                Ok(Ok(block)) => block,
+                Ok(Err(e)) => return Err(SolveError::Model(e)),
                 Err(f) => {
                     record_quarantine();
                     self.quarantine.insert(kept.key.clone(), f);
                     continue;
                 }
             };
-            match sol.status {
-                LpStatus::Optimal => {}
-                LpStatus::Infeasible => {
-                    return Err(SolveError::Model(Error::Infeasible(
-                        "LP1 infeasible: no schedule exists".into(),
-                    )))
-                }
-                LpStatus::Unbounded => unreachable!("LP1 objective is bounded below by 0"),
-            }
             cold_solves += 1;
-            let block = CachedBlock {
-                y_runs: sol.x[..kept.widths.len()].to_vec(),
-                objective: sol.objective,
-            };
             kept.block = Block::held(start, &kept.widths, &block);
             self.content_cache.insert(kept.key.clone(), block);
         }

@@ -12,14 +12,12 @@
 //! and the same cache contents after every solve; they also check the
 //! kept component map against a fresh whole-instance decomposition.
 
-use super::{
-    CachedBlock, ContentKey, IncrementalJobId, IncrementalReport, IncrementalSolver, CACHE_CAP,
-};
+use super::{ContentKey, IncrementalJobId, IncrementalReport, IncrementalSolver, CACHE_CAP};
 use crate::admission::admission_precheck;
 use crate::lp_model::{
     build_component_lp, components, push_open_runs, record_admission_reject, record_quarantine,
-    record_recovery, record_state_corrupt, slot_runs, ActiveLp, DecomposeMode, LpOptions, SlotRun,
-    VubMode,
+    record_recovery, record_state_corrupt, slot_runs, ActiveLp, DecomposeMode, LpBlock, LpOptions,
+    SlotRun, VubMode,
 };
 use crate::supervise::{supervised_solve, PartialSolve, QuarantinedComponent, SolveError};
 use abt_core::active_schedule::horizon_len;
@@ -34,7 +32,7 @@ struct OracleSolver {
     g: usize,
     opts: LpOptions,
     jobs: Vec<Option<Job>>,
-    content_cache: HashMap<ContentKey, CachedBlock>,
+    content_cache: HashMap<ContentKey, LpBlock>,
     quarantine: HashMap<ContentKey, SolveFailure>,
 }
 
@@ -102,7 +100,6 @@ impl OracleSolver {
         }
         let runs = slot_runs(&inst);
         let comps = components(&inst, &runs, DecomposeMode::Auto);
-        let ropts = abt_lp::LpOptions::new().pricing(self.opts.pricing);
         let mut y_runs = vec![Rat::ZERO; runs.len()];
         let mut objective = Rat::ZERO;
         let mut healthy: Vec<(usize, Rat)> = Vec::new();
@@ -157,7 +154,7 @@ impl OracleSolver {
             }
             // Dirty: re-solve cold, from the block's crash start.
             let clp = build_component_lp(&inst, &self.opts, &runs, comp);
-            let sol = match supervised_solve(&clp.lp, &ropts.start(clp.start.as_ref())) {
+            let sol = match supervised_solve(&clp.lp, &self.opts.pricing, clp.start.as_ref()) {
                 Ok(sr) => sr.solution,
                 Err(f) => {
                     record_quarantine();
@@ -180,7 +177,7 @@ impl OracleSolver {
                 LpStatus::Unbounded => unreachable!("LP1 objective is bounded below by 0"),
             }
             report.cold_solves += 1;
-            let block = CachedBlock {
+            let block = LpBlock {
                 y_runs: sol.x[..n_runs].to_vec(),
                 objective: sol.objective,
             };
@@ -400,7 +397,7 @@ impl Pair {
             Op::Flood => {
                 for cache in [&mut self.new.content_cache, &mut self.old.content_cache] {
                     for t in 0..=CACHE_CAP as i64 {
-                        let block = CachedBlock {
+                        let block = LpBlock {
                             y_runs: vec![Rat::ONE],
                             objective: Rat::ONE,
                         };
@@ -457,7 +454,7 @@ impl Pair {
                 )))
             }
         };
-        let blocks = |c: &HashMap<ContentKey, CachedBlock>| {
+        let blocks = |c: &HashMap<ContentKey, LpBlock>| {
             let mut v: Vec<(ContentKey, Vec<Rat>, Rat)> = c
                 .iter()
                 .map(|(k, b)| (k.clone(), b.y_runs.clone(), b.objective))

@@ -93,8 +93,9 @@
 //!
 //! # Solving
 //!
-//! Every component LP runs down the supervision ladder
-//! ([`crate::supervise`]): a bounded revised simplex in `f64`, from the
+//! Every component LP is built and solved in one place, `solve_block`,
+//! shared with the incremental driver: down the supervision ladder
+//! ([`crate::supervise`]), a bounded revised simplex in `f64`, from the
 //! block's crash start, whose terminal basis is re-verified in exact
 //! rationals (and, if that fails, re-solved by a dense rung), so the `y`
 //! values and objective remain *exact* — the rounding algorithm's case
@@ -108,7 +109,7 @@
 //! components solved), and one observation per solve in the latency,
 //! pivot and variable-count histograms. The experiment harness records
 //! them per experiment and CI fails when a non-adversarial workload ever
-//! needs the exact fallback.
+//! needs the dense exact rung.
 
 #![allow(clippy::needless_range_loop)] // job indices are shared across parallel vectors
 
@@ -120,8 +121,7 @@ use abt_core::obs::{
 };
 use abt_core::{supervised_map, Error, Instance, Result, SolveFailure, Time};
 use abt_lp::{
-    BoundedOptions, Cmp, LpProblem, LpReport, LpSolution, LpStatus, Rat, RowStart, StartBasis,
-    VarState,
+    BoundedOptions, Cmp, LpProblem, LpReport, LpStatus, Rat, RowStart, StartBasis, VarState,
 };
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -300,7 +300,9 @@ lp_counters! {
     /// [`DecomposeMode::Auto`] a sharded solve counts once per component),
     /// plus one per fractional-feasibility oracle call.
     solves: "lp.solves",
-    /// Solves that needed the exact fallback.
+    /// Solves answered by the ladder's last rung, the dense exact simplex
+    /// ([`abt_lp::LpReport::fallback`]): every float rung refused, as on
+    /// an infeasible LP or after faults.
     fallbacks: "lp.fallbacks",
     /// Basis-changing pivots of the float passes.
     pivots: "lp.pivots",
@@ -614,12 +616,12 @@ pub(crate) fn components(inst: &Instance, runs: &[SlotRun], mode: DecomposeMode)
     out
 }
 
-/// One component's solved block: per-run `Y` over `[run_lo, run_hi)` plus
-/// the exact objective contribution.
-struct ComponentSolution {
-    run_lo: usize,
-    y_runs: Vec<Rat>,
-    objective: Rat,
+/// One component's solved LP1 block: the exact `Y` of each of its runs,
+/// in time order, and its exact objective.
+#[derive(Clone)]
+pub(crate) struct LpBlock {
+    pub(crate) y_runs: Vec<Rat>,
+    pub(crate) objective: Rat,
 }
 
 /// One component's LP1 block and the basis its cold solve starts from.
@@ -798,43 +800,30 @@ fn crash_start(
     }
 }
 
-/// Converts a solved component LP into its [`ComponentSolution`] block
-/// (the `Y` values are the first `n_runs` variables by construction).
-fn finish_component(
+/// Builds one component's LP1 block and solves it cold down the
+/// supervision ladder, from the block's crash start: the block, or LP1's
+/// [`Error::Infeasible`] (a model-level verdict that aborts the whole
+/// solve) inside `Ok`, or the [`SolveFailure`] that quarantines the
+/// component (every rung failed — see [`crate::supervise`]).
+pub(crate) fn solve_block(
+    inst: &Instance,
+    opts: &LpOptions,
+    runs: &[SlotRun],
     comp: &Component,
-    n_runs: usize,
-    sol: LpSolution<Rat>,
-) -> Result<ComponentSolution> {
-    match sol.status {
-        LpStatus::Optimal => Ok(ComponentSolution {
-            run_lo: comp.run_lo,
-            y_runs: sol.x[..n_runs].to_vec(),
+) -> std::result::Result<Result<LpBlock>, SolveFailure> {
+    let clp = build_component_lp(inst, opts, runs, comp);
+    let sol = supervised_solve(&clp.lp, &opts.pricing, clp.start.as_ref())?.solution;
+    Ok(match sol.status {
+        // The `Y` values are the first variables by construction.
+        LpStatus::Optimal => Ok(LpBlock {
+            y_runs: sol.x[..comp.run_hi - comp.run_lo].to_vec(),
             objective: sol.objective,
         }),
         LpStatus::Infeasible => Err(Error::Infeasible(
             "LP1 infeasible: no schedule exists".into(),
         )),
         LpStatus::Unbounded => unreachable!("LP1 objective is bounded below by 0"),
-    }
-}
-
-/// One supervised component outcome: the outer `Err` is a quarantine
-/// (every ladder rung failed — see [`crate::supervise`]), the inner `Err`
-/// a model-level verdict (LP1 infeasibility) that aborts the whole solve.
-type ComponentOutcome = std::result::Result<Result<ComponentSolution>, SolveFailure>;
-
-/// Builds and solves one component's LP1 block cold, down the supervision
-/// ladder.
-fn solve_component(
-    inst: &Instance,
-    opts: &LpOptions,
-    runs: &[SlotRun],
-    comp: &Component,
-) -> ComponentOutcome {
-    let clp = build_component_lp(inst, opts, runs, comp);
-    let ropts = abt_lp::LpOptions::new().pricing(opts.pricing);
-    let sol = supervised_solve(&clp.lp, &ropts.start(clp.start.as_ref()))?.solution;
-    Ok(finish_component(comp, comp.run_hi - comp.run_lo, sol))
+    })
 }
 
 /// Builds and solves `LP1` for `inst` with the default options
@@ -888,16 +877,16 @@ pub fn try_solve_active_lp_with(
         met().sharded_solves.inc();
         met().components.add(comps.len() as u64);
     }
-    let solved: Vec<ComponentOutcome> = if sharded {
+    let solved: Vec<_> = if sharded {
         // The outer `supervised_map` additionally isolates panics raised
         // *outside* the ladder (e.g. while building the component LP).
         supervised_map((0..comps.len()).collect::<Vec<_>>(), |ci| {
-            solve_component(inst, opts, &runs, &comps[ci])
+            solve_block(inst, opts, &runs, &comps[ci])
         })
     } else {
         comps
             .iter()
-            .map(|comp| solve_component(inst, opts, &runs, comp))
+            .map(|comp| solve_block(inst, opts, &runs, comp))
             .collect()
     };
     // Stitch: each component's open runs, in time order (runs outside
@@ -910,10 +899,11 @@ pub fn try_solve_active_lp_with(
     let mut quarantined: Vec<QuarantinedComponent> = Vec::new();
     for (ci, res) in solved.into_iter().enumerate() {
         match res {
-            Ok(Ok(cs)) => {
-                push_open_runs(&mut open, runs[cs.run_lo..].iter().copied(), &cs.y_runs);
-                objective = objective.add(&cs.objective);
-                healthy.push((ci, cs.objective));
+            Ok(Ok(block)) => {
+                let from = runs[comps[ci].run_lo..].iter().copied();
+                push_open_runs(&mut open, from, &block.y_runs);
+                objective = objective.add(&block.objective);
+                healthy.push((ci, block.objective));
             }
             Ok(Err(e)) => return Err(SolveError::Model(e)),
             Err(f) => {
@@ -975,7 +965,7 @@ pub fn fractional_feasible(inst: &Instance, slots: &[Time], y: &[Rat]) -> bool {
         let terms: Vec<(usize, Rat)> = row.iter().map(|&(_, v)| (v, Rat::ONE)).collect();
         lp.add_constraint(terms, Cmp::Ge, Rat::from_int(inst.job(j).length));
     }
-    let sr = supervised_solve(&lp, &abt_lp::LpOptions::new())
+    let sr = supervised_solve(&lp, &BoundedOptions::default(), None)
         .unwrap_or_else(|f| panic!("feasibility oracle quarantined: {f}"));
     matches!(sr.solution.status, LpStatus::Optimal)
 }

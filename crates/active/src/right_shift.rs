@@ -123,13 +123,6 @@ pub fn right_shift(inst: &Instance, lp: &ActiveLp) -> RightShifted {
     RightShifted { segments }
 }
 
-/// Total `Σ_i Y_i` (equals the LP objective; checked in tests).
-pub fn total_mass(rs: &RightShifted) -> Rat {
-    rs.segments
-        .iter()
-        .fold(Rat::ZERO, |acc, s| acc.add(&s.y_sum))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,7 +138,11 @@ mod tests {
         let inst = Instance::from_triples([(0, 4, 2), (1, 3, 2), (2, 6, 1)], 2).unwrap();
         let lp = solve_active_lp(&inst).unwrap();
         let rs = right_shift(&inst, &lp);
-        assert_eq!(total_mass(&rs), lp.objective);
+        let total_mass = rs
+            .segments
+            .iter()
+            .fold(Rat::ZERO, |acc, s| acc.add(&s.y_sum));
+        assert_eq!(total_mass, lp.objective);
         // Every job appears in exactly one segment.
         let total_jobs: usize = rs.segments.iter().map(|s| s.jobs.len()).sum();
         assert_eq!(total_jobs, inst.len());

@@ -61,8 +61,8 @@
 //! frame format version 1 (see [`abt_core::persist::FORMAT_VERSION`]):
 //! attach refuses them like any other drift and rebuilds cold.
 
-use crate::incremental::{CachedBlock, ContentKey};
-use crate::lp_model::{record_persist_restores, record_recovery, record_state_corrupt};
+use crate::incremental::ContentKey;
+use crate::lp_model::{record_persist_restores, record_recovery, record_state_corrupt, LpBlock};
 use abt_core::persist::{self, Dec, Enc, Journal, PersistError, StateDir};
 use abt_core::{BudgetKind, Job, SolveFailure, Time};
 use abt_lp::Rat;
@@ -201,7 +201,7 @@ pub(crate) struct PersistedState {
     /// Job slots, dead handles included (handle = index).
     pub(crate) jobs: Vec<Option<Job>>,
     /// Content-keyed cache blocks.
-    pub(crate) blocks: Vec<(ContentKey, CachedBlock)>,
+    pub(crate) blocks: Vec<(ContentKey, LpBlock)>,
     /// Quarantined content keys with their root-cause failures.
     pub(crate) quarantine: Vec<(ContentKey, SolveFailure)>,
 }
@@ -285,7 +285,7 @@ pub(crate) fn encode_state(
     g: usize,
     seq: u64,
     jobs: &[Option<Job>],
-    blocks: &HashMap<ContentKey, CachedBlock>,
+    blocks: &HashMap<ContentKey, LpBlock>,
     quarantine: &HashMap<ContentKey, SolveFailure>,
 ) -> Vec<u8> {
     let mut e = Enc::new();
@@ -359,7 +359,7 @@ pub(crate) fn decode_state(payload: &[u8]) -> Result<PersistedState, PersistErro
             y_runs.push(decode_rat(&mut d)?);
         }
         let objective = decode_rat(&mut d)?;
-        blocks.push((key, CachedBlock { y_runs, objective }));
+        blocks.push((key, LpBlock { y_runs, objective }));
     }
     let nquar = d.count(1)?;
     let mut quarantine = Vec::with_capacity(nquar);
@@ -581,7 +581,7 @@ impl SolveStateStore {
 
 /// Re-encodes a decoded state (recovery's re-baseline checkpoint).
 fn encode_state_from_vecs(s: &PersistedState) -> Vec<u8> {
-    let blocks: HashMap<ContentKey, CachedBlock> = s
+    let blocks: HashMap<ContentKey, LpBlock> = s
         .blocks
         .iter()
         .map(|(k, b)| (k.clone(), b.clone()))
@@ -761,7 +761,7 @@ mod tests {
         let mut blocks = HashMap::new();
         blocks.insert(
             vec![(0i64, 4i64, 2i64)],
-            CachedBlock {
+            LpBlock {
                 y_runs: vec![Rat::new(1, 2), Rat::new(3, 4)],
                 objective: Rat::new(5, 4),
             },

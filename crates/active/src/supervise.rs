@@ -3,32 +3,36 @@
 //!
 //! # The ladder
 //!
-//! Every revised-backend solve in this crate runs through
-//! `supervised_solve`, which retries one component's LP down three rungs
-//! until one produces a certified answer. Every rung is one
-//! [`abt_lp::solve_lp`] call under a different [`abt_lp::LpOptions`]
-//! policy:
+//! Every LP solve in this crate runs through `supervised_solve`, which
+//! retries one component's LP down three rungs until one produces an
+//! answer. Every rung is one [`abt_lp::solve_lp`] call under a different
+//! [`abt_lp::SolverBackend`], and every backend has the same contract: an
+//! exactly certified answer, or a typed [`SolveFailure`]. Only the ladder
+//! decides what runs next:
 //!
-//! 1. **Cold revised** (the default `Revised` backend) — the bounded
-//!    revised simplex with budgets armed, from the caller's crash start
-//!    (`opts.start`) when it offers one. A float-level `Infeasible` claim
-//!    drops through silently (confirming it is the exact tier's job);
-//!    panics, budget trips, and numerical stalls demote.
+//! 1. **Cold revised** (`SolverBackend::Revised`) — the bounded revised
+//!    simplex with budgets armed, from the caller's crash start when it
+//!    offers one.
 //! 2. **Dense hybrid** (`SolverBackend::DenseHybrid`) — dense float
-//!    search with exact certification and its own internal exact fallback.
+//!    search over the row-materialized LP, certified like the revised
+//!    rung.
 //! 3. **Dense exact** (`SolverBackend::DenseExact`) — every pivot in
-//!    rationals; the rung of last resort.
+//!    rationals; the rung of last resort, and the only one whose answer
+//!    counts as a fallback ([`abt_lp::LpReport::fallback`]).
 //!
-//! Each *failure-driven* transition records a demotion in the process-wide
-//! telemetry ([`crate::lp_model::lp_telemetry`]); budget failures also
-//! record a budget trip. Because every rung ends in an *exact*
-//! certification — the hybrid rungs through the one exact certifier of
-//! `abt-lp`, the dense exact rung by construction — a solve that
-//! succeeds on **any** rung returns the same objective bit for bit:
-//! demotion trades speed, never answers. Only when all three rungs fail is
-//! the component **quarantined**: the caller receives a typed
-//! [`SolveFailure`] and degrades to a [`PartialSolve`] carrying the exact
-//! objectives of every healthy component.
+//! A float-level `Infeasible` claim drops to the next rung silently
+//! (confirming it is the exact tier's job); panics, budget trips,
+//! numerical stalls and refuted bases demote. Each *failure-driven*
+//! transition records a demotion in the process-wide telemetry
+//! ([`crate::lp_model::lp_telemetry`]); budget failures also record a
+//! budget trip. Because every rung ends in an *exact* certification — the
+//! float rungs through the one exact certifier of `abt-lp`, the dense
+//! exact rung by construction — a solve that succeeds on **any** rung
+//! returns the same objective bit for bit: demotion trades speed, never
+//! answers. Only when all three rungs fail is the component
+//! **quarantined**: the caller receives a typed [`SolveFailure`] and
+//! degrades to a [`PartialSolve`] carrying the exact objectives of every
+//! healthy component.
 //!
 //! # Fault injection
 //!
@@ -37,26 +41,36 @@
 //! fires at supervisor entry (modelling an unclassifiable crash of the
 //! whole attempt — straight to quarantine), while the deeper
 //! `panic_in_pivot` / `panic_in_ftran` / `slow_certify` sites fire inside
-//! the revised rungs and exercise the demotion path.
+//! the float rungs and exercise the demotion path.
 
 use crate::lp_model::{record_budget_trip, record_demotion, record_solve, record_solve_latency};
 use abt_core::faultinject;
 use abt_core::{obs, panic_message, Error, SolveFailure};
-use abt_lp::{solve_lp, LpOptions, LpProblem, LpReport, Rat, SolverBackend};
+use abt_lp::{
+    solve_lp, BoundedOptions, LpOptions, LpProblem, LpReport, Rat, SolverBackend, StartBasis,
+};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+/// The ladder's rungs, in the order they run, with the names that
+/// demotion events and `solve.component` spans carry.
+const RUNGS: [(SolverBackend, &str); 3] = [
+    (SolverBackend::Revised, "cold revised"),
+    (SolverBackend::DenseHybrid, "dense hybrid"),
+    (SolverBackend::DenseExact, "dense exact"),
+];
+
 /// Solves `lp` down the degradation ladder (see the module docs),
 /// recording demotions and budget trips in the process-wide telemetry.
-/// Every rung runs under the pricing and budgets of `opts`; `opts.start`
-/// feeds the cold revised rung, and the ladder itself picks each rung's
-/// backend.
+/// Every rung runs under `pricing`'s window and budgets; `start` feeds
+/// the cold revised rung.
 /// Returns `Err` only when every rung failed — the caller quarantines the
 /// work item; the error is the root-cause failure (the first one that
-/// forced a demotion, or the final rung's panic when nothing demoted).
+/// forced a demotion, or the final rung's failure when nothing demoted).
 pub(crate) fn supervised_solve(
     lp: &LpProblem<Rat>,
-    opts: &LpOptions,
+    pricing: &BoundedOptions,
+    start: Option<&StartBasis>,
 ) -> Result<LpReport, SolveFailure> {
     // `fail_nth_solve` models an unclassifiable crash of the whole
     // supervised attempt: no rung runs, the item goes straight to
@@ -66,65 +80,46 @@ pub(crate) fn supervised_solve(
     }
     let mut span = abt_core::obs_span!("solve.component", vars = lp.num_vars());
     let started = std::time::Instant::now();
-    let finish = |rep: LpReport, rung: &'static str, span: &mut obs::Span| {
-        record_solve(&rep, lp.num_vars());
-        record_solve_latency(started.elapsed());
-        span.field("rung", rung);
-        rep
-    };
-    let base = LpOptions::new().pricing(opts.pricing);
-    let mut first_failure: Option<SolveFailure> = None;
-    let mut demote = |f: SolveFailure, from: &'static str, to: &'static str| {
-        record_demotion();
-        if matches!(f, SolveFailure::BudgetExceeded(_)) {
-            record_budget_trip();
+    let mut root: Option<SolveFailure> = None;
+    // The previous rung's failure and name.
+    let mut failed: Option<(SolveFailure, &str)> = None;
+    for (backend, rung) in RUNGS {
+        if let Some((f, from)) = failed.take() {
+            // A float-level infeasibility claim needs exact confirmation —
+            // this rung's job. Not a fault.
+            if f != SolveFailure::Infeasible {
+                record_demotion();
+                if matches!(f, SolveFailure::BudgetExceeded(_)) {
+                    record_budget_trip();
+                }
+                obs::trace::event("supervise.demotion", || {
+                    vec![
+                        ("failure", f.to_string()),
+                        ("from", from.to_string()),
+                        ("to", rung.to_string()),
+                    ]
+                });
+                root.get_or_insert(f);
+            }
         }
-        obs::trace::event("supervise.demotion", || {
-            vec![
-                ("failure", f.to_string()),
-                ("from", from.to_string()),
-                ("to", to.to_string()),
-            ]
-        });
-        first_failure.get_or_insert(f);
-    };
-    // Rung 1 — cold revised with budgets armed, from the crash start.
-    let cold = base.start(opts.start);
-    match catch_unwind(AssertUnwindSafe(|| solve_lp(lp, &cold))) {
-        Ok(Ok(rep)) => return Ok(finish(rep, "cold revised", &mut span)),
-        // A float-level infeasibility claim needs exact confirmation — the
-        // next rung's job. Not a fault.
-        Ok(Err(SolveFailure::Infeasible)) => {}
-        Ok(Err(f)) => demote(f, "cold revised", "dense hybrid"),
-        Err(p) => demote(
-            SolveFailure::Panicked(panic_message(p.as_ref())),
-            "cold revised",
-            "dense hybrid",
-        ),
-    }
-    // Rung 2 — dense hybrid (its own internal exact fallback included;
-    // the backend never returns `Err`).
-    let hybrid = base.backend(SolverBackend::DenseHybrid);
-    match catch_unwind(AssertUnwindSafe(|| solve_lp(lp, &hybrid))) {
-        Ok(Ok(rep)) => return Ok(finish(rep, "dense hybrid", &mut span)),
-        Ok(Err(f)) => demote(f, "dense hybrid", "dense exact"),
-        Err(p) => demote(
-            SolveFailure::Panicked(panic_message(p.as_ref())),
-            "dense hybrid",
-            "dense exact",
-        ),
-    }
-    // Rung 3 — dense exact, the rung of last resort. Its iteration-cap
-    // panic is the one failure mode left, caught like any other.
-    let exact = base.backend(SolverBackend::DenseExact);
-    match catch_unwind(AssertUnwindSafe(|| solve_lp(lp, &exact))) {
-        Ok(Ok(rep)) => Ok(finish(rep, "dense exact", &mut span)),
-        Ok(Err(f)) => Err(first_failure.unwrap_or(f)),
-        Err(p) => {
-            let last = SolveFailure::Panicked(panic_message(p.as_ref()));
-            Err(first_failure.unwrap_or(last))
+        let opts = LpOptions {
+            backend,
+            pricing: *pricing,
+            start,
+        };
+        match catch_unwind(AssertUnwindSafe(|| solve_lp(lp, &opts))) {
+            Ok(Ok(rep)) => {
+                record_solve(&rep, lp.num_vars());
+                record_solve_latency(started.elapsed());
+                span.field("rung", rung);
+                return Ok(rep);
+            }
+            Ok(Err(f)) => failed = Some((f, rung)),
+            Err(p) => failed = Some((SolveFailure::Panicked(panic_message(p.as_ref())), rung)),
         }
     }
+    let (last, _) = failed.expect("the last rung failed");
+    Err(root.unwrap_or(last))
 }
 
 /// One component the supervisor gave up on: every ladder rung failed.
@@ -197,5 +192,156 @@ impl From<SolveError> for Error {
             SolveError::Rejected(rej) => Error::Infeasible(rej.to_string()),
             partial => Error::Quarantined(partial.to_string()),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lp_model::{build_component_lp, components, slot_runs, ComponentLp, DecomposeMode};
+    use abt_core::obs::TraceEntry;
+    use abt_core::Instance;
+    use abt_lp::{Cmp, LpStatus};
+    use std::sync::{Mutex, PoisonError};
+
+    /// Serializes these tests: each arms the process-wide flight recorder
+    /// for the length of its solve.
+    static RECORDER: Mutex<()> = Mutex::new(());
+
+    /// One supervised solve, as this thread's flight-recorder entries
+    /// tell it.
+    struct Supervised {
+        /// The answer.
+        rep: LpReport,
+        /// The rung that answered.
+        rung: Option<String>,
+        /// The `(from, to)` rungs of each demotion, in order.
+        demotions: Vec<(String, String)>,
+    }
+
+    /// Solves `lp` down the ladder; every LP here has an answer.
+    fn supervise(
+        lp: &LpProblem<Rat>,
+        pricing: &BoundedOptions,
+        start: Option<&StartBasis>,
+    ) -> Supervised {
+        let _guard = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
+        obs::set_tracing(true);
+        let seen = obs::recorder::entries().last().map_or(0, |e| e.seq);
+        let res = supervised_solve(lp, pricing, start);
+        obs::set_tracing(false);
+        let thread = obs::trace::thread_ordinal();
+        let entries: Vec<TraceEntry> = obs::recorder::entries()
+            .into_iter()
+            .filter(|e| e.seq > seen && e.thread == thread)
+            .collect();
+        let field = |e: &TraceEntry, k: &str| {
+            let value = e.fields.iter().find(|(key, _)| *key == k);
+            value.map(|(_, v)| v.clone())
+        };
+        let rung = entries
+            .iter()
+            .find(|e| e.name == "solve.component")
+            .and_then(|e| field(e, "rung"));
+        let demotions = entries
+            .iter()
+            .filter(|e| e.name == "supervise.demotion")
+            .map(|e| (field(e, "from").unwrap(), field(e, "to").unwrap()))
+            .collect();
+        Supervised {
+            rep: res.expect("some rung answers"),
+            rung,
+            demotions,
+        }
+    }
+
+    /// The one LP1 block of a connected three-job instance, with its crash
+    /// start.
+    fn lp1_block() -> ComponentLp {
+        let inst = Instance::from_triples([(0, 6, 3), (1, 5, 2), (2, 6, 3)], 2).unwrap();
+        let runs = slot_runs(&inst);
+        let comps = components(&inst, &runs, DecomposeMode::Off);
+        build_component_lp(&inst, &Default::default(), &runs, &comps[0])
+    }
+
+    fn pair(from: &str, to: &str) -> (String, String) {
+        (from.to_string(), to.to_string())
+    }
+
+    #[test]
+    fn a_clean_block_answers_on_the_cold_revised_rung() {
+        let clp = lp1_block();
+        let Supervised {
+            rep,
+            rung,
+            demotions,
+        } = supervise(&clp.lp, &BoundedOptions::default(), clp.start.as_ref());
+        assert!(!rep.fallback);
+        assert_eq!(rep.solution.objective, abt_lp::solve(&clp.lp).objective);
+        assert_eq!(rung.as_deref(), Some("cold revised"));
+        assert_eq!(demotions, []);
+    }
+
+    #[test]
+    fn a_budget_trip_answers_on_the_dense_hybrid_rung() {
+        let clp = lp1_block();
+        let starved = BoundedOptions {
+            pivot_budget: 1,
+            ..BoundedOptions::default()
+        };
+        let Supervised {
+            rep,
+            rung,
+            demotions,
+        } = supervise(&clp.lp, &starved, clp.start.as_ref());
+        assert!(!rep.fallback, "a certified hybrid answer is no fallback");
+        assert_eq!(rep.solution.objective, abt_lp::solve(&clp.lp).objective);
+        assert_eq!(rung.as_deref(), Some("dense hybrid"));
+        assert_eq!(demotions, [pair("cold revised", "dense hybrid")]);
+    }
+
+    #[test]
+    fn a_sub_epsilon_cost_gap_answers_on_the_dense_exact_rung() {
+        // min (1 + 2⁻⁶⁰)·x₀ + x₁  s.t.  x₀ + x₁ ≥ 1: both float rungs stop
+        // on the basis {x₀}, which the certifier refutes.
+        let eps = Rat::new(1, 1i128 << 60);
+        let mut lp: LpProblem<Rat> = LpProblem::new();
+        let x0 = lp.add_var(Rat::ONE.add(&eps));
+        let x1 = lp.add_var(Rat::ONE);
+        lp.add_constraint(vec![(x0, Rat::ONE), (x1, Rat::ONE)], Cmp::Ge, Rat::ONE);
+        let Supervised {
+            rep,
+            rung,
+            demotions,
+        } = supervise(&lp, &BoundedOptions::default(), None);
+        assert!(rep.fallback);
+        assert_eq!(rep.solution.objective, Rat::ONE);
+        assert_eq!(rung.as_deref(), Some("dense exact"));
+        assert_eq!(
+            demotions,
+            [
+                pair("cold revised", "dense hybrid"),
+                pair("dense hybrid", "dense exact")
+            ]
+        );
+    }
+
+    #[test]
+    fn an_infeasible_lp_answers_on_the_dense_exact_rung_without_demoting() {
+        // x ≥ 3 with x ≤ 1: both float rungs claim infeasibility, which
+        // only the dense exact rung may confirm.
+        let mut lp: LpProblem<Rat> = LpProblem::new();
+        let x = lp.add_var(Rat::ONE);
+        lp.add_constraint(vec![(x, Rat::ONE)], Cmp::Ge, Rat::from_int(3));
+        lp.set_upper(x, Rat::ONE);
+        let Supervised {
+            rep,
+            rung,
+            demotions,
+        } = supervise(&lp, &BoundedOptions::default(), None);
+        assert!(rep.fallback);
+        assert_eq!(rep.solution.status, LpStatus::Infeasible);
+        assert_eq!(rung.as_deref(), Some("dense exact"));
+        assert_eq!(demotions, []);
     }
 }

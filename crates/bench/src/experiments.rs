@@ -18,7 +18,7 @@ use abt_busy::{
 };
 use abt_core::active_schedule::horizon_slots;
 use abt_core::parallel_map;
-use abt_core::{busy_lower_bounds, within_factor, DemandProfile, Frac, Instance};
+use abt_core::{busy_lower_bounds, within_factor, DemandProfile, Instance};
 use abt_lp::Rat;
 use abt_workloads::{
     busy_g_sweep, busy_laminar_nested, busy_release_stream, fig10_flexible_factor4, fig1_example,
@@ -375,8 +375,8 @@ pub fn e5() -> ExperimentReport {
         "anomalies",
         "repairs",
     ]);
-    let mut worst_lp = Frac::int(0);
-    let mut worst_opt = Frac::int(0);
+    let mut worst_lp = Rat::ZERO;
+    let mut worst_opt = Rat::ZERO;
     let mut count = 0usize;
     let mut anomalies = 0usize;
     let mut repairs = 0usize;
@@ -386,13 +386,12 @@ pub fn e5() -> ExperimentReport {
         count += 1;
         anomalies += out.anomalies;
         repairs += out.repair_slots;
-        let lp_frac = Frac::new(out.lp_objective.numer(), out.lp_objective.denom());
-        let cost_over_lp = Frac::int(out.cost).mul(Frac::new(lp_frac.den(), lp_frac.num()));
+        let cost_over_lp = Rat::from_int(out.cost).div(&out.lp_objective);
         if cost_over_lp > worst_lp {
             worst_lp = cost_over_lp;
         }
         if let Some(opt) = exact {
-            let f = Frac::ratio(out.cost, opt);
+            let f = Rat::new(out.cost.into(), opt.into());
             if f > worst_opt {
                 worst_opt = f;
             }
@@ -433,7 +432,7 @@ pub fn e6() -> ExperimentReport {
     let gs = vec![2usize, 3, 4, 6, 8, 16, 32];
     let rows = parallel_map(gs, |g| {
         let f = fig6_greedy_tracking_tight(g, 10);
-        let adv_ratio = Frac::ratio(f.adversarial_cost, f.opt_upper);
+        let adv_ratio = Rat::new(f.adversarial_cost.into(), f.opt_upper.into());
         // Our deterministic GreedyTracking on the adversarial placement.
         let placement = placement_from_starts(&f.instance, f.adversarial_starts.clone()).unwrap();
         let gt = solve_with_placement(&f.instance, &placement, IntervalAlgo::GreedyTracking)

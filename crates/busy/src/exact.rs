@@ -87,11 +87,10 @@ pub fn exact_busy_time(inst: &Instance, node_limit: Option<u64>) -> Result<Exact
                     .iter()
                     .filter(|&&j2| self.inst.job(j2).window().overlaps(&iv))
                     .count();
-                // Cheap necessary bound; the exact peak check follows.
+                // The bundle's peak is at most `g`, so below `g`
+                // overlapping members the job fits; only then is the
+                // exact peak needed.
                 if overlap >= self.g && peak_with(self.inst, &state.parts[b], job) > self.g {
-                    continue;
-                }
-                if peak_with(self.inst, &state.parts[b], job) > self.g {
                     continue;
                 }
                 let before = state.sets[b].measure();
@@ -111,23 +110,6 @@ pub fn exact_busy_time(inst: &Instance, node_limit: Option<u64>) -> Result<Exact
             }
             Ok(())
         }
-    }
-
-    fn peak_with(inst: &Instance, bundle: &[JobId], extra: JobId) -> usize {
-        let mut events: Vec<(i64, i32)> = Vec::new();
-        for &j in bundle.iter().chain(std::iter::once(&extra)) {
-            let w = inst.job(j).window();
-            events.push((w.start, 1));
-            events.push((w.end, -1));
-        }
-        events.sort_unstable();
-        let mut cur = 0i32;
-        let mut peak = 0i32;
-        for (_, d) in events {
-            cur += d;
-            peak = peak.max(cur);
-        }
-        peak.max(0) as usize
     }
 
     // Trivial case: nothing to schedule.
@@ -167,6 +149,25 @@ pub fn exact_busy_time(inst: &Instance, node_limit: Option<u64>) -> Result<Exact
     })
 }
 
+/// The most windows of `bundle` plus `extra` live at one time: the peak
+/// load of an interval bundle after adding `extra`.
+pub(crate) fn peak_with(inst: &Instance, bundle: &[JobId], extra: JobId) -> usize {
+    let mut events: Vec<(i64, i32)> = Vec::new();
+    for &j in bundle.iter().chain(std::iter::once(&extra)) {
+        let w = inst.job(j).window();
+        events.push((w.start, 1));
+        events.push((w.end, -1));
+    }
+    events.sort_unstable();
+    let mut cur = 0i32;
+    let mut peak = 0i32;
+    for (_, d) in events {
+        cur += d;
+        peak = peak.max(cur);
+    }
+    peak.max(0) as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,6 +192,15 @@ mod tests {
         // Exact is no worse than GreedyTracking.
         let gt = greedy_tracking(&inst).unwrap().total_busy_time(&inst);
         assert!(res.cost <= gt);
+    }
+
+    #[test]
+    fn figure1_search_visits_a_pinned_number_of_nodes() {
+        // The search order is deterministic: a change that moves it shows
+        // here before it shows in a benchmark.
+        let ivs = [(0, 8), (0, 3), (2, 5), (5, 8), (0, 4), (3, 6), (5, 9)];
+        let res = exact_busy_time(&interval_inst(&ivs, 3), None).unwrap();
+        assert_eq!((res.cost, res.nodes), (13, 30));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! only if the marginal busy-time cost fits the remaining budget) plus an
 //! exact branch-and-bound reference for ratio measurements.
 
+use crate::exact::peak_with;
 use abt_core::{Error, Instance, IntervalSet, JobId, Result};
 
 /// A budgeted schedule: the accepted jobs per machine.
@@ -95,10 +96,9 @@ pub fn budgeted_greedy(inst: &Instance, budget: i64) -> Result<BudgetedSchedule>
                 .iter()
                 .filter(|&&o| inst.job(o).window().overlaps(&iv))
                 .count();
+            // Below `g` overlapping members the job fits (see
+            // `exact_busy_time`).
             if overlap >= inst.g() && peak_with(inst, ids_m, j) > inst.g() {
-                continue;
-            }
-            if peak_with(inst, ids_m, j) > inst.g() {
                 continue;
             }
             let before = busy_sets[m].measure();
@@ -131,23 +131,6 @@ pub fn budgeted_greedy(inst: &Instance, budget: i64) -> Result<BudgetedSchedule>
         }
     }
     Ok(BudgetedSchedule { machines })
-}
-
-fn peak_with(inst: &Instance, bundle: &[JobId], extra: JobId) -> usize {
-    let mut events: Vec<(i64, i32)> = Vec::new();
-    for &j in bundle.iter().chain(std::iter::once(&extra)) {
-        let w = inst.job(j).window();
-        events.push((w.start, 1));
-        events.push((w.end, -1));
-    }
-    events.sort_unstable();
-    let mut cur = 0i32;
-    let mut peak = 0i32;
-    for (_, d) in events {
-        cur += d;
-        peak = peak.max(cur);
-    }
-    peak.max(0) as usize
 }
 
 /// Exact maximum throughput within the budget via branch and bound over

@@ -32,7 +32,8 @@
 //! tripped budget demotes the solve down the supervision ladder (see
 //! `abt-active`'s `supervise` module) — the answer stays exact; the
 //! printed telemetry shows how many attempts demoted, tripped a budget,
-//! or were quarantined.
+//! were answered by the ladder's last rung (dense exact), or were
+//! quarantined.
 //!
 //! The supervision summary line of `solve`, `incremental` and `replay`
 //! also counts how the certifications went: those whose reduced-cost signs
@@ -302,16 +303,18 @@ fn arrivals_config(clusters: u64, jobs_per_cluster: u64) -> Result<OnlineArrival
     })
 }
 
-/// One-line supervision summary from a telemetry delta, including how
-/// many certifications proved every reduced-cost sign in integers, how
-/// many needed `Rat` for some column family, and how many fell back to
-/// the exact LU.
+/// One-line supervision summary from a telemetry delta: the ladder's
+/// demotions, budget trips, answers from its dense exact rung
+/// (`lp.fallbacks`) and quarantines, then how many certifications proved
+/// every reduced-cost sign in integers, how many needed `Rat` for some
+/// column family, and how many fell back to the exact LU.
 fn supervision_summary(d: &abt_active::LpTelemetry) -> String {
     format!(
-        "supervision: {} demotions ({} budget trips), {} quarantined; \
+        "supervision: {} demotions ({} budget trips), {} dense-exact answers, {} quarantined; \
          certify: {} integer sweeps, {} Rat sweeps, {} LU ({:.1} ms)",
         d.demotions,
         d.budget_trips,
+        d.fallbacks,
         d.quarantined,
         d.interval_accepts,
         d.interval_escalations,

@@ -13,11 +13,6 @@ use crate::jobs::JobId;
 use crate::time::Time;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The inclusive slot range `{r+1, …, d}` of a job's window.
-pub fn window_slots(release: Time, deadline: Time) -> std::ops::RangeInclusive<Time> {
-    (release + 1)..=deadline
-}
-
 /// Whether job `job` of `inst` may be scheduled in slot `t`.
 pub fn job_feasible_in_slot(inst: &Instance, job: JobId, t: Time) -> bool {
     let j = inst.job(job);
@@ -167,7 +162,6 @@ mod tests {
         let i = Instance::from_triples([(1, 2, 1)], 1).unwrap();
         assert!(!job_feasible_in_slot(&i, 0, 1));
         assert!(job_feasible_in_slot(&i, 0, 2));
-        assert_eq!(window_slots(1, 2).collect::<Vec<_>>(), vec![2]);
     }
 
     #[test]

@@ -56,12 +56,6 @@ impl Job {
         Interval::new(self.release, self.deadline)
     }
 
-    /// Window length `d_j − r_j`.
-    #[inline]
-    pub fn window_len(&self) -> i64 {
-        self.deadline - self.release
-    }
-
     /// Scheduling slack `d_j − r_j − p_j` (0 for interval jobs).
     #[inline]
     pub fn slack(&self) -> i64 {
@@ -88,22 +82,6 @@ impl Job {
         }
         Some(Interval::new(start, start + self.length))
     }
-
-    /// For an interval job, its fixed run interval.
-    pub fn fixed_interval(&self) -> Option<Interval> {
-        if self.is_interval() {
-            Some(self.window())
-        } else {
-            None
-        }
-    }
-
-    /// Whether the job is *live* at time `t` in the busy-time sense:
-    /// `t ∈ [r_j, d_j)` (Definition 11 uses this for interval jobs).
-    #[inline]
-    pub fn live_at(&self, t: Time) -> bool {
-        self.release <= t && t < self.deadline
-    }
 }
 
 impl std::fmt::Display for Job {
@@ -124,7 +102,6 @@ mod tests {
     fn job_construction_and_accessors() {
         let j = Job::new(2, 10, 3);
         assert_eq!(j.window(), Interval::new(2, 10));
-        assert_eq!(j.window_len(), 8);
         assert_eq!(j.slack(), 5);
         assert_eq!(j.latest_start(), 7);
         assert!(!j.is_interval());
@@ -145,8 +122,6 @@ mod tests {
         let j = Job::interval(4, 9);
         assert!(j.is_interval());
         assert_eq!(j.length, 5);
-        assert_eq!(j.fixed_interval(), Some(Interval::new(4, 9)));
-        assert_eq!(Job::new(0, 10, 5).fixed_interval(), None);
     }
 
     #[test]
@@ -160,10 +135,12 @@ mod tests {
 
     #[test]
     fn liveness() {
-        let j = Job::new(2, 10, 3);
-        assert!(!j.live_at(1));
-        assert!(j.live_at(2));
-        assert!(j.live_at(9));
-        assert!(!j.live_at(10));
+        // A job is live at `t ∈ [r_j, d_j)` in the busy-time sense
+        // (Definition 11): its window contains `t`.
+        let j = Job::new(2, 10, 3).window();
+        assert!(!j.contains(1));
+        assert!(j.contains(2));
+        assert!(j.contains(9));
+        assert!(!j.contains(10));
     }
 }

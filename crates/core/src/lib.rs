@@ -45,5 +45,5 @@ pub use parallel::{panic_message, parallel_map, supervised_map};
 pub use persist::{PersistError, StateDir};
 pub use preemptive_schedule::{Piece, PreemptiveSchedule};
 pub use profile::DemandProfile;
-pub use ratio::{within_factor, within_frac_factor, Frac};
+pub use ratio::{within_factor, within_frac_factor};
 pub use time::{mass, span, Interval, IntervalSet, Time};

@@ -67,11 +67,6 @@ impl DemandProfile {
             .unwrap_or(0)
     }
 
-    /// Demand `D(t) = ⌈|A(t)|/g⌉`.
-    pub fn demand_at(&self, t: Time, g: usize) -> usize {
-        div_ceil(self.raw_demand_at(t), g)
-    }
-
     /// The profile lower bound `Σ_i ⌈|A(I_i)|/g⌉ · ℓ(I_i)` on optimal busy
     /// time (Observation 4).
     pub fn cost(&self, g: usize) -> i64 {
@@ -167,8 +162,6 @@ mod tests {
         assert_eq!(p.raw_demand_at(7), 0);
         assert_eq!(p.raw_demand_at(-1), 0);
         assert_eq!(p.raw_demand_at(10), 0);
-        assert_eq!(p.demand_at(3, 2), 2);
-        assert_eq!(p.demand_at(3, 3), 1);
     }
 
     #[test]

@@ -1,80 +1,10 @@
-//! Exact fractions over `i128`, used for approximation-ratio bookkeeping.
+//! Exact approximation-factor checks over `i128`.
 //!
-//! Tests and the experiment harness must compare quantities like
-//! `cost ≤ 3 · OPT` or report `cost/OPT → 3` exactly; doing this in `f64`
-//! would make tight gadget assertions flaky. All costs in the workspace are
-//! `i64` ticks, so ratios fit comfortably in `i128` cross-multiplication.
-
-use std::cmp::Ordering;
-use std::fmt;
-
-/// An exact non-negative fraction `num/den` with `den > 0`, normalized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Frac {
-    num: i128,
-    den: i128,
-}
-
-impl Frac {
-    /// Creates `num/den`; panics if `den == 0`.
-    pub fn new(num: i128, den: i128) -> Self {
-        assert!(den != 0, "zero denominator");
-        let (mut num, mut den) = if den < 0 { (-num, -den) } else { (num, den) };
-        let g = gcd(num.unsigned_abs(), den.unsigned_abs());
-        if g > 1 {
-            num /= g as i128;
-            den /= g as i128;
-        }
-        Frac { num, den }
-    }
-
-    /// The ratio `a/b` of two integer costs.
-    pub fn ratio(a: i64, b: i64) -> Self {
-        Frac::new(a as i128, b as i128)
-    }
-
-    /// Numerator (after normalization).
-    pub fn num(&self) -> i128 {
-        self.num
-    }
-
-    /// Denominator (after normalization, always positive).
-    pub fn den(&self) -> i128 {
-        self.den
-    }
-
-    /// Integer `n` as a fraction.
-    pub fn int(n: i64) -> Self {
-        Frac {
-            num: n as i128,
-            den: 1,
-        }
-    }
-
-    /// Lossy conversion for reporting.
-    pub fn to_f64(&self) -> f64 {
-        self.num as f64 / self.den as f64
-    }
-
-    /// `self + other`.
-    pub fn add(&self, other: Frac) -> Frac {
-        Frac::new(
-            self.num * other.den + other.num * self.den,
-            self.den * other.den,
-        )
-    }
-
-    /// `self * other`.
-    pub fn mul(&self, other: Frac) -> Frac {
-        Frac::new(self.num * other.num, self.den * other.den)
-    }
-
-    /// Whether `self ≤ k · other` exactly.
-    pub fn le_times(&self, k: i64, other: Frac) -> bool {
-        // self.num/self.den ≤ k * other.num/other.den
-        self.num * other.den <= k as i128 * other.num * self.den
-    }
-}
+//! Tests and the experiment harness must check guarantees like
+//! `cost ≤ 3 · OPT` exactly; doing this in `f64` would make tight gadget
+//! assertions flaky. All costs in the workspace are `i64` ticks, so the
+//! cross-multiplications fit comfortably in `i128`. Exact ratios are
+//! `abt_lp::Rat`s.
 
 /// Whether `a ≤ factor · b` exactly, for integer costs (the standard
 /// approximation-guarantee check, e.g. `minimal ≤ 3·OPT`).
@@ -88,56 +18,9 @@ pub fn within_frac_factor(a: i64, p: i64, q: i64, b: i64) -> bool {
     (a as i128) * (q as i128) <= (p as i128) * (b as i128)
 }
 
-impl PartialOrd for Frac {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Frac {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.num * other.den).cmp(&(other.num * self.den))
-    }
-}
-
-impl fmt::Display for Frac {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.den == 1 {
-            write!(f, "{}", self.num)
-        } else {
-            write!(f, "{}/{}", self.num, self.den)
-        }
-    }
-}
-
-fn gcd(mut a: u128, mut b: u128) -> u128 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a.max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn normalization() {
-        assert_eq!(Frac::new(6, 4), Frac::new(3, 2));
-        assert_eq!(Frac::new(-6, -4), Frac::new(3, 2));
-        assert_eq!(Frac::new(6, -4), Frac::new(-3, 2));
-        assert_eq!(Frac::new(0, 7), Frac::new(0, 1));
-    }
-
-    #[test]
-    fn ordering_and_arith() {
-        assert!(Frac::new(2, 3) < Frac::new(3, 4));
-        assert_eq!(Frac::new(1, 2).add(Frac::new(1, 3)), Frac::new(5, 6));
-        assert_eq!(Frac::new(2, 3).mul(Frac::new(3, 4)), Frac::new(1, 2));
-        assert_eq!(Frac::int(2), Frac::new(4, 2));
-    }
 
     #[test]
     fn factor_checks() {
@@ -147,11 +30,5 @@ mod tests {
         // 2g/(g+1) with g=3 is 3/2: 15 ≤ (3/2)·10
         assert!(within_frac_factor(15, 3, 2, 10));
         assert!(!within_frac_factor(16, 3, 2, 10));
-    }
-
-    #[test]
-    fn le_times() {
-        assert!(Frac::new(5, 2).le_times(3, Frac::new(5, 6)));
-        assert!(!Frac::new(5, 2).le_times(2, Frac::new(5, 6)));
     }
 }

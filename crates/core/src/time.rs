@@ -76,12 +76,6 @@ impl Interval {
         }
     }
 
-    /// Length of the intersection (0 if disjoint).
-    #[inline]
-    pub fn overlap_len(&self, other: &Interval) -> i64 {
-        (self.end.min(other.end) - self.start.max(other.start)).max(0)
-    }
-
     /// The smallest interval containing both (the "hull").
     #[inline]
     pub fn hull(&self, other: &Interval) -> Interval {
@@ -228,8 +222,6 @@ mod tests {
         assert!(!a.overlaps(&c)); // half-open: touching is not overlapping
         assert_eq!(a.intersect(&b), Some(Interval::new(5, 10)));
         assert_eq!(a.intersect(&c), None);
-        assert_eq!(a.overlap_len(&b), 5);
-        assert_eq!(a.overlap_len(&c), 0);
         assert_eq!(a.hull(&c), Interval::new(0, 20));
     }
 
@@ -308,7 +300,8 @@ mod tests {
         let i1 = Interval::new(0, 6);
         let i2 = Interval::new(4, 9);
         let lhs = span([i1, i2]);
-        let rhs = i1.len() + i2.len() - i1.overlap_len(&i2);
+        let overlap = i1.intersect(&i2).map_or(0, |iv| iv.len());
+        let rhs = i1.len() + i2.len() - overlap;
         assert_eq!(lhs, rhs);
     }
 }

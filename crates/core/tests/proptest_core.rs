@@ -2,10 +2,9 @@
 
 //! Model-based property tests for the core substrate: the interval-set
 //! union against a boolean-array model, the demand profile against naive
-//! per-tick counting, exact fractions against `f64` ordering, and the
-//! instance text format round-trip.
+//! per-tick counting, and the instance text format round-trip.
 
-use abt_core::{io, DemandProfile, Frac, Instance, Interval, IntervalSet, Job};
+use abt_core::{io, DemandProfile, Instance, Interval, IntervalSet, Job};
 use proptest::prelude::*;
 
 const HORIZON: usize = 64;
@@ -74,22 +73,6 @@ proptest! {
         for &(_, d) in pp.segments() {
             prop_assert_eq!(d % g, 0);
         }
-    }
-
-    #[test]
-    fn frac_ordering_is_consistent_with_floats(
-        a in 1i64..1000, b in 1i64..1000, c in 1i64..1000, d in 1i64..1000
-    ) {
-        let x = Frac::ratio(a, b);
-        let y = Frac::ratio(c, d);
-        // Exact comparison must agree with the (here exactly representable)
-        // float comparison direction whenever the floats differ clearly.
-        if (x.to_f64() - y.to_f64()).abs() > 1e-9 {
-            prop_assert_eq!(x < y, x.to_f64() < y.to_f64());
-        }
-        // Cross-multiplication identity.
-        let lhs_smaller = (a as i128 * d as i128) < (c as i128 * b as i128);
-        prop_assert_eq!(x < y, lhs_smaller);
     }
 
     #[test]

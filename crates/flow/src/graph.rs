@@ -90,13 +90,6 @@ impl FlowGraph {
         self.first.len()
     }
 
-    /// Adds a fresh node, returning its id.
-    pub fn add_node(&mut self) -> NodeId {
-        self.first.push(NO_EDGE);
-        self.last.push(NO_EDGE);
-        self.first.len() - 1
-    }
-
     /// Adds a directed edge `u → v` with capacity `cap ≥ 0`; returns the
     /// forward edge id.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId, cap: i64) -> EdgeId {
@@ -181,17 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn add_node_grows_graph() {
-        let mut g = FlowGraph::new(1);
-        let v = g.add_node();
-        assert_eq!(v, 1);
-        assert_eq!(g.node_count(), 2);
-        g.add_edge(0, v, 1);
-        assert_eq!(g.out_edges(0).count(), 1);
-        assert_eq!(g.out_edges(v).count(), 1); // the residual twin
-    }
-
-    #[test]
     fn clear_keeps_buffers_and_insertion_order() {
         let mut g = FlowGraph::new(4);
         for v in 1..4 {
@@ -207,8 +189,6 @@ mod tests {
         let e2 = g.add_edge(0, 1, 1);
         assert_eq!(g.out_edges(0).collect::<Vec<_>>(), [e0 + 1, e1, e2]);
         assert_eq!(g.out_edges(1).collect::<Vec<_>>(), [e0, e1 + 1, e2 + 1]);
-        assert_eq!(g.add_node(), 2);
-        assert_eq!(g.out_edges(2).count(), 0);
         g.clear(6);
         assert_eq!(g.node_count(), 6);
         assert!((0..6).all(|v| g.out_edges(v).count() == 0));

@@ -22,10 +22,11 @@ pub enum SolverBackend {
     /// engine of last resort. Slow, but with no float pass there is
     /// nothing to certify or refute.
     DenseExact,
-    /// Dense `f64` search with exact certification of the terminal basis
-    /// and an internal dense-exact fallback; bounds and VUBs are
-    /// materialized as rows. Never fails — the fallback absorbs every
-    /// refutation.
+    /// Dense `f64` search with exact certification of the terminal basis;
+    /// bounds and VUBs are materialized as rows. Like `Revised`, it
+    /// answers only what it certified: a float `Infeasible` claim is
+    /// [`SolveFailure::Infeasible`], and a float `Unbounded` claim or a
+    /// refuted basis [`SolveFailure::NumericalStall`].
     DenseHybrid,
     /// The bounded revised simplex — implicit bounds, Schrage-style VUB
     /// pivoting, partial pricing, sparse-LU certification, an optional
@@ -89,8 +90,8 @@ pub struct LpReport {
     /// The exact solution: status, objective, `x`, row duals. Status and
     /// objective are bit identical across every backend.
     pub solution: LpSolution<Rat>,
-    /// `true` iff the answer came from the pure exact dense path — the
-    /// `DenseExact` backend itself, or a dense-backend internal fallback.
+    /// `true` iff the answer came from the [`SolverBackend::DenseExact`]
+    /// backend, the one engine with no float pass to certify.
     pub fallback: bool,
     /// Pivot/flip/refactorization counters, the certify clock and how
     /// the certification went.
@@ -100,14 +101,14 @@ pub struct LpReport {
 /// Solves `lp` under the policy in `opts` — **the** entry point to the
 /// dense, hybrid, and revised engines.
 ///
-/// Dispatch: the `DenseExact` and `DenseHybrid` backends never fail (the
-/// hybrid absorbs refutations in its internal exact fallback). The
-/// `Revised` backend solves cold, from `opts.start` when one is offered,
-/// and surfaces every failure as a typed [`SolveFailure`] so callers
-/// (the supervision ladder in `abt-active`) choose the next rung. An `Ok`
-/// from the `Revised` backend is always an exactly certified optimum;
-/// whether its reduced-cost signs were proven wholly in integers is
-/// reported in [`SolveStats::interval_accepts`] /
+/// Dispatch: every engine gives an exactly certified answer or a typed
+/// [`SolveFailure`], and callers (the supervision ladder in `abt-active`)
+/// choose what runs next. The `DenseExact` backend pivots in rationals and
+/// never fails. The `DenseHybrid` and `Revised` backends certify their
+/// float pass's terminal basis and never fall back on their own; the
+/// `Revised` backend solves cold, from `opts.start` when one is offered.
+/// Whether a certification proved its reduced-cost signs wholly in
+/// integers is reported in [`SolveStats::interval_accepts`] /
 /// [`SolveStats::interval_escalations`].
 ///
 /// ```
@@ -140,7 +141,7 @@ pub fn solve_lp(lp: &LpProblem<Rat>, opts: &LpOptions) -> Result<LpReport, Solve
             fallback: true,
             stats: SolveStats::default(),
         }),
-        SolverBackend::DenseHybrid => Ok(dense_hybrid(lp)),
+        SolverBackend::DenseHybrid => dense_hybrid(lp),
         SolverBackend::Revised => revised_cold(lp, opts),
     }
 }

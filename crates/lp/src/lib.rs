@@ -19,7 +19,10 @@
 //! ([`LpOptions::start`]), so phase 1 runs only on what it leaves
 //! infeasible.
 //! [`solve_lp`] is the one entry point to all three engines
-//! ([`SolverBackend`]).
+//! ([`SolverBackend`]). Each answers with an exactly certified solution
+//! or a typed [`SolveFailure`]; none falls back to another on its own, so
+//! the caller — the supervision ladder in `abt-active` — decides what
+//! runs next, last the dense exact simplex.
 //!
 //! The allowed offline dependency set contains no LP solver (the paper's
 //! reproduction band notes the thin LP ecosystem), so this crate implements

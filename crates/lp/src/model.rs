@@ -175,9 +175,9 @@ impl<S: Scalar> LpProblem<S> {
 
     /// A copy of the problem with every VUB materialized as an explicit
     /// `x − key ≤ 0` row (appended after the original rows, in variable
-    /// order) and the VUB registry cleared. Used by the dense solvers and
-    /// the exact fallback; duals of the appended rows are dropped before
-    /// results reach callers.
+    /// order) and the VUB registry cleared. Used by the dense solvers;
+    /// duals of the appended rows are dropped before results reach
+    /// callers.
     pub fn vubs_as_rows(&self) -> LpProblem<S> {
         let mut out = LpProblem {
             objective: self.objective.clone(),
@@ -200,9 +200,9 @@ impl<S: Scalar> LpProblem<S> {
 
     /// A copy of the problem with every implicit bound materialized as an
     /// explicit `≤` row (appended after the original rows, in variable
-    /// order) and the implicit bounds cleared. Used by the dense solvers
-    /// and the exact fallback; duals of the appended rows are dropped
-    /// before results reach callers.
+    /// order) and the implicit bounds cleared. Used by the dense solvers;
+    /// duals of the appended rows are dropped before results reach
+    /// callers.
     pub fn bounds_as_rows(&self) -> LpProblem<S> {
         let mut out = LpProblem {
             objective: self.objective.clone(),

@@ -38,16 +38,19 @@
 //!
 //! # Hybrid verification contract
 //!
-//! The dense hybrid returns **bit-identical status and objective** to the
-//! pure-rational [`solve`] (`x`/`duals` may differ between alternate
+//! A dense hybrid answer has **bit-identical status and objective** to
+//! the pure-rational [`solve`] (`x`/`duals` may differ between alternate
 //! optimal bases, but are always an exactly-optimal vertex and exactly
 //! feasible duals). The steps:
 //!
-//! 1. Solve a lossless `f64` image of the LP (coefficients in the paper's
-//!    LPs are tiny integers, exactly representable).
+//! 1. Build the exact [`StandardForm`] of the LP, its implicit bounds and
+//!    VUBs materialized as rows, once, and run the dense simplex on that
+//!    form's `f64` image (coefficients in the paper's LPs are tiny
+//!    integers, exactly representable).
 //! 2. If the float solve claims `Optimal`, hand its terminal basis to the
-//!    revised engine's exact certifier as a bounded proposal whose
-//!    nonbasic columns all rest at zero. The proposal carries no float
+//!    revised engine's exact certifier, against the same form, as a
+//!    bounded proposal whose nonbasic columns all rest at zero. The
+//!    proposal carries no float
 //!    values, so the certifier takes the exact LU path below. With no
 //!    bounds and no VUBs in play, the per-resting-state certificate below
 //!    reduces to the classic one: a nonsingular basis (factored with a
@@ -57,10 +60,13 @@
 //!    (every basic artificial at value 0), and dual feasibility (reduced
 //!    costs of nonbasic non-artificial columns ≥ 0 against the duals from
 //!    `Bᵀ·y = c_B`), checked by the one exact sweep described below.
-//! 3. On any failure — or a float claim of `Infeasible`/`Unbounded`, which
-//!    tolerance-based pivoting cannot certify — fall back to the pure
-//!    exact simplex. The fallback is the correctness backstop; the float
-//!    pass is only ever an accelerator.
+//! 3. Anything it cannot certify is a typed [`SolveFailure`]: a float
+//!    `Infeasible` claim, which tolerance-based pivoting cannot certify,
+//!    is `Infeasible`; a float `Unbounded` claim or a refuted basis is
+//!    `NumericalStall`. The caller — the supervision ladder in
+//!    `abt-active` — runs the pure exact simplex
+//!    ([`SolverBackend::DenseExact`](crate::SolverBackend::DenseExact))
+//!    next. The float pass is only ever an accelerator.
 //!
 //! Because the certifier is shared, a dense certification passes the same
 //! `slow_certify` failpoint and opens the same `solve.certify` span as a
@@ -108,7 +114,7 @@
 //!   the basis/glue structure — this certifies exact optimality.
 //!
 //! A certified revised answer has **bit-identical status and objective**
-//! to the pure-rational [`solve`]. Unlike the dense hybrid, the revised
+//! to the pure-rational [`solve`]. Like the dense hybrid, the revised
 //! engine never falls back on its own: any float outcome it cannot
 //! certify is a typed [`SolveFailure`], and the caller — the supervision
 //! ladder in `abt-active` — picks the next backend. For problems with
@@ -366,24 +372,20 @@ impl<S: Scalar> Tableau<S> {
     }
 }
 
-/// A freshly built tableau plus the bookkeeping both solve paths need.
+/// A freshly built tableau plus each row's dual read-out.
 struct Built<S> {
     t: Tableau<S>,
-    is_artificial: Vec<bool>,
-    /// Per original row: (auxiliary column, its sign in the dual read-out,
-    /// whether the row was flipped to normalize the RHS).
+    /// Per row: (auxiliary column, its sign in the dual read-out, whether
+    /// the row was flipped to normalize the RHS).
     row_aux: Vec<(usize, bool, bool)>,
-    n_art: usize,
 }
 
-/// Builds the initial tableau by laying [`StandardForm::build`]'s sparse
-/// columns — structural, then slack/surplus, then artificials, rows
-/// sign-normalized — into the dense arena, with its slack/artificial
-/// starting basis. No cost row yet. `lp` carries no implicit bounds or
-/// VUBs (callers materialize them as rows first), so the standard form
-/// has exactly one row per constraint.
-fn build<S: Scalar>(lp: &LpProblem<S>) -> Built<S> {
-    let sf = StandardForm::build(lp);
+/// Lays `sf`'s sparse columns — structural, then slack/surplus, then
+/// artificials, rows sign-normalized — into the dense arena, with its
+/// slack/artificial starting basis. No cost row yet. `sf` is the form of
+/// an LP without implicit bounds or VUBs ([`dense_form`]), so it has
+/// exactly one row per constraint.
+fn build<S: Scalar>(sf: &StandardForm<S>) -> Built<S> {
     debug_assert!(sf.upper.iter().all(Option::is_none) && sf.vub.iter().all(Option::is_none));
     let (m, cols) = (sf.m, sf.ncols);
     let stride = cols + 1;
@@ -407,7 +409,7 @@ fn build<S: Scalar>(lp: &LpProblem<S>) -> Built<S> {
     let t = Tableau {
         a,
         cost: vec![S::zero(); stride],
-        basis: sf.init_basis,
+        basis: sf.init_basis.clone(),
         barred: vec![false; cols],
         rows: m,
         cols,
@@ -415,22 +417,21 @@ fn build<S: Scalar>(lp: &LpProblem<S>) -> Built<S> {
     };
     Built {
         t,
-        is_artificial: sf.artificial,
         row_aux: row_aux
             .into_iter()
             .map(|aux| aux.expect("every row has an auxiliary column"))
             .collect(),
-        n_art: sf.n_art,
     }
 }
 
-/// Phase 1: minimize the sum of artificials. Returns `false` on
+/// Phase 1: minimize the sum of `sf`'s artificials. Returns `false` on
 /// infeasibility. Afterwards artificials are driven out where possible and
 /// barred from re-entering.
-fn phase1<S: Scalar>(b: &mut Built<S>) -> bool {
-    if b.n_art == 0 {
+fn phase1<S: Scalar>(sf: &StandardForm<S>, b: &mut Built<S>) -> bool {
+    if sf.n_art == 0 {
         return true;
     }
+    let is_artificial = &sf.artificial;
     let t = &mut b.t;
     let m = t.rows;
     let cols = t.cols;
@@ -438,13 +439,13 @@ fn phase1<S: Scalar>(b: &mut Built<S>) -> bool {
     // basis} a_ij, where c1 is 1 on artificials. Artificial basis columns
     // start with r = 0.
     for j in 0..=cols {
-        let mut r = if j < cols && b.is_artificial[j] {
+        let mut r = if j < cols && is_artificial[j] {
             S::one()
         } else {
             S::zero()
         };
         for i in 0..m {
-            if b.is_artificial[t.basis[i]] {
+            if is_artificial[t.basis[i]] {
                 r = r.sub(t.at(i, j));
             }
         }
@@ -458,8 +459,8 @@ fn phase1<S: Scalar>(b: &mut Built<S>) -> bool {
     }
     // Drive artificials out of the basis where possible.
     for i in 0..m {
-        if b.is_artificial[t.basis[i]] {
-            if let Some(j) = (0..cols).find(|&j| !b.is_artificial[j] && !t.at(i, j).is_zero_s()) {
+        if is_artificial[t.basis[i]] {
+            if let Some(j) = (0..cols).find(|&j| !is_artificial[j] && !t.at(i, j).is_zero_s()) {
                 t.pivot(i, j);
             }
             // Otherwise the row is redundant; its artificial stays basic
@@ -467,7 +468,7 @@ fn phase1<S: Scalar>(b: &mut Built<S>) -> bool {
         }
     }
     for j in 0..cols {
-        if b.is_artificial[j] {
+        if is_artificial[j] {
             t.barred[j] = true;
         }
     }
@@ -475,21 +476,17 @@ fn phase1<S: Scalar>(b: &mut Built<S>) -> bool {
 }
 
 /// Installs the phase-2 reduced-cost row for the current basis:
-/// `r_j = c_j − Σ_i c_{basis(i)} a_ij`.
-fn set_phase2_costs<S: Scalar>(lp: &LpProblem<S>, b: &mut Built<S>) {
-    let n = lp.num_vars();
+/// `r_j = c_j − Σ_i c_{basis(i)} a_ij`, with `c` the form's objective.
+fn set_phase2_costs<S: Scalar>(sf: &StandardForm<S>, b: &mut Built<S>) {
     let t = &mut b.t;
-    let real_cost = |j: usize| -> S {
-        if j < n {
-            lp.objective()[j].clone()
+    for j in 0..=t.cols {
+        let mut r = if j < t.cols {
+            sf.cost[j].clone()
         } else {
             S::zero()
-        }
-    };
-    for j in 0..=t.cols {
-        let mut r = if j < t.cols { real_cost(j) } else { S::zero() };
+        };
         for i in 0..t.rows {
-            let cb = real_cost(t.basis[i]);
+            let cb = &sf.cost[t.basis[i]];
             if !cb.is_zero_s() {
                 r = r.sub(&cb.mul(t.at(i, j)));
             }
@@ -499,9 +496,10 @@ fn set_phase2_costs<S: Scalar>(lp: &LpProblem<S>, b: &mut Built<S>) {
 }
 
 /// Reads the optimal solution out of a tableau whose cost row holds the
-/// phase-2 reduced costs for its (optimal) basis.
-fn extract<S: Scalar>(lp: &LpProblem<S>, b: &Built<S>) -> LpSolution<S> {
-    let n = lp.num_vars();
+/// phase-2 reduced costs for its (optimal) basis, with the duals of the
+/// form's first `rows` rows.
+fn extract<S: Scalar>(sf: &StandardForm<S>, b: &Built<S>, rows: usize) -> LpSolution<S> {
+    let n = sf.nstruct;
     let t = &b.t;
     let mut x = vec![S::zero(); n];
     for i in 0..t.rows {
@@ -511,8 +509,7 @@ fn extract<S: Scalar>(lp: &LpProblem<S>, b: &Built<S>) -> LpSolution<S> {
     }
     // Duals from the reduced costs of each row's auxiliary column (the
     // classic y = c_B B⁻¹ read-out), undoing RHS-normalization flips.
-    let duals = b
-        .row_aux
+    let duals = b.row_aux[..rows]
         .iter()
         .map(|&(col, negate, flip)| {
             let mut y = if negate {
@@ -526,7 +523,10 @@ fn extract<S: Scalar>(lp: &LpProblem<S>, b: &Built<S>) -> LpSolution<S> {
             y
         })
         .collect();
-    let objective = lp.objective_value(&x);
+    let mut objective = S::zero();
+    for (c, xj) in sf.cost.iter().zip(&x) {
+        objective = objective.add(&c.mul(xj));
+    }
     LpSolution {
         status: LpStatus::Optimal,
         objective,
@@ -535,121 +535,78 @@ fn extract<S: Scalar>(lp: &LpProblem<S>, b: &Built<S>) -> LpSolution<S> {
     }
 }
 
-fn failure<S: Scalar>(status: LpStatus) -> LpSolution<S> {
-    LpSolution {
-        status,
-        objective: S::zero(),
-        x: vec![],
-        duals: vec![],
+/// The standard form the dense tableau runs on: `lp`'s, after its implicit
+/// bounds and VUBs are materialized as trailing `≤` rows (the tableau has
+/// no bounds). Its variables, objective and leading rows are `lp`'s.
+fn dense_form<S: Scalar>(lp: &LpProblem<S>) -> StandardForm<S> {
+    if lp.has_upper_bounds() || lp.has_vubs() {
+        StandardForm::build(&lp.vubs_as_rows().bounds_as_rows())
+    } else {
+        StandardForm::build(lp)
     }
 }
 
-/// Full two-phase solve returning the solution and the terminal basis
-/// (one basic column per row; empty unless `Optimal`).
-fn solve_internal<S: Scalar>(lp: &LpProblem<S>) -> (LpSolution<S>, Vec<usize>) {
-    let mut b = build(lp);
-    if !phase1(&mut b) {
-        return (failure(LpStatus::Infeasible), vec![]);
+/// Runs both phases on the tableau of `sf`: the optimal tableau, or the
+/// status that ended the solve.
+fn optimize<S: Scalar>(sf: &StandardForm<S>) -> Result<Built<S>, LpStatus> {
+    let mut b = build(sf);
+    if !phase1(sf, &mut b) {
+        return Err(LpStatus::Infeasible);
     }
-    set_phase2_costs(lp, &mut b);
+    set_phase2_costs(sf, &mut b);
     if !b.t.optimize() {
-        return (failure(LpStatus::Unbounded), vec![]);
+        return Err(LpStatus::Unbounded);
     }
-    let basis = b.t.basis.clone();
-    (extract(lp, &b), basis)
+    Ok(b)
 }
 
 /// Solves `lp` to optimality (or detects infeasibility/unboundedness) in
 /// the scalar type `S`. Implicit variable bounds and VUBs are materialized
 /// as trailing rows internally; their duals are dropped.
 pub fn solve<S: Scalar>(lp: &LpProblem<S>) -> LpSolution<S> {
-    if lp.has_upper_bounds() || lp.has_vubs() {
-        let rows = lp.vubs_as_rows().bounds_as_rows();
-        let mut sol = solve_internal(&rows).0;
-        sol.duals.truncate(lp.num_constraints());
-        return sol;
+    let sf = dense_form(lp);
+    match optimize(&sf) {
+        Ok(b) => extract(&sf, &b, lp.num_constraints()),
+        Err(status) => LpSolution {
+            status,
+            objective: S::zero(),
+            x: vec![],
+            duals: vec![],
+        },
     }
-    solve_internal(lp).0
 }
 
-/// The lossless `f64` image of an exact-rational LP (bounds and VUBs
-/// included).
-pub(crate) fn to_f64(lp: &LpProblem<Rat>) -> LpProblem<f64> {
-    let mut out: LpProblem<f64> = LpProblem::new();
-    for c in lp.objective() {
-        out.add_var(c.to_f64());
-    }
-    for v in 0..lp.num_vars() {
-        if let Some(u) = lp.upper(v) {
-            out.set_upper(v, u.to_f64());
-        }
-        if let Some(k) = lp.vub(v) {
-            out.set_vub(v, k);
-        }
-    }
-    for c in lp.constraints() {
-        let terms = c.terms.iter().map(|&(v, ref a)| (v, a.to_f64())).collect();
-        out.add_constraint(terms, c.cmp, c.rhs.to_f64());
-    }
-    out
-}
-
-/// Certifies `target` (a basis proposed by the dense float pass) through
-/// the one exact certifier, [`verify_bounded`]: the dense layout is
-/// [`StandardForm::build`]'s, so the proposal is the bounded one with
-/// every nonbasic column `AtLower`. A column index outside the exact form
-/// is refuted.
-fn verify_basis(lp: &LpProblem<Rat>, target: &[usize], stats: &mut SolveStats) -> Certified {
-    let sf = StandardForm::build(lp);
+/// The dense hybrid engine behind [`crate::api::solve_lp`]'s
+/// `DenseHybrid` backend, a rung like [`revised_cold`]: it builds the
+/// exact form of the row-materialized problem once, runs the dense simplex
+/// on that form's `f64` image, and certifies the terminal basis against
+/// the same form (see the module docs for the contract). It never falls
+/// back on its own: a float `Infeasible` claim is `Err(Infeasible)`, and a
+/// float `Unbounded` claim or a refuted basis is `Err(NumericalStall)`.
+pub(crate) fn dense_hybrid(lp: &LpProblem<Rat>) -> Result<LpReport, SolveFailure> {
+    let sf = dense_form(lp);
+    let basis = match optimize(&sf.to_f64()) {
+        Ok(b) => b.t.basis,
+        Err(LpStatus::Infeasible) => return Err(SolveFailure::Infeasible),
+        Err(_) => return Err(SolveFailure::NumericalStall),
+    };
+    // The dense layout is the form's, so the proposal is the bounded one
+    // with every nonbasic column `AtLower`.
     let mut state = vec![VarState::AtLower; sf.ncols];
-    for &c in target {
-        match state.get_mut(c) {
-            Some(s) => *s = VarState::Basic,
-            None => return Certified::Refuted,
-        }
+    for &c in &basis {
+        state[c] = VarState::Basic;
     }
     let prop = BoundedBasis {
         status: BoundedStatus::Optimal,
-        basis: target.to_vec(),
+        basis,
         state,
         stats: SolveStats::default(),
         xb: Vec::new(),
         y: Vec::new(),
     };
-    verify_bounded(lp, &sf, &prop, None, stats)
-}
-
-/// The dense hybrid engine behind [`crate::api::solve_lp`]'s
-/// `DenseHybrid` backend: runs the simplex in `f64`, re-verifies the
-/// terminal basis in exact rationals, and falls back to the pure exact
-/// simplex when verification fails (see the module docs for the
-/// contract). Status and objective are always bit-identical to
-/// [`solve`]`::<Rat>`.
-pub(crate) fn dense_hybrid(lp: &LpProblem<Rat>) -> LpReport {
-    if lp.has_upper_bounds() || lp.has_vubs() {
-        // The dense hybrid works on the row encoding; recurse on the
-        // materialized problem and drop the bound/VUB rows' duals.
-        let rows = lp.vubs_as_rows().bounds_as_rows();
-        let mut rep = dense_hybrid(&rows);
-        rep.solution.duals.truncate(lp.num_constraints());
-        return rep;
-    }
-    let (fsol, fbasis) = solve_internal(&to_f64(lp));
-    if fsol.status == LpStatus::Optimal {
-        let mut stats = SolveStats::default();
-        if let Certified::Verified(solution) = verify_basis(lp, &fbasis, &mut stats) {
-            return LpReport {
-                solution,
-                fallback: false,
-                stats,
-            };
-        }
-    }
-    LpReport {
-        solution: solve(lp),
-        fallback: true,
-        stats: SolveStats::default(),
-    }
+    // `lp` and its row form share their variables, objective and leading
+    // rows, so the certified solution carries `lp`'s own row duals.
+    certify(lp, &sf, &prop, None)
 }
 
 /// Tri-state outcome of the exact certifier ([`verify_bounded`]).
@@ -1125,8 +1082,21 @@ pub(crate) fn revised_cold(
             return Err(SolveFailure::NumericalStall)
         }
     }
+    certify(lp, &sfr, &prop, opts.pricing.stage_deadline())
+}
+
+/// The rung contract's end: certifies the float pass's proposal `prop`
+/// for `lp` against the exact form `sf` it was searched over. A certified
+/// answer is the report (never a `fallback`); a refuted basis is
+/// `Err(NumericalStall)` and a passed deadline a time budget trip.
+fn certify(
+    lp: &LpProblem<Rat>,
+    sf: &StandardForm<Rat>,
+    prop: &BoundedBasis,
+    deadline: Option<Instant>,
+) -> Result<LpReport, SolveFailure> {
     let mut stats = prop.stats;
-    match verify_bounded(lp, &sfr, &prop, opts.pricing.stage_deadline(), &mut stats) {
+    match verify_bounded(lp, sf, prop, deadline, &mut stats) {
         Certified::Verified(solution) => Ok(LpReport {
             solution,
             fallback: false,
@@ -1160,9 +1130,17 @@ pub(crate) mod tests {
         solve_lp(lp, &LpOptions::new())
     }
 
-    /// A dense backend's answer (the dense backends never fail).
-    fn dense(lp: &LpProblem<Rat>, backend: SolverBackend) -> LpReport {
-        solve_lp(lp, &LpOptions::new().backend(backend)).expect("dense backends never fail")
+    /// The `DenseHybrid` backend's certified answer, or its typed refusal.
+    fn hybrid(lp: &LpProblem<Rat>) -> Result<LpReport, SolveFailure> {
+        solve_lp(lp, &LpOptions::new().backend(SolverBackend::DenseHybrid))
+    }
+
+    /// The `DenseExact` backend's answer (it never fails).
+    fn dense_exact(lp: &LpProblem<Rat>) -> LpReport {
+        let rep = solve_lp(lp, &LpOptions::new().backend(SolverBackend::DenseExact))
+            .expect("the dense exact backend never fails");
+        assert!(rep.fallback, "a dense exact answer is the fallback");
+        rep
     }
 
     #[test]
@@ -1298,16 +1276,18 @@ pub(crate) mod tests {
 
     // ---- hybrid-specific coverage -------------------------------------
 
-    /// Runs both paths on `lp` and checks the hybrid contract.
+    /// Runs both paths on `lp`, an LP with an optimum, and checks the
+    /// hybrid contract: a certified answer bit-identical to the dense
+    /// exact one.
     fn assert_hybrid_matches(lp: &LpProblem<Rat>) -> LpReport {
         let exact = solve(lp);
-        let rep = dense(lp, SolverBackend::DenseHybrid);
-        assert_eq!(rep.solution.status, exact.status);
-        if exact.status == LpStatus::Optimal {
-            assert_eq!(rep.solution.objective, exact.objective);
-            assert!(lp.is_feasible(&rep.solution.x));
-            assert_eq!(lp.objective_value(&rep.solution.x), exact.objective);
-        }
+        assert_eq!(exact.status, LpStatus::Optimal);
+        let rep = hybrid(lp).expect("the hybrid certifies clean LPs");
+        assert!(!rep.fallback);
+        assert_eq!(rep.solution.status, LpStatus::Optimal);
+        assert_eq!(rep.solution.objective, exact.objective);
+        assert!(lp.is_feasible(&rep.solution.x));
+        assert_eq!(lp.objective_value(&rep.solution.x), exact.objective);
         rep
     }
 
@@ -1319,8 +1299,7 @@ pub(crate) mod tests {
         let y = lp.add_var(Rat::ONE);
         lp.add_constraint(vec![(x, Rat::ONE), (y, r(2, 1))], Cmp::Ge, r(4, 1));
         lp.add_constraint(vec![(x, r(3, 1)), (y, Rat::ONE)], Cmp::Ge, r(6, 1));
-        let rep = assert_hybrid_matches(&lp);
-        assert!(!rep.fallback, "clean LP must verify without fallback");
+        assert_hybrid_matches(&lp);
 
         let mut eq: LpProblem<Rat> = LpProblem::new();
         let x = eq.add_var(r(2, 1));
@@ -1360,17 +1339,20 @@ pub(crate) mod tests {
 
     #[test]
     fn hybrid_reports_infeasible_and_unbounded_exactly() {
+        // A non-Optimal float verdict is a typed refusal; the exact status
+        // comes from the dense exact backend, the ladder's next rung.
         let mut inf: LpProblem<Rat> = LpProblem::new();
         let x = inf.add_var(Rat::ONE);
         inf.add_constraint(vec![(x, Rat::ONE)], Cmp::Ge, r(3, 1));
         inf.bound_var(x, Rat::ONE);
-        let rep = assert_hybrid_matches(&inf);
-        assert!(rep.fallback, "non-Optimal float status must re-run exactly");
+        assert_eq!(hybrid(&inf).unwrap_err(), SolveFailure::Infeasible);
+        assert_eq!(dense_exact(&inf).solution.status, LpStatus::Infeasible);
 
         let mut unb: LpProblem<Rat> = LpProblem::new();
         let x = unb.add_var(r(-1, 1));
         unb.add_constraint(vec![(x, Rat::ONE)], Cmp::Ge, Rat::ONE);
-        assert_hybrid_matches(&unb);
+        assert_eq!(hybrid(&unb).unwrap_err(), SolveFailure::NumericalStall);
+        assert_eq!(dense_exact(&unb).solution.status, LpStatus::Unbounded);
     }
 
     #[test]
@@ -1379,17 +1361,15 @@ pub(crate) mod tests {
         // round to 1.0, the float pass lands on the basis {x₀} (Dantzig
         // tie-break enters the first column) and declares it optimal; the
         // exact reduced cost of x₁ there is −2⁻⁶⁰ < 0, so verification
-        // must reject the basis and the fallback must find x₁ = 1.
+        // must reject the basis as a typed stall, and the fallback — the
+        // dense exact backend — must find x₁ = 1.
         let eps = Rat::new(1, 1i128 << 60);
         let mut lp: LpProblem<Rat> = LpProblem::new();
         let x0 = lp.add_var(Rat::ONE.add(&eps));
         let x1 = lp.add_var(Rat::ONE);
         lp.add_constraint(vec![(x0, Rat::ONE), (x1, Rat::ONE)], Cmp::Ge, Rat::ONE);
-        let rep = dense(&lp, SolverBackend::DenseHybrid);
-        assert!(
-            rep.fallback,
-            "sub-epsilon cost gap must force the exact fallback"
-        );
+        assert_eq!(hybrid(&lp).unwrap_err(), SolveFailure::NumericalStall);
+        let rep = dense_exact(&lp);
         assert_eq!(rep.solution.status, LpStatus::Optimal);
         assert_eq!(rep.solution.objective, Rat::ONE);
         assert_eq!(rep.solution.x, vec![Rat::ZERO, Rat::ONE]);
@@ -1480,7 +1460,7 @@ pub(crate) mod tests {
         for implicit in [false, true] {
             let lp = build(implicit);
             let exact = solve(&lp);
-            let hybrid = dense(&lp, SolverBackend::DenseHybrid).solution;
+            let hybrid = hybrid(&lp).expect("certified hybrid solve").solution;
             let rep = revised(&lp).expect("certified revised solve");
             for sol in [&exact, &hybrid, &rep.solution] {
                 assert_eq!(sol.status, LpStatus::Optimal);
@@ -1532,45 +1512,40 @@ pub(crate) mod tests {
     #[test]
     fn revised_reports_infeasible_and_unbounded_exactly() {
         // A non-Optimal float verdict is a typed refusal, never a silent
-        // dense re-run; the exact status comes from the dense backends.
+        // dense re-run, on both float rungs; the exact status comes from
+        // the dense exact backend.
         let mut inf: LpProblem<Rat> = LpProblem::new();
         let x = inf.add_var(Rat::ONE);
         inf.add_constraint(vec![(x, Rat::ONE)], Cmp::Ge, r(3, 1));
         inf.set_upper(x, Rat::ONE);
         assert_eq!(revised(&inf).unwrap_err(), SolveFailure::Infeasible);
-        for backend in [SolverBackend::DenseHybrid, SolverBackend::DenseExact] {
-            let rep = dense(&inf, backend);
-            assert!(rep.fallback, "non-Optimal float status must re-run exactly");
-            assert_eq!(rep.solution.status, LpStatus::Infeasible);
-        }
+        assert_eq!(hybrid(&inf).unwrap_err(), SolveFailure::Infeasible);
+        assert_eq!(dense_exact(&inf).solution.status, LpStatus::Infeasible);
 
         let mut unb: LpProblem<Rat> = LpProblem::new();
         let x = unb.add_var(r(-1, 1));
         unb.add_constraint(vec![(x, Rat::ONE)], Cmp::Ge, Rat::ONE);
         assert_eq!(revised(&unb).unwrap_err(), SolveFailure::NumericalStall);
-        for backend in [SolverBackend::DenseHybrid, SolverBackend::DenseExact] {
-            assert_eq!(dense(&unb, backend).solution.status, LpStatus::Unbounded);
-        }
+        assert_eq!(hybrid(&unb).unwrap_err(), SolveFailure::NumericalStall);
+        assert_eq!(dense_exact(&unb).solution.status, LpStatus::Unbounded);
     }
 
     #[test]
     fn revised_refuses_sub_epsilon_cost_gap() {
         // Same adversarial instance as the dense hybrid: costs that
         // collide in f64 must be caught by the exact verification. The
-        // revised backend refuses the refuted basis as a typed stall; the
-        // dense backends answer it exactly.
+        // revised and hybrid backends refuse the refuted basis as a typed
+        // stall; the dense exact backend answers it.
         let eps = Rat::new(1, 1i128 << 60);
         let mut lp: LpProblem<Rat> = LpProblem::new();
         let x0 = lp.add_var(Rat::ONE.add(&eps));
         let x1 = lp.add_var(Rat::ONE);
         lp.add_constraint(vec![(x0, Rat::ONE), (x1, Rat::ONE)], Cmp::Ge, Rat::ONE);
         assert_eq!(revised(&lp).unwrap_err(), SolveFailure::NumericalStall);
-        for backend in [SolverBackend::DenseHybrid, SolverBackend::DenseExact] {
-            let rep = dense(&lp, backend);
-            assert!(rep.fallback, "the gap must force the exact path");
-            assert_eq!(rep.solution.objective, Rat::ONE);
-            assert_eq!(rep.solution.x, vec![Rat::ZERO, Rat::ONE]);
-        }
+        assert_eq!(hybrid(&lp).unwrap_err(), SolveFailure::NumericalStall);
+        let rep = dense_exact(&lp);
+        assert_eq!(rep.solution.objective, Rat::ONE);
+        assert_eq!(rep.solution.x, vec![Rat::ZERO, Rat::ONE]);
     }
 
     // ---- VUB coverage -------------------------------------------------
@@ -1698,10 +1673,7 @@ pub(crate) mod tests {
         inf.add_constraint(vec![(x, Rat::ONE)], Cmp::Ge, r(5, 1));
         assert_eq!(revised(&inf).unwrap_err(), SolveFailure::Infeasible);
         assert_eq!(solve(&inf.vubs_as_rows()).status, LpStatus::Infeasible);
-        assert_eq!(
-            dense(&inf, SolverBackend::DenseHybrid).solution.status,
-            LpStatus::Infeasible
-        );
+        assert_eq!(hybrid(&inf).unwrap_err(), SolveFailure::Infeasible);
 
         // Unbounded: the key has no constant bound and pays off.
         let mut unb: LpProblem<Rat> = LpProblem::new();
@@ -1711,10 +1683,7 @@ pub(crate) mod tests {
         unb.add_constraint(vec![(x, Rat::ONE), (y, Rat::ONE)], Cmp::Ge, Rat::ONE);
         assert_eq!(revised(&unb).unwrap_err(), SolveFailure::NumericalStall);
         assert_eq!(solve(&unb.vubs_as_rows()).status, LpStatus::Unbounded);
-        assert_eq!(
-            dense(&unb, SolverBackend::DenseHybrid).solution.status,
-            LpStatus::Unbounded
-        );
+        assert_eq!(hybrid(&unb).unwrap_err(), SolveFailure::NumericalStall);
     }
 
     // ---- fallible (try_) revised coverage -----------------------------
@@ -1822,7 +1791,7 @@ pub(crate) mod tests {
         assert_eq!(rep.stats.certify_lu, 0);
         assert_eq!(rep.solution.objective, solve(&lp).objective);
         // The dense hybrid hands over no float values: it always factors.
-        let hybrid = dense(&lp, SolverBackend::DenseHybrid);
+        let hybrid = hybrid(&lp).expect("clean solve");
         assert!(!hybrid.fallback);
         assert_eq!(hybrid.stats.certify_lu, 1);
     }
@@ -1944,7 +1913,7 @@ pub(crate) mod tests {
         let y = lp.add_var(r(2, 1));
         lp.add_constraint(vec![(x, Rat::ONE), (y, Rat::ONE)], Cmp::Ge, r(3, 1));
         lp.bound_var(x, r(2, 1));
-        let sol = dense(&lp, SolverBackend::DenseHybrid).solution;
+        let sol = hybrid(&lp).expect("clean solve").solution;
         assert_eq!(sol.status, LpStatus::Optimal);
         let mut by = Rat::ZERO;
         for (c, yv) in lp.constraints().iter().zip(&sol.duals) {

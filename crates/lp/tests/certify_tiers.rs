@@ -6,7 +6,10 @@
 //! must certify the same answer as the dense exact solve, counted as a
 //! `Rat` sweep.
 
-use abt_lp::{solve, solve_lp, Cmp, LpOptions, LpProblem, LpReport, LpStatus, Rat, SolverBackend};
+use abt_lp::{
+    solve, solve_lp, Cmp, LpOptions, LpProblem, LpReport, LpStatus, Rat, SolveFailure,
+    SolverBackend,
+};
 use proptest::prelude::*;
 
 fn r(p: i64) -> Rat {
@@ -49,20 +52,26 @@ proptest! {
         let oracle = solve(&row_lp);
         // The revised rung certifies from the float pass's values, the
         // dense hybrid from the LU's; on small integral data both prove
-        // every sign in integers. A revised refusal is a float-level
-        // claim that a lower rung decides.
-        let hybrid = solve_lp(&vub_lp, &LpOptions::new().backend(SolverBackend::DenseHybrid))
-            .expect("the dense hybrid never fails");
-        prop_assert_eq!(hybrid.solution.status.clone(), oracle.status.clone());
-        let revised = solve_lp(&vub_lp, &LpOptions::new());
-        for rep in revised.iter().chain((!hybrid.fallback).then_some(&hybrid)) {
-            prop_assert_eq!(rep.solution.status.clone(), LpStatus::Optimal);
-            prop_assert_eq!(rep.solution.objective, oracle.objective);
-            prop_assert!(vub_lp.is_feasible(&rep.solution.x));
-            prop_assert_eq!(
-                (rep.stats.interval_accepts, rep.stats.interval_escalations),
-                (1, 0)
-            );
+        // every sign in integers. The keys' bounds cap every variable, so
+        // the only refusal is a float-level infeasibility claim, which
+        // the dense exact rung decides.
+        for backend in [SolverBackend::Revised, SolverBackend::DenseHybrid] {
+            match solve_lp(&vub_lp, &LpOptions::new().backend(backend)) {
+                Ok(rep) => {
+                    prop_assert_eq!(oracle.status.clone(), LpStatus::Optimal);
+                    prop_assert_eq!(rep.solution.status.clone(), LpStatus::Optimal);
+                    prop_assert_eq!(rep.solution.objective, oracle.objective);
+                    prop_assert!(vub_lp.is_feasible(&rep.solution.x));
+                    prop_assert_eq!(
+                        (rep.stats.interval_accepts, rep.stats.interval_escalations),
+                        (1, 0)
+                    );
+                }
+                Err(f) => {
+                    prop_assert_eq!(f, SolveFailure::Infeasible, "{:?}", backend);
+                    prop_assert_eq!(oracle.status.clone(), LpStatus::Infeasible);
+                }
+            }
         }
     }
 }
@@ -127,7 +136,7 @@ fn adversarial_tiny_gap_escalates_to_exact() {
 /// they stand: their families are swept in `Rat` inside the revised
 /// rung's one sweep, and neither backend escalates to another solve — the
 /// revised rung proves the float values without the LU, and the dense
-/// hybrid certifies the same optimum without its exact fallback.
+/// hybrid certifies the same optimum.
 #[test]
 fn isolated_straddles_are_rescued_without_escalation() {
     let lp = tiny_gap_lp(2);
@@ -136,11 +145,7 @@ fn isolated_straddles_are_rescued_without_escalation() {
     assert_eq!(rep.solution.objective, r(-1));
     assert_eq!(rep.stats.certify_lu, 0);
     let hybrid = solve_lp(&lp, &LpOptions::new().backend(SolverBackend::DenseHybrid))
-        .expect("the dense hybrid never fails");
-    assert!(
-        !hybrid.fallback,
-        "the dense hybrid certified without its exact fallback"
-    );
+        .expect("the dense hybrid certifies");
     assert_eq!(hybrid.solution.objective, rep.solution.objective);
     assert_eq!(hybrid.solution.x, rep.solution.x);
 }

@@ -18,10 +18,10 @@ fn r(p: i64) -> Rat {
     Rat::from_int(p)
 }
 
-/// The `DenseHybrid` backend's answer (the backend never fails).
-fn hybrid(lp: &LpProblem<Rat>) -> LpSolution<Rat> {
-    solve_lp(lp, &LpOptions::new().backend(SolverBackend::DenseHybrid))
-        .expect("the dense hybrid never fails")
+/// The `DenseExact` backend's answer (the backend never fails).
+fn dense_exact(lp: &LpProblem<Rat>) -> LpSolution<Rat> {
+    solve_lp(lp, &LpOptions::new().backend(SolverBackend::DenseExact))
+        .expect("the dense exact backend never fails")
         .solution
 }
 
@@ -43,17 +43,22 @@ fn check_answer(
     Ok(())
 }
 
-/// Checks the `Revised` backend on `lp` against the dense exact verdict
-/// `exact`. A certified answer must match it bit for bit. A typed refusal
-/// must name the exact verdict: a float `Infeasible` claim stands for an
-/// infeasible LP, an unbounded float run surfaces as a stall. Either
-/// way the supervision ladder's next rung, `DenseHybrid`, answers
-/// exactly.
-fn check_revised(lp: &LpProblem<Rat>, exact: &LpSolution<Rat>) -> Result<(), TestCaseError> {
-    match solve_lp(lp, &LpOptions::new()) {
+/// Checks a float rung — the `Revised` or `DenseHybrid` backend — on
+/// `lp` against the dense exact verdict `exact`, and returns its certified
+/// answer. A certified answer must match the verdict bit for bit. A typed
+/// refusal must name it: a float `Infeasible` claim stands for an
+/// infeasible LP, an unbounded float run surfaces as a stall. Either way
+/// the supervision ladder's last rung, `DenseExact`, answers exactly.
+fn check_rung(
+    lp: &LpProblem<Rat>,
+    backend: SolverBackend,
+    exact: &LpSolution<Rat>,
+) -> Result<Option<LpSolution<Rat>>, TestCaseError> {
+    match solve_lp(lp, &LpOptions::new().backend(backend)) {
         Ok(rep) => {
-            prop_assert!(!rep.fallback, "a revised answer is always certified");
+            prop_assert!(!rep.fallback, "a float rung's answer is always certified");
             check_answer(lp, &rep.solution, exact)?;
+            Ok(Some(rep.solution))
         }
         Err(f) => {
             let expected = match f {
@@ -61,11 +66,11 @@ fn check_revised(lp: &LpProblem<Rat>, exact: &LpSolution<Rat>) -> Result<(), Tes
                 SolveFailure::NumericalStall => LpStatus::Unbounded,
                 other => return Err(TestCaseError::fail(format!("unexpected failure {other}"))),
             };
-            prop_assert_eq!(exact.status.clone(), expected);
-            check_answer(lp, &hybrid(lp), exact)?;
+            prop_assert_eq!(exact.status.clone(), expected, "{:?}", backend);
+            check_answer(lp, &dense_exact(lp), exact)?;
+            Ok(None)
         }
     }
-    Ok(())
 }
 
 /// Solve a k×k exact linear system via Gaussian elimination; None if singular.
@@ -247,18 +252,13 @@ proptest! {
             (proptest::collection::vec(-4i64..5, 3), -3i64..9), 1..6),
         costs in proptest::collection::vec(-5i64..6, 3),
     ) {
-        // The hybrid contract: status and objective bit-identical to the
-        // pure exact simplex; the returned vertex exactly feasible and
-        // exactly optimal; duals exactly feasible with strong duality.
+        // The hybrid contract: a certified answer has status and
+        // objective bit-identical to the pure exact simplex, its vertex
+        // exactly feasible and exactly optimal, its duals exactly
+        // feasible with strong duality; a refusal names the verdict.
         let lp = build_boxed_lp(k, &rows, &costs);
         let exact = solve(&lp);
-        let hybrid = hybrid(&lp);
-        prop_assert_eq!(hybrid.status.clone(), exact.status.clone());
-        if exact.status == LpStatus::Optimal {
-            prop_assert_eq!(hybrid.objective, exact.objective);
-            prop_assert!(lp.is_feasible(&hybrid.x));
-            prop_assert_eq!(lp.objective_value(&hybrid.x), exact.objective);
-            prop_assert_eq!(hybrid.duals.len(), lp.num_constraints());
+        if let Some(hybrid) = check_rung(&lp, SolverBackend::DenseHybrid, &exact)? {
             let mut by = Rat::ZERO;
             for (cons, y) in lp.constraints().iter().zip(&hybrid.duals) {
                 prop_assert!(y.signum() <= 0, "≤-row dual must be ≤ 0");
@@ -322,8 +322,9 @@ proptest! {
             vub_lp.set_upper(0, r(dep_cap)); // promoted to a row internally
         }
         let exact = solve(&row_lp);
-        check_revised(&vub_lp, &exact)?;
-        check_answer(&vub_lp, &hybrid(&vub_lp), &exact)?;
+        for backend in [SolverBackend::Revised, SolverBackend::DenseHybrid] {
+            check_rung(&vub_lp, backend, &exact)?;
+        }
     }
 }
 
@@ -358,7 +359,7 @@ proptest! {
         }
         let exact = solve(&row_lp);
         for lp in [&row_lp, &bnd_lp] {
-            check_revised(lp, &exact)?;
+            check_rung(lp, SolverBackend::Revised, &exact)?;
         }
     }
 }

@@ -1,11 +1,17 @@
 //! Golden tests: the closed-form quantities of every paper gadget, exactly
 //! as the paper states them, across a parameter grid.
 
-use abt_core::{within_frac_factor, DemandProfile, Frac};
+use abt_core::{within_frac_factor, DemandProfile};
+use abt_lp::Rat;
 use abt_workloads::{
     fig10_flexible_factor4, fig3_minimal_tight, fig6_greedy_tracking_tight, fig8_interval_tight,
     fig9_dp_profile_tight, integrality_gap, SCALE,
 };
+
+/// The exact ratio `a/b` of two costs.
+fn ratio(a: i64, b: i64) -> Rat {
+    Rat::new(a.into(), b.into())
+}
 
 #[test]
 fn fig3_closed_forms() {
@@ -31,11 +37,11 @@ fn integrality_gap_closed_forms() {
         assert_eq!(ig.instance.len(), g * (g + 1));
         // The gap 2g/(g+1) is increasing in g and below 2.
         assert!(within_frac_factor(ig.ip_opt, 2, 1, ig.lp_opt));
-        assert!(Frac::ratio(ig.ip_opt, ig.lp_opt) < Frac::int(2));
+        assert!(ratio(ig.ip_opt, ig.lp_opt) < Rat::from_int(2));
         if g >= 3 {
             let prev = integrality_gap(g - 1);
             assert!(
-                Frac::ratio(ig.ip_opt, ig.lp_opt) > Frac::ratio(prev.ip_opt, prev.lp_opt),
+                ratio(ig.ip_opt, ig.lp_opt) > ratio(prev.ip_opt, prev.lp_opt),
                 "gap must increase with g"
             );
         }
@@ -54,7 +60,7 @@ fn fig6_closed_forms() {
         assert_eq!(f.adversarial_cost, 3 * gi * (2 * SCALE - eps));
         assert_eq!(f.opt_upper, 2 * gi * SCALE + 2 * SCALE - eps);
         // Ratio below 3, increasing in g.
-        assert!(Frac::ratio(f.adversarial_cost, f.opt_upper) < Frac::int(3));
+        assert!(ratio(f.adversarial_cost, f.opt_upper) < Rat::from_int(3));
     }
 }
 
@@ -67,13 +73,13 @@ fn fig8_closed_forms() {
         assert_eq!(f.opt, SCALE + eps);
         assert_eq!(f.bad_output, 2 * SCALE + eps + eps1);
         // bad/opt < 2 always, → 2 as ε → 0.
-        assert!(Frac::ratio(f.bad_output, f.opt) < Frac::int(2));
+        assert!(ratio(f.bad_output, f.opt) < Rat::from_int(2));
     }
 }
 
 #[test]
 fn fig9_profile_ratio_increases_towards_two() {
-    let mut prev: Option<Frac> = None;
+    let mut prev: Option<Rat> = None;
     for g in 2..=8usize {
         let f = fig9_dp_profile_tight(g, 4);
         let adv = f.instance.fix_starts(&f.adversarial_starts).unwrap();
@@ -81,12 +87,12 @@ fn fig9_profile_ratio_increases_towards_two() {
         let profile = |inst: &abt_core::Instance| -> i64 {
             DemandProfile::new(&inst.jobs().iter().map(|j| j.window()).collect::<Vec<_>>()).cost(g)
         };
-        let ratio = Frac::ratio(profile(&adv), profile(&fri));
-        assert!(ratio < Frac::int(2), "Lemma 7: at most 2");
+        let r = ratio(profile(&adv), profile(&fri));
+        assert!(r < Rat::from_int(2), "Lemma 7: at most 2");
         if let Some(p) = prev {
-            assert!(ratio > p, "ratio must increase with g");
+            assert!(r > p, "ratio must increase with g");
         }
-        prev = Some(ratio);
+        prev = Some(r);
     }
 }
 
@@ -98,7 +104,7 @@ fn fig10_closed_forms() {
         let gi = g as i64;
         assert_eq!(f.opt_upper, gi * SCALE + (gi - 1) * 2 * eps);
         assert_eq!(f.bad_cost, SCALE + (gi - 1) * (4 * SCALE + 3 * eps));
-        assert!(Frac::ratio(f.bad_cost, f.opt_upper) < Frac::int(4));
+        assert!(ratio(f.bad_cost, f.opt_upper) < Rat::from_int(4));
         // Job census: 1 + (g−1)(g + 2g−2 + 2 + 2) + (g−1) flexible.
         assert_eq!(f.instance.len(), 1 + (g - 1) * (3 * g + 2) + (g - 1));
     }
